@@ -120,7 +120,7 @@ func main() {
 			}
 			self = "http://" + h
 		}
-		go runRegistration(ctx, *register, *name, self, *heartbeat, *hbSeed)
+		go runRegistration(ctx, *register, *name, self, *heartbeat, *hbSeed, api.CapacitySummary)
 	}
 
 	select {

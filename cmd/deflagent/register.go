@@ -21,8 +21,11 @@ import (
 // around the base interval: a fleet of agents started together de-phases
 // within one period instead of synchronizing fan-in spikes at the manager.
 // A 404 on heartbeat means no shard knows the node (ownership moved, or a
-// hand-off raced) — the agent re-registers through the ring.
-func runRegistration(ctx context.Context, manager, name, selfURL string, base time.Duration, seed int64) {
+// hand-off raced) — the agent re-registers through the ring. Each heartbeat
+// carries the agent's current capacity summary, so its manager notices
+// within one interval what other writers did to this server.
+func runRegistration(ctx context.Context, manager, name, selfURL string, base time.Duration, seed int64,
+	summary func() cluster.CapacitySummary) {
 	client := &http.Client{Timeout: 10 * time.Second}
 	body, _ := json.Marshal(cluster.RegisterNodeRequest{Name: name, URL: selfURL})
 
@@ -72,10 +75,15 @@ func runRegistration(ctx context.Context, manager, name, selfURL string, base ti
 			return
 		case <-time.After(cluster.HeartbeatInterval(rng, base)):
 		}
-		req, err := http.NewRequestWithContext(ctx, http.MethodPost, hbURL, nil)
+		sum, err := json.Marshal(summary())
 		if err != nil {
 			continue
 		}
+		req, err := http.NewRequestWithContext(ctx, http.MethodPost, hbURL, bytes.NewReader(sum))
+		if err != nil {
+			continue
+		}
+		req.Header.Set("Content-Type", "application/json")
 		resp, err := client.Do(req)
 		if err != nil {
 			continue

@@ -59,12 +59,37 @@ type VMState struct {
 	BalloonMB float64 `json:"balloon_mb,omitempty"`
 }
 
+// CapacitySummary is everything the manager's placement needs to know about
+// a server, and nothing else (no VM inventory): the agent pushes it on every
+// reply it writes (capacityHeader) and in its heartbeat body, and RemoteNode
+// serves Free/Availability/... from the last one it saw. Instance names the
+// agent process and Generation counts its capacity changes, so a receiver
+// can order two summaries of one instance and notice a restarted agent.
+type CapacitySummary struct {
+	Instance           string          `json:"instance"`
+	Generation         uint64          `json:"generation"`
+	Mode               string          `json:"mode"`
+	Free               restypes.Vector `json:"free"`
+	Availability       restypes.Vector `json:"availability"`
+	PreemptableCeiling restypes.Vector `json:"preemptable_ceiling"`
+	Overcommitment     float64         `json:"overcommitment"`
+	Preemptions        int             `json:"preemptions"`
+	Substrate          string          `json:"substrate,omitempty"`
+}
+
+// capacityHeader carries the JSON-encoded CapacitySummary on every
+// ControllerAPI reply; a header because 204s and error replies have no body.
+const capacityHeader = "X-Deflation-Capacity"
+
 // ControllerAPI serves a LocalController over HTTP. Handlers serialize all
 // controller access through a mutex: the controller itself is
 // single-threaded by design.
 type ControllerAPI struct {
 	mu   sync.Mutex
 	ctrl *LocalController
+
+	// instance identifies this API's lifetime in every CapacitySummary.
+	instance string
 
 	// guard fences mutating commands by leadership epoch: once a request
 	// arrives stamped with epoch N, commands from epochs < N are refused
@@ -87,7 +112,11 @@ func NewControllerAPI(ctrl *LocalController) (*ControllerAPI, error) {
 	if ctrl == nil {
 		return nil, fmt.Errorf("cluster: nil controller")
 	}
-	return &ControllerAPI{ctrl: ctrl, idem: make(map[string]DeflateVMResponse)}, nil
+	return &ControllerAPI{
+		ctrl:     ctrl,
+		instance: strconv.FormatUint(rand.Uint64(), 16),
+		idem:     make(map[string]DeflateVMResponse),
+	}, nil
 }
 
 // Handler returns the controller's routes:
@@ -98,6 +127,9 @@ func NewControllerAPI(ctrl *LocalController) (*ControllerAPI, error) {
 //	DELETE /v1/vms/{name}       — release
 //	POST   /v1/vms/{name}/deflate  — {"target": Vector} → cascade report;
 //	                              honors the Idempotency-Key header
+//
+// Every reply, errors included, carries the capacity summary as it stands
+// after the request (capacityHeader).
 func (a *ControllerAPI) Handler() http.Handler {
 	mux := http.NewServeMux()
 	mux.HandleFunc("GET /v1/healthz", a.handleHealthz)
@@ -110,7 +142,55 @@ func (a *ControllerAPI) Handler() http.Handler {
 	mux.HandleFunc("POST /v1/restore", a.handleRestore)
 	mux.HandleFunc("POST /v1/streams/{stream}/reserve", a.handleReserveStream)
 	mux.HandleFunc("DELETE /v1/streams/{stream}", a.handleReleaseStream)
-	return mux
+	return http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		mux.ServeHTTP(&summaryWriter{ResponseWriter: w, api: a}, r)
+	})
+}
+
+// summaryWriter stamps the capacity summary onto a reply just before its
+// header goes out, i.e. after the handler's mutation. Handlers must not hold
+// a.mu while writing. A summary that cannot be encoded (a non-finite
+// reading) leaves the reply unstamped.
+type summaryWriter struct {
+	http.ResponseWriter
+	api     *ControllerAPI
+	stamped bool
+}
+
+func (w *summaryWriter) WriteHeader(code int) {
+	if !w.stamped {
+		w.stamped = true
+		if b, err := json.Marshal(w.api.CapacitySummary()); err == nil {
+			w.Header().Set(capacityHeader, string(b))
+		}
+	}
+	w.ResponseWriter.WriteHeader(code)
+}
+
+func (w *summaryWriter) Write(p []byte) (int, error) {
+	if !w.stamped {
+		w.WriteHeader(http.StatusOK)
+	}
+	return w.ResponseWriter.Write(p)
+}
+
+// CapacitySummary returns the server's current placement summary, read
+// under the API mutex from the controller's memoized readings.
+func (a *ControllerAPI) CapacitySummary() CapacitySummary {
+	a.mu.Lock()
+	defer a.mu.Unlock()
+	c := a.ctrl
+	return CapacitySummary{
+		Instance:           a.instance,
+		Generation:         c.generation,
+		Mode:               c.Mode().String(),
+		Free:               c.Free(),
+		Availability:       c.Availability(),
+		PreemptableCeiling: c.PreemptableCeiling(),
+		Overcommitment:     c.Overcommitment(),
+		Preemptions:        c.Preemptions(),
+		Substrate:          c.SubstrateKind(),
+	}
 }
 
 // FencedEpoch returns the highest leadership epoch this controller has
@@ -251,30 +331,39 @@ func (a *ControllerAPI) handleDeflate(w http.ResponseWriter, r *http.Request) {
 		http.Error(w, "cluster: bad deflate request: "+err.Error(), http.StatusBadRequest)
 		return
 	}
-	key := r.Header.Get("Idempotency-Key")
+	out, replayed, err := a.deflate(r.PathValue("name"), r.Header.Get("Idempotency-Key"), req.Target)
+	if err != nil {
+		writeError(w, err)
+		return
+	}
+	if replayed {
+		w.Header().Set("Idempotency-Replayed", "true")
+	}
+	writeJSON(w, http.StatusOK, out)
+}
+
+// deflate runs one keyed deflate under the API mutex. replayed reports that
+// the key was seen before: the deflate already applied and the client
+// retried because the response was lost, so the recorded outcome is returned
+// instead of reclaiming twice.
+func (a *ControllerAPI) deflate(name, key string, target restypes.Vector) (out DeflateVMResponse, replayed bool, err error) {
 	a.mu.Lock()
 	defer a.mu.Unlock()
 	if key != "" {
 		if cached, ok := a.idem[key]; ok {
-			// Replay: the deflate already applied; the client retried
-			// because the response was lost. Do not reclaim twice.
-			w.Header().Set("Idempotency-Replayed", "true")
-			writeJSON(w, http.StatusOK, cached)
-			return
+			return cached, true, nil
 		}
 	}
-	v, err := a.ctrl.VM(r.PathValue("name"))
+	v, err := a.ctrl.VM(name)
 	if err != nil {
-		writeError(w, err)
-		return
+		return out, false, err
 	}
-	rep, err := a.ctrl.casc.Deflate(v, req.Target)
+	rep, err := a.ctrl.casc.Deflate(v, target)
 	a.ctrl.capacityChanged() // direct cascade call bypasses the controller's hooks
 	if err != nil {
-		writeError(w, err)
-		return
+		return out, false, err
 	}
-	out := DeflateVMResponse{
+	out = DeflateVMResponse{
 		NewAllocation: rep.NewAllocation,
 		Shortfall:     rep.Shortfall,
 		LatencyMS:     float64(rep.TotalLatency) / float64(time.Millisecond),
@@ -290,7 +379,7 @@ func (a *ControllerAPI) handleDeflate(w http.ResponseWriter, r *http.Request) {
 		a.idem[key] = out
 		a.idemOrder = append(a.idemOrder, key)
 	}
-	writeJSON(w, http.StatusOK, out)
+	return out, false, nil
 }
 
 // The live-migration routes (see migrate.go). Checkpoint is a read;
@@ -436,9 +525,6 @@ type RemoteNode struct {
 	name    string
 	retry   RetryPolicy
 
-	substrateMu sync.Mutex
-	substrate   string // cached agent substrate kind ("" = not yet learned)
-
 	mu      sync.Mutex
 	rng     *rand.Rand // backoff jitter + idempotency key entropy
 	idemSeq uint64
@@ -447,6 +533,15 @@ type RemoteNode struct {
 	retries int                  // lifetime retry count, for tests and metrics
 	lastErr error                // most recent transport error, recorded distinctly
 	tel     *remoteNodeTelemetry // nil = no instrumentation
+
+	// The agent's last pushed capacity summary (see foldCapacity), the one
+	// source Free/Availability/.../SubstrateKind read. capKnown is false
+	// while the cache is cold and after any transport error: the node is
+	// then no placement candidate until a reply, heartbeat or probe refills
+	// it. capAt is when the summary was last confirmed.
+	cap      CapacitySummary
+	capKnown bool
+	capAt    time.Time
 
 	sleep func(time.Duration) // test seam; time.Sleep by default
 }
@@ -476,7 +571,6 @@ func NewRemoteNodeWithPolicy(baseURL string, policy RetryPolicy) (*RemoteNode, e
 		return nil, fmt.Errorf("cluster: connecting to %s: %w", baseURL, err)
 	}
 	n.name = st.Name
-	n.substrate = st.Substrate
 	return n, nil
 }
 
@@ -577,7 +671,8 @@ func drainClose(body io.ReadCloser) {
 
 // attempt performs one HTTP round trip under the per-operation deadline and
 // hands the response to handle. Transport failures come back wrapped as
-// retryable transport errors.
+// retryable transport errors and invalidate the capacity cache; every reply
+// refreshes it from its capacity header.
 func (n *RemoteNode) attempt(method, path string, body []byte, hdr http.Header, handle func(*http.Response) error) error {
 	ctx, cancel := context.WithTimeout(context.Background(), n.retry.OpTimeout)
 	defer cancel()
@@ -608,6 +703,7 @@ func (n *RemoteNode) attempt(method, path string, body []byte, hdr http.Header, 
 	if err != nil {
 		n.mu.Lock()
 		n.lastErr = err
+		n.capKnown = false
 		tel := n.tel
 		n.mu.Unlock()
 		if tel != nil {
@@ -616,7 +712,92 @@ func (n *RemoteNode) attempt(method, path string, body []byte, hdr http.Header, 
 		return transportFailure(err)
 	}
 	defer drainClose(resp.Body)
+	if raw := resp.Header.Get(capacityHeader); raw != "" {
+		var sum CapacitySummary
+		if json.Unmarshal([]byte(raw), &sum) == nil {
+			source := capacityFromReply
+			if path == healthzPath {
+				source = capacityFromProbe
+			}
+			n.foldCapacity(sum, source)
+		}
+	}
 	return handle(resp)
+}
+
+// healthzPath is the inventory-free probe: Ping's and capacityKnown's.
+const healthzPath = "/v1/healthz"
+
+// Where a capacity summary reached the manager from (telemetry label).
+const (
+	capacityFromReply     = "reply"
+	capacityFromHeartbeat = "heartbeat"
+	capacityFromProbe     = "probe"
+)
+
+// foldCapacity folds a pushed summary into the cache unless it is older than
+// what the cache holds: same agent instance, lower generation (replies and
+// heartbeats race). A summary from another instance is a restarted agent and
+// always replaces. A summary without an instance or with a mode this manager
+// does not know is dropped whole — Mode never guesses.
+func (n *RemoteNode) foldCapacity(sum CapacitySummary, source string) {
+	knownMode := sum.Mode == ModeDeflation.String() || sum.Mode == ModePreemptionOnly.String()
+	if !knownMode || sum.Instance == "" {
+		return
+	}
+	n.mu.Lock()
+	sameInstance := sum.Instance == n.cap.Instance
+	if sameInstance && sum.Generation < n.cap.Generation {
+		n.mu.Unlock()
+		return
+	}
+	changed := !n.capKnown || !sameInstance || sum.Generation != n.cap.Generation
+	n.cap, n.capKnown, n.capAt = sum, true, time.Now()
+	tel := n.tel
+	n.mu.Unlock()
+	if changed && tel != nil {
+		tel.capacityRefresh[source].Inc()
+	}
+}
+
+// capacityKnown reports whether the node may be a placement candidate. A
+// valid cache costs nothing; a cold or invalidated one costs exactly one
+// inventory-free, non-retried probe, whose reply (any status) carries the
+// summary. The manager asks once per node per placement decision and skips
+// the node when the answer is no.
+func (n *RemoteNode) capacityKnown() bool {
+	if _, known, _ := n.capacity(); known {
+		return true
+	}
+	// The outcome is the cache state; attempt has already recorded a
+	// transport error as LastTransportErr.
+	_ = n.attempt(http.MethodGet, healthzPath, nil, nil, func(*http.Response) error { return nil })
+	n.mu.Lock()
+	known, tel := n.capKnown, n.tel
+	n.mu.Unlock()
+	if !known && tel != nil {
+		tel.capacityUnknown.Inc()
+	}
+	return known
+}
+
+// capacity returns the last summary the agent pushed, whether it is
+// currently trusted for placement, and when it was last confirmed.
+func (n *RemoteNode) capacity() (sum CapacitySummary, known bool, at time.Time) {
+	n.mu.Lock()
+	defer n.mu.Unlock()
+	return n.cap, n.capKnown, n.capAt
+}
+
+// placementCapacity is the summary placement may read: the zero summary
+// while capacity is unknown, so that no reader places onto stale numbers.
+// The manager skips an unknown node before it reads it (barUnknownCapacity).
+func (n *RemoteNode) placementCapacity() CapacitySummary {
+	sum, known, _ := n.capacity()
+	if !known {
+		return CapacitySummary{}
+	}
+	return sum
 }
 
 // withRetry runs op under the retry policy. Only retryable failures
@@ -651,8 +832,9 @@ func (n *RemoteNode) withRetry(opName string, retryOK bool, op func() error) err
 	return err
 }
 
-// State fetches the remote controller's full state, retrying transient
-// failures.
+// State fetches the remote controller's full state, VM inventory included,
+// retrying transient failures. Placement never calls it: it is for the
+// inventory consumers (Inventory, Has, registration, ?servers=true).
 func (n *RemoteNode) State() (NodeState, error) {
 	var st NodeState
 	err := n.withRetry("state", true, func() error {
@@ -666,27 +848,14 @@ func (n *RemoteNode) State() (NodeState, error) {
 	return st, err
 }
 
-// SubstrateKind reports the agent's substrate kind as self-reported through
-// its /v1/state. A node's substrate never changes over its lifetime, so the
-// first successful answer is cached; until one arrives (probe-free
-// NewRemoteNodeNamed construction, agent unreachable) it returns "" and the
-// manager's placement treats the node as compatible with every spec — the
-// agent's own Spawn is the authoritative check.
+// SubstrateKind reports the agent's substrate kind as self-reported in its
+// capacity summary. Until one arrives (probe-free NewRemoteNodeNamed
+// construction, agent unreachable) it returns "" and the manager's placement
+// treats the node as compatible with every spec — the agent's own Spawn is
+// the authoritative check.
 func (n *RemoteNode) SubstrateKind() string {
-	n.substrateMu.Lock()
-	cached := n.substrate
-	n.substrateMu.Unlock()
-	if cached != "" {
-		return cached
-	}
-	st, err := n.State()
-	if err != nil {
-		return ""
-	}
-	n.substrateMu.Lock()
-	n.substrate = st.Substrate
-	n.substrateMu.Unlock()
-	return st.Substrate
+	sum, _, _ := n.capacity()
+	return sum.Substrate
 }
 
 // Ping implements Node with a single non-retried liveness probe: the health
@@ -694,7 +863,7 @@ func (n *RemoteNode) SubstrateKind() string {
 // mask real failures.
 func (n *RemoteNode) Ping() error {
 	defer n.observeRPC("ping", time.Now())
-	return n.attempt(http.MethodGet, "/v1/healthz", nil, nil, func(resp *http.Response) error {
+	return n.attempt(http.MethodGet, healthzPath, nil, nil, func(resp *http.Response) error {
 		if resp.StatusCode != http.StatusOK {
 			return statusError("healthz", resp.Status, resp.StatusCode)
 		}
@@ -820,54 +989,37 @@ func (n *RemoteNode) Has(name string) (bool, error) {
 	return false, nil
 }
 
-// Free implements Node.
-func (n *RemoteNode) Free() restypes.Vector {
-	return n.stateVector(func(s NodeState) restypes.Vector { return s.Free })
-}
+// Free implements Node from the cached summary.
+func (n *RemoteNode) Free() restypes.Vector { return n.placementCapacity().Free }
 
-// Availability implements Node.
-func (n *RemoteNode) Availability() restypes.Vector {
-	return n.stateVector(func(s NodeState) restypes.Vector { return s.Availability })
-}
+// Availability implements Node from the cached summary.
+func (n *RemoteNode) Availability() restypes.Vector { return n.placementCapacity().Availability }
 
-// PreemptableCeiling implements Node.
+// PreemptableCeiling implements Node from the cached summary.
 func (n *RemoteNode) PreemptableCeiling() restypes.Vector {
-	return n.stateVector(func(s NodeState) restypes.Vector { return s.PreemptableCeiling })
+	return n.placementCapacity().PreemptableCeiling
 }
 
-func (n *RemoteNode) stateVector(f func(NodeState) restypes.Vector) restypes.Vector {
-	st, err := n.State()
-	if err != nil {
-		return restypes.Vector{} // unreachable server offers nothing
-	}
-	return f(st)
-}
-
-// Mode implements Node.
+// Mode implements Node: the mode the agent last reported, never a default
+// for an agent that could not be asked — foldCapacity rejects a mode it does
+// not know, and a node that has reported none is no placement candidate.
 func (n *RemoteNode) Mode() Mode {
-	st, err := n.State()
-	if err != nil || st.Mode != ModePreemptionOnly.String() {
-		return ModeDeflation
+	if sum, _, _ := n.capacity(); sum.Mode == ModePreemptionOnly.String() {
+		return ModePreemptionOnly
 	}
-	return ModePreemptionOnly
+	return ModeDeflation
 }
 
-// Overcommitment implements Node.
+// Overcommitment implements Node: the last value the agent reported.
 func (n *RemoteNode) Overcommitment() float64 {
-	st, err := n.State()
-	if err != nil {
-		return 0
-	}
-	return st.Overcommitment
+	sum, _, _ := n.capacity()
+	return sum.Overcommitment
 }
 
-// Preemptions implements Node.
+// Preemptions implements Node: the last count the agent reported.
 func (n *RemoteNode) Preemptions() int {
-	st, err := n.State()
-	if err != nil {
-		return 0
-	}
-	return st.Preemptions
+	sum, _, _ := n.capacity()
+	return sum.Preemptions
 }
 
 // Checkpoint implements Node over the wire. Reading a checkpoint does not
@@ -1046,7 +1198,8 @@ func (a *ManagerAPI) ProbeHealth() []HealthEvent {
 //	GET    /v1/state      — ManagerStateResponse (durable-state debugging)
 //	POST   /v1/nodes      — RegisterNodeRequest → RegisterNodeResponse
 //	GET    /v1/nodes      — NodeListResponse
-//	POST   /v1/nodes/{name}/heartbeat — agent push heartbeat (204/404)
+//	POST   /v1/nodes/{name}/heartbeat — agent push heartbeat, optionally with
+//	                        a CapacitySummary body (204/400/404)
 func (a *ManagerAPI) Handler() http.Handler {
 	mux := http.NewServeMux()
 	mux.HandleFunc("POST /v1/vms", a.handleLaunch)

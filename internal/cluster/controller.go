@@ -137,6 +137,9 @@ type LocalController struct {
 	// code computes them, just once per change instead of once per read.
 	cache    ctrlCache
 	watchers []func()
+	// generation counts capacityChanged calls: the version of the capacity
+	// summary a ControllerAPI pushes to the manager (see CapacitySummary).
+	generation uint64
 }
 
 // ctrlCache holds the memoized derived readings; have is a bitmask of which
@@ -166,6 +169,7 @@ const (
 // cached value can never outlive the state it was derived from.
 func (c *LocalController) capacityChanged() {
 	c.cache.have = 0
+	c.generation++
 	for _, w := range c.watchers {
 		w()
 	}

@@ -64,10 +64,15 @@ func (p HealthPolicy) withDefaults() HealthPolicy {
 	return p
 }
 
-// nodeHealth is the failure detector's per-node state.
+// nodeHealth is the failure detector's per-node state, plus the launch in
+// progress's verdict on the node.
 type nodeHealth struct {
 	misses int
 	dead   bool
+	// barred takes the node out of the placement pool for the current
+	// launch only: its capacity is unknown, or it has already refused this
+	// launch. Manager.launch sets and clears it.
+	barred bool
 }
 
 // HealthEventKind enumerates failure-detector outcomes.
@@ -141,6 +146,8 @@ type Manager struct {
 	placement map[string]int        // VM name → server index
 	specs     map[string]LaunchSpec // VM name → launch spec, for re-placement
 	rejected  int
+	// barred lists the servers the current launch has taken out of the pool.
+	barred []int
 
 	healthPolicy HealthPolicy
 	health       []nodeHealth
@@ -340,7 +347,42 @@ func (m *Manager) noteDeposed(err error) {
 }
 
 // alive reports whether server i is in the placement pool.
-func (m *Manager) alive(i int) bool { return !m.health[i].dead }
+func (m *Manager) alive(i int) bool { return !m.health[i].dead && !m.health[i].barred }
+
+// bar takes server i out of the pool until the current launch returns.
+func (m *Manager) bar(i int) {
+	m.health[i].barred = true
+	m.barred = append(m.barred, i)
+}
+
+func (m *Manager) clearBars() {
+	for _, i := range m.barred {
+		m.health[i].barred = false
+	}
+	m.barred = m.barred[:0]
+}
+
+// barUnknownCapacity skips, explicitly, every RemoteNode whose capacity is
+// unknown after its one probe: unknown is not empty, and not a candidate.
+// A fleet on the placement index holds no RemoteNode (the index needs
+// WatchCapacity), so only the scan fleets pay this loop.
+func (m *Manager) barUnknownCapacity() {
+	if m.pidx != nil {
+		return
+	}
+	for i, s := range m.servers {
+		if m.alive(i) && !capacityKnown(s) {
+			m.bar(i)
+		}
+	}
+}
+
+// capacityKnown reports whether a node's placement vectors can be trusted:
+// always for an in-process node; for a RemoteNode, after at most one probe.
+func capacityKnown(n Node) bool {
+	rn, ok := n.(*RemoteNode)
+	return !ok || rn.capacityKnown()
+}
 
 // DeadServers counts servers currently marked dead.
 func (m *Manager) DeadServers() int {
@@ -560,37 +602,60 @@ func (m *Manager) launch(spec LaunchSpec, countRejection bool) (int, LaunchRepor
 	if _, ok := m.placement[spec.Name]; ok {
 		return -1, LaunchReport{}, fmt.Errorf("%w: %q", ErrVMExists, spec.Name)
 	}
-	idx := m.pickServer(spec)
-	if idx < 0 && m.reclaim != ReclaimPreempt {
-		// Migration-based reclamation: move low-priority VMs out of the
-		// way (deflating them first under deflate-then-migrate) instead of
-		// killing them.
-		idx = m.migrateFallback(spec)
-	}
-	if idx < 0 {
-		// No server can host without disruption; high-priority VMs fall
-		// back to the server where preemption frees the most room.
-		idx = m.preemptFallback(spec)
-	}
-	if idx < 0 {
-		if countRejection {
-			m.rejected++
-			m.record(Event{Kind: evReject, VM: spec.Name})
-			if m.tel != nil {
-				m.tel.rejections.Inc()
-			}
+	defer m.clearBars()
+	m.barUnknownCapacity()
+	var (
+		idx int
+		rep LaunchReport
+	)
+	for {
+		idx = m.pickServer(spec)
+		if idx < 0 && m.reclaim != ReclaimPreempt {
+			// Migration-based reclamation: move low-priority VMs out of the
+			// way (deflating them first under deflate-then-migrate) instead of
+			// killing them.
+			idx = m.migrateFallback(spec)
 		}
-		return -1, LaunchReport{}, fmt.Errorf("%w: no feasible server for %v", ErrNoCapacity, spec.Size)
-	}
-	// Stamp the landing node's substrate kind into the spec before it is
-	// journaled, so recovery and failure re-placement keep the VM on the
-	// substrate it actually booted on (a container-backed VM must never be
-	// revived as a hypervisor domain, and vice versa).
-	if spec.Substrate == "" {
-		spec.Substrate = nodeSubstrate(m.servers[idx])
-	}
-	rep, err := m.servers[idx].Launch(spec)
-	if err != nil {
+		if idx < 0 {
+			// No server can host without disruption; high-priority VMs fall
+			// back to the server where preemption frees the most room.
+			idx = m.preemptFallback(spec)
+		}
+		if idx < 0 {
+			if countRejection {
+				m.rejected++
+				m.record(Event{Kind: evReject, VM: spec.Name})
+				if m.tel != nil {
+					m.tel.rejections.Inc()
+				}
+			}
+			return -1, LaunchReport{}, fmt.Errorf("%w: no feasible server for %v", ErrNoCapacity, spec.Size)
+		}
+		// Stamp the landing node's substrate kind into the spec before it is
+		// journaled, so recovery and failure re-placement keep the VM on the
+		// substrate it actually booted on (a container-backed VM must never be
+		// revived as a hypervisor domain, and vice versa).
+		placed := spec
+		if placed.Substrate == "" {
+			placed.Substrate = nodeSubstrate(m.servers[idx])
+		}
+		var err error
+		rep, err = m.servers[idx].Launch(placed)
+		if err == nil {
+			spec = placed
+			break
+		}
+		if _, cached := m.servers[idx].(*RemoteNode); cached && errors.Is(err, ErrNoCapacity) {
+			// The pick came from a cached summary that a writer the manager
+			// did not see has outdated; the agent's own admission check is
+			// the authority and its refusal carried the fresh summary. Pick
+			// again without this node.
+			if m.tel != nil {
+				m.tel.staleRefusals.Inc()
+			}
+			m.bar(idx)
+			continue
+		}
 		m.noteDeposed(err)
 		return -1, rep, err
 	}

@@ -360,7 +360,7 @@ func (m *Manager) migrate(name string, dstIdx int) (MigrationReport, error) {
 	if srcIdx == dstIdx {
 		return MigrationReport{}, fmt.Errorf("%w: %q already runs on %q", ErrMigrationFailed, name, m.servers[dstIdx].Name())
 	}
-	if !m.alive(srcIdx) || !m.alive(dstIdx) {
+	if !m.alive(srcIdx) || !m.alive(dstIdx) || !capacityKnown(m.servers[dstIdx]) {
 		return MigrationReport{}, fmt.Errorf("%w: migrating %q", ErrNodeDown, name)
 	}
 	src, dst := m.servers[srcIdx], m.servers[dstIdx]
@@ -597,7 +597,7 @@ func (m *Manager) bestMigrationTarget(footprint restypes.Vector, kind string, ex
 	}
 	best, bestF := -1, -1.0
 	for i, s := range m.servers {
-		if i == exclude || !m.alive(i) || !substrateCompatible(s, kind) {
+		if i == exclude || !m.alive(i) || !capacityKnown(s) || !substrateCompatible(s, kind) {
 			continue
 		}
 		if !footprint.Fits(s.Free()) {

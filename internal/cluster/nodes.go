@@ -6,6 +6,8 @@ import (
 	"net/http"
 	"sync"
 	"time"
+
+	"deflation/internal/telemetry"
 )
 
 // This file is dynamic fleet membership: agents register themselves with a
@@ -107,10 +109,13 @@ func (m *Manager) NodeURLs() map[string]string {
 	return out
 }
 
-// propagateTerm stamps the manager's current fencing term onto a node
-// client that understands it, mirroring what SetEpoch/SetIdentity do for
-// the whole fleet.
+// propagateTerm stamps the manager's current fencing term, and its
+// telemetry sink, onto a node client that understands them, mirroring what
+// SetEpoch/SetIdentity/SetTelemetry do for the whole fleet.
 func (m *Manager) propagateTerm(n Node) {
+	if ts, ok := n.(interface{ SetTelemetry(*telemetry.Sink) }); ok && m.tel != nil {
+		ts.SetTelemetry(m.tel.sink)
+	}
 	if m.id != "" {
 		if is, ok := n.(interface{ SetLeaderID(string) }); ok {
 			is.SetLeaderID(m.id)
@@ -174,6 +179,21 @@ type NodeListResponse struct {
 	// LastHeartbeat is seconds since each node's last push heartbeat
 	// (absent for nodes that have never heartbeated).
 	LastHeartbeat map[string]float64 `json:"last_heartbeat_seconds,omitempty"`
+	// Capacity is the state of each remote node's pushed capacity summary,
+	// the manager's only source for placement (absent for in-process nodes).
+	Capacity map[string]NodeCapacityStatus `json:"capacity,omitempty"`
+}
+
+// NodeCapacityStatus describes the capacity summary cached for one node.
+type NodeCapacityStatus struct {
+	// Generation is the agent's capacity-change counter at the summary.
+	Generation uint64 `json:"generation"`
+	// AgeSeconds is the time since a reply, heartbeat or probe last
+	// confirmed the summary (0 when none ever arrived).
+	AgeSeconds float64 `json:"age_seconds"`
+	// Known is false while the node is skipped by placement: nothing has
+	// arrived yet, or an RPC to the node has failed since.
+	Known bool `json:"known"`
 }
 
 // nodeAPIState is ManagerAPI's dynamic-membership state, guarded by the
@@ -274,6 +294,17 @@ func (a *ManagerAPI) handleListNodes(w http.ResponseWriter, _ *http.Request) {
 		if _, ok := resp.Nodes[s.Name()]; !ok {
 			resp.Nodes[s.Name()] = "" // static fleet member
 		}
+		if rn, ok := s.(*RemoteNode); ok {
+			if resp.Capacity == nil {
+				resp.Capacity = make(map[string]NodeCapacityStatus)
+			}
+			sum, known, at := rn.capacity()
+			st := NodeCapacityStatus{Generation: sum.Generation, Known: known}
+			if !at.IsZero() {
+				st.AgeSeconds = time.Since(at).Seconds()
+			}
+			resp.Capacity[s.Name()] = st
+		}
 	}
 	a.mu.Unlock()
 	a.nodes.hbMu.Lock()
@@ -320,15 +351,34 @@ func (a *ManagerAPI) handleForgetNode(w http.ResponseWriter, r *http.Request) {
 // re-resolve the shard map and re-register with the current owner. The
 // push channel complements (does not replace) the manager's pull-based
 // failure detector: liveness decisions stay with ProbeHealth.
+//
+// An empty body is a liveness-only heartbeat. A body (Content-Length > 0)
+// is the agent's CapacitySummary, folded into the node's cache so writers
+// this manager never saw (an adopting shard, deflctl straight at the agent)
+// are noticed within one heartbeat; a malformed one is a 400 that leaves
+// the node's liveness stamp and cache as they were.
 func (a *ManagerAPI) handleNodeHeartbeat(w http.ResponseWriter, r *http.Request) {
 	name := r.PathValue("name")
+	var node Node
 	a.mu.Lock()
-	owned := a.mgr.HasNode(name)
+	if idx := a.mgr.serverIndex(name); idx >= 0 {
+		node = a.mgr.Servers()[idx]
+	}
 	hbTel := a.hbTel
 	a.mu.Unlock()
-	if !owned {
+	if node == nil {
 		http.Error(w, fmt.Sprintf("cluster: node %q is not managed here", name), http.StatusNotFound)
 		return
+	}
+	if r.ContentLength > 0 {
+		var sum CapacitySummary
+		if err := json.NewDecoder(r.Body).Decode(&sum); err != nil {
+			http.Error(w, "cluster: bad heartbeat body: "+err.Error(), http.StatusBadRequest)
+			return
+		}
+		if rn, ok := node.(*RemoteNode); ok {
+			rn.foldCapacity(sum, capacityFromHeartbeat)
+		}
 	}
 	a.nodes.hbMu.Lock()
 	if a.nodes.heartbeats == nil {

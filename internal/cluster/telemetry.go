@@ -34,8 +34,9 @@ type managerTelemetry struct {
 	vmAdopted       *telemetry.Counter
 	vmStaleReleased *telemetry.Counter
 	rejections      *telemetry.Counter
+	staleRefusals   *telemetry.Counter
 	placements      []*telemetry.Counter // by server index
-	registry        *telemetry.Registry  // for counters of nodes added later
+	sink            *telemetry.Sink      // for nodes added later
 
 	// Live-migration instruments (see migrate.go).
 	migrations          *telemetry.Counter
@@ -77,6 +78,8 @@ func (m *Manager) SetTelemetry(sink *telemetry.Sink) {
 			"stale VM copies released from rejoined nodes", nil),
 		rejections: r.Counter("deflation_manager_rejections_total",
 			"launches that found no feasible server", nil),
+		staleRefusals: r.Counter("deflation_launch_stale_refusals_total",
+			"launches an agent refused after its cached capacity said they fit; the manager re-picked", nil),
 		migrations: r.Counter("deflation_manager_migrations_total",
 			"live migrations completed", nil),
 		migrationFailures: r.Counter("deflation_manager_migration_failures_total",
@@ -93,7 +96,7 @@ func (m *Manager) SetTelemetry(sink *telemetry.Sink) {
 			"bytes transferred per migration (MB)",
 			telemetry.ExpBuckets(64, 2, 12), nil),
 	}
-	t.registry = r
+	t.sink = sink
 	t.placements = make([]*telemetry.Counter, len(m.servers))
 	for i, s := range m.servers {
 		t.placements[i] = r.Counter("deflation_manager_placements_total",
@@ -111,7 +114,7 @@ func (m *Manager) SetTelemetry(sink *telemetry.Sink) {
 // addNode grows the per-server placement counters when a node registers
 // after instrumentation (dynamic membership).
 func (t *managerTelemetry) addNode(name string) {
-	t.placements = append(t.placements, t.registry.Counter(
+	t.placements = append(t.placements, t.sink.Registry.Counter(
 		"deflation_manager_placements_total",
 		"placement decisions by chosen server",
 		telemetry.Labels{"node": name}))
@@ -130,11 +133,14 @@ type remoteNodeTelemetry struct {
 	rpcSeconds      map[string]*telemetry.Histogram // by op
 	retries         *telemetry.Counter
 	transportErrors *telemetry.Counter
+	capacityRefresh map[string]*telemetry.Counter // by source
+	capacityUnknown *telemetry.Counter
 }
 
 // SetTelemetry instruments the client: one wall-clock latency histogram per
 // control-plane operation (covering all retry attempts and backoff), a
-// retry counter, and a transport-error counter, labeled with the remote
+// retry counter, a transport-error counter, and the capacity cache's
+// refreshes (by source) and unknown-capacity skips, labeled with the remote
 // server's name. A nil sink detaches.
 func (n *RemoteNode) SetTelemetry(sink *telemetry.Sink) {
 	n.mu.Lock()
@@ -152,6 +158,15 @@ func (n *RemoteNode) SetTelemetry(sink *telemetry.Sink) {
 		transportErrors: r.Counter("deflation_rpc_transport_errors_total",
 			"connection-level RPC failures (refused, dropped, timed out)",
 			telemetry.Labels{"node": n.name}),
+		capacityRefresh: make(map[string]*telemetry.Counter),
+		capacityUnknown: r.Counter("deflation_remote_capacity_unknown_total",
+			"placement decisions that skipped this node because its capacity was unknown",
+			telemetry.Labels{"node": n.name}),
+	}
+	for _, src := range []string{capacityFromReply, capacityFromHeartbeat, capacityFromProbe} {
+		t.capacityRefresh[src] = r.Counter("deflation_remote_capacity_refresh_total",
+			"capacity summaries that changed the manager's cached view of this node",
+			telemetry.Labels{"node": n.name, "source": src})
 	}
 	for _, op := range []string{"state", "launch", "release", "deflate", "ping"} {
 		t.rpcSeconds[op] = r.Histogram("deflation_rpc_seconds",
