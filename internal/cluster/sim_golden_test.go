@@ -1,0 +1,90 @@
+package cluster
+
+import (
+	"flag"
+	"fmt"
+	"os"
+	"strings"
+	"testing"
+	"time"
+)
+
+var updateGolden = flag.Bool("update", false, "rewrite testdata/simresult.golden from this build's output")
+
+// goldenCell is one seeded simulation whose full SimResult is pinned.
+type goldenCell struct {
+	name string
+	cfg  SimConfig
+}
+
+// goldenCells covers every RunSim code path that mutates server state: the
+// Fig. 8c baseline and its preemption-only twin, node crashes with cascade
+// faults, manager crash-restart recovery, migration-based reclamation, HA
+// failover with partitions, proactive deflation, and a half-container fleet.
+func goldenCells() []goldenCell {
+	mgrCrash := chaosSim()
+	mgrCrash.Faults.ManagerCrashMTBF = 5 * time.Minute
+
+	mig := chaosSim()
+	mig.Reclaim = ReclaimDeflateThenMigrate
+	mig.Faults.ManagerCrashMTBF = 5 * time.Minute
+	mig.Faults.MigrationFailProb = 0.2
+
+	proactive := smallSim(ModeDeflation, 1.6)
+	proactive.ProactiveHorizon = 2 * time.Minute
+
+	mixed := smallSim(ModeDeflation, 1.6)
+	mixed.ContainerFraction = 0.5
+
+	return []goldenCell{
+		{"fig8c-baseline", smallSim(ModeDeflation, 1.6)},
+		{"preemption-only", smallSim(ModePreemptionOnly, 1.6)},
+		{"chaos", chaosSim()},
+		{"manager-crash", mgrCrash},
+		{"migration", mig},
+		{"ha-failover", haChaosSim()},
+		{"proactive", proactive},
+		{"container-half", mixed},
+	}
+}
+
+// TestSimResultGolden pins the complete SimResult of every golden cell,
+// floats at full precision, against a capture taken before the ordered
+// tables and the incremental sampler existed: "bit-identical output" is this
+// test, not a sentence. Regenerate with -update only when a PR means to
+// change simulation results.
+func TestSimResultGolden(t *testing.T) {
+	const path = "testdata/simresult.golden"
+	var b strings.Builder
+	for _, c := range goldenCells() {
+		res, err := RunSim(c.cfg)
+		if err != nil {
+			t.Fatalf("%s: %v", c.name, err)
+		}
+		fmt.Fprintf(&b, "%s: %+v\n", c.name, res)
+	}
+	got := b.String()
+	if *updateGolden {
+		if err := os.WriteFile(path, []byte(got), 0o644); err != nil {
+			t.Fatal(err)
+		}
+		return
+	}
+	want, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got == string(want) {
+		return
+	}
+	wantLines := strings.Split(string(want), "\n")
+	for i, line := range strings.Split(got, "\n") {
+		if i >= len(wantLines) || line != wantLines[i] {
+			w := "<missing>"
+			if i < len(wantLines) {
+				w = wantLines[i]
+			}
+			t.Errorf("cell diverged from golden:\n got: %s\nwant: %s", line, w)
+		}
+	}
+}
