@@ -119,7 +119,7 @@ type LocalController struct {
 	casc  *cascade.Controller
 	mode  Mode
 	split SplitPolicy
-	vms   map[string]*vm.VM
+	vms   substrate.Table[*vm.VM] // name-ordered; VMs() is its snapshot
 
 	// streams tracks active migration link-bandwidth reservations (see
 	// ReserveStream in migrate.go). Nil until the first reservation.
@@ -146,7 +146,6 @@ type LocalController struct {
 // fields are current.
 type ctrlCache struct {
 	have       uint8
-	vmList     []*vm.VM
 	free       restypes.Vector
 	avail      restypes.Vector
 	ceil       restypes.Vector
@@ -155,8 +154,7 @@ type ctrlCache struct {
 }
 
 const (
-	cacheVMs = 1 << iota
-	cacheFree
+	cacheFree = 1 << iota
 	cacheAvail
 	cacheCeil
 	cacheNominal
@@ -198,7 +196,6 @@ func NewLocalController(host substrate.Substrate, levels cascade.Levels, mode Mo
 		host: host,
 		casc: cascade.New(levels),
 		mode: mode,
-		vms:  make(map[string]*vm.VM),
 	}
 }
 
@@ -215,7 +212,7 @@ func (c *LocalController) Name() string { return c.host.Name() }
 // Has implements Node. In-process controllers are always reachable, so the
 // error is always nil.
 func (c *LocalController) Has(name string) (bool, error) {
-	_, ok := c.vms[name]
+	_, ok := c.vms.Get(name)
 	return ok, nil
 }
 
@@ -232,12 +229,12 @@ func (c *LocalController) Cascade() *cascade.Controller { return c.casc }
 // deaths do not count toward Preemptions(), which tracks capacity-driven
 // preemptions only — failure-induced ones are the manager's Stats.
 func (c *LocalController) FailAll() []string {
-	victims := make([]string, 0, len(c.vms))
+	victims := make([]string, 0, c.vms.Len())
 	for _, v := range c.VMs() {
 		victims = append(victims, v.Name())
 		v.Preempt()
 	}
-	c.vms = make(map[string]*vm.VM)
+	c.vms = substrate.Table[*vm.VM]{}
 	c.capacityChanged()
 	return victims
 }
@@ -245,23 +242,10 @@ func (c *LocalController) FailAll() []string {
 // Preemptions returns the number of VMs this controller has preempted.
 func (c *LocalController) Preemptions() int { return c.preemptions }
 
-// VMs returns the server's live VMs sorted by name. The slice is memoized
-// and shared between calls until the VM set changes; callers must not
-// mutate it.
-func (c *LocalController) VMs() []*vm.VM {
-	if c.cache.have&cacheVMs == 0 {
-		// Always a fresh slice: a caller may still be iterating the
-		// previously returned snapshot (old copying semantics).
-		out := make([]*vm.VM, 0, len(c.vms))
-		for _, v := range c.vms {
-			out = append(out, v)
-		}
-		sort.Slice(out, func(i, j int) bool { return out[i].Name() < out[j].Name() })
-		c.cache.vmList = out
-		c.cache.have |= cacheVMs
-	}
-	return c.cache.vmList
-}
+// VMs returns the server's live VMs sorted by name. The slice is a snapshot
+// shared between calls until the VM set changes (a caller may keep iterating
+// it across a launch or release); callers must not mutate it.
+func (c *LocalController) VMs() []*vm.VM { return c.vms.Ordered() }
 
 // Inventory implements InventoryNode: the ground-truth list of VMs this
 // server actually runs, in wire form, sorted by name. The manager's
@@ -293,7 +277,7 @@ func (c *LocalController) Inventory() ([]VMState, error) {
 
 // VM looks up a VM by name.
 func (c *LocalController) VM(name string) (*vm.VM, error) {
-	v, ok := c.vms[name]
+	v, ok := c.vms.Get(name)
 	if !ok {
 		return nil, fmt.Errorf("%w: %q", ErrVMNotFound, name)
 	}
@@ -407,7 +391,7 @@ func (c *LocalController) Launch(spec LaunchSpec) (LaunchReport, error) {
 // size. It returns the VM handle for in-process callers.
 func (c *LocalController) LaunchVM(spec LaunchSpec) (*vm.VM, LaunchReport, error) {
 	var rep LaunchReport
-	if _, ok := c.vms[spec.Name]; ok {
+	if _, ok := c.vms.Get(spec.Name); ok {
 		return nil, rep, fmt.Errorf("%w: %q", ErrVMExists, spec.Name)
 	}
 	newApp, err := spec.ResolveApp()
@@ -436,7 +420,7 @@ func (c *LocalController) LaunchVM(spec LaunchSpec) (*vm.VM, LaunchReport, error
 		c.capacityChanged()
 		return nil, rep, err
 	}
-	c.vms[spec.Name] = v
+	c.vms.Put(spec.Name, v)
 	c.capacityChanged()
 	return v, rep, nil
 }
@@ -533,7 +517,7 @@ func (c *LocalController) proportionalDeflate(ensureFree restypes.Vector, rep *L
 }
 
 func (c *LocalController) lowVMs() []*vm.VM {
-	var out []*vm.VM
+	out := make([]*vm.VM, 0, c.vms.Len())
 	for _, v := range c.VMs() {
 		if v.Priority() == vm.LowPriority {
 			out = append(out, v)
@@ -595,7 +579,7 @@ func (c *LocalController) pickPreemptionVictim() *vm.VM {
 
 func (c *LocalController) preemptInternal(v *vm.VM) {
 	v.Preempt()
-	delete(c.vms, v.Name())
+	c.vms.Delete(v.Name())
 	c.preemptions++
 	c.capacityChanged()
 }
@@ -604,12 +588,12 @@ func (c *LocalController) preemptInternal(v *vm.VM) {
 // survivors into the freed capacity (§5: "if some resources become
 // available, then it reinflates VMs... proportionally").
 func (c *LocalController) Release(name string) error {
-	v, ok := c.vms[name]
+	v, ok := c.vms.Get(name)
 	if !ok {
 		return fmt.Errorf("%w: %q", ErrVMNotFound, name)
 	}
 	v.Preempt() // mechanically identical: destroy the domain
-	delete(c.vms, name)
+	c.vms.Delete(name)
 	c.capacityChanged()
 	c.ReinflateAll()
 	return nil

@@ -84,7 +84,7 @@ type VMCheckpoint struct {
 // The VM keeps running on the source — pre-copy migration only pauses it for
 // the final stop-and-copy, which the manager models separately.
 func (c *LocalController) Checkpoint(name string) (VMCheckpoint, error) {
-	v, ok := c.vms[name]
+	v, ok := c.vms.Get(name)
 	if !ok {
 		return VMCheckpoint{}, fmt.Errorf("%w: %q", ErrVMNotFound, name)
 	}
@@ -105,7 +105,7 @@ func (c *LocalController) Checkpoint(name string) (VMCheckpoint, error) {
 // not the nominal size; see hypervisor.RestoreDomain.
 func (c *LocalController) RestoreVM(cp VMCheckpoint) error {
 	name := cp.VM.Domain.Name
-	if _, ok := c.vms[name]; ok {
+	if _, ok := c.vms.Get(name); ok {
 		return fmt.Errorf("%w: %q", ErrVMExists, name)
 	}
 	app := cp.app
@@ -134,7 +134,7 @@ func (c *LocalController) RestoreVM(cp VMCheckpoint) error {
 		}
 		return err
 	}
-	c.vms[name] = v
+	c.vms.Put(name, v)
 	c.capacityChanged()
 	return nil
 }
@@ -237,7 +237,7 @@ func (c *LocalController) restoreThrottles(s *migrationStream) {
 	}
 	sort.Strings(names)
 	for _, name := range names {
-		v, ok := c.vms[name]
+		v, ok := c.vms.Get(name)
 		if !ok {
 			continue // released or preempted mid-stream
 		}
@@ -254,7 +254,7 @@ func (c *LocalController) restoreThrottles(s *migrationStream) {
 // preparation step. High-priority (or already fully deflated) VMs are a
 // no-op. It returns the cascade latency.
 func (c *LocalController) DeflateFully(name string) (time.Duration, error) {
-	v, ok := c.vms[name]
+	v, ok := c.vms.Get(name)
 	if !ok {
 		return 0, fmt.Errorf("%w: %q", ErrVMNotFound, name)
 	}

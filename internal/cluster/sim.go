@@ -90,10 +90,10 @@ type SimConfig struct {
 	Telemetry *telemetry.Sink
 	// SampleEvery thins the post-warmup cluster sampling: state (overcommit,
 	// per-server quantiles, throughput) is sampled on every SampleEvery-th
-	// admission instead of every one. Each sample walks every server and
-	// every VM — O(servers·VMs) — which dominates XL fleets (the 8c-xl
-	// sweep). The default 1 samples every admission, the exact legacy
-	// behavior bit for bit.
+	// admission instead of every one. Each sample takes a Manager.Snapshot
+	// and adds up every VM's (memoized, see stateSampler) throughput — still
+	// O(servers + VMs), which XL fleets (the 8c-xl sweep) thin out. The
+	// default 1 samples every admission, the exact legacy behavior bit for bit.
 	SampleEvery int
 	// ContainerFraction is the fraction of servers backed by the cgroup
 	// container substrate (internal/simcg) instead of the KVM hypervisor;
@@ -222,7 +222,11 @@ func simCurves() []*perfmodel.UtilityCurve {
 }
 
 // RunSim executes the trace-driven simulation.
-func RunSim(cfg SimConfig) (SimResult, error) {
+func RunSim(cfg SimConfig) (SimResult, error) { return runSim(cfg, nil) }
+
+// runSim is RunSim with the state sampler's per-pass test hook (see
+// stateSampler.check); nil outside tests.
+func runSim(cfg SimConfig, check func(s *stateSampler, gp, tpSum float64, tpN int)) (SimResult, error) {
 	cfg = cfg.withDefaults()
 	var res SimResult
 
@@ -362,15 +366,8 @@ func RunSim(cfg SimConfig) (SimResult, error) {
 
 	running := make(map[string]trace.Event) // admitted and still placed
 	nominalHigh, nominalLow := restypes.Vector{}, restypes.Vector{}
-	warmup := len(events) / 4 // skip ramp-up when sampling
-	// Pre-size the sample buffers for the post-warmup admissions so the
-	// hot loop appends without growing.
-	nSamples := (len(events)-warmup)/cfg.SampleEvery + 1
-	ocSamples := make([]float64, 0, nSamples)
-	srvMeanSamples := make([]float64, 0, nSamples)
-	srvP95Samples := make([]float64, 0, nSamples)
-	lowTpSamples := make([]float64, 0, nSamples)
-	gpSamples := make([]float64, 0, nSamples)
+	sampler := newStateSampler(servers, totalCapacity, len(events), cfg.SampleEvery)
+	sampler.check = check
 	var reclaimLatencies []time.Duration
 	admitted := 0
 	failureEvictions := 0 // low-priority VMs killed by node crashes
@@ -556,27 +553,7 @@ func RunSim(cfg SimConfig) (SimResult, error) {
 		// Sample cluster state after warmup, thinned by SampleEvery (1 =
 		// every admission, the exact legacy cadence).
 		admitted++
-		if admitted >= warmup && (admitted-warmup)%cfg.SampleEvery == 0 {
-			ocSamples = append(ocSamples, overcommitOf(nominalHigh.Add(nominalLow), totalCapacity))
-			snap := mgr.Snapshot()
-			srvMeanSamples = append(srvMeanSamples, snap.MeanOvercommitment)
-			srvP95Samples = append(srvP95Samples, quantile(snap.ServerOvercommitment, 0.95))
-			var tpSum, gp float64
-			tpN := 0
-			for _, s := range servers {
-				for _, v := range s.VMs() {
-					gp += v.Throughput()
-					if v.Priority() == vm.LowPriority {
-						tpSum += v.Throughput()
-						tpN++
-					}
-				}
-			}
-			if tpN > 0 {
-				lowTpSamples = append(lowTpSamples, tpSum/float64(tpN))
-			}
-			gpSamples = append(gpSamples, gp)
-		}
+		sampler.admission(admitted, nominalHigh.Add(nominalLow), mgr)
 	}
 
 	if injectFaults {
@@ -946,7 +923,6 @@ func RunSim(cfg SimConfig) (SimResult, error) {
 	if res.LowPriorityStarted > 0 {
 		res.PreemptionProbability = float64(res.Preemptions+failureEvictions) / float64(res.LowPriorityStarted)
 	}
-	res.Goodput = mean(gpSamples)
 	res.FailurePreemptions = mgr.FailurePreemptions()
 	ms := mgr.MigrationStats()
 	res.Migrations = ms.Migrations
@@ -958,10 +934,7 @@ func RunSim(cfg SimConfig) (SimResult, error) {
 	finalStats := mgr.Snapshot()
 	res.VMsReplaced = finalStats.ReplacedVMs
 	res.VMsLost = finalStats.LostVMs
-	res.AchievedOvercommit = mean(ocSamples)
-	res.ServerOvercommitMean = mean(srvMeanSamples)
-	res.ServerOvercommitP95 = mean(srvP95Samples)
-	res.MeanLowThroughput = mean(lowTpSamples)
+	sampler.report(&res)
 	if len(reclaimLatencies) > 0 {
 		var sum time.Duration
 		for _, l := range reclaimLatencies {

@@ -1,0 +1,284 @@
+package cluster
+
+import (
+	"fmt"
+	"math/rand"
+	"runtime"
+	"testing"
+	"time"
+
+	"deflation/internal/cascade"
+	"deflation/internal/hypervisor"
+	"deflation/internal/restypes"
+	"deflation/internal/simcg"
+	"deflation/internal/substrate"
+	"deflation/internal/trace"
+	"deflation/internal/vm"
+)
+
+// TestSamplerMemoMatchesFullWalk runs every golden cell with the sampler's
+// check hook doing, at the end of each pass, the walk the sampler replaced —
+// every server, every VM, Throughput() recomputed — and requires the exact
+// same three sums. The full walk also re-runs Env()'s everTouched refresh on
+// the servers the sampler skipped, so the run's SimResult matching an
+// unchecked run shows that skipping them changes nothing later either.
+func TestSamplerMemoMatchesFullWalk(t *testing.T) {
+	for _, c := range goldenCells() {
+		t.Run(c.name, func(t *testing.T) {
+			passes, mismatches := 0, 0
+			var last *stateSampler
+			check := func(s *stateSampler, gp, tpSum float64, tpN int) {
+				passes++
+				last = s
+				var wantGp, wantTpSum float64
+				wantTpN := 0
+				for _, srv := range s.servers {
+					for _, v := range srv.VMs() {
+						wantGp += v.Throughput()
+						if v.Priority() == vm.LowPriority {
+							wantTpSum += v.Throughput()
+							wantTpN++
+						}
+					}
+				}
+				if gp != wantGp || tpSum != wantTpSum || tpN != wantTpN {
+					if mismatches++; mismatches <= 3 {
+						t.Errorf("pass %d: memo gp=%v tpSum=%v tpN=%d, full walk gp=%v tpSum=%v tpN=%d",
+							passes, gp, tpSum, tpN, wantGp, wantTpSum, wantTpN)
+					}
+				}
+			}
+			checked, err := runSim(c.cfg, check)
+			if err != nil {
+				t.Fatal(err)
+			}
+			plain, err := RunSim(c.cfg)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if checked != plain {
+				t.Errorf("the full walk perturbed the run:\nchecked: %+v\nplain:   %+v", checked, plain)
+			}
+			if passes == 0 {
+				t.Fatal("the sampler never ran a pass")
+			}
+			perPass := float64(last.evaluated) / float64(passes)
+			t.Logf("%d passes, %.2f of %d servers re-evaluated per pass", passes, perPass, len(last.servers))
+			// One admission touches the server it lands on, one departure the
+			// server it leaves; crashes and migrations add a few. Anything near
+			// the fleet size means an invalidation fires when nothing changed.
+			if perPass > float64(len(last.servers))/4 {
+				t.Errorf("%.2f of %d servers re-evaluated per pass: the memo is not saving the walk", perPass, len(last.servers))
+			}
+		})
+	}
+}
+
+// observedState is everything a watcher must announce a change of: which
+// VMs the server runs, each one's allocation and throughput, and the host's
+// allocated and free capacity (free also moves with stream reservations).
+type observedState struct {
+	allocated, free restypes.Vector
+	vms             map[string]observedVM
+}
+
+type observedVM struct {
+	alloc      restypes.Vector
+	throughput float64
+}
+
+func observe(c *LocalController) observedState {
+	st := observedState{c.Host().Allocated(), c.Host().FreePhysical(), map[string]observedVM{}}
+	for _, v := range c.VMs() {
+		st.vms[v.Name()] = observedVM{v.Allocation(), v.Throughput()}
+	}
+	return st
+}
+
+func (a observedState) equal(b observedState) bool {
+	if a.allocated != b.allocated || a.free != b.free || len(a.vms) != len(b.vms) {
+		return false
+	}
+	for name, v := range a.vms {
+		if w, ok := b.vms[name]; !ok || v != w {
+			return false
+		}
+	}
+	return true
+}
+
+// TestCapacityWatchersSeeEveryChange is the completeness half of the
+// sampler's invariant: capacityChanged is its only invalidation signal, so
+// after every mutating call on a LocalController (and the ControllerAPI's
+// direct cascade deflate), if any VM's throughput or allocation, the VM set,
+// or the host's allocated or free capacity differs from before the call, a
+// watcher must have fired. Reads must never fire one. (The converse does not
+// hold and is not wanted: a reinflation that found nothing to give, or
+// FailAll on an empty server, still announce themselves.)
+func TestCapacityWatchersSeeEveryChange(t *testing.T) {
+	capacity := restypes.V(16, 65536, 400, 400)
+	newHost := func(kind substrate.Kind, name string) (substrate.Substrate, error) {
+		if kind == substrate.KindContainer {
+			return simcg.NewHost(simcg.Config{Name: name, Capacity: capacity})
+		}
+		return hypervisor.NewHost(hypervisor.Config{Name: name, Capacity: capacity})
+	}
+	for _, kind := range []substrate.Kind{substrate.KindHypervisor, substrate.KindContainer} {
+		for seed := int64(1); seed <= 4; seed++ {
+			t.Run(fmt.Sprintf("%s/seed%d", kind, seed), func(t *testing.T) {
+				rng := rand.New(rand.NewSource(seed))
+				// Two servers so Checkpoint+RestoreVM has somewhere to go.
+				var ctrls [2]*LocalController
+				for i, name := range []string{"a", "b"} {
+					h, err := newHost(kind, name)
+					if err != nil {
+						t.Fatal(err)
+					}
+					ctrls[i] = NewLocalController(h, cascade.AllLevels(), ModeDeflation)
+				}
+				var fired [2]int
+				var apis [2]*ControllerAPI
+				for i, c := range ctrls {
+					c.WatchCapacity(func() { fired[i]++ })
+					api, err := NewControllerAPI(c)
+					if err != nil {
+						t.Fatal(err)
+					}
+					apis[i] = api
+				}
+				pick := func(c *LocalController) *vm.VM {
+					if vms := c.VMs(); len(vms) > 0 {
+						return vms[rng.Intn(len(vms))]
+					}
+					return nil
+				}
+				next := 0
+				for step := 0; step < 400; step++ {
+					i := rng.Intn(2)
+					c, other := ctrls[i], ctrls[1-i]
+					before := [2]observedState{observe(ctrls[0]), observe(ctrls[1])}
+					firedBefore := fired
+					op := "read"
+					switch rng.Intn(14) {
+					case 0, 1, 2, 3:
+						op = "launch"
+						cpu := float64(1 + rng.Intn(4))
+						size := restypes.V(cpu, cpu*4096, 25*cpu, 25*cpu)
+						s := LaunchSpec{
+							Name: fmt.Sprintf("v%d", next), Size: size, MinSize: size.Scale(0.25),
+							Priority: vm.LowPriority, AppKind: "elastic", Warm: rng.Intn(2) == 0,
+						}
+						if rng.Intn(5) == 0 {
+							s.Priority, s.MinSize, s.AppKind = vm.HighPriority, restypes.Vector{}, "inelastic"
+						}
+						next++
+						_, _, _ = c.LaunchVM(s) // may legitimately fail when full
+					case 4:
+						op = "reclaim"
+						_, _ = c.Reclaim(capacity.Scale(rng.Float64()/2), rng.Intn(2) == 0)
+					case 5:
+						op = "release"
+						if v := pick(c); v != nil {
+							if err := c.Release(v.Name()); err != nil {
+								t.Fatal(err)
+							}
+						}
+					case 6:
+						op = "reinflate"
+						c.ReinflateAll()
+					case 7:
+						op = "preempt"
+						if v := pick(c); v != nil && v.Priority() == vm.LowPriority {
+							c.preemptInternal(v)
+						}
+					case 8:
+						op = "stream"
+						stream := fmt.Sprintf("s%d", rng.Intn(3))
+						if rng.Intn(2) == 0 {
+							_, _ = c.ReserveStream(stream, 100+400*rng.Float64())
+						} else if err := c.ReleaseStream(stream); err != nil {
+							t.Fatal(err)
+						}
+					case 9:
+						op = "migrate"
+						if v := pick(c); v != nil {
+							cp, err := c.Checkpoint(v.Name())
+							if err != nil {
+								t.Fatal(err)
+							}
+							if other.RestoreVM(cp) == nil {
+								if err := c.Release(v.Name()); err != nil {
+									t.Fatal(err)
+								}
+							}
+						}
+					case 10:
+						op = "deflate-fully"
+						if v := pick(c); v != nil {
+							_, _ = c.DeflateFully(v.Name())
+						}
+					case 11:
+						op = "api-deflate"
+						if v := pick(c); v != nil && v.Priority() == vm.LowPriority {
+							_, _, _ = apis[i].deflate(v.Name(), "", v.Deflatable().Scale(rng.Float64()))
+						}
+					case 12:
+						if rng.Intn(8) == 0 {
+							op = "fail-all"
+							c.FailAll()
+						}
+					default:
+						c.Free()
+						c.Availability()
+						c.PreemptableCeiling()
+						c.Overcommitment()
+						c.VMs()
+						_, _ = c.Inventory()
+						_, _ = c.Has("v0")
+						if v := pick(c); v != nil {
+							_, _ = c.Checkpoint(v.Name())
+						}
+					}
+					for j, cj := range ctrls {
+						changed := !observe(cj).equal(before[j])
+						notified := fired[j] != firedBefore[j]
+						if changed && !notified {
+							t.Fatalf("step %d: %s changed server %s and no capacity watcher fired", step, op, cj.Name())
+						}
+						if op == "read" && notified {
+							t.Fatalf("step %d: a read fired server %s's capacity watchers", step, cj.Name())
+						}
+					}
+				}
+				if next == 0 || fired == [2]int{} {
+					t.Fatal("the script never launched anything")
+				}
+			})
+		}
+	}
+}
+
+// TestSimAllocBudget holds the simulator's allocation rate, an exact count
+// that timing noise cannot blur: a quick Fig. 8c cell (saturated, sampled on
+// every admission) must stay within 40 heap allocations per trace event.
+// Sorting a host's domain table on every free-capacity read cost 121.
+func TestSimAllocBudget(t *testing.T) {
+	const events = 4000
+	cfg := SimConfig{
+		Servers:          20,
+		TargetOvercommit: 1.6,
+		Seed:             11,
+		Trace:            trace.Config{Count: events, MeanInterarrival: 10 * time.Second},
+	}
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	if _, err := RunSim(cfg); err != nil {
+		t.Fatal(err)
+	}
+	runtime.ReadMemStats(&after)
+	perEvent := float64(after.Mallocs-before.Mallocs) / events
+	t.Logf("%.1f allocs/event", perEvent)
+	if perEvent > 40 {
+		t.Errorf("%.1f allocs/event, budget 40", perEvent)
+	}
+}

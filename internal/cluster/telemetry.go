@@ -232,7 +232,7 @@ func (a *ControllerAPI) AttachTelemetry(sink *telemetry.Sink) {
 		})
 	}
 	scalar("deflation_node_vms", "VMs currently running on this server",
-		func(c *LocalController) float64 { return float64(len(c.vms)) })
+		func(c *LocalController) float64 { return float64(c.vms.Len()) })
 	scalar("deflation_node_overcommitment", "nominal load over capacity on the binding dimension",
 		func(c *LocalController) float64 { return c.Overcommitment() })
 	scalar("deflation_node_preemptions", "capacity-driven preemptions this server has performed",

@@ -39,6 +39,8 @@ func figures() []runFigure {
 		wrap(func() (any, string, error) { return asAny(Fig8d(true, 0)) }, "fig8d", true),
 		wrap(func() (any, string, error) { return asAny(Chaos(QuickChaosConfig())) }, "chaos", true),
 		wrap(func() (any, string, error) { return asAny(FigMigration(QuickFigMigrationConfig())) }, "migration", true),
+		wrap(func() (any, string, error) { return asAny(FigMixed(QuickFigMixedConfig())) }, "mixed", true),
+		wrap(func() (any, string, error) { return asAny(Failover(QuickFailoverConfig())) }, "failover", true),
 		wrap(func() (any, string, error) { return asAny(Revenue(true)) }, "revenue", false),
 		wrap(func() (any, string, error) { return asAny(FigSLO(QuickFigSLOConfig())) }, "slo", false),
 		wrap(func() (any, string, error) { return asAny(Table2()) }, "table2", true),

@@ -20,7 +20,6 @@ package hypervisor
 
 import (
 	"fmt"
-	"sort"
 	"time"
 
 	"deflation/internal/guestos"
@@ -80,7 +79,7 @@ func (c Config) withDefaults() Config {
 // concurrent use; the simulation is single-threaded.
 type Host struct {
 	cfg     Config
-	domains map[string]*Domain
+	domains substrate.Table[*Domain] // name-ordered: Allocated sums it without sorting
 
 	// reserved is capacity set aside outside any domain's allocation —
 	// live-migration streams reserve network bandwidth here so that new
@@ -94,7 +93,7 @@ func NewHost(cfg Config) (*Host, error) {
 	if !cfg.Capacity.Positive() {
 		return nil, fmt.Errorf("hypervisor: host capacity must be positive in all dimensions, got %v", cfg.Capacity)
 	}
-	return &Host{cfg: cfg, domains: make(map[string]*Domain)}, nil
+	return &Host{cfg: cfg}, nil
 }
 
 // Name returns the host name.
@@ -107,11 +106,11 @@ func (h *Host) Kind() substrate.Kind { return substrate.KindHypervisor }
 func (h *Host) Capacity() restypes.Vector { return h.cfg.Capacity }
 
 // Allocated returns the sum of all domains' current physical allocations.
-// Iteration is in sorted domain order so that floating-point summation is
+// Iteration is in name order so that floating-point summation is
 // deterministic across runs.
 func (h *Host) Allocated() restypes.Vector {
 	var sum restypes.Vector
-	for _, d := range h.Domains() {
+	for _, d := range h.domains.Ordered() {
 		sum = sum.Add(d.alloc)
 	}
 	return sum
@@ -127,8 +126,8 @@ func (h *Host) FreePhysical() restypes.Vector {
 // physical capacity.
 func (h *Host) Reserve(v restypes.Vector) error {
 	v = v.ClampNonNegative()
-	if !v.Fits(h.FreePhysical()) {
-		return fmt.Errorf("%w: reserving %v, free %v", ErrInsufficientCapacity, v, h.FreePhysical())
+	if free := h.FreePhysical(); !v.Fits(free) {
+		return fmt.Errorf("%w: reserving %v, free %v", ErrInsufficientCapacity, v, free)
 	}
 	h.reserved = h.reserved.Add(v)
 	return nil
@@ -142,19 +141,13 @@ func (h *Host) Unreserve(v restypes.Vector) {
 // Reserved returns the currently reserved capacity.
 func (h *Host) Reserved() restypes.Vector { return h.reserved }
 
-// Domains returns all live domains sorted by name (deterministic order).
-func (h *Host) Domains() []*Domain {
-	out := make([]*Domain, 0, len(h.domains))
-	for _, d := range h.domains {
-		out = append(out, d)
-	}
-	sort.Slice(out, func(i, j int) bool { return out[i].name < out[j].name })
-	return out
-}
+// Domains returns all live domains in name order. The slice is a snapshot
+// shared between calls; callers must not modify it.
+func (h *Host) Domains() []*Domain { return h.domains.Ordered() }
 
 // Domain looks up a live domain by name.
 func (h *Host) Domain(name string) (*Domain, error) {
-	d, ok := h.domains[name]
+	d, ok := h.domains.Get(name)
 	if !ok {
 		return nil, fmt.Errorf("%w: %q", ErrDomainNotFound, name)
 	}
@@ -206,14 +199,14 @@ func (h *Host) RestoreInstance(s substrate.Snapshot) (substrate.Instance, error)
 // fails with ErrInsufficientCapacity unless the size fits in free physical
 // capacity — the cluster manager must deflate other VMs first (§5).
 func (h *Host) CreateDomain(name string, size restypes.Vector, guestCfg guestos.Config) (*Domain, error) {
-	if _, ok := h.domains[name]; ok {
+	if _, ok := h.domains.Get(name); ok {
 		return nil, fmt.Errorf("%w: %q", ErrDomainExists, name)
 	}
 	if !size.Positive() {
 		return nil, fmt.Errorf("hypervisor: domain size must be positive in all dimensions, got %v", size)
 	}
-	if !size.Fits(h.FreePhysical()) {
-		return nil, fmt.Errorf("%w: need %v, free %v", ErrInsufficientCapacity, size, h.FreePhysical())
+	if free := h.FreePhysical(); !size.Fits(free) {
+		return nil, fmt.Errorf("%w: need %v, free %v", ErrInsufficientCapacity, size, free)
 	}
 	if guestCfg.CPUs == 0 {
 		guestCfg.CPUs = int(size.CPU)
@@ -227,7 +220,7 @@ func (h *Host) CreateDomain(name string, size restypes.Vector, guestCfg guestos.
 	}
 	d := &Domain{host: h, name: name, size: size, alloc: size, guest: g}
 	d.everTouchedMB = d.touchedMB()
-	h.domains[name] = d
+	h.domains.Put(name, d)
 	return d, nil
 }
 
@@ -290,7 +283,7 @@ func (d *Domain) Destroy() {
 		return
 	}
 	d.dead = true
-	delete(d.host.domains, d.name)
+	d.host.domains.Delete(d.name)
 }
 
 // SetAllocation adjusts the domain's physical allocation to target
@@ -307,8 +300,8 @@ func (d *Domain) SetAllocation(target restypes.Vector) (time.Duration, error) {
 	// Growth must fit in free physical capacity (own current allocation is
 	// already accounted, so only the delta matters).
 	grow := target.Sub(d.alloc).ClampNonNegative()
-	if !grow.Fits(d.host.FreePhysical()) {
-		return 0, fmt.Errorf("%w: growing by %v, free %v", ErrInsufficientCapacity, grow, d.host.FreePhysical())
+	if free := d.host.FreePhysical(); !grow.Fits(free) {
+		return 0, fmt.Errorf("%w: growing by %v, free %v", ErrInsufficientCapacity, grow, free)
 	}
 
 	var latency time.Duration
@@ -394,15 +387,15 @@ func (h *Host) RestoreDomain(s DomainSnapshot) (*Domain, error) {
 	if s.Guest == nil {
 		return nil, fmt.Errorf("hypervisor: snapshot %q has no guest state", s.Name)
 	}
-	if _, ok := h.domains[s.Name]; ok {
+	if _, ok := h.domains.Get(s.Name); ok {
 		return nil, fmt.Errorf("%w: %q", ErrDomainExists, s.Name)
 	}
 	if !s.Size.Positive() {
 		return nil, fmt.Errorf("hypervisor: snapshot size must be positive in all dimensions, got %v", s.Size)
 	}
 	alloc := s.Alloc.Min(s.Size).ClampNonNegative()
-	if !alloc.Fits(h.FreePhysical()) {
-		return nil, fmt.Errorf("%w: restoring %v, free %v", ErrInsufficientCapacity, alloc, h.FreePhysical())
+	if free := h.FreePhysical(); !alloc.Fits(free) {
+		return nil, fmt.Errorf("%w: restoring %v, free %v", ErrInsufficientCapacity, alloc, free)
 	}
 	g, err := guestos.Restore(*s.Guest)
 	if err != nil {
@@ -411,7 +404,7 @@ func (h *Host) RestoreDomain(s DomainSnapshot) (*Domain, error) {
 	d := &Domain{host: h, name: s.Name, size: s.Size, alloc: alloc, guest: g}
 	d.everTouchedMB = s.EverTouchedMB
 	d.refreshEverTouched()
-	h.domains[s.Name] = d
+	h.domains.Put(s.Name, d)
 	return d, nil
 }
 

@@ -23,7 +23,6 @@ package simcg
 import (
 	"fmt"
 	"math"
-	"sort"
 	"time"
 
 	"deflation/internal/guestos"
@@ -73,7 +72,7 @@ func (c Config) withDefaults() Config {
 // use; the simulation is single-threaded.
 type Host struct {
 	cfg        Config
-	containers map[string]*Container
+	containers substrate.Table[*Container] // name-ordered: Allocated sums it without sorting
 	reserved   restypes.Vector
 }
 
@@ -83,7 +82,7 @@ func NewHost(cfg Config) (*Host, error) {
 	if !cfg.Capacity.Positive() {
 		return nil, fmt.Errorf("simcg: host capacity must be positive in all dimensions, got %v", cfg.Capacity)
 	}
-	return &Host{cfg: cfg, containers: make(map[string]*Container)}, nil
+	return &Host{cfg: cfg}, nil
 }
 
 // Name returns the host name.
@@ -96,10 +95,10 @@ func (h *Host) Kind() substrate.Kind { return substrate.KindContainer }
 func (h *Host) Capacity() restypes.Vector { return h.cfg.Capacity }
 
 // Allocated returns the sum of all containers' current limits, iterated in
-// sorted order so floating-point summation is deterministic.
+// name order so floating-point summation is deterministic.
 func (h *Host) Allocated() restypes.Vector {
 	var sum restypes.Vector
-	for _, c := range h.sorted() {
+	for _, c := range h.containers.Ordered() {
 		sum = sum.Add(c.alloc)
 	}
 	return sum
@@ -116,8 +115,8 @@ func (h *Host) FreePhysical() restypes.Vector {
 // Reserve sets aside capacity outside any container (migration streams).
 func (h *Host) Reserve(v restypes.Vector) error {
 	v = v.ClampNonNegative()
-	if !v.Fits(h.FreePhysical()) {
-		return fmt.Errorf("%w: reserving %v, free %v", substrate.ErrInsufficientCapacity, v, h.FreePhysical())
+	if free := h.FreePhysical(); !v.Fits(free) {
+		return fmt.Errorf("%w: reserving %v, free %v", substrate.ErrInsufficientCapacity, v, free)
 	}
 	h.reserved = h.reserved.Add(v)
 	return nil
@@ -131,18 +130,9 @@ func (h *Host) Unreserve(v restypes.Vector) {
 // Reserved returns the currently reserved capacity.
 func (h *Host) Reserved() restypes.Vector { return h.reserved }
 
-func (h *Host) sorted() []*Container {
-	out := make([]*Container, 0, len(h.containers))
-	for _, c := range h.containers {
-		out = append(out, c)
-	}
-	sort.Slice(out, func(i, j int) bool { return out[i].name < out[j].name })
-	return out
-}
-
 // Instances returns all live containers sorted by name.
 func (h *Host) Instances() []substrate.Instance {
-	cs := h.sorted()
+	cs := h.containers.Ordered()
 	out := make([]substrate.Instance, len(cs))
 	for i, c := range cs {
 		out[i] = c
@@ -152,7 +142,7 @@ func (h *Host) Instances() []substrate.Instance {
 
 // Lookup finds a live container by name.
 func (h *Host) Lookup(name string) (substrate.Instance, error) {
-	c, ok := h.containers[name]
+	c, ok := h.containers.Get(name)
 	if !ok {
 		return nil, fmt.Errorf("%w: %q", substrate.ErrInstanceNotFound, name)
 	}
@@ -164,17 +154,17 @@ func (h *Host) Lookup(name string) (substrate.Instance, error) {
 // so only the footprint-relevant field (the runtime overhead standing in
 // for KernelMemMB) applies, and it comes from the host config instead.
 func (h *Host) Spawn(name string, size restypes.Vector, _ guestos.Config) (substrate.Instance, error) {
-	if _, ok := h.containers[name]; ok {
+	if _, ok := h.containers.Get(name); ok {
 		return nil, fmt.Errorf("%w: %q", substrate.ErrInstanceExists, name)
 	}
 	if !size.Positive() {
 		return nil, fmt.Errorf("simcg: container size must be positive in all dimensions, got %v", size)
 	}
-	if !size.Fits(h.FreePhysical()) {
-		return nil, fmt.Errorf("%w: need %v, free %v", substrate.ErrInsufficientCapacity, size, h.FreePhysical())
+	if free := h.FreePhysical(); !size.Fits(free) {
+		return nil, fmt.Errorf("%w: need %v, free %v", substrate.ErrInsufficientCapacity, size, free)
 	}
 	c := &Container{host: h, name: name, size: size, alloc: size}
-	h.containers[name] = c
+	h.containers.Put(name, c)
 	return c, nil
 }
 
@@ -189,15 +179,15 @@ func (h *Host) RestoreInstance(s substrate.Snapshot) (substrate.Instance, error)
 	if s.Container == nil {
 		return nil, fmt.Errorf("simcg: snapshot %q has no container state", s.Name)
 	}
-	if _, ok := h.containers[s.Name]; ok {
+	if _, ok := h.containers.Get(s.Name); ok {
 		return nil, fmt.Errorf("%w: %q", substrate.ErrInstanceExists, s.Name)
 	}
 	if !s.Size.Positive() {
 		return nil, fmt.Errorf("simcg: snapshot size must be positive in all dimensions, got %v", s.Size)
 	}
 	alloc := s.Alloc.Min(s.Size).ClampNonNegative()
-	if !alloc.Fits(h.FreePhysical()) {
-		return nil, fmt.Errorf("%w: restoring %v, free %v", substrate.ErrInsufficientCapacity, alloc, h.FreePhysical())
+	if free := h.FreePhysical(); !alloc.Fits(free) {
+		return nil, fmt.Errorf("%w: restoring %v, free %v", substrate.ErrInsufficientCapacity, alloc, free)
 	}
 	if s.Container.RSSMB+h.cfg.OverheadMB > alloc.MemoryMB {
 		return nil, fmt.Errorf("simcg: snapshot %q RSS %.0f MB does not fit restored memory.max %.0f MB",
@@ -208,7 +198,7 @@ func (h *Host) RestoreInstance(s substrate.Snapshot) (substrate.Instance, error)
 		rssMB: s.Container.RSSMB, cacheMB: s.Container.PageCacheMB,
 		oomKilled: s.Container.OOMKilled,
 	}
-	h.containers[s.Name] = c
+	h.containers.Put(s.Name, c)
 	return c, nil
 }
 
@@ -247,7 +237,7 @@ func (c *Container) Destroy() {
 		return
 	}
 	c.dead = true
-	delete(c.host.containers, c.name)
+	c.host.containers.Delete(c.name)
 }
 
 // MarkWarm is a no-op: a cgroup has no touched-footprint high-water mark —
@@ -297,8 +287,8 @@ func (c *Container) SetAllocation(target restypes.Vector) (time.Duration, error)
 	}
 	target = target.Min(c.size).ClampNonNegative()
 	grow := target.Sub(c.alloc).ClampNonNegative()
-	if !grow.Fits(c.host.FreePhysical()) {
-		return 0, fmt.Errorf("%w: growing by %v, free %v", substrate.ErrInsufficientCapacity, grow, c.host.FreePhysical())
+	if free := c.host.FreePhysical(); !grow.Fits(free) {
+		return 0, fmt.Errorf("%w: growing by %v, free %v", substrate.ErrInsufficientCapacity, grow, free)
 	}
 	c.alloc = target
 	c.checkOOM()
