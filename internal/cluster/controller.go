@@ -8,6 +8,7 @@ package cluster
 import (
 	"errors"
 	"fmt"
+	"slices"
 	"sort"
 	"time"
 
@@ -136,7 +137,7 @@ type LocalController struct {
 	// fresh. Memoized values are bit-identical to recomputation: the same
 	// code computes them, just once per change instead of once per read.
 	cache    ctrlCache
-	watchers []func()
+	watchers []*func()
 	// generation counts capacityChanged calls: the version of the capacity
 	// summary a ControllerAPI pushes to the manager (see CapacitySummary).
 	generation uint64
@@ -169,17 +170,24 @@ func (c *LocalController) capacityChanged() {
 	c.cache.have = 0
 	c.generation++
 	for _, w := range c.watchers {
-		w()
+		(*w)()
 	}
 }
 
 // WatchCapacity registers fn to run whenever this server's capacity vectors
 // may have changed (VM launched/released/preempted, deflation, reinflation,
-// migration stream reservations, crash/recovery). Used by the manager's
-// placement index for push invalidation; fn must be O(1) and must not call
-// back into the controller.
-func (c *LocalController) WatchCapacity(fn func()) {
-	c.watchers = append(c.watchers, fn)
+// migration stream reservations, crash/recovery), and returns the func that
+// unregisters it. Used by the manager's placement index and the sim's state
+// sampler for push invalidation; fn must be O(1) and must not call back into
+// the controller.
+func (c *LocalController) WatchCapacity(fn func()) (unwatch func()) {
+	w := &fn // a pointer gives the registration an identity funcs lack
+	c.watchers = append(c.watchers, w)
+	return func() {
+		if i := slices.Index(c.watchers, w); i >= 0 {
+			c.watchers = slices.Delete(c.watchers, i, i+1)
+		}
+	}
 }
 
 // SetSplitPolicy changes how deflation demand is divided among VMs

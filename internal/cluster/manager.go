@@ -570,9 +570,10 @@ func placementVector(s Node, spec LaunchSpec) restypes.Vector {
 }
 
 // fitness is §5's placement score: the cosine similarity between the VM's
-// demand vector and the server's availability vector.
-func (m *Manager) fitness(s Node, spec LaunchSpec) float64 {
-	if m.freeOnlyFitness {
+// demand vector and the server's availability vector — or its free vector
+// alone under the freeOnly ablation (Manager.SetFreeOnlyFitness).
+func fitness(s Node, spec LaunchSpec, freeOnly bool) float64 {
+	if freeOnly {
 		return spec.Size.CosineSimilarity(s.Free())
 	}
 	return spec.Size.CosineSimilarity(placementVector(s, spec))
@@ -702,7 +703,7 @@ func (m *Manager) pickServer(spec LaunchSpec) int {
 		fb := m.alive(b) && feasible(m.servers[b], spec)
 		switch {
 		case fa && fb:
-			if m.fitness(m.servers[a], spec) >= m.fitness(m.servers[b], spec) {
+			if fitness(m.servers[a], spec, m.freeOnlyFitness) >= fitness(m.servers[b], spec, m.freeOnlyFitness) {
 				return a
 			}
 			return b
@@ -729,7 +730,7 @@ func (m *Manager) bestFit(spec LaunchSpec) int {
 		if !m.alive(i) || !feasible(s, spec) {
 			continue
 		}
-		if f := m.fitness(s, spec); f > bestFitness {
+		if f := fitness(s, spec, m.freeOnlyFitness); f > bestFitness {
 			best, bestFitness = i, f
 		}
 	}
@@ -835,6 +836,9 @@ func (m *Manager) Snapshot() Stats {
 	st.LostVMs = m.lostVMs
 	st.AdoptedVMs = m.adoptedVMs
 	st.StaleReleases = m.staleReleases
+	if n := len(m.servers); n > 0 { // an empty fleet keeps reporting nil
+		st.ServerOvercommitment = make([]float64, 0, n)
+	}
 	for _, s := range m.servers {
 		oc := s.Overcommitment()
 		st.ServerOvercommitment = append(st.ServerOvercommitment, oc)

@@ -32,7 +32,7 @@ func (m *Manager) AddNode(n Node, url string) ([]HealthEvent, error) {
 	// Dynamic fleets forgo the placement index: registration can replace a
 	// node object mid-flight (stranding its watcher) and removal renumbers
 	// indices, so these managers stay on the linear scans.
-	m.pidx = nil
+	m.dropIndex()
 	if idx := m.serverIndex(name); idx >= 0 {
 		var events []HealthEvent
 		if m.nodeURLs[name] != url {
@@ -76,7 +76,7 @@ func (m *Manager) RemoveNode(name string) error {
 	if idx < 0 {
 		return fmt.Errorf("%w: %q", ErrNodeNotFound, name)
 	}
-	m.pidx = nil // see AddNode: dynamic fleets use the linear scans
+	m.dropIndex() // see AddNode: dynamic fleets use the linear scans
 	for vmName, i := range m.placement {
 		switch {
 		case i == idx:

@@ -7,35 +7,42 @@ import (
 )
 
 // The placement index replaces the manager's O(servers) feasibility scan
-// with a segment tree over the fleet, so BestFit / WorstFit / FirstFit and
-// the preemption fallback resolve in roughly O(log n) while returning
-// BIT-IDENTICAL choices to the linear scans they shadow. The design:
+// with trees over the fleet, so BestFit / WorstFit / FirstFit and the
+// preemption fallback resolve in O(log n) while returning BIT-IDENTICAL
+// choices to the linear scans they shadow. The design:
 //
-//   - Each leaf caches its server's placement vectors (availability, free,
-//     preemptable ceiling), their unit directions and norms, and its
-//     substrate kind. Leaves go stale only through the controllers'
-//     WatchCapacity push notifications — every capacity mutation (launch,
-//     release, deflate, reinflate, preempt, stream reservation, crash)
-//     runs the watcher, which marks the leaf dirty; dirty leaves are
-//     re-read and their root paths recomputed before every query.
-//   - Internal nodes hold element-wise maxima (and norm maxima) over their
-//     subtrees. Per-dimension max is a selection, and Fits() is monotone
-//     per-dimension, so "spec fits the subtree maximum" is an EXACT
-//     feasibility bound: pruning a subtree never discards a feasible leaf.
-//   - The fitness bound is û·maxDir, where û is the spec's unit demand and
-//     maxDir the element-wise max of the leaves' unit placement vectors.
-//     All components are non-negative and IEEE multiplication/addition are
-//     monotone for non-negative operands, so û·maxDir ≥ û·dir ≥ fitness up
-//     to the few-ulp difference between computing cos-similarity as
-//     Dot/(|a||b|) versus û·dir. The 1e-9 absolute slack added before
-//     pruning dwarfs that ~1e-15 rounding gap while staying far below any
-//     meaningful fitness difference, so the bound never wrongly prunes.
-//   - Queries descend left to right and evaluate surviving leaves with the
-//     SAME expressions the scans use — m.alive(i), feasible(), m.fitness(),
-//     PreemptableCeiling().Norm() — read live through m.servers[i], with
-//     the same strictly-greater comparisons. Visit order and tie-breaking
-//     are therefore identical to the scan; pruning only skips leaves that
-//     provably cannot win.
+//   - Leaves go stale only through the controllers' WatchCapacity push
+//     notifications — every capacity mutation (launch, release, deflate,
+//     reinflate, preempt, stream reservation, crash) runs the watcher, which
+//     marks the leaf dirty; dirty leaves are re-read and their root paths
+//     recomputed before every query (≈1.6 leaves per query in the saturated
+//     cells).
+//   - Best-fit is served by one tournament tree per distinct demand
+//     (spec.Size, spec.Substrate, the manager's freeOnlyFitness). The
+//     invariant: leaf i holds PRECISELY the value the scan computes for
+//     server i — -1 when !feasible(s, spec), else fitness(s, spec, freeOnly),
+//     evaluated by those very functions — and an inner node holds the max of
+//     its two children. Nothing is bounded or rounded, so the descent needs
+//     no slack: it visits the higher-valued child first and reads only
+//     m.alive(i) at a leaf, ≈2 nodes per level.
+//   - The prune is index-aware. A leaf's value says nothing about m.alive(i)
+//     (a dead or barred server keeps its value), so the descent can be sent
+//     right by a non-alive leaf before an equal-valued, lower-indexed alive
+//     leaf on the left is seen. A subtree is therefore skipped only when its
+//     value is below the current winner's, or equal AND none of its leaves
+//     precedes the winner; an equal-valued alive leaf before the winner
+//     replaces it. That is the scan's "strictly greater, earliest on ties".
+//   - Demands come from an instance catalogue (a handful of VM sizes), so
+//     the trees are a fixed set of pidxDemandTrees, least recently used
+//     evicted. A miss fills one tree from all n servers — n cosines, what
+//     every query cost before the trees existed — and reuses the evicted
+//     tree's array; a hit costs the descent alone.
+//   - WorstFit, FirstFit and the preemption fallback descend one shared tree
+//     of element-wise maxima (pidxAgg). Per-dimension max is a selection and
+//     Fits() is monotone per dimension, so "spec fits the subtree maximum"
+//     is an exact feasibility bound; they visit left to right and evaluate
+//     surviving leaves live, with the scans' own expressions and
+//     comparisons.
 //
 // The index is built only when every node supports WatchCapacity (local
 // controllers, their crashable wrappers, and fencedNode chains over them).
@@ -48,15 +55,19 @@ import (
 // flip it to force the reference scan path.
 var placementIndexEnabled = true
 
-// pidxSlack is the absolute slack added to floating-point upper bounds
-// before pruning — far above the ~1e-15 recomputation rounding it must
-// absorb, far below any meaningful fitness or norm difference.
+// pidxSlack is the absolute slack worstFit adds to its norm bound before
+// pruning. A live norm equals its cached twin bit for bit, so the slack only
+// makes that prune more conservative; it sits far below any meaningful norm
+// difference.
 const pidxSlack = 1e-9
+
+// pidxDemandTrees is how many best-fit demand trees the index keeps.
+const pidxDemandTrees = 8
 
 // capacityWatchable is the push-invalidation hook the index needs from
 // every node (see LocalController.WatchCapacity).
 type capacityWatchable interface {
-	WatchCapacity(fn func())
+	WatchCapacity(fn func()) (unwatch func())
 }
 
 // watchableNode unwraps fencedNode chains to reach a WatchCapacity
@@ -75,14 +86,11 @@ func watchableNode(n Node) capacityWatchable {
 	}
 }
 
-// pidxAgg is one tree node's aggregate: element-wise maxima over its
-// subtree's cached leaf values. Padding leaves (beyond the fleet) hold the
-// zero aggregate, the identity for max/OR.
+// pidxAgg is one node of the shared bounds tree: element-wise maxima over
+// its subtree's cached leaf values. Padding leaves (beyond the fleet) hold
+// the zero aggregate, the identity for max/OR.
 type pidxAgg struct {
 	maxPV      restypes.Vector // max placement vector (availability or free, per mode)
-	maxPVDir   restypes.Vector // max unit placement vector (best-fit fitness bound)
-	maxFreeDir restypes.Vector // max unit free vector (free-only fitness ablation)
-	maxPVNorm  float64         // max |placement vector|
 	maxFreeNrm float64         // max |free vector| (worst-fit bound)
 	maxCeil    restypes.Vector // max preemptable ceiling (preempt feasibility bound)
 	maxCeilNrm float64         // max |preemptable ceiling| (preempt fallback bound)
@@ -92,48 +100,53 @@ type pidxAgg struct {
 func mergeAgg(a, b pidxAgg) pidxAgg {
 	return pidxAgg{
 		maxPV:      a.maxPV.Max(b.maxPV),
-		maxPVDir:   a.maxPVDir.Max(b.maxPVDir),
-		maxFreeDir: a.maxFreeDir.Max(b.maxFreeDir),
-		maxPVNorm:  max2(a.maxPVNorm, b.maxPVNorm),
-		maxFreeNrm: max2(a.maxFreeNrm, b.maxFreeNrm),
+		maxFreeNrm: max(a.maxFreeNrm, b.maxFreeNrm),
 		maxCeil:    a.maxCeil.Max(b.maxCeil),
-		maxCeilNrm: max2(a.maxCeilNrm, b.maxCeilNrm),
+		maxCeilNrm: max(a.maxCeilNrm, b.maxCeilNrm),
 		kinds:      a.kinds | b.kinds,
 	}
 }
 
-func max2(a, b float64) float64 {
-	if a > b {
-		return a
-	}
-	return b
+// demandTree is the best-fit tournament for one demand. val is a 1-based
+// tree array like placementIndex.agg: val[p+i] is server i's scan value
+// (see leaf), padding leaves hold -1, inner nodes the max of their children.
+type demandTree struct {
+	spec     LaunchSpec // Size and Substrate only: all feasible and fitness read
+	freeOnly bool
+	val      []float64
+	lastUsed uint64 // placementIndex.clock at the latest query
 }
 
-// unitVec returns v/|v|, or the zero vector when |v| = 0 (matching
-// CosineSimilarity's zero-vector convention).
-func unitVec(v restypes.Vector) restypes.Vector {
-	n := v.Norm()
-	if n == 0 {
-		return restypes.Vector{}
+// leaf is the value Manager.bestFit's scan computes for s, with -1 (the
+// scan's starting bestFitness, which no candidate equals) for "skipped".
+func (t *demandTree) leaf(s Node) float64 {
+	if !feasible(s, t.spec) {
+		return -1
 	}
-	return v.Scale(1 / n)
+	return fitness(s, t.spec, t.freeOnly)
 }
 
-// placementIndex is the segment tree. Leaves live at agg[p..p+n); node j's
-// children are 2j and 2j+1. Single-goroutine, like the manager it serves.
+// placementIndex holds the trees. Leaves live at [p, p+n); node j's children
+// are 2j and 2j+1. Single-goroutine, like the manager it serves.
 type placementIndex struct {
 	servers []Node
-	n       int       // fleet size
-	p       int       // leaf base: smallest power of two ≥ n
-	agg     []pidxAgg // 1-based tree array, len 2p
-	dirty   []int     // leaf indices pending refresh
-	isDirty []bool    // dedupe for dirty
+	n       int          // fleet size
+	p       int          // leaf base: smallest power of two ≥ n
+	agg     []pidxAgg    // bounds tree, len 2p
+	demands []demandTree // best-fit trees, at most pidxDemandTrees
+	clock   uint64       // best-fit queries served, the LRU's time
+	dirty   []int        // leaf indices pending refresh
+	isDirty []bool       // dedupe for dirty
+	unwatch []func()     // unsubscribes markDirty from each server (see dropIndex)
 	// kindBits interns normalized substrate-kind names to mask bits. Bit 0
 	// is the unknown kind (compatible with everything); interning past 31
 	// kinds falls back to bit 0, which can only make pruning more
 	// conservative, never wrong.
 	kindBits map[string]uint32
 	nextBit  uint
+	// visited counts the tree nodes bestFit has entered, for the work-budget
+	// test; nothing else reads it.
+	visited int
 }
 
 // newPlacementIndex builds the index over m's fleet, or returns nil when
@@ -163,6 +176,7 @@ func newPlacementIndex(servers []Node) *placementIndex {
 		agg:      make([]pidxAgg, 2*p),
 		dirty:    make([]int, 0, n),
 		isDirty:  make([]bool, n),
+		unwatch:  make([]func(), n),
 		kindBits: map[string]uint32{"": 1},
 		nextBit:  1,
 	}
@@ -170,10 +184,24 @@ func newPlacementIndex(servers []Node) *placementIndex {
 		x.markDirty(i)
 	}
 	for i, w := range watch {
-		i := i
-		w.WatchCapacity(func() { x.markDirty(i) })
+		x.unwatch[i] = w.WatchCapacity(func() { x.markDirty(i) })
 	}
 	return x
+}
+
+// dropIndex takes the manager off the placement index for good — it places
+// by the linear scans from here on — and unsubscribes the index from the
+// controllers, which outlive the manager and would otherwise keep its trees
+// reachable and keep marking their leaves. Called when the fleet's
+// membership changes and when another manager takes the fleet over.
+func (m *Manager) dropIndex() {
+	if m.pidx == nil {
+		return
+	}
+	for _, unwatch := range m.pidx.unwatch {
+		unwatch()
+	}
+	m.pidx = nil
 }
 
 func (x *placementIndex) markDirty(i int) {
@@ -213,9 +241,9 @@ func (x *placementIndex) compatMask(kind string) uint32 {
 }
 
 // flush re-reads every dirty leaf through its (possibly wrapped) node and
-// recomputes the path to the root. Called at the top of every query, so
-// query-time aggregates always reflect the controllers' current memoized
-// vectors.
+// recomputes its path to the root in the bounds tree and in every demand
+// tree. Called at the top of every query, so the trees always reflect the
+// controllers' current memoized vectors.
 func (x *placementIndex) flush() {
 	if len(x.dirty) == 0 {
 		return
@@ -223,14 +251,10 @@ func (x *placementIndex) flush() {
 	for _, i := range x.dirty {
 		x.isDirty[i] = false
 		s := x.servers[i]
-		pv := placementVector(s, LaunchSpec{})
 		free := s.Free()
 		ceil := s.PreemptableCeiling()
 		x.agg[x.p+i] = pidxAgg{
-			maxPV:      pv,
-			maxPVDir:   unitVec(pv),
-			maxFreeDir: unitVec(free),
-			maxPVNorm:  pv.Norm(),
+			maxPV:      placementVector(s, LaunchSpec{}),
 			maxFreeNrm: free.Norm(),
 			maxCeil:    ceil,
 			maxCeilNrm: ceil.Norm(),
@@ -239,49 +263,91 @@ func (x *placementIndex) flush() {
 		for j := (x.p + i) / 2; j >= 1; j /= 2 {
 			x.agg[j] = mergeAgg(x.agg[2*j], x.agg[2*j+1])
 		}
+		for k := range x.demands {
+			t := &x.demands[k]
+			t.val[x.p+i] = t.leaf(s)
+			for j := (x.p + i) / 2; j >= 1; j /= 2 {
+				t.val[j] = max(t.val[2*j], t.val[2*j+1])
+			}
+		}
 	}
 	x.dirty = x.dirty[:0]
+}
+
+// demand returns the tree for spec's demand, current as of the last flush.
+// On a miss it fills the least recently used tree (or a new one, below
+// pidxDemandTrees) from every server.
+func (x *placementIndex) demand(spec LaunchSpec, freeOnly bool) *demandTree {
+	x.clock++
+	lru := 0
+	for k := range x.demands {
+		t := &x.demands[k]
+		if t.spec.Size == spec.Size && t.spec.Substrate == spec.Substrate && t.freeOnly == freeOnly {
+			t.lastUsed = x.clock
+			return t
+		}
+		if t.lastUsed < x.demands[lru].lastUsed {
+			lru = k
+		}
+	}
+	if len(x.demands) < pidxDemandTrees {
+		lru = len(x.demands)
+		x.demands = append(x.demands, demandTree{val: make([]float64, 2*x.p)})
+	}
+	t := &x.demands[lru]
+	t.spec = LaunchSpec{Size: spec.Size, Substrate: spec.Substrate}
+	t.freeOnly = freeOnly
+	t.lastUsed = x.clock
+	for i, s := range x.servers {
+		t.val[x.p+i] = t.leaf(s)
+	}
+	for i := x.n; i < x.p; i++ {
+		t.val[x.p+i] = -1
+	}
+	for j := x.p - 1; j >= 1; j-- {
+		t.val[j] = max(t.val[2*j], t.val[2*j+1])
+	}
+	return t
+}
+
+// bestFitQuery is one descent of a demand tree.
+type bestFitQuery struct {
+	x       *placementIndex
+	m       *Manager
+	val     []float64
+	best    int     // winner so far, -1 for none
+	bestVal float64 // its value; -1 matches nothing a scan would pick
+}
+
+func (q *bestFitQuery) walk(node, lo, hi int) {
+	q.x.visited++
+	v := q.val[node]
+	if !(v > q.bestVal || v == q.bestVal && lo < q.best) {
+		return // nothing below beats the winner, or ties it from an earlier index
+	}
+	if hi-lo == 1 {
+		if q.m.alive(lo) {
+			q.best, q.bestVal = lo, v
+		}
+		return
+	}
+	mid := (lo + hi) / 2
+	if q.val[2*node+1] > q.val[2*node] {
+		q.walk(2*node+1, mid, hi)
+		q.walk(2*node, lo, mid)
+	} else {
+		q.walk(2*node, lo, mid)
+		q.walk(2*node+1, mid, hi)
+	}
 }
 
 // bestFit is the indexed twin of Manager.bestFit: highest fitness among
 // alive feasible servers, earliest index on ties.
 func (x *placementIndex) bestFit(m *Manager, spec LaunchSpec) int {
 	x.flush()
-	u := unitVec(spec.Size)
-	compat := x.compatMask(spec.Substrate)
-	best, bestFitness := -1, -1.0
-	var walk func(node, lo, hi int)
-	walk = func(node, lo, hi int) {
-		if lo >= x.n {
-			return
-		}
-		agg := &x.agg[node]
-		if agg.kinds&compat == 0 || !spec.Size.Fits(agg.maxPV) {
-			return
-		}
-		dir := agg.maxPVDir
-		if m.freeOnlyFitness {
-			dir = agg.maxFreeDir
-		}
-		if u.Dot(dir)+pidxSlack <= bestFitness {
-			return // no leaf below can strictly beat the current best
-		}
-		if hi-lo == 1 {
-			s := m.servers[lo]
-			if !m.alive(lo) || !feasible(s, spec) {
-				return
-			}
-			if f := m.fitness(s, spec); f > bestFitness {
-				best, bestFitness = lo, f
-			}
-			return
-		}
-		mid := (lo + hi) / 2
-		walk(2*node, lo, mid)
-		walk(2*node+1, mid, hi)
-	}
-	walk(1, 0, x.p)
-	return best
+	q := bestFitQuery{x: x, m: m, val: x.demand(spec, m.freeOnlyFitness).val, best: -1, bestVal: -1}
+	q.walk(1, 0, x.p)
+	return q.best
 }
 
 // worstFit is the indexed twin of Manager.worstFit: most free-vector

@@ -2,8 +2,10 @@ package cluster
 
 import (
 	"fmt"
+	"math"
 	"math/rand"
 	"reflect"
+	"slices"
 	"testing"
 	"time"
 
@@ -12,6 +14,7 @@ import (
 	"deflation/internal/restypes"
 	"deflation/internal/simcg"
 	"deflation/internal/substrate"
+	"deflation/internal/trace"
 	"deflation/internal/vm"
 )
 
@@ -221,7 +224,7 @@ func TestPlacementIndexScanEquivalence(t *testing.T) {
 }
 
 // TestPlacementIndexFreeOnlyFitnessEquivalence covers the fitness-ablation
-// path (scores from free capacity, bounds from the free-direction maxima).
+// path (demand trees whose leaves score free capacity).
 func TestPlacementIndexFreeOnlyFitnessEquivalence(t *testing.T) {
 	p := newIndexScanPair(t, 9, BestFit, 7)
 	p.a.SetFreeOnlyFitness(true)
@@ -234,6 +237,183 @@ func TestPlacementIndexFreeOnlyFitnessEquivalence(t *testing.T) {
 		})
 	}
 	p.verify(t)
+}
+
+// TestPlacementIndexTieBreakPastNonAliveLeaves: a demand tree's values know
+// nothing of m.alive, so a dead or barred server that outscores the rest
+// sends the descent right, and the first winner it finds there ties every
+// empty server on the left. The scan picks server 0; so must the index (a
+// prune on "value <= best" alone stops at the right-hand tie).
+func TestPlacementIndexTieBreakPastNonAliveLeaves(t *testing.T) {
+	const n = 8
+	// Memory-heavy against the empty 16-core/64 GB servers: a server that
+	// has lost CPU points closer to it than an empty one does.
+	demand := LaunchSpec{Name: "probe", Size: restypes.V(1, 16384, 10, 10), AppKind: "elastic"}
+	cpuHog := LaunchSpec{Name: "hog", Size: restypes.V(8, 1024, 10, 10),
+		MinSize: restypes.V(8, 1024, 10, 10), AppKind: "inelastic", Priority: vm.HighPriority}
+	for hi := 1; hi < n; hi++ {
+		p := newIndexScanPair(t, n, BestFit, 1)
+		for _, c := range []*crashableNode{p.crashA[hi], p.crashB[hi]} {
+			if _, err := c.Launch(cpuHog); err != nil {
+				t.Fatal(err)
+			}
+		}
+		empty := fitness(p.b.servers[0], demand, false)
+		for i, s := range p.b.servers {
+			switch f := fitness(s, demand, false); {
+			case i == hi && f <= empty:
+				t.Fatalf("server %d scores %v, not above the empty servers' %v", hi, f, empty)
+			case i != hi && f != empty:
+				t.Fatalf("empty servers %d and 0 score %v and %v", i, f, empty)
+			}
+		}
+		both := func(when string, want int) {
+			t.Helper()
+			ia, ib := p.a.bestFit(demand), p.b.bestFit(demand)
+			if ia != ib || ib != want {
+				t.Fatalf("server %d %s: index chose %d, scan chose %d, want %d", hi, when, ia, ib, want)
+			}
+		}
+		both("alive", hi)
+		p.a.health[hi].dead, p.b.health[hi].dead = true, true
+		both("dead", 0)
+		p.a.health[hi].dead, p.b.health[hi].dead = false, false
+		p.a.bar(hi)
+		p.b.bar(hi)
+		both("barred", 0)
+		p.a.clearBars()
+		p.b.clearBars()
+		both("alive again", hi)
+	}
+}
+
+// TestPlacementIndexDemandTreeEviction cycles through more distinct demands
+// than the index keeps trees for, so trees are evicted, refilled into reused
+// arrays and refreshed by flush in between, under launches, releases,
+// crashes and recoveries, with the fitness ablation flipped mid-run. Every
+// choice must match the scan's.
+func TestPlacementIndexDemandTreeEviction(t *testing.T) {
+	const n = 13
+	p := newIndexScanPair(t, n, BestFit, 5)
+	substrates := []string{"", "hypervisor", "container"}
+	var live []string
+	distinct := map[string]bool{}
+	for i := 0; i < 600; i++ {
+		if i == 300 {
+			p.a.SetFreeOnlyFitness(true)
+			p.b.SetFreeOnlyFitness(true)
+		}
+		// 11 sizes x 3 substrates, walked with strides coprime to both, so a
+		// demand recurs only after the trees holding it are long evicted —
+		// except every fourth launch, which repeats one hot demand.
+		k := i
+		if i%4 == 3 {
+			k = 0
+		}
+		size := restypes.V(float64(1+k%11), float64(1024*(1+(k*7)%11)), 20, 20)
+		spec := LaunchSpec{Name: fmt.Sprintf("vm-%d", i), Size: size, MinSize: size.Scale(0.25),
+			AppKind: "elastic", Substrate: substrates[k%3]}
+		distinct[fmt.Sprint(spec.Size, spec.Substrate)] = true
+		p.launchBoth(t, spec)
+		if p.a.Placed(spec.Name) {
+			live = append(live, spec.Name)
+		}
+		p.b.Placed(spec.Name)
+		switch i % 5 {
+		case 1, 3:
+			if len(live) > 0 {
+				name := live[(i*31)%len(live)]
+				live = slices.DeleteFunc(live, func(s string) bool { return s == name })
+				if ea, eb := p.a.Release(name), p.b.Release(name); (ea == nil) != (eb == nil) {
+					t.Fatalf("release %q: index err %v, scan err %v", name, ea, eb)
+				}
+			}
+		case 2:
+			c := (i * 17) % n
+			if i%2 == 0 {
+				p.crashA[c].crash()
+				p.crashB[c].crash()
+			} else {
+				p.crashA[c].recover()
+				p.crashB[c].recover()
+			}
+		}
+		if got := len(p.a.pidx.demands); got > pidxDemandTrees {
+			t.Fatalf("index holds %d demand trees, limit %d", got, pidxDemandTrees)
+		}
+	}
+	if len(distinct) <= pidxDemandTrees {
+		t.Fatalf("only %d distinct demands: nothing was evicted", len(distinct))
+	}
+	p.verify(t)
+}
+
+// TestPlacementIndexBestFitWorkBudget counts the tree nodes bestFit enters on
+// the benchmark's saturated 1000-server cell (sim_xl's shape, seed and 20 s
+// trace length). A descent of exact values costs about two nodes per level
+// (20.3 per query here); the direction bound it replaced entered 1 189 of
+// the 2 047.
+func TestPlacementIndexBestFitWorkBudget(t *testing.T) {
+	if testing.Short() {
+		t.Skip("a 1000-server, 66 600-event cell")
+	}
+	const servers = 1000
+	cfg := SimConfig{
+		Servers:          servers,
+		ServerCapacity:   restypes.V(32, 131072, 4000, 4000),
+		Policy:           BestFit,
+		Mode:             ModeDeflation,
+		TargetOvercommit: 1.6,
+		MinSizeFraction:  0.10,
+		Trace:            trace.Config{Seed: 12, Count: 66600, MeanInterarrival: 200 * time.Millisecond},
+		Seed:             11,
+		SampleEvery:      250,
+	}
+	var leader *Manager
+	res, err := runSim(cfg, func(_ *stateSampler, mgr *Manager, _, _ float64, _ int) { leader = mgr })
+	if err != nil {
+		t.Fatal(err)
+	}
+	if res.LatentPlacements == 0 {
+		t.Fatal("the cell never saturated: no placement paid reclaim latency")
+	}
+	x := leader.pidx
+	perQuery := float64(x.visited) / float64(x.clock)
+	budget := 4 * math.Log2(servers)
+	t.Logf("overcommit %.2f: %d best-fit queries, %.1f nodes entered per query (budget %.1f), %d demand trees", res.AchievedOvercommit,
+		x.clock, perQuery, budget, len(x.demands))
+	if perQuery > budget {
+		t.Errorf("%.1f nodes entered per best-fit query, budget 4*log2(%d) = %.1f", perQuery, servers, budget)
+	}
+}
+
+// TestReplacedManagerLeavesNoWatcher: the sim replaces its manager on every
+// manager crash (Recover) and every HA takeover (PromoteStandby) over
+// controllers that live on. Each replaced manager's index must unsubscribe,
+// leaving every controller with two watchers: the leader's index and the
+// state sampler.
+func TestReplacedManagerLeavesNoWatcher(t *testing.T) {
+	mgrCrash := chaosSim()
+	mgrCrash.Faults.ManagerCrashMTBF = 5 * time.Minute
+	for name, cfg := range map[string]SimConfig{"manager-crash": mgrCrash, "ha-failover": haChaosSim()} {
+		t.Run(name, func(t *testing.T) {
+			var last *stateSampler
+			res, err := runSim(cfg, func(s *stateSampler, _ *Manager, _, _ float64, _ int) { last = s })
+			if err != nil {
+				t.Fatal(err)
+			}
+			if res.ManagerCrashes+res.Failovers < 2 {
+				t.Fatalf("%d manager crashes, %d failovers: the cell replaced no manager twice",
+					res.ManagerCrashes, res.Failovers)
+			}
+			for i, c := range last.servers {
+				if got := len(c.watchers); got != 2 {
+					t.Fatalf("server %d ends with %d capacity watchers after %d crashes and %d failovers, want 2",
+						i, got, res.ManagerCrashes, res.Failovers)
+				}
+			}
+		})
+	}
 }
 
 // TestPlacementIndexFullChaosSimEquivalence replays entire chaos
@@ -331,6 +511,16 @@ func FuzzPlacementIndex(f *testing.F) {
 	r := rand.New(rand.NewSource(3))
 	r.Read(big)
 	f.Add(big)
+	// Twenty distinct sizes, launched twice over with a release, a crash and a
+	// recovery between the rounds: more demands than the index keeps trees.
+	var sizes []byte
+	for round := 0; round < 2; round++ {
+		for k := byte(0); k < 20; k++ {
+			sizes = append(sizes, 0, k%12, 3*k, 7*k, 5*k, 25, 1, 2) // launch: cpu mem disk net min% prio substrate
+		}
+		sizes = append(sizes, 4, 3, 5, 2, 6, 2, 7) // release, crash, recover, heartbeat
+	}
+	f.Add(append([]byte{0x0d, 0x00}, sizes...))
 	f.Fuzz(func(t *testing.T, data []byte) {
 		if len(data) < 2 {
 			return

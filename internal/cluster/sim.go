@@ -226,7 +226,7 @@ func RunSim(cfg SimConfig) (SimResult, error) { return runSim(cfg, nil) }
 
 // runSim is RunSim with the state sampler's per-pass test hook (see
 // stateSampler.check); nil outside tests.
-func runSim(cfg SimConfig, check func(s *stateSampler, gp, tpSum float64, tpN int)) (SimResult, error) {
+func runSim(cfg SimConfig, check func(s *stateSampler, mgr *Manager, gp, tpSum float64, tpN int)) (SimResult, error) {
 	cfg = cfg.withDefaults()
 	var res SimResult
 
@@ -678,6 +678,7 @@ func runSim(cfg SimConfig, check func(s *stateSampler, gp, tpSum float64, tpN in
 					failureEvictions++
 				}
 			}
+			mgr.dropIndex() // the deposed leader's index must not outlive its term
 			mgr = m2
 			res.Failovers++
 			resume()
@@ -836,7 +837,8 @@ func runSim(cfg SimConfig, check func(s *stateSampler, gp, tpSum float64, tpN in
 						m2.SetTelemetry(cfg.Telemetry)
 					}
 					wireMigration(m2)
-					mgr = m2 // arrive/depart/heartbeat closures see the new manager
+					mgr.dropIndex() // the dead process's index goes with it
+					mgr = m2        // arrive/depart/heartbeat closures see the new manager
 					res.ManagerCrashes++
 					scheduleMgrCrash()
 				})

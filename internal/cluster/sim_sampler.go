@@ -26,9 +26,10 @@ type stateSampler struct {
 	oc, srvMean, srvP95, lowTp, gp []float64 // one entry per pass
 
 	// evaluated counts server re-evaluations over all passes; check, nil
-	// outside tests, is called at the end of every pass with its sums.
+	// outside tests, is called at the end of every pass with the current
+	// leader and the pass's sums.
 	evaluated int
-	check     func(s *stateSampler, gp, tpSum float64, tpN int)
+	check     func(s *stateSampler, mgr *Manager, gp, tpSum float64, tpN int)
 }
 
 // serverMemo is one server's VMs' throughputs as of its last evaluation.
@@ -87,7 +88,7 @@ func (s *stateSampler) admission(admitted int, nominal restypes.Vector, mgr *Man
 	}
 	s.gp = append(s.gp, gp)
 	if s.check != nil {
-		s.check(s, gp, tpSum, tpN)
+		s.check(s, mgr, gp, tpSum, tpN)
 	}
 }
 

@@ -27,7 +27,7 @@ func TestSamplerMemoMatchesFullWalk(t *testing.T) {
 		t.Run(c.name, func(t *testing.T) {
 			passes, mismatches := 0, 0
 			var last *stateSampler
-			check := func(s *stateSampler, gp, tpSum float64, tpN int) {
+			check := func(s *stateSampler, _ *Manager, gp, tpSum float64, tpN int) {
 				passes++
 				last = s
 				var wantGp, wantTpSum float64
