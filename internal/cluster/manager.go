@@ -215,7 +215,7 @@ type Manager struct {
 
 	tel *managerTelemetry // nil = no instrumentation
 
-	// pidx is the segment-tree placement index (see placement_index.go):
+	// pidx is the tournament-tree placement index (see placement_index.go):
 	// non-nil when every node supports capacity push-invalidation, in which
 	// case BestFit/WorstFit/FirstFit and the preemption fallback resolve
 	// through it — returning bit-identical choices to the linear scans.

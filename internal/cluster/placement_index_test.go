@@ -44,7 +44,7 @@ type indexScanPair struct {
 }
 
 // newIndexScanPair builds the pair: n servers, every third container-backed
-// (mixed substrates exercise the kind-mask pruning), all wrapped crashable.
+// (mixed substrates exercise substrate-pinned leaves), all wrapped crashable.
 func newIndexScanPair(t testing.TB, n int, policy PlacementPolicy, seed int64) *indexScanPair {
 	build := func() ([]Node, []*crashableNode) {
 		nodes := make([]Node, n)
@@ -239,51 +239,77 @@ func TestPlacementIndexFreeOnlyFitnessEquivalence(t *testing.T) {
 	p.verify(t)
 }
 
-// TestPlacementIndexTieBreakPastNonAliveLeaves: a demand tree's values know
-// nothing of m.alive, so a dead or barred server that outscores the rest
-// sends the descent right, and the first winner it finds there ties every
-// empty server on the left. The scan picks server 0; so must the index (a
-// prune on "value <= best" alone stops at the right-hand tie).
+// TestPlacementIndexTieBreakPastNonAliveLeaves: a tree's values know nothing
+// of m.alive, so a dead or barred server that outscores the rest sends the
+// descent right, and the first winner it finds there ties every other server
+// on the left. The scan picks server 0; so must the index (a prune on
+// "value <= best" alone stops at the right-hand tie). Run once per leaf kind
+// whose values can differ between servers.
 func TestPlacementIndexTieBreakPastNonAliveLeaves(t *testing.T) {
 	const n = 8
-	// Memory-heavy against the empty 16-core/64 GB servers: a server that
-	// has lost CPU points closer to it than an empty one does.
-	demand := LaunchSpec{Name: "probe", Size: restypes.V(1, 16384, 10, 10), AppKind: "elastic"}
+	// Memory-heavy against the 16-core/64 GB servers: a server that has lost
+	// CPU points closer to it than an empty one does.
+	demand := LaunchSpec{Name: "probe", Size: restypes.V(1, 16384, 10, 10), AppKind: "elastic",
+		Priority: vm.HighPriority}
 	cpuHog := LaunchSpec{Name: "hog", Size: restypes.V(8, 1024, 10, 10),
 		MinSize: restypes.V(8, 1024, 10, 10), AppKind: "inelastic", Priority: vm.HighPriority}
-	for hi := 1; hi < n; hi++ {
-		p := newIndexScanPair(t, n, BestFit, 1)
-		for _, c := range []*crashableNode{p.crashA[hi], p.crashB[hi]} {
-			if _, err := c.Launch(cpuHog); err != nil {
-				t.Fatal(err)
+	for _, tc := range []struct {
+		kind   string
+		hogged func(i, hi int) bool // which servers carry cpuHog
+		score  func(Node) float64   // the scan's value
+		pick   func(*Manager, LaunchSpec) int
+	}{
+		// Best-fit: the one server with a hog fits the demand best.
+		{"best-fit", func(i, hi int) bool { return i == hi },
+			func(s Node) float64 { return fitness(s, demand, false) }, (*Manager).bestFit},
+		// Worst-fit and the preemption fallback: the one server without a
+		// hog has the most free room and the largest preemptable ceiling.
+		{"worst-fit", func(i, hi int) bool { return i != hi },
+			func(s Node) float64 { return s.Free().Norm() }, (*Manager).worstFit},
+		{"preempt", func(i, hi int) bool { return i != hi },
+			func(s Node) float64 { return s.PreemptableCeiling().Norm() }, (*Manager).preemptFallback},
+	} {
+		t.Run(tc.kind, func(t *testing.T) {
+			for hi := 1; hi < n; hi++ {
+				p := newIndexScanPair(t, n, BestFit, 1)
+				for i := 0; i < n; i++ {
+					if !tc.hogged(i, hi) {
+						continue
+					}
+					for _, c := range []*crashableNode{p.crashA[i], p.crashB[i]} {
+						if _, err := c.Launch(cpuHog); err != nil {
+							t.Fatal(err)
+						}
+					}
+				}
+				rest := tc.score(p.b.servers[0])
+				for i, s := range p.b.servers {
+					switch v := tc.score(s); {
+					case i == hi && v <= rest:
+						t.Fatalf("server %d scores %v, not above the others' %v", hi, v, rest)
+					case i != hi && v != rest:
+						t.Fatalf("servers %d and 0 score %v and %v", i, v, rest)
+					}
+				}
+				both := func(when string, want int) {
+					t.Helper()
+					ia, ib := tc.pick(p.a, demand), tc.pick(p.b, demand)
+					if ia != ib || ib != want {
+						t.Fatalf("server %d %s: index chose %d, scan chose %d, want %d", hi, when, ia, ib, want)
+					}
+				}
+				both("alive", hi)
+				p.a.health[hi].dead, p.b.health[hi].dead = true, true
+				both("dead", 0)
+				p.a.health[hi].dead, p.b.health[hi].dead = false, false
+				p.a.bar(hi)
+				p.b.bar(hi)
+				both("barred", 0)
+				p.a.clearBars()
+				p.b.clearBars()
+				both("alive again", hi)
 			}
-		}
-		empty := fitness(p.b.servers[0], demand, false)
-		for i, s := range p.b.servers {
-			switch f := fitness(s, demand, false); {
-			case i == hi && f <= empty:
-				t.Fatalf("server %d scores %v, not above the empty servers' %v", hi, f, empty)
-			case i != hi && f != empty:
-				t.Fatalf("empty servers %d and 0 score %v and %v", i, f, empty)
-			}
-		}
-		both := func(when string, want int) {
-			t.Helper()
-			ia, ib := p.a.bestFit(demand), p.b.bestFit(demand)
-			if ia != ib || ib != want {
-				t.Fatalf("server %d %s: index chose %d, scan chose %d, want %d", hi, when, ia, ib, want)
-			}
-		}
-		both("alive", hi)
-		p.a.health[hi].dead, p.b.health[hi].dead = true, true
-		both("dead", 0)
-		p.a.health[hi].dead, p.b.health[hi].dead = false, false
-		p.a.bar(hi)
-		p.b.bar(hi)
-		both("barred", 0)
-		p.a.clearBars()
-		p.b.clearBars()
-		both("alive again", hi)
+		})
 	}
 }
 
@@ -291,99 +317,143 @@ func TestPlacementIndexTieBreakPastNonAliveLeaves(t *testing.T) {
 // than the index keeps trees for, so trees are evicted, refilled into reused
 // arrays and refreshed by flush in between, under launches, releases,
 // crashes and recoveries, with the fitness ablation flipped mid-run. Every
-// choice must match the scan's.
+// fifth launch is high-priority on a fleet full enough that the preemption
+// fallback runs, so a preempt tree and a policy tree for the same demand are
+// held side by side and compete for the same slots. Every choice must match
+// the scan's.
 func TestPlacementIndexDemandTreeEviction(t *testing.T) {
 	const n = 13
-	p := newIndexScanPair(t, n, BestFit, 5)
-	substrates := []string{"", "hypervisor", "container"}
-	var live []string
-	distinct := map[string]bool{}
-	for i := 0; i < 600; i++ {
-		if i == 300 {
-			p.a.SetFreeOnlyFitness(true)
-			p.b.SetFreeOnlyFitness(true)
-		}
-		// 11 sizes x 3 substrates, walked with strides coprime to both, so a
-		// demand recurs only after the trees holding it are long evicted —
-		// except every fourth launch, which repeats one hot demand.
-		k := i
-		if i%4 == 3 {
-			k = 0
-		}
-		size := restypes.V(float64(1+k%11), float64(1024*(1+(k*7)%11)), 20, 20)
-		spec := LaunchSpec{Name: fmt.Sprintf("vm-%d", i), Size: size, MinSize: size.Scale(0.25),
-			AppKind: "elastic", Substrate: substrates[k%3]}
-		distinct[fmt.Sprint(spec.Size, spec.Substrate)] = true
-		p.launchBoth(t, spec)
-		if p.a.Placed(spec.Name) {
-			live = append(live, spec.Name)
-		}
-		p.b.Placed(spec.Name)
-		switch i % 5 {
-		case 1, 3:
-			if len(live) > 0 {
-				name := live[(i*31)%len(live)]
-				live = slices.DeleteFunc(live, func(s string) bool { return s == name })
-				if ea, eb := p.a.Release(name), p.b.Release(name); (ea == nil) != (eb == nil) {
-					t.Fatalf("release %q: index err %v, scan err %v", name, ea, eb)
+	type treeKey struct {
+		kind     leafKind
+		size     restypes.Vector
+		sub      string
+		freeOnly bool
+	}
+	for _, policy := range []PlacementPolicy{BestFit, FirstFit, WorstFit} {
+		t.Run(policy.String(), func(t *testing.T) {
+			p := newIndexScanPair(t, n, policy, 5)
+			substrates := []string{"", "hypervisor", "container"}
+			var live []string
+			distinct := map[string]bool{}
+			held := map[treeKey]bool{}
+			var sideBySide, preemptEvicted bool
+			for i := 0; i < 600; i++ {
+				if i == 300 {
+					p.a.SetFreeOnlyFitness(true)
+					p.b.SetFreeOnlyFitness(true)
 				}
+				// 11 sizes x 3 substrates, walked with strides coprime to both, so
+				// a demand recurs only after the trees holding it are long evicted
+				// — except every fourth launch, which repeats one hot demand.
+				k := i
+				if i%4 == 3 {
+					k = 0
+				}
+				size := restypes.V(float64(1+k%11), float64(1024*(1+(k*7)%11)), 20, 20)
+				spec := LaunchSpec{Name: fmt.Sprintf("vm-%d", i), Size: size, MinSize: size.Scale(0.25),
+					AppKind: "elastic", Substrate: substrates[k%3]}
+				if i%5 == 4 {
+					spec.Priority = vm.HighPriority
+					spec.MinSize = restypes.Vector{}
+					spec.AppKind = "inelastic"
+				}
+				distinct[fmt.Sprint(spec.Size, spec.Substrate)] = true
+				p.launchBoth(t, spec)
+				if p.a.Placed(spec.Name) {
+					live = append(live, spec.Name)
+				}
+				p.b.Placed(spec.Name)
+				switch i % 5 {
+				case 1, 3:
+					if len(live) > 0 {
+						name := live[(i*31)%len(live)]
+						live = slices.DeleteFunc(live, func(s string) bool { return s == name })
+						if ea, eb := p.a.Release(name), p.b.Release(name); (ea == nil) != (eb == nil) {
+							t.Fatalf("release %q: index err %v, scan err %v", name, ea, eb)
+						}
+					}
+				case 2:
+					c := (i * 17) % n
+					if i%2 == 0 {
+						p.crashA[c].crash()
+						p.crashB[c].crash()
+					} else {
+						p.crashA[c].recover()
+						p.crashB[c].recover()
+					}
+				}
+				trees := p.a.pidx.demands
+				if len(trees) > pidxDemandTrees {
+					t.Fatalf("index holds %d demand trees, limit %d", len(trees), pidxDemandTrees)
+				}
+				now := map[treeKey]bool{}
+				for _, tr := range trees {
+					now[treeKey{tr.kind, tr.spec.Size, tr.spec.Substrate, tr.freeOnly}] = true
+				}
+				for key := range held {
+					preemptEvicted = preemptEvicted || key.kind == leafPreempt && !now[key]
+				}
+				for _, a := range trees {
+					for _, b := range trees {
+						sideBySide = sideBySide || a.kind == leafPreempt && b.kind != leafPreempt &&
+							a.spec.Size == b.spec.Size && a.spec.Substrate == b.spec.Substrate
+					}
+				}
+				held = now
 			}
-		case 2:
-			c := (i * 17) % n
-			if i%2 == 0 {
-				p.crashA[c].crash()
-				p.crashB[c].crash()
-			} else {
-				p.crashA[c].recover()
-				p.crashB[c].recover()
+			if len(distinct) <= pidxDemandTrees {
+				t.Fatalf("only %d distinct demands: nothing was evicted", len(distinct))
 			}
-		}
-		if got := len(p.a.pidx.demands); got > pidxDemandTrees {
-			t.Fatalf("index holds %d demand trees, limit %d", got, pidxDemandTrees)
-		}
+			if !sideBySide || !preemptEvicted {
+				t.Fatalf("preempt trees held beside a policy tree of the same demand: %v; evicted: %v",
+					sideBySide, preemptEvicted)
+			}
+			p.verify(t)
+		})
 	}
-	if len(distinct) <= pidxDemandTrees {
-		t.Fatalf("only %d distinct demands: nothing was evicted", len(distinct))
-	}
-	p.verify(t)
 }
 
-// TestPlacementIndexBestFitWorkBudget counts the tree nodes bestFit enters on
+// TestPlacementIndexWorkBudget counts the tree nodes the descents enter on
 // the benchmark's saturated 1000-server cell (sim_xl's shape, seed and 20 s
-// trace length). A descent of exact values costs about two nodes per level
-// (20.3 per query here); the direction bound it replaced entered 1 189 of
-// the 2 047.
-func TestPlacementIndexBestFitWorkBudget(t *testing.T) {
+// trace length), once per policy; the preemption fallback's descents count
+// too. A descent of exact values costs about two nodes per level (20-21 per
+// query here); the direction bound best-fit once used entered 1 189 of the
+// 2 047.
+func TestPlacementIndexWorkBudget(t *testing.T) {
 	if testing.Short() {
-		t.Skip("a 1000-server, 66 600-event cell")
+		t.Skip("1000-server, 66 600-event cells")
 	}
 	const servers = 1000
-	cfg := SimConfig{
-		Servers:          servers,
-		ServerCapacity:   restypes.V(32, 131072, 4000, 4000),
-		Policy:           BestFit,
-		Mode:             ModeDeflation,
-		TargetOvercommit: 1.6,
-		MinSizeFraction:  0.10,
-		Trace:            trace.Config{Seed: 12, Count: 66600, MeanInterarrival: 200 * time.Millisecond},
-		Seed:             11,
-		SampleEvery:      250,
-	}
-	var leader *Manager
-	res, err := runSim(cfg, func(_ *stateSampler, mgr *Manager, _, _ float64, _ int) { leader = mgr })
-	if err != nil {
-		t.Fatal(err)
-	}
-	if res.LatentPlacements == 0 {
-		t.Fatal("the cell never saturated: no placement paid reclaim latency")
-	}
-	x := leader.pidx
-	perQuery := float64(x.visited) / float64(x.clock)
-	budget := 4 * math.Log2(servers)
-	t.Logf("overcommit %.2f: %d best-fit queries, %.1f nodes entered per query (budget %.1f), %d demand trees", res.AchievedOvercommit,
-		x.clock, perQuery, budget, len(x.demands))
-	if perQuery > budget {
-		t.Errorf("%.1f nodes entered per best-fit query, budget 4*log2(%d) = %.1f", perQuery, servers, budget)
+	for _, policy := range []PlacementPolicy{BestFit, FirstFit, WorstFit} {
+		t.Run(policy.String(), func(t *testing.T) {
+			cfg := SimConfig{
+				Servers:          servers,
+				ServerCapacity:   restypes.V(32, 131072, 4000, 4000),
+				Policy:           policy,
+				Mode:             ModeDeflation,
+				TargetOvercommit: 1.6,
+				MinSizeFraction:  0.10,
+				Trace:            trace.Config{Seed: 12, Count: 66600, MeanInterarrival: 200 * time.Millisecond},
+				Seed:             11,
+				SampleEvery:      250,
+			}
+			var leader *Manager
+			res, err := runSim(cfg, func(_ *stateSampler, mgr *Manager, _, _ float64, _ int) { leader = mgr })
+			if err != nil {
+				t.Fatal(err)
+			}
+			if res.LatentPlacements == 0 {
+				t.Fatal("the cell never saturated: no placement paid reclaim latency")
+			}
+			x := leader.pidx
+			perQuery := float64(x.visited) / float64(x.clock)
+			budget := 4 * math.Log2(servers)
+			t.Logf("overcommit %.2f: %d queries, %.1f nodes entered per query (budget %.1f), %d trees",
+				res.AchievedOvercommit, x.clock, perQuery, budget, len(x.demands))
+			if perQuery > budget {
+				t.Errorf("%.1f nodes entered per query, budget 4*log2(%d) = %.1f", perQuery, servers, budget)
+			}
+		})
 	}
 }
 
@@ -521,6 +591,22 @@ func FuzzPlacementIndex(f *testing.F) {
 		sizes = append(sizes, 4, 3, 5, 2, 6, 2, 7) // release, crash, recover, heartbeat
 	}
 	f.Add(append([]byte{0x0d, 0x00}, sizes...))
+	// Six best-fit servers filled with barely deflatable 12-core VMs, then
+	// high-priority launches of ten distinct sizes, each followed by a small
+	// refill: every one reaches the preemption fallback, so preempt trees are
+	// built beside the best-fit trees, refreshed by flush and evicted.
+	fill := []byte{0x04, 0x00}
+	for k := 0; k < 7; k++ {
+		fill = append(fill, 0, 11, 31, 9, 9, 99, 1, 2) // launch: cpu mem disk net min% prio substrate
+	}
+	for k := byte(0); k < 10; k++ {
+		fill = append(fill, 0, 5+k%6, 3*k, 9, 9, 0, 0, k%3, 0, 3, 7, 9, 9, 99, 1, 2)
+	}
+	fill = append(fill, 4, 3, 5, 2, 6, 2, 7) // release, crash, recover, heartbeat
+	for k := byte(0); k < 3; k++ {
+		fill = append(fill, 0, 5+k, 3*k, 9, 9, 0, 0, 2)
+	}
+	f.Add(fill)
 	f.Fuzz(func(t *testing.T, data []byte) {
 		if len(data) < 2 {
 			return
