@@ -6,10 +6,10 @@
 package cluster
 
 import (
+	"cmp"
 	"errors"
 	"fmt"
 	"slices"
-	"sort"
 	"time"
 
 	"deflation/internal/cascade"
@@ -130,17 +130,25 @@ type LocalController struct {
 
 	// cache memoizes the derived capacity readings — each is an O(VMs) walk
 	// over host/VM state, and the manager's placement path reads them for
-	// every server on every launch. Any mutation (launch, release, deflate,
-	// reinflate, preempt, stream reservation, crash) goes through
-	// capacityChanged, which clears the cache and pings the watchers; the
+	// every server on every launch. Every mutation clears it (invalidate);
+	// every command then notifies the watchers once (notifyCapacity), and the
 	// manager's placement index subscribes to keep its per-node snapshots
 	// fresh. Memoized values are bit-identical to recomputation: the same
 	// code computes them, just once per change instead of once per read.
 	cache    ctrlCache
 	watchers []*func()
-	// generation counts capacityChanged calls: the version of the capacity
-	// summary a ControllerAPI pushes to the manager (see CapacitySummary).
+	// generation counts notifications, one per command: the version of the
+	// capacity summary a ControllerAPI pushes (see CapacitySummary).
 	generation uint64
+	plan       []planEntry // Reclaim's and ReinflateAll's scratch, reused across commands
+}
+
+// planEntry is one VM of a command's plan: how far the command may move it
+// (room: Deflatable() to deflate, the deficit to reinflate), and the drain order.
+type planEntry struct {
+	v    *vm.VM
+	room restypes.Vector
+	key  float64
 }
 
 // ctrlCache holds the memoized derived readings; have is a bitmask of which
@@ -162,12 +170,19 @@ const (
 	cacheOvercommit
 )
 
-// capacityChanged invalidates every memoized reading and notifies watchers.
-// Mutating methods call it after changing VM membership or allocations —
-// including mid-operation, before an interleaved read of Free() — so a
-// cached value can never outlive the state it was derived from.
+// capacityChanged is what a command that mutates once calls after it.
 func (c *LocalController) capacityChanged() {
-	c.cache.have = 0
+	c.invalidate()
+	c.notifyCapacity()
+}
+
+// invalidate runs after every change of VM membership or allocations —
+// each deflation of a multi-VM command too, so its next Free() is exact.
+func (c *LocalController) invalidate() { c.cache.have = 0 }
+
+// notifyCapacity runs once per command, after its last mutation: twice for
+// a launch that deflates k VMs (reclaim, new VM), once for a release.
+func (c *LocalController) notifyCapacity() {
 	c.generation++
 	for _, w := range c.watchers {
 		(*w)()
@@ -176,10 +191,10 @@ func (c *LocalController) capacityChanged() {
 
 // WatchCapacity registers fn to run whenever this server's capacity vectors
 // may have changed (VM launched/released/preempted, deflation, reinflation,
-// migration stream reservations, crash/recovery), and returns the func that
-// unregisters it. Used by the manager's placement index and the sim's state
-// sampler for push invalidation; fn must be O(1) and must not call back into
-// the controller.
+// migration stream reservations, crash/recovery), once per command rather
+// than per VM resized, and returns the func that unregisters it. Used by
+// the manager's placement index and the sim's state sampler for push
+// invalidation; fn must be O(1) and must not call back into the controller.
 func (c *LocalController) WatchCapacity(fn func()) (unwatch func()) {
 	w := &fn // a pointer gives the registration an identity funcs lack
 	c.watchers = append(c.watchers, w)
@@ -450,7 +465,11 @@ func (c *LocalController) Reclaim(ensureFree restypes.Vector, allowPreempt bool)
 	}
 
 	if c.mode == ModeDeflation {
-		if err := c.proportionalDeflate(ensureFree, &rep); err != nil {
+		err := c.proportionalDeflate(ensureFree, &rep)
+		if err != nil || len(rep.Deflated) > 0 { // a cascade ran: notify once for all of them
+			c.notifyCapacity()
+		}
+		if err != nil {
 			return rep, err
 		}
 	}
@@ -472,36 +491,36 @@ func (c *LocalController) Reclaim(ensureFree restypes.Vector, allowPreempt bool)
 // proportionalDeflate divides the reclamation demand among low-priority
 // VMs per the split policy and executes cascade deflation, stopping early
 // once free capacity covers the requirement. Any residual demand (clamping,
-// rounding) is drained largest-first.
+// rounding) is drained largest-first. Each pass reads each VM's
+// Deflatable() once: deflating one VM never changes another's.
 func (c *LocalController) proportionalDeflate(ensureFree restypes.Vector, rep *LaunchReport) error {
 	need := ensureFree.Sub(c.Free()).ClampNonNegative()
-	lows := c.lowVMs()
-	if len(lows) == 0 {
+	plan, pool := c.lowPlan()
+	if len(plan) == 0 {
 		return nil
 	}
 
 	switch c.split {
 	case SplitEqual:
-		share := need.Scale(1 / float64(len(lows)))
-		for _, v := range lows {
+		share := need.Scale(1 / float64(len(plan)))
+		for _, p := range plan {
 			if ensureFree.Fits(c.Free()) {
 				return nil
 			}
-			if err := c.deflateOne(v, share.Min(v.Deflatable()), rep); err != nil {
+			if err := c.deflateOne(p.v, share.Min(p.room), rep); err != nil {
 				return err
 			}
 		}
 	case SplitLargestFirst:
 		// handled by the drain pass below
 	default: // SplitProportional
-		pool := c.Deflatable()
 		ratio := need.FractionOf(pool).Min(restypes.Uniform(1))
-		for _, v := range lows {
+		for _, p := range plan {
 			if ensureFree.Fits(c.Free()) {
 				return nil
 			}
-			target := v.Deflatable().Mul(ratio).Min(v.Deflatable()).ClampNonNegative()
-			if err := c.deflateOne(v, target, rep); err != nil {
+			target := p.room.Mul(ratio).Min(p.room).ClampNonNegative()
+			if err := c.deflateOne(p.v, target, rep); err != nil {
 				return err
 			}
 		}
@@ -509,29 +528,40 @@ func (c *LocalController) proportionalDeflate(ensureFree restypes.Vector, rep *L
 
 	// Drain pass (the whole algorithm for SplitLargestFirst): take the
 	// remaining demand from the most-deflatable VMs first.
-	sort.Slice(lows, func(i, j int) bool {
-		return lows[i].Deflatable().Norm() > lows[j].Deflatable().Norm()
-	})
-	for _, v := range lows {
+	if ensureFree.Sub(c.Free()).ClampNonNegative().IsZero() {
+		return nil
+	}
+	for i := range plan {
+		plan[i].room = plan[i].v.Deflatable()
+		plan[i].key = plan[i].room.Norm()
+	}
+	// pdqsort reads only cmp < 0, so ties land as sort.Slice with a > b put them.
+	slices.SortFunc(plan, func(a, b planEntry) int { return cmp.Compare(b.key, a.key) })
+	for _, p := range plan {
 		remaining := ensureFree.Sub(c.Free()).ClampNonNegative()
 		if remaining.IsZero() {
 			return nil
 		}
-		if err := c.deflateOne(v, remaining.Min(v.Deflatable()), rep); err != nil {
+		if err := c.deflateOne(p.v, remaining.Min(p.room), rep); err != nil {
 			return err
 		}
 	}
 	return nil
 }
 
-func (c *LocalController) lowVMs() []*vm.VM {
-	out := make([]*vm.VM, 0, c.vms.Len())
+// lowPlan fills the plan with the low-priority VMs and their Deflatable(),
+// and returns it with their sum: c.Deflatable(), added in the same order.
+func (c *LocalController) lowPlan() (plan []planEntry, pool restypes.Vector) {
+	plan = c.plan[:0]
 	for _, v := range c.VMs() {
 		if v.Priority() == vm.LowPriority {
-			out = append(out, v)
+			d := v.Deflatable()
+			plan = append(plan, planEntry{v: v, room: d})
+			pool = pool.Add(d)
 		}
 	}
-	return out
+	c.plan = plan
+	return plan, pool
 }
 
 func (c *LocalController) deflateOne(v *vm.VM, target restypes.Vector, rep *LaunchReport) error {
@@ -540,9 +570,12 @@ func (c *LocalController) deflateOne(v *vm.VM, target restypes.Vector, rep *Laun
 		return nil
 	}
 	r, err := c.casc.Deflate(v, target)
-	c.capacityChanged() // the cascade resized allocations even on partial failure
+	c.invalidate() // the cascade resized allocations even on partial failure
 	if err != nil {
 		return fmt.Errorf("cluster: deflating %q: %w", v.Name(), err)
+	}
+	if rep.Deflated == nil {
+		rep.Deflated = make([]string, 0, len(c.plan)+1) // a drain adds about one
 	}
 	rep.Deflated = append(rep.Deflated, v.Name())
 	rep.Reclaimed = rep.Reclaimed.Add(target.Sub(r.Shortfall).ClampNonNegative())
@@ -602,32 +635,35 @@ func (c *LocalController) Release(name string) error {
 	}
 	v.Preempt() // mechanically identical: destroy the domain
 	c.vms.Delete(name)
-	c.capacityChanged()
-	c.ReinflateAll()
+	c.invalidate()
+	c.ReinflateAll() // notifies for the release and the reinflations at once
 	return nil
 }
 
 // ReinflateAll distributes free capacity to deflated VMs proportionally to
 // their deficits (nominal size − current allocation), running the cascade
-// in reverse.
+// in reverse, from one walk's deficits, and notifies the watchers once.
 func (c *LocalController) ReinflateAll() {
+	defer c.notifyCapacity()
+	plan := c.plan[:0]
 	var totalDeficit restypes.Vector
 	for _, v := range c.VMs() {
-		totalDeficit = totalDeficit.Add(v.Size().Sub(v.Allocation()).ClampNonNegative())
+		deficit := v.Size().Sub(v.Allocation()).ClampNonNegative()
+		plan = append(plan, planEntry{v: v, room: deficit})
+		totalDeficit = totalDeficit.Add(deficit)
 	}
+	c.plan = plan
 	if totalDeficit.IsZero() {
 		return
 	}
-	free := c.Free()
-	ratio := free.FractionOf(totalDeficit).Min(restypes.Uniform(1))
-	for _, v := range c.VMs() {
-		deficit := v.Size().Sub(v.Allocation()).ClampNonNegative()
-		amount := deficit.Mul(ratio)
+	ratio := c.Free().FractionOf(totalDeficit).Min(restypes.Uniform(1))
+	for _, p := range plan {
+		amount := p.room.Mul(ratio)
 		if amount.IsZero() {
 			continue
 		}
 		// Reinflation is best-effort; failures leave the VM deflated.
-		_, _ = c.casc.Reinflate(v, amount)
-		c.capacityChanged()
+		_, _ = c.casc.Reinflate(p.v, amount)
+		c.invalidate()
 	}
 }

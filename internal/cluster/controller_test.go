@@ -2,12 +2,19 @@ package cluster
 
 import (
 	"errors"
+	"fmt"
+	"math"
+	"math/rand"
+	"slices"
+	"sort"
 	"testing"
 
 	"deflation/internal/apps/apptest"
 	"deflation/internal/cascade"
 	"deflation/internal/hypervisor"
 	"deflation/internal/restypes"
+	"deflation/internal/simcg"
+	"deflation/internal/substrate"
 	"deflation/internal/vm"
 )
 
@@ -226,5 +233,389 @@ func TestAvailabilityAccounting(t *testing.T) {
 func TestModeString(t *testing.T) {
 	if ModeDeflation.String() != "deflation" || ModePreemptionOnly.String() != "preemption-only" {
 		t.Error("mode strings wrong")
+	}
+}
+
+// refController runs the reclamation code this package used before a
+// command built one plan: the per-VM list, per-VM notification, comparator
+// sort and two-walk reinflation, kept verbatim as the reference model for
+// TestReclaimMatchesPerVMReference. Only the receiver type differs.
+type refController struct{ *LocalController }
+
+func (c *refController) LaunchVM(spec LaunchSpec) (*vm.VM, LaunchReport, error) {
+	var rep LaunchReport
+	if _, ok := c.vms.Get(spec.Name); ok {
+		return nil, rep, fmt.Errorf("%w: %q", ErrVMExists, spec.Name)
+	}
+	newApp, err := spec.ResolveApp()
+	if err != nil {
+		return nil, rep, err
+	}
+	if !spec.Size.Fits(c.Free()) {
+		// Only high-priority placements may preempt low-priority VMs;
+		// low-priority VMs squeeze in through deflation alone.
+		allowPreempt := spec.Priority == vm.HighPriority
+		rep, err = c.Reclaim(spec.Size, allowPreempt)
+		if err != nil {
+			return nil, rep, err
+		}
+	}
+	inst, err := c.host.Spawn(spec.Name, spec.Size, spec.GuestConfig)
+	if err != nil {
+		return nil, rep, fmt.Errorf("cluster: launch %q: %w", spec.Name, err)
+	}
+	if spec.Warm {
+		inst.MarkWarm()
+	}
+	v, err := vm.NewOn(inst, newApp(spec.Size), vm.Config{Priority: spec.Priority, MinSize: spec.MinSize})
+	if err != nil {
+		inst.Destroy()
+		c.capacityChanged()
+		return nil, rep, err
+	}
+	c.vms.Put(spec.Name, v)
+	c.capacityChanged()
+	return v, rep, nil
+}
+
+func (c *refController) Reclaim(ensureFree restypes.Vector, allowPreempt bool) (LaunchReport, error) {
+	var rep LaunchReport
+	ensureFree = ensureFree.ClampNonNegative()
+	limit := c.Availability()
+	if allowPreempt {
+		limit = c.PreemptableCeiling()
+	}
+	if !ensureFree.Fits(limit) {
+		return rep, fmt.Errorf("%w: need %v, reclaimable %v", ErrNoCapacity, ensureFree, limit)
+	}
+
+	if c.mode == ModeDeflation {
+		if err := c.proportionalDeflate(ensureFree, &rep); err != nil {
+			return rep, err
+		}
+	}
+	if ensureFree.Fits(c.Free()) {
+		return rep, nil
+	}
+	if !allowPreempt {
+		return rep, fmt.Errorf("%w: need %v free, have %v after deflation",
+			ErrNoCapacity, ensureFree, c.Free())
+	}
+	// Preempt: the remaining deficit can only come from killing VMs (they
+	// are already at their minimum sizes in deflation mode).
+	if err := c.preemptUntil(ensureFree, &rep); err != nil {
+		return rep, err
+	}
+	return rep, nil
+}
+
+func (c *refController) proportionalDeflate(ensureFree restypes.Vector, rep *LaunchReport) error {
+	need := ensureFree.Sub(c.Free()).ClampNonNegative()
+	lows := c.lowVMs()
+	if len(lows) == 0 {
+		return nil
+	}
+
+	switch c.split {
+	case SplitEqual:
+		share := need.Scale(1 / float64(len(lows)))
+		for _, v := range lows {
+			if ensureFree.Fits(c.Free()) {
+				return nil
+			}
+			if err := c.deflateOne(v, share.Min(v.Deflatable()), rep); err != nil {
+				return err
+			}
+		}
+	case SplitLargestFirst:
+		// handled by the drain pass below
+	default: // SplitProportional
+		pool := c.Deflatable()
+		ratio := need.FractionOf(pool).Min(restypes.Uniform(1))
+		for _, v := range lows {
+			if ensureFree.Fits(c.Free()) {
+				return nil
+			}
+			target := v.Deflatable().Mul(ratio).Min(v.Deflatable()).ClampNonNegative()
+			if err := c.deflateOne(v, target, rep); err != nil {
+				return err
+			}
+		}
+	}
+
+	// Drain pass (the whole algorithm for SplitLargestFirst): take the
+	// remaining demand from the most-deflatable VMs first.
+	sort.Slice(lows, func(i, j int) bool {
+		return lows[i].Deflatable().Norm() > lows[j].Deflatable().Norm()
+	})
+	for _, v := range lows {
+		remaining := ensureFree.Sub(c.Free()).ClampNonNegative()
+		if remaining.IsZero() {
+			return nil
+		}
+		if err := c.deflateOne(v, remaining.Min(v.Deflatable()), rep); err != nil {
+			return err
+		}
+	}
+	return nil
+}
+
+func (c *refController) lowVMs() []*vm.VM {
+	out := make([]*vm.VM, 0, c.vms.Len())
+	for _, v := range c.VMs() {
+		if v.Priority() == vm.LowPriority {
+			out = append(out, v)
+		}
+	}
+	return out
+}
+
+func (c *refController) deflateOne(v *vm.VM, target restypes.Vector, rep *LaunchReport) error {
+	target = target.ClampNonNegative()
+	if target.IsZero() {
+		return nil
+	}
+	r, err := c.casc.Deflate(v, target)
+	c.capacityChanged() // the cascade resized allocations even on partial failure
+	if err != nil {
+		return fmt.Errorf("cluster: deflating %q: %w", v.Name(), err)
+	}
+	rep.Deflated = append(rep.Deflated, v.Name())
+	rep.Reclaimed = rep.Reclaimed.Add(target.Sub(r.Shortfall).ClampNonNegative())
+	// Per-VM cascades run concurrently (§5): report the slowest.
+	if r.TotalLatency > rep.ReclaimLatency {
+		rep.ReclaimLatency = r.TotalLatency
+	}
+	return nil
+}
+
+func (c *refController) Release(name string) error {
+	v, ok := c.vms.Get(name)
+	if !ok {
+		return fmt.Errorf("%w: %q", ErrVMNotFound, name)
+	}
+	v.Preempt() // mechanically identical: destroy the domain
+	c.vms.Delete(name)
+	c.capacityChanged()
+	c.ReinflateAll()
+	return nil
+}
+
+func (c *refController) ReinflateAll() {
+	var totalDeficit restypes.Vector
+	for _, v := range c.VMs() {
+		totalDeficit = totalDeficit.Add(v.Size().Sub(v.Allocation()).ClampNonNegative())
+	}
+	if totalDeficit.IsZero() {
+		return
+	}
+	free := c.Free()
+	ratio := free.FractionOf(totalDeficit).Min(restypes.Uniform(1))
+	for _, v := range c.VMs() {
+		deficit := v.Size().Sub(v.Allocation()).ClampNonNegative()
+		amount := deficit.Mul(ratio)
+		if amount.IsZero() {
+			continue
+		}
+		// Reinflation is best-effort; failures leave the VM deflated.
+		_, _ = c.casc.Reinflate(v, amount)
+		c.capacityChanged()
+	}
+}
+
+// halveEvenNames is an SLO policy that lets VMs with an even-length name
+// give up only half of each deflation target.
+type halveEvenNames struct{}
+
+func (halveEvenNames) ClampTarget(v *vm.VM, target restypes.Vector) restypes.Vector {
+	if len(v.Name())%2 == 0 {
+		return target.Scale(0.5)
+	}
+	return target
+}
+
+func sameBits(a, b restypes.Vector) bool {
+	for _, k := range restypes.Kinds() {
+		if math.Float64bits(a.At(k)) != math.Float64bits(b.At(k)) {
+			return false
+		}
+	}
+	return true
+}
+
+// diffTwins describes the first difference between one command's outcome on
+// the controller and on its reference twin, or returns "".
+func diffTwins(got, ref *LocalController, gr, rr LaunchReport, ge, re error) string {
+	if fmt.Sprint(ge) != fmt.Sprint(re) {
+		return fmt.Sprintf("error %v, reference %v", ge, re)
+	}
+	if !slices.Equal(gr.Deflated, rr.Deflated) || !slices.Equal(gr.Preempted, rr.Preempted) {
+		return fmt.Sprintf("deflated %v preempted %v, reference %v %v", gr.Deflated, gr.Preempted, rr.Deflated, rr.Preempted)
+	}
+	if !sameBits(gr.Reclaimed, rr.Reclaimed) || gr.ReclaimLatency != rr.ReclaimLatency {
+		return fmt.Sprintf("reclaimed %v in %v, reference %v in %v", gr.Reclaimed, gr.ReclaimLatency, rr.Reclaimed, rr.ReclaimLatency)
+	}
+	gv, rv := got.VMs(), ref.VMs()
+	if len(gv) != len(rv) {
+		return fmt.Sprintf("%d VMs, reference %d", len(gv), len(rv))
+	}
+	for i, v := range gv {
+		w := rv[i]
+		if v.Name() != w.Name() || !sameBits(v.Allocation(), w.Allocation()) ||
+			math.Float64bits(v.Throughput()) != math.Float64bits(w.Throughput()) {
+			return fmt.Sprintf("VM %s at %v (throughput %v), reference %s at %v (%v)",
+				v.Name(), v.Allocation(), v.Throughput(), w.Name(), w.Allocation(), w.Throughput())
+		}
+	}
+	return ""
+}
+
+// TestReclaimMatchesPerVMReference drives a controller and a reference twin
+// through one seeded script of launches, releases and direct reclaims and
+// requires bit-identical outcomes after every step: each VM's allocation
+// and throughput, each report's Deflated order, Reclaimed and
+// ReclaimLatency, and each error. Two VM sizes and three floors make
+// equal-Deflatable VMs common, so the drain pass sorts ties.
+func TestReclaimMatchesPerVMReference(t *testing.T) {
+	capacity := restypes.V(16, 65536, 400, 400)
+	sizes := []restypes.Vector{restypes.V(2, 8192, 50, 50), restypes.V(4, 16384, 100, 100)}
+	floors := []float64{0.1, 0.25, 0.5}
+	cases := []struct {
+		kind  substrate.Kind
+		split SplitPolicy
+		slo   bool
+	}{
+		{substrate.KindHypervisor, SplitProportional, false},
+		{substrate.KindHypervisor, SplitEqual, false},
+		{substrate.KindHypervisor, SplitLargestFirst, false},
+		{substrate.KindContainer, SplitProportional, false},
+		{substrate.KindContainer, SplitEqual, false},
+		{substrate.KindContainer, SplitLargestFirst, false},
+		{substrate.KindHypervisor, SplitProportional, true},
+	}
+	for _, tc := range cases {
+		for seed := int64(1); seed <= 3; seed++ {
+			t.Run(fmt.Sprintf("%s/%s/slo=%v/seed%d", tc.kind, tc.split, tc.slo, seed), func(t *testing.T) {
+				var twins [2]*LocalController
+				for i := range twins {
+					var h substrate.Substrate
+					var err error
+					if tc.kind == substrate.KindContainer {
+						h, err = simcg.NewHost(simcg.Config{Name: "s0", Capacity: capacity})
+					} else {
+						h, err = hypervisor.NewHost(hypervisor.Config{Name: "s0", Capacity: capacity})
+					}
+					if err != nil {
+						t.Fatal(err)
+					}
+					twins[i] = NewLocalController(h, cascade.AllLevels(), ModeDeflation)
+					twins[i].SetSplitPolicy(tc.split)
+					if tc.slo {
+						twins[i].Cascade().SetSLOPolicy(halveEvenNames{})
+					}
+				}
+				got, ref := twins[0], &refController{twins[1]}
+				rng := rand.New(rand.NewSource(seed))
+				multi, next := 0, 0
+				for step := 0; step < 300; step++ {
+					var gr, rr LaunchReport
+					var ge, re error
+					op := "launch"
+					switch r := rng.Intn(10); {
+					case r < 6:
+						size := sizes[rng.Intn(len(sizes))]
+						s := LaunchSpec{
+							Name: fmt.Sprintf("v%d", next), Size: size, MinSize: size.Scale(floors[rng.Intn(len(floors))]),
+							Priority: vm.LowPriority, AppKind: "elastic", Warm: rng.Intn(2) == 0,
+						}
+						if rng.Intn(6) == 0 {
+							s.Priority, s.MinSize, s.AppKind = vm.HighPriority, restypes.Vector{}, "inelastic"
+						}
+						next++
+						_, gr, ge = got.LaunchVM(s)
+						_, rr, re = ref.LaunchVM(s)
+					case r < 9:
+						op = "release"
+						vms := got.VMs()
+						if len(vms) == 0 {
+							continue
+						}
+						name := vms[rng.Intn(len(vms))].Name()
+						ge, re = got.Release(name), ref.Release(name)
+					default:
+						op = "reclaim"
+						ensure, allow := capacity.Scale(rng.Float64()/2), rng.Intn(2) == 0
+						gr, ge = got.Reclaim(ensure, allow)
+						rr, re = ref.Reclaim(ensure, allow)
+					}
+					if d := diffTwins(got, ref.LocalController, gr, rr, ge, re); d != "" {
+						t.Fatalf("step %d (%s): %s", step, op, d)
+					}
+					if len(gr.Deflated) >= 2 {
+						multi++
+					}
+				}
+				if multi == 0 {
+					t.Fatal("the script never deflated two VMs in one command")
+				}
+			})
+		}
+	}
+}
+
+// TestReclaimNotifiesOncePerCommand: a launch that deflates k VMs advances
+// the generation and every watcher by 2 (the reclaim, then the new VM), and
+// the release that reinflates them by 1, whatever k is.
+func TestReclaimNotifiesOncePerCommand(t *testing.T) {
+	per := restypes.V(2, 8192, 50, 50)
+	for _, k := range []int{5, 8, 12} {
+		h, err := hypervisor.NewHost(hypervisor.Config{Name: "s0", Capacity: per.Scale(float64(k))})
+		if err != nil {
+			t.Fatal(err)
+		}
+		c := NewLocalController(h, cascade.AllLevels(), ModeDeflation)
+		var fired [2]int
+		for i := range fired {
+			c.WatchCapacity(func() { fired[i]++ })
+		}
+		launch := func(name string) LaunchReport {
+			t.Helper()
+			_, rep, err := c.LaunchVM(LaunchSpec{Name: name, Size: per, MinSize: per.Scale(0.25), AppKind: "elastic"})
+			if err != nil {
+				t.Fatal(err)
+			}
+			return rep
+		}
+		for i := 0; i < k; i++ {
+			launch(fmt.Sprintf("r%d", i))
+		}
+		check := func(what string, want uint64, gen0 uint64, fired0 [2]int) {
+			t.Helper()
+			if d := c.generation - gen0; d != want {
+				t.Errorf("k=%d: %s advanced the generation by %d, want %d", k, what, d, want)
+			}
+			for i := range fired {
+				if d := fired[i] - fired0[i]; d != int(want) {
+					t.Errorf("k=%d: %s fired watcher %d %d times, want %d", k, what, i, d, want)
+				}
+			}
+		}
+
+		gen0, fired0 := c.generation, fired
+		if rep := launch("new"); len(rep.Deflated) != k {
+			t.Fatalf("k=%d: the launch deflated %v, want all %d residents", k, rep.Deflated, k)
+		}
+		check("a launch that deflated k VMs", 2, gen0, fired0)
+
+		gen0, fired0 = c.generation, fired
+		if err := c.Release("new"); err != nil {
+			t.Fatal(err)
+		}
+		for _, v := range c.VMs() {
+			if v.Allocation() != v.Size() {
+				t.Fatalf("k=%d: %s at %v after the release, want %v", k, v.Name(), v.Allocation(), v.Size())
+			}
+		}
+		check("a release that reinflated k VMs", 1, gen0, fired0)
 	}
 }

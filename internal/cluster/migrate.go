@@ -175,17 +175,18 @@ func (c *LocalController) ReserveStream(stream string, rateMBps float64) (float6
 		granted = free
 		// Shortfall: throttle low-priority VMs' network proportionally.
 		short := rateMBps - granted
-		lows := c.lowVMs()
+		lows, _ := c.lowPlan()
 		var totalNet float64
-		for _, v := range lows {
-			totalNet += v.Allocation().NetMBps
+		for _, p := range lows {
+			totalNet += p.v.Allocation().NetMBps
 		}
 		if totalNet > 0 {
 			frac := short / totalNet
 			if frac > maxStreamThrottle {
 				frac = maxStreamThrottle
 			}
-			for _, v := range lows {
+			for _, p := range lows {
+				v := p.v
 				cut := v.Allocation().NetMBps * frac
 				if cut <= 0 {
 					continue

@@ -11,9 +11,9 @@ import (
 //
 // Throughput is the expensive part (an Env and a utility-curve evaluation
 // per VM), so it is memoized per server and re-evaluated only for servers
-// whose capacity watcher fired since the last pass. capacityChanged is the
-// only invalidation signal: every path that changes a VM's allocation or
-// guest state must go through it. A pass then adds the cached values flat,
+// whose capacity watcher fired since the last pass. notifyCapacity is the
+// only invalidation signal: every command that changes a VM's allocation or
+// guest state must end with it. A pass then adds the cached values flat,
 // server by server and VM by VM in name order — the summation order of a
 // full walk, so the float sums are bit-identical to recomputing everything
 // (per-server subtotals would reassociate them).

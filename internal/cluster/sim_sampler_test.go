@@ -260,8 +260,13 @@ func TestCapacityWatchersSeeEveryChange(t *testing.T) {
 
 // TestSimAllocBudget holds the simulator's allocation rate, an exact count
 // that timing noise cannot blur: a quick Fig. 8c cell (saturated, sampled on
-// every admission) must stay within 40 heap allocations per trace event.
-// Sorting a host's domain table on every free-capacity read cost 121.
+// every admission) must stay within 20 heap allocations per trace event.
+// Sorting a host's domain table on every free-capacity read cost 121, and
+// per-reclaim VM lists, sort swappers and append-grown reports kept it at
+// 21.4. Of the ≈17 left the cascade holds one report slice per reclaim
+// (6 %); the rest is substrate.Table's copy-on-write snapshots (20 %),
+// building each launched VM's instance, guest and app (20 %), and the event
+// queue (15 %), which is why a budget near 10 lies outside the controller.
 func TestSimAllocBudget(t *testing.T) {
 	const events = 4000
 	cfg := SimConfig{
@@ -278,7 +283,7 @@ func TestSimAllocBudget(t *testing.T) {
 	runtime.ReadMemStats(&after)
 	perEvent := float64(after.Mallocs-before.Mallocs) / events
 	t.Logf("%.1f allocs/event", perEvent)
-	if perEvent > 40 {
-		t.Errorf("%.1f allocs/event, budget 40", perEvent)
+	if perEvent > 20 {
+		t.Errorf("%.1f allocs/event, budget 20", perEvent)
 	}
 }

@@ -298,10 +298,9 @@ func (d *Domain) SetAllocation(target restypes.Vector) (time.Duration, error) {
 	target = target.Min(d.size).ClampNonNegative()
 
 	// Growth must fit in free physical capacity (own current allocation is
-	// already accounted, so only the delta matters).
-	grow := target.Sub(d.alloc).ClampNonNegative()
-	if free := d.host.FreePhysical(); !grow.Fits(free) {
-		return 0, fmt.Errorf("%w: growing by %v, free %v", ErrInsufficientCapacity, grow, free)
+	// already accounted, so only the delta matters); a shrink skips the walk.
+	if grow := target.Sub(d.alloc).ClampNonNegative(); !grow.IsZero() && !grow.Fits(d.host.FreePhysical()) {
+		return 0, fmt.Errorf("%w: growing by %v, free %v", ErrInsufficientCapacity, grow, d.host.FreePhysical())
 	}
 
 	var latency time.Duration

@@ -109,16 +109,31 @@ func (v Vector) Mul(w Vector) Vector {
 	return Vector{v.CPU * w.CPU, v.MemoryMB * w.MemoryMB, v.DiskMBps * w.DiskMBps, v.NetMBps * w.NetMBps}
 }
 
-// Min returns the element-wise minimum of v and w.
+// Min returns the element-wise minimum of v and w, bit for bit math.Min's.
 func (v Vector) Min(w Vector) Vector {
-	return Vector{math.Min(v.CPU, w.CPU), math.Min(v.MemoryMB, w.MemoryMB),
-		math.Min(v.DiskMBps, w.DiskMBps), math.Min(v.NetMBps, w.NetMBps)}
+	return Vector{minf(v.CPU, w.CPU), minf(v.MemoryMB, w.MemoryMB),
+		minf(v.DiskMBps, w.DiskMBps), minf(v.NetMBps, w.NetMBps)}
 }
 
-// Max returns the element-wise maximum of v and w.
+// Max returns the element-wise maximum of v and w, bit for bit math.Max's.
 func (v Vector) Max(w Vector) Vector {
-	return Vector{math.Max(v.CPU, w.CPU), math.Max(v.MemoryMB, w.MemoryMB),
-		math.Max(v.DiskMBps, w.DiskMBps), math.Max(v.NetMBps, w.NetMBps)}
+	return Vector{maxf(v.CPU, w.CPU), maxf(v.MemoryMB, w.MemoryMB),
+		maxf(v.DiskMBps, w.DiskMBps), maxf(v.NetMBps, w.NetMBps)}
+}
+
+// minf and maxf are math.Min and math.Max, inlinable; the builtins let NaN beat ∓Inf.
+func minf(x, y float64) float64 {
+	if x < -math.MaxFloat64 || y < -math.MaxFloat64 {
+		return math.Inf(-1)
+	}
+	return min(x, y)
+}
+
+func maxf(x, y float64) float64 {
+	if x > math.MaxFloat64 || y > math.MaxFloat64 {
+		return math.Inf(1)
+	}
+	return max(x, y)
 }
 
 // ClampNonNegative returns v with every negative component replaced by zero.

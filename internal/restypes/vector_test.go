@@ -221,3 +221,54 @@ func TestJSONRoundTrip(t *testing.T) {
 		t.Errorf("round trip = %v, want %v", back, v)
 	}
 }
+
+// sameFloat reports whether a and b have identical bits, or are both NaN
+// (the NaN payload is not part of the contract).
+func sameFloat(a, b float64) bool {
+	return math.Float64bits(a) == math.Float64bits(b) || (math.IsNaN(a) && math.IsNaN(b))
+}
+
+// checkMinMax compares Min, Max and ClampNonNegative with math.Min and
+// math.Max component by component.
+func checkMinMax(t *testing.T, v, w Vector) {
+	t.Helper()
+	mn, mx, cl := v.Min(w), v.Max(w), v.ClampNonNegative()
+	for _, k := range Kinds() {
+		x, y := v.At(k), w.At(k)
+		if got, want := mn.At(k), math.Min(x, y); !sameFloat(got, want) {
+			t.Errorf("Min %v: min(%v, %v) = %v, math.Min %v", k, x, y, got, want)
+		}
+		if got, want := mx.At(k), math.Max(x, y); !sameFloat(got, want) {
+			t.Errorf("Max %v: max(%v, %v) = %v, math.Max %v", k, x, y, got, want)
+		}
+		if got, want := cl.At(k), math.Max(x, 0); !sameFloat(got, want) {
+			t.Errorf("ClampNonNegative %v: %v → %v, math.Max %v", k, x, got, want)
+		}
+	}
+}
+
+// TestMinMaxSpecialValues holds Vector.Min, Max and ClampNonNegative to
+// math.Min / math.Max on the values where a hand-written comparison goes
+// wrong: signed zeros, infinities and NaN, in every pairing and both
+// argument orders.
+func TestMinMaxSpecialValues(t *testing.T) {
+	negZero := math.Copysign(0, -1)
+	vals := []float64{negZero, 0, math.Inf(1), math.Inf(-1), math.NaN(), 1, -1}
+	for _, x := range vals {
+		for _, y := range vals {
+			checkMinMax(t, Uniform(x), Uniform(y))
+		}
+	}
+	// Mixed components: each dimension is compared on its own.
+	checkMinMax(t, V(negZero, math.NaN(), math.Inf(1), -2), V(0, 3, 5, math.Inf(-1)))
+}
+
+func FuzzVectorMinMax(f *testing.F) {
+	negZero := math.Copysign(0, -1)
+	f.Add(negZero, 0.0, math.Inf(1), math.NaN(), 0.0, negZero, math.Inf(-1), 1.0)
+	f.Add(1.0, 2.0, 3.0, 4.0, 4.0, 3.0, 2.0, 1.0)
+	f.Add(-1e-300, 1e300, math.MaxFloat64, -math.SmallestNonzeroFloat64, 0.0, 0.0, 0.0, 0.0)
+	f.Fuzz(func(t *testing.T, a, b, c, d, e, g, h, i float64) {
+		checkMinMax(t, V(a, b, c, d), V(e, g, h, i))
+	})
+}

@@ -286,9 +286,8 @@ func (c *Container) SetAllocation(target restypes.Vector) (time.Duration, error)
 		return 0, substrate.ErrInstanceDestroyed
 	}
 	target = target.Min(c.size).ClampNonNegative()
-	grow := target.Sub(c.alloc).ClampNonNegative()
-	if free := c.host.FreePhysical(); !grow.Fits(free) {
-		return 0, fmt.Errorf("%w: growing by %v, free %v", substrate.ErrInsufficientCapacity, grow, free)
+	if grow := target.Sub(c.alloc).ClampNonNegative(); !grow.IsZero() && !grow.Fits(c.host.FreePhysical()) {
+		return 0, fmt.Errorf("%w: growing by %v, free %v", substrate.ErrInsufficientCapacity, grow, c.host.FreePhysical())
 	}
 	c.alloc = target
 	c.checkOOM()
