@@ -99,7 +99,7 @@ func runFederated(opt federatedOptions) {
 		}
 	}
 	boot := func(dir string) (*cluster.ManagerAPI, *cluster.RecoveryReport, error) {
-		mgr, rep, err := cluster.AdoptJournal(durFor(dir), nil, opt.policy, opt.seed)
+		mgr, rep, err := cluster.TakeOver(durFor(dir), nil, nil, opt.policy, opt.seed)
 		if err != nil {
 			return nil, nil, err
 		}
@@ -135,7 +135,7 @@ func runFederated(opt federatedOptions) {
 	// takeover without corroboration risks adopting a partitioned — not
 	// dead — peer, and PR 6's corroborated-promotion machinery covers the
 	// standby path. The caller must have SIGKILL'd (or otherwise fenced)
-	// the peer first; the epoch bump in AdoptJournal fences any survivor.
+	// the peer first; the epoch bump in TakeOver fences any survivor.
 	mux.HandleFunc("POST /v1/adopt", func(w http.ResponseWriter, r *http.Request) {
 		dead := r.URL.Query().Get("shard")
 		if dead == "" {

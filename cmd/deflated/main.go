@@ -276,7 +276,7 @@ func main() {
 			st := f.Status()
 			log.Printf("deflated: leader %s lease expired (%d missed polls, replica at seq %d); promoting",
 				*standbyOf, st.ConsecutiveMisses, st.AppliedSeq)
-			mgr, rep, err := cluster.PromoteStandby(dur, f.ReplicaState(), nodes, pol, *seed)
+			mgr, rep, err := cluster.TakeOver(dur, f.ReplicaState(), nodes, pol, *seed)
 			if err != nil {
 				log.Fatalf("deflated: promoting: %v", err)
 			}
@@ -290,18 +290,15 @@ func main() {
 			*standbyOf, *listen, *pollEvery, *deadAfter)
 
 	case *stateDir != "":
-		mgr, recovery, err := cluster.Recover(dur, nodes, pol, *seed)
+		mgr, recovery, err := cluster.TakeOver(dur, nil, nodes, pol, *seed)
 		if err != nil {
 			log.Fatalf("deflated: recovering from %s: %v", *stateDir, err)
 		}
-		log.Printf("deflated: recovered %d placements from %s in %v "+
+		log.Printf("deflated: recovered %d placements from %s at epoch %d in %v "+
 			"(replayed %d records; repairs: %d adopted, %d replaced, %d lost, %d reasserted, %d stale)",
-			recovery.Placements, *stateDir, recovery.Duration.Round(time.Millisecond),
+			recovery.Placements, *stateDir, mgr.Epoch(), recovery.Duration.Round(time.Millisecond),
 			recovery.RecordsReplayed, recovery.Adopted, recovery.Replaced,
 			recovery.Lost, recovery.Reasserted, recovery.StaleReleased)
-		// A durable leader starts a new term: the epoch bump fences off any
-		// deposed predecessor still holding connections to the fleet.
-		log.Printf("deflated: assumed leadership at epoch %d", mgr.BecomeLeader())
 		lead(mgr, recovery)
 
 	default:

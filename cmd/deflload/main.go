@@ -54,7 +54,7 @@ func (u *urlList) String() string     { return strings.Join(*u, ",") }
 func (u *urlList) Set(s string) error { *u = append(*u, s); return nil }
 
 // report is the JSON document written by -json: the load report plus the
-// chaos outcome, consumed by scripts/shard_adoption_smoke.sh.
+// chaos outcome, consumed by scripts/takeover_smoke.sh adopt.
 type report struct {
 	Load            shard.LoadReport        `json:"load"`
 	Invariants      shard.InvariantReport   `json:"invariants"`

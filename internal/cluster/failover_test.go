@@ -4,6 +4,7 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
+	"net/http/httptest"
 	"reflect"
 	"sort"
 	"testing"
@@ -175,7 +176,7 @@ func TestFailoverAtEveryCrashPoint(t *testing.T) {
 		st := replicaFromJournal(t, j)
 		j.Close()
 
-		m2, rep, err := PromoteStandby(DurabilityConfig{Dir: t.TempDir()},
+		m2, rep, err := TakeOver(DurabilityConfig{Dir: t.TempDir()},
 			st, termNodes(), BestFit, 7)
 		if err != nil {
 			t.Fatalf("step %d: promote: %v", k, err)
@@ -223,5 +224,141 @@ func TestFailoverAtEveryCrashPoint(t *testing.T) {
 					k, stale[0], err)
 			}
 		}
+	}
+}
+
+// watchedNode logs every mutating command that reaches a fenced node: the
+// epoch it carried, and what each guard in the fleet read at that moment.
+type watchedNode struct {
+	*fencedNode
+	guards []*EpochGuard
+	calls  *[]watchedCall
+}
+
+type watchedCall struct {
+	op     string
+	epoch  uint64
+	guards []uint64
+}
+
+func (n *watchedNode) note(op string) {
+	n.mu.Lock()
+	c := watchedCall{op: op, epoch: n.epoch}
+	n.mu.Unlock()
+	for _, g := range n.guards {
+		c.guards = append(c.guards, g.Current())
+	}
+	*n.calls = append(*n.calls, c)
+}
+
+func (n *watchedNode) Launch(spec LaunchSpec) (LaunchReport, error) {
+	n.note("launch " + spec.Name)
+	return n.fencedNode.Launch(spec)
+}
+
+func (n *watchedNode) Release(name string) error {
+	n.note("release " + name)
+	return n.fencedNode.Release(name)
+}
+
+// TestTakeOverFencesBeforeReconcile: while the manager is down, a rival
+// identity fences the fleet at epoch 5, one journaled VM dies, and a stale
+// copy of another appears on a second node. From either state source, the
+// manager's own journal or a follower's replica, the new term must raise
+// every guard before its first repair command, and every repair must carry
+// an epoch above the rival's.
+func TestTakeOverFencesBeforeReconcile(t *testing.T) {
+	for _, source := range []string{"journal", "replica"} {
+		t.Run(source, func(t *testing.T) {
+			nodes, termNodes := newFencedCluster(t, 2)
+			leader, err := NewManager(termNodes(), BestFit, 7)
+			if err != nil {
+				t.Fatal(err)
+			}
+			dir := t.TempDir()
+			j, err := journal.Open(dir, journal.Options{SyncEvery: 1})
+			if err != nil {
+				t.Fatal(err)
+			}
+			leader.AttachJournal(j, 1<<30)
+			leader.BecomeLeader()
+			for _, name := range []string{"a", "b"} {
+				if _, _, err := leader.Launch(durSpec(name, vm.LowPriority, 0.25)); err != nil {
+					t.Fatal(err)
+				}
+			}
+			api, err := NewManagerAPI(leader)
+			if err != nil {
+				t.Fatal(err)
+			}
+			srv := httptest.NewServer(api.Handler())
+			f, err := NewFollower(FollowerConfig{Leader: srv.URL})
+			if err != nil {
+				t.Fatal(err)
+			}
+			if err := f.PollOnce(); err != nil {
+				t.Fatal(err)
+			}
+			srv.Close()
+			j.Close()
+
+			// Behind the dead manager's back.
+			var calls []watchedCall
+			var guards []*EpochGuard
+			for _, n := range termNodes() {
+				guards = append(guards, n.(*fencedNode).guard)
+			}
+			for _, g := range guards {
+				if err := g.Check(5, "rival"); err != nil {
+					t.Fatal(err)
+				}
+			}
+			idx := map[string]int{}
+			for i, n := range nodes {
+				idx[n.Name()] = i
+			}
+			placed := leader.Placements()
+			if err := nodes[idx[placed["a"]]].LocalController.Release("a"); err != nil {
+				t.Fatal(err)
+			}
+			stale := nodes[1-idx[placed["b"]]]
+			if _, err := stale.LocalController.Launch(durSpec("b", vm.LowPriority, 0.25)); err != nil {
+				t.Fatal(err)
+			}
+
+			cfg := DurabilityConfig{Dir: dir, LeaderID: "successor"}
+			var replica *WALState
+			if source == "replica" {
+				cfg.Dir, replica = t.TempDir(), f.ReplicaState()
+			}
+			var watched []Node
+			for _, n := range termNodes() {
+				watched = append(watched, &watchedNode{fencedNode: n.(*fencedNode), guards: guards, calls: &calls})
+			}
+			m2, rep, err := TakeOver(cfg, replica, watched, BestFit, 7)
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer m2.Journal().Close()
+			if m2.Epoch() != 6 {
+				t.Errorf("new term at epoch %d, want 6", m2.Epoch())
+			}
+			if rep.Replaced != 1 || rep.StaleReleased != 1 {
+				t.Fatalf("repairs %+v, want 1 replaced and 1 stale released", rep)
+			}
+			if len(calls) < 2 {
+				t.Fatalf("reconciliation sent %d mutating commands, want the repair launch and the stale release", len(calls))
+			}
+			for _, c := range calls {
+				if c.epoch <= 5 {
+					t.Errorf("%s carried epoch %d, not above the rival's 5", c.op, c.epoch)
+				}
+				for i, e := range c.guards {
+					if e != m2.Epoch() {
+						t.Errorf("%s went out while guard %d read epoch %d, want the new term's %d", c.op, i, e, m2.Epoch())
+					}
+				}
+			}
+		})
 	}
 }

@@ -5,13 +5,15 @@ import (
 	"math"
 	"sort"
 	"testing"
+
+	"deflation/internal/stats"
 )
 
-// FuzzQuantile fuzzes the sweep statistics helpers quantile and mean:
-// arbitrary (even out-of-range) q and arbitrary finite data must never
-// panic, never index out of bounds, and never turn NaN-free input into
-// NaN output. The data slice is decoded 8 bytes per float64 from the
-// fuzzer's raw input.
+// FuzzQuantile fuzzes the statistics the simulator reports through,
+// stats.Quantile and stats.Mean: arbitrary (even out-of-range) q and
+// arbitrary finite data must never panic, never index out of bounds, and
+// never turn NaN-free input into NaN output. The data slice is decoded 8
+// bytes per float64 from the fuzzer's raw input.
 func FuzzQuantile(f *testing.F) {
 	f.Add([]byte{}, 0.5)                                  // empty data
 	f.Add([]byte{0, 0, 0, 0, 0, 0, 0xf0, 0x3f}, 0.0)      // single element, q=0
@@ -30,7 +32,7 @@ func FuzzQuantile(f *testing.F) {
 			xs = append(xs, v)
 		}
 
-		m := mean(xs)
+		m := stats.Mean(xs)
 		if math.IsNaN(m) && !math.IsInf(sum(xs), 0) {
 			t.Fatalf("mean(%v) = NaN from finite inputs", xs)
 		}
@@ -39,7 +41,7 @@ func FuzzQuantile(f *testing.F) {
 		}
 
 		sort.Float64s(xs)
-		got := quantile(xs, q) // must not panic for any q
+		got := stats.Quantile(xs, q) // must not panic for any q
 		if math.IsNaN(got) {
 			t.Fatalf("quantile(%v, %v) = NaN from NaN-free input", xs, q)
 		}

@@ -32,7 +32,7 @@ func TestPromoteStandbyBumpsPastClusterFencedEpoch(t *testing.T) {
 	// would promote to 2 and be fenced — or worse, tie.
 	st := NewWALState()
 	st.Epoch = 1
-	m, _, err := PromoteStandby(DurabilityConfig{Dir: t.TempDir(), LeaderID: "standby"},
+	m, _, err := TakeOver(DurabilityConfig{Dir: t.TempDir(), LeaderID: "standby"},
 		st, []Node{node}, BestFit, 1)
 	if err != nil {
 		t.Fatal(err)

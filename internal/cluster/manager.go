@@ -309,11 +309,9 @@ func (m *Manager) clusterFencedEpoch() uint64 {
 // every term this manager has seen AND past the cluster-wide fenced maximum
 // (queried from the reachable controllers), the bump propagates to the
 // journal and node clients, and a leader record is journaled so replicas
-// and future recoveries learn the term. Probing the cluster matters for a
-// crashed leader's restart: its own journal only knows its last term, but
-// the controllers may already be fenced at the promoted standby's higher
-// epoch — starting from the cluster maximum keeps the new term unambiguous
-// instead of colliding with the standby's. Returns the new epoch.
+// and future recoveries learn the term. It starts a term for a manager
+// built without TakeOver (the simulator's first HA term); unlike TakeOver
+// it neither fences nor reconciles. Returns the new epoch.
 func (m *Manager) BecomeLeader() uint64 {
 	e := m.epoch
 	if ce := m.clusterFencedEpoch(); ce > e {

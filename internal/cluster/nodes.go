@@ -128,29 +128,6 @@ func (m *Manager) propagateTerm(n Node) {
 	}
 }
 
-// AdoptJournal is the cross-shard takeover entry point: a peer manager
-// rebuilds a dead shard from its journal and assumes leadership over its
-// fleet. Recover replays the dead manager's WAL (re-dialing its
-// registered agents via cfg.DialNode) and anti-entropy reconciles against
-// their live inventories — all unfenced (epoch 0 RPCs are always
-// admitted), so reconciliation is not refused while the agents' guards
-// still hold the dead leader's term. BecomeLeader then bumps strictly
-// past both the journaled epoch and the cluster-wide fenced maximum, and
-// the fencing sweep raises every reachable agent's guard — from that
-// moment a merely-partitioned (not actually dead) leader finds every
-// command it issues refused. cfg.LeaderID must be the ADOPTER's identity,
-// never the dead manager's: identity is what breaks same-epoch ties if
-// the dead leader resurrects and self-allocates the same term.
-func AdoptJournal(cfg DurabilityConfig, servers []Node, policy PlacementPolicy, seed int64) (*Manager, *RecoveryReport, error) {
-	m, rep, err := Recover(cfg, servers, policy, seed)
-	if err != nil {
-		return nil, nil, err
-	}
-	m.BecomeLeader()
-	m.fenceAll()
-	return m, rep, nil
-}
-
 // NodeDialer builds a Node client for a registering agent. ManagerAPI's
 // default dials a RemoteNode without probing it; tests substitute
 // in-process fakes.

@@ -458,8 +458,8 @@ func TestPlacementIndexWorkBudget(t *testing.T) {
 }
 
 // TestReplacedManagerLeavesNoWatcher: the sim replaces its manager on every
-// manager crash (Recover) and every HA takeover (PromoteStandby) over
-// controllers that live on. Each replaced manager's index must unsubscribe,
+// manager crash and every HA promotion (both a TakeOver) over controllers
+// that live on. Each replaced manager's index must unsubscribe,
 // leaving every controller with two watchers: the leader's index and the
 // state sampler.
 func TestReplacedManagerLeavesNoWatcher(t *testing.T) {

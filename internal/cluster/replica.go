@@ -19,10 +19,9 @@ import (
 // plus tail when the follower is behind the last compaction. The follower
 // polls, applies, and measures its lag; when the leader misses enough
 // consecutive polls the lease is considered expired and the standby
-// promotes itself via PromoteStandby — a Recover-style adoption (replay is
-// already done; reconciliation and in-flight-migration resolution run
-// against the live nodes) under a bumped fencing epoch, evicting no healthy
-// workload.
+// promotes itself by passing the replica to TakeOver, which fences and
+// reconciles against the live nodes under a bumped epoch, evicting no
+// healthy workload.
 
 // replicaWALPath is the leader's WAL streaming route.
 const replicaWALPath = "/v1/replica/wal"
@@ -148,29 +147,14 @@ func (f *Follower) PollOnce() error {
 			f.epoch, batch.Epoch, f.leaderSeq, batch.Seq)
 		return f.lastErr
 	}
-	if batch.Snapshot != nil {
-		// The follower's position was compacted away (first poll, or it
-		// fell behind a snapshot): reset from the leader's snapshot exactly
-		// as Recover does, then apply the tail on top.
-		ns := NewWALState()
-		if err := json.Unmarshal(batch.Snapshot, ns); err != nil {
-			f.misses++
-			f.lastErr = fmt.Errorf("cluster: decoding replica snapshot: %w", err)
-			return f.lastErr
-		}
-		if ns.AppliedSeq < batch.SnapshotSeq {
-			ns.AppliedSeq = batch.SnapshotSeq
-		}
-		f.st = ns
+	st, err := replay(f.st, batch)
+	if err != nil {
+		f.misses++
+		f.lastErr = err
+		return err
 	}
-	for _, rec := range batch.Records {
-		if err := f.st.Apply(rec); err != nil {
-			f.misses++
-			f.lastErr = err
-			return err
-		}
-		f.applied++
-	}
+	f.st = st
+	f.applied += uint64(len(batch.Records))
 	f.leaderSeq = batch.Seq
 	f.epoch = batch.Epoch
 	f.misses = 0
@@ -362,63 +346,4 @@ func (a *StandbyAPI) Handler() http.Handler {
 		writeJSON(w, http.StatusOK, resp)
 	})
 	return mux
-}
-
-// PromoteStandby turns a warm replica into the acting manager: the standby
-// opens its own journal (a fresh term's WAL), installs the replicated
-// state, bumps the fencing epoch past every term it has seen — fencing the
-// old leader off every controller the moment the new epoch lands — then
-// runs the same adoption pass Recover does: anti-entropy reconciliation
-// against live node inventories and resolution of in-flight migrations.
-// Healthy workloads are never evicted: reconciliation only re-places VMs
-// that are journaled but verifiably gone, adopts ones the WAL missed, and
-// releases provably stale copies.
-func PromoteStandby(cfg DurabilityConfig, st *WALState, servers []Node, policy PlacementPolicy, seed int64) (*Manager, *RecoveryReport, error) {
-	cfg = cfg.withDefaults()
-	start := time.Now()
-	j, err := journal.Open(cfg.Dir, journal.Options{SyncEvery: cfg.SyncEvery, FailOp: cfg.FailOp})
-	if err != nil {
-		return nil, nil, err
-	}
-	if st == nil {
-		st = NewWALState()
-	}
-	m, err := NewManager(dialJournaledNodes(cfg, st, servers), policy, seed)
-	if err != nil {
-		j.Close()
-		return nil, nil, err
-	}
-	rep := &RecoveryReport{
-		LastSeq:         st.AppliedSeq,
-		RecordsReplayed: 0, // replay happened continuously, while tailing
-	}
-	m.installWALState(st)
-	m.journal = j
-	if cfg.LeaderID != "" {
-		m.SetIdentity(cfg.LeaderID)
-	}
-	// New term: every node RPC from here on — including reconciliation's
-	// releases and re-placements — carries the bumped epoch, and the fencing
-	// sweep raises every reachable node's guard before anything else, so the
-	// deposed leader is refused even by nodes this term never commands. The
-	// bump clears not just every term this replica has seen but the highest
-	// epoch any reachable controller has obeyed — a crashed leader that
-	// already restarted into a new term loses the race here instead of
-	// tying it.
-	e := max(st.Epoch, j.Epoch())
-	if ce := m.clusterFencedEpoch(); ce > e {
-		e = ce
-	}
-	m.SetEpoch(e + 1)
-	m.fenceAll()
-	m.reconcileAll(rep)
-
-	rec := &durableRecorder{m: m, j: j, every: cfg.SnapshotEvery, onErr: cfg.OnWALError}
-	m.rec = rec
-	m.record(Event{Kind: evLeader})
-	rec.snapshot()
-
-	rep.Placements = len(m.placement)
-	rep.Duration = time.Since(start)
-	return m, rep, nil
 }

@@ -191,7 +191,7 @@ func TestPromoteStandbyFromHTTPReplica(t *testing.T) {
 	oldEpoch := mgr.Epoch()
 	srv.Close()
 	mgr.Journal().Close()
-	m2, rep, err := PromoteStandby(DurabilityConfig{Dir: t.TempDir()},
+	m2, rep, err := TakeOver(DurabilityConfig{Dir: t.TempDir()},
 		f.ReplicaState(), mgr.Servers(), BestFit, 7)
 	if err != nil {
 		t.Fatal(err)

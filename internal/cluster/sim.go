@@ -1,7 +1,6 @@
 package cluster
 
 import (
-	"encoding/json"
 	"errors"
 	"fmt"
 	"os"
@@ -20,7 +19,6 @@ import (
 	"deflation/internal/restypes"
 	"deflation/internal/simcg"
 	"deflation/internal/simclock"
-	"deflation/internal/stats"
 	"deflation/internal/substrate"
 	"deflation/internal/telemetry"
 	"deflation/internal/trace"
@@ -65,9 +63,9 @@ type SimConfig struct {
 	// HAStandby enables manager high availability under fault injection: the
 	// leader runs under a fencing epoch (every node wraps an epoch guard), a
 	// warm standby shadows its WAL, and leader death — crash, partition, or a
-	// poisoned journal — triggers a lease-expiry takeover via PromoteStandby
-	// instead of an in-place restart. Requires Faults to be enabled; ignored
-	// otherwise, so the zero-fault path stays bit-for-bit identical.
+	// poisoned journal — triggers a lease-expiry TakeOver from the standby's
+	// replica instead of an in-place restart. Requires Faults to be enabled;
+	// ignored otherwise, so the zero-fault path stays bit-for-bit identical.
 	HAStandby bool
 	// LeaseTimeout is the leadership lease: how long the cluster stays
 	// headless between leader death and the standby's takeover (default
@@ -97,8 +95,8 @@ type SimConfig struct {
 	SampleEvery int
 	// ContainerFraction is the fraction of servers backed by the cgroup
 	// container substrate (internal/simcg) instead of the KVM hypervisor;
-	// the substrate is recorded in each launch's journaled placement so
-	// Recover restores container-backed VMs on a compatible node. Container
+	// the substrate is recorded in each launch's journaled placement so a
+	// takeover restores container-backed VMs on a compatible node. Container
 	// nodes are interleaved evenly across the fleet. Zero (the default)
 	// keeps every server on the hypervisor substrate — the exact
 	// pre-multi-substrate code path, bit-for-bit.
@@ -184,7 +182,7 @@ type SimResult struct {
 	VMsReplaced        int
 	VMsLost            int
 	// ManagerCrashes counts injected manager crash-restart cycles; each one
-	// rebuilds the manager from its journal via Recover (zero unless
+	// rebuilds the manager from its journal via TakeOver (zero unless
 	// Faults.ManagerCrashMTBF is set).
 	ManagerCrashes int
 	// Manager-HA activity (all zero unless SimConfig.HAStandby): standby
@@ -565,6 +563,29 @@ func runSim(cfg SimConfig, check func(s *stateSampler, mgr *Manager, gp, tpSum f
 				horizon = e.Arrival
 			}
 		}
+		// Manager takeovers: a crash restart replays the journal in place, an
+		// HA promotion starts from the standby's replica. Both go through
+		// TakeOver and install its manager the same way. takeOver returns nil
+		// (recording the error) when the takeover fails.
+		takeOver := func(what, dir string, replica *WALState) *Manager {
+			m2, _, err := TakeOver(DurabilityConfig{
+				Dir: dir, SnapshotEvery: simSnapshotEvery, SyncEvery: simSyncEvery, FailOp: diskFailOp,
+			}, replica, makeNodes(), cfg.Policy, cfg.Seed)
+			if err != nil && simErr == nil {
+				simErr = fmt.Errorf("cluster: sim %s: %w", what, err)
+			}
+			return m2
+		}
+		install := func(m2 *Manager) {
+			m2.SetHealthPolicy(HealthPolicy{MaxMisses: cfg.HeartbeatMisses})
+			if cfg.Telemetry != nil {
+				m2.SetTelemetry(cfg.Telemetry)
+			}
+			wireMigration(m2)
+			mgr.dropIndex() // the replaced manager's index must not outlive it
+			mgr = m2        // arrive/depart/heartbeat closures see the new manager
+		}
+
 		// HA takeover machinery (inert unless haActive).
 		//
 		// replicaOf reads the standby's warm replica out of the leader's
@@ -575,28 +596,11 @@ func runSim(cfg SimConfig, check func(s *stateSampler, mgr *Manager, gp, tpSum f
 		// (the fail-stopped leader's last in-memory mutations are recovered
 		// from node ground truth, not from the WAL).
 		replicaOf := func(j *journal.Journal) (*WALState, error) {
-			st := NewWALState()
-			if j == nil {
-				return st, nil
-			}
 			b, err := j.RecordsAfter(0)
 			if err != nil {
 				return nil, err
 			}
-			if b.Snapshot != nil {
-				if err := json.Unmarshal(b.Snapshot, st); err != nil {
-					return nil, err
-				}
-				if st.AppliedSeq < b.SnapshotSeq {
-					st.AppliedSeq = b.SnapshotSeq
-				}
-			}
-			for _, rec := range b.Records {
-				if err := st.Apply(rec); err != nil {
-					return nil, err
-				}
-			}
-			return st, nil
+			return replay(NewWALState(), b)
 		}
 		// resume ends a headless window and lands the departures it queued.
 		resume := func() {
@@ -607,22 +611,13 @@ func runSim(cfg SimConfig, check func(s *stateSampler, mgr *Manager, gp, tpSum f
 				depart(name)
 			}
 		}
-		// promote is the takeover: build the next term's manager from the
-		// standby's frozen replica via PromoteStandby (replay is already
-		// done; reconciliation and in-flight-migration resolution run against
-		// live node inventories under the bumped epoch) and swap it in for
-		// every closure.
+		// promote builds the next term's manager from the standby's frozen
+		// replica, in a journal directory of its own, and swaps it in.
 		var termSeq int
 		promote := func(st *WALState) {
 			termSeq++
-			sdir := filepath.Join(jdir, fmt.Sprintf("standby-term-%03d", termSeq))
-			m2, _, err := PromoteStandby(DurabilityConfig{
-				Dir: sdir, SnapshotEvery: simSnapshotEvery, SyncEvery: simSyncEvery, FailOp: diskFailOp,
-			}, st, makeNodes(), cfg.Policy, cfg.Seed)
-			if err != nil {
-				if simErr == nil {
-					simErr = fmt.Errorf("cluster: sim standby promotion: %w", err)
-				}
+			m2 := takeOver("standby promotion", filepath.Join(jdir, fmt.Sprintf("standby-term-%03d", termSeq)), st)
+			if m2 == nil {
 				return
 			}
 			if m2.Epoch() <= highestEpoch {
@@ -632,11 +627,6 @@ func runSim(cfg SimConfig, check func(s *stateSampler, mgr *Manager, gp, tpSum f
 				m2.SetEpoch(highestEpoch + 1)
 			}
 			highestEpoch = m2.Epoch()
-			m2.SetHealthPolicy(HealthPolicy{MaxMisses: cfg.HeartbeatMisses})
-			if cfg.Telemetry != nil {
-				m2.SetTelemetry(cfg.Telemetry)
-			}
-			wireMigration(m2)
 			// Healthy-workload accounting across the takeover. A running VM
 			// the new term no longer places usually died with its node while
 			// the cluster was headless — charged like any heartbeat eviction.
@@ -678,8 +668,7 @@ func runSim(cfg SimConfig, check func(s *stateSampler, mgr *Manager, gp, tpSum f
 					failureEvictions++
 				}
 			}
-			mgr.dropIndex() // the deposed leader's index must not outlive its term
-			mgr = m2
+			install(m2)
 			res.Failovers++
 			resume()
 		}
@@ -795,11 +784,11 @@ func runSim(cfg SimConfig, check func(s *stateSampler, mgr *Manager, gp, tpSum f
 			scheduleCrash(i)
 		}
 		// Manager crash failures. Without HA the manager process dies and
-		// immediately restarts via Recover — replay the journal, then
-		// reconcile against node inventories. With HAStandby the dead leader
-		// stays dead and the standby takes over at lease expiry instead. In
-		// both modes the nodes (and their VMs) keep running throughout,
-		// exactly like deflagent processes outliving a SIGKILL'd deflated.
+		// immediately restarts through TakeOver on its own journal. With
+		// HAStandby the dead leader stays dead and the standby takes over at
+		// lease expiry instead. In both modes the nodes (and their VMs) keep
+		// running throughout, exactly like deflagent processes outliving a
+		// SIGKILL'd deflated.
 		if cfg.Faults.ManagerCrashMTBF > 0 {
 			var scheduleMgrCrash func()
 			scheduleMgrCrash = func() {
@@ -823,22 +812,11 @@ func runSim(cfg SimConfig, check func(s *stateSampler, mgr *Manager, gp, tpSum f
 						return
 					}
 					mgr.Journal().Close()
-					m2, _, err := Recover(DurabilityConfig{
-						Dir: jdir, SnapshotEvery: simSnapshotEvery, SyncEvery: simSyncEvery,
-					}, nodes, cfg.Policy, cfg.Seed)
-					if err != nil {
-						if simErr == nil {
-							simErr = fmt.Errorf("cluster: sim manager recovery: %w", err)
-						}
+					m2 := takeOver("manager recovery", jdir, nil)
+					if m2 == nil {
 						return
 					}
-					m2.SetHealthPolicy(HealthPolicy{MaxMisses: cfg.HeartbeatMisses})
-					if cfg.Telemetry != nil {
-						m2.SetTelemetry(cfg.Telemetry)
-					}
-					wireMigration(m2)
-					mgr.dropIndex() // the dead process's index goes with it
-					mgr = m2        // arrive/depart/heartbeat closures see the new manager
+					install(m2)
 					res.ManagerCrashes++
 					scheduleMgrCrash()
 				})
@@ -961,10 +939,3 @@ func overcommitOf(nominal, capacity restypes.Vector) float64 {
 	}
 	return mem
 }
-
-// mean and quantile delegate to the shared stats package (the quantile
-// clamping fixed by the PR-5 fuzzing lives there now); the wrappers keep
-// this package's fuzz target stable.
-func mean(xs []float64) float64 { return stats.Mean(xs) }
-
-func quantile(sorted []float64, q float64) float64 { return stats.Quantile(sorted, q) }

@@ -2,6 +2,7 @@ package cluster
 
 import (
 	"deflation/internal/restypes"
+	"deflation/internal/stats"
 	"deflation/internal/vm"
 )
 
@@ -62,7 +63,7 @@ func (s *stateSampler) admission(admitted int, nominal restypes.Vector, mgr *Man
 	s.oc = append(s.oc, overcommitOf(nominal, s.capacity))
 	snap := mgr.Snapshot()
 	s.srvMean = append(s.srvMean, snap.MeanOvercommitment)
-	s.srvP95 = append(s.srvP95, quantile(snap.ServerOvercommitment, 0.95))
+	s.srvP95 = append(s.srvP95, stats.Quantile(snap.ServerOvercommitment, 0.95))
 	var tpSum, gp float64
 	tpN := 0
 	for i := range s.memo {
@@ -94,9 +95,9 @@ func (s *stateSampler) admission(admitted int, nominal restypes.Vector, mgr *Man
 
 // report writes the means over all passes into res.
 func (s *stateSampler) report(res *SimResult) {
-	res.AchievedOvercommit = mean(s.oc)
-	res.ServerOvercommitMean = mean(s.srvMean)
-	res.ServerOvercommitP95 = mean(s.srvP95)
-	res.MeanLowThroughput = mean(s.lowTp)
-	res.Goodput = mean(s.gp)
+	res.AchievedOvercommit = stats.Mean(s.oc)
+	res.ServerOvercommitMean = stats.Mean(s.srvMean)
+	res.ServerOvercommitP95 = stats.Mean(s.srvP95)
+	res.MeanLowThroughput = stats.Mean(s.lowTp)
+	res.Goodput = stats.Mean(s.gp)
 }

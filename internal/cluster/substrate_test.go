@@ -156,7 +156,7 @@ func TestRecoverRestoresContainerBackedVMs(t *testing.T) {
 	for i, n := range nodes {
 		servers[i] = n
 	}
-	m2, rep, err := Recover(DurabilityConfig{Dir: dir}, servers, BestFit, 7)
+	m2, rep, err := TakeOver(DurabilityConfig{Dir: dir}, nil, servers, BestFit, 7)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -235,7 +235,7 @@ func TestRecoverMidMigrationContainer(t *testing.T) {
 	}
 	m.Journal().Close()
 
-	m2, rep, err := Recover(DurabilityConfig{Dir: dir}, []Node{nodes[0], nodes[1]}, BestFit, 7)
+	m2, rep, err := TakeOver(DurabilityConfig{Dir: dir}, nil, []Node{nodes[0], nodes[1]}, BestFit, 7)
 	if err != nil {
 		t.Fatal(err)
 	}

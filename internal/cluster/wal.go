@@ -15,8 +15,8 @@ import (
 // This file is the manager's durability layer: every placement, priority,
 // and failure-detector transition is recorded through a Recorder into an
 // append-only journal (internal/journal), periodically compacted into a
-// snapshot, and rebuilt by Recover — replay first, then an anti-entropy
-// reconciliation pass against each live node's actual VM inventory. The
+// snapshot, and rebuilt by TakeOver — replay first, then fencing, then an
+// anti-entropy reconciliation pass against each live node's VM inventory. The
 // Recorder is nil by default (no-op, mirroring SimConfig.Telemetry): a
 // manager without a state dir pays nothing.
 
@@ -340,7 +340,7 @@ type DurabilityConfig struct {
 	FailOp func(op string) error
 	// DialNode, when non-nil, reconnects dynamically registered agents
 	// (journaled node-add events) that are absent from the static fleet:
-	// Recover calls it for each journaled name/URL before replay installs
+	// TakeOver calls it for each journaled name/URL before replay installs
 	// placements, so an adopting peer reaches the dead shard's agents. The
 	// dialer must NOT require the agent to be reachable — an agent that is
 	// briefly partitioned keeps its placements until the failure detector
@@ -359,7 +359,7 @@ func (c DurabilityConfig) withDefaults() DurabilityConfig {
 	return c
 }
 
-// RecoveryReport summarizes one Recover: what was replayed and what the
+// RecoveryReport summarizes one TakeOver: what was replayed and what the
 // anti-entropy pass had to repair.
 type RecoveryReport struct {
 	SnapshotSeq     uint64 `json:"snapshot_seq"`
@@ -449,77 +449,91 @@ func specFromVMState(vs VMState) LaunchSpec {
 	return spec
 }
 
-// Recover rebuilds a manager from a state directory: it loads the snapshot,
-// replays the journal tail idempotently, restores placements, specs,
-// counters, and failure-detector state, then runs an anti-entropy
-// reconciliation pass against each live node's actual inventory — VMs the
-// journal knows but the node lost are re-placed via the evacuation path,
-// VMs the node runs but the journal missed are adopted, diverged
-// allocations are re-asserted from the node's ground truth, and stale
-// copies are released. The journal stays attached for continued recording,
-// and a fresh compacted snapshot is written so the next recovery starts
-// warm. An empty directory recovers to an empty state (plus any adoptions),
-// so Recover is also the first-boot entry point.
-func Recover(cfg DurabilityConfig, servers []Node, policy PlacementPolicy, seed int64) (*Manager, *RecoveryReport, error) {
+// replay folds a journal batch into st and returns the result. A batch that
+// carries a snapshot replaces st with it (the position st held was
+// compacted away), and its records apply on top. Every journal reader
+// rebuilds state through it: a takeover replaying its own directory, a
+// follower tailing a leader, and the simulator's zero-lag standby.
+func replay(st *WALState, b journal.Batch) (*WALState, error) {
+	if b.Snapshot != nil {
+		st = NewWALState()
+		if err := json.Unmarshal(b.Snapshot, st); err != nil {
+			return nil, fmt.Errorf("cluster: decoding snapshot: %w", err)
+		}
+		st.AppliedSeq = max(st.AppliedSeq, b.SnapshotSeq)
+	}
+	for _, rec := range b.Records {
+		if err := st.Apply(rec); err != nil {
+			return nil, err
+		}
+	}
+	return st, nil
+}
+
+// TakeOver makes a new manager the acting leader of a fleet. A non-nil
+// replica is a standby's tailed WAL state, and cfg.Dir is the new term's
+// own journal. A nil replica replays the journal in cfg.Dir instead: a
+// restart, a first boot (an empty directory recovers to an empty state),
+// or a peer adopting a dead shard's directory. Every takeover then runs
+// the same sequence:
+//
+//  1. re-dial the agents the state journaled (DurabilityConfig.DialNode)
+//     and install the state into a fresh manager;
+//  2. start a new term under cfg.LeaderID: the epoch moves strictly past
+//     the state's, the journal's and the highest any reachable node has
+//     obeyed, and a fencing sweep raises every reachable node's guard to it;
+//  3. reconcile against each live node's inventory under that epoch: VMs
+//     journaled but gone are re-placed via the evacuation path, VMs running
+//     unjournaled are adopted, diverged allocations are re-asserted from the
+//     node's ground truth, stale copies are released, and in-flight
+//     migrations are settled by asking the destination;
+//  4. attach the journal, journal the leadership record, and compact
+//     everything into a fresh snapshot so the next takeover starts warm.
+//
+// Fencing comes before reconciliation, so a deposed or merely partitioned
+// leader is refused from the first repair RPC on, and every repair carries
+// the new term. Healthy workloads are never evicted. cfg.LeaderID must name
+// this process, never the previous leader: identity breaks same-epoch ties.
+func TakeOver(cfg DurabilityConfig, replica *WALState, servers []Node, policy PlacementPolicy, seed int64) (*Manager, *RecoveryReport, error) {
 	cfg = cfg.withDefaults()
 	start := time.Now()
 	j, err := journal.Open(cfg.Dir, journal.Options{SyncEvery: cfg.SyncEvery, FailOp: cfg.FailOp})
 	if err != nil {
 		return nil, nil, err
 	}
-
-	st := NewWALState()
-	if raw := j.SnapshotData(); raw != nil {
-		if err := json.Unmarshal(raw, st); err != nil {
-			j.Close()
-			return nil, nil, fmt.Errorf("cluster: decoding snapshot: %w", err)
-		}
-	}
-	jstats := j.Stats()
-	if jstats.SnapshotSeq > st.AppliedSeq {
-		st.AppliedSeq = jstats.SnapshotSeq
-	}
-	rep := &RecoveryReport{
-		SnapshotSeq:     jstats.SnapshotSeq,
-		LastSeq:         jstats.Seq,
-		RecordsReplayed: len(j.Tail()),
-		TornTail:        jstats.TornTail,
-	}
-	for _, rec := range j.Tail() {
-		if err := st.Apply(rec); err != nil {
+	rep := &RecoveryReport{}
+	st := replica
+	if st == nil {
+		js := j.Stats()
+		*rep = RecoveryReport{SnapshotSeq: js.SnapshotSeq, LastSeq: js.Seq,
+			RecordsReplayed: len(j.Tail()), TornTail: js.TornTail}
+		st, err = replay(NewWALState(), journal.Batch{
+			SnapshotSeq: js.SnapshotSeq, Snapshot: j.SnapshotData(), Records: j.Tail()})
+		if err != nil {
 			j.Close()
 			return nil, nil, err
 		}
+	} else {
+		rep.LastSeq = st.AppliedSeq // replayed while tailing
 	}
 
-	// Re-dial dynamically registered agents the journal knows but the static
-	// fleet does not, BEFORE placements install — otherwise their VMs would
-	// look orphaned and be re-placed (a healthy-VM eviction). This is the
-	// heart of cross-shard adoption: a peer replaying a dead shard's journal
-	// reconstructs its fleet from the node-add records.
-	servers = dialJournaledNodes(cfg, st, servers)
-
-	m, err := NewManager(servers, policy, seed)
+	m, err := NewManager(dialJournaledNodes(cfg, st, servers), policy, seed)
 	if err != nil {
 		j.Close()
 		return nil, nil, err
 	}
 	m.installWALState(st)
-	m.reconcileAll(rep)
-
-	// Attach the journal for continued recording, then compact everything
-	// recovery just established into a fresh snapshot.
-	rec := &durableRecorder{m: m, j: j, every: cfg.SnapshotEvery, onErr: cfg.OnWALError}
-	m.rec = rec
 	m.journal = j
 	if cfg.LeaderID != "" {
 		m.SetIdentity(cfg.LeaderID)
 	}
-	// Resume the recovered leadership epoch (journal metadata may be ahead
-	// of the replayed state if only the snapshot envelope survived).
-	if e := max(st.Epoch, j.Epoch()); e > 0 {
-		m.SetEpoch(e)
-	}
+	m.SetEpoch(max(st.Epoch, j.Epoch(), m.clusterFencedEpoch()) + 1)
+	m.fenceAll()
+	m.reconcileAll(rep)
+
+	rec := &durableRecorder{m: m, j: j, every: cfg.SnapshotEvery, onErr: cfg.OnWALError}
+	m.rec = rec
+	m.record(Event{Kind: evLeader})
 	rec.snapshot()
 
 	rep.Placements = len(m.placement)
@@ -528,8 +542,10 @@ func Recover(cfg DurabilityConfig, servers []Node, policy PlacementPolicy, seed 
 }
 
 // dialJournaledNodes reconnects dynamically registered agents the journal
-// knows but the static fleet does not (see DurabilityConfig.DialNode).
-// Dial failures leave the node out; its placements orphan and re-place.
+// knows but the static fleet does not (see DurabilityConfig.DialNode). It
+// runs before placements install: otherwise their VMs would look orphaned
+// and be re-placed, a healthy-VM eviction. Dial failures leave the node
+// out; its placements orphan and re-place.
 func dialJournaledNodes(cfg DurabilityConfig, st *WALState, servers []Node) []Node {
 	if cfg.DialNode == nil || len(st.Nodes) == 0 {
 		return servers
@@ -736,7 +752,7 @@ func (m *Manager) resolveRecoveryMigrations(rep *RecoveryReport) {
 		rep.MigrationsResolved++
 	}
 	// Like the other reconciliation repairs, the resolution is settled by
-	// the fresh snapshot Recover writes, not by journal events.
+	// the fresh snapshot TakeOver writes, not by journal events.
 	m.recoveryMigrations = nil
 }
 
@@ -758,7 +774,7 @@ func (m *Manager) repairReplace(spec LaunchSpec, rep *RecoveryReport) {
 // durable).
 func (m *Manager) Journal() *journal.Journal { return m.journal }
 
-// SetRecorder attaches a state-transition recorder (nil detaches). Recover
+// SetRecorder attaches a state-transition recorder (nil detaches). TakeOver
 // attaches a journal-backed recorder automatically; SetRecorder exists for
 // tests and custom sinks.
 func (m *Manager) SetRecorder(r Recorder) { m.rec = r }

@@ -2,6 +2,7 @@ package cluster
 
 import (
 	"fmt"
+	"math/rand"
 	"os"
 	"path/filepath"
 	"reflect"
@@ -113,13 +114,13 @@ func TestRecoverRestoresPlacementsWithoutEvictions(t *testing.T) {
 	}
 
 	// SIGKILL-equivalent: the manager object is dropped with no farewell
-	// write; Recover rebuilds from the same dir against the same (still
+	// write; TakeOver rebuilds from the same dir against the same (still
 	// running) nodes.
 	servers := make([]Node, len(nodes))
 	for i, n := range nodes {
 		servers[i] = n
 	}
-	m2, rep, err := Recover(DurabilityConfig{Dir: dir}, servers, BestFit, 7)
+	m2, rep, err := TakeOver(DurabilityConfig{Dir: dir}, nil, servers, BestFit, 7)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -159,7 +160,7 @@ func TestRecoverRestoresPlacementsWithoutEvictions(t *testing.T) {
 		t.Fatal(err)
 	}
 	m2.Journal().Close()
-	m3, _, err := Recover(DurabilityConfig{Dir: dir}, servers, BestFit, 7)
+	m3, _, err := TakeOver(DurabilityConfig{Dir: dir}, nil, servers, BestFit, 7)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -321,7 +322,7 @@ func TestRecoverMidMigration(t *testing.T) {
 	}
 	recover2 := func(t *testing.T, dir string, nodes []*crashableNode) (*Manager, *RecoveryReport) {
 		t.Helper()
-		m2, rep, err := Recover(DurabilityConfig{Dir: dir}, []Node{nodes[0], nodes[1]}, BestFit, 7)
+		m2, rep, err := TakeOver(DurabilityConfig{Dir: dir}, nil, []Node{nodes[0], nodes[1]}, BestFit, 7)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -436,7 +437,7 @@ func TestRecoverReconciliationRepairs(t *testing.T) {
 	for i, n := range nodes {
 		servers[i] = n
 	}
-	m2, rep, err := Recover(DurabilityConfig{Dir: dir}, servers, BestFit, 7)
+	m2, rep, err := TakeOver(DurabilityConfig{Dir: dir}, nil, servers, BestFit, 7)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -489,7 +490,7 @@ func TestRecoverEmptyDirIsFirstBoot(t *testing.T) {
 		t.Fatal(err)
 	}
 	servers := []Node{nodes[0], nodes[1]}
-	m, rep, err := Recover(DurabilityConfig{Dir: dir}, servers, BestFit, 7)
+	m, rep, err := TakeOver(DurabilityConfig{Dir: dir}, nil, servers, BestFit, 7)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -535,7 +536,7 @@ func TestRecoverAfterThousandEventsUnderOneSecond(t *testing.T) {
 		servers[i] = n
 	}
 	start := time.Now()
-	m2, rep, err := Recover(DurabilityConfig{Dir: dir}, servers, BestFit, 7)
+	m2, rep, err := TakeOver(DurabilityConfig{Dir: dir}, nil, servers, BestFit, 7)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -683,7 +684,7 @@ func TestSnapshotCompactionPreservesRecovery(t *testing.T) {
 	for i, n := range nodes {
 		servers[i] = n
 	}
-	m2, rep, err := Recover(DurabilityConfig{Dir: dir, SnapshotEvery: 4}, servers, BestFit, 7)
+	m2, rep, err := TakeOver(DurabilityConfig{Dir: dir, SnapshotEvery: 4}, nil, servers, BestFit, 7)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -693,5 +694,134 @@ func TestSnapshotCompactionPreservesRecovery(t *testing.T) {
 	}
 	if !reflect.DeepEqual(m2.Placements(), want) {
 		t.Errorf("placements after snapshot+tail recovery = %v, want %v", m2.Placements(), want)
+	}
+}
+
+// recordHook calls after each time the wrapped recorder has taken an event.
+type recordHook struct {
+	Recorder
+	after func()
+}
+
+func (r recordHook) Record(e Event) {
+	r.Recorder.Record(e)
+	r.after()
+}
+
+// TestReplayReadersAgree pins the compaction boundary. A seeded run
+// compacts a snapshot every 3 records, and after every record the three
+// journal readers must rebuild the same state: a takeover replaying the
+// reopened journal (snapshot + tail), a standby's first poll
+// (RecordsAfter(0)), and a follower that polls after every append.
+func TestReplayReadersAgree(t *testing.T) {
+	dir := t.TempDir()
+	m, nodes := newCrashableCluster(t, 3, BestFit)
+	j, err := journal.Open(dir, journal.Options{SyncEvery: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer j.Close()
+	m.AttachJournal(j, 3)
+
+	follower := NewWALState()
+	replayed := func(st *WALState, b journal.Batch) *WALState {
+		t.Helper()
+		st, err := replay(st, b)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return st
+	}
+	reopened := func() *WALState {
+		t.Helper()
+		rdir := t.TempDir()
+		entries, err := os.ReadDir(dir)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, e := range entries {
+			raw, err := os.ReadFile(filepath.Join(dir, e.Name()))
+			if err != nil {
+				t.Fatal(err)
+			}
+			if err := os.WriteFile(filepath.Join(rdir, e.Name()), raw, 0o644); err != nil {
+				t.Fatal(err)
+			}
+		}
+		rj, err := journal.Open(rdir, journal.Options{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer rj.Close()
+		js := rj.Stats()
+		return replayed(NewWALState(), journal.Batch{
+			SnapshotSeq: js.SnapshotSeq, Snapshot: rj.SnapshotData(), Records: rj.Tail()})
+	}
+	snapshots := 0
+	m.rec = recordHook{Recorder: m.rec, after: func() {
+		t.Helper()
+		batch, err := j.RecordsAfter(0)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if batch.Snapshot != nil && batch.SnapshotSeq == j.Seq() {
+			snapshots++
+		}
+		standby := replayed(NewWALState(), batch)
+		if batch, err = j.RecordsAfter(follower.AppliedSeq); err != nil {
+			t.Fatal(err)
+		}
+		follower = replayed(follower, batch)
+		takeover := reopened()
+		if takeover.AppliedSeq != j.Seq() {
+			t.Fatalf("seq %d: reopened journal replayed to %d", j.Seq(), takeover.AppliedSeq)
+		}
+		if !reflect.DeepEqual(takeover, standby) || !reflect.DeepEqual(takeover, follower) {
+			t.Fatalf("seq %d: readers disagree:\ntakeover %+v\nstandby  %+v\nfollower %+v",
+				j.Seq(), *takeover, *standby, *follower)
+		}
+	}}
+
+	m.BecomeLeader()
+	rng := rand.New(rand.NewSource(11))
+	var names []string
+	for i := 0; i < 60; i++ {
+		switch op := rng.Intn(6); {
+		case op <= 1 || len(names) == 0:
+			prio := vm.LowPriority
+			if op == 1 {
+				prio = vm.HighPriority
+			}
+			name := fmt.Sprintf("vm-%d", i)
+			if _, _, err := m.Launch(durSpec(name, prio, 0.25)); err == nil {
+				names = append(names, name)
+			}
+		case op == 2:
+			k := rng.Intn(len(names))
+			m.Release(names[k])
+			names = append(names[:k], names[k+1:]...)
+		case op == 3:
+			name := names[rng.Intn(len(names))]
+			if src, ok := m.Placements()[name]; ok {
+				dst := nodes[rng.Intn(len(nodes))].Name()
+				if dst != src {
+					m.Migrate(name, dst)
+				}
+			}
+		case op == 4:
+			huge := durSpec(fmt.Sprintf("huge-%d", i), vm.LowPriority, 1.0)
+			huge.Size = restypes.V(1024, 1<<30, 1, 1)
+			huge.MinSize = huge.Size
+			m.Launch(huge)
+		default:
+			n := nodes[rng.Intn(len(nodes))]
+			n.crash()
+			probeUntilDead(t, m)
+			n.recover()
+			m.ProbeHealth()
+		}
+	}
+	if j.Seq() < 40 || snapshots < 10 {
+		t.Fatalf("run journaled %d records and %d snapshots; the test needs more of both", j.Seq(), snapshots)
 	}
 }

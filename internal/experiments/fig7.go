@@ -4,9 +4,9 @@ import (
 	"context"
 	"time"
 
-	"deflation/internal/metrics"
 	"deflation/internal/spark"
 	"deflation/internal/spark/workloads"
+	"deflation/internal/stats"
 	"deflation/internal/sweep"
 )
 
@@ -61,7 +61,7 @@ func Fig7a() (Fig7aResult, error) {
 // deflation (VM-level, no checkpointing), and preemption (checkpointing
 // always on; workers revoked during pressure).
 type Fig7bResult struct {
-	Baseline, Deflation, Preemption *metrics.TimeSeries
+	Baseline, Deflation, Preemption *stats.TimeSeries
 }
 
 // Table renders all three timelines.
@@ -88,13 +88,13 @@ func Fig7b() (Fig7bResult, error) {
 		deflation     = 0.5
 	)
 
-	record := func(ts *metrics.TimeSeries, run *spark.TrainingRun) error {
+	record := func(ts *stats.TimeSeries, run *spark.TrainingRun) error {
 		return ts.Add(time.Duration(run.ElapsedSecs()*float64(time.Second)), run.Throughput())
 	}
 
-	baselineCell := func(context.Context) (*metrics.TimeSeries, error) {
+	baselineCell := func(context.Context) (*stats.TimeSeries, error) {
 		// Baseline: untouched, no checkpointing.
-		ts := metrics.NewTimeSeries("baseline records/s")
+		ts := stats.NewTimeSeries("baseline records/s")
 		base, err := spark.NewTrainingRun(fig7bJob(false))
 		if err != nil {
 			return ts, err
@@ -110,10 +110,10 @@ func Fig7b() (Fig7bResult, error) {
 		return ts, nil
 	}
 
-	deflationCell := func(context.Context) (*metrics.TimeSeries, error) {
+	deflationCell := func(context.Context) (*stats.TimeSeries, error) {
 		// Deflation: all workers deflated 50% during the pressure window;
 		// the job keeps running throughout.
-		ts := metrics.NewTimeSeries("deflation records/s")
+		ts := stats.NewTimeSeries("deflation records/s")
 		defl, err := spark.NewTrainingRun(fig7bJob(false))
 		if err != nil {
 			return ts, err
@@ -147,11 +147,11 @@ func Fig7b() (Fig7bResult, error) {
 		return ts, nil
 	}
 
-	preemptionCell := func(context.Context) (*metrics.TimeSeries, error) {
+	preemptionCell := func(context.Context) (*stats.TimeSeries, error) {
 		// Preemption: checkpointing always on; half the workers revoked at
 		// the pressure start (throughput gap during restart), revived at
 		// the end.
-		ts := metrics.NewTimeSeries("preemption records/s")
+		ts := stats.NewTimeSeries("preemption records/s")
 		pre, err := spark.NewTrainingRun(fig7bJob(true))
 		if err != nil {
 			return ts, err
@@ -188,7 +188,7 @@ func Fig7b() (Fig7bResult, error) {
 		return ts, nil
 	}
 
-	timelines, err := runCells("fig7b", []sweep.Cell[*metrics.TimeSeries]{
+	timelines, err := runCells("fig7b", []sweep.Cell[*stats.TimeSeries]{
 		{Run: baselineCell}, {Run: deflationCell}, {Run: preemptionCell},
 	})
 	res := Fig7bResult{}

@@ -10,9 +10,9 @@ import (
 	"deflation/internal/cluster"
 	"deflation/internal/guestos"
 	"deflation/internal/hypervisor"
-	"deflation/internal/metrics"
 	"deflation/internal/restypes"
 	"deflation/internal/spark"
+	"deflation/internal/stats"
 	"deflation/internal/sweep"
 	"deflation/internal/trace"
 	"deflation/internal/vm"
@@ -24,7 +24,7 @@ import (
 // throughput is normalized to its own full-resource level; the total peaks
 // near 1.8×.
 type Fig8aResult struct {
-	Spark, Memcached, Total *metrics.TimeSeries
+	Spark, Memcached, Total *stats.TimeSeries
 }
 
 // Table renders the three timelines.
@@ -35,9 +35,9 @@ func (r Fig8aResult) Table() string {
 // Fig8a runs the co-location timeline.
 func Fig8a() (Fig8aResult, error) {
 	res := Fig8aResult{
-		Spark:     metrics.NewTimeSeries("spark (normalized)"),
-		Memcached: metrics.NewTimeSeries("memcached (normalized)"),
-		Total:     metrics.NewTimeSeries("total cluster throughput"),
+		Spark:     stats.NewTimeSeries("spark (normalized)"),
+		Memcached: stats.NewTimeSeries("memcached (normalized)"),
+		Total:     stats.NewTimeSeries("total cluster throughput"),
 	}
 	host, err := hypervisor.NewHost(hypervisor.Config{
 		Name:     "fig8a",

@@ -71,8 +71,8 @@ type Federation struct {
 }
 
 // NewFederation boots every shard: listeners first (the shard map needs
-// the URLs), then per-shard recovery (first boot recovers an empty
-// journal), fence-bump, and router mount. Each shard starts fenced at
+// the URLs), then a per-shard TakeOver of its journal (a first boot
+// replays an empty one) and router mount. Each shard starts fenced at
 // epoch ≥ 1 so every command it ever issues is refusable.
 func NewFederation(cfg FederationConfig) (*Federation, error) {
 	if len(cfg.Shards) == 0 {
@@ -115,20 +115,30 @@ func NewFederation(cfg FederationConfig) (*Federation, error) {
 	return fed, nil
 }
 
-// bootShard recovers one shard's manager from its journal directory and
-// starts serving its router.
-func (fed *Federation) bootShard(id string, ln net.Listener, initial Map) (*ManagerShard, error) {
-	mgr, rep, err := cluster.AdoptJournal(fed.shardDurability(id, id), nil, fed.cfg.Policy, fed.cfg.Seed)
+// takeOver has manager `operator` take over shard `dir` from its journal
+// (a first boot replays an empty one) and wraps the result in an API.
+func (fed *Federation) takeOver(dir, operator string) (*cluster.Manager, *cluster.ManagerAPI, *cluster.RecoveryReport, error) {
+	mgr, rep, err := cluster.TakeOver(fed.shardDurability(dir, operator), nil, nil, fed.cfg.Policy, fed.cfg.Seed)
 	if err != nil {
-		return nil, fmt.Errorf("shard: recovering %s: %w", id, err)
+		return nil, nil, nil, err
 	}
 	api, err := cluster.NewManagerAPI(mgr)
 	if err != nil {
-		return nil, err
+		return nil, nil, nil, err
 	}
 	api.SetRecovery(rep)
 	if fed.cfg.DialNode != nil {
 		api.SetNodeDialer(fed.cfg.DialNode)
+	}
+	return mgr, api, rep, nil
+}
+
+// bootShard recovers one shard's manager from its journal directory and
+// starts serving its router.
+func (fed *Federation) bootShard(id string, ln net.Listener, initial Map) (*ManagerShard, error) {
+	mgr, api, _, err := fed.takeOver(id, id)
+	if err != nil {
+		return nil, fmt.Errorf("shard: recovering %s: %w", id, err)
 	}
 	if fed.cfg.Telemetry != nil {
 		mgr.SetTelemetry(fed.cfg.Telemetry)
@@ -226,11 +236,11 @@ func (fed *Federation) Kill(id string) error {
 }
 
 // Adopt has `adopter` (or, when adopter is "", the deterministic
-// adopter-elect) take over dead's shard: replay its journal (re-dialing
-// its registered agents), bump the fencing epoch past the cluster-wide
-// maximum, anti-entropy reconcile, mount the rebuilt shard on the
-// adopter's router, and gossip the bumped shard map. Returns the
-// adopter's ID and the recovery report.
+// adopter-elect) take over dead's shard: TakeOver replays its journal
+// (re-dialing its registered agents), bumps the fencing epoch past the
+// cluster-wide maximum, fences and reconciles; Adopt then mounts the
+// rebuilt shard on the adopter's router and gossips the bumped shard map.
+// Returns the adopter's ID and the recovery report.
 func (fed *Federation) Adopt(ctx context.Context, dead, adopter string) (string, *cluster.RecoveryReport, error) {
 	fed.mu.Lock()
 	deadShard := fed.shards[dead]
@@ -254,17 +264,9 @@ func (fed *Federation) Adopt(ctx context.Context, dead, adopter string) (string,
 		return "", nil, fmt.Errorf("shard: no live adopter for %s (elect %q)", dead, adopter)
 	}
 
-	mgr, rep, err := cluster.AdoptJournal(fed.shardDurability(dead, adopter), nil, fed.cfg.Policy, fed.cfg.Seed)
+	_, api, rep, err := fed.takeOver(dead, adopter)
 	if err != nil {
 		return "", nil, fmt.Errorf("shard: adopting %s into %s: %w", dead, adopter, err)
-	}
-	api, err := cluster.NewManagerAPI(mgr)
-	if err != nil {
-		return "", nil, err
-	}
-	api.SetRecovery(rep)
-	if fed.cfg.DialNode != nil {
-		api.SetNodeDialer(fed.cfg.DialNode)
 	}
 	a.Router.Mount(dead, api.Handler())
 	a.Router.Store().Adopt(dead, adopter)

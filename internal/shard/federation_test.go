@@ -382,13 +382,13 @@ func TestSingleShardFederationMatchesStandalone(t *testing.T) {
 	fedState := runOps(fed.URLs()[0], lf)
 
 	// Standalone durable manager with the same op sequence.
-	mgr, rep, err := cluster.AdoptJournal(cluster.DurabilityConfig{
+	mgr, rep, err := cluster.TakeOver(cluster.DurabilityConfig{
 		Dir:      t.TempDir(),
 		LeaderID: "standalone",
 		DialNode: func(name, url string) (cluster.Node, error) {
 			return cluster.NewRemoteNodeNamed(name, url, cluster.RetryPolicy{}), nil
 		},
-	}, nil, cluster.BestFit, 7)
+	}, nil, nil, cluster.BestFit, 7)
 	if err != nil {
 		t.Fatal(err)
 	}

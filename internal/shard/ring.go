@@ -1,7 +1,7 @@
 // Package shard federates the deflation control plane across N manager
 // shards. A consistent-hash ring (virtual nodes over FNV-64a) assigns
 // every node agent — and every VM command, keyed by VM name — to exactly
-// one shard; each shard runs the existing WAL/fencing/Recover machinery
+// one shard; each shard runs the existing WAL/fencing/TakeOver machinery
 // (internal/cluster) on its own journal under a shared state root, so a
 // peer manager can adopt a dead shard by replaying its journal,
 // fence-bumping past the cluster-wide epoch maximum, and anti-entropy

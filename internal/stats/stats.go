@@ -1,10 +1,11 @@
 // Package stats is the repository's shared statistics toolkit: the
 // clamped sorted-sample quantile the cluster simulator reports (hardened
 // against out-of-range q by the PR-5 fuzzing), the exponential bucket
-// constructor used for telemetry latency histograms, and a streaming
+// constructor used for telemetry latency histograms, a streaming
 // fixed-bucket histogram (Stream) that tracks quantiles over millions of
 // weighted observations without retaining samples — the backbone of the
-// interactive subsystem's per-request latency tracking.
+// interactive subsystem's per-request latency tracking — and the
+// throughput time series the timeline figures (Figs. 7b, 8a) print.
 package stats
 
 import (

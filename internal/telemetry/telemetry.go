@@ -4,7 +4,7 @@
 // a structured tracer that records every cascade deflation decision into a
 // bounded ring buffer (tracer.go).
 //
-// The offline statistics package internal/metrics computes experiment
+// The offline statistics package internal/stats computes experiment
 // results after a run; this package answers the operational question "what
 // is this daemon doing right now". Every metric is safe for concurrent
 // scrape-while-update: counters, gauges, and histogram buckets are plain

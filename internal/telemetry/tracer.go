@@ -11,7 +11,7 @@ import (
 // which VM was targeted, what each level contributed, how deep the cascade
 // had to go, and how injected faults or deadlines shaped the outcome. This
 // is the per-decision audit record Fig. 3 implies: the runtime equivalent of
-// the offline experiment statistics in internal/metrics.
+// the offline experiment statistics in internal/stats.
 type CascadeEvent struct {
 	// Seq is a monotonically increasing sequence number (1-based); gaps in a
 	// scraped window mean the ring buffer wrapped.
