@@ -1,13 +1,11 @@
-// Benchmark harness: one benchmark per table and figure of the paper's
+// Benchmark harness: one sub-benchmark per table and figure of the paper's
 // evaluation (§6), plus the ablation benchmarks DESIGN.md calls out and
-// micro-benchmarks of the core mechanisms. Key reproduced quantities are
-// published through b.ReportMetric so `go test -bench` output records the
-// paper-facing numbers alongside wall-clock costs.
+// micro-benchmarks of the core mechanisms. The ablations publish their
+// measured quantities through b.ReportMetric.
 package deflation_test
 
 import (
 	"fmt"
-	"runtime"
 	"testing"
 	"time"
 
@@ -29,306 +27,17 @@ import (
 
 // --- Figure benchmarks -------------------------------------------------
 
-func BenchmarkFig1(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		r, err := experiments.Fig1()
-		if err != nil {
-			b.Fatal(err)
-		}
-		if i == 0 {
-			v, _ := r.SeriesValue("Memcached", 50)
-			b.ReportMetric(v, "memcached@50%")
-			v, _ = r.SeriesValue("Kcompile", 50)
-			b.ReportMetric(v, "kcompile@50%")
-		}
-	}
-}
-
-func BenchmarkFig5a(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		r, err := experiments.Fig5a()
-		if err != nil {
-			b.Fatal(err)
-		}
-		if i == 0 {
-			b.ReportMetric(r.Series[0].Values[5], "hyp-only@50%")
-			b.ReportMetric(r.Series[2].Values[5], "hyp+os@50%")
-		}
-	}
-}
-
-func BenchmarkFig5b(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		r, err := experiments.Fig5b()
-		if err != nil {
-			b.Fatal(err)
-		}
-		if i == 0 {
-			n := len(r.DeflationPct) - 1
-			b.ReportMetric(r.Series[0].Values[n], "hyp-only@80%")
-			b.ReportMetric(r.Series[1].Values[n], "os-only@80%")
-		}
-	}
-}
-
-func BenchmarkFig5c(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		r, err := experiments.Fig5c()
-		if err != nil {
-			b.Fatal(err)
-		}
-		if i == 0 {
-			n := len(r.DeflationPct) - 1
-			b.ReportMetric(r.Series[1].Values[n]/r.Series[0].Values[n], "aware/unmod@60%")
-		}
-	}
-}
-
-func BenchmarkFig5d(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		r, err := experiments.Fig5d()
-		if err != nil {
-			b.Fatal(err)
-		}
-		if i == 0 {
-			n := len(r.DeflationPct) - 1
-			b.ReportMetric(r.Series[0].Values[n], "unmod-rt-us@60%")
-			b.ReportMetric(r.Series[1].Values[n], "aware-rt-us@60%")
-		}
-	}
-}
-
-func benchFig6(b *testing.B, w experiments.Fig6Workload) {
-	for i := 0; i < b.N; i++ {
-		r, err := experiments.Fig6(w)
-		if err != nil {
-			b.Fatal(err)
-		}
-		if i == 0 {
-			vm50, _ := r.Value(spark.PressureVMLevel, 0.5)
-			pre50, _ := r.Value(spark.PressurePreempt, 0.5)
-			b.ReportMetric(vm50, "vm-norm@0.5")
-			b.ReportMetric(pre50, "preempt-norm@0.5")
-		}
-	}
-}
-
-func BenchmarkFig6ALS(b *testing.B)    { benchFig6(b, experiments.WorkloadALS) }
-func BenchmarkFig6KMeans(b *testing.B) { benchFig6(b, experiments.WorkloadKMeans) }
-func BenchmarkFig6CNN(b *testing.B)    { benchFig6(b, experiments.WorkloadCNN) }
-func BenchmarkFig6RNN(b *testing.B)    { benchFig6(b, experiments.WorkloadRNN) }
-
-func BenchmarkFig7a(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		r, err := experiments.Fig7a()
-		if err != nil {
-			b.Fatal(err)
-		}
-		if i == 0 {
-			b.ReportMetric(r.Series[0].Values[0], "self-norm@20%")
-			b.ReportMetric(r.Series[1].Values[0], "vm-norm@20%")
-		}
-	}
-}
-
-func BenchmarkFig7b(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		r, err := experiments.Fig7b()
-		if err != nil {
-			b.Fatal(err)
-		}
-		if i == 0 {
-			b.ReportMetric(r.Deflation.Mean(), "deflation-mean-rec/s")
-			b.ReportMetric(r.Preemption.Mean(), "preempt-mean-rec/s")
-		}
-	}
-}
-
-func BenchmarkFig8a(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		r, err := experiments.Fig8a()
-		if err != nil {
-			b.Fatal(err)
-		}
-		if i == 0 {
-			b.ReportMetric(r.Total.Max(), "peak-cluster-throughput")
-		}
-	}
-}
-
-func BenchmarkFig8b(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		r, err := experiments.Fig8b()
-		if err != nil {
-			b.Fatal(err)
-		}
-		if i == 0 {
-			n := len(r.DeflationPct) - 1
-			b.ReportMetric(r.Series[0].Values[n], "hyp-only-secs@55%")
-			b.ReportMetric(r.Series[2].Values[n], "cascade-secs@55%")
-		}
-	}
-}
-
-func BenchmarkFig8c(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		r, err := experiments.Fig8c(experiments.QuickFig8cConfig())
-		if err != nil {
-			b.Fatal(err)
-		}
-		if i == 0 {
-			b.ReportMetric(r.Deflation.Values[0], "deflation-p@50%oc")
-			b.ReportMetric(r.PreemptOnly.Values[0], "preempt-p@50%oc")
-		}
-	}
-}
-
-func BenchmarkFig8d(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		r, err := experiments.Fig8d(true, 0)
-		if err != nil {
-			b.Fatal(err)
-		}
-		if i == 0 {
-			b.ReportMetric(r.Mean[0], "bestfit-mean-oc")
-			b.ReportMetric(r.Mean[1], "firstfit-mean-oc")
-		}
-	}
-}
-
-func BenchmarkFigMigration(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		r, err := experiments.FigMigration(experiments.QuickFigMigrationConfig())
-		if err != nil {
-			b.Fatal(err)
-		}
-		if i == 0 {
-			// Policy order: preempt-only, migration-only, deflation, deflate+migrate.
-			b.ReportMetric(r.Preemption[1].Values[0], "mig-only-p@50%oc")
-			b.ReportMetric(r.Preemption[3].Values[0], "dtm-p@50%oc")
-			b.ReportMetric(r.MovedGB[1].Values[0], "mig-only-gb@50%oc")
-			b.ReportMetric(r.MovedGB[3].Values[0], "dtm-gb@50%oc")
-		}
-	}
-}
-
-// BenchmarkFigSLO runs the quick interactive SLO-deflation sweep and
-// reports cost per modeled request — the analytic PS model spreads each
-// tick's arrivals into a fixed histogram, so millions of requests cost a
-// handful of allocations.
-func BenchmarkFigSLO(b *testing.B) {
-	cfg := experiments.QuickFigSLOConfig()
-	var requests float64
-	var before, after runtime.MemStats
-	runtime.GC()
-	runtime.ReadMemStats(&before)
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		r, err := experiments.FigSLO(cfg)
-		if err != nil {
-			b.Fatal(err)
-		}
-		requests = r.TotalRequests()
-		if i == 0 {
-			p := r.Panels[0]
-			b.ReportMetric(p.SLO.Values[2], "slo-p99@50%defl")
-			b.ReportMetric(p.Utility.Values[2], "util-p99@50%defl")
-			b.ReportMetric(p.SLOFrontierPct, "slo-frontier%")
-			b.ReportMetric(p.UtilityFrontierPct, "util-frontier%")
-		}
-	}
-	b.StopTimer()
-	runtime.ReadMemStats(&after)
-	total := requests * float64(b.N)
-	if total > 0 {
-		b.ReportMetric(float64(b.Elapsed().Nanoseconds())/total, "ns/request")
-		b.ReportMetric(float64(after.Mallocs-before.Mallocs)/total, "allocs/request")
-	}
-}
-
-// BenchmarkFigMixed runs the quick multi-substrate sweep and reports the
-// headline asymmetries: the container fleet's deeper violation-free
-// frontier and the aggressive panel's container-only OOM kills.
-func BenchmarkFigMixed(b *testing.B) {
-	cfg := experiments.QuickFigMixedConfig()
-	for i := 0; i < b.N; i++ {
-		r, err := experiments.FigMixed(cfg)
-		if err != nil {
-			b.Fatal(err)
-		}
-		if i == 0 {
-			p := r.Panels[0]
-			b.ReportMetric(p.VMFrontierPct, "vm-frontier%")
-			b.ReportMetric(p.ContainerFrontierPct, "ctr-frontier%")
-			for _, a := range r.Aggressive {
-				if a.Fleet == "container" {
-					b.ReportMetric(float64(a.Cell.OOMKills), "ctr-oom-kills")
-					b.ReportMetric(a.Cell.MeanResizeMS, "ctr-resize-ms")
-				}
-				if a.Fleet == "vm" {
-					b.ReportMetric(a.Cell.MeanResizeMS, "vm-resize-ms")
+// BenchmarkFigures regenerates every registered figure at quick settings,
+// one sub-benchmark per figure.
+func BenchmarkFigures(b *testing.B) {
+	for _, f := range experiments.Figures() {
+		b.Run(f.Name, func(b *testing.B) {
+			for i := 0; i < b.N; i++ {
+				if _, err := f.Run(experiments.Options{Quick: true}); err != nil {
+					b.Fatal(err)
 				}
 			}
-		}
-	}
-}
-
-// --- Table benchmarks ---------------------------------------------------
-
-// BenchmarkTable1Mechanisms exercises each application-level reclamation
-// mechanism of Table 1 once per iteration: memcached LRU resize, JVM heap
-// shrink, and Spark task termination (executor blacklisting).
-func BenchmarkTable1Mechanisms(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		mc, err := memcache.NewApp(memcache.AppConfig{CacheMB: 2000, DatasetMB: 2400, DeflationAware: true})
-		if err != nil {
-			b.Fatal(err)
-		}
-		mc.SelfDeflate(restypes.V(0, 15000, 0, 0))
-
-		cl, err := spark.NewCluster(4, 2, 1024)
-		if err != nil {
-			b.Fatal(err)
-		}
-		job, err := workloads.KMeans(workloads.Params{Workers: 4, Slots: 2, Partitions: 16, Iterations: 2})
-		if err != nil {
-			b.Fatal(err)
-		}
-		if _, err := spark.RunBatchScenario(cl, job, &spark.PressureSpec{
-			AtProgress: 0.4, Deflation: []float64{0.5, 0.5, 0.5, 0.5}, Mechanism: spark.PressureSelf,
-		}); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
-// BenchmarkTable2Workloads runs a small instance of each Table 2 workload
-// class end to end.
-func BenchmarkTable2Workloads(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		for _, build := range []func(workloads.Params) (*spark.BatchJob, error){workloads.ALS, workloads.KMeans} {
-			p := workloads.Params{Workers: 4, Slots: 2, Partitions: 16, Iterations: 2}
-			cl, err := p.Cluster()
-			if err != nil {
-				b.Fatal(err)
-			}
-			job, err := build(p)
-			if err != nil {
-				b.Fatal(err)
-			}
-			if _, err := spark.RunBatchScenario(cl, job, nil); err != nil {
-				b.Fatal(err)
-			}
-		}
-		run, err := spark.NewTrainingRun(&spark.TrainingJob{
-			Name: "cnn", Iterations: 10, IterSecs: 30, Workers: 4, RecordsPerIter: 720,
 		})
-		if err != nil {
-			b.Fatal(err)
-		}
-		if _, err := run.Run(nil); err != nil {
-			b.Fatal(err)
-		}
 	}
 }
 

@@ -7,35 +7,28 @@
 //	deflbench -fig 1                # Figure 1
 //	deflbench -fig 6 -quick         # Figure 6 panels, reduced sweep sizes
 //	deflbench -fig fig8 -parallel 8 # Figure 8 panels, 8 sweep workers
-//	deflbench -fig 8c -parallel 1   # exact legacy serial path
+//	deflbench -fig 8c -parallel 1   # serial path, same output
 //
-// Figures: 1, 5a, 5b, 5c, 5d, 6, 7a, 7b, 8a, 8b, 8c, 8d, plus the chaos
-// fault-injection sweep (-fig chaos), the migration-vs-deflation policy
-// sweep (-fig migration), the manager-HA failover sweep (-fig failover),
-// the interactive SLO-deflation sweep (-fig slo): open-loop arrivals
-// against a replicated web service, comparing the p99-targeting deflation
-// policy with the utility-curve cascade across arrival rate × replica
-// count × deflation fraction, and the multi-substrate sweep (-fig mixed):
-// VM-only vs container-only vs alternating fleets across deflation
-// fraction × workload mix, reporting reclamation depth, resize latency,
-// p99, and OOM-kill counts. The scale sweep (-fig 8c-xl) extends Figure 8c
-// along the fleet-size axis — 100/1k/10k nodes at constant per-server load,
-// 1M arrivals in the 10k cell — and is excluded from "all" because of its
-// size (-quick trims it to 100/1k nodes). Group aliases run whole panels:
-// 5 (5a–5d), 7 (7a, 7b), 8 (8a–8d); a "fig" prefix is accepted everywhere
-// (fig8c ≡ 8c).
+// -fig takes a figure name, a group (5, 7 or 8: that figure's panels), or
+// "all"; a "fig" prefix is accepted everywhere (fig8c ≡ 8c). The names
+// come from the experiments registry: table1, table2, 1, 5a–5d, 6, 7a,
+// 7b, 8a–8d, the fleet-size scale sweep 8c-xl, and the revenue, chaos,
+// migration, failover, slo and mixed sweeps. "all" runs every figure but
+// 8c-xl, whose full form takes 1M arrivals on 10k nodes (-quick trims it
+// to 100/1k nodes).
 //
-// Every figure sweep fans its independent simulation cells out across
-// -parallel workers (default GOMAXPROCS) with a deterministic merge, so
-// output is bit-for-bit identical at any parallelism; -parallel 1 runs the
-// legacy serial path. -memoize reuses results of identical simulation
-// cells across sweeps (e.g. the chaos zero-fault row is exactly a Fig. 8c
-// cell); it never changes results, only wall-clock time.
+// Every figure fans its independent cells out across -parallel workers
+// (default GOMAXPROCS) with a deterministic merge, and identical
+// simulation cells run once across figures (the chaos zero-fault row is
+// exactly a Fig. 8c cell), so output is bit-for-bit identical at any
+// parallelism.
 package main
 
 import (
+	"errors"
 	"flag"
 	"fmt"
+	"io"
 	"os"
 	"runtime"
 	"strings"
@@ -46,78 +39,66 @@ import (
 )
 
 func main() {
-	fig := flag.String("fig", "all", "figure/table to regenerate (table1, table2, 1, 5a..5d, 6, 7a, 7b, 8a..8d, 8c-xl, revenue, chaos, migration, failover, slo, mixed, group aliases 5/7/8, all)")
-	quick := flag.Bool("quick", false, "smaller sweeps for the cluster simulations")
-	parallel := flag.Int("parallel", runtime.GOMAXPROCS(0), "sweep workers; 1 = exact legacy serial path, N>1 fans cells out over N goroutines")
-	memoize := flag.Bool("memoize", true, "reuse results of identical simulation cells across sweeps (never changes output)")
-	progress := flag.Bool("progress", true, "live sweep progress on stderr")
-	flag.Parse()
-
-	experiments.SetParallelism(*parallel)
-	experiments.SetMemoization(*memoize)
-	if *progress {
-		experiments.SetSweepProgress(printProgress)
+	err := run(os.Args[1:], os.Stdout, os.Stderr)
+	if errors.Is(err, flag.ErrHelp) {
+		return
 	}
-
-	runs := map[string]func(bool) (fmt.Stringer, error){
-		"table1":    func(bool) (fmt.Stringer, error) { return wrap(experiments.Table1()) },
-		"table2":    func(bool) (fmt.Stringer, error) { return wrap(experiments.Table2()) },
-		"1":         func(bool) (fmt.Stringer, error) { return wrap(experiments.Fig1()) },
-		"5a":        func(bool) (fmt.Stringer, error) { return wrap(experiments.Fig5a()) },
-		"5b":        func(bool) (fmt.Stringer, error) { return wrap(experiments.Fig5b()) },
-		"5c":        func(bool) (fmt.Stringer, error) { return wrap(experiments.Fig5c()) },
-		"5d":        func(bool) (fmt.Stringer, error) { return wrap(experiments.Fig5d()) },
-		"6":         runFig6,
-		"7a":        func(bool) (fmt.Stringer, error) { return wrap(experiments.Fig7a()) },
-		"7b":        func(bool) (fmt.Stringer, error) { return wrap(experiments.Fig7b()) },
-		"8a":        func(bool) (fmt.Stringer, error) { return wrap(experiments.Fig8a()) },
-		"8b":        func(bool) (fmt.Stringer, error) { return wrap(experiments.Fig8b()) },
-		"8c":        runFig8c,
-		"8c-xl":     runFig8cXL,
-		"8d":        runFig8d,
-		"revenue":   func(quick bool) (fmt.Stringer, error) { return wrap(experiments.Revenue(quick)) },
-		"chaos":     runChaos,
-		"migration": runMigration,
-		"failover":  runFailover,
-		"slo":       runFigSLO,
-		"mixed":     runFigMixed,
-	}
-
-	order := []string{"table1", "table2", "1", "5a", "5b", "5c", "5d", "6", "7a", "7b", "8a", "8b", "8c", "8d", "revenue", "chaos", "migration", "failover", "slo", "mixed"}
-	groups := map[string][]string{
-		"5": {"5a", "5b", "5c", "5d"},
-		"7": {"7a", "7b"},
-		"8": {"8a", "8b", "8c", "8d"},
-	}
-
-	selected := order
-	if *fig != "all" {
-		name := strings.TrimPrefix(strings.ToLower(*fig), "fig")
-		if g, ok := groups[name]; ok {
-			selected = g
-		} else if _, ok := runs[name]; ok {
-			selected = []string{name}
-		} else {
-			fmt.Fprintf(os.Stderr, "deflbench: unknown figure %q\n", *fig)
-			os.Exit(2)
-		}
-	}
-
-	for _, f := range selected {
-		start := time.Now()
-		out, err := runs[f](*quick)
-		if err != nil {
-			fmt.Fprintf(os.Stderr, "deflbench: figure %s: %v\n", f, err)
-			os.Exit(1)
-		}
-		fmt.Println(out.String())
-		fmt.Printf("(figure %s regenerated in %v)\n\n", f, time.Since(start).Round(time.Millisecond))
+	if err != nil {
+		fmt.Fprintln(os.Stderr, "deflbench:", err)
+		os.Exit(1)
 	}
 }
 
-// printProgress renders one sweep's live state on stderr, overwriting the
-// line until the sweep completes.
-func printProgress(p sweep.Progress) {
+func run(args []string, stdout, stderr io.Writer) error {
+	fs := flag.NewFlagSet("deflbench", flag.ContinueOnError)
+	fs.SetOutput(stderr)
+	fig := fs.String("fig", "all", "figure to regenerate: a name, a group (5, 7, 8), or all")
+	quick := fs.Bool("quick", false, "smaller sweeps for the cluster simulations")
+	parallel := fs.Int("parallel", runtime.GOMAXPROCS(0), "sweep workers; 1 runs every cell serially, N>1 fans cells out over N goroutines")
+	progress := fs.Bool("progress", true, "live sweep progress on stderr")
+	if err := fs.Parse(args); err != nil {
+		return err
+	}
+	selected, err := pick(*fig)
+	if err != nil {
+		return err
+	}
+	opts := experiments.Options{Quick: *quick, Workers: *parallel, Cache: sweep.NewCache()}
+	if *progress {
+		opts.Progress = func(p sweep.Progress) { printProgress(stderr, p) }
+	}
+	for _, f := range selected {
+		start := time.Now()
+		res, err := f.Run(opts)
+		if err != nil {
+			return fmt.Errorf("figure %s: %w", f.Name, err)
+		}
+		fmt.Fprintln(stdout, res.Table())
+		fmt.Fprintf(stdout, "(figure %s regenerated in %v)\n\n", f.Name, time.Since(start).Round(time.Millisecond))
+	}
+	return nil
+}
+
+// pick resolves -fig to registered figures, in registry order.
+func pick(fig string) ([]experiments.Figure, error) {
+	name := strings.TrimPrefix(strings.ToLower(fig), "fig")
+	var selected []experiments.Figure
+	var names []string
+	for _, f := range experiments.Figures() {
+		names = append(names, f.Name)
+		if name == f.Name || f.Group != "" && name == f.Group || name == "all" && f.InAll {
+			selected = append(selected, f)
+		}
+	}
+	if len(selected) == 0 {
+		return nil, fmt.Errorf("unknown figure %q (want all, 5, 7, 8 or one of %s)", fig, strings.Join(names, ", "))
+	}
+	return selected, nil
+}
+
+// printProgress renders one sweep's live state on w, overwriting the line
+// until the sweep completes.
+func printProgress(w io.Writer, p sweep.Progress) {
 	var b strings.Builder
 	fmt.Fprintf(&b, "\r%-12s %3d/%3d cells", p.Label, p.Done, p.Total)
 	if p.CacheHits > 0 {
@@ -133,89 +114,5 @@ func printProgress(p sweep.Progress) {
 		fmt.Fprintf(&b, "  done in %v", p.Elapsed.Round(time.Millisecond))
 		b.WriteByte('\n')
 	}
-	fmt.Fprint(os.Stderr, b.String())
-}
-
-// tabler adapts the experiment results' Table() to fmt.Stringer.
-type tabler struct{ table string }
-
-func (t tabler) String() string { return t.table }
-
-func wrap[T interface{ Table() string }](r T, err error) (fmt.Stringer, error) {
-	if err != nil {
-		return nil, err
-	}
-	return tabler{r.Table()}, nil
-}
-
-func runFig6(bool) (fmt.Stringer, error) {
-	out := ""
-	for _, w := range experiments.Fig6Workloads() {
-		r, err := experiments.Fig6(w)
-		if err != nil {
-			return nil, err
-		}
-		out += r.Table() + "\n"
-	}
-	return tabler{out}, nil
-}
-
-func runFig8c(quick bool) (fmt.Stringer, error) {
-	cfg := experiments.Fig8cConfig{}
-	if quick {
-		cfg = experiments.QuickFig8cConfig()
-	}
-	return wrap(experiments.Fig8c(cfg))
-}
-
-func runFig8cXL(quick bool) (fmt.Stringer, error) {
-	cfg := experiments.Fig8cXLConfig{}
-	if quick {
-		cfg = experiments.QuickFig8cXLConfig()
-	}
-	return wrap(experiments.Fig8cXL(cfg))
-}
-
-func runFig8d(quick bool) (fmt.Stringer, error) {
-	return wrap(experiments.Fig8d(quick, 0))
-}
-
-func runChaos(quick bool) (fmt.Stringer, error) {
-	cfg := experiments.ChaosConfig{}
-	if quick {
-		cfg = experiments.QuickChaosConfig()
-	}
-	return wrap(experiments.Chaos(cfg))
-}
-
-func runMigration(quick bool) (fmt.Stringer, error) {
-	cfg := experiments.FigMigrationConfig{}
-	if quick {
-		cfg = experiments.QuickFigMigrationConfig()
-	}
-	return wrap(experiments.FigMigration(cfg))
-}
-
-func runFailover(quick bool) (fmt.Stringer, error) {
-	cfg := experiments.FailoverConfig{}
-	if quick {
-		cfg = experiments.QuickFailoverConfig()
-	}
-	return wrap(experiments.Failover(cfg))
-}
-
-func runFigSLO(quick bool) (fmt.Stringer, error) {
-	cfg := experiments.FigSLOConfig{}
-	if quick {
-		cfg = experiments.QuickFigSLOConfig()
-	}
-	return wrap(experiments.FigSLO(cfg))
-}
-
-func runFigMixed(quick bool) (fmt.Stringer, error) {
-	cfg := experiments.FigMixedConfig{}
-	if quick {
-		cfg = experiments.QuickFigMixedConfig()
-	}
-	return wrap(experiments.FigMixed(cfg))
+	fmt.Fprint(w, b.String())
 }

@@ -6,162 +6,48 @@ import (
 
 	"deflation/internal/cluster"
 	"deflation/internal/faults"
-	"deflation/internal/sweep"
-	"deflation/internal/trace"
 )
 
-// ChaosConfig sizes the chaos experiment: the Fig. 8c trace-driven cluster
-// simulation swept over node-failure rate × overcommitment, under deflation
-// mode with the fault-tolerant control plane (heartbeat failure detection,
-// eviction and re-placement). The zero value is the full experiment.
-type ChaosConfig struct {
-	// FaultRates are the x-axis cells in crashes per node per day
-	// (CrashMTBF = 24h / rate; 0 disables injection entirely, so that row
-	// is exactly the Fig. 8c deflation baseline).
-	FaultRates []float64
-	// Overcommits are the target overcommitment ratios swept per rate
-	// (default 1.1–1.9).
-	Overcommits []float64
-	// CascadeFaultProb is the probability, applied whenever the fault rate
-	// is nonzero, of each cascade-level fault: agent failure, agent hang,
-	// and partial hot-unplug failure (default 0.02).
-	CascadeFaultProb float64
-	// RecoveryTime is how long a crashed node stays down (default 5m).
-	RecoveryTime time.Duration
-	// ManagerMTBF is the mean time between manager crash-restart cycles,
-	// applied whenever the node-fault rate is nonzero: each crash loses the
-	// manager's memory and recovers it from the write-ahead journal
-	// mid-simulation (default 1h; zero-rate rows never crash the manager,
-	// keeping the baseline cell exact).
-	ManagerMTBF time.Duration
-	// TraceCount, MeanInterarrival, LifetimeMedian, and Servers mirror
-	// Fig8cConfig (defaults 4000, 2s, 1h, 100).
-	TraceCount       int
-	MeanInterarrival time.Duration
-	LifetimeMedian   time.Duration
-	Servers          int
-	Seed             int64
-}
-
-// QuickChaosConfig returns a reduced sweep that still crashes nodes often
-// enough to exercise detection and re-placement.
-func QuickChaosConfig() ChaosConfig {
-	return ChaosConfig{
-		FaultRates:       []float64{0, 8, 32},
-		Overcommits:      []float64{1.5, 1.8},
-		RecoveryTime:     2 * time.Minute,
-		ManagerMTBF:      30 * time.Minute,
-		TraceCount:       2500,
-		MeanInterarrival: 2 * time.Second,
-		LifetimeMedian:   10 * time.Minute,
-		Servers:          25,
+// chaos sweeps the Fig. 8c trace-driven deflation cluster over node-failure
+// rate × overcommitment with the fault-tolerant control plane (heartbeat
+// failure detection, eviction and re-placement). It reports preemption
+// probability (Fig. 8c's metric extended to failures), cluster goodput and
+// the crashes injected, one series per fault rate.
+//
+// A nonzero rate crashes each node rate times a day on average, keeps it
+// down for the recovery time, crash-restarts the manager from its
+// write-ahead journal every manager MTBF, and fails each cascade level
+// (agent failure, agent hang, partial hot-unplug) with probability 0.02.
+// The zero-rate row injects nothing, so it is exactly the Fig. 8c
+// deflation baseline.
+func chaos(o Options) (Result, error) {
+	rates, recovery, mgrMTBF := []float64{0, 1, 4, 16}, time.Duration(0), time.Hour
+	if o.Quick {
+		rates, recovery, mgrMTBF = []float64{0, 8, 32}, 2*time.Minute, 30*time.Minute
 	}
-}
-
-// ChaosResult reports the sweep: preemption probability (capacity plus
-// failure-induced, Fig. 8c's metric extended to failures) and cluster
-// goodput, one series per fault rate across overcommitment levels.
-type ChaosResult struct {
-	OvercommitPct []float64
-	Preemption    []series
-	Goodput       []series
-	Crashes       []series
-}
-
-// Table renders the sweep.
-func (r ChaosResult) Table() string {
-	return renderTable("Chaos: preemption probability vs overcommitment by node-failure rate",
-		"overcommit%", r.OvercommitPct, r.Preemption) +
-		renderTable("Chaos: cluster goodput (aggregate normalized throughput)",
-			"overcommit%", r.OvercommitPct, r.Goodput) +
-		renderTable("Chaos: node crashes injected",
-			"overcommit%", r.OvercommitPct, r.Crashes)
-}
-
-// chaosFaults builds the injection config for one fault-rate cell. Rate 0
-// returns the zero Config: injection fully disabled, baseline code path.
-func chaosFaults(cfg ChaosConfig, rate float64) faults.Config {
-	if rate <= 0 {
-		return faults.Config{}
-	}
-	return faults.Config{
-		CrashMTBF:        time.Duration(float64(24*time.Hour) / rate),
-		RecoveryTime:     cfg.RecoveryTime,
-		ManagerCrashMTBF: cfg.ManagerMTBF,
-		AgentFailProb:    cfg.CascadeFaultProb,
-		AgentHangProb:    cfg.CascadeFaultProb,
-		OSFailProb:       cfg.CascadeFaultProb,
-	}
-}
-
-// Chaos runs the fault-rate × overcommitment sweep.
-func Chaos(cfg ChaosConfig) (ChaosResult, error) {
-	if len(cfg.FaultRates) == 0 {
-		cfg.FaultRates = []float64{0, 1, 4, 16}
-	}
-	if len(cfg.Overcommits) == 0 {
-		cfg.Overcommits = []float64{1.1, 1.3, 1.5, 1.7, 1.9}
-	}
-	if cfg.CascadeFaultProb == 0 {
-		cfg.CascadeFaultProb = 0.02
-	}
-	if cfg.ManagerMTBF == 0 {
-		cfg.ManagerMTBF = time.Hour
-	}
-	if cfg.TraceCount == 0 {
-		cfg.TraceCount = 4000
-	}
-	if cfg.MeanInterarrival == 0 {
-		cfg.MeanInterarrival = 2 * time.Second
-	}
-	if cfg.Seed == 0 {
-		cfg.Seed = 42
-	}
-	var res ChaosResult
-	for _, oc := range cfg.Overcommits {
-		res.OvercommitPct = append(res.OvercommitPct, (oc-1)*100)
-	}
-	var cells []sweep.Cell[cluster.SimResult]
-	for _, rate := range cfg.FaultRates {
-		for _, oc := range cfg.Overcommits {
-			cells = append(cells, simCell("chaos", cluster.SimConfig{
-				Mode:             cluster.ModeDeflation,
-				TargetOvercommit: oc,
-				Seed:             cfg.Seed,
-				Servers:          cfg.Servers,
-				Trace: trace.Config{
-					Count:            cfg.TraceCount,
-					MeanInterarrival: cfg.MeanInterarrival,
-					LifetimeMedian:   cfg.LifetimeMedian,
-				},
-				Faults: chaosFaults(cfg, rate),
-			}))
+	var rows []simRow
+	for _, rate := range rates {
+		name := "no faults"
+		if rate > 0 {
+			name = strconv.FormatFloat(rate, 'g', -1, 64) + "/node/day"
 		}
+		rows = append(rows, simRow{name, func(c *cluster.SimConfig) {
+			c.Mode = cluster.ModeDeflation
+			if rate > 0 {
+				c.Faults = faults.Config{
+					CrashMTBF:        time.Duration(float64(24*time.Hour) / rate),
+					RecoveryTime:     recovery,
+					ManagerCrashMTBF: mgrMTBF,
+					AgentFailProb:    0.02,
+					AgentHangProb:    0.02,
+					OSFailProb:       0.02,
+				}
+			}
+		}})
 	}
-	sims, err := runCells("chaos", cells)
-	if err != nil {
-		return res, err
-	}
-	for ri, rate := range cfg.FaultRates {
-		pp := series{Name: rateName(rate)}
-		gp := series{Name: rateName(rate)}
-		cr := series{Name: rateName(rate)}
-		for oi := range cfg.Overcommits {
-			sim := sims[ri*len(cfg.Overcommits)+oi]
-			pp.Values = append(pp.Values, sim.PreemptionProbability)
-			gp.Values = append(gp.Values, sim.Goodput)
-			cr.Values = append(cr.Values, float64(sim.NodeCrashes))
-		}
-		res.Preemption = append(res.Preemption, pp)
-		res.Goodput = append(res.Goodput, gp)
-		res.Crashes = append(res.Crashes, cr)
-	}
-	return res, nil
-}
-
-func rateName(rate float64) string {
-	if rate <= 0 {
-		return "no faults"
-	}
-	return strconv.FormatFloat(rate, 'g', -1, 64) + "/node/day"
+	return simSweep(o, "chaos", simBase(o.Quick), overcommits(o, 1.1, 1.3, 1.5, 1.7, 1.9), rows, []simPanel{
+		{"Chaos: preemption probability vs overcommitment by node-failure rate", preemption},
+		{"Chaos: cluster goodput (aggregate normalized throughput)", goodput},
+		{"Chaos: node crashes injected", func(r cluster.SimResult) float64 { return float64(r.NodeCrashes) }},
+	})
 }

@@ -3,69 +3,40 @@ package experiments
 import (
 	"strings"
 	"testing"
-	"time"
 )
-
-// tinyChaos keeps the sweep small enough for unit tests while still crashing
-// nodes.
-func tinyChaos() ChaosConfig {
-	return ChaosConfig{
-		FaultRates:       []float64{0, 32},
-		Overcommits:      []float64{1.5},
-		RecoveryTime:     2 * time.Minute,
-		TraceCount:       1200,
-		MeanInterarrival: 2 * time.Second,
-		LifetimeMedian:   10 * time.Minute,
-		Servers:          15,
-	}
-}
 
 func TestChaosZeroRateReproducesFig8cBaseline(t *testing.T) {
 	// The acceptance bar: the chaos sweep's zero-fault row must equal the
 	// Fig. 8c deflation curve for the same simulation parameters, exactly.
-	cfg := tinyChaos()
-	chaos, err := Chaos(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	fig8c, err := Fig8c(Fig8cConfig{
-		OvercommitLevels: cfg.Overcommits,
-		TraceCount:       cfg.TraceCount,
-		MeanInterarrival: cfg.MeanInterarrival,
-		LifetimeMedian:   cfg.LifetimeMedian,
-		Servers:          cfg.Servers,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	for i := range cfg.Overcommits {
-		if got, want := chaos.Preemption[0].Values[i], fig8c.Deflation.Values[i]; got != want {
-			t.Errorf("oc=%.1f: zero-fault preemption %.6f != Fig 8c deflation %.6f",
-				cfg.Overcommits[i], got, want)
+	chaos := quick(t, "chaos").(curves)
+	fig8c := quick(t, "8c").(curves)
+	for i, oc := range chaos[0].x {
+		if got, want := chaos[0].series[0].Values[i], fig8c[0].series[0].Values[i]; got != want {
+			t.Errorf("oc=%g%%: zero-fault preemption %.6f != Fig 8c deflation %.6f", oc, got, want)
 		}
 	}
 }
 
 func TestChaosFaultsDegradeTheCluster(t *testing.T) {
-	chaos, err := Chaos(tinyChaos())
-	if err != nil {
-		t.Fatal(err)
-	}
-	if n := len(chaos.Preemption); n != 2 {
+	chaos := quick(t, "chaos").(curves)
+	preemption, goodput, crashes := chaos[0].series, chaos[1].series, chaos[2].series
+	if n := len(preemption); n != 3 {
 		t.Fatalf("series count = %d", n)
 	}
-	base, faulty := chaos.Preemption[0].Values[0], chaos.Preemption[1].Values[0]
-	if faulty <= base {
-		t.Errorf("preemption probability under faults %.4f not above baseline %.4f", faulty, base)
+	if crashes[0].Values[0] != 0 {
+		t.Errorf("zero-fault cell injected %v crashes", crashes[0].Values[0])
 	}
-	if chaos.Crashes[0].Values[0] != 0 {
-		t.Errorf("zero-fault cell injected %v crashes", chaos.Crashes[0].Values[0])
-	}
-	if chaos.Crashes[1].Values[0] == 0 {
-		t.Error("faulty cell injected no crashes")
-	}
-	if gp := chaos.Goodput[1].Values[0]; gp <= 0 {
-		t.Errorf("goodput under faults = %v", gp)
+	for si := 1; si < len(preemption); si++ {
+		name := preemption[si].Name
+		if base, faulty := preemption[0].Values[0], preemption[si].Values[0]; faulty <= base {
+			t.Errorf("%s: preemption probability %.4f not above baseline %.4f", name, faulty, base)
+		}
+		if crashes[si].Values[0] == 0 {
+			t.Errorf("%s: no crashes injected", name)
+		}
+		if gp := goodput[si].Values[0]; gp <= 0 {
+			t.Errorf("%s: goodput = %v", name, gp)
+		}
 	}
 
 	table := chaos.Table()

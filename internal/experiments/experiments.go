@@ -1,8 +1,9 @@
-// Package experiments contains one driver per figure of the paper's
-// evaluation (§6). Each driver reconstructs the experiment's setup from the
-// repository's substrates, runs it deterministically, and returns the
-// series the paper plots, with a Table() rendering for the command-line
-// harness (cmd/deflbench) and assertions in the benchmark suite.
+// Package experiments reproduces the paper's evaluation (§6) as a registry
+// of figures. Each Figure reconstructs one experiment's setup from the
+// repository's substrates, runs it deterministically under the Options it
+// is given, and returns a text table. cmd/deflbench, the determinism,
+// memoization and golden tests and the root benchmarks all iterate
+// Figures().
 package experiments
 
 import (
@@ -14,6 +15,7 @@ import (
 	"deflation/internal/guestos"
 	"deflation/internal/hypervisor"
 	"deflation/internal/restypes"
+	"deflation/internal/stats"
 	"deflation/internal/vm"
 )
 
@@ -46,10 +48,50 @@ func deflateBy(v *vm.VM, levels cascade.Levels, frac restypes.Vector) (cascade.R
 	return cascade.New(levels).Deflate(v, target)
 }
 
+// pcts returns lo, lo+step, ... up to hi: a figure's x-axis in percent.
+func pcts(lo, hi, step float64) []float64 {
+	var xs []float64
+	for d := lo; d <= hi; d += step {
+		xs = append(xs, d)
+	}
+	return xs
+}
+
 // series is a named sequence of y-values over a shared x-axis.
 type series struct {
 	Name   string
 	Values []float64
+}
+
+// panel is one titled table of series over a shared x-axis.
+type panel struct {
+	title, xlabel string
+	x             []float64
+	series        []series
+}
+
+// curves is a figure drawn as one or more panels, rendered in order.
+type curves []panel
+
+// Table renders every panel.
+func (c curves) Table() string {
+	var b strings.Builder
+	for _, p := range c {
+		b.WriteString(renderTable(p.title, p.xlabel, p.x, p.series))
+	}
+	return b.String()
+}
+
+// timelines is a figure drawn as time series, rendered in order.
+type timelines []*stats.TimeSeries
+
+// Table renders every time series.
+func (t timelines) Table() string {
+	var b strings.Builder
+	for _, ts := range t {
+		b.WriteString(ts.Table())
+	}
+	return b.String()
 }
 
 // renderTable renders x-labels and series as an aligned text table.
@@ -80,13 +122,5 @@ func renderTable(title, xlabel string, xs []float64, ss []series) string {
 func memcacheAppFig5a(aware bool) (*memcache.App, error) {
 	return memcache.NewApp(memcache.AppConfig{
 		CacheMB: 8000, DatasetMB: 9000, DeflationAware: aware, Cores: 4,
-	})
-}
-
-// memcacheAppFig5c builds the Fig. 5c memory-stressed configuration: a
-// 14 GB cache filling the VM.
-func memcacheAppFig5c(aware bool) (*memcache.App, error) {
-	return memcache.NewApp(memcache.AppConfig{
-		CacheMB: 14000, DatasetMB: 15500, DeflationAware: aware, Cores: 4,
 	})
 }

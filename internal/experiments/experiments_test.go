@@ -9,17 +9,15 @@ import (
 )
 
 // The tests below assert the *shape* claims of each figure — who wins, by
-// roughly what factor, where crossovers fall — not absolute numbers.
+// roughly what factor, where crossovers fall — not absolute numbers. Each
+// reads the figure's one quick run for the test binary.
 
 func TestFig1ShapeClaims(t *testing.T) {
-	r, err := Fig1()
-	if err != nil {
-		t.Fatal(err)
+	r := quick(t, "1").(curves)[0]
+	if len(r.series) != 4 || len(r.x) != 10 {
+		t.Fatalf("series/points: %d/%d", len(r.series), len(r.x))
 	}
-	if len(r.Series) != 4 || len(r.DeflationPct) != 10 {
-		t.Fatalf("series/points: %d/%d", len(r.Series), len(r.DeflationPct))
-	}
-	for _, s := range r.Series {
+	for _, s := range r.series {
 		if s.Values[0] < 0.99 {
 			t.Errorf("%s at 0%% deflation = %g, want 1", s.Name, s.Values[0])
 		}
@@ -28,35 +26,24 @@ func TestFig1ShapeClaims(t *testing.T) {
 			t.Errorf("%s at 90%% deflation = %g, want well degraded", s.Name, s.Values[len(s.Values)-1])
 		}
 		// Headline: at 50%, degradation stays modest (≥ ~0.5 for all).
-		at50, err := r.SeriesValue(s.Name, 50)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if at50 < 0.45 {
+		if at50 := at(t, r, s.Name, 50); at50 < 0.45 {
 			t.Errorf("%s at 50%% = %g, want sub-proportional degradation", s.Name, at50)
 		}
 	}
 	// Memcached and Kcompile tolerate 50% deflation with <30% loss.
 	for _, name := range []string{"Memcached", "Kcompile"} {
-		v, _ := r.SeriesValue(name, 50)
-		if v < 0.70 {
+		if v := at(t, r, name, 50); v < 0.70 {
 			t.Errorf("%s at 50%% = %g, want ≥0.70 (paper: <30%% loss)", name, v)
 		}
 	}
-	if !strings.Contains(r.Table(), "Figure 1") {
+	if !strings.Contains(quick(t, "1").Table(), "Figure 1") {
 		t.Error("table rendering broken")
-	}
-	if _, err := r.SeriesValue("nope", 50); err == nil {
-		t.Error("bogus series lookup succeeded")
 	}
 }
 
 func TestFig5aShapeClaims(t *testing.T) {
-	r, err := Fig5a()
-	if err != nil {
-		t.Fatal(err)
-	}
-	hyp, osOnly, both := r.Series[0], r.Series[1], r.Series[2]
+	r := quick(t, "5a").(curves)[0]
+	hyp, osOnly, both := r.series[0], r.series[1], r.series[2]
 
 	// OS-only: unaffected at moderate deflation, then OOM-killed.
 	if osOnly.Values[1] < 0.99 {
@@ -79,7 +66,7 @@ func TestFig5aShapeClaims(t *testing.T) {
 	// at ≤40% (no black-box cost while unplug suffices).
 	for i := 0; i <= 4; i++ {
 		if both.Values[i] < hyp.Values[i] {
-			t.Errorf("Hyp+OS below hypervisor-only at %g%%", r.DeflationPct[i])
+			t.Errorf("Hyp+OS below hypervisor-only at %g%%", r.x[i])
 		}
 	}
 	if both.Values[len(both.Values)-1] <= 0 {
@@ -88,12 +75,9 @@ func TestFig5aShapeClaims(t *testing.T) {
 }
 
 func TestFig5bShapeClaims(t *testing.T) {
-	r, err := Fig5b()
-	if err != nil {
-		t.Fatal(err)
-	}
-	hyp, osOnly, both := r.Series[0], r.Series[1], r.Series[2]
-	n := len(r.DeflationPct) - 1
+	r := quick(t, "5b").(curves)[0]
+	hyp, osOnly, both := r.series[0], r.series[1], r.series[2]
+	n := len(r.x) - 1
 
 	// Lock-holder preemption: hypervisor-only strictly below OS-only at
 	// deep CPU deflation, by roughly the paper's ≈22%.
@@ -107,20 +91,17 @@ func TestFig5bShapeClaims(t *testing.T) {
 		t.Errorf("Hyp+OS at 70%% = %g, want ≥0.6", both.Values[i70])
 	}
 	// Hyp+OS ≥ hypervisor-only everywhere (unplug first avoids LHP).
-	for i := range r.DeflationPct {
+	for i := range r.x {
 		if both.Values[i] < hyp.Values[i]-1e-9 {
-			t.Errorf("Hyp+OS below hypervisor-only at %g%%", r.DeflationPct[i])
+			t.Errorf("Hyp+OS below hypervisor-only at %g%%", r.x[i])
 		}
 	}
 }
 
 func TestFig5cShapeClaims(t *testing.T) {
-	r, err := Fig5c()
-	if err != nil {
-		t.Fatal(err)
-	}
-	unmod, aware := r.Series[0], r.Series[1]
-	n := len(r.DeflationPct) - 1
+	r := quick(t, "5c").(curves)[0]
+	unmod, aware := r.series[0], r.series[1]
+	n := len(r.x) - 1
 
 	// Peak throughput ≈150 kGETS/s, equal before deflation.
 	if unmod.Values[0] < 120 || unmod.Values[0] > 160 {
@@ -139,12 +120,9 @@ func TestFig5cShapeClaims(t *testing.T) {
 }
 
 func TestFig5dShapeClaims(t *testing.T) {
-	r, err := Fig5d()
-	if err != nil {
-		t.Fatal(err)
-	}
-	unmod, aware := r.Series[0], r.Series[1]
-	n := len(r.DeflationPct) - 1
+	r := quick(t, "5d").(curves)[0]
+	unmod, aware := r.series[0], r.series[1]
+	n := len(r.x) - 1
 	// Equal at zero deflation; aware better at high deflation (paper: ≈20%).
 	if math.Abs(unmod.Values[0]-aware.Values[0]) > 1 {
 		t.Errorf("baselines differ: %g vs %g", unmod.Values[0], aware.Values[0])
@@ -159,21 +137,21 @@ func TestFig5dShapeClaims(t *testing.T) {
 	// Response times rise monotonically with deflation for both.
 	for i := 1; i <= n; i++ {
 		if unmod.Values[i] < unmod.Values[i-1]-1 {
-			t.Errorf("unmodified RT not monotone at %g%%", r.DeflationPct[i])
+			t.Errorf("unmodified RT not monotone at %g%%", r.x[i])
 		}
 	}
 }
 
 func TestFig6ShapeClaims(t *testing.T) {
-	// ALS (shuffle-heavy): VM < Self < Preempt; policy chooses VM-level.
-	als, err := Fig6(WorkloadALS)
-	if err != nil {
-		t.Fatal(err)
+	r := quick(t, "6").(fig6Result)
+	value := func(panel int, m spark.PressureMechanism, d float64) float64 {
+		return at(t, r.panels[panel], m.String(), d)
 	}
-	vm50, _ := als.Value(spark.PressureVMLevel, 0.5)
-	self50, _ := als.Value(spark.PressureSelf, 0.5)
-	pre50, _ := als.Value(spark.PressurePreempt, 0.5)
-	pol50, _ := als.Value(spark.PressurePolicy, 0.5)
+	// ALS (shuffle-heavy): VM < Self < Preempt; policy chooses VM-level.
+	vm50 := value(0, spark.PressureVMLevel, 0.5)
+	self50 := value(0, spark.PressureSelf, 0.5)
+	pre50 := value(0, spark.PressurePreempt, 0.5)
+	pol50 := value(0, spark.PressurePolicy, 0.5)
 	if !(vm50 < self50 && self50 < pre50) {
 		t.Errorf("ALS ordering: VM %.2f, Self %.2f, Preempt %.2f", vm50, self50, pre50)
 	}
@@ -183,7 +161,7 @@ func TestFig6ShapeClaims(t *testing.T) {
 	if pol50 != vm50 {
 		t.Errorf("ALS policy %.2f did not match VM-level %.2f", pol50, vm50)
 	}
-	for _, c := range als.Chosen {
+	for _, c := range r.chosen[0] {
 		if c != spark.PressureVMLevel {
 			t.Errorf("ALS policy chose %v, want VM", c)
 		}
@@ -191,13 +169,9 @@ func TestFig6ShapeClaims(t *testing.T) {
 
 	// K-means (map-heavy over cached input): policy chooses self; self
 	// beats VM-level at 50%.
-	km, err := Fig6(WorkloadKMeans)
-	if err != nil {
-		t.Fatal(err)
-	}
-	kmSelf, _ := km.Value(spark.PressureSelf, 0.5)
-	kmVM, _ := km.Value(spark.PressureVMLevel, 0.5)
-	kmPol, _ := km.Value(spark.PressurePolicy, 0.5)
+	kmSelf := value(1, spark.PressureSelf, 0.5)
+	kmVM := value(1, spark.PressureVMLevel, 0.5)
+	kmPol := value(1, spark.PressurePolicy, 0.5)
 	if kmSelf >= kmVM {
 		t.Errorf("K-means self %.2f not below VM %.2f at 50%%", kmSelf, kmVM)
 	}
@@ -210,31 +184,23 @@ func TestFig6ShapeClaims(t *testing.T) {
 
 	// CNN (synchronous training): VM-level mild (≈1.2 at 50%); preemption
 	// ≈2× worse; policy always VM-level.
-	cnn, err := Fig6(WorkloadCNN)
-	if err != nil {
-		t.Fatal(err)
-	}
-	cnnVM, _ := cnn.Value(spark.PressureVMLevel, 0.5)
-	cnnPre, _ := cnn.Value(spark.PressurePreempt, 0.5)
+	cnnVM := value(2, spark.PressureVMLevel, 0.5)
+	cnnPre := value(2, spark.PressurePreempt, 0.5)
 	if cnnVM < 1.1 || cnnVM > 1.45 {
 		t.Errorf("CNN VM-level at 50%% = %.2f, want ≈1.2 (paper: 20%%)", cnnVM)
 	}
 	if cnnPre/cnnVM < 1.5 {
 		t.Errorf("CNN preempt/VM = %.2f, want ≥1.5 (paper ≈2x)", cnnPre/cnnVM)
 	}
-	for _, c := range cnn.Chosen {
+	for _, c := range r.chosen[2] {
 		if c != spark.PressureVMLevel {
 			t.Errorf("CNN policy chose %v, want VM", c)
 		}
 	}
 
 	// RNN: same structure, ≈1.25 at 50% with VM-level.
-	rnn, err := Fig6(WorkloadRNN)
-	if err != nil {
-		t.Fatal(err)
-	}
-	rnnVM, _ := rnn.Value(spark.PressureVMLevel, 0.5)
-	rnnPre, _ := rnn.Value(spark.PressurePreempt, 0.5)
+	rnnVM := value(3, spark.PressureVMLevel, 0.5)
+	rnnPre := value(3, spark.PressurePreempt, 0.5)
 	if rnnVM < 1.15 || rnnVM > 1.5 {
 		t.Errorf("RNN VM-level at 50%% = %.2f, want ≈1.25", rnnVM)
 	}
@@ -244,12 +210,9 @@ func TestFig6ShapeClaims(t *testing.T) {
 }
 
 func TestFig7aShapeClaims(t *testing.T) {
-	r, err := Fig7a()
-	if err != nil {
-		t.Fatal(err)
-	}
-	self, vmlvl := r.Series[0], r.Series[1]
-	n := len(r.ProgressPct) - 1
+	r := quick(t, "7a").(curves)[0]
+	self, vmlvl := r.series[0], r.series[1]
+	n := len(r.x) - 1
 	// Early: self better. Late: VM-level better. A crossover in between.
 	if self.Values[0] >= vmlvl.Values[0] {
 		t.Errorf("early: self %.2f not below VM %.2f", self.Values[0], vmlvl.Values[0])
@@ -260,40 +223,38 @@ func TestFig7aShapeClaims(t *testing.T) {
 	// VM-level overhead trends downward with later deflation.
 	for i := 1; i <= n; i++ {
 		if vmlvl.Values[i] > vmlvl.Values[i-1]+1e-9 {
-			t.Errorf("VM-level overhead rose at progress %g%%", r.ProgressPct[i])
+			t.Errorf("VM-level overhead rose at progress %g%%", r.x[i])
 		}
 	}
 }
 
 func TestFig7bShapeClaims(t *testing.T) {
-	r, err := Fig7b()
-	if err != nil {
-		t.Fatal(err)
-	}
+	r := quick(t, "7b").(timelines)
+	baseline, deflation, preemption := r[0], r[1], r[2]
 	// Baseline is flat at ≈720 records/s.
-	if r.Baseline.Max() < 700 || r.Baseline.Max() > 740 {
-		t.Errorf("baseline throughput = %g, want ≈720", r.Baseline.Max())
+	if baseline.Max() < 700 || baseline.Max() > 740 {
+		t.Errorf("baseline throughput = %g, want ≈720", baseline.Max())
 	}
 	// Deflation: dips during pressure (minutes 10–40), recovers after.
-	during := r.Deflation.At(25 * 60 * 1e9)
-	after := r.Deflation.At(70 * 60 * 1e9)
-	if during >= r.Baseline.Max()*0.95 {
+	during := deflation.At(25 * 60 * 1e9)
+	after := deflation.At(70 * 60 * 1e9)
+	if during >= baseline.Max()*0.95 {
 		t.Errorf("deflation throughput during pressure = %g, want a dip", during)
 	}
-	if during < r.Baseline.Max()*0.5 {
+	if during < baseline.Max()*0.5 {
 		t.Errorf("deflation dip = %g, too deep (paper: ≈20-30%%)", during)
 	}
-	if after < r.Baseline.Max()*0.95 {
+	if after < baseline.Max()*0.95 {
 		t.Errorf("deflation did not recover: %g", after)
 	}
 	// Preemption: checkpointing tax even before pressure, and a restart
 	// gap (a zero sample) at the pressure start.
-	before := r.Preemption.At(5 * 60 * 1e9)
-	if before >= r.Baseline.Max()*0.95 {
+	before := preemption.At(5 * 60 * 1e9)
+	if before >= baseline.Max()*0.95 {
 		t.Errorf("preemption pre-pressure throughput = %g, want checkpoint tax", before)
 	}
 	sawZero := false
-	for _, p := range r.Preemption.Points() {
+	for _, p := range preemption.Points() {
 		if p.V == 0 {
 			sawZero = true
 		}
@@ -303,25 +264,23 @@ func TestFig7bShapeClaims(t *testing.T) {
 	}
 	// Deflation's time-averaged throughput beats preemption's (paper:
 	// ≈20% better even including the pressure window).
-	if r.Deflation.Mean() <= r.Preemption.Mean() {
+	if deflation.Mean() <= preemption.Mean() {
 		t.Errorf("deflation mean %g not above preemption mean %g",
-			r.Deflation.Mean(), r.Preemption.Mean())
+			deflation.Mean(), preemption.Mean())
 	}
 }
 
 func TestFig8aShapeClaims(t *testing.T) {
-	r, err := Fig8a()
-	if err != nil {
-		t.Fatal(err)
-	}
+	r := quick(t, "8a").(timelines)
+	sparkTS, memTS, total := r[0], r[1], r[2]
 	// Total peaks well above 1 during co-location (paper: ≈1.8).
-	peak := r.Total.Max()
+	peak := total.Max()
 	if peak < 1.5 || peak > 1.9 {
 		t.Errorf("total peak = %.2f, want ≈1.6-1.8", peak)
 	}
 	// Spark dips during pressure, recovers fully after.
-	during := r.Spark.At(60 * 60 * 1e9)
-	after := r.Spark.At(110 * 60 * 1e9)
+	during := sparkTS.At(60 * 60 * 1e9)
+	after := sparkTS.At(110 * 60 * 1e9)
 	if during > 0.9 || during < 0.5 {
 		t.Errorf("spark during pressure = %.2f, want ≈0.7 (20-30%% loss)", during)
 	}
@@ -329,18 +288,15 @@ func TestFig8aShapeClaims(t *testing.T) {
 		t.Errorf("spark after pressure = %.2f, want full recovery", after)
 	}
 	// Memcached serves at (near) full speed while present.
-	if mc := r.Memcached.At(60 * 60 * 1e9); mc < 0.9 {
+	if mc := memTS.At(60 * 60 * 1e9); mc < 0.9 {
 		t.Errorf("memcached during co-location = %.2f", mc)
 	}
 }
 
 func TestFig8bShapeClaims(t *testing.T) {
-	r, err := Fig8b()
-	if err != nil {
-		t.Fatal(err)
-	}
-	hyp, both, casc := r.Series[0], r.Series[1], r.Series[2]
-	n := len(r.DeflationPct) - 1 // 55%
+	r := quick(t, "8b").(curves)[0]
+	hyp, both, casc := r.series[0], r.series[1], r.series[2]
+	n := len(r.x) - 1 // 55%
 
 	// Cascade stays under 100 s even at the deepest deflation (paper).
 	if casc.Values[n] > 100 {
@@ -359,57 +315,69 @@ func TestFig8bShapeClaims(t *testing.T) {
 		t.Errorf("hypervisor-only at 50%% = %.0fs, want ≈300s", hyp.Values[i50])
 	}
 	// Latency grows with deflation level for every mechanism.
-	for _, s := range r.Series {
+	for _, s := range r.series {
 		for i := 1; i < len(s.Values); i++ {
 			if s.Values[i] < s.Values[i-1]-1e-9 {
-				t.Errorf("%s latency not monotone at %g%%", s.Name, r.DeflationPct[i])
+				t.Errorf("%s latency not monotone at %g%%", s.Name, r.x[i])
 			}
 		}
 	}
 }
 
 func TestFig8cQuickShapeClaims(t *testing.T) {
-	r, err := Fig8c(QuickFig8cConfig())
-	if err != nil {
-		t.Fatal(err)
-	}
-	for i := range r.OvercommitPct {
-		if r.Deflation.Values[i] >= r.PreemptOnly.Values[i] {
-			t.Errorf("at %g%%: deflation %.3f not below preemption-only %.3f",
-				r.OvercommitPct[i], r.Deflation.Values[i], r.PreemptOnly.Values[i])
+	r := quick(t, "8c").(curves)[0]
+	defl, pre := r.series[0].Values, r.series[1].Values
+	for i := range r.x {
+		if defl[i] >= pre[i] {
+			t.Errorf("at %g%%: deflation %.3f not below preemption-only %.3f", r.x[i], defl[i], pre[i])
 		}
 	}
 	// Deflation near zero at 50% overcommit.
-	if r.Deflation.Values[0] > 0.05 {
-		t.Errorf("deflation at 50%% overcommit = %.3f, want ≈0", r.Deflation.Values[0])
+	if defl[0] > 0.05 {
+		t.Errorf("deflation at 50%% overcommit = %.3f, want ≈0", defl[0])
 	}
 	// Preemption-only substantial everywhere.
-	if r.PreemptOnly.Values[0] < 0.1 {
-		t.Errorf("preemption-only at 50%% = %.3f, want ≥0.1", r.PreemptOnly.Values[0])
+	if pre[0] < 0.1 {
+		t.Errorf("preemption-only at 50%% = %.3f, want ≥0.1", pre[0])
+	}
+}
+
+func TestFig8cXLQuickShapeClaims(t *testing.T) {
+	r := quick(t, "8c-xl").(curves)[0]
+	defl, pre, oc := r.series[0].Values, r.series[1].Values, r.series[2].Values
+	for i, n := range r.x {
+		// Deflation's advantage holds at every fleet size.
+		if defl[i] >= pre[i]/2 {
+			t.Errorf("%g nodes: deflation %.3f not well below preemption-only %.3f", n, defl[i], pre[i])
+		}
+		if oc[i] <= 1 {
+			t.Errorf("%g nodes: achieved overcommit %.3f, want > 1", n, oc[i])
+		}
+		// Constant per-server load: the baseline is roughly scale-invariant.
+		if ratio := pre[i] / pre[0]; ratio < 0.75 || ratio > 1.25 {
+			t.Errorf("%g nodes: preemption-only %.3f drifted from %.3f at %g nodes", n, pre[i], pre[0], r.x[0])
+		}
 	}
 }
 
 func TestFig8dQuickShapeClaims(t *testing.T) {
-	r, err := Fig8d(true, 0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(r.Policies) != 3 {
-		t.Fatalf("policies: %v", r.Policies)
+	r := quick(t, "8d").(fig8dResult)
+	if len(r.policies) != 3 {
+		t.Fatalf("policies: %v", r.policies)
 	}
 	// All policies sustain overcommitment ≈equal mean (the paper's point:
 	// deflation masks placement differences).
 	for i := 1; i < 3; i++ {
-		ratio := r.Mean[i] / r.Mean[0]
+		ratio := r.mean[i] / r.mean[0]
 		if ratio < 0.85 || ratio > 1.2 {
 			t.Errorf("%s mean %.2f far from %s mean %.2f",
-				r.Policies[i], r.Mean[i], r.Policies[0], r.Mean[0])
+				r.policies[i], r.mean[i], r.policies[0], r.mean[0])
 		}
 	}
 	// And all overcommit beyond 1× nominal.
-	for i, m := range r.Mean {
+	for i, m := range r.mean {
 		if m < 1.0 {
-			t.Errorf("%s mean overcommit = %.2f, want > 1", r.Policies[i], m)
+			t.Errorf("%s mean overcommit = %.2f, want > 1", r.policies[i], m)
 		}
 	}
 	if !strings.Contains(r.Table(), "best-fit") {
@@ -418,14 +386,11 @@ func TestFig8dQuickShapeClaims(t *testing.T) {
 }
 
 func TestRevenueShapeClaims(t *testing.T) {
-	r, err := Revenue(true)
-	if err != nil {
-		t.Fatal(err)
+	r := quick(t, "revenue").(revenueResult)
+	if len(r) != 3 {
+		t.Fatalf("rows = %d", len(r))
 	}
-	if len(r.Rows) != 3 {
-		t.Fatalf("rows = %d", len(r.Rows))
-	}
-	preempt, deflFlat, deflRaaS := r.Rows[0], r.Rows[1], r.Rows[2]
+	preempt, deflFlat, deflRaaS := r[0], r[1], r[2]
 	// §8's argument: deflation's higher utilization earns the provider
 	// more than the preemption-only baseline, under either pricing model.
 	if deflFlat.Revenue <= preempt.Revenue {

@@ -5,197 +5,44 @@ import (
 
 	"deflation/internal/cluster"
 	"deflation/internal/faults"
-	"deflation/internal/sweep"
-	"deflation/internal/trace"
 )
 
-// FailoverConfig sizes the manager-HA chaos experiment: the Fig. 8c
-// trace-driven deflation cluster run with a hot standby, swept over
-// overcommitment under four control-plane fault regimes — leader crashes,
-// network partitions of the leader, journal disk faults, and all three at
-// once — against the zero-fault baseline. The claim under test is that
-// failover is invisible to healthy workloads: the standby adopts the
-// cluster without evicting a single running VM, and a deposed leader's
-// commands are fenced off by the promotion epoch. The zero value is the
-// full experiment.
-type FailoverConfig struct {
-	// Overcommits are the target overcommitment ratios swept per scenario
-	// (default 1.1–1.9).
-	Overcommits []float64
-	// LeaseTimeout is the leadership lease; the cluster runs headless for
-	// at most this long after a leader failure before the standby adopts
-	// (default 1m).
-	LeaseTimeout time.Duration
-	// ManagerMTBF is the mean time between leader crashes in the crash and
-	// combined scenarios (default 20m).
-	ManagerMTBF time.Duration
-	// PartitionMTBF and PartitionDuration shape leader partitions in the
-	// partition and combined scenarios (defaults 30m, 3m).
-	PartitionMTBF     time.Duration
-	PartitionDuration time.Duration
-	// DiskFailProb is the per-operation journal fault probability in the
-	// disk and combined scenarios (default 0.0005).
-	DiskFailProb float64
-	// TraceCount, MeanInterarrival, LifetimeMedian, and Servers mirror
-	// Fig8cConfig (defaults 4000, 2s, 1h, 100).
-	TraceCount       int
-	MeanInterarrival time.Duration
-	LifetimeMedian   time.Duration
-	Servers          int
-	Seed             int64
-}
-
-// QuickFailoverConfig returns a reduced sweep that still fails the leader
-// over several times per run.
-func QuickFailoverConfig() FailoverConfig {
-	return FailoverConfig{
-		Overcommits:       []float64{1.5, 1.8},
-		LeaseTimeout:      30 * time.Second,
-		ManagerMTBF:       5 * time.Minute,
-		PartitionMTBF:     10 * time.Minute,
-		PartitionDuration: 2 * time.Minute,
-		DiskFailProb:      0.002,
-		TraceCount:        2500,
-		MeanInterarrival:  2 * time.Second,
-		LifetimeMedian:    10 * time.Minute,
-		Servers:           25,
+// failover runs the Fig. 8c trace-driven deflation cluster with a hot
+// standby, swept over overcommitment under four control-plane fault
+// regimes — leader crashes, network partitions of the leader, journal disk
+// faults, and all three at once — against the zero-fault baseline, one
+// series per regime. The claim under test is that failover is invisible
+// to healthy workloads: the standby adopts the cluster without evicting a
+// single running VM (the healthy-evictions panel must be all zero), and a
+// deposed leader's commands are fenced off by the promotion epoch.
+//
+// The cluster runs headless for at most the lease after a leader failure
+// before the standby adopts. The zero-fault row carries a zero
+// faults.Config, so injection is fully disabled and the cell is exactly
+// the Fig. 8c deflation baseline, HA standby and all.
+func failover(o Options) (Result, error) {
+	lease, crash, partition, partitionFor, diskFail := time.Minute, 20*time.Minute, 30*time.Minute, 3*time.Minute, 0.0005
+	if o.Quick {
+		lease, crash, partition, partitionFor, diskFail = 30*time.Second, 5*time.Minute, 10*time.Minute, 2*time.Minute, 0.002
 	}
-}
-
-// FailoverResult reports the sweep, one series per fault scenario across
-// overcommitment levels. HealthyEvictions is the headline number: VMs that
-// were alive on reachable nodes but lost during a takeover — the paper's
-// availability claim requires every cell to be zero.
-type FailoverResult struct {
-	OvercommitPct    []float64
-	Preemption       []series
-	Goodput          []series
-	Failovers        []series
-	HealthyEvictions []series
-	StaleRejected    []series
-}
-
-// Table renders the sweep.
-func (r FailoverResult) Table() string {
-	return renderTable("Failover: preemption probability vs overcommitment by control-plane fault regime",
-		"overcommit%", r.OvercommitPct, r.Preemption) +
-		renderTable("Failover: cluster goodput (aggregate normalized throughput)",
-			"overcommit%", r.OvercommitPct, r.Goodput) +
-		renderTable("Failover: standby takeovers",
-			"overcommit%", r.OvercommitPct, r.Failovers) +
-		renderTable("Failover: healthy VMs evicted by takeovers (must be zero)",
-			"overcommit%", r.OvercommitPct, r.HealthyEvictions) +
-		renderTable("Failover: stale-epoch commands fenced off",
-			"overcommit%", r.OvercommitPct, r.StaleRejected)
-}
-
-// failoverScenario names one fault regime of the sweep.
-type failoverScenario struct {
-	Name   string
-	Faults faults.Config
-}
-
-// failoverScenarios builds the sweep's fault regimes. The zero-fault row
-// carries a zero faults.Config so injection is fully disabled and the cell
-// is exactly the Fig. 8c deflation baseline, HA standby and all.
-func failoverScenarios(cfg FailoverConfig) []failoverScenario {
-	return []failoverScenario{
-		{Name: "no faults"},
-		{Name: "leader crashes", Faults: faults.Config{
-			ManagerCrashMTBF: cfg.ManagerMTBF,
-		}},
-		{Name: "partitions", Faults: faults.Config{
-			PartitionMTBF:     cfg.PartitionMTBF,
-			PartitionDuration: cfg.PartitionDuration,
-		}},
-		{Name: "disk faults", Faults: faults.Config{
-			DiskFailProb: cfg.DiskFailProb,
-		}},
-		{Name: "full chaos", Faults: faults.Config{
-			ManagerCrashMTBF:  cfg.ManagerMTBF,
-			PartitionMTBF:     cfg.PartitionMTBF,
-			PartitionDuration: cfg.PartitionDuration,
-			DiskFailProb:      cfg.DiskFailProb,
-		}},
+	base := simBase(o.Quick)
+	base.Mode, base.HAStandby, base.LeaseTimeout = cluster.ModeDeflation, true, lease
+	row := func(name string, f faults.Config) simRow {
+		return simRow{name, func(c *cluster.SimConfig) { c.Faults = f }}
 	}
-}
-
-// Failover runs the fault-regime × overcommitment sweep.
-func Failover(cfg FailoverConfig) (FailoverResult, error) {
-	if len(cfg.Overcommits) == 0 {
-		cfg.Overcommits = []float64{1.1, 1.3, 1.5, 1.7, 1.9}
-	}
-	if cfg.LeaseTimeout == 0 {
-		cfg.LeaseTimeout = time.Minute
-	}
-	if cfg.ManagerMTBF == 0 {
-		cfg.ManagerMTBF = 20 * time.Minute
-	}
-	if cfg.PartitionMTBF == 0 {
-		cfg.PartitionMTBF = 30 * time.Minute
-	}
-	if cfg.PartitionDuration == 0 {
-		cfg.PartitionDuration = 3 * time.Minute
-	}
-	if cfg.DiskFailProb == 0 {
-		cfg.DiskFailProb = 0.0005
-	}
-	if cfg.TraceCount == 0 {
-		cfg.TraceCount = 4000
-	}
-	if cfg.MeanInterarrival == 0 {
-		cfg.MeanInterarrival = 2 * time.Second
-	}
-	if cfg.Seed == 0 {
-		cfg.Seed = 42
-	}
-	scenarios := failoverScenarios(cfg)
-	var res FailoverResult
-	for _, oc := range cfg.Overcommits {
-		res.OvercommitPct = append(res.OvercommitPct, (oc-1)*100)
-	}
-	var cells []sweep.Cell[cluster.SimResult]
-	for _, sc := range scenarios {
-		for _, oc := range cfg.Overcommits {
-			cells = append(cells, simCell("failover", cluster.SimConfig{
-				Mode:             cluster.ModeDeflation,
-				TargetOvercommit: oc,
-				Seed:             cfg.Seed,
-				Servers:          cfg.Servers,
-				HAStandby:        true,
-				LeaseTimeout:     cfg.LeaseTimeout,
-				Trace: trace.Config{
-					Count:            cfg.TraceCount,
-					MeanInterarrival: cfg.MeanInterarrival,
-					LifetimeMedian:   cfg.LifetimeMedian,
-				},
-				Faults: sc.Faults,
-			}))
-		}
-	}
-	sims, err := runCells("failover", cells)
-	if err != nil {
-		return res, err
-	}
-	for si, sc := range scenarios {
-		pp := series{Name: sc.Name}
-		gp := series{Name: sc.Name}
-		fo := series{Name: sc.Name}
-		ev := series{Name: sc.Name}
-		st := series{Name: sc.Name}
-		for oi := range cfg.Overcommits {
-			sim := sims[si*len(cfg.Overcommits)+oi]
-			pp.Values = append(pp.Values, sim.PreemptionProbability)
-			gp.Values = append(gp.Values, sim.Goodput)
-			fo.Values = append(fo.Values, float64(sim.Failovers))
-			ev.Values = append(ev.Values, float64(sim.FailoverEvictions))
-			st.Values = append(st.Values, float64(sim.StaleCommandsRejected))
-		}
-		res.Preemption = append(res.Preemption, pp)
-		res.Goodput = append(res.Goodput, gp)
-		res.Failovers = append(res.Failovers, fo)
-		res.HealthyEvictions = append(res.HealthyEvictions, ev)
-		res.StaleRejected = append(res.StaleRejected, st)
-	}
-	return res, nil
+	return simSweep(o, "failover", base, overcommits(o, 1.1, 1.3, 1.5, 1.7, 1.9), []simRow{
+		row("no faults", faults.Config{}),
+		row("leader crashes", faults.Config{ManagerCrashMTBF: crash}),
+		row("partitions", faults.Config{PartitionMTBF: partition, PartitionDuration: partitionFor}),
+		row("disk faults", faults.Config{DiskFailProb: diskFail}),
+		row("full chaos", faults.Config{
+			ManagerCrashMTBF: crash, PartitionMTBF: partition, PartitionDuration: partitionFor, DiskFailProb: diskFail,
+		}),
+	}, []simPanel{
+		{"Failover: preemption probability vs overcommitment by control-plane fault regime", preemption},
+		{"Failover: cluster goodput (aggregate normalized throughput)", goodput},
+		{"Failover: standby takeovers", func(r cluster.SimResult) float64 { return float64(r.Failovers) }},
+		{"Failover: healthy VMs evicted by takeovers (must be zero)", func(r cluster.SimResult) float64 { return float64(r.FailoverEvictions) }},
+		{"Failover: stale-epoch commands fenced off", func(r cluster.SimResult) float64 { return float64(r.StaleCommandsRejected) }},
+	})
 }

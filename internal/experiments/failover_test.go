@@ -3,53 +3,21 @@ package experiments
 import (
 	"strings"
 	"testing"
-	"time"
 )
-
-// tinyFailover keeps the sweep small enough for unit tests while still
-// failing the leader over several times per run.
-func tinyFailover() FailoverConfig {
-	return FailoverConfig{
-		Overcommits:       []float64{1.5},
-		LeaseTimeout:      30 * time.Second,
-		ManagerMTBF:       4 * time.Minute,
-		PartitionMTBF:     8 * time.Minute,
-		PartitionDuration: 90 * time.Second,
-		DiskFailProb:      0.005,
-		TraceCount:        1200,
-		MeanInterarrival:  2 * time.Second,
-		LifetimeMedian:    10 * time.Minute,
-		Servers:           15,
-	}
-}
 
 func TestFailoverZeroFaultRowReproducesFig8cBaseline(t *testing.T) {
 	// The acceptance bar: arming the hot standby must cost nothing when no
 	// faults fire — the zero-fault row equals the Fig. 8c deflation curve
 	// for the same simulation parameters, exactly.
-	cfg := tinyFailover()
-	fo, err := Failover(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	fig8c, err := Fig8c(Fig8cConfig{
-		OvercommitLevels: cfg.Overcommits,
-		TraceCount:       cfg.TraceCount,
-		MeanInterarrival: cfg.MeanInterarrival,
-		LifetimeMedian:   cfg.LifetimeMedian,
-		Servers:          cfg.Servers,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	for i := range cfg.Overcommits {
-		if got, want := fo.Preemption[0].Values[i], fig8c.Deflation.Values[i]; got != want {
-			t.Errorf("oc=%.1f: zero-fault preemption %.6f != Fig 8c deflation %.6f",
-				cfg.Overcommits[i], got, want)
+	fo := quick(t, "failover").(curves)
+	fig8c := quick(t, "8c").(curves)
+	for i, oc := range fo[0].x {
+		if got, want := fo[0].series[0].Values[i], fig8c[0].series[0].Values[i]; got != want {
+			t.Errorf("oc=%g%%: zero-fault preemption %.6f != Fig 8c deflation %.6f", oc, got, want)
 		}
-	}
-	if fo.Failovers[0].Values[0] != 0 {
-		t.Errorf("zero-fault cell failed over %v times", fo.Failovers[0].Values[0])
+		if n := fo[2].series[0].Values[i]; n != 0 {
+			t.Errorf("oc=%g%%: zero-fault cell failed over %v times", oc, n)
+		}
 	}
 }
 
@@ -58,37 +26,30 @@ func TestFailoverNeverEvictsHealthyVMs(t *testing.T) {
 	// leader crashes, partitions, disk faults, all at once — standby
 	// takeovers never evict a VM that is alive on a reachable node, and
 	// every deposed leader is provably fenced off.
-	fo, err := Failover(tinyFailover())
-	if err != nil {
-		t.Fatal(err)
-	}
-	if n := len(fo.Failovers); n != 5 {
+	fo := quick(t, "failover").(curves)
+	goodput, failovers, evictions, stale := fo[1].series, fo[2].series, fo[3].series, fo[4].series
+	if n := len(failovers); n != 5 {
 		t.Fatalf("series count = %d", n)
 	}
-	totalFailovers := 0.0
-	for si := range fo.Failovers {
-		name := fo.Failovers[si].Name
-		for oi, ev := range fo.HealthyEvictions[si].Values {
+	for si := range failovers {
+		name := failovers[si].Name
+		for oi, ev := range evictions[si].Values {
 			if ev != 0 {
 				t.Errorf("%s oc[%d]: takeovers evicted %v healthy VMs", name, oi, ev)
 			}
 		}
-		if si > 0 && fo.Failovers[si].Values[0] == 0 {
+		if si > 0 && failovers[si].Values[0] == 0 {
 			t.Errorf("%s: no takeovers under injected faults", name)
 		}
-		totalFailovers += fo.Failovers[si].Values[0]
-		if gp := fo.Goodput[si].Values[0]; gp <= 0 {
+		if gp := goodput[si].Values[0]; gp <= 0 {
 			t.Errorf("%s: goodput = %v", name, gp)
 		}
-	}
-	if totalFailovers == 0 {
-		t.Fatal("sweep never exercised a failover")
 	}
 	// Partition regimes heal with the deposed leader still alive; its
 	// post-heal command must have been rejected somewhere in the sweep.
 	staleSeen := 0.0
-	for si := range fo.StaleRejected {
-		staleSeen += fo.StaleRejected[si].Values[0]
+	for si := range stale {
+		staleSeen += stale[si].Values[0]
 	}
 	if staleSeen == 0 {
 		t.Error("no stale-epoch command was ever fenced off")

@@ -1,8 +1,6 @@
 package experiments
 
 import (
-	"fmt"
-
 	"deflation/internal/apps/jvm"
 	"deflation/internal/apps/kcompile"
 	"deflation/internal/cascade"
@@ -11,35 +9,6 @@ import (
 	"deflation/internal/spark/workloads"
 	"deflation/internal/vm"
 )
-
-// Fig1Result reproduces Figure 1: normalized application performance as a
-// whole VM (CPU, memory, and I/O together) is deflated from 0 to 90%, for
-// the four motivating workloads.
-type Fig1Result struct {
-	DeflationPct []float64
-	Series       []series
-}
-
-// Table renders the figure as text.
-func (r Fig1Result) Table() string {
-	return renderTable("Figure 1: normalized performance vs deflation %",
-		"deflation%", r.DeflationPct, r.Series)
-}
-
-// SeriesValue returns workload w's performance at deflation d percent.
-func (r Fig1Result) SeriesValue(w string, dPct float64) (float64, error) {
-	for _, s := range r.Series {
-		if s.Name != w {
-			continue
-		}
-		for i, x := range r.DeflationPct {
-			if x == dPct {
-				return s.Values[i], nil
-			}
-		}
-	}
-	return 0, fmt.Errorf("experiments: no point %q @ %g%%", w, dPct)
-}
 
 // fig1DeflatedThroughput builds a fresh VM around app, deflates it
 // uniformly by d percent through the full cascade, and returns throughput.
@@ -54,20 +23,15 @@ func fig1DeflatedThroughput(app vm.Application, d float64) (float64, error) {
 	return v.Throughput(), nil
 }
 
-// Fig1 measures each workload at increasing uniform deflation, using the
-// full cascade with the workload's own deflation policy — the deployment
-// the paper motivates. Every (workload, deflation) point is one sweep
-// cell with its own host, VM, and application.
-func Fig1() (Fig1Result, error) {
-	res := Fig1Result{}
-	for d := 0.0; d <= 90; d += 10 {
-		res.DeflationPct = append(res.DeflationPct, d)
-	}
-
-	workloads := []struct {
-		name string
-		run  func(d float64) (float64, error)
-	}{
+// fig1 reproduces Figure 1: normalized application performance as a whole
+// VM (CPU, memory, and I/O together) is deflated from 0 to 90%, for the
+// four motivating workloads. Each workload runs the full cascade with its
+// own deflation policy — the deployment the paper motivates — and every
+// (workload, deflation) point is one sweep cell with its own host, VM, and
+// application.
+func fig1(o Options) (Result, error) {
+	xs := pcts(0, 90, 10)
+	ss, err := grid(o, "fig1", xs, []gridRow{
 		{"SpecJBB", func(d float64) (float64, error) {
 			app, err := jvm.NewApp(jvm.AppConfig{
 				MaxHeapMB: 12000, LiveMB: 1200, DeflationAware: true, Cores: 4,
@@ -94,26 +58,18 @@ func Fig1() (Fig1Result, error) {
 			}
 			return 1 / norm, nil
 		}},
-	}
-
-	vals, err := sweepGrid("fig1", len(workloads), len(res.DeflationPct), func(si, xi int) (float64, error) {
-		return workloads[si].run(res.DeflationPct[xi])
 	})
 	if err != nil {
-		return res, err
+		return nil, err
 	}
-	for si, w := range workloads {
-		res.Series = append(res.Series, series{Name: w.name, Values: vals[si]})
-	}
-	return res, nil
+	return curves{{"Figure 1: normalized performance vs deflation %", "deflation%", xs, ss}}, nil
 }
 
 // kmeansNormalizedRuntime runs the real K-means job on the mini-Spark
 // engine with all worker VMs deflated by d from (nearly) the start, under
 // the cascade policy, and returns runtime normalized to no deflation.
 func kmeansNormalizedRuntime(d float64) (float64, error) {
-	p := workloads.Params{}
-	base, err := runKMeans(p, nil)
+	base, err := runBatch(workloads.KMeans, nil)
 	if err != nil {
 		return 0, err
 	}
@@ -124,7 +80,7 @@ func kmeansNormalizedRuntime(d float64) (float64, error) {
 	for i := range deflation {
 		deflation[i] = d
 	}
-	pressured, err := runKMeans(p, &spark.PressureSpec{
+	pressured, err := runBatch(workloads.KMeans, &spark.PressureSpec{
 		AtProgress: 0.01, Deflation: deflation, Mechanism: spark.PressurePolicy,
 		Estimator: spark.EstimatorHeuristic,
 	})
@@ -132,20 +88,4 @@ func kmeansNormalizedRuntime(d float64) (float64, error) {
 		return 0, err
 	}
 	return pressured / base, nil
-}
-
-func runKMeans(p workloads.Params, spec *spark.PressureSpec) (float64, error) {
-	cl, err := p.Cluster()
-	if err != nil {
-		return 0, err
-	}
-	job, err := workloads.KMeans(p)
-	if err != nil {
-		return 0, err
-	}
-	res, err := spark.RunBatchScenario(cl, job, spec)
-	if err != nil {
-		return 0, err
-	}
-	return res.DurationSecs, nil
 }

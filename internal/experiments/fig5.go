@@ -1,242 +1,121 @@
 package experiments
 
 import (
-	"context"
-
 	"deflation/internal/apps/jvm"
 	"deflation/internal/apps/kcompile"
+	"deflation/internal/apps/memcache"
 	"deflation/internal/cascade"
 	"deflation/internal/restypes"
-	"deflation/internal/sweep"
+	"deflation/internal/vm"
 )
 
-// sweepGrid fans a (series × x-points) grid out through the sweep engine:
-// cell (si, xi) computes one y-value, and the merged series come back in
-// submission order. Each cell builds its own host and VM, so the grid
-// parallelizes with no shared state.
-func sweepGrid(label string, nSeries, nPoints int, cell func(si, xi int) (float64, error)) ([][]float64, error) {
-	var cells []sweep.Cell[float64]
-	for si := 0; si < nSeries; si++ {
-		for xi := 0; xi < nPoints; xi++ {
-			si, xi := si, xi
-			cells = append(cells, sweep.Cell[float64]{
-				Run: func(context.Context) (float64, error) { return cell(si, xi) },
-			})
-		}
+// fig5Config is one series of a Figure 5 panel: the cascade levels that
+// reclaim, and whether the application runs its deflation policy.
+type fig5Config struct {
+	name   string
+	aware  bool
+	levels cascade.Levels
+}
+
+// blackBox compares the three reclamation configurations on an unmodified
+// application (Figs. 5a and 5b).
+var blackBox = []fig5Config{
+	{"Hypervisor-only", false, cascade.HypervisorOnly()},
+	{"OS-only", false, cascade.OSOnly()},
+	{"Hypervisor+OS", false, cascade.VMLevel()},
+}
+
+// appAware compares the unmodified application under VM-level deflation
+// with the deflation-aware one under the full cascade (Figs. 5c and 5d).
+var appAware = []fig5Config{
+	{"Unmodified", false, cascade.VMLevel()},
+	{"App-Deflation", true, cascade.AllLevels()},
+}
+
+// fig5Panel declares one panel of Figure 5. Every (configuration,
+// deflation) point deflates a fresh standard VM by x% of the dimensions in
+// frac and measures the application afterwards.
+type fig5Panel struct {
+	label, title, xlabel string
+	maxPct               float64
+	frac                 restypes.Vector
+	configs              []fig5Config
+	// app builds the workload and the measurement read after deflation.
+	app func(aware bool) (vm.Application, func(*vm.VM) float64, error)
+}
+
+func (p fig5Panel) run(o Options) (Result, error) {
+	xs := pcts(0, p.maxPct, 10)
+	var rows []gridRow
+	for _, c := range p.configs {
+		rows = append(rows, gridRow{c.name, func(d float64) (float64, error) {
+			app, measure, err := p.app(c.aware)
+			if err != nil {
+				return 0, err
+			}
+			v, err := newHostAndVM(app)
+			if err != nil {
+				return 0, err
+			}
+			if _, err := deflateBy(v, c.levels, p.frac.Scale(d/100)); err != nil {
+				return 0, err
+			}
+			return measure(v), nil
+		}})
 	}
-	vals, err := runCells(label, cells)
+	ss, err := grid(o, p.label, xs, rows)
 	if err != nil {
 		return nil, err
 	}
-	out := make([][]float64, nSeries)
-	for si := range out {
-		out[si] = vals[si*nPoints : (si+1)*nPoints]
-	}
-	return out, nil
+	return curves{{p.title, p.xlabel, xs, ss}}, nil
 }
 
-// Fig5aResult reproduces Figure 5a: memcached throughput (normalized) under
+// fig5a reproduces Figure 5a: memcached throughput (normalized) under
 // memory-only deflation, comparing hypervisor-only, OS-only, and
 // hypervisor+OS reclamation on the unmodified application.
-type Fig5aResult struct {
-	DeflationPct []float64
-	Series       []series // Hypervisor only / OS only / Hypervisor+OS
+var fig5a = fig5Panel{
+	label: "fig5a", title: "Figure 5a: memcached memory deflation (no app support)",
+	xlabel: "mem-defl%", maxPct: 50, frac: restypes.Vector{MemoryMB: 1}, configs: blackBox,
+	app: func(aware bool) (vm.Application, func(*vm.VM) float64, error) {
+		app, err := memcacheAppFig5a(aware)
+		return app, (*vm.VM).Throughput, err
+	},
 }
 
-// Table renders the figure.
-func (r Fig5aResult) Table() string {
-	return renderTable("Figure 5a: memcached memory deflation (no app support)",
-		"mem-defl%", r.DeflationPct, r.Series)
+// fig5b reproduces Figure 5b: kernel-compile throughput under CPU-only
+// deflation across the same three reclamation configurations.
+var fig5b = fig5Panel{
+	label: "fig5b", title: "Figure 5b: kernel-compile CPU deflation (no app support)",
+	xlabel: "cpu-defl%", maxPct: 80, frac: restypes.Vector{CPU: 1}, configs: blackBox,
+	app: func(bool) (vm.Application, func(*vm.VM) float64, error) {
+		return kcompile.NewApp(kcompile.AppConfig{}), (*vm.VM).Throughput, nil
+	},
 }
 
-// Fig5a runs the memory-deflation comparison.
-func Fig5a() (Fig5aResult, error) {
-	res := Fig5aResult{}
-	for d := 0.0; d <= 50; d += 10 {
-		res.DeflationPct = append(res.DeflationPct, d)
-	}
-	configs := []struct {
-		name   string
-		levels cascade.Levels
-	}{
-		{"Hypervisor-only", cascade.HypervisorOnly()},
-		{"OS-only", cascade.OSOnly()},
-		{"Hypervisor+OS", cascade.VMLevel()},
-	}
-	vals, err := sweepGrid("fig5a", len(configs), len(res.DeflationPct), func(si, xi int) (float64, error) {
-		app, err := memcacheAppFig5a(false)
-		if err != nil {
-			return 0, err
-		}
-		v, err := newHostAndVM(app)
-		if err != nil {
-			return 0, err
-		}
-		frac := restypes.Vector{MemoryMB: res.DeflationPct[xi] / 100}
-		if _, err := deflateBy(v, configs[si].levels, frac); err != nil {
-			return 0, err
-		}
-		return v.Throughput(), nil
-	})
-	if err != nil {
-		return res, err
-	}
-	for si, cfg := range configs {
-		res.Series = append(res.Series, series{Name: cfg.name, Values: vals[si]})
-	}
-	return res, nil
+// fig5c reproduces Figure 5c: memcached kGETS/s under memory deflation on
+// a 14 GB cache filling the VM, unmodified versus deflation-aware (LRU
+// resize policy).
+var fig5c = fig5Panel{
+	label: "fig5c", title: "Figure 5c: memcached kGETS/s, unmodified vs app deflation",
+	xlabel: "mem-defl%", maxPct: 60, frac: restypes.Vector{MemoryMB: 1}, configs: appAware,
+	app: func(aware bool) (vm.Application, func(*vm.VM) float64, error) {
+		app, err := memcache.NewApp(memcache.AppConfig{
+			CacheMB: 14000, DatasetMB: 15500, DeflationAware: aware, Cores: 4,
+		})
+		return app, func(v *vm.VM) float64 { return app.KGETS(v.Env()) }, err
+	},
 }
 
-// Fig5bResult reproduces Figure 5b: kernel-compile throughput under
-// CPU-only deflation across the same three reclamation configurations.
-type Fig5bResult struct {
-	DeflationPct []float64
-	Series       []series
-}
-
-// Table renders the figure.
-func (r Fig5bResult) Table() string {
-	return renderTable("Figure 5b: kernel-compile CPU deflation (no app support)",
-		"cpu-defl%", r.DeflationPct, r.Series)
-}
-
-// Fig5b runs the CPU-deflation comparison.
-func Fig5b() (Fig5bResult, error) {
-	res := Fig5bResult{}
-	for d := 0.0; d <= 80; d += 10 {
-		res.DeflationPct = append(res.DeflationPct, d)
-	}
-	configs := []struct {
-		name   string
-		levels cascade.Levels
-	}{
-		{"Hypervisor-only", cascade.HypervisorOnly()},
-		{"OS-only", cascade.OSOnly()},
-		{"Hypervisor+OS", cascade.VMLevel()},
-	}
-	vals, err := sweepGrid("fig5b", len(configs), len(res.DeflationPct), func(si, xi int) (float64, error) {
-		v, err := newHostAndVM(kcompile.NewApp(kcompile.AppConfig{}))
-		if err != nil {
-			return 0, err
-		}
-		frac := restypes.Vector{CPU: res.DeflationPct[xi] / 100}
-		if _, err := deflateBy(v, configs[si].levels, frac); err != nil {
-			return 0, err
-		}
-		return v.Throughput(), nil
-	})
-	if err != nil {
-		return res, err
-	}
-	for si, cfg := range configs {
-		res.Series = append(res.Series, series{Name: cfg.name, Values: vals[si]})
-	}
-	return res, nil
-}
-
-// Fig5cResult reproduces Figure 5c: memcached kGETS/s under memory
-// deflation, unmodified (VM-level deflation) versus the deflation-aware
-// application (full cascade with the LRU resize policy).
-type Fig5cResult struct {
-	DeflationPct []float64
-	Series       []series // Unmodified / App Deflation, in kGETS/s
-}
-
-// Table renders the figure.
-func (r Fig5cResult) Table() string {
-	return renderTable("Figure 5c: memcached kGETS/s, unmodified vs app deflation",
-		"mem-defl%", r.DeflationPct, r.Series)
-}
-
-// Fig5c runs the memory-stressed throughput comparison.
-func Fig5c() (Fig5cResult, error) {
-	res := Fig5cResult{}
-	for d := 0.0; d <= 60; d += 10 {
-		res.DeflationPct = append(res.DeflationPct, d)
-	}
-	configs := []struct {
-		name   string
-		aware  bool
-		levels cascade.Levels
-	}{
-		{"Unmodified", false, cascade.VMLevel()},
-		{"App-Deflation", true, cascade.AllLevels()},
-	}
-	vals, err := sweepGrid("fig5c", len(configs), len(res.DeflationPct), func(si, xi int) (float64, error) {
-		app, err := memcacheAppFig5c(configs[si].aware)
-		if err != nil {
-			return 0, err
-		}
-		v, err := newHostAndVM(app)
-		if err != nil {
-			return 0, err
-		}
-		frac := restypes.Vector{MemoryMB: res.DeflationPct[xi] / 100}
-		if _, err := deflateBy(v, configs[si].levels, frac); err != nil {
-			return 0, err
-		}
-		return app.KGETS(v.Env()), nil
-	})
-	if err != nil {
-		return res, err
-	}
-	for si, cfg := range configs {
-		res.Series = append(res.Series, series{Name: cfg.name, Values: vals[si]})
-	}
-	return res, nil
-}
-
-// Fig5dResult reproduces Figure 5d: SpecJBB response time (µs) when CPU and
+// fig5d reproduces Figure 5d: SpecJBB response time (µs) when CPU and
 // memory are deflated together, unmodified versus the deflation-aware JVM
 // (GC + heap resize policy).
-type Fig5dResult struct {
-	DeflationPct []float64
-	Series       []series // Unmodified / App Deflation, response time µs
-}
-
-// Table renders the figure.
-func (r Fig5dResult) Table() string {
-	return renderTable("Figure 5d: SpecJBB response time (µs), unmodified vs app deflation",
-		"defl%", r.DeflationPct, r.Series)
-}
-
-// Fig5d runs the JVM comparison.
-func Fig5d() (Fig5dResult, error) {
-	res := Fig5dResult{}
-	for d := 0.0; d <= 60; d += 10 {
-		res.DeflationPct = append(res.DeflationPct, d)
-	}
-	configs := []struct {
-		name   string
-		aware  bool
-		levels cascade.Levels
-	}{
-		{"Unmodified", false, cascade.VMLevel()},
-		{"App-Deflation", true, cascade.AllLevels()},
-	}
-	vals, err := sweepGrid("fig5d", len(configs), len(res.DeflationPct), func(si, xi int) (float64, error) {
+var fig5d = fig5Panel{
+	label: "fig5d", title: "Figure 5d: SpecJBB response time (µs), unmodified vs app deflation",
+	xlabel: "defl%", maxPct: 60, frac: restypes.Vector{CPU: 1, MemoryMB: 1}, configs: appAware,
+	app: func(aware bool) (vm.Application, func(*vm.VM) float64, error) {
 		app, err := jvm.NewApp(jvm.AppConfig{
-			MaxHeapMB: 12000, LiveMB: 3000, DeflationAware: configs[si].aware, Cores: 4,
+			MaxHeapMB: 12000, LiveMB: 3000, DeflationAware: aware, Cores: 4,
 		})
-		if err != nil {
-			return 0, err
-		}
-		v, err := newHostAndVM(app)
-		if err != nil {
-			return 0, err
-		}
-		d := res.DeflationPct[xi]
-		frac := restypes.Vector{CPU: d / 100, MemoryMB: d / 100}
-		if _, err := deflateBy(v, configs[si].levels, frac); err != nil {
-			return 0, err
-		}
-		return app.ResponseTimeUS(v.Env()), nil
-	})
-	if err != nil {
-		return res, err
-	}
-	for si, cfg := range configs {
-		res.Series = append(res.Series, series{Name: cfg.name, Values: vals[si]})
-	}
-	return res, nil
+		return app, func(v *vm.VM) float64 { return app.ResponseTimeUS(v.Env()) }, err
+	},
 }

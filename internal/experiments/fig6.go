@@ -3,75 +3,36 @@ package experiments
 import (
 	"context"
 	"fmt"
+	"strings"
 
 	"deflation/internal/spark"
 	"deflation/internal/spark/workloads"
 	"deflation/internal/sweep"
 )
 
-// Fig6Workload identifies one of the four Spark workloads of Figure 6.
-type Fig6Workload string
-
-// The Figure 6 workloads.
-const (
-	WorkloadALS    Fig6Workload = "als"
-	WorkloadKMeans Fig6Workload = "kmeans"
-	WorkloadCNN    Fig6Workload = "cnn"
-	WorkloadRNN    Fig6Workload = "rnn"
-)
-
-// Fig6Workloads lists the workloads in the paper's panel order.
-func Fig6Workloads() []Fig6Workload {
-	return []Fig6Workload{WorkloadALS, WorkloadKMeans, WorkloadCNN, WorkloadRNN}
-}
-
-// fig6Deflations returns the paper's x-axis per workload.
-func fig6Deflations(w Fig6Workload) []float64 {
-	if w == WorkloadCNN || w == WorkloadRNN {
-		return []float64{0.125, 0.25, 0.5}
-	}
-	return []float64{0.25, 0.5}
-}
-
 // fig6Mechanisms lists the four series of each panel.
-func fig6Mechanisms() []spark.PressureMechanism {
-	return []spark.PressureMechanism{
-		spark.PressurePolicy, spark.PressureSelf, spark.PressureVMLevel, spark.PressurePreempt,
+var fig6Mechanisms = []spark.PressureMechanism{
+	spark.PressurePolicy, spark.PressureSelf, spark.PressureVMLevel, spark.PressurePreempt,
+}
+
+// fig6Result reproduces Figure 6: one panel per Spark workload (ALS,
+// K-means, CNN, RNN) of normalized running time when deflated halfway
+// through execution, for cascade (policy), self-deflation, VM-level
+// deflation, and preemption.
+type fig6Result struct {
+	panels curves
+	// chosen records, per panel and deflation level, the mechanism the
+	// policy series actually used.
+	chosen [][]spark.PressureMechanism
+}
+
+// Table renders the four panels.
+func (r fig6Result) Table() string {
+	var b strings.Builder
+	for _, p := range r.panels {
+		b.WriteString(curves{p}.Table() + "\n")
 	}
-}
-
-// Fig6Result reproduces one panel of Figure 6: normalized running time of a
-// Spark workload deflated halfway through execution, for cascade (policy),
-// self-deflation, VM-level deflation, and preemption.
-type Fig6Result struct {
-	Workload  Fig6Workload
-	Deflation []float64
-	Series    []series // indexed like fig6Mechanisms()
-	// Chosen records which mechanism the policy series actually used per
-	// deflation level.
-	Chosen []spark.PressureMechanism
-}
-
-// Table renders the panel.
-func (r Fig6Result) Table() string {
-	return renderTable(fmt.Sprintf("Figure 6 (%s): normalized running time, deflated at 50%% progress", r.Workload),
-		"fraction", r.Deflation, r.Series)
-}
-
-// Value returns the normalized runtime for a mechanism at a deflation
-// fraction.
-func (r Fig6Result) Value(m spark.PressureMechanism, d float64) (float64, error) {
-	for si, mech := range fig6Mechanisms() {
-		if mech != m {
-			continue
-		}
-		for i, x := range r.Deflation {
-			if x == d {
-				return r.Series[si].Values[i], nil
-			}
-		}
-	}
-	return 0, fmt.Errorf("experiments: no fig6 point %v @ %g", m, d)
+	return b.String()
 }
 
 // jitteredDeflation produces the slightly uneven per-VM deflation vector a
@@ -97,43 +58,54 @@ type fig6Cell struct {
 	Chosen spark.PressureMechanism
 }
 
-// Fig6 runs one workload panel. Every (deflation, mechanism) point is an
-// independent sweep cell: each builds its own Spark cluster and baseline.
-func Fig6(w Fig6Workload) (Fig6Result, error) {
-	res := Fig6Result{Workload: w, Deflation: fig6Deflations(w)}
-	mechs := fig6Mechanisms()
-	for _, m := range mechs {
-		res.Series = append(res.Series, series{Name: m.String()})
-	}
-	var cells []sweep.Cell[fig6Cell]
-	for _, d := range res.Deflation {
-		for _, m := range mechs {
-			d, m := d, m
-			cells = append(cells, sweep.Cell[fig6Cell]{
-				Run: func(context.Context) (fig6Cell, error) {
-					norm, chosen, err := fig6Run(w, m, d)
-					return fig6Cell{Norm: norm, Chosen: chosen}, err
-				},
-			})
+// fig6 runs the four panels in the paper's order. Every (deflation,
+// mechanism) point is an independent sweep cell: each builds its own Spark
+// cluster and baseline.
+func fig6(o Options) (Result, error) {
+	var res fig6Result
+	for _, w := range []string{"als", "kmeans", "cnn", "rnn"} {
+		xs := []float64{0.25, 0.5}
+		if w == "cnn" || w == "rnn" {
+			xs = []float64{0.125, 0.25, 0.5}
 		}
-	}
-	vals, err := runCells("fig6-"+string(w), cells)
-	if err != nil {
-		return res, err
-	}
-	for di := range res.Deflation {
-		for si, m := range mechs {
-			c := vals[di*len(mechs)+si]
-			res.Series[si].Values = append(res.Series[si].Values, c.Norm)
-			if m == spark.PressurePolicy {
-				res.Chosen = append(res.Chosen, c.Chosen)
+		var cells []sweep.Cell[fig6Cell]
+		for _, d := range xs {
+			for _, m := range fig6Mechanisms {
+				cells = append(cells, sweep.Cell[fig6Cell]{
+					Run: func(context.Context) (fig6Cell, error) {
+						norm, chosen, err := fig6Run(w, m, d)
+						return fig6Cell{Norm: norm, Chosen: chosen}, err
+					},
+				})
 			}
 		}
+		vals, err := runCells(o, "fig6-"+w, cells)
+		if err != nil {
+			return nil, err
+		}
+		p := panel{
+			title:  fmt.Sprintf("Figure 6 (%s): normalized running time, deflated at 50%% progress", w),
+			xlabel: "fraction", x: xs,
+		}
+		var chosen []spark.PressureMechanism
+		for si, m := range fig6Mechanisms {
+			s := series{Name: m.String()}
+			for di := range xs {
+				c := vals[di*len(fig6Mechanisms)+si]
+				s.Values = append(s.Values, c.Norm)
+				if m == spark.PressurePolicy {
+					chosen = append(chosen, c.Chosen)
+				}
+			}
+			p.series = append(p.series, s)
+		}
+		res.panels = append(res.panels, p)
+		res.chosen = append(res.chosen, chosen)
 	}
 	return res, nil
 }
 
-func fig6Run(w Fig6Workload, m spark.PressureMechanism, d float64) (float64, spark.PressureMechanism, error) {
+func fig6Run(w string, m spark.PressureMechanism, d float64) (float64, spark.PressureMechanism, error) {
 	spec := &spark.PressureSpec{
 		AtProgress: 0.5,
 		Deflation:  jitteredDeflation(8, d),
@@ -141,9 +113,9 @@ func fig6Run(w Fig6Workload, m spark.PressureMechanism, d float64) (float64, spa
 		Estimator:  spark.EstimatorHeuristic,
 	}
 	switch w {
-	case WorkloadALS, WorkloadKMeans:
+	case "als", "kmeans":
 		build := workloads.ALS
-		if w == WorkloadKMeans {
+		if w == "kmeans" {
 			build = workloads.KMeans
 		}
 		base, err := runBatch(build, nil)
@@ -155,9 +127,9 @@ func fig6Run(w Fig6Workload, m spark.PressureMechanism, d float64) (float64, spa
 			return 0, 0, err
 		}
 		return run / base, chosen, nil
-	case WorkloadCNN, WorkloadRNN:
+	case "cnn", "rnn":
 		build := workloads.CNN
-		if w == WorkloadRNN {
+		if w == "rnn" {
 			build = workloads.RNN
 		}
 		// Kill-based mechanisms deploy with checkpointing; deflation-based

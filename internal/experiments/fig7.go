@@ -10,63 +10,38 @@ import (
 	"deflation/internal/sweep"
 )
 
-// Fig7aResult reproduces Figure 7a: ALS normalized running time when 50%
-// deflation arrives at different points of job progress, for self-deflation
-// and VM-level deflation. Early in the job self wins (little to recompute);
-// a crossover follows, and both overheads trend down as less of the job
-// remains to run deflated.
-type Fig7aResult struct {
-	ProgressPct []float64
-	Series      []series // Self / VM-level
-}
-
-// Table renders the figure.
-func (r Fig7aResult) Table() string {
-	return renderTable("Figure 7a: ALS deflated at different progress points (d=0.5)",
-		"progress%", r.ProgressPct, r.Series)
-}
-
-// Fig7a runs the progress sweep: the shared baseline first, then one sweep
-// cell per (mechanism, progress) point, each running its own ALS job.
-func Fig7a() (Fig7aResult, error) {
-	res := Fig7aResult{ProgressPct: []float64{20, 30, 40, 50, 60, 70}}
+// fig7a reproduces Figure 7a: ALS normalized running time when 50%
+// deflation arrives at different points of job progress, for
+// self-deflation and VM-level deflation. Early in the job self wins
+// (little to recompute); a crossover follows, and both overheads trend
+// down as less of the job remains to run deflated. The shared baseline
+// runs first, then one sweep cell per (mechanism, progress) point, each
+// running its own ALS job.
+func fig7a(o Options) (Result, error) {
+	xs := []float64{20, 30, 40, 50, 60, 70}
 	base, err := runBatch(workloads.ALS, nil)
 	if err != nil {
-		return res, err
+		return nil, err
 	}
-	mechs := []spark.PressureMechanism{spark.PressureSelf, spark.PressureVMLevel}
-	vals, err := sweepGrid("fig7a", len(mechs), len(res.ProgressPct), func(si, xi int) (float64, error) {
-		run, err := runBatch(workloads.ALS, &spark.PressureSpec{
-			AtProgress: res.ProgressPct[xi] / 100,
-			Deflation:  jitteredDeflation(8, 0.5),
-			Mechanism:  mechs[si],
-		})
-		if err != nil {
-			return 0, err
-		}
-		return run / base, nil
-	})
+	var rows []gridRow
+	for _, m := range []spark.PressureMechanism{spark.PressureSelf, spark.PressureVMLevel} {
+		rows = append(rows, gridRow{m.String(), func(progress float64) (float64, error) {
+			run, err := runBatch(workloads.ALS, &spark.PressureSpec{
+				AtProgress: progress / 100,
+				Deflation:  jitteredDeflation(8, 0.5),
+				Mechanism:  m,
+			})
+			if err != nil {
+				return 0, err
+			}
+			return run / base, nil
+		}})
+	}
+	ss, err := grid(o, "fig7a", xs, rows)
 	if err != nil {
-		return res, err
+		return nil, err
 	}
-	for si, m := range mechs {
-		res.Series = append(res.Series, series{Name: m.String(), Values: vals[si]})
-	}
-	return res, nil
-}
-
-// Fig7bResult reproduces Figure 7b: CNN training throughput over an
-// 80-minute window with transient resource pressure between minutes 10 and
-// 40, for three deployments: baseline (no pressure, no checkpointing),
-// deflation (VM-level, no checkpointing), and preemption (checkpointing
-// always on; workers revoked during pressure).
-type Fig7bResult struct {
-	Baseline, Deflation, Preemption *stats.TimeSeries
-}
-
-// Table renders all three timelines.
-func (r Fig7bResult) Table() string {
-	return r.Baseline.Table() + r.Deflation.Table() + r.Preemption.Table()
+	return curves{{"Figure 7a: ALS deflated at different progress points (d=0.5)", "progress%", xs, ss}}, nil
 }
 
 // fig7bJob builds a CNN job long enough to span the 80-minute window.
@@ -76,11 +51,15 @@ func fig7bJob(ckpt bool) *spark.TrainingJob {
 	return j
 }
 
-// Fig7b produces the three throughput timelines. Each deployment is one
-// sweep cell running its own training job start to finish; the timelines
-// within a cell stay strictly sequential (virtual time), so the merged
-// result is identical at any parallelism.
-func Fig7b() (Fig7bResult, error) {
+// fig7b reproduces Figure 7b: CNN training throughput over an 80-minute
+// window with transient resource pressure between minutes 10 and 40, for
+// three deployments: baseline (no pressure, no checkpointing), deflation
+// (VM-level, no checkpointing), and preemption (checkpointing always on;
+// workers revoked during pressure). Each deployment is one sweep cell
+// running its own training job start to finish; the timelines within a
+// cell stay strictly sequential (virtual time), so the merged result is
+// identical at any parallelism.
+func fig7b(o Options) (Result, error) {
 	const (
 		pressureStart = 10 * time.Minute
 		pressureEnd   = 40 * time.Minute
@@ -188,12 +167,11 @@ func Fig7b() (Fig7bResult, error) {
 		return ts, nil
 	}
 
-	timelines, err := runCells("fig7b", []sweep.Cell[*stats.TimeSeries]{
+	ts, err := runCells(o, "fig7b", []sweep.Cell[*stats.TimeSeries]{
 		{Run: baselineCell}, {Run: deflationCell}, {Run: preemptionCell},
 	})
-	res := Fig7bResult{}
-	if len(timelines) == 3 {
-		res.Baseline, res.Deflation, res.Preemption = timelines[0], timelines[1], timelines[2]
+	if err != nil {
+		return nil, err
 	}
-	return res, err
+	return timelines(ts), nil
 }

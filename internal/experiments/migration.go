@@ -1,148 +1,32 @@
 package experiments
 
-import (
-	"time"
+import "deflation/internal/cluster"
 
-	"deflation/internal/cluster"
-	"deflation/internal/migration"
-	"deflation/internal/sweep"
-	"deflation/internal/trace"
-)
-
-// FigMigrationConfig sizes the migration-vs-deflation experiment: the
-// Fig. 8c trace-driven cluster simulation swept over overcommitment under
-// four reclamation policies — preemption-only, migration-only (live-migrate
-// victims instead of killing them), deflation (the paper's mechanism), and
-// deflate-then-migrate (shrink the victim first so it moves cheaply). The
-// zero value is the full experiment.
-type FigMigrationConfig struct {
-	// OvercommitLevels are the x-axis points (default 1.1–2.1).
-	OvercommitLevels []float64
-	// Migration parameterizes the live-migration model (zero = defaults:
-	// dedicated 10 GbE link, 300 ms downtime target).
-	Migration migration.Model
-	// TraceCount, MeanInterarrival, LifetimeMedian, and Servers mirror
-	// Fig8cConfig (defaults 4000, 2s, 1h, 100).
-	TraceCount       int
-	MeanInterarrival time.Duration
-	LifetimeMedian   time.Duration
-	Servers          int
-	Seed             int64
-}
-
-// QuickFigMigrationConfig returns a reduced sweep that still saturates the
-// cluster, mirroring QuickFig8cConfig.
-func QuickFigMigrationConfig() FigMigrationConfig {
-	return FigMigrationConfig{
-		OvercommitLevels: []float64{1.5, 1.8},
-		TraceCount:       2500,
-		MeanInterarrival: 2 * time.Second,
-		LifetimeMedian:   10 * time.Minute,
-		Servers:          25,
+// figMigration sweeps the Fig. 8c trace-driven cluster over
+// overcommitment under four reclamation policies: preemption-only,
+// migration-only (live-migrate victims instead of killing them),
+// deflation (the paper's mechanism), and deflate-then-migrate (shrink the
+// victim first so it moves cheaply), on the default live-migration model
+// (dedicated 10 GbE link, 300 ms downtime target). It reports preemption
+// probability, cluster goodput, migrations completed, gigabytes moved, and
+// total stop-and-copy downtime, one series per policy.
+//
+// Preempt-only and Deflation are exactly the two Fig. 8c curves: the zero
+// ReclaimPreempt policy takes the pre-migration code path bit for bit.
+func figMigration(o Options) (Result, error) {
+	row := func(name string, mode cluster.Mode, reclaim cluster.ReclaimPolicy) simRow {
+		return simRow{name, func(c *cluster.SimConfig) { c.Mode, c.Reclaim = mode, reclaim }}
 	}
-}
-
-// migrationPolicies are the experiment's four reclamation strategies.
-// Preempt-only and Deflation are exactly the two Fig. 8c curves (the zero
-// ReclaimPreempt policy takes the pre-migration code path bit for bit);
-// the other two substitute live migration for preemption.
-var migrationPolicies = []struct {
-	Name    string
-	Mode    cluster.Mode
-	Reclaim cluster.ReclaimPolicy
-}{
-	{"Preempt-only", cluster.ModePreemptionOnly, cluster.ReclaimPreempt},
-	{"Migration-only", cluster.ModePreemptionOnly, cluster.ReclaimMigrationOnly},
-	{"Deflation", cluster.ModeDeflation, cluster.ReclaimPreempt},
-	{"Deflate+migrate", cluster.ModeDeflation, cluster.ReclaimDeflateThenMigrate},
-}
-
-// FigMigrationResult reports the sweep, one series per policy across
-// overcommitment levels: preemption probability (Fig. 8c's metric), cluster
-// goodput, migrations completed, gigabytes moved, and total stop-and-copy
-// downtime.
-type FigMigrationResult struct {
-	OvercommitPct []float64
-	Preemption    []series
-	Goodput       []series
-	Migrations    []series
-	MovedGB       []series
-	DowntimeSec   []series
-}
-
-// Table renders the sweep.
-func (r FigMigrationResult) Table() string {
-	return renderTable("Migration vs deflation: preemption probability vs overcommitment",
-		"overcommit%", r.OvercommitPct, r.Preemption) +
-		renderTable("Migration vs deflation: cluster goodput (aggregate normalized throughput)",
-			"overcommit%", r.OvercommitPct, r.Goodput) +
-		renderTable("Migration vs deflation: live migrations completed",
-			"overcommit%", r.OvercommitPct, r.Migrations) +
-		renderTable("Migration vs deflation: data moved (GB)",
-			"overcommit%", r.OvercommitPct, r.MovedGB) +
-		renderTable("Migration vs deflation: total stop-and-copy downtime (s)",
-			"overcommit%", r.OvercommitPct, r.DowntimeSec)
-}
-
-// FigMigration runs the four-policy sweep.
-func FigMigration(cfg FigMigrationConfig) (FigMigrationResult, error) {
-	if len(cfg.OvercommitLevels) == 0 {
-		cfg.OvercommitLevels = []float64{1.1, 1.3, 1.5, 1.6, 1.7, 1.9, 2.1}
-	}
-	if cfg.TraceCount == 0 {
-		cfg.TraceCount = 4000
-	}
-	if cfg.MeanInterarrival == 0 {
-		cfg.MeanInterarrival = 2 * time.Second
-	}
-	if cfg.Seed == 0 {
-		cfg.Seed = 42
-	}
-	var res FigMigrationResult
-	for _, oc := range cfg.OvercommitLevels {
-		res.OvercommitPct = append(res.OvercommitPct, (oc-1)*100)
-	}
-	var cells []sweep.Cell[cluster.SimResult]
-	for _, pol := range migrationPolicies {
-		for _, oc := range cfg.OvercommitLevels {
-			cells = append(cells, simCell("migration", cluster.SimConfig{
-				Mode:             pol.Mode,
-				Reclaim:          pol.Reclaim,
-				Migration:        cfg.Migration,
-				TargetOvercommit: oc,
-				Seed:             cfg.Seed,
-				Servers:          cfg.Servers,
-				Trace: trace.Config{
-					Count:            cfg.TraceCount,
-					MeanInterarrival: cfg.MeanInterarrival,
-					LifetimeMedian:   cfg.LifetimeMedian,
-				},
-			}))
-		}
-	}
-	sims, err := runCells("migration", cells)
-	if err != nil {
-		return res, err
-	}
-	for pi, pol := range migrationPolicies {
-		pp := series{Name: pol.Name}
-		gp := series{Name: pol.Name}
-		mg := series{Name: pol.Name}
-		mv := series{Name: pol.Name}
-		dt := series{Name: pol.Name}
-		for oi := range cfg.OvercommitLevels {
-			sim := sims[pi*len(cfg.OvercommitLevels)+oi]
-			pp.Values = append(pp.Values, sim.PreemptionProbability)
-			gp.Values = append(gp.Values, sim.Goodput)
-			mg.Values = append(mg.Values, float64(sim.Migrations))
-			mv.Values = append(mv.Values, sim.MigratedMB/1024)
-			dt.Values = append(dt.Values, sim.MigrationDowntime.Seconds())
-		}
-		res.Preemption = append(res.Preemption, pp)
-		res.Goodput = append(res.Goodput, gp)
-		res.Migrations = append(res.Migrations, mg)
-		res.MovedGB = append(res.MovedGB, mv)
-		res.DowntimeSec = append(res.DowntimeSec, dt)
-	}
-	return res, nil
+	return simSweep(o, "migration", simBase(o.Quick), overcommits(o, 1.1, 1.3, 1.5, 1.6, 1.7, 1.9, 2.1), []simRow{
+		row("Preempt-only", cluster.ModePreemptionOnly, cluster.ReclaimPreempt),
+		row("Migration-only", cluster.ModePreemptionOnly, cluster.ReclaimMigrationOnly),
+		row("Deflation", cluster.ModeDeflation, cluster.ReclaimPreempt),
+		row("Deflate+migrate", cluster.ModeDeflation, cluster.ReclaimDeflateThenMigrate),
+	}, []simPanel{
+		{"Migration vs deflation: preemption probability vs overcommitment", preemption},
+		{"Migration vs deflation: cluster goodput (aggregate normalized throughput)", goodput},
+		{"Migration vs deflation: live migrations completed", func(r cluster.SimResult) float64 { return float64(r.Migrations) }},
+		{"Migration vs deflation: data moved (GB)", func(r cluster.SimResult) float64 { return r.MigratedMB / 1024 }},
+		{"Migration vs deflation: total stop-and-copy downtime (s)", func(r cluster.SimResult) float64 { return r.MigrationDowntime.Seconds() }},
+	})
 }

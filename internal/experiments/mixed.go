@@ -20,7 +20,7 @@ import (
 	"deflation/internal/vm"
 )
 
-// FigMixed compares the deflation mechanism across substrates: VM-only
+// figMixed compares the deflation mechanism across substrates: VM-only
 // fleets (KVM domains with balloon/hotplug reclamation), container-only
 // fleets (cgroup limit writes), and a mixed fleet alternating between the
 // two, swept across deflation fraction × workload mix.
@@ -37,6 +37,16 @@ import (
 //     while a container whose memory.max undershoots its live resident
 //     set is OOM-killed. The aggressive panel drives a blind resize past
 //     the substrate floor to surface exactly this asymmetry.
+//
+// The full sweep offers 500 rps to each of 2 web replicas (against the
+// webapp's 1600-rps replicas — enough headroom that the frontier lands
+// where vCPU quantization and LHP separate the substrates), on the web mix
+// and on web+batch (as many batch VMs again), and requests 0–62.5% of each
+// VM's CPU in fine steps around the hypervisor quantization boundaries.
+// The aggressive panel resizes every instance straight to 6.25% of its
+// size, far below the container resize floor. p99 is measured against a
+// 50 ms SLO over 240 ticks after a 40-tick warm-up. Quick keeps the web
+// mix, four fractions and 20/80-tick windows.
 
 // Fleet kinds for the substrate axis.
 const (
@@ -51,77 +61,7 @@ const (
 	mixWebBatch = "web+batch"
 )
 
-// FigMixedConfig sizes the sweep; the zero value is the full experiment.
-type FigMixedConfig struct {
-	// RPSPerReplica is offered load per web replica (default 500 against
-	// the webapp's 1600-rps replicas — enough headroom that the frontier
-	// lands where vCPU quantization and LHP separate the substrates).
-	RPSPerReplica float64
-	// Replicas is the web fleet size (default 2); web+batch adds the same
-	// number of batch VMs.
-	Replicas int
-	// Mixes is the workload-mix axis (default {web, web+batch}).
-	Mixes []string
-	// DeflationFractions is the x-axis: the fraction of each VM's CPU
-	// requested back through the cascade (default 0–0.625 in fine steps
-	// around the hypervisor quantization boundaries).
-	DeflationFractions []float64
-	// AggressiveFraction drives the blind-resize panel: every instance is
-	// resized straight to size×(1−fraction) with no cascade and no floor
-	// check (default 0.9375, far below the container resize floor).
-	AggressiveFraction float64
-	// WarmupTicks run before the deflation event (default 40).
-	WarmupTicks int
-	// MeasureTicks is the post-deflation measurement window (default 240).
-	MeasureTicks int
-	// SLOP99MS is the latency SLO (default 50 ms).
-	SLOP99MS float64
-	Seed     int64
-}
-
-func (c FigMixedConfig) withDefaults() FigMixedConfig {
-	if c.RPSPerReplica == 0 {
-		c.RPSPerReplica = 500
-	}
-	if c.Replicas == 0 {
-		c.Replicas = 2
-	}
-	if len(c.Mixes) == 0 {
-		c.Mixes = []string{mixWeb, mixWebBatch}
-	}
-	if len(c.DeflationFractions) == 0 {
-		c.DeflationFractions = []float64{0, 0.125, 0.25, 0.3125, 0.375, 0.4375, 0.5, 0.5625, 0.625}
-	}
-	if c.AggressiveFraction == 0 {
-		c.AggressiveFraction = 0.9375
-	}
-	if c.WarmupTicks == 0 {
-		c.WarmupTicks = 40
-	}
-	if c.MeasureTicks == 0 {
-		c.MeasureTicks = 240
-	}
-	if c.SLOP99MS == 0 {
-		c.SLOP99MS = 50
-	}
-	if c.Seed == 0 {
-		c.Seed = 42
-	}
-	return c
-}
-
-// QuickFigMixedConfig returns a reduced sweep for smoke tests: one mix,
-// four deflation fractions, short windows.
-func QuickFigMixedConfig() FigMixedConfig {
-	return FigMixedConfig{
-		Mixes:              []string{mixWeb},
-		DeflationFractions: []float64{0, 0.25, 0.375, 0.4375},
-		WarmupTicks:        20,
-		MeasureTicks:       80,
-	}
-}
-
-// mixedCell identifies one FigMixed sweep cell. It is JSON-serialized into
+// mixedCell identifies one figMixed sweep cell. It is JSON-serialized into
 // the memoization key, so it must fully determine the run.
 type mixedCell struct {
 	Fleet         string // fleetVM | fleetContainer | fleetMixed
@@ -142,7 +82,6 @@ type mixedCell struct {
 type mixedCellResult struct {
 	P99MS       float64
 	SLOViolated bool
-	Requests    float64 // modeled in the measurement window
 	// ReclaimedCores is the CPU actually reclaimed per instance (web and
 	// batch alike — the whole fleet sees the same request).
 	ReclaimedCores float64
@@ -309,7 +248,6 @@ func runMixedCell(c mixedCell) (mixedCellResult, error) {
 	r := svc.Result()
 	res.P99MS = r.P99MS
 	res.SLOViolated = r.SLOViolated
-	res.Requests = r.Requests
 	return res, nil
 }
 
@@ -324,11 +262,11 @@ func mixedSweepCell(c mixedCell) sweep.Cell[mixedCellResult] {
 	}
 }
 
-// MixedPanel is one workload-mix slice of the sweep: measured p99,
+// mixedPanel is one workload-mix slice of the sweep: measured p99,
 // reclaimed cores, and mean resize latency per deflation fraction for all
 // three fleets, plus each fleet's frontier — the deepest requested
 // deflation before its first p99 violation.
-type MixedPanel struct {
+type mixedPanel struct {
 	Mix string
 
 	VM, Container, Mixed                series // p99 ms per deflation fraction
@@ -339,23 +277,23 @@ type MixedPanel struct {
 	vm, container, mixed                                  []mixedCellResult
 }
 
-// MixedAggressiveCell is one fleet's blind-resize result.
-type MixedAggressiveCell struct {
+// mixedAggressive is one fleet's blind-resize result.
+type mixedAggressive struct {
 	Fleet        string
 	DeflationPct float64
 	Cell         mixedCellResult
 }
 
-// FigMixedResult holds the sweep output.
-type FigMixedResult struct {
+// mixedResult holds the sweep output.
+type mixedResult struct {
 	SLOP99MS     float64
 	DeflationPct []float64
-	Panels       []MixedPanel
-	Aggressive   []MixedAggressiveCell
+	Panels       []mixedPanel
+	Aggressive   []mixedAggressive
 }
 
 // Table renders every panel plus the frontier and aggressive summaries.
-func (r FigMixedResult) Table() string {
+func (r mixedResult) Table() string {
 	var b strings.Builder
 	for _, p := range r.Panels {
 		title := fmt.Sprintf("fig-mixed [%s]: p99 (ms), reclaimed cores/instance, resize latency (ms) by substrate (SLO %g ms)",
@@ -379,56 +317,25 @@ func (r FigMixedResult) Table() string {
 	return b.String()
 }
 
-// TotalRequests sums the requests modeled across every cell's measurement
-// window — the denominator for the benchmark's per-request metrics.
-func (r FigMixedResult) TotalRequests() float64 {
-	var total float64
-	for _, p := range r.Panels {
-		for _, cells := range [][]mixedCellResult{p.vm, p.container, p.mixed} {
-			for _, c := range cells {
-				total += c.Requests
-			}
-		}
+// figMixed runs the sweep.
+func figMixed(o Options) (Result, error) {
+	mixes, fractions := []string{mixWeb, mixWebBatch}, []float64{0, 0.125, 0.25, 0.3125, 0.375, 0.4375, 0.5, 0.5625, 0.625}
+	base := mixedCell{RPSPerReplica: 500, Replicas: 2, WarmupTicks: 40, MeasureTicks: 240, SLOP99MS: 50, Seed: 42}
+	if o.Quick {
+		mixes, fractions = []string{mixWeb}, []float64{0, 0.25, 0.375, 0.4375}
+		base.WarmupTicks, base.MeasureTicks = 20, 80
 	}
-	for _, a := range r.Aggressive {
-		total += a.Cell.Requests
-	}
-	return total
-}
-
-// mixedFrontierPct mirrors frontierPct for mixed cells.
-func mixedFrontierPct(pct []float64, cells []mixedCellResult) float64 {
-	deepest := -1.0
-	for i, c := range cells {
-		if c.SLOViolated {
-			break
-		}
-		deepest = pct[i]
-	}
-	return deepest
-}
-
-// FigMixed runs the sweep.
-func FigMixed(cfg FigMixedConfig) (FigMixedResult, error) {
-	cfg = cfg.withDefaults()
-	res := FigMixedResult{SLOP99MS: cfg.SLOP99MS}
-	for _, f := range cfg.DeflationFractions {
+	const aggressive = 0.9375
+	res := mixedResult{SLOP99MS: base.SLOP99MS}
+	for _, f := range fractions {
 		res.DeflationPct = append(res.DeflationPct, f*100)
 	}
 
-	base := mixedCell{
-		RPSPerReplica: cfg.RPSPerReplica,
-		Replicas:      cfg.Replicas,
-		WarmupTicks:   cfg.WarmupTicks,
-		MeasureTicks:  cfg.MeasureTicks,
-		SLOP99MS:      cfg.SLOP99MS,
-		Seed:          cfg.Seed,
-	}
 	fleets := []string{fleetVM, fleetContainer, fleetMixed}
 	var cells []sweep.Cell[mixedCellResult]
-	for _, mix := range cfg.Mixes {
+	for _, mix := range mixes {
 		for _, fleet := range fleets {
-			for _, f := range cfg.DeflationFractions {
+			for _, f := range fractions {
 				c := base
 				c.Mix, c.Fleet, c.DeflateFrac = mix, fleet, f
 				cells = append(cells, mixedSweepCell(c))
@@ -438,19 +345,19 @@ func FigMixed(cfg FigMixedConfig) (FigMixedResult, error) {
 	// The aggressive panel: one blind-resize cell per fleet on the web mix.
 	for _, fleet := range fleets {
 		c := base
-		c.Mix, c.Fleet, c.DeflateFrac, c.Aggressive = mixWeb, fleet, cfg.AggressiveFraction, true
+		c.Mix, c.Fleet, c.DeflateFrac, c.Aggressive = mixWeb, fleet, aggressive, true
 		cells = append(cells, mixedSweepCell(c))
 	}
 
-	vals, err := runCells("fig-mixed", cells)
+	vals, err := runCells(o, "fig-mixed", cells)
 	if err != nil {
-		return res, err
+		return nil, err
 	}
 
-	nf := len(cfg.DeflationFractions)
+	nf := len(fractions)
 	i := 0
-	for _, mix := range cfg.Mixes {
-		p := MixedPanel{
+	for _, mix := range mixes {
+		p := mixedPanel{
 			Mix:             mix,
 			VM:              series{Name: "vm p99"},
 			Container:       series{Name: "ctr p99"},
@@ -475,15 +382,15 @@ func FigMixed(cfg FigMixedConfig) (FigMixedResult, error) {
 			p.VMResize.Values = append(p.VMResize.Values, p.vm[k].MeanResizeMS)
 			p.ContainerResize.Values = append(p.ContainerResize.Values, p.container[k].MeanResizeMS)
 		}
-		p.VMFrontierPct = mixedFrontierPct(res.DeflationPct, p.vm)
-		p.ContainerFrontierPct = mixedFrontierPct(res.DeflationPct, p.container)
-		p.MixedFrontierPct = mixedFrontierPct(res.DeflationPct, p.mixed)
+		p.VMFrontierPct = frontierPct(res.DeflationPct, func(i int) bool { return p.vm[i].SLOViolated })
+		p.ContainerFrontierPct = frontierPct(res.DeflationPct, func(i int) bool { return p.container[i].SLOViolated })
+		p.MixedFrontierPct = frontierPct(res.DeflationPct, func(i int) bool { return p.mixed[i].SLOViolated })
 		res.Panels = append(res.Panels, p)
 	}
 	for k, fleet := range fleets {
-		res.Aggressive = append(res.Aggressive, MixedAggressiveCell{
+		res.Aggressive = append(res.Aggressive, mixedAggressive{
 			Fleet:        fleet,
-			DeflationPct: cfg.AggressiveFraction * 100,
+			DeflationPct: aggressive * 100,
 			Cell:         vals[i+k],
 		})
 	}

@@ -1,18 +1,13 @@
 package experiments
 
 import (
-	"reflect"
 	"strings"
 	"testing"
 )
 
-func quickMixed(t *testing.T) FigMixedResult {
+func quickMixed(t *testing.T) mixedResult {
 	t.Helper()
-	r, err := FigMixed(QuickFigMixedConfig())
-	if err != nil {
-		t.Fatal(err)
-	}
-	return r
+	return quick(t, "mixed").(mixedResult)
 }
 
 // TestFigMixedZeroDeflationIdenticalAcrossSubstrates: with no deflation the
@@ -95,7 +90,7 @@ func TestFigMixedResizeLatency(t *testing.T) {
 // memory overcommit in swap.
 func TestFigMixedAggressiveOOMAsymmetry(t *testing.T) {
 	r := quickMixed(t)
-	byFleet := map[string]MixedAggressiveCell{}
+	byFleet := map[string]mixedAggressive{}
 	for _, a := range r.Aggressive {
 		byFleet[a.Fleet] = a
 	}
@@ -114,27 +109,6 @@ func TestFigMixedAggressiveOOMAsymmetry(t *testing.T) {
 	}
 }
 
-// TestFigMixedMemoizationSafe: cells are pure functions of their config, so
-// the cross-sweep cache never changes the result.
-func TestFigMixedMemoizationSafe(t *testing.T) {
-	defer func() {
-		SetMemoization(false)
-		SetParallelism(0)
-	}()
-	SetMemoization(false)
-	SetParallelism(4)
-	plain := quickMixed(t)
-	SetMemoization(true)
-	warm := quickMixed(t)
-	cached := quickMixed(t)
-	if !reflect.DeepEqual(plain, warm) || !reflect.DeepEqual(plain, cached) {
-		t.Error("memoization changed FigMixed results")
-	}
-	if plain.Table() != cached.Table() {
-		t.Error("memoization changed the FigMixed table")
-	}
-}
-
 func TestFigMixedTable(t *testing.T) {
 	r := quickMixed(t)
 	table := r.Table()
@@ -145,8 +119,5 @@ func TestFigMixedTable(t *testing.T) {
 		if !strings.Contains(table, want) {
 			t.Errorf("table missing %q:\n%s", want, table)
 		}
-	}
-	if r.TotalRequests() < 1e5 {
-		t.Errorf("quick sweep modeled only %g requests", r.TotalRequests())
 	}
 }

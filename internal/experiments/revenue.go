@@ -4,52 +4,41 @@ import (
 	"context"
 	"fmt"
 	"strings"
-	"time"
 
 	"deflation/internal/cluster"
 	"deflation/internal/pricing"
 	"deflation/internal/sweep"
-	"deflation/internal/trace"
 )
 
-// RevenueResult implements the §8 pricing discussion as an experiment:
-// provider revenue at 1.6× target overcommitment under three deployments —
-// the preemption-only baseline with today's flat spot discount, deflation
-// with the same flat discount, and deflation with resource-as-a-service
-// pricing.
-type RevenueResult struct {
-	Rows []RevenueRow
-}
-
-// RevenueRow is one deployment's outcome.
-type RevenueRow struct {
+// revenueRow is one deployment's outcome.
+type revenueRow struct {
 	Deployment    string
 	Revenue       float64
 	CoreHoursSold float64
 	PreemptProb   float64
 }
 
+// revenueResult implements the §8 pricing discussion as an experiment:
+// provider revenue at 1.6× target overcommitment under three deployments —
+// the preemption-only baseline with today's flat spot discount, deflation
+// with the same flat discount, and deflation with resource-as-a-service
+// pricing.
+type revenueResult []revenueRow
+
 // Table renders the comparison.
-func (r RevenueResult) Table() string {
+func (r revenueResult) Table() string {
 	var b strings.Builder
 	b.WriteString("# §8 pricing: provider revenue at 1.6x target overcommitment\n")
 	fmt.Fprintf(&b, "%-28s %12s %14s %12s\n", "deployment", "revenue $", "core-hours", "preempt-p")
-	for _, row := range r.Rows {
+	for _, row := range r {
 		fmt.Fprintf(&b, "%-28s %12.2f %14.0f %12.3f\n",
 			row.Deployment, row.Revenue, row.CoreHoursSold, row.PreemptProb)
 	}
 	return b.String()
 }
 
-// Revenue runs the comparison. quick shrinks the simulation.
-func Revenue(quick bool) (RevenueResult, error) {
-	var res RevenueResult
-	tr := trace.Config{Count: 4000, MeanInterarrival: 2 * time.Second}
-	servers := 0
-	if quick {
-		tr = trace.Config{Count: 2500, MeanInterarrival: 2 * time.Second, LifetimeMedian: 10 * time.Minute}
-		servers = 25
-	}
+// revenue runs the comparison.
+func revenue(o Options) (Result, error) {
 	rates := pricing.DefaultRates()
 	configs := []struct {
 		name  string
@@ -63,28 +52,22 @@ func Revenue(quick bool) (RevenueResult, error) {
 	// One cell per deployment; each builds its own meter inside the cell so
 	// concurrent deployments accrue revenue independently. Meter cells are
 	// never memoized (the meter is a side effect of the run).
-	var cells []sweep.Cell[RevenueRow]
-	for _, cfg := range configs {
-		cfg := cfg
-		cells = append(cells, sweep.Cell[RevenueRow]{
-			Run: func(context.Context) (RevenueRow, error) {
-				meter, err := pricing.NewMeter(cfg.model)
+	var cells []sweep.Cell[revenueRow]
+	for _, c := range configs {
+		cells = append(cells, sweep.Cell[revenueRow]{
+			Run: func(context.Context) (revenueRow, error) {
+				meter, err := pricing.NewMeter(c.model)
 				if err != nil {
-					return RevenueRow{}, err
+					return revenueRow{}, err
 				}
-				sim, err := cluster.RunSim(cluster.SimConfig{
-					Mode:             cfg.mode,
-					TargetOvercommit: 1.6,
-					Seed:             42,
-					Servers:          servers,
-					Trace:            tr,
-					Meter:            meter,
-				})
+				cfg := simBase(o.Quick)
+				cfg.Mode, cfg.TargetOvercommit, cfg.Meter = c.mode, 1.6, meter
+				sim, err := cluster.RunSim(cfg)
 				if err != nil {
-					return RevenueRow{}, err
+					return revenueRow{}, err
 				}
-				return RevenueRow{
-					Deployment:    cfg.name,
+				return revenueRow{
+					Deployment:    c.name,
 					Revenue:       meter.Total(),
 					CoreHoursSold: meter.CoreHoursSold,
 					PreemptProb:   sim.PreemptionProbability,
@@ -92,10 +75,9 @@ func Revenue(quick bool) (RevenueResult, error) {
 			},
 		})
 	}
-	rows, err := runCells("revenue", cells)
+	rows, err := runCells(o, "revenue", cells)
 	if err != nil {
-		return res, err
+		return nil, err
 	}
-	res.Rows = rows
-	return res, nil
+	return revenueResult(rows), nil
 }

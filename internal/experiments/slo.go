@@ -17,7 +17,7 @@ import (
 	"deflation/internal/vm"
 )
 
-// FigSLO sweeps an interactive replicated service under open-loop load
+// figSLO sweeps an interactive replicated service under open-loop load
 // across arrival rate × replica count × deflation fraction, comparing two
 // reclamation policies on the measured p99:
 //
@@ -30,71 +30,14 @@ import (
 // A final mixed-fleet cell co-locates guarded web replicas with unguarded
 // batch VMs on one host and deflates everything, showing full reclamation
 // from batch while the web tier keeps its SLO.
+//
+// The full sweep offers 400 and 800 rps per replica (against the webapp's
+// 1600-rps replicas) to fleets of 2 and 4, requests 0–75% of each
+// replica's CPU in 12.5% steps, and measures p99 against a 50 ms SLO over
+// 240 ticks after a 40-tick warm-up. Quick keeps one fleet shape, four
+// fractions and 20/80-tick windows.
 
-// FigSLOConfig sizes the sweep; the zero value is the full experiment.
-type FigSLOConfig struct {
-	// RPSPerReplica is the arrival-rate axis, expressed as offered load per
-	// replica so every fleet size sees the same utilization (default
-	// {400, 800} against the webapp's 1600-rps replicas).
-	RPSPerReplica []float64
-	// Replicas is the fleet-size axis (default {2, 4}).
-	Replicas []int
-	// DeflationFractions is the x-axis: the fraction of each replica's CPU
-	// requested back by the cascade (default 0–0.75 in 0.125 steps).
-	DeflationFractions []float64
-	// WarmupTicks run before the deflation event and measurement window so
-	// the guard deflates against measured load (default 40).
-	WarmupTicks int
-	// MeasureTicks is the post-deflation measurement window (default 240).
-	MeasureTicks int
-	// SLOP99MS is the latency SLO (default 50 ms).
-	SLOP99MS float64
-	// Profile names the arrival profile (default "steady").
-	Profile string
-	Seed    int64
-}
-
-func (c FigSLOConfig) withDefaults() FigSLOConfig {
-	if len(c.RPSPerReplica) == 0 {
-		c.RPSPerReplica = []float64{400, 800}
-	}
-	if len(c.Replicas) == 0 {
-		c.Replicas = []int{2, 4}
-	}
-	if len(c.DeflationFractions) == 0 {
-		c.DeflationFractions = []float64{0, 0.125, 0.25, 0.375, 0.5, 0.625, 0.75}
-	}
-	if c.WarmupTicks == 0 {
-		c.WarmupTicks = 40
-	}
-	if c.MeasureTicks == 0 {
-		c.MeasureTicks = 240
-	}
-	if c.SLOP99MS == 0 {
-		c.SLOP99MS = 50
-	}
-	if c.Profile == "" {
-		c.Profile = interactive.Steady.String()
-	}
-	if c.Seed == 0 {
-		c.Seed = 42
-	}
-	return c
-}
-
-// QuickFigSLOConfig returns a reduced sweep for smoke tests: one fleet
-// shape, four deflation fractions, short windows.
-func QuickFigSLOConfig() FigSLOConfig {
-	return FigSLOConfig{
-		RPSPerReplica:      []float64{800},
-		Replicas:           []int{2},
-		DeflationFractions: []float64{0, 0.25, 0.5, 0.625},
-		WarmupTicks:        20,
-		MeasureTicks:       80,
-	}
-}
-
-// sloCell identifies one FigSLO sweep cell. It is JSON-serialized into the
+// sloCell identifies one figSLO sweep cell. It is JSON-serialized into the
 // memoization key, so it must fully determine the run.
 type sloCell struct {
 	Policy        string // "slo-target" or "utility-cascade"
@@ -120,7 +63,6 @@ const (
 type sloCellResult struct {
 	P50MS, P95MS, P99MS, MeanMS float64
 	ViolationFraction           float64
-	Requests                    float64 // modeled in the measurement window
 	ServedRPS, DroppedRPS       float64
 	SLOViolated                 bool
 	OverloadTicks               int
@@ -257,7 +199,6 @@ func runSLOCell(c sloCell) (sloCellResult, error) {
 	window := float64(c.MeasureTicks)
 	res.P50MS, res.P95MS, res.P99MS, res.MeanMS = r.P50MS, r.P95MS, r.P99MS, r.MeanMS
 	res.ViolationFraction = r.ViolationFraction
-	res.Requests = r.Requests
 	res.ServedRPS = r.Served / window
 	res.DroppedRPS = r.Dropped / window
 	res.SLOViolated = r.SLOViolated
@@ -276,11 +217,11 @@ func sloSweepCell(c sloCell) sweep.Cell[sloCellResult] {
 	}
 }
 
-// SLOPanel is one (arrival rate, fleet size) slice of the sweep: measured
+// sloPanel is one (arrival rate, fleet size) slice of the sweep: measured
 // p99 and actually-reclaimed cores per deflation fraction for both
 // policies, plus each policy's frontier — the deepest requested deflation
 // before its first p99 violation (-1 when even zero deflation violates).
-type SLOPanel struct {
+type sloPanel struct {
 	RPSPerReplica float64
 	Replicas      int
 
@@ -291,17 +232,17 @@ type SLOPanel struct {
 	slo, utility                       []sloCellResult
 }
 
-// FigSLOResult holds the sweep output.
-type FigSLOResult struct {
+// sloResult holds the sweep output.
+type sloResult struct {
 	SLOP99MS     float64
 	DeflationPct []float64
-	Panels       []SLOPanel
-	Mixed        SLOMixedResult
+	Panels       []sloPanel
+	Mixed        sloMixed
 }
 
-// SLOMixedResult is the mixed-fleet cell: guarded web replicas and
+// sloMixed is the mixed-fleet cell: guarded web replicas and
 // unguarded batch VMs sharing a host through one deflation event.
-type SLOMixedResult struct {
+type sloMixed struct {
 	WebReplicas, BatchVMs int
 	RPSPerReplica         float64
 	DeflationPct          float64
@@ -309,7 +250,7 @@ type SLOMixedResult struct {
 }
 
 // Table renders every panel plus the frontier and mixed-fleet summaries.
-func (r FigSLOResult) Table() string {
+func (r sloResult) Table() string {
 	var b strings.Builder
 	for _, p := range r.Panels {
 		title := fmt.Sprintf("fig-slo: p99 (ms) and reclaimed cores/replica, %g rps/replica × %d replicas (SLO %g ms)",
@@ -330,21 +271,6 @@ func (r FigSLOResult) Table() string {
 	return b.String()
 }
 
-// TotalRequests sums the requests modeled across every cell's measurement
-// window — the denominator for the benchmark's per-request metrics.
-func (r FigSLOResult) TotalRequests() float64 {
-	total := r.Mixed.Cell.Requests
-	for _, p := range r.Panels {
-		for _, c := range p.slo {
-			total += c.Requests
-		}
-		for _, c := range p.utility {
-			total += c.Requests
-		}
-	}
-	return total
-}
-
 func frontierLabel(pct float64) string {
 	if pct < 0 {
 		return "none"
@@ -355,10 +281,10 @@ func frontierLabel(pct float64) string {
 // frontierPct returns the deepest requested deflation percentage reached
 // before the first violating cell, scanning fractions in ascending order;
 // -1 when the very first cell violates.
-func frontierPct(pct []float64, cells []sloCellResult) float64 {
+func frontierPct(pct []float64, violated func(i int) bool) float64 {
 	deepest := -1.0
-	for i, c := range cells {
-		if c.SLOViolated {
+	for i := range pct {
+		if violated(i) {
 			break
 		}
 		deepest = pct[i]
@@ -366,26 +292,30 @@ func frontierPct(pct []float64, cells []sloCellResult) float64 {
 	return deepest
 }
 
-// FigSLO runs the sweep.
-func FigSLO(cfg FigSLOConfig) (FigSLOResult, error) {
-	cfg = cfg.withDefaults()
-	res := FigSLOResult{SLOP99MS: cfg.SLOP99MS}
-	for _, f := range cfg.DeflationFractions {
+// figSLO runs the sweep.
+func figSLO(o Options) (Result, error) {
+	rates, replicas, fractions := []float64{400, 800}, []int{2, 4}, []float64{0, 0.125, 0.25, 0.375, 0.5, 0.625, 0.75}
+	base := sloCell{
+		Profile:      interactive.Steady.String(),
+		WarmupTicks:  40,
+		MeasureTicks: 240,
+		SLOP99MS:     50,
+		Seed:         42,
+	}
+	if o.Quick {
+		rates, replicas, fractions = []float64{800}, []int{2}, []float64{0, 0.25, 0.5, 0.625}
+		base.WarmupTicks, base.MeasureTicks = 20, 80
+	}
+	res := sloResult{SLOP99MS: base.SLOP99MS}
+	for _, f := range fractions {
 		res.DeflationPct = append(res.DeflationPct, f*100)
 	}
 
-	base := sloCell{
-		Profile:      cfg.Profile,
-		WarmupTicks:  cfg.WarmupTicks,
-		MeasureTicks: cfg.MeasureTicks,
-		SLOP99MS:     cfg.SLOP99MS,
-		Seed:         cfg.Seed,
-	}
 	var cells []sweep.Cell[sloCellResult]
-	for _, rps := range cfg.RPSPerReplica {
-		for _, n := range cfg.Replicas {
+	for _, rps := range rates {
+		for _, n := range replicas {
 			for _, policy := range []string{policySLO, policyUtility} {
-				for _, f := range cfg.DeflationFractions {
+				for _, f := range fractions {
 					c := base
 					c.Policy, c.RPSPerReplica, c.Replicas, c.DeflateFrac = policy, rps, n, f
 					cells = append(cells, sloSweepCell(c))
@@ -398,22 +328,22 @@ func FigSLO(cfg FigSLOConfig) (FigSLOResult, error) {
 	// VMs give up the full target.
 	mixed := base
 	mixed.Policy = policySLO
-	mixed.RPSPerReplica = cfg.RPSPerReplica[0]
-	mixed.Replicas = cfg.Replicas[0]
+	mixed.RPSPerReplica = rates[0]
+	mixed.Replicas = replicas[0]
 	mixed.DeflateFrac = 0.75
-	mixed.BatchVMs = cfg.Replicas[0]
+	mixed.BatchVMs = replicas[0]
 	cells = append(cells, sloSweepCell(mixed))
 
-	vals, err := runCells("fig-slo", cells)
+	vals, err := runCells(o, "fig-slo", cells)
 	if err != nil {
-		return res, err
+		return nil, err
 	}
 
-	nf := len(cfg.DeflationFractions)
+	nf := len(fractions)
 	i := 0
-	for _, rps := range cfg.RPSPerReplica {
-		for _, n := range cfg.Replicas {
-			p := SLOPanel{
+	for _, rps := range rates {
+		for _, n := range replicas {
+			p := sloPanel{
 				RPSPerReplica: rps, Replicas: n,
 				SLO:          series{Name: "slo p99"},
 				Utility:      series{Name: "util p99"},
@@ -429,12 +359,12 @@ func FigSLO(cfg FigSLOConfig) (FigSLOResult, error) {
 				p.SLOCores.Values = append(p.SLOCores.Values, p.slo[k].WebReclaimedCores)
 				p.UtilityCores.Values = append(p.UtilityCores.Values, p.utility[k].WebReclaimedCores)
 			}
-			p.SLOFrontierPct = frontierPct(res.DeflationPct, p.slo)
-			p.UtilityFrontierPct = frontierPct(res.DeflationPct, p.utility)
+			p.SLOFrontierPct = frontierPct(res.DeflationPct, func(i int) bool { return p.slo[i].SLOViolated })
+			p.UtilityFrontierPct = frontierPct(res.DeflationPct, func(i int) bool { return p.utility[i].SLOViolated })
 			res.Panels = append(res.Panels, p)
 		}
 	}
-	res.Mixed = SLOMixedResult{
+	res.Mixed = sloMixed{
 		WebReplicas: mixed.Replicas, BatchVMs: mixed.BatchVMs,
 		RPSPerReplica: mixed.RPSPerReplica, DeflationPct: mixed.DeflateFrac * 100,
 		Cell: vals[i],

@@ -2,7 +2,6 @@ package experiments
 
 import (
 	"math"
-	"reflect"
 	"strings"
 	"testing"
 
@@ -10,13 +9,9 @@ import (
 	"deflation/internal/hypervisor"
 )
 
-func quickSLO(t *testing.T) FigSLOResult {
+func quickSLO(t *testing.T) sloResult {
 	t.Helper()
-	r, err := FigSLO(QuickFigSLOConfig())
-	if err != nil {
-		t.Fatal(err)
-	}
-	return r
+	return quick(t, "slo").(sloResult)
 }
 
 // TestFigSLOZeroDeflationMatchesWebapp: the sweep's zero-deflation row must
@@ -24,7 +19,6 @@ func quickSLO(t *testing.T) FigSLOResult {
 // server's own closed form at the measured per-replica load, and
 // essentially all offered traffic served.
 func TestFigSLOZeroDeflationMatchesWebapp(t *testing.T) {
-	cfg := QuickFigSLOConfig()
 	r := quickSLO(t)
 	p := r.Panels[0]
 	app, err := webapp.NewApp(webapp.Config{DeflationAware: true})
@@ -61,7 +55,6 @@ func TestFigSLOZeroDeflationMatchesWebapp(t *testing.T) {
 	if p.slo[0] != p.utility[0] {
 		t.Errorf("zero-deflation rows differ across policies:\n%+v\n%+v", p.slo[0], p.utility[0])
 	}
-	_ = cfg
 }
 
 // TestFigSLOFrontierStrictlyDeeper is the headline acceptance: in every
@@ -111,27 +104,6 @@ func TestFigSLOMixedFleet(t *testing.T) {
 	}
 }
 
-// TestFigSLOMemoizationSafe: the sweep's cells are pure functions of their
-// config, so the cross-sweep cache never changes the result.
-func TestFigSLOMemoizationSafe(t *testing.T) {
-	defer func() {
-		SetMemoization(false)
-		SetParallelism(0)
-	}()
-	SetMemoization(false)
-	SetParallelism(4)
-	plain := quickSLO(t)
-	SetMemoization(true)
-	warm := quickSLO(t)   // populates the cache
-	cached := quickSLO(t) // served from it
-	if !reflect.DeepEqual(plain, warm) || !reflect.DeepEqual(plain, cached) {
-		t.Error("memoization changed FigSLO results")
-	}
-	if plain.Table() != cached.Table() {
-		t.Error("memoization changed the FigSLO table")
-	}
-}
-
 func TestFigSLOTable(t *testing.T) {
 	r := quickSLO(t)
 	table := r.Table()
@@ -141,8 +113,5 @@ func TestFigSLOTable(t *testing.T) {
 		if !strings.Contains(table, want) {
 			t.Errorf("table missing %q:\n%s", want, table)
 		}
-	}
-	if r.TotalRequests() < 1e6 {
-		t.Errorf("quick sweep modeled only %g requests, want millions", r.TotalRequests())
 	}
 }

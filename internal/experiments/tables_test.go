@@ -6,15 +6,12 @@ import (
 )
 
 func TestTable1MechanismsAllFire(t *testing.T) {
-	r, err := Table1()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(r.Rows) != 4 {
-		t.Fatalf("rows = %d, want the 4 Table 1 mechanisms", len(r.Rows))
+	r := quick(t, "table1").(table1Result)
+	if len(r) != 4 {
+		t.Fatalf("rows = %d, want the 4 Table 1 mechanisms", len(r))
 	}
 	apps := map[string]bool{}
-	for _, row := range r.Rows {
+	for _, row := range r {
 		apps[row.Application] = true
 		if row.Effect == "" || row.Mechanism == "" {
 			t.Errorf("empty row: %+v", row)
@@ -31,14 +28,11 @@ func TestTable1MechanismsAllFire(t *testing.T) {
 }
 
 func TestTable2WorkloadsAllRun(t *testing.T) {
-	r, err := Table2()
-	if err != nil {
-		t.Fatal(err)
+	r := quick(t, "table2").(table2Result)
+	if len(r) != 7 {
+		t.Fatalf("rows = %d, want the 7 Table 2 workloads", len(r))
 	}
-	if len(r.Rows) != 7 {
-		t.Fatalf("rows = %d, want the 7 Table 2 workloads", len(r.Rows))
-	}
-	for _, row := range r.Rows {
+	for _, row := range r {
 		if row.Baseline == "" {
 			t.Errorf("workload %s has no baseline", row.Workload)
 		}

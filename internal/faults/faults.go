@@ -2,8 +2,8 @@
 // deflation control plane. A real transiency-exploiting cluster sees server
 // revocations, hung deflation agents, partially-failed hot-unplugs, and a
 // flaky network between the manager and its local controllers; this package
-// models all four so chaos experiments (internal/experiments.Chaos) can
-// measure the system under them.
+// models all four so chaos experiments (the chaos figure in
+// internal/experiments) can measure the system under them.
 //
 // Determinism is the design constraint: every decision is drawn from an
 // independent per-category PRNG stream derived from Config.Seed, so two runs

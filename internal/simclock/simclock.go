@@ -13,7 +13,7 @@
 // buckets in time order, and the bucket count and width track the live event
 // population, giving O(1) amortized schedule and pop against the binary
 // heap's O(log n) — the difference that lets the 10k-node cluster sweeps of
-// experiments.Fig8cXL finish in seconds. Events are slab-allocated in chunks
+// the 8c-xl figure finish in seconds. Events are slab-allocated in chunks
 // so the per-event steady-state allocation rate is ~0, and same-instant
 // events carry a monotone sequence number that preserves the heap engine's
 // FIFO tie order exactly (the differential tests in simclock_test.go drive
