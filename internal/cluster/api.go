@@ -538,10 +538,12 @@ type RemoteNode struct {
 	// source Free/Availability/.../SubstrateKind read. capKnown is false
 	// while the cache is cold and after any transport error: the node is
 	// then no placement candidate until a reply, heartbeat or probe refills
-	// it. capAt is when the summary was last confirmed.
+	// it. capAt is when the summary was last confirmed. watchers run, under
+	// mu, whenever the summary or capKnown moves (see WatchCapacity).
 	cap      CapacitySummary
 	capKnown bool
 	capAt    time.Time
+	watchers watchList
 
 	sleep func(time.Duration) // test seam; time.Sleep by default
 }
@@ -703,7 +705,10 @@ func (n *RemoteNode) attempt(method, path string, body []byte, hdr http.Header, 
 	if err != nil {
 		n.mu.Lock()
 		n.lastErr = err
-		n.capKnown = false
+		if n.capKnown {
+			n.capKnown = false
+			n.watchers.notify()
+		}
 		tel := n.tel
 		n.mu.Unlock()
 		if tel != nil {
@@ -753,10 +758,27 @@ func (n *RemoteNode) foldCapacity(sum CapacitySummary, source string) {
 	}
 	changed := !n.capKnown || !sameInstance || sum.Generation != n.cap.Generation
 	n.cap, n.capKnown, n.capAt = sum, true, time.Now()
+	if changed {
+		n.watchers.notify()
+	}
 	tel := n.tel
 	n.mu.Unlock()
 	if changed && tel != nil {
 		tel.capacityRefresh[source].Inc()
+	}
+}
+
+// WatchCapacity implements Node: fn runs whenever the cached summary moves —
+// a new instance or generation, or the cache turning known or unknown. It
+// runs under the node's lock, on whichever goroutine moved the cache.
+func (n *RemoteNode) WatchCapacity(fn func()) (unwatch func()) {
+	n.mu.Lock()
+	defer n.mu.Unlock()
+	remove := n.watchers.add(fn)
+	return func() {
+		n.mu.Lock()
+		defer n.mu.Unlock()
+		remove()
 	}
 }
 
@@ -791,7 +813,7 @@ func (n *RemoteNode) capacity() (sum CapacitySummary, known bool, at time.Time) 
 
 // placementCapacity is the summary placement may read: the zero summary
 // while capacity is unknown, so that no reader places onto stale numbers.
-// The manager skips an unknown node before it reads it (barUnknownCapacity).
+// The placement index never reads an unknown node (see capacityCached).
 func (n *RemoteNode) placementCapacity() CapacitySummary {
 	sum, known, _ := n.capacity()
 	if !known {
@@ -1436,10 +1458,10 @@ func (a *ManagerAPI) handleCluster(w http.ResponseWriter, r *http.Request) {
 	}
 	if r.URL.Query().Get("servers") == "true" {
 		for _, n := range a.mgr.Servers() {
-			if lc, ok := n.(*LocalController); ok {
+			if lc, ok := capability[*LocalController](n); ok {
 				api := ControllerAPI{ctrl: lc}
 				st.Servers = append(st.Servers, api.state())
-			} else if rn, ok := n.(*RemoteNode); ok {
+			} else if rn, ok := capability[*RemoteNode](n); ok {
 				if s, err := rn.State(); err == nil {
 					st.Servers = append(st.Servers, s)
 				}

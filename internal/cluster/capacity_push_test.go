@@ -6,10 +6,12 @@ import (
 	"errors"
 	"fmt"
 	"io"
+	"maps"
 	"math/rand"
 	"net/http"
 	"net/http/httptest"
 	"reflect"
+	"slices"
 	"sort"
 	"strings"
 	"sync"
@@ -475,6 +477,132 @@ func TestHeartbeatBodyCompatibility(t *testing.T) {
 	drainClose(resp.Body)
 	if resp.StatusCode != http.StatusNotFound {
 		t.Errorf("heartbeat for an unmanaged node: %d", resp.StatusCode)
+	}
+}
+
+// TestHeartbeatFoldsRaceLaunches: agents push capacity heartbeats into a
+// ManagerAPI while a client launches and releases through it, so the
+// placement index's leaves are marked dirty from the heartbeat handlers'
+// goroutines while the manager flushes and queries it (run it under -race).
+// First, with nothing concurrent, the fleet registered through POST /v1/nodes
+// places through the index and every query matches the reference scan.
+// Every acked VM must end on exactly one agent, inside its capacity.
+func TestHeartbeatFoldsRaceLaunches(t *testing.T) {
+	fleet := newCountedFleet(t, 4)
+	check := &queryChecker{t: t}
+	mgr := newManager(nil, BestFit, 7, check.check)
+	api, err := NewManagerAPI(mgr)
+	if err != nil {
+		t.Fatal(err)
+	}
+	front := httptest.NewServer(api.Handler())
+	defer front.Close()
+	post := func(path string, body any) int {
+		b, err := json.Marshal(body)
+		if err != nil {
+			t.Error(err)
+			return 0
+		}
+		resp, err := http.Post(front.URL+path, "application/json", bytes.NewReader(b))
+		if err != nil {
+			t.Error(err)
+			return 0
+		}
+		drainClose(resp.Body)
+		return resp.StatusCode
+	}
+	for _, a := range fleet {
+		if code := post("/v1/nodes", RegisterNodeRequest{Name: a.name, URL: a.srv.URL}); code != http.StatusCreated {
+			t.Fatalf("registering %s: %d", a.name, code)
+		}
+	}
+	acked := map[string]bool{}
+	launch := func(name string) {
+		switch code := post("/v1/vms", wireSpec(name, vm.LowPriority)); code {
+		case http.StatusCreated:
+			acked[name] = true
+		case http.StatusInsufficientStorage:
+		default:
+			t.Fatalf("launch %s: %d", name, code)
+		}
+	}
+	for i := 0; i < 8; i++ {
+		launch(fmt.Sprintf("warm-%d", i))
+	}
+	api.mu.Lock()
+	checked := check.n
+	mgr.queried = nil // from here the folds race the reference scan
+	api.mu.Unlock()
+	if checked < 8 {
+		t.Fatalf("%d queries checked for 8 launches through the registered fleet", checked)
+	}
+
+	stop := make(chan struct{})
+	var wg sync.WaitGroup
+	for _, a := range fleet {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for {
+				select {
+				case <-stop:
+					return
+				default:
+				}
+				if code := post("/v1/nodes/"+a.name+"/heartbeat", a.current().CapacitySummary()); code != http.StatusNoContent {
+					t.Errorf("heartbeat from %s: %d", a.name, code)
+					return
+				}
+			}
+		}()
+	}
+	rng := rand.New(rand.NewSource(7))
+	for i := 0; i < 120; i++ {
+		if i%4 == 0 {
+			// A writer the manager never sees: the next heartbeat from that
+			// agent moves the cache and marks the leaf from its goroutine.
+			fleet[i/4%len(fleet)].do(t, http.MethodPost, "/v1/vms", wireSpec(fmt.Sprintf("f-%d", i), vm.LowPriority))
+		}
+		if names := slices.Sorted(maps.Keys(acked)); len(names) > 0 && rng.Intn(3) == 0 {
+			name := names[rng.Intn(len(names))]
+			req, _ := http.NewRequest(http.MethodDelete, front.URL+"/v1/vms/"+name, nil)
+			resp, err := http.DefaultClient.Do(req)
+			if err != nil {
+				t.Fatal(err)
+			}
+			drainClose(resp.Body)
+			if resp.StatusCode != http.StatusNoContent {
+				t.Fatalf("release %s: %d", name, resp.StatusCode)
+			}
+			delete(acked, name)
+			continue
+		}
+		launch(fmt.Sprintf("vm-%d", i))
+	}
+	close(stop)
+	wg.Wait()
+
+	api.mu.Lock()
+	queries := mgr.pidx.clock
+	api.mu.Unlock()
+	if queries <= uint64(checked) {
+		t.Fatalf("the index served %d queries, %d of them before the heartbeats", queries, checked)
+	}
+	seen := map[string]int{}
+	for _, a := range fleet {
+		a.inspect(func(c *LocalController) {
+			if alloc := c.Host().Allocated(); !alloc.Fits(c.Host().Capacity()) {
+				t.Errorf("%s allocates %v of %v", a.name, alloc, c.Host().Capacity())
+			}
+			for _, v := range c.VMs() {
+				seen[v.Name()]++
+			}
+		})
+	}
+	for name := range acked {
+		if seen[name] != 1 {
+			t.Errorf("acked VM %s runs on %d agents", name, seen[name])
+		}
 	}
 }
 

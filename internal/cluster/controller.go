@@ -136,7 +136,7 @@ type LocalController struct {
 	// fresh. Memoized values are bit-identical to recomputation: the same
 	// code computes them, just once per change instead of once per read.
 	cache    ctrlCache
-	watchers []*func()
+	watchers watchList
 	// generation counts notifications, one per command: the version of the
 	// capacity summary a ControllerAPI pushes (see CapacitySummary).
 	generation uint64
@@ -184,9 +184,7 @@ func (c *LocalController) invalidate() { c.cache.have = 0 }
 // a launch that deflates k VMs (reclaim, new VM), once for a release.
 func (c *LocalController) notifyCapacity() {
 	c.generation++
-	for _, w := range c.watchers {
-		(*w)()
-	}
+	c.watchers.notify()
 }
 
 // WatchCapacity registers fn to run whenever this server's capacity vectors
@@ -196,13 +194,7 @@ func (c *LocalController) notifyCapacity() {
 // the manager's placement index and the sim's state sampler for push
 // invalidation; fn must be O(1) and must not call back into the controller.
 func (c *LocalController) WatchCapacity(fn func()) (unwatch func()) {
-	w := &fn // a pointer gives the registration an identity funcs lack
-	c.watchers = append(c.watchers, w)
-	return func() {
-		if i := slices.Index(c.watchers, w); i >= 0 {
-			c.watchers = slices.Delete(c.watchers, i, i+1)
-		}
-	}
+	return c.watchers.add(fn)
 }
 
 // SetSplitPolicy changes how deflation demand is divided among VMs

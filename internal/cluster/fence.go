@@ -5,8 +5,6 @@ import (
 	"fmt"
 	"sync"
 	"time"
-
-	"deflation/internal/telemetry"
 )
 
 // Leadership fencing. A manager's authority over the cluster is a lease
@@ -214,19 +212,10 @@ func (f *fencedNode) DeflateFully(name string) (time.Duration, error) {
 	return f.Node.DeflateFully(name)
 }
 
-// Capability pass-throughs: the embedded field is the Node interface, so
-// optional capabilities (inventory for anti-entropy, telemetry propagation)
-// would not promote — forward the probes explicitly.
-
-func (f *fencedNode) Inventory() ([]VMState, error) {
-	return nodeInventory(f.Node)
-}
-
-func (f *fencedNode) SetTelemetry(sink *telemetry.Sink) {
-	if ts, ok := f.Node.(interface{ SetTelemetry(*telemetry.Sink) }); ok {
-		ts.SetTelemetry(sink)
-	}
-}
+// Unwrap hands capability probes (inventory, telemetry, substrate kind) the
+// wrapped node: the embedded field is the Node interface, so its optional
+// methods do not promote.
+func (f *fencedNode) Unwrap() Node { return f.Node }
 
 var _ Node = (*fencedNode)(nil)
 

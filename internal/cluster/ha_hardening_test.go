@@ -223,6 +223,74 @@ func TestDeposedManagerStandsDown(t *testing.T) {
 	}
 }
 
+// A migration refused for a stale epoch is proof of a newer leader like any
+// other refused command: a direct migrate (its refusal arrives as the cause
+// of ErrMigrationFailed) and a deflate-then-migrate drain (its first refusal
+// is the squeeze) must both latch Deposed. The failed POST /v1/migrate keeps
+// its 409; the command after it is the deposed manager's 503.
+func TestFencedMigrationLatchesDeposed(t *testing.T) {
+	for _, via := range []string{"migrate", "drain"} {
+		t.Run(via, func(t *testing.T) {
+			guards := []*EpochGuard{{}, {}}
+			var nodes []Node
+			for i, s := range newCluster(t, 2, FirstFit).Servers() {
+				nodes = append(nodes, newFencedNode(s, guards[i]))
+			}
+			m, err := NewManager(nodes, FirstFit, 1)
+			if err != nil {
+				t.Fatal(err)
+			}
+			m.SetIdentity("old")
+			m.SetEpoch(1)
+			m.SetReclaimPolicy(ReclaimDeflateThenMigrate)
+			if _, _, err := m.Launch(spec("a", vm.LowPriority, 0.25)); err != nil {
+				t.Fatal(err)
+			}
+			api, err := NewManagerAPI(m)
+			if err != nil {
+				t.Fatal(err)
+			}
+			call := func(method, path, body string) *httptest.ResponseRecorder {
+				w := httptest.NewRecorder()
+				api.Handler().ServeHTTP(w, httptest.NewRequest(method, path, strings.NewReader(body)))
+				return w
+			}
+			// A fence-wrapped controller is still a controller to operators.
+			var cs ClusterState
+			if err := json.NewDecoder(call(http.MethodGet, "/v1/cluster?servers=true", "").Body).Decode(&cs); err != nil || len(cs.Servers) != 2 {
+				t.Fatalf("cluster state lists %d of 2 fence-wrapped servers (%v)", len(cs.Servers), err)
+			}
+
+			// A newer leader fences both nodes behind this manager's back.
+			for i, n := range nodes {
+				usurper := newFencedNode(n.(*fencedNode).Node, guards[i])
+				usurper.SetEpoch(2)
+				usurper.SetLeaderID("new")
+				if err := usurper.Ping(); err != nil {
+					t.Fatal(err)
+				}
+			}
+			migrate := `{"vm": "a", "dest": "s1"}`
+			switch via {
+			case "migrate":
+				if w := call(http.MethodPost, "/v1/migrate", migrate); w.Code != http.StatusConflict {
+					t.Fatalf("fenced migrate = %d, want 409: %s", w.Code, w.Body)
+				}
+			case "drain":
+				if _, failed, err := m.Drain("s0"); err != nil || len(failed) != 1 {
+					t.Fatalf("fenced drain: failed %v, %v", failed, err)
+				}
+			}
+			if !m.Deposed() {
+				t.Fatal("the stale-epoch refusal did not latch Deposed")
+			}
+			if w := call(http.MethodPost, "/v1/migrate", migrate); w.Code != http.StatusServiceUnavailable {
+				t.Fatalf("migrate after standing down = %d, want 503: %s", w.Code, w.Body)
+			}
+		})
+	}
+}
+
 // A follower must refuse a WAL stream that moves backwards: a leader
 // recreated on a fresh state directory restarts its sequence numbers, and
 // Apply's idempotency guard would silently no-op every record while the

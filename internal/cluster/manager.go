@@ -216,12 +216,11 @@ type Manager struct {
 	tel *managerTelemetry // nil = no instrumentation
 
 	// pidx is the tournament-tree placement index (see placement_index.go):
-	// non-nil when every node supports capacity push-invalidation, in which
-	// case BestFit/WorstFit/FirstFit and the preemption fallback resolve
-	// through it — returning bit-identical choices to the linear scans.
-	// Dynamic fleet membership (AddNode/RemoveNode) disables it for the
-	// manager's lifetime; those fleets stay on the scans.
-	pidx *placementIndex
+	// every placement policy and the preemption fallback resolve through it.
+	// queried, when non-nil, is shown every index query and its answer: the
+	// equivalence tests check each one against the reference scans.
+	pidx    *placementIndex
+	queried queryHook
 }
 
 // SetFreeOnlyFitness toggles the fitness ablation: score servers by free
@@ -233,7 +232,13 @@ func (m *Manager) SetFreeOnlyFitness(on bool) { m.freeOnlyFitness = on }
 // is valid — a federated shard starts with zero nodes and grows through
 // AddNode registrations; every launch rejects until a node arrives.
 func NewManager(servers []Node, policy PlacementPolicy, seed int64) (*Manager, error) {
-	return &Manager{
+	return newManager(servers, policy, seed, nil), nil
+}
+
+// newManager is NewManager with the placement index's test seam installed
+// (see Manager.queried).
+func newManager(servers []Node, policy PlacementPolicy, seed int64, queried queryHook) *Manager {
+	m := &Manager{
 		servers:      servers,
 		policy:       policy,
 		rng:          rand.New(rand.NewSource(seed)),
@@ -242,8 +247,10 @@ func NewManager(servers []Node, policy PlacementPolicy, seed int64) (*Manager, e
 		nodeURLs:     make(map[string]string),
 		healthPolicy: HealthPolicy{}.withDefaults(),
 		health:       make([]nodeHealth, len(servers)),
-		pidx:         newPlacementIndex(servers),
-	}, nil
+		queried:      queried,
+	}
+	m.pidx = newPlacementIndex(m)
+	return m
 }
 
 // SetHealthPolicy configures the failure detector.
@@ -360,16 +367,13 @@ func (m *Manager) clearBars() {
 	m.barred = m.barred[:0]
 }
 
-// barUnknownCapacity skips, explicitly, every RemoteNode whose capacity is
-// unknown after its one probe: unknown is not empty, and not a candidate.
-// A fleet on the placement index holds no RemoteNode (the index needs
-// WatchCapacity), so only the scan fleets pay this loop.
+// barUnknownCapacity probes, once, every alive RemoteNode whose capacity is
+// unknown, and bars each that stays unknown: unknown is not empty, and not a
+// candidate. The bar keeps the rest of the launch from probing it again.
 func (m *Manager) barUnknownCapacity() {
-	if m.pidx != nil {
-		return
-	}
-	for i, s := range m.servers {
-		if m.alive(i) && !capacityKnown(s) {
+	m.pidx.flush()
+	for _, i := range m.pidx.unknown { // probes only mark leaves dirty: no flush in the loop
+		if m.alive(i) && !capacityKnown(m.servers[i]) {
 			m.bar(i)
 		}
 	}
@@ -378,8 +382,19 @@ func (m *Manager) barUnknownCapacity() {
 // capacityKnown reports whether a node's placement vectors can be trusted:
 // always for an in-process node; for a RemoteNode, after at most one probe.
 func capacityKnown(n Node) bool {
-	rn, ok := n.(*RemoteNode)
+	rn, ok := capability[*RemoteNode](n)
 	return !ok || rn.capacityKnown()
+}
+
+// capacityCached is capacityKnown without the probe: what the placement
+// index reads.
+func capacityCached(n Node) bool {
+	rn, ok := capability[*RemoteNode](n)
+	if !ok {
+		return true
+	}
+	_, known, _ := rn.capacity()
+	return known
 }
 
 // DeadServers counts servers currently marked dead.
@@ -618,7 +633,7 @@ func (m *Manager) launch(spec LaunchSpec, countRejection bool) (int, LaunchRepor
 		if idx < 0 {
 			// No server can host without disruption; high-priority VMs fall
 			// back to the server where preemption frees the most room.
-			idx = m.preemptFallback(spec)
+			idx = m.pidx.query(leafPreempt, spec)
 		}
 		if idx < 0 {
 			if countRejection {
@@ -644,7 +659,7 @@ func (m *Manager) launch(spec LaunchSpec, countRejection bool) (int, LaunchRepor
 			spec = placed
 			break
 		}
-		if _, cached := m.servers[idx].(*RemoteNode); cached && errors.Is(err, ErrNoCapacity) {
+		if _, cached := capability[*RemoteNode](m.servers[idx]); cached && errors.Is(err, ErrNoCapacity) {
 			// The pick came from a cached summary that a writer the manager
 			// did not see has outdated; the agent's own admission check is
 			// the authority and its refusal carried the fresh summary. Pick
@@ -683,17 +698,9 @@ func (m *Manager) pickServer(spec LaunchSpec) int {
 	}
 	switch m.policy {
 	case FirstFit:
-		if m.pidx != nil {
-			return m.pidx.firstFit(m, spec)
-		}
-		for i, s := range m.servers {
-			if m.alive(i) && feasible(s, spec) {
-				return i
-			}
-		}
-		return -1
+		return m.pidx.query(leafFirstFit, spec)
 	case WorstFit:
-		return m.worstFit(spec)
+		return m.pidx.query(leafWorstFit, spec)
 	case TwoChoices:
 		a := m.rng.Intn(len(m.servers))
 		b := m.rng.Intn(len(m.servers))
@@ -713,58 +720,10 @@ func (m *Manager) pickServer(spec LaunchSpec) int {
 		// Both samples infeasible: fall back to best-fit so that a busy
 		// cluster does not spuriously reject (the paper's simulator admits
 		// whenever any server fits).
-		return m.bestFit(spec)
+		return m.pidx.query(leafBestFit, spec)
 	default:
-		return m.bestFit(spec)
+		return m.pidx.query(leafBestFit, spec)
 	}
-}
-
-func (m *Manager) bestFit(spec LaunchSpec) int {
-	if m.pidx != nil {
-		return m.pidx.bestFit(m, spec)
-	}
-	best, bestFitness := -1, -1.0
-	for i, s := range m.servers {
-		if !m.alive(i) || !feasible(s, spec) {
-			continue
-		}
-		if f := fitness(s, spec, m.freeOnlyFitness); f > bestFitness {
-			best, bestFitness = i, f
-		}
-	}
-	return best
-}
-
-func (m *Manager) worstFit(spec LaunchSpec) int {
-	if m.pidx != nil {
-		return m.pidx.worstFit(m, spec)
-	}
-	best, bestRoom := -1, -1.0
-	for i, s := range m.servers {
-		if !m.alive(i) || !feasible(s, spec) {
-			continue
-		}
-		if r := s.Free().Norm(); r > bestRoom {
-			best, bestRoom = i, r
-		}
-	}
-	return best
-}
-
-func (m *Manager) preemptFallback(spec LaunchSpec) int {
-	if m.pidx != nil {
-		return m.pidx.preemptFallback(m, spec)
-	}
-	best, bestCeiling := -1, restypes.Vector{}
-	for i, s := range m.servers {
-		if !m.alive(i) || !preemptFeasible(s, spec) {
-			continue
-		}
-		if c := s.PreemptableCeiling(); best < 0 || c.Norm() > bestCeiling.Norm() {
-			best, bestCeiling = i, c
-		}
-	}
-	return best
 }
 
 // Release ends a VM's life normally, freeing and reinflating its server.

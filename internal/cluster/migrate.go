@@ -333,9 +333,7 @@ func (m *Manager) Migrate(name, dest string) (MigrationReport, error) {
 	if di < 0 {
 		return MigrationReport{}, fmt.Errorf("%w: %q", ErrNodeNotFound, dest)
 	}
-	rep, err := m.migrate(name, di)
-	m.noteDeposed(err)
-	return rep, err
+	return m.migrate(name, di)
 }
 
 func (m *Manager) serverIndex(name string) int {
@@ -367,8 +365,11 @@ func (m *Manager) migrate(name string, dstIdx int) (MigrationReport, error) {
 	src, dst := m.servers[srcIdx], m.servers[dstIdx]
 	rep := MigrationReport{VM: name, From: src.Name(), To: dst.Name()}
 
+	// Every node-RPC error below reaches noteDeposed: a migration refused for
+	// a stale epoch is proof of a newer leader like any other command.
 	cp, err := src.Checkpoint(name)
 	if err != nil {
+		m.noteDeposed(err)
 		return rep, fmt.Errorf("cluster: checkpointing %q: %w", name, err)
 	}
 	if cp.AppKind == "" {
@@ -387,10 +388,13 @@ func (m *Manager) migrate(name string, dstIdx int) (MigrationReport, error) {
 
 	stream := "migrate:" + name
 	release := func() {
-		_ = src.ReleaseStream(stream)
-		_ = dst.ReleaseStream(stream)
+		m.noteDeposed(src.ReleaseStream(stream))
+		m.noteDeposed(dst.ReleaseStream(stream))
 	}
+	// fail formats cause with %v: wrapped, a destination link's ErrNoCapacity
+	// would turn the API's 409 for a failed migration into a 507.
 	fail := func(res migration.Result, cause error) (MigrationReport, error) {
+		m.noteDeposed(cause)
 		delete(m.inflight, name)
 		m.migrationFailures++
 		if m.tel != nil {
@@ -438,12 +442,10 @@ func (m *Manager) migrate(name string, dstIdx int) (MigrationReport, error) {
 	if err := dst.RestoreVM(cp); err != nil {
 		return fail(res, fmt.Errorf("restore on destination: %w", err))
 	}
-	if err := src.Release(name); err != nil {
-		// The copy is live on the destination; a failed source release
-		// leaves at worst a stale copy that anti-entropy reconciliation
-		// will find and release. Proceed with the switchover.
-		_ = err
-	}
+	// The copy is live on the destination; a failed source release leaves at
+	// worst a stale copy that anti-entropy reconciliation will find and
+	// release. Proceed with the switchover.
+	m.noteDeposed(src.Release(name))
 	m.placement[name] = dstIdx
 	delete(m.inflight, name)
 	m.migrations++
@@ -491,7 +493,8 @@ func (m *Manager) Drain(node string) (moved []MigrationReport, failed []string, 
 	sort.Strings(names)
 	for _, name := range names {
 		if m.reclaim == ReclaimDeflateThenMigrate {
-			_, _ = m.servers[idx].DeflateFully(name)
+			_, err := m.servers[idx].DeflateFully(name)
+			m.noteDeposed(err)
 		}
 		footprint, kind := m.vmFootprint(idx, name)
 		dst := m.bestMigrationTarget(footprint, kind, idx)
@@ -514,7 +517,7 @@ func (m *Manager) Drain(node string) (moved []MigrationReport, failed []string, 
 // them. It returns the server index once the spec fits there, or -1 when
 // migration cannot make room (the caller then falls back to preemption).
 func (m *Manager) migrateFallback(spec LaunchSpec) int {
-	cand := m.preemptFallback(spec) // the server where reclamation frees the most
+	cand := m.pidx.query(leafPreempt, spec) // the server where reclamation frees the most
 	if cand < 0 {
 		return -1
 	}
@@ -530,7 +533,8 @@ func (m *Manager) migrateFallback(spec LaunchSpec) int {
 		if m.reclaim == ReclaimDeflateThenMigrate {
 			// Shrink the victim first: fewer bytes to move, lower dirty
 			// rate, and a smaller footprint that fits more destinations.
-			_, _ = m.servers[cand].DeflateFully(victim)
+			_, err := m.servers[cand].DeflateFully(victim)
+			m.noteDeposed(err)
 		}
 		footprint, kind := m.vmFootprint(cand, victim)
 		dst := m.bestMigrationTarget(footprint, kind, cand)

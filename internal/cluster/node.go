@@ -2,6 +2,7 @@ package cluster
 
 import (
 	"fmt"
+	"slices"
 	"sort"
 	"sync"
 	"time"
@@ -40,6 +41,11 @@ type Node interface {
 	Free() restypes.Vector
 	Availability() restypes.Vector
 	PreemptableCeiling() restypes.Vector
+	// WatchCapacity registers fn to run whenever anything placement reads
+	// may have changed, and returns the func that unregisters it; the
+	// placement index is built on it. fn must be O(1) and must not call back
+	// into the node; a RemoteNode runs it on any goroutine.
+	WatchCapacity(fn func()) (unwatch func())
 	// Mode returns the server's reclamation mode.
 	Mode() Mode
 	// Overcommitment returns nominal load vs capacity (binding dimension).
@@ -60,10 +66,47 @@ type Node interface {
 	DeflateFully(name string) (time.Duration, error)
 }
 
+// watchList is a node's WatchCapacity subscribers.
+type watchList []*func()
+
+// add registers fn and returns the func that unregisters it.
+func (l *watchList) add(fn func()) (remove func()) {
+	w := &fn // a pointer gives the registration an identity funcs lack
+	*l = append(*l, w)
+	return func() {
+		if i := slices.Index(*l, w); i >= 0 {
+			*l = slices.Delete(*l, i, i+1)
+		}
+	}
+}
+
+func (l watchList) notify() {
+	for _, w := range l {
+		(*w)()
+	}
+}
+
+// capability finds the first node along n's wrapper chain — n, then each
+// node an `Unwrap() Node` method returns — that implements T. A wrapper
+// that adds behaviour (fencedNode) exposes the node it wraps this way, so no
+// capability probe has to know the wrapper types.
+func capability[T any](n Node) (T, bool) {
+	for {
+		if c, ok := n.(T); ok {
+			return c, true
+		}
+		w, ok := n.(interface{ Unwrap() Node })
+		if !ok {
+			var none T
+			return none, false
+		}
+		n = w.Unwrap()
+	}
+}
+
 // substrateKinder is implemented by nodes that can report their substrate
 // kind ("hypervisor" or "container"): LocalController directly (and
-// crashableNode by embedding), RemoteNode via the agent's /v1/state
-// self-report, fencedNode by unwrapping.
+// crashableNode by embedding), RemoteNode via the agent's capacity summary.
 type substrateKinder interface {
 	SubstrateKind() string
 }
@@ -71,16 +114,10 @@ type substrateKinder interface {
 // nodeSubstrate reports a node's substrate kind, or "" when unknown
 // (remote agents predating the registration self-report).
 func nodeSubstrate(n Node) string {
-	for {
-		if k, ok := n.(substrateKinder); ok {
-			return k.SubstrateKind()
-		}
-		f, ok := n.(*fencedNode)
-		if !ok {
-			return ""
-		}
-		n = f.Node
+	if k, ok := capability[substrateKinder](n); ok {
+		return k.SubstrateKind()
 	}
+	return ""
 }
 
 // substrateCompatible reports whether a VM of the given substrate kind can

@@ -29,14 +29,11 @@ func (m *Manager) AddNode(n Node, url string) ([]HealthEvent, error) {
 	if name == "" {
 		return nil, fmt.Errorf("cluster: cannot register a node without a name")
 	}
-	// Dynamic fleets forgo the placement index: registration can replace a
-	// node object mid-flight (stranding its watcher) and removal renumbers
-	// indices, so these managers stay on the linear scans.
-	m.dropIndex()
 	if idx := m.serverIndex(name); idx >= 0 {
 		var events []HealthEvent
 		if m.nodeURLs[name] != url {
 			m.servers[idx] = n
+			m.reindex() // the replaced node object would strand the old watcher
 			m.nodeURLs[name] = url
 			m.propagateTerm(n)
 			m.record(Event{Kind: evNodeAdd, Node: name, URL: url})
@@ -56,6 +53,7 @@ func (m *Manager) AddNode(n Node, url string) ([]HealthEvent, error) {
 	}
 	m.servers = append(m.servers, n)
 	m.health = append(m.health, nodeHealth{})
+	m.reindex()
 	m.nodeURLs[name] = url
 	m.propagateTerm(n)
 	if m.tel != nil {
@@ -76,7 +74,6 @@ func (m *Manager) RemoveNode(name string) error {
 	if idx < 0 {
 		return fmt.Errorf("%w: %q", ErrNodeNotFound, name)
 	}
-	m.dropIndex() // see AddNode: dynamic fleets use the linear scans
 	for vmName, i := range m.placement {
 		switch {
 		case i == idx:
@@ -88,6 +85,7 @@ func (m *Manager) RemoveNode(name string) error {
 	}
 	m.servers = append(m.servers[:idx], m.servers[idx+1:]...)
 	m.health = append(m.health[:idx], m.health[idx+1:]...)
+	m.reindex()
 	delete(m.nodeURLs, name)
 	if m.tel != nil {
 		m.tel.removeNode(idx)
@@ -113,7 +111,7 @@ func (m *Manager) NodeURLs() map[string]string {
 // telemetry sink, onto a node client that understands them, mirroring what
 // SetEpoch/SetIdentity/SetTelemetry do for the whole fleet.
 func (m *Manager) propagateTerm(n Node) {
-	if ts, ok := n.(interface{ SetTelemetry(*telemetry.Sink) }); ok && m.tel != nil {
+	if ts, ok := capability[interface{ SetTelemetry(*telemetry.Sink) }](n); ok && m.tel != nil {
 		ts.SetTelemetry(m.tel.sink)
 	}
 	if m.id != "" {
@@ -271,7 +269,7 @@ func (a *ManagerAPI) handleListNodes(w http.ResponseWriter, _ *http.Request) {
 		if _, ok := resp.Nodes[s.Name()]; !ok {
 			resp.Nodes[s.Name()] = "" // static fleet member
 		}
-		if rn, ok := s.(*RemoteNode); ok {
+		if rn, ok := capability[*RemoteNode](s); ok {
 			if resp.Capacity == nil {
 				resp.Capacity = make(map[string]NodeCapacityStatus)
 			}
@@ -353,7 +351,7 @@ func (a *ManagerAPI) handleNodeHeartbeat(w http.ResponseWriter, r *http.Request)
 			http.Error(w, "cluster: bad heartbeat body: "+err.Error(), http.StatusBadRequest)
 			return
 		}
-		if rn, ok := node.(*RemoteNode); ok {
+		if rn, ok := capability[*RemoteNode](node); ok {
 			rn.foldCapacity(sum, capacityFromHeartbeat)
 		}
 	}

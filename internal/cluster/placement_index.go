@@ -1,92 +1,60 @@
 package cluster
 
-import "deflation/internal/vm"
+import (
+	"slices"
+	"sync"
 
-// The placement index replaces the manager's O(servers) scans with
-// tournament trees over the fleet, so BestFit / WorstFit / FirstFit and the
-// preemption fallback resolve in O(log n) while returning BIT-IDENTICAL
-// choices to the linear scans they shadow. The design:
+	"deflation/internal/vm"
+)
+
+// The placement index is the manager's one implementation of best-fit,
+// worst-fit, first-fit and the preemption fallback, for every fleet —
+// in-process, remote, static or dynamic — in O(log n) per query over
+// tournament trees (DESIGN.md, *Placement index*). The design:
 //
-//   - Every scan has one shape: among alive servers the strictly greatest
+//   - Every policy has one shape: among alive servers the strictly greatest
 //     value wins, the earliest index on ties, starting from -1. Only the
-//     value differs, so one tree kind serves all four. Leaf i holds
-//     PRECISELY the value its scan computes for server i, evaluated by the
-//     scan's own functions, with -1 (which no candidate equals) for
-//     "skipped":
+//     value differs, so one tree kind serves all four. Leaf i holds server
+//     i's value, with -1 (which no candidate equals) for "not a candidate":
 //
 //     best-fit    -1 if !feasible, else fitness(s, spec, freeOnly)
 //     worst-fit   -1 if !feasible, else s.Free().Norm()
 //     first-fit   -1 if !feasible, else 0 (earliest on ties is first-fit)
 //     preempt     -1 if !preemptFeasible, else s.PreemptableCeiling().Norm()
 //
-//     Substrate compatibility is part of feasible and preemptFeasible. An
-//     inner node holds the max of its two children. Nothing is bounded or
-//     rounded, so the descent needs no slack: it visits the higher-valued
-//     child first and reads only m.alive(i) at a leaf, ≈2 nodes per level.
-//   - Leaves go stale only through the controllers' WatchCapacity push
-//     notifications — every capacity mutation (launch, release, deflate,
-//     reinflate, preempt, stream reservation, crash) runs the watcher, which
-//     marks the leaf dirty; dirty leaves are re-read and their root paths
-//     recomputed in every live tree before every query (≈1.6 leaves per
-//     query in the saturated cells).
-//   - The prune is index-aware. A leaf's value says nothing about m.alive(i)
-//     (a dead or barred server keeps its value), so the descent can be sent
-//     right by a non-alive leaf before an equal-valued, lower-indexed alive
-//     leaf on the left is seen. A subtree is therefore skipped only when its
-//     value is below the current winner's, or equal AND none of its leaves
-//     precedes the winner; an equal-valued alive leaf before the winner
-//     replaces it. That is the scan's "strictly greater, earliest on ties".
+//     A server whose capacity cannot be trusted (capacityCached) is -1 in
+//     every tree: unknown is not empty, and a zero vector would fit a
+//     zero-size spec. An inner node holds the max of its two children, so
+//     the descent visits the higher-valued child first and reads only
+//     m.alive(i) at a leaf, ≈2 nodes per level.
+//   - Leaves go stale only through the nodes' WatchCapacity notifications,
+//     which mark them dirty; dirty leaves are re-read and their root paths
+//     recomputed in every live tree before every query. A RemoteNode folds
+//     heartbeats outside the manager's lock, so marking is goroutine-safe;
+//     everything else runs on the manager's goroutine. The index also lists
+//     the unknown servers, so a launch probes them (barUnknownCapacity)
+//     without visiting the rest of the fleet.
+//   - The prune is index-aware. A leaf's value says nothing about m.alive(i),
+//     so the descent can be sent right by a non-alive leaf before an
+//     equal-valued, lower-indexed alive leaf on the left is seen. A subtree
+//     is therefore skipped only when its value is below the current
+//     winner's, or equal AND none of its leaves precedes the winner.
 //   - A tree is keyed by (leaf kind, spec.Size, spec.Substrate), plus the
 //     manager's freeOnlyFitness for best-fit; the preempt tree also stores
 //     spec.Priority, which is always high (preemptFeasible is false for
 //     anything else). Demands come from an instance catalogue (a handful of
 //     VM sizes), so the trees are a fixed set of pidxDemandTrees, least
-//     recently used evicted. A miss fills one tree from all n servers — n
-//     leaf evaluations, what every query cost before the trees existed — and
-//     reuses the evicted tree's array; a hit costs the descent alone. On the
-//     benchmark's 100- and 1000-server cells all high-priority specs share
-//     one demand, so 5 trees are live (4 best-fit sizes plus 1 preempt) and
-//     nothing is evicted after warm-up. The 20-server chaos cells re-place
-//     specs with a substrate pin, which adds keys: they miss on 7-11 % of
-//     queries, 20 leaf evaluations each.
+//     recently used evicted. A miss fills one tree from all n servers into
+//     the evicted tree's array; a hit costs the descent alone.
 //
-// The index is built only when every node supports WatchCapacity (local
-// controllers, their crashable wrappers, and fencedNode chains over them).
-// Remote fleets and dynamically grown fleets (AddNode/RemoveNode) fall back
-// to the linear scans. The index-vs-scan equivalence tests and the fuzz
-// target in placement_index_test.go replay identical workloads both ways
-// and require identical placements.
-
-// placementIndexEnabled gates index construction; the equivalence tests
-// flip it to force the reference scan path.
-var placementIndexEnabled = true
+// A membership change rebuilds the index. The reference model is the linear
+// scan each tree replaced, kept in placement_index_test.go, where every
+// query of the equivalence tests and the fuzz target is checked against it.
 
 // pidxDemandTrees is how many trees the index keeps.
 const pidxDemandTrees = 8
 
-// capacityWatchable is the push-invalidation hook the index needs from
-// every node (see LocalController.WatchCapacity).
-type capacityWatchable interface {
-	WatchCapacity(fn func()) (unwatch func())
-}
-
-// watchableNode unwraps fencedNode chains to reach a WatchCapacity
-// provider, mirroring nodeSubstrate's unwrapping. Returns nil when the
-// node cannot push invalidations (e.g. RemoteNode).
-func watchableNode(n Node) capacityWatchable {
-	for {
-		if w, ok := n.(capacityWatchable); ok {
-			return w
-		}
-		f, ok := n.(*fencedNode)
-		if !ok {
-			return nil
-		}
-		n = f.Node
-	}
-}
-
-// leafKind names the scan whose value a tree's leaves hold.
+// leafKind names the policy whose value a tree's leaves hold.
 type leafKind uint8
 
 const (
@@ -96,8 +64,8 @@ const (
 	leafPreempt
 )
 
-// demandTree is the tournament for one scan and one demand. val is a
-// 1-based tree array: val[p+i] is server i's scan value (see leaf), padding
+// demandTree is the tournament for one policy and one demand. val is a
+// 1-based tree array: val[p+i] is server i's value (see leaf), padding
 // leaves hold -1, inner nodes the max of their children.
 type demandTree struct {
 	kind     leafKind
@@ -107,8 +75,12 @@ type demandTree struct {
 	lastUsed uint64 // placementIndex.clock at the latest query
 }
 
-// leaf is the value t.kind's scan in manager.go computes for s.
-func (t *demandTree) leaf(s Node) float64 {
+// leaf is the value t.kind's policy gives server s; known is whether s's
+// capacity can be trusted (capacityCached).
+func (t *demandTree) leaf(s Node, known bool) float64 {
+	if !known {
+		return -1
+	}
 	if t.kind == leafPreempt {
 		if !preemptFeasible(s, t.spec) {
 			return -1
@@ -127,95 +99,121 @@ func (t *demandTree) leaf(s Node) float64 {
 	return 0 // first-fit: every feasible server ties, so the earliest wins
 }
 
-// placementIndex holds the trees. Leaves live at [p, p+n); node j's children
-// are 2j and 2j+1. Single-goroutine, like the manager it serves.
+// queryHook is the index's test seam (Manager.queried): it is shown every
+// query and the index's answer.
+type queryHook func(m *Manager, kind leafKind, spec LaunchSpec, got int)
+
+// placementIndex holds the trees over one manager's fleet. Leaves live at
+// [p, p+n); node j's children are 2j and 2j+1.
 type placementIndex struct {
+	m       *Manager
 	servers []Node
 	n       int          // fleet size
 	p       int          // leaf base: smallest power of two ≥ n
 	demands []demandTree // at most pidxDemandTrees
 	clock   uint64       // queries served, the LRU's time
-	dirty   []int        // leaf indices pending refresh
-	isDirty []bool       // dedupe for dirty
-	unwatch []func()     // unsubscribes markDirty from each server (see dropIndex)
+	// unknown lists, ascending, the servers whose capacity was not
+	// capacityCached at their latest read.
+	unknown []int
+	// Watchers may run on any goroutine, so mu guards the dirty set. flush
+	// swaps dirty with spare: neither allocates after warm-up.
+	mu           sync.Mutex
+	dirty, spare []int
+	isDirty      []bool
+	unwatch      []func() // unsubscribes markDirty from each server (see close)
 	// visited counts the tree nodes the descents have entered, for the
 	// work-budget test; nothing else reads it.
 	visited int
 }
 
-// newPlacementIndex builds the index over m's fleet, or returns nil when
-// the index is disabled, the fleet is empty, or any node cannot push
-// capacity invalidations.
-func newPlacementIndex(servers []Node) *placementIndex {
-	if !placementIndexEnabled || len(servers) == 0 {
-		return nil
-	}
-	watch := make([]capacityWatchable, len(servers))
-	for i, s := range servers {
-		w := watchableNode(s)
-		if w == nil {
-			return nil
-		}
-		watch[i] = w
-	}
-	n := len(servers)
+// newPlacementIndex builds the index over m's fleet and subscribes it to
+// every server.
+func newPlacementIndex(m *Manager) *placementIndex {
+	n := len(m.servers)
 	p := 1
 	for p < n {
 		p *= 2
 	}
 	x := &placementIndex{
-		servers: servers,
+		m:       m,
+		servers: m.servers,
 		n:       n,
 		p:       p,
+		unknown: make([]int, 0, n),
 		dirty:   make([]int, 0, n),
+		spare:   make([]int, 0, n),
 		isDirty: make([]bool, n),
 		unwatch: make([]func(), n),
 	}
-	for i, w := range watch {
-		x.unwatch[i] = w.WatchCapacity(func() { x.markDirty(i) })
+	for i, s := range m.servers {
+		// Subscribe before the first read, so no change slips between them.
+		x.unwatch[i] = s.WatchCapacity(func() { x.markDirty(i) })
+		if !capacityCached(s) {
+			x.unknown = append(x.unknown, i)
+		}
 	}
 	return x
 }
 
-// dropIndex takes the manager off the placement index for good — it places
-// by the linear scans from here on — and unsubscribes the index from the
-// controllers, which outlive the manager and would otherwise keep its trees
-// reachable and keep marking their leaves. Called when the fleet's
-// membership changes and when another manager takes the fleet over.
-func (m *Manager) dropIndex() {
-	if m.pidx == nil {
-		return
-	}
-	for _, unwatch := range m.pidx.unwatch {
+// close unsubscribes the index from every server. Nodes outlive the index —
+// a membership change rebuilds it, a takeover replaces its manager — and
+// would otherwise keep its trees reachable and keep marking their leaves.
+func (x *placementIndex) close() {
+	for _, unwatch := range x.unwatch {
 		unwatch()
 	}
-	m.pidx = nil
+}
+
+// reindex rebuilds the placement index after a membership change renumbered
+// or replaced servers.
+func (m *Manager) reindex() {
+	m.pidx.close()
+	m.pidx = newPlacementIndex(m)
 }
 
 func (x *placementIndex) markDirty(i int) {
+	x.mu.Lock()
 	if !x.isDirty[i] {
 		x.isDirty[i] = true
 		x.dirty = append(x.dirty, i)
 	}
+	x.mu.Unlock()
 }
 
 // flush re-reads every dirty leaf through its (possibly wrapped) node and
 // recomputes its path to the root in every live tree. Called at the top of
-// every query, so the trees always reflect the controllers' current
-// memoized vectors.
+// every query, so the trees always reflect the nodes' current vectors. A
+// leaf marked again while flush reads it is read again by the next flush.
 func (x *placementIndex) flush() {
-	for _, i := range x.dirty {
+	x.mu.Lock()
+	dirty := x.dirty
+	x.dirty, x.spare = x.spare[:0], dirty
+	for _, i := range dirty {
 		x.isDirty[i] = false
+	}
+	x.mu.Unlock()
+	for _, i := range dirty {
 		s := x.servers[i]
+		known := capacityCached(s)
+		x.setKnown(i, known)
 		for k := range x.demands {
 			t := &x.demands[k]
-			t.val[x.p+i] = t.leaf(s)
+			t.val[x.p+i] = t.leaf(s, known)
 			for j := (x.p + i) / 2; j >= 1; j /= 2 {
 				t.val[j] = max(t.val[2*j], t.val[2*j+1])
 			}
 		}
 	}
-	x.dirty = x.dirty[:0]
+}
+
+// setKnown records whether server i's capacity can be trusted.
+func (x *placementIndex) setKnown(i int, known bool) {
+	switch j, listed := slices.BinarySearch(x.unknown, i); {
+	case known && listed:
+		x.unknown = slices.Delete(x.unknown, j, j+1)
+	case !known && !listed:
+		x.unknown = slices.Insert(x.unknown, j, i)
+	}
 }
 
 // demand returns the tree for (kind, spec's demand, freeOnly), current as of
@@ -244,7 +242,7 @@ func (x *placementIndex) demand(kind leafKind, spec LaunchSpec, freeOnly bool) *
 	t.freeOnly = freeOnly
 	t.lastUsed = x.clock
 	for i, s := range x.servers {
-		t.val[x.p+i] = t.leaf(s)
+		t.val[x.p+i] = t.leaf(s, capacityCached(s))
 	}
 	for i := x.n; i < x.p; i++ {
 		t.val[x.p+i] = -1
@@ -258,10 +256,9 @@ func (x *placementIndex) demand(kind leafKind, spec LaunchSpec, freeOnly bool) *
 // treeQuery is one descent of a demand tree.
 type treeQuery struct {
 	x       *placementIndex
-	m       *Manager
 	val     []float64
 	best    int     // winner so far, -1 for none
-	bestVal float64 // its value; -1 matches nothing a scan would pick
+	bestVal float64 // its value; -1 matches no candidate
 }
 
 func (q *treeQuery) walk(node, lo, hi int) {
@@ -271,7 +268,7 @@ func (q *treeQuery) walk(node, lo, hi int) {
 		return // nothing below beats the winner, or ties it from an earlier index
 	}
 	if hi-lo == 1 {
-		if q.m.alive(lo) {
+		if q.x.m.alive(lo) {
 			q.best, q.bestVal = lo, v
 		}
 		return
@@ -286,30 +283,18 @@ func (q *treeQuery) walk(node, lo, hi int) {
 	}
 }
 
-// query is the indexed twin of kind's scan: the alive server with the
-// highest leaf value, earliest index on ties, or -1.
-func (x *placementIndex) query(m *Manager, kind leafKind, spec LaunchSpec, freeOnly bool) int {
-	x.flush()
-	q := treeQuery{x: x, m: m, val: x.demand(kind, spec, freeOnly).val, best: -1, bestVal: -1}
-	q.walk(1, 0, x.p)
-	return q.best
-}
-
-func (x *placementIndex) bestFit(m *Manager, spec LaunchSpec) int {
-	return x.query(m, leafBestFit, spec, m.freeOnlyFitness)
-}
-
-func (x *placementIndex) worstFit(m *Manager, spec LaunchSpec) int {
-	return x.query(m, leafWorstFit, spec, false)
-}
-
-func (x *placementIndex) firstFit(m *Manager, spec LaunchSpec) int {
-	return x.query(m, leafFirstFit, spec, false)
-}
-
-func (x *placementIndex) preemptFallback(m *Manager, spec LaunchSpec) int {
-	if spec.Priority != vm.HighPriority {
+// query answers kind's policy for spec: the alive server with the highest
+// leaf value, earliest index on ties, or -1.
+func (x *placementIndex) query(kind leafKind, spec LaunchSpec) int {
+	if kind == leafPreempt && spec.Priority != vm.HighPriority {
 		return -1 // preemptFeasible is false everywhere
 	}
-	return x.query(m, leafPreempt, spec, false)
+	x.flush()
+	freeOnly := kind == leafBestFit && x.m.freeOnlyFitness
+	q := treeQuery{x: x, val: x.demand(kind, spec, freeOnly).val, best: -1, bestVal: -1}
+	q.walk(1, 0, x.p)
+	if x.m.queried != nil {
+		x.m.queried(x.m, kind, spec, q.best)
+	}
+	return q.best
 }

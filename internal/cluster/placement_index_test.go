@@ -4,7 +4,8 @@ import (
 	"fmt"
 	"math"
 	"math/rand"
-	"reflect"
+	"net/http"
+	"net/http/httptest"
 	"slices"
 	"testing"
 	"time"
@@ -14,210 +15,272 @@ import (
 	"deflation/internal/restypes"
 	"deflation/internal/simcg"
 	"deflation/internal/substrate"
+	"deflation/internal/telemetry"
 	"deflation/internal/trace"
 	"deflation/internal/vm"
 )
 
-// The placement index must be a pure accelerator: every policy, fallback,
-// and failure path must choose the SAME server the linear scans choose, on
-// the same fleet state, every time. These tests drive the indexed and scan
-// managers through identical workloads — scripted chaos, full simulations,
-// and fuzzed op streams — and require identical placements, identical
-// recorded event streams, and identical final state.
+// The placement index is the manager's only implementation of its
+// policies, so these tests hold it to a reference model: the linear scans it
+// replaced. A checked manager shows every index query to a queryChecker,
+// which recomputes the answer by scan over the same fleet state and fails
+// the test on any difference. Scripted chaos, membership changes, full
+// simulations, remote fleets and fuzzed op streams all run checked.
 
-// eventRecorder captures the manager's WAL-bound transition stream as
-// comparable strings.
-type eventRecorder struct{ events []string }
+// scanCandidate is the reference model's pool: alive servers whose capacity
+// can be trusted.
+func scanCandidate(m *Manager, i int) bool { return m.alive(i) && capacityCached(m.servers[i]) }
 
-func (r *eventRecorder) Record(e Event) {
-	r.events = append(r.events, fmt.Sprintf("%s vm=%s node=%s from=%s pre=%v",
-		e.Kind, e.VM, e.Node, e.From, e.Preempted))
-}
-
-// indexScanPair is two managers over independently built but identical
-// fleets: a's fleet queries through the placement index, b's through the
-// reference linear scans.
-type indexScanPair struct {
-	a, b           *Manager
-	crashA, crashB []*crashableNode
-	recA, recB     *eventRecorder
-}
-
-// newIndexScanPair builds the pair: n servers, every third container-backed
-// (mixed substrates exercise substrate-pinned leaves), all wrapped crashable.
-func newIndexScanPair(t testing.TB, n int, policy PlacementPolicy, seed int64) *indexScanPair {
-	build := func() ([]Node, []*crashableNode) {
-		nodes := make([]Node, n)
-		crash := make([]*crashableNode, n)
-		for i := 0; i < n; i++ {
-			var sub substrate.Substrate
-			name := fmt.Sprintf("s%02d", i)
-			cap := restypes.V(16, 65536, 400, 400)
-			var err error
-			if i%3 == 2 {
-				sub, err = simcg.NewHost(simcg.Config{Name: name, Capacity: cap})
-			} else {
-				sub, err = hypervisor.NewHost(hypervisor.Config{Name: name, Capacity: cap})
-			}
-			if err != nil {
-				t.Fatal(err)
-			}
-			crash[i] = newCrashableNode(NewLocalController(sub, cascade.AllLevels(), ModeDeflation))
-			nodes[i] = crash[i]
+func scanFirstFit(m *Manager, spec LaunchSpec) int {
+	for i, s := range m.servers {
+		if scanCandidate(m, i) && feasible(s, spec) {
+			return i
 		}
-		return nodes, crash
 	}
-	nodesA, crashA := build()
-	nodesB, crashB := build()
-	a, err := NewManager(nodesA, policy, seed)
-	if err != nil {
-		t.Fatal(err)
-	}
-	b, err := NewManager(nodesB, policy, seed)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if a.pidx == nil {
-		t.Fatal("indexed manager built without a placement index")
-	}
-	b.pidx = nil // the reference: identical manager, linear scans
-	p := &indexScanPair{a: a, b: b, crashA: crashA, crashB: crashB,
-		recA: &eventRecorder{}, recB: &eventRecorder{}}
-	a.SetRecorder(p.recA)
-	b.SetRecorder(p.recB)
-	return p
+	return -1
 }
 
-// launchBoth launches the same spec on both managers and requires identical
-// outcomes: same server index, same error-ness, same preemption set.
-func (p *indexScanPair) launchBoth(t testing.TB, spec LaunchSpec) {
-	t.Helper()
-	ia, ra, ea := p.a.Launch(spec)
-	ib, rb, eb := p.b.Launch(spec)
-	if ia != ib || (ea == nil) != (eb == nil) {
-		t.Fatalf("launch %q: index chose %d (err %v), scan chose %d (err %v)",
-			spec.Name, ia, ea, ib, eb)
-	}
-	if !reflect.DeepEqual(ra.Preempted, rb.Preempted) {
-		t.Fatalf("launch %q: index preempted %v, scan preempted %v",
-			spec.Name, ra.Preempted, rb.Preempted)
-	}
-}
-
-// verify requires identical placements, stats, and event streams.
-func (p *indexScanPair) verify(t testing.TB) {
-	t.Helper()
-	if !reflect.DeepEqual(p.a.placement, p.b.placement) {
-		t.Fatalf("placements diverged:\nindex: %v\nscan:  %v", p.a.placement, p.b.placement)
-	}
-	sa, sb := p.a.Snapshot(), p.b.Snapshot()
-	if !reflect.DeepEqual(sa, sb) {
-		t.Fatalf("snapshots diverged:\nindex: %+v\nscan:  %+v", sa, sb)
-	}
-	if !reflect.DeepEqual(p.recA.events, p.recB.events) {
-		la, lb := len(p.recA.events), len(p.recB.events)
-		for i := 0; i < la && i < lb; i++ {
-			if p.recA.events[i] != p.recB.events[i] {
-				t.Fatalf("event streams diverged at %d:\nindex: %s\nscan:  %s",
-					i, p.recA.events[i], p.recB.events[i])
-			}
+func scanBestFit(m *Manager, spec LaunchSpec) int {
+	best, bestFitness := -1, -1.0
+	for i, s := range m.servers {
+		if !scanCandidate(m, i) || !feasible(s, spec) {
+			continue
 		}
-		t.Fatalf("event stream lengths diverged: index %d, scan %d", la, lb)
+		if f := fitness(s, spec, m.freeOnlyFitness); f > bestFitness {
+			best, bestFitness = i, f
+		}
+	}
+	return best
+}
+
+func scanWorstFit(m *Manager, spec LaunchSpec) int {
+	best, bestRoom := -1, -1.0
+	for i, s := range m.servers {
+		if !scanCandidate(m, i) || !feasible(s, spec) {
+			continue
+		}
+		if r := s.Free().Norm(); r > bestRoom {
+			best, bestRoom = i, r
+		}
+	}
+	return best
+}
+
+func scanPreemptFallback(m *Manager, spec LaunchSpec) int {
+	best, bestCeiling := -1, restypes.Vector{}
+	for i, s := range m.servers {
+		if !scanCandidate(m, i) || !preemptFeasible(s, spec) {
+			continue
+		}
+		if c := s.PreemptableCeiling(); best < 0 || c.Norm() > bestCeiling.Norm() {
+			best, bestCeiling = i, c
+		}
+	}
+	return best
+}
+
+var leafKindNames = [...]string{"best-fit", "worst-fit", "first-fit", "preempt"}
+
+// queryChecker is the seam's reference check (Manager.queried); n counts the
+// queries it has checked.
+type queryChecker struct {
+	t testing.TB
+	n int
+}
+
+func (c *queryChecker) check(m *Manager, kind leafKind, spec LaunchSpec, got int) {
+	c.n++
+	var want int
+	switch kind {
+	case leafBestFit:
+		want = scanBestFit(m, spec)
+	case leafWorstFit:
+		want = scanWorstFit(m, spec)
+	case leafFirstFit:
+		want = scanFirstFit(m, spec)
+	case leafPreempt:
+		want = scanPreemptFallback(m, spec)
+	}
+	if got != want {
+		c.t.Fatalf("%s query %d for %v (substrate %q, %v): index chose %d, scan chose %d",
+			leafKindNames[kind], c.n, spec.Size, spec.Substrate, spec.Priority, got, want)
+	}
+	var unknown []int
+	for i, s := range m.servers {
+		if !capacityCached(s) {
+			unknown = append(unknown, i)
+		}
+	}
+	if !slices.Equal(m.pidx.unknown, unknown) {
+		c.t.Fatalf("query %d: index lists %v as unknown, the fleet %v", c.n, m.pidx.unknown, unknown)
 	}
 }
 
-// runIndexScanScript drives one randomized chaos workload through the pair:
-// mixed-priority launches (including substrate-pinned and preempting ones),
-// releases, node crashes/recoveries, and heartbeat rounds.
-func runIndexScanScript(t testing.TB, policy PlacementPolicy, seed int64, ops int) {
-	const n = 17 // odd, non-power-of-two: exercises tree padding
-	p := newIndexScanPair(t, n, policy, seed)
-	rng := rand.New(rand.NewSource(seed))
-	var live []string
-	vmSeq := 0
-	for op := 0; op < ops; op++ {
-		switch k := rng.Intn(10); {
-		case k < 5: // launch
-			vmSeq++
-			size := restypes.V(float64(1+rng.Intn(8)), float64(1024*(1+rng.Intn(16))),
-				float64(10+rng.Intn(50)), float64(10+rng.Intn(50)))
+// checkedFleet is a checked manager over in-process servers, every third
+// container-backed (mixed substrates exercise substrate-pinned leaves), all
+// wrapped crashable. crash is kept in step with m.servers across membership
+// changes.
+type checkedFleet struct {
+	t     testing.TB
+	m     *Manager
+	crash []*crashableNode
+	check *queryChecker
+	live  []string
+	vms   int // VMs named so far
+	nodes int // servers named so far
+}
+
+func newCheckedFleet(t testing.TB, n int, policy PlacementPolicy, seed int64) *checkedFleet {
+	f := &checkedFleet{t: t, check: &queryChecker{t: t}}
+	nodes := make([]Node, n)
+	for i := range nodes {
+		f.crash = append(f.crash, f.newNode(fmt.Sprintf("s%02d", i), i%3 == 2))
+		nodes[i] = f.crash[i]
+	}
+	f.nodes = n
+	f.m = newManager(nodes, policy, seed, f.check.check)
+	return f
+}
+
+// newNode builds one empty 16-core server.
+func (f *checkedFleet) newNode(name string, container bool) *crashableNode {
+	capacity := restypes.V(16, 65536, 400, 400)
+	var (
+		sub substrate.Substrate
+		err error
+	)
+	if container {
+		sub, err = simcg.NewHost(simcg.Config{Name: name, Capacity: capacity})
+	} else {
+		sub, err = hypervisor.NewHost(hypervisor.Config{Name: name, Capacity: capacity})
+	}
+	if err != nil {
+		f.t.Fatal(err)
+	}
+	return newCrashableNode(NewLocalController(sub, cascade.AllLevels(), ModeDeflation))
+}
+
+// launch places spec and tracks it while it runs.
+func (f *checkedFleet) launch(spec LaunchSpec) {
+	f.m.Launch(spec)
+	if f.m.Placed(spec.Name) {
+		f.live = append(f.live, spec.Name)
+	}
+}
+
+// prune drops the VMs the manager no longer places (evicted, handed off).
+func (f *checkedFleet) prune() {
+	f.live = slices.DeleteFunc(f.live, func(name string) bool {
+		_, ok := f.m.placement[name]
+		return !ok
+	})
+}
+
+// run drives the fleet through the op stream in data: launches (some
+// high-priority, some substrate-pinned), releases, crashes, recoveries,
+// heartbeat rounds, and the three membership changes — registering a fresh
+// node, removing one, and re-registering one under a new URL with a fresh,
+// empty controller behind it (an agent restarted elsewhere).
+func (f *checkedFleet) run(data []byte) {
+	pos := 0
+	// next returns 0 once the input is exhausted; the loop below ends with
+	// the input, so a zero tail just runs cheap ops.
+	next := func() byte {
+		if pos >= len(data) {
+			return 0
+		}
+		b := data[pos]
+		pos++
+		return b
+	}
+	pick := func() int { return int(next()) % len(f.crash) }
+	for pos < len(data) {
+		switch b := next(); b % 11 {
+		case 0, 1, 2, 3: // launch: cpu mem disk net min% prio substrate
+			f.vms++
+			size := restypes.V(float64(1+next()%12), float64(512*(1+int(next()%32))),
+				float64(1+next()%100), float64(1+next()%100))
 			spec := LaunchSpec{
-				Name:    fmt.Sprintf("vm-%d", vmSeq),
+				Name:    fmt.Sprintf("vm-%d", f.vms),
 				Size:    size,
-				MinSize: size.Scale(0.25),
+				MinSize: size.Scale(float64(next()%100) / 100),
 				AppKind: "elastic",
 			}
-			if rng.Intn(4) == 0 {
+			if next()%3 == 0 {
 				spec.Priority = vm.HighPriority
 				spec.MinSize = restypes.Vector{}
 				spec.AppKind = "inelastic"
 			}
-			switch rng.Intn(6) {
+			switch next() % 5 {
 			case 0:
 				spec.Substrate = "hypervisor"
 			case 1:
 				spec.Substrate = "container"
 			}
-			p.launchBoth(t, spec)
-			if p.a.Placed(spec.Name) {
-				live = append(live, spec.Name)
-			}
-			p.b.Placed(spec.Name) // keep reconciliation in lockstep
-		case k < 7: // release
-			if len(live) == 0 {
+			f.launch(spec)
+		case 4: // release
+			if len(f.live) == 0 {
 				continue
 			}
-			i := rng.Intn(len(live))
-			name := live[i]
-			live = append(live[:i], live[i+1:]...)
-			ea := p.a.Release(name)
-			eb := p.b.Release(name)
-			if (ea == nil) != (eb == nil) {
-				t.Fatalf("release %q: index err %v, scan err %v", name, ea, eb)
+			i := int(next()) % len(f.live)
+			f.m.Release(f.live[i])
+			f.live = slices.Delete(f.live, i, i+1)
+		case 5:
+			f.crash[pick()].crash()
+		case 6:
+			f.crash[pick()].recover()
+		case 7:
+			f.m.ProbeHealth()
+			f.prune()
+		case 8: // register a fresh node
+			name := fmt.Sprintf("s%02d", f.nodes)
+			c := f.newNode(name, f.nodes%3 == 2)
+			f.nodes++
+			if _, err := f.m.AddNode(c, "http://"+name); err != nil {
+				f.t.Fatal(err)
 			}
-		case k < 8: // crash a node
-			i := rng.Intn(n)
-			p.crashA[i].crash()
-			p.crashB[i].crash()
-		case k < 9: // recover a node
-			i := rng.Intn(n)
-			p.crashA[i].recover()
-			p.crashB[i].recover()
-		default: // heartbeat rounds (3 = past MaxMisses, so deaths land)
-			for r := 0; r < 3; r++ {
-				ha := p.a.ProbeHealth()
-				hb := p.b.ProbeHealth()
-				if len(ha) != len(hb) {
-					t.Fatalf("probe events diverged: index %d, scan %d", len(ha), len(hb))
-				}
+			f.crash = append(f.crash, c)
+		case 9: // hand a node off
+			if len(f.crash) == 1 {
+				continue
 			}
-			// Evacuations drop VMs from both placements; refresh the pool.
-			kept := live[:0]
-			for _, name := range live {
-				if _, ok := p.a.placement[name]; ok {
-					kept = append(kept, name)
-				}
+			i := pick()
+			if err := f.m.RemoveNode(f.m.servers[i].Name()); err != nil {
+				f.t.Fatal(err)
 			}
-			live = kept
+			f.crash = slices.Delete(f.crash, i, i+1)
+			f.prune()
+		case 10: // re-register under a new URL
+			i := pick()
+			name := f.m.servers[i].Name()
+			f.nodes++
+			f.crash[i] = f.newNode(name, next()%3 == 2)
+			if _, err := f.m.AddNode(f.crash[i], fmt.Sprintf("http://%s/%d", name, f.nodes)); err != nil {
+				f.t.Fatal(err)
+			}
 		}
 	}
-	p.verify(t)
 }
 
 // TestPlacementIndexScanEquivalence replays randomized chaos workloads —
-// launches, preemptions, releases, crashes, evacuations — through an
-// indexed manager and a scan manager for every placement policy, and
-// requires identical choices, placements, and WAL event streams.
+// launches, preemptions, releases, crashes, evacuations and membership
+// changes — through a checked manager for every placement policy.
 func TestPlacementIndexScanEquivalence(t *testing.T) {
-	seeds := 12
-	ops := 400
+	seeds, ops := 12, 400
 	if testing.Short() {
 		seeds, ops = 3, 150
 	}
 	for _, policy := range []PlacementPolicy{BestFit, FirstFit, TwoChoices, WorstFit} {
 		t.Run(policy.String(), func(t *testing.T) {
 			for seed := int64(1); seed <= int64(seeds); seed++ {
-				runIndexScanScript(t, policy, seed, ops)
+				data := make([]byte, 4*ops) // ≈4 bytes per op
+				rand.New(rand.NewSource(seed)).Read(data)
+				// 17 servers: odd, non-power-of-two, so the trees have padding.
+				f := newCheckedFleet(t, 17, policy, seed)
+				f.run(data)
+				if f.check.n == 0 {
+					t.Fatalf("seed %d: no query checked", seed)
+				}
 			}
 		})
 	}
@@ -226,17 +289,16 @@ func TestPlacementIndexScanEquivalence(t *testing.T) {
 // TestPlacementIndexFreeOnlyFitnessEquivalence covers the fitness-ablation
 // path (demand trees whose leaves score free capacity).
 func TestPlacementIndexFreeOnlyFitnessEquivalence(t *testing.T) {
-	p := newIndexScanPair(t, 9, BestFit, 7)
-	p.a.SetFreeOnlyFitness(true)
-	p.b.SetFreeOnlyFitness(true)
+	f := newCheckedFleet(t, 9, BestFit, 7)
+	f.m.SetFreeOnlyFitness(true)
 	for i := 0; i < 120; i++ {
 		size := restypes.V(float64(1+i%6), float64(2048+512*(i%9)), 20, 20)
-		p.launchBoth(t, LaunchSpec{
-			Name: fmt.Sprintf("vm-%d", i), Size: size, MinSize: size.Scale(0.2),
-			AppKind: "elastic",
-		})
+		f.launch(LaunchSpec{Name: fmt.Sprintf("vm-%d", i), Size: size, MinSize: size.Scale(0.2),
+			AppKind: "elastic"})
 	}
-	p.verify(t)
+	if f.check.n < 120 {
+		t.Fatalf("%d queries checked for 120 launches", f.check.n)
+	}
 }
 
 // TestPlacementIndexTieBreakPastNonAliveLeaves: a tree's values know nothing
@@ -254,36 +316,33 @@ func TestPlacementIndexTieBreakPastNonAliveLeaves(t *testing.T) {
 	cpuHog := LaunchSpec{Name: "hog", Size: restypes.V(8, 1024, 10, 10),
 		MinSize: restypes.V(8, 1024, 10, 10), AppKind: "inelastic", Priority: vm.HighPriority}
 	for _, tc := range []struct {
-		kind   string
+		kind   leafKind
 		hogged func(i, hi int) bool // which servers carry cpuHog
-		score  func(Node) float64   // the scan's value
-		pick   func(*Manager, LaunchSpec) int
+		score  func(Node) float64   // the policy's value
 	}{
 		// Best-fit: the one server with a hog fits the demand best.
-		{"best-fit", func(i, hi int) bool { return i == hi },
-			func(s Node) float64 { return fitness(s, demand, false) }, (*Manager).bestFit},
+		{leafBestFit, func(i, hi int) bool { return i == hi },
+			func(s Node) float64 { return fitness(s, demand, false) }},
 		// Worst-fit and the preemption fallback: the one server without a
 		// hog has the most free room and the largest preemptable ceiling.
-		{"worst-fit", func(i, hi int) bool { return i != hi },
-			func(s Node) float64 { return s.Free().Norm() }, (*Manager).worstFit},
-		{"preempt", func(i, hi int) bool { return i != hi },
-			func(s Node) float64 { return s.PreemptableCeiling().Norm() }, (*Manager).preemptFallback},
+		{leafWorstFit, func(i, hi int) bool { return i != hi },
+			func(s Node) float64 { return s.Free().Norm() }},
+		{leafPreempt, func(i, hi int) bool { return i != hi },
+			func(s Node) float64 { return s.PreemptableCeiling().Norm() }},
 	} {
-		t.Run(tc.kind, func(t *testing.T) {
+		t.Run(leafKindNames[tc.kind], func(t *testing.T) {
 			for hi := 1; hi < n; hi++ {
-				p := newIndexScanPair(t, n, BestFit, 1)
+				f := newCheckedFleet(t, n, BestFit, 1)
+				m := f.m
 				for i := 0; i < n; i++ {
-					if !tc.hogged(i, hi) {
-						continue
-					}
-					for _, c := range []*crashableNode{p.crashA[i], p.crashB[i]} {
-						if _, err := c.Launch(cpuHog); err != nil {
+					if tc.hogged(i, hi) {
+						if _, err := f.crash[i].Launch(cpuHog); err != nil {
 							t.Fatal(err)
 						}
 					}
 				}
-				rest := tc.score(p.b.servers[0])
-				for i, s := range p.b.servers {
+				rest := tc.score(m.servers[0])
+				for i, s := range m.servers {
 					switch v := tc.score(s); {
 					case i == hi && v <= rest:
 						t.Fatalf("server %d scores %v, not above the others' %v", hi, v, rest)
@@ -291,23 +350,20 @@ func TestPlacementIndexTieBreakPastNonAliveLeaves(t *testing.T) {
 						t.Fatalf("servers %d and 0 score %v and %v", i, v, rest)
 					}
 				}
-				both := func(when string, want int) {
+				pick := func(when string, want int) {
 					t.Helper()
-					ia, ib := tc.pick(p.a, demand), tc.pick(p.b, demand)
-					if ia != ib || ib != want {
-						t.Fatalf("server %d %s: index chose %d, scan chose %d, want %d", hi, when, ia, ib, want)
+					if got := m.pidx.query(tc.kind, demand); got != want {
+						t.Fatalf("server %d %s: index chose %d, want %d", hi, when, got, want)
 					}
 				}
-				both("alive", hi)
-				p.a.health[hi].dead, p.b.health[hi].dead = true, true
-				both("dead", 0)
-				p.a.health[hi].dead, p.b.health[hi].dead = false, false
-				p.a.bar(hi)
-				p.b.bar(hi)
-				both("barred", 0)
-				p.a.clearBars()
-				p.b.clearBars()
-				both("alive again", hi)
+				pick("alive", hi)
+				m.health[hi].dead = true
+				pick("dead", 0)
+				m.health[hi].dead = false
+				m.bar(hi)
+				pick("barred", 0)
+				m.clearBars()
+				pick("alive again", hi)
 			}
 		})
 	}
@@ -319,7 +375,7 @@ func TestPlacementIndexTieBreakPastNonAliveLeaves(t *testing.T) {
 // crashes and recoveries, with the fitness ablation flipped mid-run. Every
 // fifth launch is high-priority on a fleet full enough that the preemption
 // fallback runs, so a preempt tree and a policy tree for the same demand are
-// held side by side and compete for the same slots. Every choice must match
+// held side by side and compete for the same slots. Every query must match
 // the scan's.
 func TestPlacementIndexDemandTreeEviction(t *testing.T) {
 	const n = 13
@@ -331,16 +387,14 @@ func TestPlacementIndexDemandTreeEviction(t *testing.T) {
 	}
 	for _, policy := range []PlacementPolicy{BestFit, FirstFit, WorstFit} {
 		t.Run(policy.String(), func(t *testing.T) {
-			p := newIndexScanPair(t, n, policy, 5)
+			f := newCheckedFleet(t, n, policy, 5)
 			substrates := []string{"", "hypervisor", "container"}
-			var live []string
 			distinct := map[string]bool{}
 			held := map[treeKey]bool{}
 			var sideBySide, preemptEvicted bool
 			for i := 0; i < 600; i++ {
 				if i == 300 {
-					p.a.SetFreeOnlyFitness(true)
-					p.b.SetFreeOnlyFitness(true)
+					f.m.SetFreeOnlyFitness(true)
 				}
 				// 11 sizes x 3 substrates, walked with strides coprime to both, so
 				// a demand recurs only after the trees holding it are long evicted
@@ -358,31 +412,22 @@ func TestPlacementIndexDemandTreeEviction(t *testing.T) {
 					spec.AppKind = "inelastic"
 				}
 				distinct[fmt.Sprint(spec.Size, spec.Substrate)] = true
-				p.launchBoth(t, spec)
-				if p.a.Placed(spec.Name) {
-					live = append(live, spec.Name)
-				}
-				p.b.Placed(spec.Name)
+				f.launch(spec)
 				switch i % 5 {
 				case 1, 3:
-					if len(live) > 0 {
-						name := live[(i*31)%len(live)]
-						live = slices.DeleteFunc(live, func(s string) bool { return s == name })
-						if ea, eb := p.a.Release(name), p.b.Release(name); (ea == nil) != (eb == nil) {
-							t.Fatalf("release %q: index err %v, scan err %v", name, ea, eb)
-						}
+					if len(f.live) > 0 {
+						j := (i * 31) % len(f.live)
+						f.m.Release(f.live[j])
+						f.live = slices.Delete(f.live, j, j+1)
 					}
 				case 2:
-					c := (i * 17) % n
-					if i%2 == 0 {
-						p.crashA[c].crash()
-						p.crashB[c].crash()
+					if c := f.crash[(i*17)%n]; i%2 == 0 {
+						c.crash()
 					} else {
-						p.crashA[c].recover()
-						p.crashB[c].recover()
+						c.recover()
 					}
 				}
-				trees := p.a.pidx.demands
+				trees := f.m.pidx.demands
 				if len(trees) > pidxDemandTrees {
 					t.Fatalf("index holds %d demand trees, limit %d", len(trees), pidxDemandTrees)
 				}
@@ -408,7 +453,6 @@ func TestPlacementIndexDemandTreeEviction(t *testing.T) {
 				t.Fatalf("preempt trees held beside a policy tree of the same demand: %v; evicted: %v",
 					sideBySide, preemptEvicted)
 			}
-			p.verify(t)
 		})
 	}
 }
@@ -438,7 +482,7 @@ func TestPlacementIndexWorkBudget(t *testing.T) {
 				SampleEvery:      250,
 			}
 			var leader *Manager
-			res, err := runSim(cfg, func(_ *stateSampler, mgr *Manager, _, _ float64, _ int) { leader = mgr })
+			res, err := runSim(cfg, func(_ *stateSampler, mgr *Manager, _, _ float64, _ int) { leader = mgr }, nil)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -468,7 +512,7 @@ func TestReplacedManagerLeavesNoWatcher(t *testing.T) {
 	for name, cfg := range map[string]SimConfig{"manager-crash": mgrCrash, "ha-failover": haChaosSim()} {
 		t.Run(name, func(t *testing.T) {
 			var last *stateSampler
-			res, err := runSim(cfg, func(s *stateSampler, _ *Manager, _, _ float64, _ int) { last = s })
+			res, err := runSim(cfg, func(s *stateSampler, _ *Manager, _, _ float64, _ int) { last = s }, nil)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -486,12 +530,10 @@ func TestReplacedManagerLeavesNoWatcher(t *testing.T) {
 	}
 }
 
-// TestPlacementIndexFullChaosSimEquivalence replays entire chaos
-// simulations both ways: node crashes, agent faults, manager crash-restart
-// recovery from the WAL, migrations, and HA failovers all run once with the
-// index and once with it globally disabled. Every SimResult field —
-// placements, preemptions, evictions, goodput, migration and failover
-// counts — must match exactly.
+// TestPlacementIndexFullChaosSimEquivalence runs entire chaos simulations
+// checked: node crashes, agent faults, manager crash-restart recovery from
+// the WAL (whose reconciliation re-places VMs), migrations, and HA failovers.
+// Every query of every manager the run builds must match the scan.
 func TestPlacementIndexFullChaosSimEquivalence(t *testing.T) {
 	configs := map[string]SimConfig{
 		"baseline": smallSim(ModeDeflation, 1.6),
@@ -523,57 +565,140 @@ func TestPlacementIndexFullChaosSimEquivalence(t *testing.T) {
 	}
 	for name, cfg := range configs {
 		t.Run(name, func(t *testing.T) {
-			indexed, err := RunSim(cfg)
+			check := &queryChecker{t: t}
+			res, err := runSim(cfg, nil, check.check)
 			if err != nil {
 				t.Fatal(err)
 			}
-			placementIndexEnabled = false
-			defer func() { placementIndexEnabled = true }()
-			scanned, err := RunSim(cfg)
-			if err != nil {
-				t.Fatal(err)
-			}
-			if indexed != scanned {
-				t.Errorf("index and scan sims diverged:\nindex: %+v\nscan:  %+v", indexed, scanned)
+			if check.n < res.LowPriorityStarted {
+				t.Fatalf("%d queries checked for %d low-priority admissions", check.n, res.LowPriorityStarted)
 			}
 		})
 	}
 }
 
-// TestPlacementIndexDisabledByDynamicMembership: AddNode/RemoveNode must
-// drop the manager to the scan path permanently.
-func TestPlacementIndexDisabledByDynamicMembership(t *testing.T) {
-	p := newIndexScanPair(t, 4, BestFit, 1)
-	if p.a.pidx == nil {
-		t.Fatal("index not built for a static watchable fleet")
+// TestPlacementIndexSurvivesMembershipChange: registering a node, handing
+// one off and re-registering one under a new URL each rebuild the index over
+// the new fleet, subscribed to the new node objects and to no old one, and
+// every query after each change matches the scan. Worst-fit sends the first
+// launch after a registration to the new, empty node, so an index that
+// missed it would disagree with the scan there.
+func TestPlacementIndexSurvivesMembershipChange(t *testing.T) {
+	f := newCheckedFleet(t, 4, WorstFit, 1)
+	fill := func(k int) {
+		t.Helper()
+		for i := 0; i < k; i++ {
+			f.vms++
+			f.launch(LaunchSpec{Name: fmt.Sprintf("vm-%d", f.vms), Size: restypes.V(2, 4096, 20, 20),
+				MinSize: restypes.V(1, 1024, 5, 5), AppKind: "elastic"})
+		}
 	}
-	if err := p.a.RemoveNode(p.a.servers[3].Name()); err != nil {
+	indexed := func(what string, gone *crashableNode) {
+		t.Helper()
+		if x := f.m.pidx; x.n != len(f.m.servers) || !slices.Equal(x.servers, f.m.servers) {
+			t.Fatalf("after %s the index covers %d servers, the fleet %d", what, x.n, len(f.m.servers))
+		}
+		for i, c := range f.crash {
+			if got := len(c.watchers); got != 1 {
+				t.Fatalf("after %s server %d has %d watchers, want the index alone", what, i, got)
+			}
+		}
+		if gone != nil && len(gone.watchers) != 0 {
+			t.Fatalf("after %s the node that left still has %d watchers", what, len(gone.watchers))
+		}
+		before := f.check.n
+		fill(6)
+		if f.check.n < before+6 {
+			t.Fatalf("after %s: %d queries checked for 6 launches", what, f.check.n-before)
+		}
+	}
+	fill(8)
+
+	gone := f.crash[3]
+	if err := f.m.RemoveNode(f.m.servers[3].Name()); err != nil {
 		t.Fatal(err)
 	}
-	if p.a.pidx != nil {
-		t.Fatal("index survived RemoveNode")
-	}
-	h, err := hypervisor.NewHost(hypervisor.Config{Name: "sX", Capacity: restypes.V(16, 65536, 400, 400)})
-	if err != nil {
+	f.crash = f.crash[:3]
+	f.prune()
+	indexed("RemoveNode", gone)
+
+	fresh := f.newNode("s04", false)
+	if _, err := f.m.AddNode(fresh, "http://s04"); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := p.a.AddNode(NewLocalController(h, cascade.AllLevels(), ModeDeflation), ""); err != nil {
+	f.crash = append(f.crash, fresh)
+	f.vms++
+	spec := LaunchSpec{Name: fmt.Sprintf("vm-%d", f.vms), Size: restypes.V(2, 4096, 20, 20), AppKind: "elastic"}
+	if idx, _, err := f.m.Launch(spec); err != nil || f.m.servers[idx] != Node(fresh) {
+		t.Fatalf("worst-fit after registering an empty node: server %d, %v", idx, err)
+	}
+	indexed("AddNode", nil)
+
+	gone = f.crash[1]
+	f.crash[1] = f.newNode(f.m.servers[1].Name(), false)
+	if _, err := f.m.AddNode(f.crash[1], "http://s01-moved"); err != nil {
 		t.Fatal(err)
 	}
-	if p.a.pidx != nil {
-		t.Fatal("index rebuilt by AddNode")
+	indexed("re-registration", gone)
+}
+
+// TestPlacementIndexRemoteFleetEquivalence runs a checked manager over
+// RemoteNodes: four agents behind httptest servers, placed from summaries a
+// second writer keeps stale, plus an agent that never answers. One agent
+// goes dark for a stretch, so its cache turns unknown and known again. Every
+// query — stale-refusal re-picks and preemption fallbacks included — must
+// match the scan, and the unreachable agent is probed, skipped and never
+// chosen.
+func TestPlacementIndexRemoteFleetEquivalence(t *testing.T) {
+	fleet := newCountedFleet(t, 4)
+	dark := fleet[3]
+	defer dark.hole.Store(false) // let the server close
+	dead := httptest.NewServer(http.NotFoundHandler())
+	dead.Close()
+	policy := RetryPolicy{MaxAttempts: 2, BaseDelay: time.Millisecond, MaxDelay: time.Millisecond, OpTimeout: 20 * time.Millisecond}
+	nodes := append(coldNodes(fleet, policy), NewRemoteNodeNamed("unreachable", dead.URL, policy))
+	check := &queryChecker{t: t}
+	m := newManager(nodes, BestFit, 3, check.check)
+	sink := telemetry.NewSink()
+	m.SetTelemetry(sink)
+	rng := rand.New(rand.NewSource(3))
+	var live []string
+	for step := 0; step < 200; step++ {
+		dark.hole.Store(step >= 80 && step < 120)
+		switch r := rng.Intn(10); {
+		case r < 5:
+			name := fmt.Sprintf("m-%d", step)
+			if idx, _, err := m.Launch(wireSpec(name, vm.Priority(rng.Intn(2)))); err == nil {
+				if idx == len(fleet) {
+					t.Fatalf("step %d: placed on the unreachable agent", step)
+				}
+				live = append(live, name)
+			}
+		case r < 7:
+			if len(live) > 0 {
+				i := rng.Intn(len(live))
+				m.Release(live[i])
+				live = slices.Delete(live, i, i+1)
+			}
+		case r < 9: // a second writer the manager never sees
+			foreign := wireSpec(fmt.Sprintf("f-%d", step), vm.LowPriority)
+			foreign.MinSize = foreign.Size
+			if a := fleet[rng.Intn(len(fleet))]; !a.hole.Load() {
+				a.do(t, http.MethodPost, "/v1/vms", foreign)
+			}
+		default:
+			m.ProbeHealth()
+		}
 	}
-	// And the manager still places correctly on the scan path.
-	idx, _, err := p.a.Launch(LaunchSpec{Name: "after", Size: restypes.V(2, 4096, 20, 20),
-		MinSize: restypes.V(1, 1024, 5, 5), AppKind: "elastic"})
-	if err != nil || idx < 0 {
-		t.Fatalf("post-membership-change launch failed: idx %d err %v", idx, err)
+	refusals := counterValue(sink, "deflation_launch_stale_refusals_total", nil)
+	if check.n < 100 || refusals == 0 || m.Preemptions() == 0 {
+		t.Errorf("script exercised too little: %d queries, %v stale refusals, %d preemptions",
+			check.n, refusals, m.Preemptions())
 	}
 }
 
-// FuzzPlacementIndex feeds fuzzed fleet states and op streams through the
-// indexed and scan managers in lockstep: every placement choice and the
-// final placement maps must agree.
+// FuzzPlacementIndex feeds fuzzed fleet sizes, policies and op streams
+// through a checked manager (see checkedFleet.run).
 func FuzzPlacementIndex(f *testing.F) {
 	f.Add([]byte{0x01, 0x42, 0x10, 0x80, 0x33, 0x05, 0x77, 0xfe})
 	f.Add([]byte{0xff, 0x00, 0xaa, 0x55, 0x12, 0x34, 0x56, 0x78, 0x9a, 0xbc})
@@ -607,6 +732,20 @@ func FuzzPlacementIndex(f *testing.F) {
 		fill = append(fill, 0, 5+k, 3*k, 9, 9, 0, 0, 2)
 	}
 	f.Add(fill)
+	// Membership churn on a loaded worst-fit fleet: register two nodes, hand
+	// one off, re-register another under a new URL, and launch between each,
+	// so every rebuilt index is queried over the changed fleet.
+	churn := []byte{0x03, 0x03}
+	launch := []byte{0, 3, 7, 9, 9, 50, 1, 2}
+	for k := 0; k < 6; k++ {
+		churn = append(churn, launch...)
+	}
+	for _, op := range [][]byte{{8}, {8}, {9, 1}, {10, 0, 1}, {7}, {9, 0}, {10, 2, 2}} {
+		churn = append(churn, op...)
+		churn = append(churn, launch...)
+		churn = append(churn, launch...)
+	}
+	f.Add(churn)
 	f.Fuzz(func(t *testing.T, data []byte) {
 		if len(data) < 2 {
 			return
@@ -614,79 +753,6 @@ func FuzzPlacementIndex(f *testing.F) {
 		if len(data) > 256 {
 			data = data[:256]
 		}
-		n := 2 + int(data[0]%14)
-		policy := PlacementPolicy(int(data[1]) % 4)
-		p := newIndexScanPair(t, n, policy, int64(data[0])+1)
-		var live []string
-		vmSeq := 0
-		pos := 2
-		// next returns 0 once the input is exhausted; the op loop below is
-		// bounded by the input length, so a zero tail just runs cheap ops.
-		next := func() byte {
-			if pos >= len(data) {
-				return 0
-			}
-			b := data[pos]
-			pos++
-			return b
-		}
-		for op := 0; op < len(data) && pos < len(data); op++ {
-			switch b := next(); b % 8 {
-			case 0, 1, 2, 3: // launch
-				vmSeq++
-				size := restypes.V(float64(1+next()%12), float64(512*(1+int(next()%32))),
-					float64(1+next()%100), float64(1+next()%100))
-				spec := LaunchSpec{
-					Name:    fmt.Sprintf("vm-%d", vmSeq),
-					Size:    size,
-					MinSize: size.Scale(float64(next()%100) / 100),
-					AppKind: "elastic",
-				}
-				if next()%3 == 0 {
-					spec.Priority = vm.HighPriority
-					spec.MinSize = restypes.Vector{}
-					spec.AppKind = "inelastic"
-				}
-				switch next() % 5 {
-				case 0:
-					spec.Substrate = "hypervisor"
-				case 1:
-					spec.Substrate = "container"
-				}
-				p.launchBoth(t, spec)
-				if p.a.Placed(spec.Name) {
-					live = append(live, spec.Name)
-				}
-				p.b.Placed(spec.Name)
-			case 4: // release
-				if len(live) == 0 {
-					continue
-				}
-				i := int(next()) % len(live)
-				name := live[i]
-				live = append(live[:i], live[i+1:]...)
-				p.a.Release(name)
-				p.b.Release(name)
-			case 5: // crash
-				i := int(next()) % n
-				p.crashA[i].crash()
-				p.crashB[i].crash()
-			case 6: // recover
-				i := int(next()) % n
-				p.crashA[i].recover()
-				p.crashB[i].recover()
-			case 7: // heartbeat round
-				p.a.ProbeHealth()
-				p.b.ProbeHealth()
-				kept := live[:0]
-				for _, name := range live {
-					if _, ok := p.a.placement[name]; ok {
-						kept = append(kept, name)
-					}
-				}
-				live = kept
-			}
-		}
-		p.verify(t)
+		newCheckedFleet(t, 2+int(data[0]%14), PlacementPolicy(int(data[1])%4), int64(data[0])+1).run(data[2:])
 	})
 }

@@ -220,11 +220,13 @@ func simCurves() []*perfmodel.UtilityCurve {
 }
 
 // RunSim executes the trace-driven simulation.
-func RunSim(cfg SimConfig) (SimResult, error) { return runSim(cfg, nil) }
+func RunSim(cfg SimConfig) (SimResult, error) { return runSim(cfg, nil, nil) }
 
-// runSim is RunSim with the state sampler's per-pass test hook (see
-// stateSampler.check); nil outside tests.
-func runSim(cfg SimConfig, check func(s *stateSampler, mgr *Manager, gp, tpSum float64, tpN int)) (SimResult, error) {
+// runSim is RunSim with two test hooks, both nil outside tests: the state
+// sampler's per-pass check (see stateSampler.check), and the placement
+// index's query seam, installed on every manager the run builds (see
+// Manager.queried).
+func runSim(cfg SimConfig, check func(s *stateSampler, mgr *Manager, gp, tpSum float64, tpN int), queried queryHook) (SimResult, error) {
 	cfg = cfg.withDefaults()
 	var res SimResult
 
@@ -310,10 +312,7 @@ func runSim(cfg SimConfig, check func(s *stateSampler, mgr *Manager, gp, tpSum f
 		}
 		nodes = makeNodes()
 	}
-	mgr, err := NewManager(nodes, cfg.Policy, cfg.Seed)
-	if err != nil {
-		return res, err
-	}
+	mgr := newManager(nodes, cfg.Policy, cfg.Seed, queried)
 	if injectFaults {
 		mgr.SetHealthPolicy(HealthPolicy{MaxMisses: cfg.HeartbeatMisses})
 	}
@@ -568,9 +567,9 @@ func runSim(cfg SimConfig, check func(s *stateSampler, mgr *Manager, gp, tpSum f
 		// TakeOver and install its manager the same way. takeOver returns nil
 		// (recording the error) when the takeover fails.
 		takeOver := func(what, dir string, replica *WALState) *Manager {
-			m2, _, err := TakeOver(DurabilityConfig{
+			m2, _, err := takeOver(DurabilityConfig{
 				Dir: dir, SnapshotEvery: simSnapshotEvery, SyncEvery: simSyncEvery, FailOp: diskFailOp,
-			}, replica, makeNodes(), cfg.Policy, cfg.Seed)
+			}, replica, makeNodes(), cfg.Policy, cfg.Seed, queried)
 			if err != nil && simErr == nil {
 				simErr = fmt.Errorf("cluster: sim %s: %w", what, err)
 			}
@@ -582,8 +581,8 @@ func runSim(cfg SimConfig, check func(s *stateSampler, mgr *Manager, gp, tpSum f
 				m2.SetTelemetry(cfg.Telemetry)
 			}
 			wireMigration(m2)
-			mgr.dropIndex() // the replaced manager's index must not outlive it
-			mgr = m2        // arrive/depart/heartbeat closures see the new manager
+			mgr.pidx.close() // the replaced manager's index must not outlive it
+			mgr = m2         // arrive/depart/heartbeat closures see the new manager
 		}
 
 		// HA takeover machinery (inert unless haActive).

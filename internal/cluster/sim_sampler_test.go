@@ -48,7 +48,7 @@ func TestSamplerMemoMatchesFullWalk(t *testing.T) {
 					}
 				}
 			}
-			checked, err := runSim(c.cfg, check)
+			checked, err := runSim(c.cfg, check, nil)
 			if err != nil {
 				t.Fatal(err)
 			}

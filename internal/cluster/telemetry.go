@@ -105,7 +105,7 @@ func (m *Manager) SetTelemetry(sink *telemetry.Sink) {
 	}
 	m.tel = t
 	for _, s := range m.servers {
-		if ts, ok := s.(interface{ SetTelemetry(*telemetry.Sink) }); ok {
+		if ts, ok := capability[interface{ SetTelemetry(*telemetry.Sink) }](s); ok {
 			ts.SetTelemetry(sink)
 		}
 	}

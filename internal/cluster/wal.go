@@ -422,7 +422,7 @@ type InventoryNode interface {
 var errNoInventory = errors.New("cluster: node does not expose a VM inventory")
 
 func nodeInventory(n Node) ([]VMState, error) {
-	inv, ok := n.(InventoryNode)
+	inv, ok := capability[InventoryNode](n)
 	if !ok {
 		return nil, errNoInventory
 	}
@@ -495,6 +495,12 @@ func replay(st *WALState, b journal.Batch) (*WALState, error) {
 // the new term. Healthy workloads are never evicted. cfg.LeaderID must name
 // this process, never the previous leader: identity breaks same-epoch ties.
 func TakeOver(cfg DurabilityConfig, replica *WALState, servers []Node, policy PlacementPolicy, seed int64) (*Manager, *RecoveryReport, error) {
+	return takeOver(cfg, replica, servers, policy, seed, nil)
+}
+
+// takeOver is TakeOver with the placement index's test seam installed
+// before reconciliation re-places anything (see Manager.queried).
+func takeOver(cfg DurabilityConfig, replica *WALState, servers []Node, policy PlacementPolicy, seed int64, queried queryHook) (*Manager, *RecoveryReport, error) {
 	cfg = cfg.withDefaults()
 	start := time.Now()
 	j, err := journal.Open(cfg.Dir, journal.Options{SyncEvery: cfg.SyncEvery, FailOp: cfg.FailOp})
@@ -517,11 +523,7 @@ func TakeOver(cfg DurabilityConfig, replica *WALState, servers []Node, policy Pl
 		rep.LastSeq = st.AppliedSeq // replayed while tailing
 	}
 
-	m, err := NewManager(dialJournaledNodes(cfg, st, servers), policy, seed)
-	if err != nil {
-		j.Close()
-		return nil, nil, err
-	}
+	m := newManager(dialJournaledNodes(cfg, st, servers), policy, seed, queried)
 	m.installWALState(st)
 	m.journal = j
 	if cfg.LeaderID != "" {

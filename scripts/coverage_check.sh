@@ -1,7 +1,8 @@
 #!/usr/bin/env bash
 # coverage_check.sh — run the test suite with a coverage profile, print the
-# total, and fail if the sweep engine (internal/sweep) or the container
-# substrate (internal/simcg) is under its floor.
+# total, and fail if the sweep engine (internal/sweep), the container
+# substrate (internal/simcg) or the event calendar (internal/simclock) is
+# under its floor.
 #
 # Usage: scripts/coverage_check.sh [profile-path]
 #
@@ -25,34 +26,16 @@ go test -short -count=1 -coverprofile="$profile" ./...
 total=$(go tool cover -func="$profile" | awk '/^total:/ {print $NF}')
 echo "total coverage: ${total}"
 
-# Statement-weighted coverage for the sweep package alone: filter the
+# Statement-weighted coverage for each floored package alone: filter the
 # profile down to its files and total that.
-sweep_profile="${profile}.sweep"
-{ head -1 "$profile"; grep "internal/sweep/" "$profile" || true; } > "$sweep_profile"
-sweep_pct=$(go tool cover -func="$sweep_profile" | awk '/^total:/ { sub(/%$/, "", $NF); print $NF }')
-echo "internal/sweep coverage: ${sweep_pct}% (floor ${floor_pct}%)"
+for pkg in sweep simcg simclock; do
+  pkg_profile="${profile}.${pkg}"
+  { head -1 "$profile"; grep "internal/${pkg}/" "$profile" || true; } > "$pkg_profile"
+  pkg_pct=$(go tool cover -func="$pkg_profile" | awk '/^total:/ { sub(/%$/, "", $NF); print $NF }')
+  echo "internal/${pkg} coverage: ${pkg_pct}% (floor ${floor_pct}%)"
 
-awk -v got="$sweep_pct" -v floor="$floor_pct" 'BEGIN { exit !(got+0 >= floor+0) }' || {
-  echo "FAIL: internal/sweep coverage ${sweep_pct}% is below the ${floor_pct}% floor" >&2
-  exit 1
-}
-
-simcg_profile="${profile}.simcg"
-{ head -1 "$profile"; grep "internal/simcg/" "$profile" || true; } > "$simcg_profile"
-simcg_pct=$(go tool cover -func="$simcg_profile" | awk '/^total:/ { sub(/%$/, "", $NF); print $NF }')
-echo "internal/simcg coverage: ${simcg_pct}% (floor ${floor_pct}%)"
-
-awk -v got="$simcg_pct" -v floor="$floor_pct" 'BEGIN { exit !(got+0 >= floor+0) }' || {
-  echo "FAIL: internal/simcg coverage ${simcg_pct}% is below the ${floor_pct}% floor" >&2
-  exit 1
-}
-
-simclock_profile="${profile}.simclock"
-{ head -1 "$profile"; grep "internal/simclock/" "$profile" || true; } > "$simclock_profile"
-simclock_pct=$(go tool cover -func="$simclock_profile" | awk '/^total:/ { sub(/%$/, "", $NF); print $NF }')
-echo "internal/simclock coverage: ${simclock_pct}% (floor ${floor_pct}%)"
-
-awk -v got="$simclock_pct" -v floor="$floor_pct" 'BEGIN { exit !(got+0 >= floor+0) }' || {
-  echo "FAIL: internal/simclock coverage ${simclock_pct}% is below the ${floor_pct}% floor" >&2
-  exit 1
-}
+  awk -v got="$pkg_pct" -v floor="$floor_pct" 'BEGIN { exit !(got+0 >= floor+0) }' || {
+    echo "FAIL: internal/${pkg} coverage ${pkg_pct}% is below the ${floor_pct}% floor" >&2
+    exit 1
+  }
+done
