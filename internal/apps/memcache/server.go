@@ -58,10 +58,17 @@ func (s *TCPServer) Serve(ln net.Listener) error {
 			}
 			return err
 		}
+		// Registering under mu, only while open, orders every wg.Add before
+		// Close's Wait and leaves Close no conn it did not close.
 		s.mu.Lock()
+		if s.closed {
+			s.mu.Unlock()
+			conn.Close()
+			return nil
+		}
 		s.conns[conn] = struct{}{}
-		s.mu.Unlock()
 		s.wg.Add(1)
+		s.mu.Unlock()
 		go func() {
 			defer s.wg.Done()
 			s.handle(conn)

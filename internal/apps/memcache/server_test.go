@@ -7,6 +7,7 @@ import (
 	"strings"
 	"sync"
 	"testing"
+	"time"
 )
 
 func startServer(t *testing.T, maxBytes int64) (*Client, *Store, *TCPServer) {
@@ -203,6 +204,57 @@ func TestServerCloseUnblocksClients(t *testing.T) {
 	}
 	if err := c.Set("k", 0, []byte("v")); err == nil {
 		t.Error("set succeeded after server close")
+	}
+}
+
+// TestCloseRacingDialsReturns races Close against a burst of dials whose
+// clients keep their connections open. A conn accepted just before Close and
+// registered after it would keep a reader — and Close's Wait — blocked
+// forever, so every round must close within its deadline.
+func TestCloseRacingDialsReturns(t *testing.T) {
+	const rounds, dials = 200, 8
+	for round := 0; round < rounds; round++ {
+		srv, err := NewTCPServer(mustStore(t, 1<<20))
+		if err != nil {
+			t.Fatal(err)
+		}
+		ln, err := net.Listen("tcp", "127.0.0.1:0")
+		if err != nil {
+			t.Fatal(err)
+		}
+		served := make(chan error, 1)
+		go func() { served <- srv.Serve(ln) }()
+		// One round trip first, so Serve is accepting when the race starts.
+		warm, err := Dial(ln.Addr().String())
+		if err != nil {
+			t.Fatal(err)
+		}
+		if _, err := warm.roundTrip("version\r\n"); err != nil {
+			t.Fatal(err)
+		}
+		conns := make(chan net.Conn, dials)
+		for i := 0; i < dials; i++ {
+			go func() {
+				c, _ := net.Dial("tcp", ln.Addr().String()) // nil on error
+				conns <- c
+			}()
+		}
+		closed := make(chan error, 1)
+		go func() { closed <- srv.Close() }()
+		select {
+		case <-closed:
+		case <-time.After(2 * time.Second):
+			t.Fatalf("round %d: Close still waiting after 2s with dials in flight", round)
+		}
+		if err := <-served; err != nil {
+			t.Fatalf("round %d: Serve = %v after Close, want nil", round, err)
+		}
+		for i := 0; i < dials; i++ {
+			if c := <-conns; c != nil {
+				c.Close()
+			}
+		}
+		warm.Close()
 	}
 }
 

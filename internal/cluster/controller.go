@@ -120,7 +120,7 @@ type LocalController struct {
 	casc  *cascade.Controller
 	mode  Mode
 	split SplitPolicy
-	vms   substrate.Table[*vm.VM] // name-ordered; VMs() is its snapshot
+	vms   substrate.Table[*vm.VM] // name-ordered; VMs() is its live view
 
 	// streams tracks active migration link-bandwidth reservations (see
 	// ReserveStream in migrate.go). Nil until the first reservation.
@@ -257,9 +257,10 @@ func (c *LocalController) FailAll() []string {
 // Preemptions returns the number of VMs this controller has preempted.
 func (c *LocalController) Preemptions() int { return c.preemptions }
 
-// VMs returns the server's live VMs sorted by name. The slice is a snapshot
-// shared between calls until the VM set changes (a caller may keep iterating
-// it across a launch or release); callers must not mutate it.
+// VMs returns the server's live VMs sorted by name. The slice is the VM
+// table's own array, valid only until the next launch, release or
+// preemption: a caller that changes the VM set inside its walk must copy it
+// first. Callers must not mutate it.
 func (c *LocalController) VMs() []*vm.VM { return c.vms.Ordered() }
 
 // Inventory implements InventoryNode: the ground-truth list of VMs this

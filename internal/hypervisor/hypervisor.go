@@ -141,8 +141,9 @@ func (h *Host) Unreserve(v restypes.Vector) {
 // Reserved returns the currently reserved capacity.
 func (h *Host) Reserved() restypes.Vector { return h.reserved }
 
-// Domains returns all live domains in name order. The slice is a snapshot
-// shared between calls; callers must not modify it.
+// Domains returns all live domains in name order. The slice is the domain
+// table's own array, valid only until the next domain is created or
+// destroyed; callers must not modify it.
 func (h *Host) Domains() []*Domain { return h.domains.Ordered() }
 
 // Domain looks up a live domain by name.
