@@ -2,6 +2,7 @@ package cluster
 
 import (
 	"encoding/json"
+	"errors"
 	"fmt"
 	"net/http"
 	"sync"
@@ -140,6 +141,13 @@ type RegisterNodeRequest struct {
 	URL string `json:"url"`
 }
 
+func (r *RegisterNodeRequest) validate() error {
+	if r.URL == "" {
+		return errors.New("cluster: node registration needs a url")
+	}
+	return nil
+}
+
 // RegisterNodeResponse acknowledges a durably journaled registration.
 type RegisterNodeResponse struct {
 	Name string `json:"name"`
@@ -197,18 +205,13 @@ func (a *ManagerAPI) dialNode(name, url string) (Node, error) {
 	return NewRemoteNode(url)
 }
 
-// handleRegisterNode admits an agent into the fleet. The 201/200 response
-// is sent only after the node-add record is durably journaled — an
+// registerNode admits an agent into the fleet. The 201/200 response is
+// sent only after the node-add record is durably journaled — an
 // acknowledged registration survives any crash of this manager (or is
 // re-learned by the peer that adopts its journal).
-func (a *ManagerAPI) handleRegisterNode(w http.ResponseWriter, r *http.Request) {
-	var req RegisterNodeRequest
-	if err := json.NewDecoder(r.Body).Decode(&req); err != nil {
-		http.Error(w, "cluster: bad node registration: "+err.Error(), http.StatusBadRequest)
-		return
-	}
-	if req.URL == "" {
-		http.Error(w, "cluster: node registration needs a url", http.StatusBadRequest)
+func (a *ManagerAPI) registerNode(journal string, w http.ResponseWriter, r *http.Request) {
+	req, ok := decodeRequest[RegisterNodeRequest](w, r, "node registration")
+	if !ok {
 		return
 	}
 	a.mu.Lock()
@@ -221,49 +224,35 @@ func (a *ManagerAPI) handleRegisterNode(w http.ResponseWriter, r *http.Request) 
 
 	// Dial outside the lock: the probe path (no name given) does a round
 	// trip to the agent.
-	var (
-		n   Node
-		err error
-	)
+	var n Node
 	if !known {
+		var err error
 		if n, err = a.dialNode(req.Name, req.URL); err != nil {
 			http.Error(w, "cluster: dialing node: "+err.Error(), http.StatusBadGateway)
 			return
 		}
 	}
 
-	a.mu.Lock()
-	if a.refuseUnservable(w) {
-		a.mu.Unlock()
-		return
-	}
-	status := http.StatusOK
-	name := req.Name
-	if !known {
-		name = n.Name()
-		if !a.mgr.HasNode(name) {
-			status = http.StatusCreated
+	status, resp := http.StatusOK, RegisterNodeResponse{Name: req.Name}
+	if a.journaled(w, journal, func() error {
+		if !known {
+			resp.Name = n.Name()
+			if !a.mgr.HasNode(resp.Name) {
+				status = http.StatusCreated
+			}
+			if _, err := a.mgr.AddNode(n, req.URL); err != nil {
+				return err
+			}
 		}
-		if _, err = a.mgr.AddNode(n, req.URL); err != nil {
-			a.mu.Unlock()
-			writeError(w, err)
-			return
-		}
+		resp.Epoch = a.mgr.Epoch()
+		return nil
+	}) {
+		writeJSON(w, status, resp)
 	}
-	walErr := a.mgr.WALError()
-	epoch := a.mgr.Epoch()
-	a.mu.Unlock()
-	if walErr != nil {
-		http.Error(w, "cluster: journal write failed; registration not durably recorded: "+walErr.Error(),
-			http.StatusServiceUnavailable)
-		return
-	}
-	writeJSON(w, status, RegisterNodeResponse{Name: name, Epoch: epoch})
 }
 
-// handleListNodes reports the registered fleet and heartbeat freshness.
-func (a *ManagerAPI) handleListNodes(w http.ResponseWriter, _ *http.Request) {
-	a.mu.Lock()
+// listNodes reports the registered fleet and heartbeat freshness.
+func (a *ManagerAPI) listNodes(*http.Request) NodeListResponse {
 	resp := NodeListResponse{Nodes: a.mgr.NodeURLs()}
 	for _, s := range a.mgr.Servers() {
 		if _, ok := resp.Nodes[s.Name()]; !ok {
@@ -281,7 +270,6 @@ func (a *ManagerAPI) handleListNodes(w http.ResponseWriter, _ *http.Request) {
 			resp.Capacity[s.Name()] = st
 		}
 	}
-	a.mu.Unlock()
 	a.nodes.hbMu.Lock()
 	now := time.Now()
 	for name, t := range a.nodes.heartbeats {
@@ -293,32 +281,15 @@ func (a *ManagerAPI) handleListNodes(w http.ResponseWriter, _ *http.Request) {
 		}
 	}
 	a.nodes.hbMu.Unlock()
-	writeJSON(w, http.StatusOK, resp)
+	return resp
 }
 
-// handleForgetNode hands a node off (DELETE /v1/nodes/{name}): the
-// manager forgets the node and its placements without releasing anything.
+// forgetNode hands a node off (DELETE /v1/nodes/{name}): the manager
+// forgets the node and its placements without releasing anything.
 // Cross-shard reconciliation calls this on the NON-owner after
 // re-registering the node with its ring owner.
-func (a *ManagerAPI) handleForgetNode(w http.ResponseWriter, r *http.Request) {
-	a.mu.Lock()
-	if a.refuseUnservable(w) {
-		a.mu.Unlock()
-		return
-	}
-	err := a.mgr.RemoveNode(r.PathValue("name"))
-	walErr := a.mgr.WALError()
-	a.mu.Unlock()
-	if err != nil {
-		writeError(w, err)
-		return
-	}
-	if walErr != nil {
-		http.Error(w, "cluster: journal write failed; hand-off not durably recorded: "+walErr.Error(),
-			http.StatusServiceUnavailable)
-		return
-	}
-	w.WriteHeader(http.StatusNoContent)
+func (a *ManagerAPI) forgetNode(r *http.Request, _ noBody) (noBody, error) {
+	return noBody{}, a.mgr.RemoveNode(r.PathValue("name"))
 }
 
 // handleNodeHeartbeat receives an agent's push heartbeat. 204 when this
@@ -332,7 +303,7 @@ func (a *ManagerAPI) handleForgetNode(w http.ResponseWriter, r *http.Request) {
 // this manager never saw (an adopting shard, deflctl straight at the agent)
 // are noticed within one heartbeat; a malformed one is a 400 that leaves
 // the node's liveness stamp and cache as they were.
-func (a *ManagerAPI) handleNodeHeartbeat(w http.ResponseWriter, r *http.Request) {
+func (a *ManagerAPI) handleNodeHeartbeat(_ string, w http.ResponseWriter, r *http.Request) {
 	name := r.PathValue("name")
 	var node Node
 	a.mu.Lock()

@@ -2,9 +2,7 @@ package cluster
 
 import (
 	"errors"
-	"fmt"
 	"math/rand"
-	"net/http"
 	"time"
 )
 
@@ -106,20 +104,6 @@ func isRetryable(err error) bool {
 func isTransportFailure(err error) bool {
 	var r retryableError
 	return errors.As(err, &r) && r.transport
-}
-
-// statusError converts an unexpected HTTP status into an error, marking
-// server-side (5xx) statuses retryable. 412 means the controller fenced
-// this manager's epoch off — never retried: the only cure is standing down.
-func statusError(op, status string, code int) error {
-	if code == http.StatusPreconditionFailed {
-		return fmt.Errorf("%w: %s refused: %s", ErrStaleEpoch, op, status)
-	}
-	err := fmt.Errorf("cluster: %s: %s", op, status)
-	if code >= 500 {
-		return retryable(err)
-	}
-	return err
 }
 
 // HeartbeatInterval draws the next agent-heartbeat sleep: full jitter over

@@ -23,12 +23,12 @@ const ShardEpochHeader = "X-Deflation-Shard-Epoch"
 // shardMapPath serves (GET) and gossips (POST) the shard map.
 const shardMapPath = "/v1/shardmap"
 
-// Router is a federated manager's HTTP front door. Every request is keyed
-// (VM name for VM commands, node name for registrations and heartbeats)
-// and either dispatched to a locally mounted shard — this manager's own,
-// plus any it has adopted — or redirected (307 + ShardEpochHeader) to the
-// owning peer. Key-less reads (/v1/cluster, /v1/state, /v1/nodes) serve
-// the local shard's view; ?shard=ID selects an adopted shard instead.
+// Router is a federated manager's HTTP front door. A keyed request (VM name
+// for VM commands, node name for registrations and heartbeats) is either
+// dispatched to a locally mounted shard — this manager's own, plus any it
+// has adopted — or redirected (307 + ShardEpochHeader) to the owning peer.
+// A key-less request serves the local shard's view; ?shard=ID selects an
+// adopted shard instead.
 type Router struct {
 	self  string
 	store *MapStore
@@ -80,46 +80,24 @@ func (rt *Router) localHandler(id string) http.Handler {
 	return rt.local[id]
 }
 
-// Handler returns the router's routes. VM commands key by VM name, node
-// registration and heartbeats by node name; both domains hash onto the
-// same ring so ownership is total and deterministic.
+// Handler serves the shard map and routes every manager route
+// (cluster.ManagerRoutes) by the ring key the route declares. VM and node
+// names hash onto the same ring, so ownership is total and deterministic.
+// A route without a key serves the local (or ?shard=ID) view.
 func (rt *Router) Handler() http.Handler {
+	routes := map[string]http.HandlerFunc{
+		"GET " + shardMapPath:  rt.handleMapGet,
+		"POST " + shardMapPath: rt.handleMapPost,
+	}
+	for _, r := range cluster.ManagerRoutes() {
+		routes[r.Method+" "+r.Path] = rt.serveLocal
+		if r.PathKey != "" || r.BodyKey != nil {
+			routes[r.Method+" "+r.Path] = rt.keyed(r)
+		}
+	}
 	mux := http.NewServeMux()
-	mux.HandleFunc("GET "+shardMapPath, rt.handleMapGet)
-	mux.HandleFunc("POST "+shardMapPath, rt.handleMapPost)
-
-	mux.HandleFunc("POST /v1/vms", rt.keyedBody(func(body []byte) (string, error) {
-		var spec cluster.LaunchSpec
-		if err := json.Unmarshal(body, &spec); err != nil {
-			return "", err
-		}
-		return spec.Name, nil
-	}))
-	mux.HandleFunc("DELETE /v1/vms/{name}", rt.keyedPath("name"))
-	mux.HandleFunc("POST /v1/migrate", rt.keyedBody(func(body []byte) (string, error) {
-		var req cluster.MigrateRequest
-		if err := json.Unmarshal(body, &req); err != nil {
-			return "", err
-		}
-		return req.VM, nil
-	}))
-	mux.HandleFunc("POST /v1/nodes", rt.keyedBody(func(body []byte) (string, error) {
-		var req cluster.RegisterNodeRequest
-		if err := json.Unmarshal(body, &req); err != nil {
-			return "", err
-		}
-		// A nameless registration cannot be ring-routed; it lands on the
-		// shard it reached, which probes the agent for its name.
-		return req.Name, nil
-	}))
-	mux.HandleFunc("POST /v1/nodes/{name}/heartbeat", rt.keyedPath("name"))
-
-	// Key-less per-shard routes: reads serve the local (or ?shard=ID) view;
-	// DELETE /v1/nodes is an admin hand-off aimed at a specific shard, not
-	// at the ring owner, so it is deliberately NOT ring-routed.
-	for _, route := range []string{"GET /v1/cluster", "GET /v1/state", "GET /v1/nodes",
-		"GET /v1/replica/wal", "DELETE /v1/nodes/{name}"} {
-		mux.HandleFunc(route, rt.serveLocal)
+	for pattern, h := range routes {
+		mux.HandleFunc(pattern, h)
 	}
 	return mux
 }
@@ -149,30 +127,25 @@ func (rt *Router) handleMapPost(w http.ResponseWriter, r *http.Request) {
 	w.WriteHeader(http.StatusNoContent)
 }
 
-// keyedPath routes by a path segment.
-func (rt *Router) keyedPath(seg string) http.HandlerFunc {
+// keyed routes by the route's ring key: a path value, or a field of the
+// JSON body, which is re-injected for the local handler (or discarded on
+// redirect — a 307 makes the client resend it).
+func (rt *Router) keyed(route cluster.ManagerRoute) http.HandlerFunc {
 	return func(w http.ResponseWriter, r *http.Request) {
-		rt.route(w, r, r.PathValue(seg))
-	}
-}
-
-// keyedBody routes by a key extracted from the JSON body, which is
-// re-injected for the local handler (or discarded on redirect — a 307
-// makes the client resend it).
-func (rt *Router) keyedBody(extract func([]byte) (string, error)) http.HandlerFunc {
-	return func(w http.ResponseWriter, r *http.Request) {
-		body, err := io.ReadAll(io.LimitReader(r.Body, 1<<20))
-		if err != nil {
-			http.Error(w, "shard: reading body: "+err.Error(), http.StatusBadRequest)
-			return
+		key := r.PathValue(route.PathKey)
+		if route.BodyKey != nil {
+			body, err := io.ReadAll(io.LimitReader(r.Body, 1<<20))
+			if err != nil {
+				http.Error(w, "shard: reading body: "+err.Error(), http.StatusBadRequest)
+				return
+			}
+			if key, err = route.BodyKey(body); err != nil {
+				http.Error(w, "shard: bad request body: "+err.Error(), http.StatusBadRequest)
+				return
+			}
+			r.Body = io.NopCloser(bytes.NewReader(body))
+			r.ContentLength = int64(len(body))
 		}
-		key, err := extract(body)
-		if err != nil {
-			http.Error(w, "shard: bad request body: "+err.Error(), http.StatusBadRequest)
-			return
-		}
-		r.Body = io.NopCloser(bytes.NewReader(body))
-		r.ContentLength = int64(len(body))
 		rt.route(w, r, key)
 	}
 }
@@ -205,11 +178,16 @@ func (rt *Router) route(w http.ResponseWriter, r *http.Request, key string) {
 			http.StatusServiceUnavailable)
 		return
 	}
+	w.Header().Set(ShardEpochHeader, version)
+	redirect(w, r, target)
+}
+
+// redirect sends the request on to the same path and query at target.
+func redirect(w http.ResponseWriter, r *http.Request, target string) {
 	url := target + r.URL.Path
 	if r.URL.RawQuery != "" {
 		url += "?" + r.URL.RawQuery
 	}
-	w.Header().Set(ShardEpochHeader, version)
 	http.Redirect(w, r, url, http.StatusTemporaryRedirect)
 }
 
@@ -229,11 +207,7 @@ func (rt *Router) serveLocal(w http.ResponseWriter, r *http.Request) {
 	}
 	owner := v.Map.resolveAdoption(id)
 	if target := v.Map.MemberURL(owner); owner != rt.self && target != "" {
-		url := target + r.URL.Path
-		if r.URL.RawQuery != "" {
-			url += "?" + r.URL.RawQuery
-		}
-		http.Redirect(w, r, url, http.StatusTemporaryRedirect)
+		redirect(w, r, target)
 		return
 	}
 	http.Error(w, fmt.Sprintf("shard: %s not served here", id), http.StatusNotFound)
