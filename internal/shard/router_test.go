@@ -6,8 +6,12 @@ import (
 	"io"
 	"net/http"
 	"net/http/httptest"
+	"slices"
+	"sort"
 	"strings"
 	"testing"
+
+	"deflation/internal/cluster"
 )
 
 // echoShard is a stand-in shard handler that reports which shard served
@@ -161,6 +165,83 @@ func TestRouterEmptyKeyServesLocally(t *testing.T) {
 	}
 	if got, _ := readAll(resp); got != "served-by:shard-a" {
 		t.Errorf("nameless registration served by %q, want local shard", got)
+	}
+}
+
+// TestRouterRoutesEveryManagerRoute sends every row of the manager's wire
+// table through a router: a keyed route reaches its key's ring owner (an
+// empty key stays on the shard it reached), a key-less route is served
+// locally, and no route is unknown to the router's mux.
+func TestRouterRoutesEveryManagerRoute(t *testing.T) {
+	a, b, aURL, bURL := twoRouterFixture(t)
+	v := a.Store().View()
+	client := &http.Client{} // follows 307s, re-sending the body
+	send := func(base string, route cluster.ManagerRoute, key, body string) string {
+		t.Helper()
+		req, err := http.NewRequest(route.Method, base+strings.Replace(route.Path, "{name}", key, 1), strings.NewReader(body))
+		if err != nil {
+			t.Fatal(err)
+		}
+		resp, err := client.Do(req)
+		if err != nil {
+			t.Fatal(err)
+		}
+		got, _ := readAll(resp)
+		if resp.StatusCode != http.StatusOK {
+			t.Errorf("%s %s: status %d (%s)", route.Method, route.Path, resp.StatusCode, got)
+		}
+		return got
+	}
+	// bodyFor finds a request body whose ring key the route reads as key.
+	bodyFor := func(route cluster.ManagerRoute, key string) string {
+		t.Helper()
+		for _, f := range []string{`{"name":%q,"url":"http://agent"}`, `{"vm":%q,"dest":"s1"}`} {
+			body := fmt.Sprintf(f, key)
+			if got, err := route.BodyKey([]byte(body)); err == nil && got == key {
+				return body
+			}
+		}
+		t.Fatalf("%s %s: no test body carries its ring key", route.Method, route.Path)
+		return ""
+	}
+	var keyed, local []string
+	for _, route := range cluster.ManagerRoutes() {
+		pattern := route.Method + " " + route.Path
+		if route.PathKey == "" && route.BodyKey == nil {
+			local = append(local, pattern)
+			for base, self := range map[string]string{aURL: a.Self(), bURL: b.Self()} {
+				if got := send(base, route, "n1", ""); got != "served-by:"+self {
+					t.Errorf("%s on %s served by %q", pattern, self, got)
+				}
+			}
+			continue
+		}
+		keyed = append(keyed, pattern)
+		for _, shard := range []string{"shard-a", "shard-b"} {
+			key := keyOwnedBy(t, v, shard)
+			body := ""
+			if route.BodyKey != nil {
+				body = bodyFor(route, key)
+			}
+			if got := send(aURL, route, key, body); got != "served-by:"+shard {
+				t.Errorf("%s for %s (owner %s) served by %q", pattern, key, shard, got)
+			}
+		}
+		if route.BodyKey != nil {
+			if got := send(bURL, route, "", bodyFor(route, "")); got != "served-by:shard-b" {
+				t.Errorf("%s without a key served by %q, want the shard it reached", pattern, got)
+			}
+		}
+	}
+	sort.Strings(keyed)
+	sort.Strings(local)
+	if want := []string{"DELETE /v1/vms/{name}", "POST /v1/migrate", "POST /v1/nodes",
+		"POST /v1/nodes/{name}/heartbeat", "POST /v1/vms"}; !slices.Equal(keyed, want) {
+		t.Errorf("keyed routes %v, want %v", keyed, want)
+	}
+	if want := []string{"DELETE /v1/nodes/{name}", "GET /v1/cluster", "GET /v1/nodes",
+		"GET /v1/replica/wal", "GET /v1/state"}; !slices.Equal(local, want) {
+		t.Errorf("key-less routes %v, want %v", local, want)
 	}
 }
 
