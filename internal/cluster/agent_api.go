@@ -60,11 +60,12 @@ type VMState struct {
 }
 
 // CapacitySummary is everything the manager's placement needs to know about
-// a server, and nothing else (no VM inventory): the agent pushes it on every
-// reply it writes (capacityHeader) and in its heartbeat body, and RemoteNode
-// serves Free/Availability/... from the last one it saw. Instance names the
-// agent process and Generation counts its capacity changes, so a receiver
-// can order two summaries of one instance and notice a restarted agent.
+// a server, and nothing else (no VM inventory): Node.Capacity returns it, the
+// agent pushes it on every reply it writes (capacityHeader) and in its
+// heartbeat body, and RemoteNode returns the last one it saw. Instance names
+// the agent process and Generation counts its capacity changes, so a
+// receiver can order two summaries of one instance and notice a restarted
+// agent.
 type CapacitySummary struct {
 	Instance           string          `json:"instance"`
 	Generation         uint64          `json:"generation"`
@@ -461,23 +462,15 @@ func (w *summaryWriter) Write(p []byte) (int, error) {
 	return w.ResponseWriter.Write(p)
 }
 
-// CapacitySummary returns the server's current placement summary, read
-// under the API mutex from the controller's memoized readings.
+// CapacitySummary returns the server's current placement summary: the
+// controller's memo, read under the API mutex and stamped with this agent's
+// instance.
 func (a *ControllerAPI) CapacitySummary() CapacitySummary {
 	a.mu.Lock()
 	defer a.mu.Unlock()
-	c := a.ctrl
-	return CapacitySummary{
-		Instance:           a.instance,
-		Generation:         c.generation,
-		Mode:               c.Mode().String(),
-		Free:               c.Free(),
-		Availability:       c.Availability(),
-		PreemptableCeiling: c.PreemptableCeiling(),
-		Overcommitment:     c.Overcommitment(),
-		Preemptions:        c.Preemptions(),
-		Substrate:          c.SubstrateKind(),
-	}
+	sum := a.ctrl.memo().sum
+	sum.Instance = a.instance
+	return sum
 }
 
 // FencedEpoch returns the highest leadership epoch this controller has
@@ -512,19 +505,19 @@ func (a *ControllerAPI) fence(w http.ResponseWriter, r *http.Request) bool {
 // state is the server's full state, VM inventory included. Called with a.mu
 // held.
 func (a *ControllerAPI) state() (NodeState, error) {
-	c := a.ctrl
+	sum := &a.ctrl.memo().sum
 	st := NodeState{
-		Name:               c.Name(),
-		Mode:               c.Mode().String(),
-		Free:               c.Free(),
-		Availability:       c.Availability(),
-		PreemptableCeiling: c.PreemptableCeiling(),
-		Overcommitment:     c.Overcommitment(),
-		Preemptions:        c.Preemptions(),
-		Substrate:          c.SubstrateKind(),
+		Name:               a.ctrl.Name(),
+		Mode:               sum.Mode,
+		Free:               sum.Free,
+		Availability:       sum.Availability,
+		PreemptableCeiling: sum.PreemptableCeiling,
+		Overcommitment:     sum.Overcommitment,
+		Preemptions:        sum.Preemptions,
+		Substrate:          sum.Substrate,
 	}
 	var err error
-	st.VMs, err = c.Inventory()
+	st.VMs, err = a.ctrl.Inventory()
 	return st, err
 }
 

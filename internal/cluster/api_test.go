@@ -46,8 +46,8 @@ func TestControllerAPILifecycle(t *testing.T) {
 	if node.Name() != "s0" {
 		t.Errorf("remote name = %q", node.Name())
 	}
-	if node.Mode() != ModeDeflation {
-		t.Errorf("remote mode = %v", node.Mode())
+	if sum, known := node.Capacity(); !known || sum.Mode != ModeDeflation.String() {
+		t.Errorf("remote capacity known=%v, mode %q", known, sum.Mode)
 	}
 
 	// Launch via HTTP, observe via local controller and vice versa.
@@ -68,18 +68,12 @@ func TestControllerAPILifecycle(t *testing.T) {
 		t.Error("duplicate remote launch accepted")
 	}
 
-	// Capacity vectors round-trip.
-	if got, want := node.Free(), ctrl.Free(); got != want {
-		t.Errorf("remote Free = %v, want %v", got, want)
-	}
-	if got, want := node.Availability(), ctrl.Availability(); got != want {
-		t.Errorf("remote Availability = %v, want %v", got, want)
-	}
-	if got, want := node.PreemptableCeiling(), ctrl.PreemptableCeiling(); got != want {
-		t.Errorf("remote ceiling = %v, want %v", got, want)
-	}
-	if got, want := node.Overcommitment(), ctrl.Overcommitment(); got != want {
-		t.Errorf("remote overcommitment = %v, want %v", got, want)
+	// The capacity summary round-trips.
+	got, known := node.Capacity()
+	want, _ := ctrl.Capacity()
+	got.Instance = ""
+	if !known || got != want {
+		t.Errorf("remote capacity = %+v (known %v), want %+v", got, known, want)
 	}
 
 	if err := node.Release("a"); err != nil {

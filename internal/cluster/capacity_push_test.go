@@ -357,24 +357,24 @@ func TestFoldCapacityOrdering(t *testing.T) {
 	sum := func(inst string, gen uint64, mode string, cpu float64) CapacitySummary {
 		return CapacitySummary{Instance: inst, Generation: gen, Mode: mode, Free: restypes.V(cpu, 0, 0, 0)}
 	}
-	if n.Free().CPU != 0 || n.Mode() != ModeDeflation {
-		t.Fatal("a cold node must read as zero")
+	if got, known := n.Capacity(); known || got != (CapacitySummary{}) {
+		t.Fatal("a cold node must read as unknown and zero")
 	}
 	n.foldCapacity(sum("a", 5, "preemption-only", 8), capacityFromReply)
-	if n.Free().CPU != 8 || n.Mode() != ModePreemptionOnly {
-		t.Fatalf("first summary not applied: free %v mode %v", n.Free(), n.Mode())
+	if got, known := n.Capacity(); !known || got != sum("a", 5, "preemption-only", 8) {
+		t.Fatalf("first summary not applied: %+v (known %v)", got, known)
 	}
 	n.foldCapacity(sum("a", 4, "preemption-only", 9), capacityFromHeartbeat)
-	if n.Free().CPU != 8 {
+	if got, _ := n.Capacity(); got.Free.CPU != 8 {
 		t.Error("an older generation of the same instance replaced a newer one")
 	}
 	n.foldCapacity(sum("b", 1, "deflation", 3), capacityFromReply)
-	if n.Free().CPU != 3 || n.Mode() != ModeDeflation {
+	if got, _ := n.Capacity(); got != sum("b", 1, "deflation", 3) {
 		t.Error("a restarted agent's first summary (new instance, low generation) was not accepted")
 	}
 	n.foldCapacity(sum("b", 2, "quantum", 7), capacityFromReply)
 	n.foldCapacity(sum("", 3, "deflation", 7), capacityFromReply)
-	if sum, _, _ := n.capacity(); sum.Generation != 1 || n.Free().CPU != 3 {
+	if got, _ := n.Capacity(); got != sum("b", 1, "deflation", 3) {
 		t.Error("a summary with an unknown mode or no instance was accepted")
 	}
 }
@@ -454,8 +454,8 @@ func TestHeartbeatBodyCompatibility(t *testing.T) {
 				if err := json.Unmarshal(fresh, &want); err != nil {
 					t.Fatal(err)
 				}
-				if sum1.Generation != want.Generation || !known || node.Free() != want.Free {
-					t.Errorf("cache after heartbeat: generation %d free %v, want %d %v", sum1.Generation, node.Free(), want.Generation, want.Free)
+				if sum1.Generation != want.Generation || !known || sum1.Free != want.Free {
+					t.Errorf("cache after heartbeat: generation %d free %v, want %d %v", sum1.Generation, sum1.Free, want.Generation, want.Free)
 				}
 			} else if sum1 != sum0 || !at1.Equal(at0) {
 				t.Errorf("cache touched: %+v→%+v, confirmed %v→%v", sum0, sum1, at0, at1)
@@ -781,7 +781,8 @@ func (l *eventLog) Record(e Event) {
 // launch/release/migrate script against a RemoteNode fleet (placement served
 // from pushed summaries) and against identical controllers in-process
 // (placement read from the controllers themselves) must produce the same
-// placements and the same WAL event stream.
+// placements, the same capacity views after every step, and the same WAL
+// event stream.
 func TestCachedCapacityMatchesInProcess(t *testing.T) {
 	const agents = 4
 	for _, seed := range []int64{11, 12} {
@@ -840,6 +841,14 @@ func TestCachedCapacityMatchesInProcess(t *testing.T) {
 				}
 				if !reflect.DeepEqual(remote.Placements(), local.Placements()) {
 					t.Fatalf("step %d: placements diverged:\ncached:     %v\nin-process: %v", step, remote.Placements(), local.Placements())
+				}
+				for i := range locals {
+					cached, cachedKnown := remote.servers[i].Capacity()
+					cached.Instance = ""
+					if own, ownKnown := local.servers[i].Capacity(); cached != own || cachedKnown != ownKnown {
+						t.Fatalf("step %d: server %d capacity diverged:\ncached:     %+v (known %v)\nin-process: %+v (known %v)",
+							step, i, cached, cachedKnown, own, ownKnown)
+					}
 				}
 			}
 			if !reflect.DeepEqual(remoteLog.events, localLog.events) {

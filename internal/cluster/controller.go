@@ -128,13 +128,14 @@ type LocalController struct {
 
 	preemptions int
 
-	// cache memoizes the derived capacity readings — each is an O(VMs) walk
-	// over host/VM state, and the manager's placement path reads them for
-	// every server on every launch. Every mutation clears it (invalidate);
-	// every command then notifies the watchers once (notifyCapacity), and the
-	// manager's placement index subscribes to keep its per-node snapshots
-	// fresh. Memoized values are bit-identical to recomputation: the same
-	// code computes them, just once per change instead of once per read.
+	// cache memoizes the capacity summary — its derived readings are an
+	// O(VMs) walk over host/VM state, and the manager's placement path reads
+	// them for every server on every launch. Every mutation clears it
+	// (invalidate); every command then notifies the watchers once
+	// (notifyCapacity), and the manager's placement index subscribes to keep
+	// its per-node snapshots fresh. Memoized values are bit-identical to
+	// recomputation: the same code computes them, just once per change
+	// instead of once per read.
 	cache    ctrlCache
 	watchers watchList
 	// generation counts notifications, one per command: the version of the
@@ -151,23 +152,20 @@ type planEntry struct {
 	key  float64
 }
 
-// ctrlCache holds the memoized derived readings; have is a bitmask of which
-// fields are current.
+// ctrlCache is the memo: sum is the capacity summary, and deflatable and
+// nominal are the sums its Availability and Overcommitment derive from.
+// have is a bitmask of what is current: Free alone (the cascade re-reads it
+// after every deflation), or everything.
 type ctrlCache struct {
 	have       uint8
-	free       restypes.Vector
-	avail      restypes.Vector
-	ceil       restypes.Vector
+	sum        CapacitySummary
+	deflatable restypes.Vector
 	nominal    restypes.Vector
-	overcommit float64
 }
 
 const (
 	cacheFree = 1 << iota
-	cacheAvail
-	cacheCeil
-	cacheNominal
-	cacheOvercommit
+	cacheSummary
 )
 
 // capacityChanged is what a command that mutates once calls after it.
@@ -217,10 +215,6 @@ func NewLocalController(host substrate.Substrate, levels cascade.Levels, mode Mo
 // Host returns the underlying substrate host.
 func (c *LocalController) Host() substrate.Substrate { return c.host }
 
-// SubstrateKind reports which substrate this server runs, for placement
-// filtering and operator state ("hypervisor" or "container").
-func (c *LocalController) SubstrateKind() string { return string(c.host.Kind()) }
-
 // Name implements Node.
 func (c *LocalController) Name() string { return c.host.Name() }
 
@@ -241,8 +235,9 @@ func (c *LocalController) Cascade() *cascade.Controller { return c.casc }
 // FailAll models a crash-stop host failure: every VM dies immediately. The
 // victims' names are returned (sorted) for the manager's failure
 // accounting; unlike Release or preemption, nothing reinflates and the
-// deaths do not count toward Preemptions(), which tracks capacity-driven
-// preemptions only — failure-induced ones are the manager's Stats.
+// deaths do not count toward the summary's Preemptions, which tracks
+// capacity-driven preemptions only — failure-induced ones are the manager's
+// Stats.
 func (c *LocalController) FailAll() []string {
 	victims := make([]string, 0, c.vms.Len())
 	for _, v := range c.VMs() {
@@ -253,9 +248,6 @@ func (c *LocalController) FailAll() []string {
 	c.capacityChanged()
 	return victims
 }
-
-// Preemptions returns the number of VMs this controller has preempted.
-func (c *LocalController) Preemptions() int { return c.preemptions }
 
 // VMs returns the server's live VMs sorted by name. The slice is the VM
 // table's own array, valid only until the next launch, release or
@@ -303,97 +295,73 @@ func (c *LocalController) VM(name string) (*vm.VM, error) {
 // Free returns the server's unallocated physical capacity.
 func (c *LocalController) Free() restypes.Vector {
 	if c.cache.have&cacheFree == 0 {
-		c.cache.free = c.host.FreePhysical()
+		c.cache.sum.Free = c.host.FreePhysical()
 		c.cache.have |= cacheFree
 	}
-	return c.cache.free
+	return c.cache.sum.Free
 }
 
 // Deflatable returns the total resources reclaimable from low-priority VMs
 // (down to their minimums) without preemption. In preemption-only mode the
 // reclaimable pool is instead the lows' entire allocations (they can be
 // killed).
-func (c *LocalController) Deflatable() restypes.Vector {
-	var sum restypes.Vector
-	for _, v := range c.VMs() {
-		if v.Priority() == vm.HighPriority {
-			continue
-		}
-		if c.mode == ModePreemptionOnly {
-			sum = sum.Add(v.Allocation())
-		} else {
-			sum = sum.Add(v.Deflatable())
-		}
-	}
-	return sum
-}
-
-// Availability returns the placement availability vector of §5 Eq. 4:
-// A_j = Free_j + Deflatable_j.
-func (c *LocalController) Availability() restypes.Vector {
-	if c.cache.have&cacheAvail == 0 {
-		c.cache.avail = c.Free().Add(c.Deflatable())
-		c.cache.have |= cacheAvail
-	}
-	return c.cache.avail
-}
-
-// Mode returns the controller's reclamation mode.
-func (c *LocalController) Mode() Mode { return c.mode }
-
-// PreemptableCeiling returns the absolute maximum reclaimable capacity:
-// free resources plus every low-priority VM's entire allocation (deflation
-// to minimums, then preemption). High-priority placements may use this
-// ceiling; the preempted VMs are the Fig. 8c casualties.
-func (c *LocalController) PreemptableCeiling() restypes.Vector {
-	if c.cache.have&cacheCeil == 0 {
-		sum := c.Free()
-		for _, v := range c.VMs() {
-			if v.Priority() == vm.LowPriority {
-				sum = sum.Add(v.Allocation())
-			}
-		}
-		c.cache.ceil = sum
-		c.cache.have |= cacheCeil
-	}
-	return c.cache.ceil
-}
+func (c *LocalController) Deflatable() restypes.Vector { return c.memo().deflatable }
 
 // NominalSize returns the sum of the server's VMs' nominal sizes — the
 // numerator of the server-overcommitment metric (Fig. 8d).
-func (c *LocalController) NominalSize() restypes.Vector {
-	if c.cache.have&cacheNominal == 0 {
-		var sum restypes.Vector
+func (c *LocalController) NominalSize() restypes.Vector { return c.memo().nominal }
+
+// Capacity implements Node: an in-process server's capacity is always
+// known.
+func (c *LocalController) Capacity() (CapacitySummary, bool) { return c.memo().sum, true }
+
+// memo returns c.cache, filled at most once per invalidate by one walk
+// over the VMs in name order, and stamped with the current generation:
+//   - Availability is §5 Eq. 4, A_j = Free_j + Deflatable_j;
+//   - PreemptableCeiling is the absolute maximum reclaimable capacity, free
+//     resources plus every low-priority VM's entire allocation (deflation to
+//     minimums, then preemption). High-priority placements may use it; the
+//     preempted VMs are the Fig. 8c casualties;
+//   - Overcommitment is nominal load relative to capacity on the binding
+//     (maximum) of the CPU and memory dimensions.
+func (c *LocalController) memo() *ctrlCache {
+	m := &c.cache
+	if m.have&cacheSummary == 0 {
+		free := c.Free()
+		var deflatable, nominal restypes.Vector
+		ceil := free
 		for _, v := range c.VMs() {
-			sum = sum.Add(v.Size())
+			nominal = nominal.Add(v.Size())
+			if v.Priority() == vm.HighPriority {
+				continue
+			}
+			if v.Priority() == vm.LowPriority {
+				ceil = ceil.Add(v.Allocation())
+			}
+			if c.mode == ModePreemptionOnly {
+				deflatable = deflatable.Add(v.Allocation())
+			} else {
+				deflatable = deflatable.Add(v.Deflatable())
+			}
 		}
-		c.cache.nominal = sum
-		c.cache.have |= cacheNominal
+		oc := 0.0
+		if cap := c.host.Capacity(); cap.CPU != 0 && cap.MemoryMB != 0 {
+			oc = max(nominal.CPU/cap.CPU, nominal.MemoryMB/cap.MemoryMB)
+		}
+		m.deflatable, m.nominal = deflatable, nominal
+		m.sum = CapacitySummary{
+			Mode:               c.mode.String(),
+			Free:               free,
+			Availability:       free.Add(deflatable),
+			PreemptableCeiling: ceil,
+			Overcommitment:     oc,
+			Preemptions:        c.preemptions,
+			Substrate:          string(c.host.Kind()),
+		}
+		m.have |= cacheSummary
 	}
-	return c.cache.nominal
-}
-
-// Overcommitment returns nominal load relative to capacity on the binding
-// (maximum) of the CPU and memory dimensions.
-func (c *LocalController) Overcommitment() float64 {
-	if c.cache.have&cacheOvercommit == 0 {
-		c.cache.overcommit = c.computeOvercommitment()
-		c.cache.have |= cacheOvercommit
-	}
-	return c.cache.overcommit
-}
-
-func (c *LocalController) computeOvercommitment() float64 {
-	nom, cap := c.NominalSize(), c.host.Capacity()
-	if cap.CPU == 0 || cap.MemoryMB == 0 {
-		return 0
-	}
-	cpu := nom.CPU / cap.CPU
-	mem := nom.MemoryMB / cap.MemoryMB
-	if cpu > mem {
-		return cpu
-	}
-	return mem
+	m.sum.Generation = c.generation
+	return m
 }
 
 // Launch implements Node: LaunchVM without the VM handle.
@@ -449,9 +417,10 @@ func (c *LocalController) LaunchVM(spec LaunchSpec) (*vm.VM, LaunchReport, error
 func (c *LocalController) Reclaim(ensureFree restypes.Vector, allowPreempt bool) (LaunchReport, error) {
 	var rep LaunchReport
 	ensureFree = ensureFree.ClampNonNegative()
-	limit := c.Availability()
+	sum := &c.memo().sum
+	limit := sum.Availability
 	if allowPreempt {
-		limit = c.PreemptableCeiling()
+		limit = sum.PreemptableCeiling
 	}
 	if !ensureFree.Fits(limit) {
 		return rep, fmt.Errorf("%w: need %v, reclaimable %v", ErrNoCapacity, ensureFree, limit)

@@ -18,6 +18,12 @@ import (
 	"deflation/internal/vm"
 )
 
+// capOf reads n's capacity summary, known or not.
+func capOf(n Node) CapacitySummary {
+	sum, _ := n.Capacity()
+	return sum
+}
+
 func newServer(t *testing.T, mode Mode) *LocalController {
 	t.Helper()
 	h, err := hypervisor.NewHost(hypervisor.Config{Name: "s0", Capacity: restypes.V(16, 65536, 400, 400)})
@@ -133,7 +139,7 @@ func TestLowPriorityCannotPreempt(t *testing.T) {
 	if !errors.Is(err, ErrNoCapacity) {
 		t.Errorf("low-priority launch err = %v, want ErrNoCapacity", err)
 	}
-	if c.Preemptions() != 0 {
+	if capOf(c).Preemptions != 0 {
 		t.Error("low-priority launch preempted VMs")
 	}
 }
@@ -152,8 +158,8 @@ func TestHighPriorityPreemptsBeyondMinimums(t *testing.T) {
 	if len(rep.Preempted) == 0 {
 		t.Error("high-priority launch did not preempt despite tight minimums")
 	}
-	if c.Preemptions() != len(rep.Preempted) {
-		t.Errorf("preemption counter %d != report %d", c.Preemptions(), len(rep.Preempted))
+	if got := capOf(c).Preemptions; got != len(rep.Preempted) {
+		t.Errorf("preemption counter %d != report %d", got, len(rep.Preempted))
 	}
 	// The preempted VM is gone.
 	if _, err := c.VM(rep.Preempted[0]); !errors.Is(err, ErrVMNotFound) {
@@ -210,23 +216,27 @@ func TestAvailabilityAccounting(t *testing.T) {
 	}
 	free := restypes.V(12, 49152, 300, 300)
 	defl := restypes.V(3, 12288, 75, 75)
-	if c.Free() != free {
-		t.Errorf("Free = %v", c.Free())
+	sum, known := c.Capacity()
+	if !known || sum.Free != free || c.Free() != free {
+		t.Errorf("Free = %v, %v (known %v)", sum.Free, c.Free(), known)
 	}
 	if c.Deflatable() != defl {
 		t.Errorf("Deflatable = %v", c.Deflatable())
 	}
-	if c.Availability() != free.Add(defl) {
-		t.Errorf("Availability = %v", c.Availability())
+	if sum.Availability != free.Add(defl) {
+		t.Errorf("Availability = %v", sum.Availability)
 	}
-	if got := c.PreemptableCeiling(); got != free.Add(restypes.V(4, 16384, 100, 100)) {
+	if got := sum.PreemptableCeiling; got != free.Add(restypes.V(4, 16384, 100, 100)) {
 		t.Errorf("PreemptableCeiling = %v", got)
 	}
 	if got := c.NominalSize(); got != restypes.V(4, 16384, 100, 100) {
 		t.Errorf("NominalSize = %v", got)
 	}
-	if oc := c.Overcommitment(); oc != 0.25 {
+	if oc := sum.Overcommitment; oc != 0.25 {
 		t.Errorf("Overcommitment = %g, want 0.25 (4/16 CPU)", oc)
+	}
+	if sum.Mode != "deflation" || sum.Substrate != "hypervisor" || sum.Preemptions != 0 {
+		t.Errorf("Mode %q, Substrate %q, Preemptions %d", sum.Mode, sum.Substrate, sum.Preemptions)
 	}
 }
 
@@ -281,9 +291,9 @@ func (c *refController) LaunchVM(spec LaunchSpec) (*vm.VM, LaunchReport, error) 
 func (c *refController) Reclaim(ensureFree restypes.Vector, allowPreempt bool) (LaunchReport, error) {
 	var rep LaunchReport
 	ensureFree = ensureFree.ClampNonNegative()
-	limit := c.Availability()
+	limit := c.memo().sum.Availability
 	if allowPreempt {
-		limit = c.PreemptableCeiling()
+		limit = c.memo().sum.PreemptableCeiling
 	}
 	if !ensureFree.Fits(limit) {
 		return rep, fmt.Errorf("%w: need %v, reclaimable %v", ErrNoCapacity, ensureFree, limit)

@@ -8,11 +8,11 @@ import (
 
 // crashableNode wraps a LocalController with a crash-stop switch, used by
 // fault-injecting simulations (SimConfig.Faults) and tests. While down, every
-// control-plane operation fails with ErrNodeDown and all capacity vectors
-// read zero, so the manager's placement policies and failure detector see
-// exactly what they would see from an unreachable server. Crashing wipes the
-// node's VMs — crash-stop failures lose all memory state — so a recovered
-// node rejoins empty.
+// control-plane operation fails with ErrNodeDown and its capacity is unknown,
+// so the manager's placement policies and failure detector see exactly what
+// they would see from an unreachable server. Crashing wipes the node's VMs —
+// crash-stop failures lose all memory state — so a recovered node rejoins
+// empty.
 type crashableNode struct {
 	*LocalController
 	down    bool
@@ -87,32 +87,17 @@ func (n *crashableNode) Inventory() ([]VMState, error) {
 	return n.LocalController.Inventory()
 }
 
-func (n *crashableNode) Free() restypes.Vector {
-	if n.down {
-		return restypes.Vector{}
+// Capacity implements Node: while down, the vectors and overcommitment read
+// zero and the capacity is unknown. Mode, Preemptions and Substrate keep
+// their values, so the manager still counts the server's past preemptions.
+func (n *crashableNode) Capacity() (CapacitySummary, bool) {
+	sum, _ := n.LocalController.Capacity()
+	if !n.down {
+		return sum, true
 	}
-	return n.LocalController.Free()
-}
-
-func (n *crashableNode) Availability() restypes.Vector {
-	if n.down {
-		return restypes.Vector{}
-	}
-	return n.LocalController.Availability()
-}
-
-func (n *crashableNode) PreemptableCeiling() restypes.Vector {
-	if n.down {
-		return restypes.Vector{}
-	}
-	return n.LocalController.PreemptableCeiling()
-}
-
-func (n *crashableNode) Overcommitment() float64 {
-	if n.down {
-		return 0
-	}
-	return n.LocalController.Overcommitment()
+	sum.Free, sum.Availability, sum.PreemptableCeiling = restypes.Vector{}, restypes.Vector{}, restypes.Vector{}
+	sum.Overcommitment = 0
+	return sum, false
 }
 
 func (n *crashableNode) Checkpoint(name string) (VMCheckpoint, error) {

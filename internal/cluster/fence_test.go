@@ -120,7 +120,7 @@ func TestFencedNodeRejectsDeposedLeader(t *testing.T) {
 	if err := oldTerm.Ping(); !errors.Is(err, ErrStaleEpoch) {
 		t.Fatalf("stale ping admitted: %v", err)
 	}
-	if free := oldTerm.Free(); free.IsZero() {
+	if sum, known := oldTerm.Capacity(); !known || sum.Free.IsZero() {
 		t.Error("deposed leader cannot even read state")
 	}
 	if ok, err := oldTerm.Has("a"); err != nil || !ok {

@@ -11,7 +11,6 @@ import (
 	"deflation/internal/journal"
 	"deflation/internal/migration"
 	"deflation/internal/restypes"
-	"deflation/internal/vm"
 )
 
 // PlacementPolicy selects a server for a new VM (§5: "our cluster manager
@@ -379,22 +378,13 @@ func (m *Manager) barUnknownCapacity() {
 	}
 }
 
-// capacityKnown reports whether a node's placement vectors can be trusted:
-// always for an in-process node; for a RemoteNode, after at most one probe.
+// capacityKnown reports whether a RemoteNode's capacity is known after at
+// most one probe. Other nodes need no probe and report true: a down
+// crashableNode's unknown is read from its Capacity() where placement reads
+// the summary.
 func capacityKnown(n Node) bool {
 	rn, ok := capability[*RemoteNode](n)
 	return !ok || rn.capacityKnown()
-}
-
-// capacityCached is capacityKnown without the probe: what the placement
-// index reads.
-func capacityCached(n Node) bool {
-	rn, ok := capability[*RemoteNode](n)
-	if !ok {
-		return true
-	}
-	_, known, _ := rn.capacity()
-	return known
 }
 
 // DeadServers counts servers currently marked dead.
@@ -555,7 +545,8 @@ func (m *Manager) Servers() []Node { return m.servers }
 func (m *Manager) Substrates() map[string]string {
 	out := make(map[string]string, len(m.servers))
 	for _, s := range m.servers {
-		out[s.Name()] = nodeSubstrate(s)
+		sum, _ := s.Capacity()
+		out[s.Name()] = sum.Substrate
 	}
 	return out
 }
@@ -567,7 +558,8 @@ func (m *Manager) Rejected() int { return m.rejected }
 func (m *Manager) Preemptions() int {
 	n := 0
 	for _, s := range m.servers {
-		n += s.Preemptions()
+		sum, _ := s.Capacity()
+		n += sum.Preemptions
 	}
 	return n
 }
@@ -575,35 +567,35 @@ func (m *Manager) Preemptions() int {
 // placementVector is the non-disruptive capacity a launch may draw on:
 // availability (free + deflatable, §5 Eq. 4) in deflation mode, free
 // capacity only under the preemption-only baseline.
-func placementVector(s Node, spec LaunchSpec) restypes.Vector {
-	if s.Mode() == ModeDeflation {
-		return s.Availability()
+func placementVector(c *CapacitySummary) restypes.Vector {
+	if c.Mode == ModePreemptionOnly.String() {
+		return c.Free
 	}
-	return s.Free()
+	return c.Availability
 }
 
 // fitness is §5's placement score: the cosine similarity between the VM's
 // demand vector and the server's availability vector — or its free vector
 // alone under the freeOnly ablation (Manager.SetFreeOnlyFitness).
-func fitness(s Node, spec LaunchSpec, freeOnly bool) float64 {
+func fitness(c *CapacitySummary, size restypes.Vector, freeOnly bool) float64 {
 	if freeOnly {
-		return spec.Size.CosineSimilarity(s.Free())
+		return size.CosineSimilarity(c.Free)
 	}
-	return spec.Size.CosineSimilarity(placementVector(s, spec))
+	return size.CosineSimilarity(placementVector(c))
 }
 
-// feasible reports whether the server can host the VM without preempting
-// anything. A spec pinned to a substrate kind only fits nodes of that kind.
-func feasible(s Node, spec LaunchSpec) bool {
-	return substrateCompatible(s, spec.Substrate) && spec.Size.Fits(placementVector(s, spec))
+// feasible reports whether the server can host a VM of the given size
+// without preempting anything. A VM pinned to a substrate kind only fits
+// nodes of that kind.
+func feasible(c *CapacitySummary, size restypes.Vector, substrate string) bool {
+	return substrateCompatible(c.Substrate, substrate) && size.Fits(placementVector(c))
 }
 
-// preemptFeasible reports whether the server could host the VM if
-// low-priority VMs were preempted — the last resort for high-priority
-// placements.
-func preemptFeasible(s Node, spec LaunchSpec) bool {
-	return spec.Priority == vm.HighPriority && substrateCompatible(s, spec.Substrate) &&
-		spec.Size.Fits(s.PreemptableCeiling())
+// preemptFeasible reports whether the server could host a high-priority VM
+// of the given size if low-priority VMs were preempted — the last resort
+// for high-priority placements. Only high-priority specs may ask.
+func preemptFeasible(c *CapacitySummary, size restypes.Vector, substrate string) bool {
+	return substrateCompatible(c.Substrate, substrate) && size.Fits(c.PreemptableCeiling)
 }
 
 // Launch places and starts a VM according to the placement policy. It
@@ -651,7 +643,8 @@ func (m *Manager) launch(spec LaunchSpec, countRejection bool) (int, LaunchRepor
 		// revived as a hypervisor domain, and vice versa).
 		placed := spec
 		if placed.Substrate == "" {
-			placed.Substrate = nodeSubstrate(m.servers[idx])
+			sum, _ := m.servers[idx].Capacity()
+			placed.Substrate = sum.Substrate
 		}
 		var err error
 		rep, err = m.servers[idx].Launch(placed)
@@ -704,11 +697,13 @@ func (m *Manager) pickServer(spec LaunchSpec) int {
 	case TwoChoices:
 		a := m.rng.Intn(len(m.servers))
 		b := m.rng.Intn(len(m.servers))
-		fa := m.alive(a) && feasible(m.servers[a], spec)
-		fb := m.alive(b) && feasible(m.servers[b], spec)
+		ca, ka := m.servers[a].Capacity()
+		cb, kb := m.servers[b].Capacity()
+		fa := m.alive(a) && ka && feasible(&ca, spec.Size, spec.Substrate)
+		fb := m.alive(b) && kb && feasible(&cb, spec.Size, spec.Substrate)
 		switch {
 		case fa && fb:
-			if fitness(m.servers[a], spec, m.freeOnlyFitness) >= fitness(m.servers[b], spec, m.freeOnlyFitness) {
+			if fitness(&ca, spec.Size, m.freeOnlyFitness) >= fitness(&cb, spec.Size, m.freeOnlyFitness) {
 				return a
 			}
 			return b
@@ -794,19 +789,29 @@ func (m *Manager) Snapshot() Stats {
 	st.AdoptedVMs = m.adoptedVMs
 	st.StaleReleases = m.staleReleases
 	if n := len(m.servers); n > 0 { // an empty fleet keeps reporting nil
-		st.ServerOvercommitment = make([]float64, 0, n)
+		st.ServerOvercommitment = make([]float64, n)
 	}
-	for _, s := range m.servers {
-		oc := s.Overcommitment()
-		st.ServerOvercommitment = append(st.ServerOvercommitment, oc)
-		st.MeanOvercommitment += oc
-		if oc > st.MaxOvercommitment {
-			st.MaxOvercommitment = oc
+	st.MeanOvercommitment, st.MaxOvercommitment = m.overcommitment(st.ServerOvercommitment)
+	sort.Float64s(st.ServerOvercommitment)
+	return st
+}
+
+// overcommitment returns the mean and max server overcommitment, the mean
+// summed in server order; each, unless nil, receives server i's at [i].
+func (m *Manager) overcommitment(each []float64) (mean, max float64) {
+	for i, s := range m.servers {
+		sum, _ := s.Capacity()
+		oc := sum.Overcommitment
+		if each != nil {
+			each[i] = oc
+		}
+		mean += oc
+		if oc > max {
+			max = oc
 		}
 	}
 	if len(m.servers) > 0 {
-		st.MeanOvercommitment /= float64(len(m.servers))
+		mean /= float64(len(m.servers))
 	}
-	sort.Float64s(st.ServerOvercommitment)
-	return st
+	return mean, max
 }

@@ -174,6 +174,62 @@ func TestHighPriorityFallbackPreempts(t *testing.T) {
 	}
 }
 
+// TestDownNodeCapacityUnknown: a crashed or isolated server reads unknown,
+// with zero vectors and overcommitment but its mode, preemption history and
+// substrate kept. Placement skips it even for a zero-size demand, which a
+// zero vector would fit, and the manager still counts the preemptions it
+// made before it went down. Healing makes it known again.
+func TestDownNodeCapacityUnknown(t *testing.T) {
+	for _, fault := range []string{"crash", "isolate"} {
+		t.Run(fault, func(t *testing.T) {
+			f := newCheckedFleet(t, 2, FirstFit, 1)
+			down := f.crash[0]
+			for _, n := range []string{"a", "b", "c", "d"} {
+				if _, _, err := down.LaunchVM(spec(n, vm.LowPriority, 0.9)); err != nil {
+					t.Fatal(err)
+				}
+			}
+			if _, rep, err := down.LaunchVM(spec("hi", vm.HighPriority, 0)); err != nil || len(rep.Preempted) == 0 {
+				t.Fatalf("setup: high-priority launch preempted %v, err %v", rep.Preempted, err)
+			}
+			up := capOf(down)
+			if fault == "crash" {
+				down.crash()
+			} else {
+				down.isolate()
+			}
+			sum, known := down.Capacity()
+			want := CapacitySummary{Generation: sum.Generation, Mode: up.Mode, Preemptions: up.Preemptions, Substrate: up.Substrate}
+			if known || sum != want || up.Preemptions == 0 {
+				t.Fatalf("down: %+v (known %v), want %+v unknown", sum, known, want)
+			}
+			if got := f.m.Preemptions(); got != up.Preemptions {
+				t.Errorf("manager preemptions %d, want the down node's %d", got, up.Preemptions)
+			}
+			// First-fit takes the earliest feasible server: server 1, never 0.
+			for _, size := range []restypes.Vector{{}, restypes.V(1, 1024, 10, 10)} {
+				demand := LaunchSpec{Size: size, Priority: vm.HighPriority}
+				for _, kind := range []leafKind{leafFirstFit, leafPreempt} {
+					if got := f.m.pidx.query(kind, demand); got != 1 {
+						t.Errorf("%s query for %v chose server %d, want 1", leafKindNames[kind], size, got)
+					}
+				}
+			}
+			if idx, _, err := f.m.Launch(spec("x", vm.LowPriority, 0.5)); err != nil || idx != 1 {
+				t.Errorf("launch landed on server %d (err %v), want 1", idx, err)
+			}
+			if fault == "crash" {
+				down.recover()
+			} else {
+				down.heal()
+			}
+			if _, known := down.Capacity(); !known || f.m.pidx.query(leafFirstFit, LaunchSpec{}) != 0 {
+				t.Error("a healed node is not a placement candidate again")
+			}
+		})
+	}
+}
+
 func TestPlacementPolicyString(t *testing.T) {
 	if BestFit.String() != "best-fit" || FirstFit.String() != "first-fit" || TwoChoices.String() != "2-choices" {
 		t.Error("policy strings wrong")

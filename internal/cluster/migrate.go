@@ -413,7 +413,9 @@ func (m *Manager) migrate(name string, dstIdx int) (MigrationReport, error) {
 	// The destination must admit the VM itself after the copy, so the stream
 	// may not consume the NIC headroom the VM's own allocation needs.
 	dstWant := model.LinkMBps
-	if headroom := dst.Free().NetMBps - cp.VM.Domain.Alloc.NetMBps; headroom < dstWant {
+	if sum, known := dst.Capacity(); !known {
+		dstWant = 0
+	} else if headroom := sum.Free.NetMBps - cp.VM.Domain.Alloc.NetMBps; headroom < dstWant {
 		dstWant = headroom
 	}
 	if dstWant <= 0 {
@@ -523,7 +525,7 @@ func (m *Manager) migrateFallback(spec LaunchSpec) int {
 	}
 	// Each iteration moves one victim away; bounded by the VMs on the node.
 	for range [64]struct{}{} {
-		if feasible(m.servers[cand], spec) {
+		if sum, known := m.servers[cand].Capacity(); known && feasible(&sum, spec.Size, spec.Substrate) {
 			return cand
 		}
 		victim := m.pickMigrationVictim(cand)
@@ -602,13 +604,14 @@ func (m *Manager) bestMigrationTarget(footprint restypes.Vector, kind string, ex
 	}
 	best, bestF := -1, -1.0
 	for i, s := range m.servers {
-		if i == exclude || !m.alive(i) || !capacityKnown(s) || !substrateCompatible(s, kind) {
+		if i == exclude || !m.alive(i) || !capacityKnown(s) {
 			continue
 		}
-		if !footprint.Fits(s.Free()) {
+		sum, known := s.Capacity()
+		if !known || !substrateCompatible(sum.Substrate, kind) || !footprint.Fits(sum.Free) {
 			continue
 		}
-		if f := footprint.CosineSimilarity(s.Free()); f > bestF {
+		if f := footprint.CosineSimilarity(sum.Free); f > bestF {
 			best, bestF = i, f
 		}
 	}

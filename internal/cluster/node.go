@@ -20,7 +20,7 @@ import (
 
 // Node is a server as seen by the cluster manager: the local deflation
 // controller, either in-process (*LocalController) or behind the REST API
-// (*RemoteNode). The manager only needs capacity vectors and lifecycle
+// (*RemoteNode). The manager only needs the capacity summary and lifecycle
 // operations; all reclamation mechanics stay on the server side.
 type Node interface {
 	// Name identifies the server.
@@ -37,21 +37,15 @@ type Node interface {
 	// Ping probes liveness cheaply; the manager's health monitor counts
 	// consecutive failures to detect crash-stop node failures.
 	Ping() error
-	// Free, Availability, and PreemptableCeiling are the placement vectors.
-	Free() restypes.Vector
-	Availability() restypes.Vector
-	PreemptableCeiling() restypes.Vector
+	// Capacity returns the server's capacity summary, everything placement
+	// reads, and whether it is known. Unknown is not empty: the server is no
+	// placement candidate until it is known again.
+	Capacity() (CapacitySummary, bool)
 	// WatchCapacity registers fn to run whenever anything placement reads
 	// may have changed, and returns the func that unregisters it; the
 	// placement index is built on it. fn must be O(1) and must not call back
 	// into the node; a RemoteNode runs it on any goroutine.
 	WatchCapacity(fn func()) (unwatch func())
-	// Mode returns the server's reclamation mode.
-	Mode() Mode
-	// Overcommitment returns nominal load vs capacity (binding dimension).
-	Overcommitment() float64
-	// Preemptions returns the server's lifetime preemption count.
-	Preemptions() int
 
 	// The live-migration surface (see migrate.go): Checkpoint captures a
 	// VM's transferable state on the source, RestoreVM materializes it on
@@ -104,32 +98,12 @@ func capability[T any](n Node) (T, bool) {
 	}
 }
 
-// substrateKinder is implemented by nodes that can report their substrate
-// kind ("hypervisor" or "container"): LocalController directly (and
-// crashableNode by embedding), RemoteNode via the agent's capacity summary.
-type substrateKinder interface {
-	SubstrateKind() string
-}
-
-// nodeSubstrate reports a node's substrate kind, or "" when unknown
-// (remote agents predating the registration self-report).
-func nodeSubstrate(n Node) string {
-	if k, ok := capability[substrateKinder](n); ok {
-		return k.SubstrateKind()
-	}
-	return ""
-}
-
 // substrateCompatible reports whether a VM of the given substrate kind can
-// run on node n. Unknown on either side means "assume compatible": the
-// node's own Spawn/RestoreInstance is the authoritative check, and launch
-// and migration paths handle its refusal cleanly.
-func substrateCompatible(n Node, kind string) bool {
-	if kind == "" {
-		return true
-	}
-	ns := nodeSubstrate(n)
-	if ns == "" {
+// run on a node of kind ns. Unknown on either side means "assume
+// compatible": the node's own Spawn/RestoreInstance is the authoritative
+// check, and launch and migration paths handle its refusal cleanly.
+func substrateCompatible(ns, kind string) bool {
+	if kind == "" || ns == "" {
 		return true
 	}
 	return substrate.Kind(ns).Normalize() == substrate.Kind(kind).Normalize()

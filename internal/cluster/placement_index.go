@@ -4,6 +4,7 @@ import (
 	"slices"
 	"sync"
 
+	"deflation/internal/restypes"
 	"deflation/internal/vm"
 )
 
@@ -17,19 +18,19 @@ import (
 //     value differs, so one tree kind serves all four. Leaf i holds server
 //     i's value, with -1 (which no candidate equals) for "not a candidate":
 //
-//     best-fit    -1 if !feasible, else fitness(s, spec, freeOnly)
-//     worst-fit   -1 if !feasible, else s.Free().Norm()
+//     best-fit    -1 if !feasible, else fitness(c, size, freeOnly)
+//     worst-fit   -1 if !feasible, else c.Free.Norm()
 //     first-fit   -1 if !feasible, else 0 (earliest on ties is first-fit)
-//     preempt     -1 if !preemptFeasible, else s.PreemptableCeiling().Norm()
+//     preempt     -1 if !preemptFeasible, else c.PreemptableCeiling.Norm()
 //
-//     A server whose capacity cannot be trusted (capacityCached) is -1 in
-//     every tree: unknown is not empty, and a zero vector would fit a
-//     zero-size spec. An inner node holds the max of its two children, so
-//     the descent visits the higher-valued child first and reads only
-//     m.alive(i) at a leaf, ≈2 nodes per level.
+//     where c is the server's Capacity(). A server whose capacity is not
+//     known is -1 in every tree: unknown is not empty, and a zero vector
+//     would fit a zero-size spec. An inner node holds the max of its two
+//     children, so the descent visits the higher-valued child first and
+//     reads only m.alive(i) at a leaf, ≈2 nodes per level.
 //   - Leaves go stale only through the nodes' WatchCapacity notifications,
-//     which mark them dirty; dirty leaves are re-read and their root paths
-//     recomputed in every live tree before every query. A RemoteNode folds
+//     which mark them dirty; a dirty leaf's Capacity() is read once and its
+//     root paths recomputed in every live tree before every query. A RemoteNode folds
 //     heartbeats outside the manager's lock, so marking is goroutine-safe;
 //     everything else runs on the manager's goroutine. The index also lists
 //     the unknown servers, so a launch probes them (barUnknownCapacity)
@@ -40,9 +41,9 @@ import (
 //     is therefore skipped only when its value is below the current
 //     winner's, or equal AND none of its leaves precedes the winner.
 //   - A tree is keyed by (leaf kind, spec.Size, spec.Substrate), plus the
-//     manager's freeOnlyFitness for best-fit; the preempt tree also stores
-//     spec.Priority, which is always high (preemptFeasible is false for
-//     anything else). Demands come from an instance catalogue (a handful of
+//     manager's freeOnlyFitness for best-fit; the preempt tree serves
+//     high-priority specs only (query answers -1 for the rest). Demands come
+//     from an instance catalogue (a handful of
 //     VM sizes), so the trees are a fixed set of pidxDemandTrees, least
 //     recently used evicted. A miss fills one tree from all n servers into
 //     the evicted tree's array; a hit costs the descent alone.
@@ -68,33 +69,34 @@ const (
 // 1-based tree array: val[p+i] is server i's value (see leaf), padding
 // leaves hold -1, inner nodes the max of their children.
 type demandTree struct {
-	kind     leafKind
-	spec     LaunchSpec // Size, Substrate and Priority only: all the leaf reads
-	freeOnly bool
-	val      []float64
-	lastUsed uint64 // placementIndex.clock at the latest query
+	kind      leafKind
+	size      restypes.Vector
+	substrate string
+	freeOnly  bool
+	val       []float64
+	lastUsed  uint64 // placementIndex.clock at the latest query
 }
 
-// leaf is the value t.kind's policy gives server s; known is whether s's
-// capacity can be trusted (capacityCached).
-func (t *demandTree) leaf(s Node, known bool) float64 {
+// leaf is the value t.kind's policy gives a server whose Capacity() is
+// (c, known).
+func (t *demandTree) leaf(c *CapacitySummary, known bool) float64 {
 	if !known {
 		return -1
 	}
 	if t.kind == leafPreempt {
-		if !preemptFeasible(s, t.spec) {
+		if !preemptFeasible(c, t.size, t.substrate) {
 			return -1
 		}
-		return s.PreemptableCeiling().Norm()
+		return c.PreemptableCeiling.Norm()
 	}
-	if !feasible(s, t.spec) {
+	if !feasible(c, t.size, t.substrate) {
 		return -1
 	}
 	switch t.kind {
 	case leafBestFit:
-		return fitness(s, t.spec, t.freeOnly)
+		return fitness(c, t.size, t.freeOnly)
 	case leafWorstFit:
-		return s.Free().Norm()
+		return c.Free.Norm()
 	}
 	return 0 // first-fit: every feasible server ties, so the earliest wins
 }
@@ -112,8 +114,8 @@ type placementIndex struct {
 	p       int          // leaf base: smallest power of two ≥ n
 	demands []demandTree // at most pidxDemandTrees
 	clock   uint64       // queries served, the LRU's time
-	// unknown lists, ascending, the servers whose capacity was not
-	// capacityCached at their latest read.
+	// unknown lists, ascending, the servers whose capacity was not known at
+	// their latest read.
 	unknown []int
 	// Watchers may run on any goroutine, so mu guards the dirty set. flush
 	// swaps dirty with spare: neither allocates after warm-up.
@@ -148,7 +150,7 @@ func newPlacementIndex(m *Manager) *placementIndex {
 	for i, s := range m.servers {
 		// Subscribe before the first read, so no change slips between them.
 		x.unwatch[i] = s.WatchCapacity(func() { x.markDirty(i) })
-		if !capacityCached(s) {
+		if _, known := s.Capacity(); !known {
 			x.unknown = append(x.unknown, i)
 		}
 	}
@@ -193,12 +195,11 @@ func (x *placementIndex) flush() {
 	}
 	x.mu.Unlock()
 	for _, i := range dirty {
-		s := x.servers[i]
-		known := capacityCached(s)
+		sum, known := x.servers[i].Capacity()
 		x.setKnown(i, known)
 		for k := range x.demands {
 			t := &x.demands[k]
-			t.val[x.p+i] = t.leaf(s, known)
+			t.val[x.p+i] = t.leaf(&sum, known)
 			for j := (x.p + i) / 2; j >= 1; j /= 2 {
 				t.val[j] = max(t.val[2*j], t.val[2*j+1])
 			}
@@ -224,7 +225,7 @@ func (x *placementIndex) demand(kind leafKind, spec LaunchSpec, freeOnly bool) *
 	lru := 0
 	for k := range x.demands {
 		t := &x.demands[k]
-		if t.kind == kind && t.spec.Size == spec.Size && t.spec.Substrate == spec.Substrate && t.freeOnly == freeOnly {
+		if t.kind == kind && t.size == spec.Size && t.substrate == spec.Substrate && t.freeOnly == freeOnly {
 			t.lastUsed = x.clock
 			return t
 		}
@@ -237,12 +238,11 @@ func (x *placementIndex) demand(kind leafKind, spec LaunchSpec, freeOnly bool) *
 		x.demands = append(x.demands, demandTree{val: make([]float64, 2*x.p)})
 	}
 	t := &x.demands[lru]
-	t.kind = kind
-	t.spec = LaunchSpec{Size: spec.Size, Substrate: spec.Substrate, Priority: spec.Priority}
-	t.freeOnly = freeOnly
+	t.kind, t.size, t.substrate, t.freeOnly = kind, spec.Size, spec.Substrate, freeOnly
 	t.lastUsed = x.clock
 	for i, s := range x.servers {
-		t.val[x.p+i] = t.leaf(s, capacityCached(s))
+		sum, known := s.Capacity()
+		t.val[x.p+i] = t.leaf(&sum, known)
 	}
 	for i := x.n; i < x.p; i++ {
 		t.val[x.p+i] = -1

@@ -27,13 +27,16 @@ import (
 // the test on any difference. Scripted chaos, membership changes, full
 // simulations, remote fleets and fuzzed op streams all run checked.
 
-// scanCandidate is the reference model's pool: alive servers whose capacity
-// can be trusted.
-func scanCandidate(m *Manager, i int) bool { return m.alive(i) && capacityCached(m.servers[i]) }
+// scanCapacity is the reference model's read of server i: its capacity, and
+// whether it is in the pool — alive, with its capacity known.
+func scanCapacity(m *Manager, i int) (*CapacitySummary, bool) {
+	sum, known := m.servers[i].Capacity()
+	return &sum, m.alive(i) && known
+}
 
 func scanFirstFit(m *Manager, spec LaunchSpec) int {
-	for i, s := range m.servers {
-		if scanCandidate(m, i) && feasible(s, spec) {
+	for i := range m.servers {
+		if c, ok := scanCapacity(m, i); ok && feasible(c, spec.Size, spec.Substrate) {
 			return i
 		}
 	}
@@ -42,11 +45,12 @@ func scanFirstFit(m *Manager, spec LaunchSpec) int {
 
 func scanBestFit(m *Manager, spec LaunchSpec) int {
 	best, bestFitness := -1, -1.0
-	for i, s := range m.servers {
-		if !scanCandidate(m, i) || !feasible(s, spec) {
+	for i := range m.servers {
+		c, ok := scanCapacity(m, i)
+		if !ok || !feasible(c, spec.Size, spec.Substrate) {
 			continue
 		}
-		if f := fitness(s, spec, m.freeOnlyFitness); f > bestFitness {
+		if f := fitness(c, spec.Size, m.freeOnlyFitness); f > bestFitness {
 			best, bestFitness = i, f
 		}
 	}
@@ -55,11 +59,12 @@ func scanBestFit(m *Manager, spec LaunchSpec) int {
 
 func scanWorstFit(m *Manager, spec LaunchSpec) int {
 	best, bestRoom := -1, -1.0
-	for i, s := range m.servers {
-		if !scanCandidate(m, i) || !feasible(s, spec) {
+	for i := range m.servers {
+		c, ok := scanCapacity(m, i)
+		if !ok || !feasible(c, spec.Size, spec.Substrate) {
 			continue
 		}
-		if r := s.Free().Norm(); r > bestRoom {
+		if r := c.Free.Norm(); r > bestRoom {
 			best, bestRoom = i, r
 		}
 	}
@@ -68,12 +73,16 @@ func scanWorstFit(m *Manager, spec LaunchSpec) int {
 
 func scanPreemptFallback(m *Manager, spec LaunchSpec) int {
 	best, bestCeiling := -1, restypes.Vector{}
-	for i, s := range m.servers {
-		if !scanCandidate(m, i) || !preemptFeasible(s, spec) {
+	if spec.Priority != vm.HighPriority {
+		return best
+	}
+	for i := range m.servers {
+		c, ok := scanCapacity(m, i)
+		if !ok || !preemptFeasible(c, spec.Size, spec.Substrate) {
 			continue
 		}
-		if c := s.PreemptableCeiling(); best < 0 || c.Norm() > bestCeiling.Norm() {
-			best, bestCeiling = i, c
+		if best < 0 || c.PreemptableCeiling.Norm() > bestCeiling.Norm() {
+			best, bestCeiling = i, c.PreemptableCeiling
 		}
 	}
 	return best
@@ -107,7 +116,7 @@ func (c *queryChecker) check(m *Manager, kind leafKind, spec LaunchSpec, got int
 	}
 	var unknown []int
 	for i, s := range m.servers {
-		if !capacityCached(s) {
+		if _, known := s.Capacity(); !known {
 			unknown = append(unknown, i)
 		}
 	}
@@ -317,18 +326,18 @@ func TestPlacementIndexTieBreakPastNonAliveLeaves(t *testing.T) {
 		MinSize: restypes.V(8, 1024, 10, 10), AppKind: "inelastic", Priority: vm.HighPriority}
 	for _, tc := range []struct {
 		kind   leafKind
-		hogged func(i, hi int) bool // which servers carry cpuHog
-		score  func(Node) float64   // the policy's value
+		hogged func(i, hi int) bool           // which servers carry cpuHog
+		score  func(*CapacitySummary) float64 // the policy's value
 	}{
 		// Best-fit: the one server with a hog fits the demand best.
 		{leafBestFit, func(i, hi int) bool { return i == hi },
-			func(s Node) float64 { return fitness(s, demand, false) }},
+			func(c *CapacitySummary) float64 { return fitness(c, demand.Size, false) }},
 		// Worst-fit and the preemption fallback: the one server without a
 		// hog has the most free room and the largest preemptable ceiling.
 		{leafWorstFit, func(i, hi int) bool { return i != hi },
-			func(s Node) float64 { return s.Free().Norm() }},
+			func(c *CapacitySummary) float64 { return c.Free.Norm() }},
 		{leafPreempt, func(i, hi int) bool { return i != hi },
-			func(s Node) float64 { return s.PreemptableCeiling().Norm() }},
+			func(c *CapacitySummary) float64 { return c.PreemptableCeiling.Norm() }},
 	} {
 		t.Run(leafKindNames[tc.kind], func(t *testing.T) {
 			for hi := 1; hi < n; hi++ {
@@ -341,9 +350,13 @@ func TestPlacementIndexTieBreakPastNonAliveLeaves(t *testing.T) {
 						}
 					}
 				}
-				rest := tc.score(m.servers[0])
+				score := func(s Node) float64 {
+					c := capOf(s)
+					return tc.score(&c)
+				}
+				rest := score(m.servers[0])
 				for i, s := range m.servers {
-					switch v := tc.score(s); {
+					switch v := score(s); {
 					case i == hi && v <= rest:
 						t.Fatalf("server %d scores %v, not above the others' %v", hi, v, rest)
 					case i != hi && v != rest:
@@ -433,7 +446,7 @@ func TestPlacementIndexDemandTreeEviction(t *testing.T) {
 				}
 				now := map[treeKey]bool{}
 				for _, tr := range trees {
-					now[treeKey{tr.kind, tr.spec.Size, tr.spec.Substrate, tr.freeOnly}] = true
+					now[treeKey{tr.kind, tr.size, tr.substrate, tr.freeOnly}] = true
 				}
 				for key := range held {
 					preemptEvicted = preemptEvicted || key.kind == leafPreempt && !now[key]
@@ -441,7 +454,7 @@ func TestPlacementIndexDemandTreeEviction(t *testing.T) {
 				for _, a := range trees {
 					for _, b := range trees {
 						sideBySide = sideBySide || a.kind == leafPreempt && b.kind != leafPreempt &&
-							a.spec.Size == b.spec.Size && a.spec.Substrate == b.spec.Substrate
+							a.size == b.size && a.substrate == b.substrate
 					}
 				}
 				held = now

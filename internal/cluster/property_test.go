@@ -56,7 +56,14 @@ func TestQuickControllerInvariants(t *testing.T) {
 			if free != free.ClampNonNegative() {
 				return false
 			}
-			if got, want := c.Availability(), free.Add(c.Deflatable()); got != want {
+			// The memo matches a fresh walk bit for bit: §5 Eq. 4.
+			var defl restypes.Vector
+			for _, v := range c.VMs() {
+				if v.Priority() == vm.LowPriority {
+					defl = defl.Add(v.Deflatable())
+				}
+			}
+			if c.Deflatable() != defl || capOf(c).Availability != free.Add(defl) {
 				return false
 			}
 			for _, v := range c.VMs() {

@@ -42,12 +42,12 @@ type RemoteNode struct {
 	lastErr error                // most recent transport error, recorded distinctly
 	tel     *remoteNodeTelemetry // nil = no instrumentation
 
-	// The agent's last pushed capacity summary (see foldCapacity), the one
-	// source Free/Availability/.../SubstrateKind read. capKnown is false
-	// while the cache is cold and after any transport error: the node is
-	// then no placement candidate until a reply, heartbeat or probe refills
-	// it. capAt is when the summary was last confirmed. watchers run, under
-	// mu, whenever the summary or capKnown moves (see WatchCapacity).
+	// The agent's last pushed capacity summary (see foldCapacity), which
+	// Capacity returns. capKnown is false while the cache is cold and after
+	// any transport error: the node is then no placement candidate until a
+	// reply, heartbeat or probe refills it. capAt is when the summary was
+	// last confirmed. watchers run, under mu, whenever the summary or
+	// capKnown moves (see WatchCapacity).
 	cap      CapacitySummary
 	capKnown bool
 	capAt    time.Time
@@ -319,7 +319,7 @@ func (n *RemoteNode) WatchCapacity(fn func()) (unwatch func()) {
 // summary. The manager asks once per node per placement decision and skips
 // the node when the answer is no.
 func (n *RemoteNode) capacityKnown() bool {
-	if _, known, _ := n.capacity(); known {
+	if _, known := n.Capacity(); known {
 		return true
 	}
 	// The outcome is the cache state; attempt has already recorded a
@@ -342,15 +342,12 @@ func (n *RemoteNode) capacity() (sum CapacitySummary, known bool, at time.Time) 
 	return n.cap, n.capKnown, n.capAt
 }
 
-// placementCapacity is the summary placement may read: the zero summary
-// while capacity is unknown, so that no reader places onto stale numbers.
-// The placement index never reads an unknown node (see capacityCached).
-func (n *RemoteNode) placementCapacity() CapacitySummary {
-	sum, known, _ := n.capacity()
-	if !known {
-		return CapacitySummary{}
-	}
-	return sum
+// Capacity implements Node: the last summary the agent pushed, and whether
+// it is currently trusted (capKnown).
+func (n *RemoteNode) Capacity() (CapacitySummary, bool) {
+	n.mu.Lock()
+	defer n.mu.Unlock()
+	return n.cap, n.capKnown
 }
 
 // withRetry runs op under the retry policy. Only retryable failures
@@ -390,16 +387,6 @@ func (n *RemoteNode) withRetry(opName string, retryOK bool, op func() error) err
 // inventory consumers (Inventory, Has, registration, ?servers=true).
 func (n *RemoteNode) State() (NodeState, error) {
 	return call(n, opState, "", noBody{}, nil)
-}
-
-// SubstrateKind reports the agent's substrate kind as self-reported in its
-// capacity summary. Until one arrives (probe-free NewRemoteNodeNamed
-// construction, agent unreachable) it returns "" and the manager's placement
-// treats the node as compatible with every spec — the agent's own Spawn is
-// the authoritative check.
-func (n *RemoteNode) SubstrateKind() string {
-	sum, _, _ := n.capacity()
-	return sum.Substrate
 }
 
 // Ping implements Node with a single non-retried liveness probe: the health
@@ -471,39 +458,6 @@ func (n *RemoteNode) Has(name string) (bool, error) {
 		}
 	}
 	return false, nil
-}
-
-// Free implements Node from the cached summary.
-func (n *RemoteNode) Free() restypes.Vector { return n.placementCapacity().Free }
-
-// Availability implements Node from the cached summary.
-func (n *RemoteNode) Availability() restypes.Vector { return n.placementCapacity().Availability }
-
-// PreemptableCeiling implements Node from the cached summary.
-func (n *RemoteNode) PreemptableCeiling() restypes.Vector {
-	return n.placementCapacity().PreemptableCeiling
-}
-
-// Mode implements Node: the mode the agent last reported, never a default
-// for an agent that could not be asked — foldCapacity rejects a mode it does
-// not know, and a node that has reported none is no placement candidate.
-func (n *RemoteNode) Mode() Mode {
-	if sum, _, _ := n.capacity(); sum.Mode == ModePreemptionOnly.String() {
-		return ModePreemptionOnly
-	}
-	return ModeDeflation
-}
-
-// Overcommitment implements Node: the last value the agent reported.
-func (n *RemoteNode) Overcommitment() float64 {
-	sum, _, _ := n.capacity()
-	return sum.Overcommitment
-}
-
-// Preemptions implements Node: the last count the agent reported.
-func (n *RemoteNode) Preemptions() int {
-	sum, _, _ := n.capacity()
-	return sum.Preemptions
 }
 
 // Checkpoint implements Node over the wire. The returned checkpoint carries

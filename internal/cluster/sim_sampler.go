@@ -44,7 +44,7 @@ type stateSampler struct {
 // serverMemo is one server's state as of its last evaluation.
 type serverMemo struct {
 	dirty bool      // the capacity watcher fired since
-	oc    float64   // Overcommitment() as the leader's node reads it
+	oc    float64   // Capacity().Overcommitment as the leader's node reads it
 	tp    []float64 // Throughput() per VM, in VMs() order
 	lowTp []float64 // the low-priority VMs' entries of tp, in the same order
 }
@@ -127,7 +127,8 @@ func (s *stateSampler) evaluate(i int, mgr *Manager) {
 		}
 	}
 	old := m.oc
-	if m.oc = mgr.servers[i].Overcommitment(); m.oc != old {
+	sum, _ := mgr.servers[i].Capacity()
+	if m.oc = sum.Overcommitment; m.oc != old {
 		k, _ := slices.BinarySearch(s.sortedOC, old)
 		s.sortedOC = slices.Delete(s.sortedOC, k, k+1)
 		k, _ = slices.BinarySearch(s.sortedOC, m.oc)

@@ -243,9 +243,7 @@ func TestCapacityWatchersSeeEveryChange(t *testing.T) {
 						}
 					default:
 						c.Free()
-						c.Availability()
-						c.PreemptableCeiling()
-						c.Overcommitment()
+						c.Capacity()
 						c.VMs()
 						_, _ = c.Inventory()
 						_, _ = c.Has("v0")

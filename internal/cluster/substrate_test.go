@@ -61,7 +61,7 @@ func TestLaunchStampsSubstrateAndFiltersPlacement(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if kind := nodeSubstrate(m.Servers()[idx]); kind != string(substrate.KindContainer) {
+	if kind := capOf(m.Servers()[idx]).Substrate; kind != string(substrate.KindContainer) {
 		t.Fatalf("container-pinned VM landed on a %q node", kind)
 	}
 
@@ -72,8 +72,8 @@ func TestLaunchStampsSubstrateAndFiltersPlacement(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if got := m.specs["free-0"].Substrate; got != nodeSubstrate(m.Servers()[idx]) {
-		t.Errorf("stamped substrate %q != landing node's %q", got, nodeSubstrate(m.Servers()[idx]))
+	if got := m.specs["free-0"].Substrate; got != capOf(m.Servers()[idx]).Substrate {
+		t.Errorf("stamped substrate %q != landing node's %q", got, capOf(m.Servers()[idx]).Substrate)
 	}
 	if got := m.specs["ctr-0"].Substrate; got != string(substrate.KindContainer) {
 		t.Errorf("pinned substrate %q lost at launch", got)
@@ -87,7 +87,7 @@ func TestLaunchStampsSubstrateAndFiltersPlacement(t *testing.T) {
 			t.Fatal(err)
 		}
 		for _, vs := range inv {
-			if want := nodeSubstrate(n); vs.Substrate != want {
+			if want := capOf(n).Substrate; vs.Substrate != want {
 				t.Errorf("VM %s reports substrate %q on a %q node", vs.Name, vs.Substrate, want)
 			}
 			if vs.Substrate == string(substrate.KindContainer) && vs.BalloonMB != 0 {
@@ -177,7 +177,7 @@ func TestRecoverRestoresContainerBackedVMs(t *testing.T) {
 	// re-placement must land on the surviving container node.
 	var ctrIdx int
 	for i, n := range nodes {
-		if nodeSubstrate(n) == string(substrate.KindContainer) {
+		if capOf(n).Substrate == string(substrate.KindContainer) {
 			ctrIdx = i
 			break
 		}
@@ -199,8 +199,8 @@ func TestRecoverRestoresContainerBackedVMs(t *testing.T) {
 			continue // lost for capacity reasons, not substrate ones
 		}
 		for i, n := range nodes {
-			if n.Name() == node && nodeSubstrate(nodes[i]) != string(substrate.KindContainer) {
-				t.Errorf("container VM %s re-placed onto %q node %s", name, nodeSubstrate(nodes[i]), node)
+			if n.Name() == node && capOf(nodes[i]).Substrate != string(substrate.KindContainer) {
+				t.Errorf("container VM %s re-placed onto %q node %s", name, capOf(nodes[i]).Substrate, node)
 			}
 		}
 	}
@@ -280,8 +280,8 @@ func TestMigrationTargetsRespectSubstrate(t *testing.T) {
 	}
 	dst := m.Placements()["c0"]
 	for i, n := range nodes {
-		if n.Name() == dst && nodeSubstrate(nodes[i]) != string(substrate.KindContainer) {
-			t.Errorf("drain moved a container VM to %q node %s", nodeSubstrate(nodes[i]), dst)
+		if n.Name() == dst && capOf(nodes[i]).Substrate != string(substrate.KindContainer) {
+			t.Errorf("drain moved a container VM to %q node %s", capOf(nodes[i]).Substrate, dst)
 		}
 	}
 	if dst == src {

@@ -223,7 +223,7 @@ func (a *ControllerAPI) AttachTelemetry(sink *telemetry.Sink) {
 	vec("deflation_node_nominal", "sum of the VMs' nominal sizes",
 		func(c *LocalController) restypes.Vector { return c.NominalSize() })
 	vec("deflation_node_availability", "placement availability: free + deflatable",
-		func(c *LocalController) restypes.Vector { return c.Availability() })
+		func(c *LocalController) restypes.Vector { return c.memo().sum.Availability })
 	scalar := func(name, help string, read func(*LocalController) float64) {
 		r.GaugeFunc(name, help, telemetry.Labels{"node": node}, func() float64 {
 			a.mu.Lock()
@@ -234,7 +234,7 @@ func (a *ControllerAPI) AttachTelemetry(sink *telemetry.Sink) {
 	scalar("deflation_node_vms", "VMs currently running on this server",
 		func(c *LocalController) float64 { return float64(c.vms.Len()) })
 	scalar("deflation_node_overcommitment", "nominal load over capacity on the binding dimension",
-		func(c *LocalController) float64 { return c.Overcommitment() })
+		func(c *LocalController) float64 { return c.memo().sum.Overcommitment })
 	scalar("deflation_node_preemptions", "capacity-driven preemptions this server has performed",
 		func(c *LocalController) float64 { return float64(c.preemptions) })
 	// Fencing gauges read the epoch guard, which has its own mutex.
@@ -279,9 +279,9 @@ func (a *ManagerAPI) AttachTelemetry(sink *telemetry.Sink) {
 	scalar("deflation_cluster_stale_releases", "stale VM copies released by reconciliation",
 		func(m *Manager) float64 { return float64(m.staleReleases) })
 	scalar("deflation_cluster_mean_overcommitment", "mean server overcommitment",
-		func(m *Manager) float64 { return m.Snapshot().MeanOvercommitment })
+		func(m *Manager) float64 { mean, _ := m.overcommitment(nil); return mean })
 	scalar("deflation_cluster_max_overcommitment", "max server overcommitment",
-		func(m *Manager) float64 { return m.Snapshot().MaxOvercommitment })
+		func(m *Manager) float64 { _, max := m.overcommitment(nil); return max })
 	scalar("deflation_manager_epoch", "this manager's leadership fencing epoch",
 		func(m *Manager) float64 { return float64(m.epoch) })
 	scalar("deflation_cluster_nodes", "nodes currently managed (static + registered)",

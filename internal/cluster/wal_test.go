@@ -106,7 +106,7 @@ func TestRecoverRestoresPlacementsWithoutEvictions(t *testing.T) {
 	preempts := make([]int, len(nodes))
 	vmCounts := make([]int, len(nodes))
 	for i, n := range nodes {
-		preempts[i] = n.Preemptions()
+		preempts[i] = capOf(n).Preemptions
 		vmCounts[i] = len(n.VMs())
 	}
 	if err := m.Journal().Close(); err != nil {
@@ -134,8 +134,8 @@ func TestRecoverRestoresPlacementsWithoutEvictions(t *testing.T) {
 		t.Errorf("clean recovery repaired something: %+v", rep)
 	}
 	for i, n := range nodes {
-		if n.Preemptions() != preempts[i] {
-			t.Errorf("node %d preemptions %d != %d after recovery", i, n.Preemptions(), preempts[i])
+		if capOf(n).Preemptions != preempts[i] {
+			t.Errorf("node %d preemptions %d != %d after recovery", i, capOf(n).Preemptions, preempts[i])
 		}
 		if len(n.VMs()) != vmCounts[i] {
 			t.Errorf("node %d runs %d VMs != %d after recovery", i, len(n.VMs()), vmCounts[i])
