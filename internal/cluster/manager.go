@@ -676,11 +676,14 @@ func (m *Manager) launch(spec LaunchSpec, countRejection bool) (int, LaunchRepor
 		delete(m.placement, name)
 		delete(m.specs, name)
 	}
-	if countRejection {
+	if countRejection && m.rec != nil {
 		// User-facing placement; internal re-placements journal as
 		// "replace" (or reconciliation repairs) at the call site instead.
+		// The record gets its own copy, so spec stays off the heap when
+		// nothing records.
+		journaled := spec
 		m.record(Event{Kind: evLaunch, VM: spec.Name, Node: m.servers[idx].Name(),
-			Spec: &spec, Preempted: rep.Preempted})
+			Spec: &journaled, Preempted: rep.Preempted})
 	}
 	return idx, rep, nil
 }

@@ -29,7 +29,7 @@ import (
 // §6.3 (Figs. 8c and 8d).
 type SimConfig struct {
 	Servers        int             // default 100
-	ServerCapacity restypes.Vector // default 16 cores / 64 GB / 400 / 400
+	ServerCapacity restypes.Vector // default 32 cores / 128 GB / 4000 / 4000
 	Policy         PlacementPolicy
 	Mode           Mode
 	// TargetOvercommit is the admitted-nominal-to-capacity ratio the
@@ -88,9 +88,10 @@ type SimConfig struct {
 	Telemetry *telemetry.Sink
 	// SampleEvery thins the post-warmup cluster sampling: state (overcommit,
 	// per-server quantiles, throughput) is sampled on every SampleEvery-th
-	// admission instead of every one. Each sample takes a Manager.Snapshot
-	// and adds up every VM's (memoized, see stateSampler) throughput — still
-	// O(servers + VMs), which XL fleets (the 8c-xl sweep) thin out. The
+	// admission instead of every one. Each sample re-evaluates the servers
+	// whose VMs changed and re-adds the cached per-server sums from the
+	// lowest changed server on (see stateSampler) — still O(servers + VMs)
+	// in the worst case, which XL fleets (the 8c-xl sweep) thin out. The
 	// default 1 samples every admission, the exact legacy behavior bit for bit.
 	SampleEvery int
 	// ContainerFraction is the fraction of servers backed by the cgroup
@@ -354,7 +355,17 @@ func runSim(cfg SimConfig, check func(s *stateSampler, mgr *Manager, gp, tpSum f
 	}
 
 	totalCapacity := cfg.ServerCapacity.Scale(float64(cfg.Servers))
+	// One application factory per (curve, elasticity) pair, built once:
+	// every admission shares one instead of capturing its own closure.
 	curves := simCurves()
+	newApps := make([][2]func(restypes.Vector) vm.Application, len(curves))
+	for i, curve := range curves {
+		for elastic := range 2 {
+			newApps[i][elastic] = func(size restypes.Vector) vm.Application {
+				return curveapp.New(curveapp.Config{Curve: curve, Size: size, Elastic: elastic == 1})
+			}
+		}
+	}
 
 	// Per-class admission targets maintain the paper's population mix
 	// ("50.0% VMs are low-priority"): each class may hold half the target
@@ -393,8 +404,9 @@ func runSim(cfg SimConfig, check func(s *stateSampler, mgr *Manager, gp, tpSum f
 		}
 	}
 
-	// The simulation runs on the shared discrete-event clock: one event per
-	// arrival, departures scheduled dynamically at admission time.
+	// The simulation runs on the shared discrete-event clock: the trace's
+	// arrivals stream in through one Feed, and each admission schedules its
+	// departure as a typed event keyed by trace index.
 	clock := simclock.New()
 
 	// wireMigration configures migration-based reclamation on a manager
@@ -468,7 +480,10 @@ func runSim(cfg SimConfig, check func(s *stateSampler, mgr *Manager, gp, tpSum f
 		}
 	}
 
-	arrive := func(e trace.Event) {
+	departIndex := func(i int, _ time.Duration) { depart(events[i].ID) }
+
+	arrive := func(i int, _ time.Duration) {
+		e := events[i]
 		meterSample()
 		if headless {
 			// No reachable leader: the launch bounces exactly as a refused
@@ -500,14 +515,13 @@ func runSim(cfg SimConfig, check func(s *stateSampler, mgr *Manager, gp, tpSum f
 			prio = vm.HighPriority
 			minSize = restypes.Vector{}
 		}
-		curve := curves[admitted%len(curves)]
-		// AppKind is the serializable fallback for the closure: NewApp takes
+		// AppKind is the serializable fallback for the factory: NewApp takes
 		// precedence while this manager lives, but a journal replay cannot
 		// carry a function, so post-recovery re-placements relaunch the VM
 		// from the registered generic kind instead.
-		appKind := "elastic"
+		appKind, elastic := "elastic", 1
 		if e.HighPriority {
-			appKind = "inelastic"
+			appKind, elastic = "inelastic", 0
 		}
 		spec := LaunchSpec{
 			Name:     e.ID,
@@ -516,11 +530,7 @@ func runSim(cfg SimConfig, check func(s *stateSampler, mgr *Manager, gp, tpSum f
 			Priority: prio,
 			Warm:     true,
 			AppKind:  appKind,
-			NewApp: func(size restypes.Vector) vm.Application {
-				return curveapp.New(curveapp.Config{
-					Curve: curve, Size: size, Elastic: !e.HighPriority,
-				})
-			},
+			NewApp:   newApps[admitted%len(curves)][elastic],
 		}
 		_, rep, err := mgr.Launch(spec)
 		reconcile(rep.Preempted)
@@ -544,8 +554,7 @@ func runSim(cfg SimConfig, check func(s *stateSampler, mgr *Manager, gp, tpSum f
 		} else {
 			nominalLow = nominalLow.Add(e.Size)
 		}
-		name := e.ID
-		clock.After(e.Lifetime, func(time.Duration) { depart(name) })
+		clock.AtIndex(clock.Now()+e.Lifetime, departIndex, i)
 
 		// Sample cluster state after warmup, thinned by SampleEvery (1 =
 		// every admission, the exact legacy cadence).
@@ -887,10 +896,11 @@ func runSim(cfg SimConfig, check func(s *stateSampler, mgr *Manager, gp, tpSum f
 		}
 	}
 
-	for _, e := range events {
-		e := e
-		clock.At(e.Arrival, func(time.Duration) { arrive(e) })
+	arrivals := make([]time.Duration, len(events))
+	for i, e := range events {
+		arrivals[i] = e.Arrival
 	}
+	clock.Feed(arrivals, arrive)
 	clock.Run()
 	if simErr != nil {
 		return res, simErr

@@ -272,15 +272,17 @@ func TestCapacityWatchersSeeEveryChange(t *testing.T) {
 
 // TestSimAllocBudget holds the simulator's allocation rate, an exact count
 // that timing noise cannot blur: a quick Fig. 8c cell (saturated, sampled on
-// every admission) must stay within 15 heap allocations per trace event.
+// every admission) must stay within 8 heap allocations per trace event.
 // Sorting a host's domain table on every free-capacity read cost 121;
 // per-reclaim VM lists, sort swappers and append-grown reports kept it at
 // 21.4, and substrate.Table's copy-on-write arrays and the sampler's
-// per-pass Snapshot at 16.6. Of the ≈13 left, building each launched VM's
-// instance, guest and app is 27 %, the event queue 19 %, the manager's
-// per-launch spec records 14 %, the arrival's app factory and departure
-// closure 13 %, trace generation 8 % and the cascade's one report slice per
-// reclaim 6 % — none of it a per-event cost the controller could drop.
+// per-pass Snapshot at 16.6. Queuing the whole trace in the event calendar,
+// a closure per arrival for its app and its departure, an escaping launch
+// spec and a separately allocated guest per domain held it at 13.0; arrivals
+// now stream through simclock.Feed and departures are typed events. The
+// ≈6.7 left is state that outlives its event: each launched VM's instance,
+// domain and app, the manager's spec record, trace generation and the
+// cascade's one report slice per reclaim.
 func TestSimAllocBudget(t *testing.T) {
 	const events = 4000
 	cfg := SimConfig{
@@ -297,7 +299,7 @@ func TestSimAllocBudget(t *testing.T) {
 	runtime.ReadMemStats(&after)
 	perEvent := float64(after.Mallocs-before.Mallocs) / events
 	t.Logf("%.1f allocs/event", perEvent)
-	if perEvent > 15 {
-		t.Errorf("%.1f allocs/event, budget 15", perEvent)
+	if perEvent > 8 {
+		t.Errorf("%.1f allocs/event, budget 8", perEvent)
 	}
 }

@@ -97,20 +97,22 @@ type GuestOS struct {
 	oomKilled bool
 }
 
-// New boots a guest with the given configuration.
-func New(cfg Config) (*GuestOS, error) {
+// New boots a guest with the given configuration. It returns the guest by
+// value so an owner (a hypervisor domain) can embed it without a separate
+// allocation; its methods take a pointer to the owner's copy.
+func New(cfg Config) (GuestOS, error) {
 	cfg = cfg.withDefaults()
 	if cfg.CPUs < 1 {
-		return nil, fmt.Errorf("guestos: need ≥1 CPU, got %d", cfg.CPUs)
+		return GuestOS{}, fmt.Errorf("guestos: need ≥1 CPU, got %d", cfg.CPUs)
 	}
 	if cfg.MemoryMB <= cfg.KernelMemMB {
-		return nil, fmt.Errorf("guestos: memory %gMB does not cover kernel reserve %gMB",
+		return GuestOS{}, fmt.Errorf("guestos: memory %gMB does not cover kernel reserve %gMB",
 			cfg.MemoryMB, cfg.KernelMemMB)
 	}
 	if cfg.PinnedCPUs < 0 || cfg.PinnedCPUs > cfg.CPUs {
-		return nil, fmt.Errorf("guestos: pinned CPUs %d out of range [0,%d]", cfg.PinnedCPUs, cfg.CPUs)
+		return GuestOS{}, fmt.Errorf("guestos: pinned CPUs %d out of range [0,%d]", cfg.PinnedCPUs, cfg.CPUs)
 	}
-	return &GuestOS{cfg: cfg, cpus: cfg.CPUs, memMB: cfg.MemoryMB}, nil
+	return GuestOS{cfg: cfg, cpus: cfg.CPUs, memMB: cfg.MemoryMB}, nil
 }
 
 // Config returns the boot configuration (with defaults applied).
@@ -363,23 +365,23 @@ func (g *GuestOS) Snapshot() Snapshot {
 // plugged state must fit within the boot configuration and keep the
 // application alive (a snapshot whose resident set does not fit would have
 // been OOM-killed on the source and is rejected here).
-func Restore(s Snapshot) (*GuestOS, error) {
+func Restore(s Snapshot) (GuestOS, error) {
 	g, err := New(s.Config)
 	if err != nil {
-		return nil, err
+		return GuestOS{}, err
 	}
 	if s.CPUs < 1 || s.CPUs > g.cfg.CPUs {
-		return nil, fmt.Errorf("guestos: snapshot CPUs %d out of range [1,%d]", s.CPUs, g.cfg.CPUs)
+		return GuestOS{}, fmt.Errorf("guestos: snapshot CPUs %d out of range [1,%d]", s.CPUs, g.cfg.CPUs)
 	}
 	if s.MemoryMB <= g.cfg.KernelMemMB || s.MemoryMB > g.cfg.MemoryMB {
-		return nil, fmt.Errorf("guestos: snapshot memory %gMB out of range (%gMB,%gMB]",
+		return GuestOS{}, fmt.Errorf("guestos: snapshot memory %gMB out of range (%gMB,%gMB]",
 			s.MemoryMB, g.cfg.KernelMemMB, g.cfg.MemoryMB)
 	}
 	if s.AppRSSMB < 0 || s.PageCacheMB < 0 || s.BalloonMB < 0 {
-		return nil, fmt.Errorf("guestos: snapshot has negative footprint")
+		return GuestOS{}, fmt.Errorf("guestos: snapshot has negative footprint")
 	}
 	if s.AppRSSMB+g.cfg.KernelMemMB > s.MemoryMB {
-		return nil, fmt.Errorf("guestos: snapshot RSS %gMB does not fit %gMB memory (OOM on source)",
+		return GuestOS{}, fmt.Errorf("guestos: snapshot RSS %gMB does not fit %gMB memory (OOM on source)",
 			s.AppRSSMB, s.MemoryMB)
 	}
 	g.cpus = s.CPUs

@@ -12,7 +12,7 @@ func newGuest(t *testing.T, cfg Config) *GuestOS {
 	if err != nil {
 		t.Fatalf("New: %v", err)
 	}
-	return g
+	return &g
 }
 
 func std(t *testing.T) *GuestOS {

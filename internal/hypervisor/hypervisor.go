@@ -232,7 +232,7 @@ type Domain struct {
 	name  string
 	size  restypes.Vector // nominal (booted) size
 	alloc restypes.Vector // current physical allocation (cgroup limits)
-	guest *guestos.GuestOS
+	guest guestos.GuestOS
 	dead  bool
 
 	// everTouchedMB is the high-water mark of guest memory that has ever
@@ -271,7 +271,7 @@ func (d *Domain) Size() restypes.Vector { return d.size }
 func (d *Domain) Allocation() restypes.Vector { return d.alloc }
 
 // Guest returns the domain's guest OS.
-func (d *Domain) Guest() *guestos.GuestOS { return d.guest }
+func (d *Domain) Guest() *guestos.GuestOS { return &d.guest }
 
 // Destroyed reports whether the domain has been destroyed.
 func (d *Domain) Destroyed() bool { return d.dead }

@@ -3,10 +3,12 @@ package simclock
 // This file proves the calendar-queue engine behaviorally identical to the
 // binary-heap engine it replaced. The heap lives on below as refClock — the
 // reference model — and the differential driver runs byte-scripted
-// schedule/cancel/Every/Step/RunUntil sequences against both engines,
-// asserting identical firing order (including same-instant FIFO ties),
-// identical Pending counts after every operation, and identical final
-// clocks. FuzzEventQueue feeds the same driver from the fuzzer.
+// schedule/cancel/Every/AtIndex/Feed/Step/RunUntil sequences against both
+// engines, asserting identical firing order (including same-instant FIFO
+// ties), identical Pending counts after every operation, and identical
+// final clocks. FuzzEventQueue feeds the same driver from the fuzzer. The
+// reference has no typed events or feeds of its own: AtIndex is At with a
+// closure, and Feed is one At call per time.
 
 import (
 	"container/heap"
@@ -72,6 +74,21 @@ func (c *refClock) Every(interval time.Duration, fn func(now time.Duration) bool
 	}
 	schedule()
 	return func() { stopped = true }
+}
+
+func (c *refClock) AtIndex(t time.Duration, fn func(int, time.Duration), i int) *refEvent {
+	return c.At(t, func(now time.Duration) { fn(i, now) })
+}
+
+func (c *refClock) Feed(times []time.Duration, fn func(int, time.Duration)) {
+	for i, t := range times {
+		if i > 0 && t < times[i-1] {
+			panic(fmt.Sprintf("refclock: feed time %d (%v) is before time %d (%v)", i, t, i-1, times[i-1]))
+		}
+	}
+	for i, t := range times {
+		c.AtIndex(t, fn, i)
+	}
 }
 
 func (c *refClock) Step() bool {
@@ -148,6 +165,8 @@ type testEngine interface {
 	Now() time.Duration
 	Pending() int
 	At(time.Duration, func(time.Duration)) canceler
+	AtIndex(time.Duration, func(int, time.Duration), int) canceler
+	Feed([]time.Duration, func(int, time.Duration))
 	Every(time.Duration, func(time.Duration) bool) func()
 	Step() bool
 	RunUntil(time.Duration)
@@ -160,6 +179,10 @@ func (e calEngine) Pending() int       { return e.c.Pending() }
 func (e calEngine) At(t time.Duration, fn func(time.Duration)) canceler {
 	return e.c.At(t, fn)
 }
+func (e calEngine) AtIndex(t time.Duration, fn func(int, time.Duration), i int) canceler {
+	return e.c.AtIndex(t, fn, i)
+}
+func (e calEngine) Feed(ts []time.Duration, fn func(int, time.Duration)) { e.c.Feed(ts, fn) }
 func (e calEngine) Every(iv time.Duration, fn func(time.Duration) bool) func() {
 	return e.c.Every(iv, fn)
 }
@@ -173,6 +196,10 @@ func (e refEngine) Pending() int       { return e.c.Pending() }
 func (e refEngine) At(t time.Duration, fn func(time.Duration)) canceler {
 	return e.c.At(t, fn)
 }
+func (e refEngine) AtIndex(t time.Duration, fn func(int, time.Duration), i int) canceler {
+	return e.c.AtIndex(t, fn, i)
+}
+func (e refEngine) Feed(ts []time.Duration, fn func(int, time.Duration)) { e.c.Feed(ts, fn) }
 func (e refEngine) Every(iv time.Duration, fn func(time.Duration) bool) func() {
 	return e.c.Every(iv, fn)
 }
@@ -221,9 +248,18 @@ func execScript(eng testEngine, script []byte) []string {
 		pos++
 		return b
 	}
+	// fireKey is the one handler every typed event and feed item shares;
+	// keys index labels, so it fires exactly as mkFire would.
+	var keyLabels []int
+	fireKey := func(k int, now time.Duration) { mkFire(keyLabels[k])(now) }
+	newKey := func() int {
+		label++
+		keyLabels = append(keyLabels, label)
+		return len(keyLabels) - 1
+	}
 	for op := 0; pos < len(script) && op < maxScriptOps; op++ {
 		b := next()
-		switch b % 8 {
+		switch b % 10 {
 		case 0, 1: // schedule a single event; coarse delays force exact ties
 			d := time.Duration(next()%32) * time.Millisecond
 			label++
@@ -264,6 +300,20 @@ func execScript(eng testEngine, script []byte) []string {
 				l := label
 				handles = append(handles, eng.At(at, mkFire(l)))
 			}
+		case 8: // typed event through the shared handler
+			d := time.Duration(next()%32) * time.Millisecond
+			handles = append(handles, eng.AtIndex(eng.Now()+d, fireKey, newKey()))
+		case 9: // a feed: sorted coarse times, so items tie with each other
+			// and with calendar events; the handler sees the item's index
+			times := make([]time.Duration, next()%6)
+			first := len(keyLabels)
+			t := eng.Now()
+			for j := range times {
+				t += time.Duration(next()%4) * 2 * time.Millisecond
+				times[j] = t
+				newKey()
+			}
+			eng.Feed(times, func(i int, now time.Duration) { fireKey(first+i, now) })
 		}
 		trace = append(trace, fmt.Sprintf("P%d", eng.Pending()))
 	}
@@ -358,6 +408,98 @@ func TestRunUntilCanceledHeadQuirk(t *testing.T) {
 	}
 }
 
+// bothEngines runs f once per engine, as a subtest named after it.
+func bothEngines(t *testing.T, f func(t *testing.T, e testEngine)) {
+	t.Helper()
+	t.Run("calendar", func(t *testing.T) { f(t, calEngine{New()}) })
+	t.Run("heap", func(t *testing.T) { f(t, refEngine{&refClock{}}) })
+}
+
+// TestFeedTiesWithCalendar pins the merge order of feed items against
+// calendar events at the same instant: an event scheduled before the Feed
+// call fires before the feed's item, one scheduled after it fires after,
+// and an event a feed handler schedules for its own instant fires after the
+// feed's later same-instant items, whose sequence numbers came first.
+func TestFeedTiesWithCalendar(t *testing.T) {
+	bothEngines(t, func(t *testing.T, e testEngine) {
+		var got []string
+		rec := func(s string) func(time.Duration) {
+			return func(now time.Duration) { got = append(got, fmt.Sprintf("%s@%d", s, now/time.Millisecond)) }
+		}
+		e.At(5*time.Millisecond, rec("before"))
+		e.Feed([]time.Duration{0, 5 * time.Millisecond, 5 * time.Millisecond, 7 * time.Millisecond},
+			func(i int, now time.Duration) {
+				rec(fmt.Sprint("feed", i))(now)
+				if i == 1 {
+					e.At(now, rec("nested"))
+				}
+			})
+		e.At(5*time.Millisecond, rec("after"))
+		e.AtIndex(5*time.Millisecond, func(i int, now time.Duration) { rec(fmt.Sprint("typed", i))(now) }, 9)
+		e.RunUntil(time.Second)
+		want := "[feed0@0 before@5 feed1@5 feed2@5 after@5 typed9@5 nested@5 feed3@7]"
+		if fmt.Sprint(got) != want {
+			t.Errorf("fired %v, want %s", got, want)
+		}
+	})
+}
+
+// TestFeedPendingCountsUnfired requires Pending to count every feed item
+// not yet fired, including those the calendar does not hold yet.
+func TestFeedPendingCountsUnfired(t *testing.T) {
+	bothEngines(t, func(t *testing.T, e testEngine) {
+		e.At(2*time.Second, func(time.Duration) {})
+		e.Feed([]time.Duration{time.Second, 3 * time.Second, 3 * time.Second, 4 * time.Second}, func(int, time.Duration) {})
+		for _, want := range []int{5, 4, 3, 2, 1, 0} {
+			if got := e.Pending(); got != want {
+				t.Fatalf("Pending = %d at %v, want %d", got, e.Now(), want)
+			}
+			e.Step()
+		}
+	})
+}
+
+// TestRunUntilCanceledHeadQuirkWithFeed is the canceled-head quirk with the
+// next live event a feed item: RunUntil steps past t to fire it.
+func TestRunUntilCanceledHeadQuirkWithFeed(t *testing.T) {
+	bothEngines(t, func(t *testing.T, e testEngine) {
+		var fired []string
+		h := e.At(1*time.Second, func(time.Duration) { fired = append(fired, "canceled") })
+		e.Feed([]time.Duration{5 * time.Second, 6 * time.Second}, func(i int, now time.Duration) {
+			fired = append(fired, fmt.Sprintf("feed%d@%v", i, now))
+		})
+		h.Cancel()
+		e.RunUntil(2 * time.Second)
+		if fmt.Sprint(fired) != "[feed0@5s]" {
+			t.Errorf("fired = %v, want [feed0@5s] (canceled head triggers the next live event)", fired)
+		}
+		if e.Now() != 2*time.Second || e.Pending() != 1 {
+			t.Errorf("Now = %v, Pending = %d; want 2s, 1", e.Now(), e.Pending())
+		}
+	})
+}
+
+// TestFeedRejectsBadTimes requires a panic, on both engines, for a feed
+// whose times are unsorted or start before Now.
+func TestFeedRejectsBadTimes(t *testing.T) {
+	for name, times := range map[string][]time.Duration{
+		"unsorted": {2 * time.Second, 3 * time.Second, time.Second + time.Millisecond},
+		"past":     {time.Second - 1, 2 * time.Second},
+	} {
+		t.Run(name, func(t *testing.T) {
+			bothEngines(t, func(t *testing.T, e testEngine) {
+				e.RunUntil(time.Second)
+				defer func() {
+					if recover() == nil {
+						t.Fatalf("Feed(%v) at %v did not panic", times, e.Now())
+					}
+				}()
+				e.Feed(times, func(int, time.Duration) {})
+			})
+		})
+	}
+}
+
 // TestCalendarResizeStress pushes enough load through one clock to force
 // repeated calendar grows, shrinks, and year-wrap jumps, checking against
 // the reference model throughout.
@@ -375,6 +517,7 @@ func FuzzEventQueue(f *testing.F) {
 	f.Add([]byte{0, 10, 0, 10, 3, 3})
 	f.Add([]byte{7, 3, 2, 0, 4, 63, 3, 3, 3})
 	f.Add([]byte{5, 4, 3, 4, 40, 6, 0, 2, 1})
+	f.Add([]byte{9, 5, 0, 1, 2, 3, 1, 8, 4, 7, 2, 2, 0, 3, 4, 9, 3})
 	rng := rand.New(rand.NewSource(7))
 	big := make([]byte, 512)
 	rng.Read(big)

@@ -16,8 +16,17 @@
 // the 8c-xl figure finish in seconds. Events are slab-allocated in chunks
 // so the per-event steady-state allocation rate is ~0, and same-instant
 // events carry a monotone sequence number that preserves the heap engine's
-// FIFO tie order exactly (the differential tests in simclock_test.go drive
-// both engines side by side and require identical firing order).
+// FIFO tie order exactly (the differential tests in diff_test.go drive both
+// engines side by side and require identical firing order).
+//
+// Two entry points keep a simulation's hot path free of per-event closures.
+// AtIndex schedules a typed event: one shared handler called with an integer
+// key (a trace index, a VM slot), so the caller builds the handler once.
+// Feed hands the clock a pre-sorted series of times served by one handler —
+// a trace's arrivals — and reserves their sequence numbers exactly as one
+// AtIndex call per time would; the calendar holds only the series' next
+// item, so it sizes itself to the dynamic events (departures, heartbeats,
+// faults) instead of the whole trace.
 package simclock
 
 import (
@@ -59,6 +68,7 @@ type Clock struct {
 
 	queued   int // events in buckets, including undiscarded canceled ones
 	canceled int // canceled events still occupying bucket slots
+	fed      int // Feed items not yet in the calendar
 
 	slab []Event // current allocation chunk for pooled events
 }
@@ -83,6 +93,8 @@ type Event struct {
 	at       time.Duration
 	seq      uint64
 	fn       func(now time.Duration)
+	ifn      func(i int, now time.Duration) // set instead of fn by AtIndex
+	i        int                            // ifn's key
 	c        *Clock
 	canceled bool
 	done     bool // fired or discarded; Cancel is a no-op from here on
@@ -114,14 +126,66 @@ func (c *Clock) alloc() *Event {
 // At schedules fn to run at virtual time t. Scheduling in the past (t <
 // Now()) panics: in a discrete-event simulation that is always a logic bug.
 func (c *Clock) At(t time.Duration, fn func(now time.Duration)) *Event {
-	if t < c.now {
-		panic(fmt.Sprintf("simclock: scheduling at %v which is before now %v", t, c.now))
-	}
+	c.checkFuture(t)
 	c.nextSeq++
 	e := c.alloc()
 	*e = Event{at: t, seq: c.nextSeq, fn: fn, c: c}
 	c.enqueue(e)
 	return e
+}
+
+// AtIndex schedules fn(i, now) to run at virtual time t. It is At for a
+// handler shared across many events: the key i tells the handler which one
+// fired, so scheduling allocates no closure.
+func (c *Clock) AtIndex(t time.Duration, fn func(i int, now time.Duration), i int) *Event {
+	c.checkFuture(t)
+	c.nextSeq++
+	return c.atIndex(t, c.nextSeq, fn, i)
+}
+
+// atIndex files a typed event under an already reserved sequence number.
+func (c *Clock) atIndex(t time.Duration, seq uint64, fn func(i int, now time.Duration), i int) *Event {
+	e := c.alloc()
+	*e = Event{at: t, seq: seq, ifn: fn, i: i, c: c}
+	c.enqueue(e)
+	return e
+}
+
+// Feed schedules fn(i, now) at each times[i]. It fires exactly as a loop of
+// AtIndex(times[i], fn, i) calls would, sequence numbers and same-instant
+// ties included, but files only the next unfired item in the calendar.
+// Feed items cannot be canceled; Pending counts them until they fire. The
+// times must be sorted ascending and not before Now(), or Feed panics.
+func (c *Clock) Feed(times []time.Duration, fn func(i int, now time.Duration)) {
+	for i, t := range times {
+		if i > 0 && t < times[i-1] {
+			panic(fmt.Sprintf("simclock: feed time %d (%v) is before time %d (%v)", i, t, i-1, times[i-1]))
+		}
+	}
+	if len(times) == 0 {
+		return
+	}
+	c.checkFuture(times[0])
+	seq0 := c.nextSeq + 1
+	c.nextSeq += uint64(len(times))
+	c.fed += len(times) - 1
+	// Each item files its successor before its handler runs, so the
+	// calendar and Pending always see the whole series.
+	var next func(i int, now time.Duration)
+	next = func(i int, now time.Duration) {
+		if j := i + 1; j < len(times) {
+			c.fed--
+			c.atIndex(times[j], seq0+uint64(j), next, j)
+		}
+		fn(i, now)
+	}
+	c.atIndex(times[0], seq0, next, 0)
+}
+
+func (c *Clock) checkFuture(t time.Duration) {
+	if t < c.now {
+		panic(fmt.Sprintf("simclock: scheduling at %v which is before now %v", t, c.now))
+	}
 }
 
 // After schedules fn to run d after the current virtual time.
@@ -133,31 +197,27 @@ func (c *Clock) After(d time.Duration, fn func(now time.Duration)) *Event {
 }
 
 // Every schedules fn to run every interval, starting one interval from now,
-// until fn returns false. It returns a handle to the next pending firing;
-// cancel via the returned stop function, which is safe to call at any time.
+// until fn returns false. Cancel via the returned stop function, which is
+// safe to call at any time. The tick handler is built once, so a running
+// ticker allocates nothing per firing beyond its pooled Event.
 func (c *Clock) Every(interval time.Duration, fn func(now time.Duration) bool) (stop func()) {
 	if interval <= 0 {
 		panic(fmt.Sprintf("simclock: non-positive interval %v", interval))
 	}
 	stopped := false
-	var schedule func()
-	schedule = func() {
-		c.After(interval, func(now time.Duration) {
-			if stopped {
-				return
-			}
-			if fn(now) {
-				schedule()
-			}
-		})
+	var tick func(now time.Duration)
+	tick = func(now time.Duration) {
+		if !stopped && fn(now) {
+			c.After(interval, tick)
+		}
 	}
-	schedule()
+	c.After(interval, tick)
 	return func() { stopped = true }
 }
 
 // Pending reports the number of events still queued (including canceled ones
-// that have not yet been discarded).
-func (c *Clock) Pending() int { return c.queued }
+// that have not yet been discarded, and unfired Feed items).
+func (c *Clock) Pending() int { return c.queued + c.fed }
 
 // Step runs the single earliest pending event, advancing the clock to its
 // timestamp. It reports whether an event ran.
@@ -167,7 +227,11 @@ func (c *Clock) Step() bool {
 		return false
 	}
 	c.now = e.at
-	e.fn(c.now)
+	if e.ifn != nil {
+		e.ifn(e.i, c.now)
+	} else {
+		e.fn(c.now)
+	}
 	return true
 }
 
@@ -229,13 +293,13 @@ func (c *Clock) enqueue(e *Event) {
 	i := c.bucketFor(e.at)
 	b := c.buckets[i]
 	if i == c.cur && c.sorted {
-		// The cursor's bucket is sorted; binary-insert to keep it that way.
-		// All resident events have smaller seq, so the slot for e is after
-		// every event with at <= e.at — which also keeps same-instant FIFO.
+		// The cursor's bucket is sorted; binary-insert by (at, seq) to keep
+		// it that way. A Feed item's seq was reserved earlier, so it can sort
+		// ahead of a same-instant event already resident.
 		lo, hi := c.head, len(b)
 		for lo < hi {
 			mid := int(uint(lo+hi) >> 1)
-			if b[mid].at <= e.at {
+			if m := b[mid]; m.at < e.at || (m.at == e.at && m.seq < e.seq) {
 				lo = mid + 1
 			} else {
 				hi = mid

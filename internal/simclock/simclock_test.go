@@ -202,3 +202,64 @@ func TestStepReturnsFalseWhenEmpty(t *testing.T) {
 		t.Error("Step with only canceled events returned true")
 	}
 }
+
+// The steady-state allocation tests hold the per-event path to the pooled
+// Event slab alone: one allocation per slabChunk events, which
+// testing.AllocsPerRun's whole-number average reports as zero per event.
+
+func TestAtIndexStepAllocatesNothing(t *testing.T) {
+	c := New()
+	n := 0
+	var h func(i int, now time.Duration)
+	h = func(i int, now time.Duration) {
+		n++
+		c.AtIndex(now+time.Duration(500+(n*2654435761)%2000)*time.Microsecond, h, i)
+	}
+	for i := 0; i < 1024; i++ {
+		c.AtIndex(time.Duration(i)*time.Millisecond, h, i)
+	}
+	for i := 0; i < 20000; i++ { // let the calendar settle its size
+		c.Step()
+	}
+	if got := testing.AllocsPerRun(10000, func() { c.Step() }); got != 0 {
+		t.Errorf("AtIndex+Step: %v allocs/event in the steady state, want 0", got)
+	}
+}
+
+func TestFeedRunAllocatesNothingPerItem(t *testing.T) {
+	c := New()
+	fired := 0
+	h := func(int, time.Duration) { fired++ }
+	times := make([]time.Duration, 4096)
+	feedRun := func() {
+		for i := range times {
+			times[i] = c.Now() + time.Duration(i/2)*time.Millisecond // pairs tie
+		}
+		c.Feed(times, h)
+		c.Run()
+	}
+	// Each run starts in a different bucket; let every bucket's slice
+	// reach its working capacity first.
+	for i := 0; i < 2*minBuckets; i++ {
+		feedRun()
+	}
+	allocs := testing.AllocsPerRun(10, feedRun)
+	if want := (2*minBuckets + 11) * len(times); fired != want {
+		t.Fatalf("fired %d feed items, want %d", fired, want)
+	}
+	// Per Feed: the slabs, plus the handler closure and its self-reference.
+	if limit := float64(len(times)/slabChunk + 2); allocs > limit {
+		t.Errorf("Feed+Run of %d items: %v allocs, want at most %v", len(times), allocs, limit)
+	}
+}
+
+func TestEveryTickAllocatesNothing(t *testing.T) {
+	c := New()
+	c.Every(time.Millisecond, func(time.Duration) bool { return true })
+	for i := 0; i < 1000; i++ {
+		c.Step()
+	}
+	if got := testing.AllocsPerRun(10000, func() { c.Step() }); got != 0 {
+		t.Errorf("Every: %v allocs/tick in the steady state, want 0", got)
+	}
+}
