@@ -20,7 +20,8 @@ type goldenCell struct {
 // goldenCells covers every RunSim code path that mutates server state: the
 // Fig. 8c baseline and its preemption-only twin, node crashes with cascade
 // faults, manager crash-restart recovery, migration-based reclamation, HA
-// failover with partitions, proactive deflation, and a half-container fleet.
+// failover with partitions, proactive deflation, a half-container fleet,
+// and partitions that heal before the lease expires.
 func goldenCells() []goldenCell {
 	mgrCrash := chaosSim()
 	mgrCrash.Faults.ManagerCrashMTBF = 5 * time.Minute
@@ -36,6 +37,14 @@ func goldenCells() []goldenCell {
 	mixed := smallSim(ModeDeflation, 1.6)
 	mixed.ContainerFraction = 0.5
 
+	// Partitions shorter than the lease: the leader heals back into its own
+	// term, and no takeover happens.
+	shortPartition := haChaosSim()
+	shortPartition.Faults.ManagerCrashMTBF = 0
+	shortPartition.Faults.DiskFailProb = 0
+	shortPartition.LeaseTimeout = 3 * time.Minute
+	shortPartition.Faults.PartitionDuration = time.Minute
+
 	return []goldenCell{
 		{"fig8c-baseline", smallSim(ModeDeflation, 1.6)},
 		{"preemption-only", smallSim(ModePreemptionOnly, 1.6)},
@@ -45,6 +54,7 @@ func goldenCells() []goldenCell {
 		{"ha-failover", haChaosSim()},
 		{"proactive", proactive},
 		{"container-half", mixed},
+		{"ha-short-partition", shortPartition},
 	}
 }
 
