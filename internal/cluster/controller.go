@@ -232,21 +232,16 @@ func (c *LocalController) Ping() error { return nil }
 // memory mechanism, fault hooks).
 func (c *LocalController) Cascade() *cascade.Controller { return c.casc }
 
-// FailAll models a crash-stop host failure: every VM dies immediately. The
-// victims' names are returned (sorted) for the manager's failure
-// accounting; unlike Release or preemption, nothing reinflates and the
-// deaths do not count toward the summary's Preemptions, which tracks
-// capacity-driven preemptions only — failure-induced ones are the manager's
-// Stats.
-func (c *LocalController) FailAll() []string {
-	victims := make([]string, 0, c.vms.Len())
+// FailAll models a crash-stop host failure: every VM dies immediately.
+// Unlike Release or preemption, nothing reinflates and the deaths do not
+// count toward the summary's Preemptions, which tracks capacity-driven
+// preemptions only — failure-induced ones are the manager's Stats.
+func (c *LocalController) FailAll() {
 	for _, v := range c.VMs() {
-		victims = append(victims, v.Name())
 		v.Preempt()
 	}
 	c.vms = substrate.Table[*vm.VM]{}
 	c.capacityChanged()
-	return victims
 }
 
 // VMs returns the server's live VMs sorted by name. The slice is the VM

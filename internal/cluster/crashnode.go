@@ -15,20 +15,17 @@ import (
 // empty.
 type crashableNode struct {
 	*LocalController
-	down    bool
-	crashes int
+	down bool
 }
 
 func newCrashableNode(c *LocalController) *crashableNode {
 	return &crashableNode{LocalController: c}
 }
 
-// crash takes the node down and returns the names of the VMs that died with
-// it.
-func (n *crashableNode) crash() []string {
+// crash takes the node down, killing its VMs.
+func (n *crashableNode) crash() {
 	n.down = true
-	n.crashes++
-	return n.LocalController.FailAll() // FailAll notifies capacity watchers
+	n.LocalController.FailAll() // FailAll notifies capacity watchers
 }
 
 // recover brings the node back, empty.

@@ -46,6 +46,20 @@ func probeUntilDead(t *testing.T, m *Manager) []HealthEvent {
 	return m.ProbeHealth()
 }
 
+// crashVMs crashes n and returns the names of the VMs that died with it.
+func crashVMs(t *testing.T, n *crashableNode) []string {
+	t.Helper()
+	var names []string
+	for _, v := range n.VMs() {
+		names = append(names, v.Name())
+	}
+	n.crash()
+	if left := len(n.VMs()); left != 0 {
+		t.Fatalf("crashed node %s still runs %d VMs", n.Name(), left)
+	}
+	return names
+}
+
 func TestHeartbeatDetectsCrashAndReplacesVMs(t *testing.T) {
 	m, nodes := newCrashableCluster(t, 3, BestFit)
 	for i := 0; i < 6; i++ {
@@ -68,7 +82,7 @@ func TestHeartbeatDetectsCrashAndReplacesVMs(t *testing.T) {
 	if victim < 0 {
 		t.Fatal("no server hosts a VM")
 	}
-	dead := nodes[victim].crash()
+	dead := crashVMs(t, nodes[victim])
 	if len(dead) != hosted[victim] {
 		t.Fatalf("crash killed %d VMs, server hosted %d", len(dead), hosted[victim])
 	}
@@ -187,7 +201,7 @@ func TestEvictedVMsLostWhenClusterFull(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	dead := nodes[0].crash()
+	dead := crashVMs(t, nodes[0])
 	if len(dead) == 0 {
 		t.Fatal("crashed server hosted nothing")
 	}

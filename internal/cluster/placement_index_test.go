@@ -494,15 +494,18 @@ func TestPlacementIndexWorkBudget(t *testing.T) {
 				Seed:             11,
 				SampleEvery:      250,
 			}
-			var leader *Manager
-			res, err := runSim(cfg, func(_ *stateSampler, mgr *Manager, _, _ float64, _ int) { leader = mgr }, nil)
+			s, err := newSim(cfg, nil)
+			if err != nil {
+				t.Fatal(err)
+			}
+			res, err := s.run()
 			if err != nil {
 				t.Fatal(err)
 			}
 			if res.LatentPlacements == 0 {
 				t.Fatal("the cell never saturated: no placement paid reclaim latency")
 			}
-			x := leader.pidx
+			x := s.mgr.pidx
 			perQuery := float64(x.visited) / float64(x.clock)
 			budget := 4 * math.Log2(servers)
 			t.Logf("overcommit %.2f: %d queries, %.1f nodes entered per query (budget %.1f), %d trees",
@@ -524,8 +527,11 @@ func TestReplacedManagerLeavesNoWatcher(t *testing.T) {
 	mgrCrash.Faults.ManagerCrashMTBF = 5 * time.Minute
 	for name, cfg := range map[string]SimConfig{"manager-crash": mgrCrash, "ha-failover": haChaosSim()} {
 		t.Run(name, func(t *testing.T) {
-			var last *stateSampler
-			res, err := runSim(cfg, func(s *stateSampler, _ *Manager, _, _ float64, _ int) { last = s }, nil)
+			s, err := newSim(cfg, nil)
+			if err != nil {
+				t.Fatal(err)
+			}
+			res, err := s.run()
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -533,7 +539,7 @@ func TestReplacedManagerLeavesNoWatcher(t *testing.T) {
 				t.Fatalf("%d manager crashes, %d failovers: the cell replaced no manager twice",
 					res.ManagerCrashes, res.Failovers)
 			}
-			for i, c := range last.servers {
+			for i, c := range s.servers {
 				if got := len(c.watchers); got != 2 {
 					t.Fatalf("server %d ends with %d capacity watchers after %d crashes and %d failovers, want 2",
 						i, got, res.ManagerCrashes, res.Failovers)
@@ -579,7 +585,11 @@ func TestPlacementIndexFullChaosSimEquivalence(t *testing.T) {
 	for name, cfg := range configs {
 		t.Run(name, func(t *testing.T) {
 			check := &queryChecker{t: t}
-			res, err := runSim(cfg, nil, check.check)
+			s, err := newSim(cfg, check.check)
+			if err != nil {
+				t.Fatal(err)
+			}
+			res, err := s.run()
 			if err != nil {
 				t.Fatal(err)
 			}

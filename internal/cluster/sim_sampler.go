@@ -35,10 +35,10 @@ type stateSampler struct {
 	oc, srvMean, srvP95, lowTp, gp []float64 // one entry per pass
 
 	// evaluated counts server re-evaluations over all passes; check, nil
-	// outside tests, is called at the end of every pass with the current
-	// leader and the pass's sums.
+	// outside tests, is called at the end of every pass with the pass's
+	// sums.
 	evaluated int
-	check     func(s *stateSampler, mgr *Manager, gp, tpSum float64, tpN int)
+	check     func(gp, tpSum float64, tpN int)
 }
 
 // serverMemo is one server's state as of its last evaluation.
@@ -109,7 +109,7 @@ func (s *stateSampler) admission(admitted int, nominal restypes.Vector, mgr *Man
 	}
 	s.gp = append(s.gp, sum.gp)
 	if s.check != nil {
-		s.check(s, mgr, sum.gp, sum.tpSum, sum.tpN)
+		s.check(sum.gp, sum.tpSum, sum.tpN)
 	}
 }
 

@@ -30,12 +30,15 @@ import (
 func TestSamplerMemoMatchesFullWalk(t *testing.T) {
 	for _, c := range goldenCells() {
 		t.Run(c.name, func(t *testing.T) {
+			sm, err := newSim(c.cfg, nil)
+			if err != nil {
+				t.Fatal(err)
+			}
+			s := sm.sampler
 			passes, mismatches := 0, 0
-			var last *stateSampler
-			check := func(s *stateSampler, mgr *Manager, gp, tpSum float64, tpN int) {
+			s.check = func(gp, tpSum float64, tpN int) {
 				passes++
-				last = s
-				snap := mgr.Snapshot()
+				snap := sm.mgr.Snapshot()
 				mean, p95 := s.srvMean[len(s.srvMean)-1], s.srvP95[len(s.srvP95)-1]
 				wantP95 := stats.Quantile(snap.ServerOvercommitment, 0.95)
 				if mean != snap.MeanOvercommitment || p95 != wantP95 || !slices.Equal(s.sortedOC, snap.ServerOvercommitment) {
@@ -62,7 +65,7 @@ func TestSamplerMemoMatchesFullWalk(t *testing.T) {
 					}
 				}
 			}
-			checked, err := runSim(c.cfg, check, nil)
+			checked, err := sm.run()
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -76,13 +79,13 @@ func TestSamplerMemoMatchesFullWalk(t *testing.T) {
 			if passes == 0 {
 				t.Fatal("the sampler never ran a pass")
 			}
-			perPass := float64(last.evaluated) / float64(passes)
-			t.Logf("%d passes, %.2f of %d servers re-evaluated per pass", passes, perPass, len(last.servers))
+			perPass := float64(s.evaluated) / float64(passes)
+			t.Logf("%d passes, %.2f of %d servers re-evaluated per pass", passes, perPass, len(s.servers))
 			// One admission touches the server it lands on, one departure the
 			// server it leaves; crashes and migrations add a few. Anything near
 			// the fleet size means an invalidation fires when nothing changed.
-			if perPass > float64(len(last.servers))/4 {
-				t.Errorf("%.2f of %d servers re-evaluated per pass: the memo is not saving the walk", perPass, len(last.servers))
+			if perPass > float64(len(s.servers))/4 {
+				t.Errorf("%.2f of %d servers re-evaluated per pass: the memo is not saving the walk", perPass, len(s.servers))
 			}
 		})
 	}
@@ -272,7 +275,7 @@ func TestCapacityWatchersSeeEveryChange(t *testing.T) {
 
 // TestSimAllocBudget holds the simulator's allocation rate, an exact count
 // that timing noise cannot blur: a quick Fig. 8c cell (saturated, sampled on
-// every admission) must stay within 8 heap allocations per trace event.
+// every admission) must stay within 7 heap allocations per trace event.
 // Sorting a host's domain table on every free-capacity read cost 121;
 // per-reclaim VM lists, sort swappers and append-grown reports kept it at
 // 21.4, and substrate.Table's copy-on-write arrays and the sampler's
@@ -280,9 +283,11 @@ func TestCapacityWatchersSeeEveryChange(t *testing.T) {
 // a closure per arrival for its app and its departure, an escaping launch
 // spec and a separately allocated guest per domain held it at 13.0; arrivals
 // now stream through simclock.Feed and departures are typed events. The
-// ≈6.7 left is state that outlives its event: each launched VM's instance,
+// ≈6.8 left is state that outlives its event: each launched VM's instance,
 // domain and app, the manager's spec record, trace generation and the
-// cascade's one report slice per reclaim.
+// cascade's one report slice per reclaim. The budget is tight enough to
+// catch one closure per admission, such as a method value evaluated at each
+// AtIndex (7.6).
 func TestSimAllocBudget(t *testing.T) {
 	const events = 4000
 	cfg := SimConfig{
@@ -298,8 +303,13 @@ func TestSimAllocBudget(t *testing.T) {
 	}
 	runtime.ReadMemStats(&after)
 	perEvent := float64(after.Mallocs-before.Mallocs) / events
+	budget := 7 + raceAllocAllowance
 	t.Logf("%.1f allocs/event", perEvent)
-	if perEvent > 8 {
-		t.Errorf("%.1f allocs/event, budget 8", perEvent)
+	if perEvent > budget {
+		t.Errorf("%.1f allocs/event, budget %.1f", perEvent, budget)
 	}
 }
+
+// raceAllocAllowance is what the race detector adds to TestSimAllocBudget's
+// count; race_test.go sets it in race builds.
+var raceAllocAllowance float64
