@@ -258,11 +258,11 @@ func main() {
 		rpt.Load.LaunchP50MS, rpt.Load.LaunchP99MS, rpt.Load.MigrateP99MS,
 		rpt.Load.HeartbeatsOK, rpt.Load.HeartbeatsFail)
 	if view != nil {
-		log.Printf("deflload: invariants: %d shards swept, %d nodes, %d VMs placed, lost regs=%d, lost VMs=%d, double-owned=%d, failure preemptions=%d, balloon-on-container=%d, split-brain acked=%v",
+		log.Printf("deflload: invariants: %d shards swept, %d nodes, %d VMs placed, lost regs=%d, lost VMs=%d, double-owned=%d, failure preemptions=%d, split-brain acked=%v",
 			rpt.Invariants.ShardsSwept, rpt.Invariants.NodesRegistered, rpt.Invariants.PlacedVMs,
 			len(rpt.Invariants.LostRegistrations), len(rpt.Invariants.LostVMNames),
 			len(rpt.Invariants.DoubleOwnedNodes), rpt.Invariants.FailurePreemptions,
-			len(rpt.Invariants.BalloonOnContainer), rpt.SplitBrainAcked)
+			rpt.SplitBrainAcked)
 	}
 
 	if *jsonOut != "" {

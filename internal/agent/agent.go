@@ -193,26 +193,35 @@ func (a *RemoteApp) Name() string {
 	return st.Name
 }
 
-// Status fetches (and caches) the remote application's status.
+// Status fetches (and caches) the remote application's status. When the
+// fetch fails — the agent is unreachable, answers other than 200, or sends a
+// body that does not decode — it returns the last status it saw, if any.
 func (a *RemoteApp) Status() (StatusResponse, error) {
-	resp, err := a.client.Get(a.baseURL + "/status")
+	st, err := a.fetchStatus()
+	a.mu.Lock()
+	defer a.mu.Unlock()
 	if err != nil {
-		a.mu.Lock()
-		defer a.mu.Unlock()
 		if a.haveStatus {
 			return a.lastStatus, nil
 		}
 		return StatusResponse{}, err
 	}
-	defer resp.Body.Close()
-	var st StatusResponse
-	if err := json.NewDecoder(resp.Body).Decode(&st); err != nil {
-		return StatusResponse{}, err
-	}
-	a.mu.Lock()
 	a.lastStatus, a.haveStatus = st, true
-	a.mu.Unlock()
 	return st, nil
+}
+
+func (a *RemoteApp) fetchStatus() (StatusResponse, error) {
+	var st StatusResponse
+	resp, err := a.client.Get(a.baseURL + "/status")
+	if err != nil {
+		return st, err
+	}
+	defer resp.Body.Close()
+	if resp.StatusCode != http.StatusOK {
+		return st, fmt.Errorf("agent: status: %s", resp.Status)
+	}
+	err = json.NewDecoder(resp.Body).Decode(&st)
+	return st, err
 }
 
 // Footprint implements vm.Application from the agent's status endpoint.

@@ -1,7 +1,9 @@
 package agent
 
 import (
+	"net/http"
 	"net/http/httptest"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -92,6 +94,35 @@ func TestRemoteAppFailureIsDecline(t *testing.T) {
 		t.Errorf("unreachable footprint = %g/%g", rss, cache)
 	}
 	remote.Reinflate(hypervisor.Env{}) // must not panic
+}
+
+// TestFailedStatusKeepsCachedFootprint: once the agent has answered
+// /status, a later 500 or an undecodable body must not read as an
+// application with no resident memory — level 2's safe-unplug bound
+// (vm.SyncFootprint) would then unplug memory the application holds.
+func TestFailedStatusKeepsCachedFootprint(t *testing.T) {
+	replies := []func(http.ResponseWriter){
+		func(w http.ResponseWriter) { writeJSON(w, StatusResponse{Name: "a", RSSMB: 3000, CacheMB: 200}) },
+		func(w http.ResponseWriter) { http.Error(w, "boom", http.StatusInternalServerError) },
+		func(w http.ResponseWriter) { w.Write([]byte("not json")) },
+	}
+	var calls atomic.Int32
+	srv := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		replies[min(int(calls.Add(1)), len(replies))-1](w)
+	}))
+	defer srv.Close()
+	remote, err := NewRemoteApp(srv.URL)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i := range replies {
+		if rss, cache := remote.Footprint(); rss != 3000 || cache != 200 {
+			t.Errorf("reply %d: footprint = %g/%g, want the cached 3000/200", i, rss, cache)
+		}
+	}
+	if n := calls.Load(); n != int32(len(replies)) {
+		t.Fatalf("agent saw %d status calls, want %d", n, len(replies))
+	}
 }
 
 func TestThroughputProxy(t *testing.T) {

@@ -246,3 +246,22 @@ func TestTTLExpiry(t *testing.T) {
 		t.Errorf("refreshed item = %q/%v", v, ok)
 	}
 }
+
+// BenchmarkStoreOps measures the real LRU store under zipfian load.
+func BenchmarkStoreOps(b *testing.B) {
+	s, err := NewStore(64 << 20)
+	if err != nil {
+		b.Fatal(err)
+	}
+	w, err := NewWorkload(50000, 512, 1.1, 1)
+	if err != nil {
+		b.Fatal(err)
+	}
+	if err := w.Warm(s); err != nil {
+		b.Fatal(err)
+	}
+	b.ResetTimer()
+	if _, err := w.Run(s, b.N); err != nil {
+		b.Fatal(err)
+	}
+}

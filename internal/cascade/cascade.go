@@ -141,33 +141,11 @@ type SLOPolicy interface {
 	ClampTarget(v *vm.VM, target restypes.Vector) restypes.Vector
 }
 
-// MemMechanism selects the guest-level memory reclamation mechanism.
-type MemMechanism int
-
-const (
-	// MemHotUnplug migrates free pages into contiguous zones and releases
-	// them — slower, but leaves the guest unfragmented (the default; the
-	// paper's choice, §3.2.2).
-	MemHotUnplug MemMechanism = iota
-	// MemBalloon pins scattered free pages via the balloon driver — much
-	// faster, but the fragmentation costs steady-state performance (§7).
-	MemBalloon
-)
-
-// String returns "hot-unplug" or "balloon".
-func (m MemMechanism) String() string {
-	if m == MemBalloon {
-		return "balloon"
-	}
-	return "hot-unplug"
-}
-
 // Controller orchestrates cascade deflation for individual VMs. This is the
 // per-server "local deflation controller" logic of §5 at single-VM
 // granularity; internal/cluster runs one per server.
 type Controller struct {
 	levels   Levels
-	memVia   MemMechanism
 	deadline time.Duration        // 0 = unbounded
 	faults   FaultHook            // nil = no injection
 	slo      SLOPolicy            // nil = every VM keeps the utility-curve cascade
@@ -179,10 +157,6 @@ func New(levels Levels) *Controller { return &Controller{levels: levels} }
 
 // Levels returns the controller's enabled levels.
 func (c *Controller) Levels() Levels { return c.levels }
-
-// SetMemMechanism selects hot-unplug (default) or ballooning for the
-// OS-level memory step.
-func (c *Controller) SetMemMechanism(m MemMechanism) { c.memVia = m }
 
 // SetDeadline bounds each deflation operation (§5: "deflation operations
 // have a deadline... if a deflation operation times out, we proceed to the
@@ -285,7 +259,7 @@ func (c *Controller) deflate(v *vm.VM, target restypes.Vector) (Report, error) {
 	// set, the unplug is further bounded by what the remaining time budget
 	// allows — the hypervisor backstop takes the rest. Only guest-backed
 	// instances have this level at all: a container has no guest kernel,
-	// no vCPUs to unplug and no balloon, so the whole target falls through
+	// no vCPUs and no memory to unplug, so the whole target falls through
 	// to the substrate resize.
 	if g := v.Guest(); c.levels.OS && g != nil {
 		osTarget := target
@@ -304,7 +278,7 @@ func (c *Controller) deflate(v *vm.VM, target restypes.Vector) (Report, error) {
 				// level entirely — failed, not just slow.
 				osTarget = restypes.Vector{}
 				r.DeadlineExceeded = true
-			} else if c.memVia == MemHotUnplug {
+			} else {
 				budgetMB := remaining.Seconds() * g.Config().PageMigrateMBps
 				if osTarget.MemoryMB > budgetMB {
 					osTarget.MemoryMB = budgetMB
@@ -385,12 +359,9 @@ func (c *Controller) osReclaim(g *guestos.GuestOS, v *vm.VM, target restypes.Vec
 	if target.MemoryMB > 0 {
 		var freed float64
 		var lat time.Duration
-		switch {
-		case force:
+		if force {
 			freed, lat = g.ForceUnplugMemory(target.MemoryMB)
-		case c.memVia == MemBalloon:
-			freed, lat = g.InflateBalloon(target.MemoryMB)
-		default:
+		} else {
 			freed, lat = g.UnplugMemory(target.MemoryMB)
 		}
 		rep.Reclaimed.MemoryMB = freed
@@ -441,13 +412,7 @@ func (c *Controller) reinflate(v *vm.VM, amount restypes.Vector) (Report, error)
 			rep.Reclaimed.CPU = float64(n)
 			rep.Latency += lat
 		}
-		// Release ballooned memory first (it is instantly usable), then
-		// re-plug hot-unplugged memory.
-		if g.BalloonMB() > 0 {
-			mb, lat := g.DeflateBalloon(amount.MemoryMB)
-			rep.Reclaimed.MemoryMB += mb
-			rep.Latency += lat
-		}
+		// Re-plug hot-unplugged memory up to the physical allocation.
 		if wantMem := v.Allocation().MemoryMB - g.MemoryMB(); wantMem > 0 {
 			mb, lat := g.PlugMemory(wantMem)
 			rep.Reclaimed.MemoryMB += mb

@@ -378,3 +378,30 @@ func TestReinflatePreempted(t *testing.T) {
 		t.Errorf("err = %v, want ErrPreempted", err)
 	}
 }
+
+// BenchmarkCascadeDeflate measures one full cascade deflation round trip.
+func BenchmarkCascadeDeflate(b *testing.B) {
+	h, err := hypervisor.NewHost(hypervisor.Config{Name: "h", Capacity: restypes.V(64, 262144, 4000, 4000)})
+	if err != nil {
+		b.Fatal(err)
+	}
+	dom, err := h.CreateDomain("v", restypes.V(4, 16384, 100, 100), guestos.Config{})
+	if err != nil {
+		b.Fatal(err)
+	}
+	v, err := vm.New(dom, apptest.NewElastic("a", 8000, 2000), vm.Config{})
+	if err != nil {
+		b.Fatal(err)
+	}
+	c := New(AllLevels())
+	target := restypes.V(2, 8192, 50, 50)
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if _, err := c.Deflate(v, target); err != nil {
+			b.Fatal(err)
+		}
+		if _, err := c.Reinflate(v, target); err != nil {
+			b.Fatal(err)
+		}
+	}
+}

@@ -77,24 +77,3 @@ func TestDeadlineConsumedByApplication(t *testing.T) {
 		t.Errorf("allocation = %v, target missed", v.Allocation())
 	}
 }
-
-func TestDeadlineIrrelevantForBalloon(t *testing.T) {
-	// Ballooning is fast; a tight deadline still completes at the OS level.
-	app := apptest.New("idle")
-	app.RSSMB = 2000
-	v := newVM(t, app, vm.Config{})
-	v.Domain().MarkWarm()
-	c := New(VMLevel())
-	c.SetMemMechanism(MemBalloon)
-	c.SetDeadline(2 * time.Second)
-	r, err := c.Deflate(v, restypes.V(0, 8192, 0, 0))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if r.OS.Reclaimed.MemoryMB != 8192 {
-		t.Errorf("balloon reclaimed %g under deadline, want full 8192", r.OS.Reclaimed.MemoryMB)
-	}
-	if r.TotalLatency > 2*time.Second {
-		t.Errorf("latency %v exceeds deadline", r.TotalLatency)
-	}
-}

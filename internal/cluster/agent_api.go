@@ -53,10 +53,6 @@ type VMState struct {
 	// Substrate is the VM's backend kind (empty = hypervisor, for wire
 	// compatibility with pre-substrate nodes).
 	Substrate string `json:"substrate,omitempty"`
-	// BalloonMB is the guest balloon size. Structurally zero for container
-	// VMs — there is no balloon driver behind them; the deflload invariant
-	// sweep asserts exactly that.
-	BalloonMB float64 `json:"balloon_mb,omitempty"`
 }
 
 // CapacitySummary is everything the manager's placement needs to know about

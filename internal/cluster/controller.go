@@ -86,41 +86,14 @@ type LaunchReport struct {
 	ReclaimLatency time.Duration `json:"reclaim_latency,omitempty"`
 }
 
-// SplitPolicy selects how a reclamation demand is divided among a server's
-// low-priority VMs. The paper's system uses the proportional policy (§5);
-// the alternatives exist for the ablation benchmarks.
-type SplitPolicy int
-
-const (
-	// SplitProportional deflates every low-priority VM proportionally to
-	// its deflatable resources (the paper's x_i ∝ M_i − m_i).
-	SplitProportional SplitPolicy = iota
-	// SplitEqual asks every low-priority VM for an equal share.
-	SplitEqual
-	// SplitLargestFirst drains the most-deflatable VM first.
-	SplitLargestFirst
-)
-
-// String names the policy.
-func (p SplitPolicy) String() string {
-	switch p {
-	case SplitEqual:
-		return "equal"
-	case SplitLargestFirst:
-		return "largest-first"
-	}
-	return "proportional"
-}
-
 // LocalController is the per-server deflation controller (Fig. 2): it
 // tracks the server's VMs, executes proportional cascade deflation to make
 // room, and reinflates VMs when resources free up.
 type LocalController struct {
-	host  substrate.Substrate
-	casc  *cascade.Controller
-	mode  Mode
-	split SplitPolicy
-	vms   substrate.Table[*vm.VM] // name-ordered; VMs() is its live view
+	host substrate.Substrate
+	casc *cascade.Controller
+	mode Mode
+	vms  substrate.Table[*vm.VM] // name-ordered; VMs() is its live view
 
 	// streams tracks active migration link-bandwidth reservations (see
 	// ReserveStream in migrate.go). Nil until the first reservation.
@@ -195,10 +168,6 @@ func (c *LocalController) WatchCapacity(fn func()) (unwatch func()) {
 	return c.watchers.add(fn)
 }
 
-// SetSplitPolicy changes how deflation demand is divided among VMs
-// (default SplitProportional).
-func (c *LocalController) SetSplitPolicy(p SplitPolicy) { c.split = p }
-
 // NewLocalController wraps a substrate host — the simulated hypervisor
 // (internal/hypervisor) or the container runtime (internal/simcg). The
 // cascade levels configure which reclamation levels the server uses
@@ -257,7 +226,7 @@ func (c *LocalController) Inventory() ([]VMState, error) {
 	vms := c.VMs()
 	out := make([]VMState, 0, len(vms))
 	for _, v := range vms {
-		st := VMState{
+		out = append(out, VMState{
 			Name:       v.Name(),
 			Priority:   v.Priority().String(),
 			Size:       v.Size(),
@@ -266,14 +235,7 @@ func (c *LocalController) Inventory() ([]VMState, error) {
 			Throughput: v.Throughput(),
 			App:        v.App().Name(),
 			Substrate:  string(v.Substrate()),
-		}
-		// Balloon telemetry exists only behind the guest OS; a container
-		// VM must never report any (the deflload invariant sweep asserts
-		// this).
-		if g := v.Guest(); g != nil {
-			st.BalloonMB = g.BalloonMB()
-		}
-		out = append(out, st)
+		})
 	}
 	return out, nil
 }
@@ -446,7 +408,8 @@ func (c *LocalController) Reclaim(ensureFree restypes.Vector, allowPreempt bool)
 }
 
 // proportionalDeflate divides the reclamation demand among low-priority
-// VMs per the split policy and executes cascade deflation, stopping early
+// VMs in proportion to their deflatable resources (the paper's
+// x_i ∝ M_i − m_i, §5) and executes cascade deflation, stopping early
 // once free capacity covers the requirement. Any residual demand (clamping,
 // rounding) is drained largest-first. Each pass reads each VM's
 // Deflatable() once: deflating one VM never changes another's.
@@ -457,34 +420,19 @@ func (c *LocalController) proportionalDeflate(ensureFree restypes.Vector, rep *L
 		return nil
 	}
 
-	switch c.split {
-	case SplitEqual:
-		share := need.Scale(1 / float64(len(plan)))
-		for _, p := range plan {
-			if ensureFree.Fits(c.Free()) {
-				return nil
-			}
-			if err := c.deflateOne(p.v, share.Min(p.room), rep); err != nil {
-				return err
-			}
+	ratio := need.FractionOf(pool).Min(restypes.Uniform(1))
+	for _, p := range plan {
+		if ensureFree.Fits(c.Free()) {
+			return nil
 		}
-	case SplitLargestFirst:
-		// handled by the drain pass below
-	default: // SplitProportional
-		ratio := need.FractionOf(pool).Min(restypes.Uniform(1))
-		for _, p := range plan {
-			if ensureFree.Fits(c.Free()) {
-				return nil
-			}
-			target := p.room.Mul(ratio).Min(p.room).ClampNonNegative()
-			if err := c.deflateOne(p.v, target, rep); err != nil {
-				return err
-			}
+		target := p.room.Mul(ratio).Min(p.room).ClampNonNegative()
+		if err := c.deflateOne(p.v, target, rep); err != nil {
+			return err
 		}
 	}
 
-	// Drain pass (the whole algorithm for SplitLargestFirst): take the
-	// remaining demand from the most-deflatable VMs first.
+	// Drain pass: take the remaining demand from the most-deflatable VMs
+	// first.
 	if ensureFree.Sub(c.Free()).ClampNonNegative().IsZero() {
 		return nil
 	}

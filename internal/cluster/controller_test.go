@@ -326,35 +326,19 @@ func (c *refController) proportionalDeflate(ensureFree restypes.Vector, rep *Lau
 		return nil
 	}
 
-	switch c.split {
-	case SplitEqual:
-		share := need.Scale(1 / float64(len(lows)))
-		for _, v := range lows {
-			if ensureFree.Fits(c.Free()) {
-				return nil
-			}
-			if err := c.deflateOne(v, share.Min(v.Deflatable()), rep); err != nil {
-				return err
-			}
+	ratio := need.FractionOf(c.Deflatable()).Min(restypes.Uniform(1))
+	for _, v := range lows {
+		if ensureFree.Fits(c.Free()) {
+			return nil
 		}
-	case SplitLargestFirst:
-		// handled by the drain pass below
-	default: // SplitProportional
-		pool := c.Deflatable()
-		ratio := need.FractionOf(pool).Min(restypes.Uniform(1))
-		for _, v := range lows {
-			if ensureFree.Fits(c.Free()) {
-				return nil
-			}
-			target := v.Deflatable().Mul(ratio).Min(v.Deflatable()).ClampNonNegative()
-			if err := c.deflateOne(v, target, rep); err != nil {
-				return err
-			}
+		target := v.Deflatable().Mul(ratio).Min(v.Deflatable()).ClampNonNegative()
+		if err := c.deflateOne(v, target, rep); err != nil {
+			return err
 		}
 	}
 
-	// Drain pass (the whole algorithm for SplitLargestFirst): take the
-	// remaining demand from the most-deflatable VMs first.
+	// Drain pass: take the remaining demand from the most-deflatable VMs
+	// first.
 	sort.Slice(lows, func(i, j int) bool {
 		return lows[i].Deflatable().Norm() > lows[j].Deflatable().Norm()
 	})
@@ -491,21 +475,16 @@ func TestReclaimMatchesPerVMReference(t *testing.T) {
 	sizes := []restypes.Vector{restypes.V(2, 8192, 50, 50), restypes.V(4, 16384, 100, 100)}
 	floors := []float64{0.1, 0.25, 0.5}
 	cases := []struct {
-		kind  substrate.Kind
-		split SplitPolicy
-		slo   bool
+		kind substrate.Kind
+		slo  bool
 	}{
-		{substrate.KindHypervisor, SplitProportional, false},
-		{substrate.KindHypervisor, SplitEqual, false},
-		{substrate.KindHypervisor, SplitLargestFirst, false},
-		{substrate.KindContainer, SplitProportional, false},
-		{substrate.KindContainer, SplitEqual, false},
-		{substrate.KindContainer, SplitLargestFirst, false},
-		{substrate.KindHypervisor, SplitProportional, true},
+		{substrate.KindHypervisor, false},
+		{substrate.KindContainer, false},
+		{substrate.KindHypervisor, true},
 	}
 	for _, tc := range cases {
 		for seed := int64(1); seed <= 3; seed++ {
-			t.Run(fmt.Sprintf("%s/%s/slo=%v/seed%d", tc.kind, tc.split, tc.slo, seed), func(t *testing.T) {
+			t.Run(fmt.Sprintf("%s/proportional/slo=%v/seed%d", tc.kind, tc.slo, seed), func(t *testing.T) {
 				var twins [2]*LocalController
 				for i := range twins {
 					var h substrate.Substrate
@@ -519,7 +498,6 @@ func TestReclaimMatchesPerVMReference(t *testing.T) {
 						t.Fatal(err)
 					}
 					twins[i] = NewLocalController(h, cascade.AllLevels(), ModeDeflation)
-					twins[i].SetSplitPolicy(tc.split)
 					if tc.slo {
 						twins[i].Cascade().SetSLOPolicy(halveEvenNames{})
 					}

@@ -175,11 +175,6 @@ type Manager struct {
 	// manager died, pending resolution against the destination's inventory.
 	recoveryMigrations map[string]MigrationIntent
 
-	// freeOnlyFitness scores placements against free capacity instead of
-	// free+deflatable availability — the ablation of §5's Eq. 4 fitness.
-	// Feasibility is unchanged.
-	freeOnlyFitness bool
-
 	// Migration state (see migrate.go). reclaim selects the reclamation
 	// fallback for high-priority placements; its zero value (ReclaimPreempt)
 	// takes exactly the pre-migration code path. inflight tracks migrations
@@ -221,10 +216,6 @@ type Manager struct {
 	pidx    *placementIndex
 	queried queryHook
 }
-
-// SetFreeOnlyFitness toggles the fitness ablation: score servers by free
-// capacity only, ignoring deflatable resources.
-func (m *Manager) SetFreeOnlyFitness(on bool) { m.freeOnlyFitness = on }
 
 // NewManager builds a manager over servers. Seed drives the 2-choices
 // sampling (and nothing else), keeping runs reproducible. An empty fleet
@@ -575,12 +566,8 @@ func placementVector(c *CapacitySummary) restypes.Vector {
 }
 
 // fitness is §5's placement score: the cosine similarity between the VM's
-// demand vector and the server's availability vector — or its free vector
-// alone under the freeOnly ablation (Manager.SetFreeOnlyFitness).
-func fitness(c *CapacitySummary, size restypes.Vector, freeOnly bool) float64 {
-	if freeOnly {
-		return size.CosineSimilarity(c.Free)
-	}
+// demand vector and the server's availability vector (Eq. 4).
+func fitness(c *CapacitySummary, size restypes.Vector) float64 {
 	return size.CosineSimilarity(placementVector(c))
 }
 
@@ -706,7 +693,7 @@ func (m *Manager) pickServer(spec LaunchSpec) int {
 		fb := m.alive(b) && kb && feasible(&cb, spec.Size, spec.Substrate)
 		switch {
 		case fa && fb:
-			if fitness(&ca, spec.Size, m.freeOnlyFitness) >= fitness(&cb, spec.Size, m.freeOnlyFitness) {
+			if fitness(&ca, spec.Size) >= fitness(&cb, spec.Size) {
 				return a
 			}
 			return b

@@ -18,7 +18,7 @@ import (
 //     value differs, so one tree kind serves all four. Leaf i holds server
 //     i's value, with -1 (which no candidate equals) for "not a candidate":
 //
-//     best-fit    -1 if !feasible, else fitness(c, size, freeOnly)
+//     best-fit    -1 if !feasible, else fitness(c, size)
 //     worst-fit   -1 if !feasible, else c.Free.Norm()
 //     first-fit   -1 if !feasible, else 0 (earliest on ties is first-fit)
 //     preempt     -1 if !preemptFeasible, else c.PreemptableCeiling.Norm()
@@ -40,10 +40,9 @@ import (
 //     equal-valued, lower-indexed alive leaf on the left is seen. A subtree
 //     is therefore skipped only when its value is below the current
 //     winner's, or equal AND none of its leaves precedes the winner.
-//   - A tree is keyed by (leaf kind, spec.Size, spec.Substrate), plus the
-//     manager's freeOnlyFitness for best-fit; the preempt tree serves
-//     high-priority specs only (query answers -1 for the rest). Demands come
-//     from an instance catalogue (a handful of
+//   - A tree is keyed by (leaf kind, spec.Size, spec.Substrate); the
+//     preempt tree serves high-priority specs only (query answers -1 for
+//     the rest). Demands come from an instance catalogue (a handful of
 //     VM sizes), so the trees are a fixed set of pidxDemandTrees, least
 //     recently used evicted. A miss fills one tree from all n servers into
 //     the evicted tree's array; a hit costs the descent alone.
@@ -72,7 +71,6 @@ type demandTree struct {
 	kind      leafKind
 	size      restypes.Vector
 	substrate string
-	freeOnly  bool
 	val       []float64
 	lastUsed  uint64 // placementIndex.clock at the latest query
 }
@@ -94,7 +92,7 @@ func (t *demandTree) leaf(c *CapacitySummary, known bool) float64 {
 	}
 	switch t.kind {
 	case leafBestFit:
-		return fitness(c, t.size, t.freeOnly)
+		return fitness(c, t.size)
 	case leafWorstFit:
 		return c.Free.Norm()
 	}
@@ -217,15 +215,15 @@ func (x *placementIndex) setKnown(i int, known bool) {
 	}
 }
 
-// demand returns the tree for (kind, spec's demand, freeOnly), current as of
-// the last flush. On a miss it fills the least recently used tree (or a new
-// one, below pidxDemandTrees) from every server.
-func (x *placementIndex) demand(kind leafKind, spec LaunchSpec, freeOnly bool) *demandTree {
+// demand returns the tree for (kind, spec's demand), current as of the last
+// flush. On a miss it fills the least recently used tree (or a new one,
+// below pidxDemandTrees) from every server.
+func (x *placementIndex) demand(kind leafKind, spec LaunchSpec) *demandTree {
 	x.clock++
 	lru := 0
 	for k := range x.demands {
 		t := &x.demands[k]
-		if t.kind == kind && t.size == spec.Size && t.substrate == spec.Substrate && t.freeOnly == freeOnly {
+		if t.kind == kind && t.size == spec.Size && t.substrate == spec.Substrate {
 			t.lastUsed = x.clock
 			return t
 		}
@@ -238,7 +236,7 @@ func (x *placementIndex) demand(kind leafKind, spec LaunchSpec, freeOnly bool) *
 		x.demands = append(x.demands, demandTree{val: make([]float64, 2*x.p)})
 	}
 	t := &x.demands[lru]
-	t.kind, t.size, t.substrate, t.freeOnly = kind, spec.Size, spec.Substrate, freeOnly
+	t.kind, t.size, t.substrate = kind, spec.Size, spec.Substrate
 	t.lastUsed = x.clock
 	for i, s := range x.servers {
 		sum, known := s.Capacity()
@@ -290,8 +288,7 @@ func (x *placementIndex) query(kind leafKind, spec LaunchSpec) int {
 		return -1 // preemptFeasible is false everywhere
 	}
 	x.flush()
-	freeOnly := kind == leafBestFit && x.m.freeOnlyFitness
-	q := treeQuery{x: x, val: x.demand(kind, spec, freeOnly).val, best: -1, bestVal: -1}
+	q := treeQuery{x: x, val: x.demand(kind, spec).val, best: -1, bestVal: -1}
 	q.walk(1, 0, x.p)
 	if x.m.queried != nil {
 		x.m.queried(x.m, kind, spec, q.best)

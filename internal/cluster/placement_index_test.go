@@ -50,7 +50,7 @@ func scanBestFit(m *Manager, spec LaunchSpec) int {
 		if !ok || !feasible(c, spec.Size, spec.Substrate) {
 			continue
 		}
-		if f := fitness(c, spec.Size, m.freeOnlyFitness); f > bestFitness {
+		if f := fitness(c, spec.Size); f > bestFitness {
 			best, bestFitness = i, f
 		}
 	}
@@ -295,21 +295,6 @@ func TestPlacementIndexScanEquivalence(t *testing.T) {
 	}
 }
 
-// TestPlacementIndexFreeOnlyFitnessEquivalence covers the fitness-ablation
-// path (demand trees whose leaves score free capacity).
-func TestPlacementIndexFreeOnlyFitnessEquivalence(t *testing.T) {
-	f := newCheckedFleet(t, 9, BestFit, 7)
-	f.m.SetFreeOnlyFitness(true)
-	for i := 0; i < 120; i++ {
-		size := restypes.V(float64(1+i%6), float64(2048+512*(i%9)), 20, 20)
-		f.launch(LaunchSpec{Name: fmt.Sprintf("vm-%d", i), Size: size, MinSize: size.Scale(0.2),
-			AppKind: "elastic"})
-	}
-	if f.check.n < 120 {
-		t.Fatalf("%d queries checked for 120 launches", f.check.n)
-	}
-}
-
 // TestPlacementIndexTieBreakPastNonAliveLeaves: a tree's values know nothing
 // of m.alive, so a dead or barred server that outscores the rest sends the
 // descent right, and the first winner it finds there ties every other server
@@ -331,7 +316,7 @@ func TestPlacementIndexTieBreakPastNonAliveLeaves(t *testing.T) {
 	}{
 		// Best-fit: the one server with a hog fits the demand best.
 		{leafBestFit, func(i, hi int) bool { return i == hi },
-			func(c *CapacitySummary) float64 { return fitness(c, demand.Size, false) }},
+			func(c *CapacitySummary) float64 { return fitness(c, demand.Size) }},
 		// Worst-fit and the preemption fallback: the one server without a
 		// hog has the most free room and the largest preemptable ceiling.
 		{leafWorstFit, func(i, hi int) bool { return i != hi },
@@ -385,7 +370,7 @@ func TestPlacementIndexTieBreakPastNonAliveLeaves(t *testing.T) {
 // TestPlacementIndexDemandTreeEviction cycles through more distinct demands
 // than the index keeps trees for, so trees are evicted, refilled into reused
 // arrays and refreshed by flush in between, under launches, releases,
-// crashes and recoveries, with the fitness ablation flipped mid-run. Every
+// crashes and recoveries. Every
 // fifth launch is high-priority on a fleet full enough that the preemption
 // fallback runs, so a preempt tree and a policy tree for the same demand are
 // held side by side and compete for the same slots. Every query must match
@@ -393,10 +378,9 @@ func TestPlacementIndexTieBreakPastNonAliveLeaves(t *testing.T) {
 func TestPlacementIndexDemandTreeEviction(t *testing.T) {
 	const n = 13
 	type treeKey struct {
-		kind     leafKind
-		size     restypes.Vector
-		sub      string
-		freeOnly bool
+		kind leafKind
+		size restypes.Vector
+		sub  string
 	}
 	for _, policy := range []PlacementPolicy{BestFit, FirstFit, WorstFit} {
 		t.Run(policy.String(), func(t *testing.T) {
@@ -406,9 +390,6 @@ func TestPlacementIndexDemandTreeEviction(t *testing.T) {
 			held := map[treeKey]bool{}
 			var sideBySide, preemptEvicted bool
 			for i := 0; i < 600; i++ {
-				if i == 300 {
-					f.m.SetFreeOnlyFitness(true)
-				}
 				// 11 sizes x 3 substrates, walked with strides coprime to both, so
 				// a demand recurs only after the trees holding it are long evicted
 				// — except every fourth launch, which repeats one hot demand.
@@ -446,7 +427,7 @@ func TestPlacementIndexDemandTreeEviction(t *testing.T) {
 				}
 				now := map[treeKey]bool{}
 				for _, tr := range trees {
-					now[treeKey{tr.kind, tr.size, tr.substrate, tr.freeOnly}] = true
+					now[treeKey{tr.kind, tr.size, tr.substrate}] = true
 				}
 				for key := range held {
 					preemptEvicted = preemptEvicted || key.kind == leafPreempt && !now[key]

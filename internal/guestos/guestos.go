@@ -38,16 +38,6 @@ type Config struct {
 	// CPUHotplugLatency is the per-vCPU hot(un)plug latency (default 100ms).
 	CPUHotplugLatency time.Duration
 
-	// BalloonMBps is the balloon driver's page-grab rate (default
-	// 8000 MB/s — ballooning pins scattered free pages without migrating
-	// them, so it is far faster than hot-unplug).
-	BalloonMBps float64
-	// BalloonFragPenalty scales the performance cost of the memory
-	// fragmentation ballooning leaves behind (default 0.10: a fully
-	// ballooned guest loses ~10% throughput to allocation stalls and
-	// compaction — the reason the paper prefers hotplug, §7).
-	BalloonFragPenalty float64
-
 	// WriteIntensity is the fraction of the application's resident set the
 	// workload re-dirties per second (default 0.02: a 16 GB RSS redirties
 	// ~330 MB/s). It drives the dirty-page rate that pre-copy live
@@ -69,12 +59,6 @@ func (c Config) withDefaults() Config {
 	if c.CPUHotplugLatency == 0 {
 		c.CPUHotplugLatency = 100 * time.Millisecond
 	}
-	if c.BalloonMBps == 0 {
-		c.BalloonMBps = 8000
-	}
-	if c.BalloonFragPenalty == 0 {
-		c.BalloonFragPenalty = 0.10
-	}
 	if c.WriteIntensity == 0 {
 		c.WriteIntensity = 0.02
 	}
@@ -92,7 +76,6 @@ type GuestOS struct {
 
 	appRSSMB    float64 // application resident set
 	pageCacheMB float64 // droppable page cache
-	balloonMB   float64 // pages pinned by the balloon driver
 
 	oomKilled bool
 }
@@ -167,63 +150,14 @@ func (g *GuestOS) checkOOM() {
 	}
 }
 
-// FreeMemMB returns memory neither used by the kernel, the application, the
-// page cache, nor pinned by the balloon.
+// FreeMemMB returns memory used neither by the kernel, the application nor
+// the page cache.
 func (g *GuestOS) FreeMemMB() float64 {
-	free := g.memMB - g.cfg.KernelMemMB - g.appRSSMB - g.pageCacheMB - g.balloonMB
+	free := g.memMB - g.cfg.KernelMemMB - g.appRSSMB - g.pageCacheMB
 	if free < 0 {
 		return 0
 	}
 	return free
-}
-
-// BalloonMB returns the memory currently pinned by the balloon driver.
-func (g *GuestOS) BalloonMB() float64 { return g.balloonMB }
-
-// InflateBalloon pins up to mb of guest memory (free pages first, then
-// droppable page cache) so the hypervisor can reclaim the backing frames.
-// Unlike hot-unplug, ballooning grabs scattered pages without migration —
-// fast, but it fragments the guest's memory (see FragmentationPenalty). It
-// returns the amount actually pinned and the operation latency.
-func (g *GuestOS) InflateBalloon(mb float64) (pinnedMB float64, latency time.Duration) {
-	if mb <= 0 {
-		return 0, 0
-	}
-	if max := g.FreeMemMB() + g.pageCacheMB; mb > max {
-		mb = max
-	}
-	// Consume free pages first, dropping cache for the remainder.
-	if overflow := mb - g.FreeMemMB(); overflow > 0 {
-		g.pageCacheMB -= overflow
-		if g.pageCacheMB < 0 {
-			g.pageCacheMB = 0
-		}
-	}
-	g.balloonMB += mb
-	return mb, time.Duration(mb / g.cfg.BalloonMBps * float64(time.Second))
-}
-
-// DeflateBalloon releases up to mb of ballooned memory back to the guest.
-func (g *GuestOS) DeflateBalloon(mb float64) (releasedMB float64, latency time.Duration) {
-	if mb <= 0 {
-		return 0, 0
-	}
-	if mb > g.balloonMB {
-		mb = g.balloonMB
-	}
-	g.balloonMB -= mb
-	return mb, time.Duration(mb / g.cfg.BalloonMBps * float64(time.Second))
-}
-
-// FragmentationPenalty returns the multiplicative throughput factor (≤1)
-// the guest suffers from balloon-induced fragmentation: the balloon's
-// scattered pinned pages force allocation stalls and compaction in
-// proportion to the ballooned share of memory.
-func (g *GuestOS) FragmentationPenalty() float64 {
-	if g.balloonMB <= 0 || g.memMB <= 0 {
-		return 1
-	}
-	return 1 / (1 + g.cfg.BalloonFragPenalty*g.balloonMB/g.memMB)
 }
 
 // SafelyUnpluggableMB returns how much memory a best-effort unplug could
@@ -346,7 +280,6 @@ type Snapshot struct {
 	MemoryMB    float64 `json:"memory_mb"`
 	AppRSSMB    float64 `json:"app_rss_mb"`
 	PageCacheMB float64 `json:"page_cache_mb"`
-	BalloonMB   float64 `json:"balloon_mb"`
 }
 
 // Snapshot captures the guest's current plugged resources and footprint.
@@ -357,7 +290,6 @@ func (g *GuestOS) Snapshot() Snapshot {
 		MemoryMB:    g.memMB,
 		AppRSSMB:    g.appRSSMB,
 		PageCacheMB: g.pageCacheMB,
-		BalloonMB:   g.balloonMB,
 	}
 }
 
@@ -377,7 +309,7 @@ func Restore(s Snapshot) (GuestOS, error) {
 		return GuestOS{}, fmt.Errorf("guestos: snapshot memory %gMB out of range (%gMB,%gMB]",
 			s.MemoryMB, g.cfg.KernelMemMB, g.cfg.MemoryMB)
 	}
-	if s.AppRSSMB < 0 || s.PageCacheMB < 0 || s.BalloonMB < 0 {
+	if s.AppRSSMB < 0 || s.PageCacheMB < 0 {
 		return GuestOS{}, fmt.Errorf("guestos: snapshot has negative footprint")
 	}
 	if s.AppRSSMB+g.cfg.KernelMemMB > s.MemoryMB {
@@ -386,7 +318,6 @@ func Restore(s Snapshot) (GuestOS, error) {
 	}
 	g.cpus = s.CPUs
 	g.memMB = s.MemoryMB
-	g.balloonMB = s.BalloonMB
 	g.SetAppFootprint(s.AppRSSMB, s.PageCacheMB)
 	return g, nil
 }

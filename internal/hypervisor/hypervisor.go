@@ -328,9 +328,9 @@ func (d *Domain) MarkWarm() { d.everTouchedMB = d.guest.MemoryMB() }
 
 // refreshEverTouched reconciles the high-water mark with the guest's
 // current state: it can only grow through current footprint growth, and it
-// shrinks when hot-unplug or balloon inflation physically releases frames.
+// shrinks when hot-unplug physically releases frames.
 func (d *Domain) refreshEverTouched() float64 {
-	if mem := d.guest.MemoryMB() - d.guest.BalloonMB(); d.everTouchedMB > mem {
+	if mem := d.guest.MemoryMB(); d.everTouchedMB > mem {
 		d.everTouchedMB = mem
 	}
 	if t := d.touchedMB(); d.everTouchedMB < t {
@@ -423,9 +423,6 @@ func (d *Domain) Env() Env {
 	if float64(vcpus) > phys && phys > 0 {
 		eff = phys * perfmodel.LockHolderPenalty(float64(vcpus)/phys)
 	}
-	// Balloon-induced fragmentation costs CPU (allocation stalls,
-	// compaction) in proportion to the ballooned share of memory.
-	eff *= d.guest.FragmentationPenalty()
 	touched := d.refreshEverTouched()
 	resident := minf(d.alloc.MemoryMB, touched)
 	swapped := touched - resident

@@ -172,9 +172,6 @@ func (g *Generator) PeakRPS() float64 {
 	}
 }
 
-// Tick returns the index of the next tick Next will generate.
-func (g *Generator) Tick() int { return g.tick }
-
 // TickSeconds returns the configured interval length.
 func (g *Generator) TickSeconds() float64 { return g.cfg.TickSeconds }
 

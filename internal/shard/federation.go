@@ -293,22 +293,6 @@ func (fed *Federation) GossipAll(ctx context.Context) {
 	}
 }
 
-// ProbeAll runs one failure-detector round on every live shard's managers
-// (own and adopted are probed through the same API).
-func (fed *Federation) ProbeAll() {
-	fed.mu.Lock()
-	var live []*ManagerShard
-	for _, id := range fed.order {
-		if s := fed.shards[id]; s.alive {
-			live = append(live, s)
-		}
-	}
-	fed.mu.Unlock()
-	for _, s := range live {
-		s.API.ProbeHealth()
-	}
-}
-
 // View returns a live shard's current map view (the first in boot order).
 func (fed *Federation) View() *View {
 	fed.mu.Lock()

@@ -20,7 +20,6 @@ import (
 	"deflation/internal/hypervisor"
 	"deflation/internal/interactive"
 	"deflation/internal/restypes"
-	"deflation/internal/substrate"
 	"deflation/internal/telemetry"
 	"deflation/internal/vm"
 )
@@ -630,18 +629,12 @@ type InvariantReport struct {
 	FailurePreemptions int `json:"failure_preemptions"`
 	// LostVMs sums every shard's unreplaceable failure losses.
 	LostVMs int `json:"lost_vms"`
-	// BalloonOnContainer lists container-backed VMs reporting nonzero
-	// balloon telemetry — structurally impossible (cgroup instances have no
-	// guest kernel, so no balloon driver); any entry means a substrate was
-	// mislabeled somewhere between launch, journal, and recovery.
-	BalloonOnContainer []string `json:"balloon_on_container,omitempty"`
 }
 
 // Ok reports whether every invariant held.
 func (r InvariantReport) Ok() bool {
 	return len(r.LostRegistrations) == 0 && len(r.LostVMNames) == 0 &&
-		r.FailurePreemptions == 0 && r.LostVMs == 0 &&
-		len(r.BalloonOnContainer) == 0
+		r.FailurePreemptions == 0 && r.LostVMs == 0
 }
 
 // CheckInvariants aggregates every shard's registered fleet and placement
@@ -673,19 +666,11 @@ func (l *Load) CheckInvariants(ctx context.Context, v *View) (InvariantReport, e
 			nodesSeen[name]++
 		}
 		var cs cluster.ClusterState
-		if err := l.getJSON(ctx, base+"/v1/cluster?servers=true&shard="+sid, &cs); err != nil {
+		if err := l.getJSON(ctx, base+"/v1/cluster?shard="+sid, &cs); err != nil {
 			continue
 		}
 		rep.FailurePreemptions += cs.FailurePreemptions
 		rep.LostVMs += cs.LostVMs
-		for _, srv := range cs.Servers {
-			for _, v := range srv.VMs {
-				if v.Substrate == string(substrate.KindContainer) && v.BalloonMB > 0 {
-					rep.BalloonOnContainer = append(rep.BalloonOnContainer,
-						fmt.Sprintf("%s@%s", v.Name, srv.Name))
-				}
-			}
-		}
 		// Placements come from /v1/state — the journal-backed map, which is
 		// exactly what an ack promised to make durable.
 		var ms cluster.ManagerStateResponse
@@ -705,7 +690,6 @@ func (l *Load) CheckInvariants(ctx context.Context, v *View) (InvariantReport, e
 		}
 	}
 	sort.Strings(rep.DoubleOwnedNodes)
-	sort.Strings(rep.BalloonOnContainer)
 	for _, a := range l.agents {
 		if a.registered.Load() && nodesSeen[a.name] == 0 {
 			rep.LostRegistrations = append(rep.LostRegistrations, a.name)

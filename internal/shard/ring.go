@@ -153,27 +153,6 @@ func (r *Ring) Owner(key string) string {
 	return r.points[i].id
 }
 
-// Successor returns the live member that follows id clockwise on the
-// ring of member identities — the deterministic adopter-elect for a dead
-// shard. Every surviving manager computes the same answer from the same
-// Map, so adoption needs no election. Returns "" when id is the only
-// member or the ring is empty.
-func (r *Ring) Successor(id string) string {
-	if len(r.ids) == 0 {
-		return ""
-	}
-	i := sort.SearchStrings(r.ids, id)
-	if i == len(r.ids) || r.ids[i] != id {
-		// id is not a member: its successor is the owner of its hash,
-		// which is what a rebalance would compute.
-		return r.Owner(id)
-	}
-	if len(r.ids) == 1 {
-		return ""
-	}
-	return r.ids[(i+1)%len(r.ids)]
-}
-
 // String renders the ring for logs.
 func (r *Ring) String() string {
 	return fmt.Sprintf("ring(%d members, %d points)", len(r.ids), len(r.points))

@@ -115,3 +115,22 @@ func TestWorkloadBaselinesRun(t *testing.T) {
 		}
 	}
 }
+
+// BenchmarkEngineALS measures the mini-Spark engine scheduling a full ALS
+// job.
+func BenchmarkEngineALS(b *testing.B) {
+	for i := 0; i < b.N; i++ {
+		p := Params{}
+		cl, err := p.Cluster()
+		if err != nil {
+			b.Fatal(err)
+		}
+		job, err := ALS(p)
+		if err != nil {
+			b.Fatal(err)
+		}
+		if _, err := spark.RunBatchScenario(cl, job, nil); err != nil {
+			b.Fatal(err)
+		}
+	}
+}

@@ -134,3 +134,12 @@ func TestQuickGenerateInvariants(t *testing.T) {
 		t.Error(err)
 	}
 }
+
+// BenchmarkTraceGeneration measures the synthetic trace generator.
+func BenchmarkTraceGeneration(b *testing.B) {
+	for i := 0; i < b.N; i++ {
+		if _, err := Generate(Config{Count: 1000, Seed: int64(i + 1)}); err != nil {
+			b.Fatal(err)
+		}
+	}
+}

@@ -1,8 +1,9 @@
 #!/usr/bin/env bash
 # coverage_check.sh — run the test suite with a coverage profile, print the
 # total, and fail if the sweep engine (internal/sweep), the container
-# substrate (internal/simcg), the event calendar (internal/simclock) or the
-# substrate contract (internal/substrate) is under its floor.
+# substrate (internal/simcg), the event calendar (internal/simclock), the
+# substrate contract (internal/substrate) or the resource vectors
+# (internal/restypes) is under its floor.
 #
 # Usage: scripts/coverage_check.sh [profile-path]
 #
@@ -17,7 +18,11 @@
 # clearing, and the cancel paths, so it carries the same floor. The
 # substrate package holds the ordered Table every host and controller keeps
 # its instances in, written in place; its fuzz and allocation tests must keep
-# covering insert, replace and delete, so it carries the same floor.
+# covering insert, replace and delete, so it carries the same floor. The
+# restypes vectors are the resource arithmetic every allocation, fit test and
+# deflation target is computed with; their unit, property and fuzz tests must
+# keep covering it before that arithmetic is rewritten, so they carry the
+# same floor.
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
@@ -31,7 +36,7 @@ echo "total coverage: ${total}"
 
 # Statement-weighted coverage for each floored package alone: filter the
 # profile down to its files and total that.
-for pkg in sweep simcg simclock substrate; do
+for pkg in sweep simcg simclock substrate restypes; do
   pkg_profile="${profile}.${pkg}"
   { head -1 "$profile"; grep "internal/${pkg}/" "$profile" || true; } > "$pkg_profile"
   pkg_pct=$(go tool cover -func="$pkg_profile" | awk '/^total:/ { sub(/%$/, "", $NF); print $NF }')
