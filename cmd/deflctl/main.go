@@ -135,8 +135,8 @@ func launch(manager string, args []string) error {
 		return err
 	}
 	fmt.Printf("launched %s on %s", *name, lr.Server)
-	if len(lr.Report.Deflated) > 0 {
-		fmt.Printf(" (deflated: %v)", lr.Report.Deflated)
+	if lr.Report.Deflations > 0 {
+		fmt.Printf(" (deflated %d VMs)", lr.Report.Deflations)
 	}
 	if len(lr.Report.Preempted) > 0 {
 		fmt.Printf(" (preempted: %v)", lr.Report.Preempted)

@@ -78,8 +78,11 @@ type LaunchSpec struct {
 // LaunchReport describes the reclamation a launch triggered.
 type LaunchReport struct {
 	Reclaimed restypes.Vector `json:"reclaimed"`
-	Deflated  []string        `json:"deflated,omitempty"`  // names of VMs deflated
-	Preempted []string        `json:"preempted,omitempty"` // names of VMs preempted
+	// Deflations counts cascade deflations: a VM the drain pass deflated
+	// again after the proportional pass counts twice.
+	Deflations int `json:"deflations,omitempty"`
+	// Preempted names the VMs preempted; the manager forgets them.
+	Preempted []string `json:"preempted,omitempty"`
 	// ReclaimLatency is the end-to-end reclamation time: cascade deflations
 	// run concurrently across the server's VMs (§5), so this is the
 	// slowest VM's cascade, not the sum.
@@ -385,7 +388,7 @@ func (c *LocalController) Reclaim(ensureFree restypes.Vector, allowPreempt bool)
 
 	if c.mode == ModeDeflation {
 		err := c.proportionalDeflate(ensureFree, &rep)
-		if err != nil || len(rep.Deflated) > 0 { // a cascade ran: notify once for all of them
+		if err != nil || rep.Deflations > 0 { // a cascade ran: notify once for all of them
 			c.notifyCapacity()
 		}
 		if err != nil {
@@ -479,10 +482,7 @@ func (c *LocalController) deflateOne(v *vm.VM, target restypes.Vector, rep *Laun
 	if err != nil {
 		return fmt.Errorf("cluster: deflating %q: %w", v.Name(), err)
 	}
-	if rep.Deflated == nil {
-		rep.Deflated = make([]string, 0, len(c.plan)+1) // a drain adds about one
-	}
-	rep.Deflated = append(rep.Deflated, v.Name())
+	rep.Deflations++
 	rep.Reclaimed = rep.Reclaimed.Add(target.Sub(r.Shortfall).ClampNonNegative())
 	// Per-VM cascades run concurrently (§5): report the slowest.
 	if r.TotalLatency > rep.ReclaimLatency {

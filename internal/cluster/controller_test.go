@@ -50,7 +50,7 @@ func TestLaunchBasics(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if v.Name() != "a" || len(rep.Deflated) != 0 || len(rep.Preempted) != 0 {
+	if v.Name() != "a" || rep.Deflations != 0 || len(rep.Preempted) != 0 {
 		t.Errorf("launch report: %+v", rep)
 	}
 	if _, _, err := c.LaunchVM(spec("a", vm.LowPriority, 0.25)); !errors.Is(err, ErrVMExists) {
@@ -86,8 +86,8 @@ func TestLaunchDeflatesResidents(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(rep.Deflated) != 4 {
-		t.Errorf("deflated %v, want all 4 residents", rep.Deflated)
+	if rep.Deflations != 4 {
+		t.Errorf("%d deflations, want all 4 residents", rep.Deflations)
 	}
 	if len(rep.Preempted) != 0 {
 		t.Errorf("preempted %v, want none", rep.Preempted)
@@ -116,10 +116,8 @@ func TestHighPriorityNeverDeflated(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	for _, name := range rep.Deflated {
-		if name == "hi" {
-			t.Error("high-priority VM was deflated")
-		}
+	if rep.Deflations != 3 {
+		t.Errorf("%d deflations, want the 3 low-priority residents", rep.Deflations)
 	}
 	hi, _ := c.VM("hi")
 	if hi.Allocation() != hi.Size() {
@@ -178,8 +176,8 @@ func TestPreemptionOnlyModePreemptsInsteadOfDeflating(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(rep.Deflated) != 0 {
-		t.Errorf("preemption-only mode deflated %v", rep.Deflated)
+	if rep.Deflations != 0 {
+		t.Errorf("preemption-only mode made %d deflations", rep.Deflations)
 	}
 	if len(rep.Preempted) == 0 {
 		t.Error("preemption-only mode did not preempt")
@@ -374,7 +372,7 @@ func (c *refController) deflateOne(v *vm.VM, target restypes.Vector, rep *Launch
 	if err != nil {
 		return fmt.Errorf("cluster: deflating %q: %w", v.Name(), err)
 	}
-	rep.Deflated = append(rep.Deflated, v.Name())
+	rep.Deflations++
 	rep.Reclaimed = rep.Reclaimed.Add(target.Sub(r.Shortfall).ClampNonNegative())
 	// Per-VM cascades run concurrently (§5): report the slowest.
 	if r.TotalLatency > rep.ReclaimLatency {
@@ -443,8 +441,8 @@ func diffTwins(got, ref *LocalController, gr, rr LaunchReport, ge, re error) str
 	if fmt.Sprint(ge) != fmt.Sprint(re) {
 		return fmt.Sprintf("error %v, reference %v", ge, re)
 	}
-	if !slices.Equal(gr.Deflated, rr.Deflated) || !slices.Equal(gr.Preempted, rr.Preempted) {
-		return fmt.Sprintf("deflated %v preempted %v, reference %v %v", gr.Deflated, gr.Preempted, rr.Deflated, rr.Preempted)
+	if gr.Deflations != rr.Deflations || !slices.Equal(gr.Preempted, rr.Preempted) {
+		return fmt.Sprintf("%d deflations, preempted %v, reference %d %v", gr.Deflations, gr.Preempted, rr.Deflations, rr.Preempted)
 	}
 	if !sameBits(gr.Reclaimed, rr.Reclaimed) || gr.ReclaimLatency != rr.ReclaimLatency {
 		return fmt.Sprintf("reclaimed %v in %v, reference %v in %v", gr.Reclaimed, gr.ReclaimLatency, rr.Reclaimed, rr.ReclaimLatency)
@@ -467,7 +465,7 @@ func diffTwins(got, ref *LocalController, gr, rr LaunchReport, ge, re error) str
 // TestReclaimMatchesPerVMReference drives a controller and a reference twin
 // through one seeded script of launches, releases and direct reclaims and
 // requires bit-identical outcomes after every step: each VM's allocation
-// and throughput, each report's Deflated order, Reclaimed and
+// and throughput, each report's Deflations, Reclaimed and
 // ReclaimLatency, and each error. Two VM sizes and three floors make
 // equal-Deflatable VMs common, so the drain pass sorts ties.
 func TestReclaimMatchesPerVMReference(t *testing.T) {
@@ -539,7 +537,7 @@ func TestReclaimMatchesPerVMReference(t *testing.T) {
 					if d := diffTwins(got, ref.LocalController, gr, rr, ge, re); d != "" {
 						t.Fatalf("step %d (%s): %s", step, op, d)
 					}
-					if len(gr.Deflated) >= 2 {
+					if gr.Deflations >= 2 {
 						multi++
 					}
 				}
@@ -590,8 +588,8 @@ func TestReclaimNotifiesOncePerCommand(t *testing.T) {
 		}
 
 		gen0, fired0 := c.generation, fired
-		if rep := launch("new"); len(rep.Deflated) != k {
-			t.Fatalf("k=%d: the launch deflated %v, want all %d residents", k, rep.Deflated, k)
+		if rep := launch("new"); rep.Deflations != k {
+			t.Fatalf("k=%d: the launch made %d deflations, want all %d residents", k, rep.Deflations, k)
 		}
 		check("a launch that deflated k VMs", 2, gen0, fired0)
 
@@ -605,5 +603,66 @@ func TestReclaimNotifiesOncePerCommand(t *testing.T) {
 			}
 		}
 		check("a release that reinflated k VMs", 1, gen0, fired0)
+	}
+}
+
+// countingSLO is halveEvenNames that counts its calls: the cascade consults
+// it once per deflation with a nonzero target, so calls is the number of
+// cascade runs.
+type countingSLO struct {
+	halveEvenNames
+	calls int
+}
+
+func (p *countingSLO) ClampTarget(v *vm.VM, target restypes.Vector) restypes.Vector {
+	p.calls++
+	return p.halveEvenNames.ClampTarget(v, target)
+}
+
+// TestDeflationsCountsEveryCascadeRun: when the SLO clamp leaves a residue
+// after the proportional pass, the drain pass deflates VMs a second time,
+// and the report counts every cascade run. The reclaim notifies watchers
+// once; a reclaim that deflates nothing does not notify them.
+func TestDeflationsCountsEveryCascadeRun(t *testing.T) {
+	size := restypes.V(4, 16384, 100, 100)
+	h, err := hypervisor.NewHost(hypervisor.Config{Name: "s0", Capacity: size.Scale(2)})
+	if err != nil {
+		t.Fatal(err)
+	}
+	c := NewLocalController(h, cascade.AllLevels(), ModeDeflation)
+	slo := &countingSLO{}
+	c.Cascade().SetSLOPolicy(slo)
+	for _, n := range []string{"a", "bb"} {
+		if _, _, err := c.LaunchVM(spec(n, vm.LowPriority, 0.25)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	fired := 0
+	c.WatchCapacity(func() { fired++ })
+
+	rep, err := c.Reclaim(size, false)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if slo.calls <= 2 {
+		t.Fatalf("%d cascade runs on 2 VMs: the drain pass never ran", slo.calls)
+	}
+	if rep.Deflations != slo.calls {
+		t.Errorf("%d deflations, want %d cascade runs", rep.Deflations, slo.calls)
+	}
+	if fired != 1 {
+		t.Errorf("a reclaim that deflated fired the watcher %d times, want 1", fired)
+	}
+
+	slo.calls, fired = 0, 0
+	rep, err = c.Reclaim(size, false)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if rep.Deflations != 0 || slo.calls != 0 {
+		t.Errorf("a reclaim with the room already free made %d deflations in %d cascade runs", rep.Deflations, slo.calls)
+	}
+	if fired != 0 {
+		t.Errorf("a reclaim that deflated nothing fired the watcher %d times", fired)
 	}
 }

@@ -75,7 +75,7 @@ func TestProactiveReclaimFreesForecastDemand(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if rep.ReclaimLatency != 0 || len(rep.Deflated) != 0 {
+	if rep.ReclaimLatency != 0 || rep.Deflations != 0 {
 		t.Errorf("reactive work remained: %+v", rep)
 	}
 }

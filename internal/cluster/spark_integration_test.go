@@ -101,8 +101,8 @@ func TestSparkMasterIntegration(t *testing.T) {
 
 	// The controller deflated every worker (proportional policy), none
 	// were preempted.
-	if len(launchRep.Deflated) != workers {
-		t.Errorf("deflated %d VMs, want all %d", len(launchRep.Deflated), workers)
+	if launchRep.Deflations != workers {
+		t.Errorf("deflated %d VMs, want all %d", launchRep.Deflations, workers)
 	}
 	if len(launchRep.Preempted) != 0 {
 		t.Errorf("preempted %v, want none", launchRep.Preempted)

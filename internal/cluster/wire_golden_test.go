@@ -168,6 +168,7 @@ func TestWireGolden(t *testing.T) {
 		poisonScene(t, l, op)
 	}
 	deposedScene(t, l)
+	deflatingScene(t, l)
 
 	const path = "testdata/wire.golden"
 	got := l.out.String()
@@ -390,6 +391,18 @@ func deposedScene(t *testing.T, l *wireLog) {
 	l.do(p, mg, "DELETE", "/v1/nodes/s1", "")
 	l.do(p, mg, "POST", "/v1/nodes/s1/heartbeat", "")
 	l.do(p, mg, "GET", "/v1/state", "")
+}
+
+// deflatingScene fills s0 through the manager until a launch deflates its
+// residents, then launches straight at s0's agent: the manager's reply and
+// the agent's LaunchReport both carry the count of deflations.
+func deflatingScene(t *testing.T, l *wireLog) {
+	p := newWirePlane(t, false)
+	l.scene("deflating launch")
+	for i := 0; i < 5; i++ {
+		l.do(p, p.mgr, "POST", "/v1/vms", wireJSON(t, wireSpec(fmt.Sprintf("f%d", i), vm.LowPriority)))
+	}
+	l.do(p, p.agents[0], "POST", "/v1/vms", wireJSON(t, wireSpec("g", vm.LowPriority)))
 }
 
 // TestRemoteNodeStatusMapping runs every RemoteNode operation against a
