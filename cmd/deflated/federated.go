@@ -173,25 +173,16 @@ func runFederated(opt federatedOptions) {
 		go rt.Gossip(ctx, &http.Client{Timeout: 5 * time.Second}, opt.gossipEvery)
 	}
 	if opt.heartbeat > 0 {
-		go func() {
-			tick := time.NewTicker(opt.heartbeat)
-			defer tick.Stop()
-			for {
-				select {
-				case <-ctx.Done():
-					return
-				case <-tick.C:
-					mu.Lock()
-					apis := append([]*cluster.ManagerAPI(nil), served...)
-					mu.Unlock()
-					for _, a := range apis {
-						for _, ev := range a.ProbeHealth() {
-							log.Printf("deflated: health: %s node=%s vm=%s", ev.Kind, ev.Node, ev.VM)
-						}
-					}
-				}
+		go runHeartbeat(ctx, opt.heartbeat, func() []cluster.Event {
+			mu.Lock()
+			apis := append([]*cluster.ManagerAPI(nil), served...)
+			mu.Unlock()
+			var events []cluster.Event
+			for _, a := range apis {
+				events = append(events, a.ProbeHealth()...)
 			}
-		}()
+			return events
+		}, log.Default())
 	}
 
 	srv := cluster.NewHTTPServer(opt.listen, mux)

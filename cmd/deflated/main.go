@@ -214,35 +214,7 @@ func main() {
 		// Failure detector: heartbeat every server, evict and re-place VMs
 		// from nodes that miss too many probes in a row.
 		if *heartbeat > 0 {
-			go func() {
-				tick := time.NewTicker(*heartbeat)
-				defer tick.Stop()
-				for {
-					select {
-					case <-ctx.Done():
-						return
-					case <-tick.C:
-						for _, ev := range api.ProbeHealth() {
-							switch ev.Kind {
-							case cluster.NodeDown:
-								log.Printf("deflated: node %s dead (%v); evacuating", ev.Node, ev.Err)
-							case cluster.NodeUp:
-								log.Printf("deflated: node %s rejoined", ev.Node)
-							case cluster.VMEvicted:
-								log.Printf("deflated: VM %s evicted from dead node %s", ev.VM, ev.Node)
-							case cluster.VMReplaced:
-								log.Printf("deflated: VM %s re-placed (preempted %v)", ev.VM, ev.Preempted)
-							case cluster.VMLost:
-								log.Printf("deflated: VM %s lost: %v", ev.VM, ev.Err)
-							case cluster.VMAdopted:
-								log.Printf("deflated: VM %s adopted from rejoined node %s", ev.VM, ev.Node)
-							case cluster.VMStaleReleased:
-								log.Printf("deflated: stale VM %s released from rejoined node %s", ev.VM, ev.Node)
-							}
-						}
-					}
-				}
-			}()
+			go runHeartbeat(ctx, *heartbeat, api.ProbeHealth, log.Default())
 		}
 		leader.Store(mgr)
 		handler.Set(api.Handler())
@@ -351,5 +323,27 @@ func main() {
 			}
 		}
 		log.Printf("deflated: stopped")
+	}
+}
+
+// runHeartbeat runs the failure detector's probe every interval until ctx
+// ends, and logs each event a round returns as one line: kind, VM, node,
+// and the error when there is one.
+func runHeartbeat(ctx context.Context, every time.Duration, probe func() []cluster.Event, logger *log.Logger) {
+	tick := time.NewTicker(every)
+	defer tick.Stop()
+	for {
+		select {
+		case <-ctx.Done():
+			return
+		case <-tick.C:
+			for _, ev := range probe() {
+				line := fmt.Sprintf("deflated: %s vm=%s node=%s", ev.Kind, ev.VM, ev.Node)
+				if ev.Err != nil {
+					line += " err=" + ev.Err.Error()
+				}
+				logger.Print(line)
+			}
+		}
 	}
 }

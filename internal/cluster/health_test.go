@@ -36,7 +36,7 @@ func newCrashableCluster(t *testing.T, n int, policy PlacementPolicy) (*Manager,
 
 // probeUntilDead runs heartbeat rounds up to the miss threshold and returns
 // the events of the round that crossed it.
-func probeUntilDead(t *testing.T, m *Manager) []HealthEvent {
+func probeUntilDead(t *testing.T, m *Manager) []Event {
 	t.Helper()
 	for i := 0; i < m.healthPolicy.MaxMisses-1; i++ {
 		if evs := m.ProbeHealth(); len(evs) != 0 {

@@ -74,63 +74,6 @@ type nodeHealth struct {
 	barred bool
 }
 
-// HealthEventKind enumerates failure-detector outcomes.
-type HealthEventKind int
-
-const (
-	// NodeDown: K consecutive heartbeat misses; the node's VMs are being
-	// evacuated.
-	NodeDown HealthEventKind = iota
-	// NodeUp: a previously-dead node answered a heartbeat and rejoined the
-	// placement pool (empty: crash-stop wipes its VMs).
-	NodeUp
-	// VMEvicted: a VM on a dead node was declared lost-in-place (a
-	// failure-induced preemption).
-	VMEvicted
-	// VMReplaced: an evicted VM was re-launched on a healthy node.
-	VMReplaced
-	// VMLost: no healthy node could host the evicted VM.
-	VMLost
-	// VMAdopted: a rejoined node still ran a VM the manager did not place
-	// there; the VM was adopted instead of the node being wiped.
-	VMAdopted
-	// VMStaleReleased: a rejoined node held a stale copy of a VM that was
-	// re-placed elsewhere while the node was dead; the copy was released.
-	VMStaleReleased
-)
-
-// String names the kind.
-func (k HealthEventKind) String() string {
-	switch k {
-	case NodeDown:
-		return "node-down"
-	case NodeUp:
-		return "node-up"
-	case VMEvicted:
-		return "vm-evicted"
-	case VMReplaced:
-		return "vm-replaced"
-	case VMLost:
-		return "vm-lost"
-	case VMAdopted:
-		return "vm-adopted"
-	case VMStaleReleased:
-		return "vm-stale-released"
-	}
-	return fmt.Sprintf("HealthEventKind(%d)", int(k))
-}
-
-// HealthEvent is one failure-detector outcome from ProbeHealth.
-type HealthEvent struct {
-	Kind HealthEventKind
-	Node string
-	VM   string
-	// Preempted lists capacity preemptions a re-placement caused on its
-	// new server (VMReplaced only).
-	Preempted []string
-	Err       error
-}
-
 // Manager is the centralized deflation-aware cluster manager: it places VMs
 // using the cosine-similarity fitness over availability (free + deflatable)
 // and delegates reclamation to the servers' local controllers. It also runs
@@ -144,22 +87,14 @@ type Manager struct {
 
 	placement map[string]int        // VM name → server index
 	specs     map[string]LaunchSpec // VM name → launch spec, for re-placement
-	rejected  int
+	// counts is the fold of every event the manager has emitted (emit), or
+	// installed from a replayed state and repaired by TakeOver.
+	counts Counts
 	// barred lists the servers the current launch has taken out of the pool.
 	barred []int
 
 	healthPolicy HealthPolicy
 	health       []nodeHealth
-	// failurePreemptions counts VMs killed by node failures (evictions);
-	// replacedVMs/lostVMs split them by re-placement outcome.
-	failurePreemptions int
-	replacedVMs        int
-	lostVMs            int
-	// adoptedVMs/staleReleases count anti-entropy reconciliation repairs:
-	// VMs found running without a journaled placement, and stale copies
-	// released from rejoined nodes.
-	adoptedVMs    int
-	staleReleases int
 
 	// rec receives every state transition (nil = no recording); journal is
 	// the attached WAL when the manager is durable. recoveryOrphans holds
@@ -186,8 +121,6 @@ type Manager struct {
 	migFaults    *faults.Injector
 	inflight     map[string]MigrationIntent
 
-	migrations          int
-	migrationFailures   int
 	convergenceFailures int
 	migratedMB          float64
 	migrationTime       time.Duration
@@ -315,7 +248,7 @@ func (m *Manager) BecomeLeader() uint64 {
 		e = ce
 	}
 	m.SetEpoch(e + 1)
-	m.record(Event{Kind: evLeader})
+	m.emit(Event{Kind: evLeader})
 	return m.epoch
 }
 
@@ -391,15 +324,15 @@ func (m *Manager) DeadServers() int {
 
 // FailurePreemptions counts VMs killed by node failures (whether or not
 // they were successfully re-placed).
-func (m *Manager) FailurePreemptions() int { return m.failurePreemptions }
+func (m *Manager) FailurePreemptions() int { return m.counts.FailurePreemptions }
 
 // ProbeHealth runs one heartbeat round: every server is pinged, consecutive
 // misses are counted, nodes crossing MaxMisses are declared dead and
 // evacuated (their VMs re-placed on healthy servers), and previously-dead
-// nodes that answer rejoin the pool. It returns the round's events in
-// deterministic order.
-func (m *Manager) ProbeHealth() []HealthEvent {
-	var events []HealthEvent
+// nodes that answer rejoin the pool. It returns the events the round
+// emitted, in deterministic order.
+func (m *Manager) ProbeHealth() []Event {
+	var events []Event
 	for i, s := range m.servers {
 		err := s.Ping()
 		m.noteDeposed(err)
@@ -407,15 +340,11 @@ func (m *Manager) ProbeHealth() []HealthEvent {
 		if err == nil {
 			if h.dead {
 				h.dead = false
-				events = append(events, HealthEvent{Kind: NodeUp, Node: s.Name()})
-				m.record(Event{Kind: evNodeUp, Node: s.Name()})
-				if m.tel != nil {
-					m.tel.nodeUp.Inc()
-				}
+				events = append(events, m.emit(Event{Kind: NodeUp, Node: s.Name()}))
 				// The node may rejoin with VMs still running (a partition,
 				// or an agent that outlived its manager): reconcile against
 				// its actual inventory instead of assuming it is empty.
-				events = append(events, m.reconcileNode(i)...)
+				events = m.reconcileNode(i, events)
 			}
 			h.misses = 0
 			continue
@@ -426,12 +355,8 @@ func (m *Manager) ProbeHealth() []HealthEvent {
 		}
 		if !h.dead && h.misses >= m.healthPolicy.MaxMisses {
 			h.dead = true
-			events = append(events, HealthEvent{Kind: NodeDown, Node: s.Name(), Err: err})
-			m.record(Event{Kind: evNodeDown, Node: s.Name()})
-			if m.tel != nil {
-				m.tel.nodeDown.Inc()
-			}
-			events = append(events, m.evacuate(i)...)
+			events = append(events, m.emit(Event{Kind: NodeDown, Node: s.Name(), Err: err}))
+			events = m.evacuate(i, events)
 		}
 	}
 	return events
@@ -439,8 +364,9 @@ func (m *Manager) ProbeHealth() []HealthEvent {
 
 // evacuate declares every VM placed on the dead server idx a
 // failure-induced preemption and re-places each on the healthy servers from
-// its recorded launch spec. VM order is sorted for determinism.
-func (m *Manager) evacuate(idx int) []HealthEvent {
+// its recorded launch spec, appending the events to events. VM order is
+// sorted for determinism.
+func (m *Manager) evacuate(idx int, events []Event) []Event {
 	var names []string
 	for name, i := range m.placement {
 		if i == idx {
@@ -449,54 +375,37 @@ func (m *Manager) evacuate(idx int) []HealthEvent {
 	}
 	sort.Strings(names)
 	node := m.servers[idx].Name()
-	var events []HealthEvent
 	for _, name := range names {
 		delete(m.placement, name)
-		m.failurePreemptions++
 		spec := m.specs[name]
 		delete(m.specs, name)
-		events = append(events, HealthEvent{Kind: VMEvicted, Node: node, VM: name})
-		m.record(Event{Kind: evEvict, VM: name, Node: node})
-		if m.tel != nil {
-			m.tel.evictions.Inc()
-		}
+		events = append(events, m.emit(Event{Kind: VMEvicted, VM: name, Node: node}))
 		// Re-place; the launch does not count toward Rejected(), which
 		// tracks user-facing admissions.
 		to, rep, err := m.launch(spec, false)
 		if err != nil {
-			m.lostVMs++
-			m.record(Event{Kind: evLost, VM: name})
-			if m.tel != nil {
-				m.tel.vmLost.Inc()
-			}
-			events = append(events, HealthEvent{Kind: VMLost, VM: name, Err: err})
+			events = append(events, m.emit(Event{Kind: VMLost, VM: name, Err: err}))
 			continue
 		}
-		m.replacedVMs++
-		m.record(Event{Kind: evReplace, VM: name, Node: m.servers[to].Name(),
-			Spec: &spec, Preempted: rep.Preempted})
-		if m.tel != nil {
-			m.tel.vmReplaced.Inc()
-		}
-		events = append(events, HealthEvent{Kind: VMReplaced, VM: name, Preempted: rep.Preempted})
+		events = append(events, m.emit(Event{Kind: VMReplaced, VM: name, Node: m.servers[to].Name(),
+			Spec: &spec, Preempted: rep.Preempted}))
 	}
 	return events
 }
 
 // reconcileNode compares a rejoined node's actual VM inventory with the
-// manager's placements: VMs the manager placed there re-adopt silently,
-// unknown VMs are adopted into the placement map, and stale copies of VMs
-// re-placed elsewhere while the node was dead are released. Nodes without
-// an inventory (or still unreachable) reconcile to nothing, preserving the
-// crash-stop "rejoins empty" behavior.
-func (m *Manager) reconcileNode(i int) []HealthEvent {
+// manager's placements, appending the events to events: VMs the manager
+// placed there re-adopt silently, unknown VMs are adopted into the
+// placement map, and stale copies of VMs re-placed elsewhere while the node
+// was dead are released. Nodes without an inventory (or still unreachable)
+// reconcile to nothing, preserving the crash-stop "rejoins empty" behavior.
+func (m *Manager) reconcileNode(i int, events []Event) []Event {
 	inv, err := nodeInventory(m.servers[i])
 	if err != nil || len(inv) == 0 {
-		return nil
+		return events
 	}
 	node := m.servers[i].Name()
 	sort.Slice(inv, func(a, b int) bool { return inv[a].Name < inv[b].Name })
-	var events []HealthEvent
 	for _, vs := range inv {
 		cur, ok := m.placement[vs.Name]
 		switch {
@@ -504,23 +413,13 @@ func (m *Manager) reconcileNode(i int) []HealthEvent {
 			spec := specFromVMState(vs)
 			m.placement[vs.Name] = i
 			m.specs[vs.Name] = spec
-			m.adoptedVMs++
-			m.record(Event{Kind: evAdopt, VM: vs.Name, Node: node, Spec: &spec})
-			if m.tel != nil {
-				m.tel.vmAdopted.Inc()
-			}
-			events = append(events, HealthEvent{Kind: VMAdopted, Node: node, VM: vs.Name})
+			events = append(events, m.emit(Event{Kind: VMAdopted, VM: vs.Name, Node: node, Spec: &spec}))
 		case cur == i:
 			// Consistent: the journal (or a surviving manager) already
 			// places it here.
 		default:
 			if err := m.servers[i].Release(vs.Name); err == nil {
-				m.staleReleases++
-				m.record(Event{Kind: evStale, VM: vs.Name, Node: node})
-				if m.tel != nil {
-					m.tel.vmStaleReleased.Inc()
-				}
-				events = append(events, HealthEvent{Kind: VMStaleReleased, Node: node, VM: vs.Name})
+				events = append(events, m.emit(Event{Kind: VMStaleReleased, VM: vs.Name, Node: node}))
 			}
 		}
 	}
@@ -543,7 +442,7 @@ func (m *Manager) Substrates() map[string]string {
 }
 
 // Rejected returns the number of launches that found no feasible server.
-func (m *Manager) Rejected() int { return m.rejected }
+func (m *Manager) Rejected() int { return m.counts.Rejected }
 
 // Preemptions sums preemptions across all servers.
 func (m *Manager) Preemptions() int {
@@ -616,11 +515,7 @@ func (m *Manager) launch(spec LaunchSpec, countRejection bool) (int, LaunchRepor
 		}
 		if idx < 0 {
 			if countRejection {
-				m.rejected++
-				m.record(Event{Kind: evReject, VM: spec.Name})
-				if m.tel != nil {
-					m.tel.rejections.Inc()
-				}
+				m.emit(Event{Kind: evReject, VM: spec.Name})
 			}
 			return -1, LaunchReport{}, fmt.Errorf("%w: no feasible server for %v", ErrNoCapacity, spec.Size)
 		}
@@ -669,7 +564,7 @@ func (m *Manager) launch(spec LaunchSpec, countRejection bool) (int, LaunchRepor
 		// The record gets its own copy, so spec stays off the heap when
 		// nothing records.
 		journaled := spec
-		m.record(Event{Kind: evLaunch, VM: spec.Name, Node: m.servers[idx].Name(),
+		m.emit(Event{Kind: evLaunch, VM: spec.Name, Node: m.servers[idx].Name(),
 			Spec: &journaled, Preempted: rep.Preempted})
 	}
 	return idx, rep, nil
@@ -720,7 +615,7 @@ func (m *Manager) Release(name string) error {
 	}
 	delete(m.placement, name)
 	delete(m.specs, name)
-	m.record(Event{Kind: evRelease, VM: name})
+	m.emit(Event{Kind: evRelease, VM: name})
 	err := m.servers[idx].Release(name)
 	m.noteDeposed(err)
 	return err
@@ -743,7 +638,7 @@ func (m *Manager) Placed(name string) bool {
 		// Preempted underneath: reconcile.
 		delete(m.placement, name)
 		delete(m.specs, name)
-		m.record(Event{Kind: evPreempt, VM: name})
+		m.emit(Event{Kind: evPreempt, VM: name})
 		return false
 	}
 	return true
@@ -773,11 +668,11 @@ func (m *Manager) Snapshot() Stats {
 	var st Stats
 	st.VMs = len(m.placement)
 	st.DeadServers = m.DeadServers()
-	st.FailurePreemptions = m.failurePreemptions
-	st.ReplacedVMs = m.replacedVMs
-	st.LostVMs = m.lostVMs
-	st.AdoptedVMs = m.adoptedVMs
-	st.StaleReleases = m.staleReleases
+	st.FailurePreemptions = m.counts.FailurePreemptions
+	st.ReplacedVMs = m.counts.Replaced
+	st.LostVMs = m.counts.Lost
+	st.AdoptedVMs = m.counts.Adopted
+	st.StaleReleases = m.counts.StaleReleased
 	if n := len(m.servers); n > 0 { // an empty fleet keeps reporting nil
 		st.ServerOvercommitment = make([]float64, n)
 	}

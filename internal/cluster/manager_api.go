@@ -43,7 +43,7 @@ func NewManagerAPI(mgr *Manager) (*ManagerAPI, error) {
 
 // ProbeHealth runs one heartbeat round under the API lock; cmd/deflated
 // calls it periodically.
-func (a *ManagerAPI) ProbeHealth() []HealthEvent {
+func (a *ManagerAPI) ProbeHealth() []Event {
 	a.mu.Lock()
 	defer a.mu.Unlock()
 	return a.mgr.ProbeHealth()

@@ -294,8 +294,8 @@ type MigrationStats struct {
 // MigrationStats returns the manager's aggregate migration counters.
 func (m *Manager) MigrationStats() MigrationStats {
 	return MigrationStats{
-		Migrations:          m.migrations,
-		Failures:            m.migrationFailures,
+		Migrations:          m.counts.Migrations,
+		Failures:            m.counts.MigrationFailures,
 		ConvergenceFailures: m.convergenceFailures,
 		MigratedMB:          m.migratedMB,
 		TotalDuration:       m.migrationTime,
@@ -384,7 +384,7 @@ func (m *Manager) migrate(name string, dstIdx int) (MigrationReport, error) {
 		m.inflight = make(map[string]MigrationIntent)
 	}
 	m.inflight[name] = MigrationIntent{From: src.Name(), To: dst.Name()}
-	m.record(Event{Kind: evMigrateStart, VM: name, Node: dst.Name(), From: src.Name()})
+	m.emit(Event{Kind: evMigrateStart, VM: name, Node: dst.Name(), From: src.Name()})
 
 	stream := "migrate:" + name
 	release := func() {
@@ -396,11 +396,7 @@ func (m *Manager) migrate(name string, dstIdx int) (MigrationReport, error) {
 	fail := func(res migration.Result, cause error) (MigrationReport, error) {
 		m.noteDeposed(cause)
 		delete(m.inflight, name)
-		m.migrationFailures++
-		if m.tel != nil {
-			m.tel.migrationFailures.Inc()
-		}
-		m.record(Event{Kind: evMigrateFail, VM: name, Node: dst.Name(), From: src.Name()})
+		m.emit(Event{Kind: evMigrateFail, VM: name, Node: dst.Name(), From: src.Name()})
 		m.deferWork(res.Duration, release)
 		rep.Result = res
 		return rep, fmt.Errorf("%w: %q to %q: %v", ErrMigrationFailed, name, dst.Name(), cause)
@@ -450,13 +446,11 @@ func (m *Manager) migrate(name string, dstIdx int) (MigrationReport, error) {
 	m.noteDeposed(src.Release(name))
 	m.placement[name] = dstIdx
 	delete(m.inflight, name)
-	m.migrations++
 	m.migratedMB += res.TransferredMB
 	m.migrationTime += res.Duration
 	m.migrationDowntime += res.Downtime
-	m.record(Event{Kind: evMigrateDone, VM: name, Node: dst.Name(), From: src.Name()})
+	m.emit(Event{Kind: evMigrateDone, VM: name, Node: dst.Name(), From: src.Name()})
 	if m.tel != nil {
-		m.tel.migrations.Inc()
 		m.tel.migrationSeconds.Observe(res.Duration.Seconds())
 		m.tel.migrationDowntime.Observe(res.Downtime.Seconds())
 		m.tel.migratedMB.Observe(res.TransferredMB)

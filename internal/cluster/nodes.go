@@ -24,31 +24,28 @@ import (
 // replaces the client and re-journals. A node that arrives with VMs
 // already running — re-registration with an adopting manager — has its
 // inventory reconciled into the placement rather than being assumed
-// empty. Returns the reconciliation events, if any.
-func (m *Manager) AddNode(n Node, url string) ([]HealthEvent, error) {
+// empty. Returns the failure-detector events it emitted (a rejoin and the
+// reconciliation's adopt and stale events), if any.
+func (m *Manager) AddNode(n Node, url string) ([]Event, error) {
 	name := n.Name()
 	if name == "" {
 		return nil, fmt.Errorf("cluster: cannot register a node without a name")
 	}
 	if idx := m.serverIndex(name); idx >= 0 {
-		var events []HealthEvent
+		var events []Event
 		if m.nodeURLs[name] != url {
 			m.servers[idx] = n
 			m.reindex() // the replaced node object would strand the old watcher
 			m.nodeURLs[name] = url
 			m.propagateTerm(n)
-			m.record(Event{Kind: evNodeAdd, Node: name, URL: url})
+			m.emit(Event{Kind: evNodeAdd, Node: name, URL: url})
 		}
 		if m.health[idx].dead {
 			// The failure detector had written it off; a registration is
 			// proof of life, and its inventory is ground truth.
 			m.health[idx] = nodeHealth{}
-			events = append(events, HealthEvent{Kind: NodeUp, Node: name})
-			m.record(Event{Kind: evNodeUp, Node: name})
-			if m.tel != nil {
-				m.tel.nodeUp.Inc()
-			}
-			events = append(events, m.reconcileNode(idx)...)
+			events = append(events, m.emit(Event{Kind: NodeUp, Node: name}))
+			events = m.reconcileNode(idx, events)
 		}
 		return events, nil
 	}
@@ -60,10 +57,10 @@ func (m *Manager) AddNode(n Node, url string) ([]HealthEvent, error) {
 	if m.tel != nil {
 		m.tel.addNode(name)
 	}
-	m.record(Event{Kind: evNodeAdd, Node: name, URL: url})
+	m.emit(Event{Kind: evNodeAdd, Node: name, URL: url})
 	// The node may arrive with VMs already running (an agent that outlived
 	// its manager, now registering with the adopter): fold its inventory in.
-	return m.reconcileNode(len(m.servers) - 1), nil
+	return m.reconcileNode(len(m.servers)-1, nil), nil
 }
 
 // RemoveNode hands a node off: the manager forgets the node and every
@@ -91,7 +88,7 @@ func (m *Manager) RemoveNode(name string) error {
 	if m.tel != nil {
 		m.tel.removeNode(idx)
 	}
-	m.record(Event{Kind: evNodeRemove, Node: name})
+	m.emit(Event{Kind: evNodeRemove, Node: name})
 	return nil
 }
 

@@ -218,7 +218,7 @@ func TestRecoverMidMigrationContainer(t *testing.T) {
 	}
 	dstIdx := 1 - srcIdx
 
-	m.record(Event{Kind: evMigrateStart, VM: "a", Node: nodes[dstIdx].Name(), From: nodes[srcIdx].Name()})
+	m.emit(Event{Kind: evMigrateStart, VM: "a", Node: nodes[dstIdx].Name(), From: nodes[srcIdx].Name()})
 	cp, err := nodes[srcIdx].Checkpoint("a")
 	if err != nil {
 		t.Fatal(err)

@@ -23,24 +23,32 @@ func (c *LocalController) SetTelemetry(sink *telemetry.Sink) {
 	c.casc.SetTelemetry(sink, c.host.Name())
 }
 
+// eventCounters is the counter each counted event kind bumps (see emit).
+var eventCounters = []struct {
+	kind       EventKind
+	name, help string
+}{
+	{NodeDown, "deflation_manager_node_down_total", "nodes declared dead after consecutive heartbeat misses"},
+	{NodeUp, "deflation_manager_node_up_total", "dead nodes that answered a heartbeat and rejoined"},
+	{VMEvicted, "deflation_manager_evictions_total", "VMs declared lost-in-place on dead nodes (failure-induced preemptions)"},
+	{VMReplaced, "deflation_manager_vm_replaced_total", "evicted VMs successfully re-launched on healthy nodes"},
+	{VMLost, "deflation_manager_vm_lost_total", "evicted VMs no healthy node could host"},
+	{VMAdopted, "deflation_manager_vm_adopted_total", "VMs found running on rejoined nodes and adopted into the placement"},
+	{VMStaleReleased, "deflation_manager_vm_stale_released_total", "stale VM copies released from rejoined nodes"},
+	{evReject, "deflation_manager_rejections_total", "launches that found no feasible server"},
+	{evMigrateDone, "deflation_manager_migrations_total", "live migrations completed"},
+	{evMigrateFail, "deflation_manager_migration_failures_total", "live migrations aborted (fault, capacity, or checkpoint failure)"},
+}
+
 // managerTelemetry is the manager's pre-created instrument set.
 type managerTelemetry struct {
+	events          map[EventKind]*telemetry.Counter // from eventCounters
 	heartbeatMisses *telemetry.Counter
-	nodeDown        *telemetry.Counter
-	nodeUp          *telemetry.Counter
-	evictions       *telemetry.Counter
-	vmReplaced      *telemetry.Counter
-	vmLost          *telemetry.Counter
-	vmAdopted       *telemetry.Counter
-	vmStaleReleased *telemetry.Counter
-	rejections      *telemetry.Counter
 	staleRefusals   *telemetry.Counter
 	placements      []*telemetry.Counter // by server index
 	sink            *telemetry.Sink      // for nodes added later
 
 	// Live-migration instruments (see migrate.go).
-	migrations          *telemetry.Counter
-	migrationFailures   *telemetry.Counter
 	convergenceFailures *telemetry.Counter
 	migrationSeconds    *telemetry.Histogram
 	migrationDowntime   *telemetry.Histogram
@@ -60,30 +68,11 @@ func (m *Manager) SetTelemetry(sink *telemetry.Sink) {
 	}
 	r := sink.Registry
 	t := &managerTelemetry{
+		events: make(map[EventKind]*telemetry.Counter, len(eventCounters)),
 		heartbeatMisses: r.Counter("deflation_manager_heartbeat_misses_total",
 			"failed heartbeat probes observed by the failure detector", nil),
-		nodeDown: r.Counter("deflation_manager_node_down_total",
-			"nodes declared dead after consecutive heartbeat misses", nil),
-		nodeUp: r.Counter("deflation_manager_node_up_total",
-			"dead nodes that answered a heartbeat and rejoined", nil),
-		evictions: r.Counter("deflation_manager_evictions_total",
-			"VMs declared lost-in-place on dead nodes (failure-induced preemptions)", nil),
-		vmReplaced: r.Counter("deflation_manager_vm_replaced_total",
-			"evicted VMs successfully re-launched on healthy nodes", nil),
-		vmLost: r.Counter("deflation_manager_vm_lost_total",
-			"evicted VMs no healthy node could host", nil),
-		vmAdopted: r.Counter("deflation_manager_vm_adopted_total",
-			"VMs found running on rejoined nodes and adopted into the placement", nil),
-		vmStaleReleased: r.Counter("deflation_manager_vm_stale_released_total",
-			"stale VM copies released from rejoined nodes", nil),
-		rejections: r.Counter("deflation_manager_rejections_total",
-			"launches that found no feasible server", nil),
 		staleRefusals: r.Counter("deflation_launch_stale_refusals_total",
 			"launches an agent refused after its cached capacity said they fit; the manager re-picked", nil),
-		migrations: r.Counter("deflation_manager_migrations_total",
-			"live migrations completed", nil),
-		migrationFailures: r.Counter("deflation_manager_migration_failures_total",
-			"live migrations aborted (fault, capacity, or checkpoint failure)", nil),
 		convergenceFailures: r.Counter("deflation_manager_migration_convergence_failures_total",
 			"pre-copy migrations whose dirty rate outran the link", nil),
 		migrationSeconds: r.Histogram("deflation_manager_migration_seconds",
@@ -95,6 +84,9 @@ func (m *Manager) SetTelemetry(sink *telemetry.Sink) {
 		migratedMB: r.Histogram("deflation_manager_migrated_mb",
 			"bytes transferred per migration (MB)",
 			telemetry.ExpBuckets(64, 2, 12), nil),
+	}
+	for _, c := range eventCounters {
+		t.events[c.kind] = r.Counter(c.name, c.help, nil)
 	}
 	t.sink = sink
 	t.placements = make([]*telemetry.Counter, len(m.servers))
@@ -263,21 +255,21 @@ func (a *ManagerAPI) AttachTelemetry(sink *telemetry.Sink) {
 	scalar("deflation_cluster_vms", "VMs currently placed cluster-wide",
 		func(m *Manager) float64 { return float64(len(m.placement)) })
 	scalar("deflation_cluster_rejections", "launches that found no feasible server",
-		func(m *Manager) float64 { return float64(m.rejected) })
+		func(m *Manager) float64 { return float64(m.counts.Rejected) })
 	scalar("deflation_cluster_preemptions", "capacity-driven preemptions across all servers",
 		func(m *Manager) float64 { return float64(m.Preemptions()) })
 	scalar("deflation_cluster_dead_servers", "servers currently marked dead",
 		func(m *Manager) float64 { return float64(m.DeadServers()) })
 	scalar("deflation_cluster_failure_preemptions", "VMs killed by node failures",
-		func(m *Manager) float64 { return float64(m.failurePreemptions) })
+		func(m *Manager) float64 { return float64(m.counts.FailurePreemptions) })
 	scalar("deflation_cluster_replaced_vms", "failure-evicted VMs re-placed on healthy nodes",
-		func(m *Manager) float64 { return float64(m.replacedVMs) })
+		func(m *Manager) float64 { return float64(m.counts.Replaced) })
 	scalar("deflation_cluster_lost_vms", "failure-evicted VMs that could not be re-placed",
-		func(m *Manager) float64 { return float64(m.lostVMs) })
+		func(m *Manager) float64 { return float64(m.counts.Lost) })
 	scalar("deflation_cluster_adopted_vms", "VMs adopted from node inventories by reconciliation",
-		func(m *Manager) float64 { return float64(m.adoptedVMs) })
+		func(m *Manager) float64 { return float64(m.counts.Adopted) })
 	scalar("deflation_cluster_stale_releases", "stale VM copies released by reconciliation",
-		func(m *Manager) float64 { return float64(m.staleReleases) })
+		func(m *Manager) float64 { return float64(m.counts.StaleReleased) })
 	scalar("deflation_cluster_mean_overcommitment", "mean server overcommitment",
 		func(m *Manager) float64 { mean, _ := m.overcommitment(nil); return mean })
 	scalar("deflation_cluster_max_overcommitment", "max server overcommitment",

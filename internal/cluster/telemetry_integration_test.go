@@ -28,7 +28,13 @@ func TestChaosSimTelemetry(t *testing.T) {
 	sink := telemetry.NewSink()
 	cfg := chaosSim()
 	cfg.Telemetry = sink
-	res, err := RunSim(cfg)
+	s, err := newSim(cfg, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	emitted := kindTally{}
+	s.mgr.SetRecorder(emitted)
+	res, err := s.run()
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -36,21 +42,27 @@ func TestChaosSimTelemetry(t *testing.T) {
 		t.Fatal("chaos config injected no crashes; telemetry assertions are vacuous")
 	}
 
-	// Failure-detector counters mirror the sim's own accounting.
+	// Every per-kind manager counter equals the number of events of its
+	// kind, and the sim's own books pin three names to their meaning.
 	if v := counterValue(sink, "deflation_manager_heartbeat_misses_total", nil); v == 0 {
 		t.Error("heartbeat misses counter is zero despite node crashes")
 	}
-	if v := counterValue(sink, "deflation_manager_node_down_total", nil); v == 0 {
-		t.Error("node-down counter is zero despite node crashes")
+	for _, c := range eventCounters {
+		if got, want := counterValue(sink, c.name, nil), float64(emitted[c.kind]); got != want {
+			t.Errorf("%s = %v, want %v %s events", c.name, got, want, c.kind)
+		}
 	}
-	if got, want := counterValue(sink, "deflation_manager_evictions_total", nil), float64(res.FailurePreemptions); got != want {
-		t.Errorf("evictions counter = %v, want %v (sim's FailurePreemptions)", got, want)
+	for name, want := range map[string]int{
+		"deflation_manager_evictions_total":   res.FailurePreemptions,
+		"deflation_manager_vm_replaced_total": res.VMsReplaced,
+		"deflation_manager_vm_lost_total":     res.VMsLost,
+	} {
+		if got := counterValue(sink, name, nil); got != float64(want) {
+			t.Errorf("%s = %v, want %d from the sim's result", name, got, want)
+		}
 	}
-	if got, want := counterValue(sink, "deflation_manager_vm_replaced_total", nil), float64(res.VMsReplaced); got != want {
-		t.Errorf("vm-replaced counter = %v, want %v", got, want)
-	}
-	if got, want := counterValue(sink, "deflation_manager_vm_lost_total", nil), float64(res.VMsLost); got != want {
-		t.Errorf("vm-lost counter = %v, want %v", got, want)
+	if emitted[NodeDown] == 0 {
+		t.Error("no node-down event despite node crashes")
 	}
 
 	// Cascade decisions were traced, and the recorded level matches the

@@ -20,35 +20,40 @@ import (
 // Recorder is nil by default (no-op, mirroring SimConfig.Telemetry): a
 // manager without a state dir pays nothing.
 
-// Event kinds journaled by the manager. Each is one state transition; the
-// set is append-only so old journals stay replayable.
+// EventKind names one manager state transition: the journal's record type
+// and the manager's one event vocabulary. The set is append-only so old
+// journals stay replayable.
+type EventKind string
+
 const (
-	evLaunch   = "launch"    // user-facing placement (Spec, Node, Preempted)
-	evReject   = "reject"    // launch found no feasible server
-	evRelease  = "release"   // normal end of life
-	evPreempt  = "preempt"   // capacity preemption observed out-of-band
-	evNodeDown = "node-down" // failure detector declared the node dead
-	evNodeUp   = "node-up"   // dead node rejoined
-	evEvict    = "evict"     // VM declared lost-in-place on a dead node
-	evReplace  = "replace"   // evicted VM re-placed (Spec, new Node, Preempted)
-	evLost     = "lost"      // evicted VM no healthy node could host
-	evAdopt    = "adopt"     // VM found on a node, adopted into the placement
-	evStale    = "stale"     // stale VM copy released from a rejoined node
+	evLaunch  EventKind = "launch"  // user-facing placement (Spec, Node, Preempted)
+	evReject  EventKind = "reject"  // launch found no feasible server
+	evRelease EventKind = "release" // normal end of life
+	evPreempt EventKind = "preempt" // capacity preemption observed out-of-band
+
+	// Failure-detector outcomes, returned by ProbeHealth and AddNode.
+	NodeDown        EventKind = "node-down" // K consecutive heartbeat misses; the node's VMs are evacuated
+	NodeUp          EventKind = "node-up"   // a dead node answered and rejoined the placement pool
+	VMEvicted       EventKind = "evict"     // VM declared lost-in-place on a dead node
+	VMReplaced      EventKind = "replace"   // evicted VM re-placed (Spec, new Node, Preempted)
+	VMLost          EventKind = "lost"      // evicted VM no healthy node could host (Err)
+	VMAdopted       EventKind = "adopt"     // VM found on a node, adopted into the placement
+	VMStaleReleased EventKind = "stale"     // stale VM copy released from a rejoined node
 
 	// Migration events. The intent journals before any state moves and the
 	// placement changes only at migrate-done, so a crash at any point
 	// between them recovers with the VM still placed on its source; the
 	// reconciliation pass resolves the in-flight entry by asking the
 	// destination whether the copy completed.
-	evMigrateStart = "migrate-start" // migration intent (From → Node)
-	evMigrateDone  = "migrate-done"  // switchover complete; placement moves
-	evMigrateFail  = "migrate-fail"  // rolled back to the source
+	evMigrateStart EventKind = "migrate-start" // migration intent (From → Node)
+	evMigrateDone  EventKind = "migrate-done"  // switchover complete; placement moves
+	evMigrateFail  EventKind = "migrate-fail"  // rolled back to the source
 
 	// evLeader journals a leadership assumption. The record carries no
 	// event payload beyond its kind; the new term's fencing epoch rides in
 	// the record's Epoch field (stamped on every record), so replicas and
 	// replay learn the term change the moment the record lands.
-	evLeader = "leader"
+	evLeader EventKind = "leader"
 
 	// Dynamic fleet membership. evNodeAdd journals a node registration
 	// (Node + URL) so a recovery — or a peer adopting this shard's journal —
@@ -56,16 +61,17 @@ const (
 	// journals a hand-off (cross-shard rebalance), dropping the node and
 	// every placement on it WITHOUT releasing anything: the node and its
 	// VMs live on under whichever manager now owns them.
-	evNodeAdd    = "node-add"
-	evNodeRemove = "node-remove"
+	evNodeAdd    EventKind = "node-add"
+	evNodeRemove EventKind = "node-remove"
 )
 
-// Event is one journaled manager state transition, JSON-serializable.
-// Spec omits NewApp (functions do not serialize); remote and AppKind-based
-// launches replay fully, local closures replay as placements without a
-// relaunchable app (re-placement then falls back to registered kinds).
+// Event is one manager state transition, JSON-serializable as a journal
+// record. Spec omits NewApp (functions do not serialize); remote and
+// AppKind-based launches replay fully, local closures replay as placements
+// without a relaunchable app (re-placement then falls back to registered
+// kinds).
 type Event struct {
-	Kind      string      `json:"kind"`
+	Kind      EventKind   `json:"kind"`
 	VM        string      `json:"vm,omitempty"`
 	Node      string      `json:"node,omitempty"`
 	Spec      *LaunchSpec `json:"spec,omitempty"`
@@ -75,6 +81,8 @@ type Event struct {
 	From string `json:"from,omitempty"`
 	// URL is the node's control endpoint (node-add events only).
 	URL string `json:"url,omitempty"`
+	// Err is why a node went down or a VM was lost. It is not journaled.
+	Err error `json:"-"`
 }
 
 // Recorder receives every manager state transition. Implementations must
@@ -84,10 +92,53 @@ type Recorder interface {
 	Record(Event)
 }
 
-// record forwards a transition to the attached recorder, if any.
-func (m *Manager) record(e Event) {
+// emit is the manager's one event path: it records e, counts it, bumps its
+// kind's telemetry counter, and returns it.
+func (m *Manager) emit(e Event) Event {
 	if m.rec != nil {
 		m.rec.Record(e)
+	}
+	m.counts.add(e.Kind)
+	if m.tel != nil {
+		if c := m.tel.events[e.Kind]; c != nil {
+			c.Inc()
+		}
+	}
+	return e
+}
+
+// Counts are the per-kind event counts: the manager keeps them live, and
+// replay rebuilds them as the fold of the journal.
+type Counts struct {
+	Rejected           int `json:"rejected,omitempty"`
+	FailurePreemptions int `json:"failure_preemptions,omitempty"` // evictions
+	Replaced           int `json:"replaced,omitempty"`
+	Lost               int `json:"lost,omitempty"`
+	Adopted            int `json:"adopted,omitempty"`
+	StaleReleased      int `json:"stale_released,omitempty"`
+	Migrations         int `json:"migrations,omitempty"`
+	MigrationFailures  int `json:"migration_failures,omitempty"`
+}
+
+// add counts one event of kind k; kinds without a count are ignored.
+func (c *Counts) add(k EventKind) {
+	switch k {
+	case evReject:
+		c.Rejected++
+	case VMEvicted:
+		c.FailurePreemptions++
+	case VMReplaced:
+		c.Replaced++
+	case VMLost:
+		c.Lost++
+	case VMAdopted:
+		c.Adopted++
+	case VMStaleReleased:
+		c.StaleReleased++
+	case evMigrateDone:
+		c.Migrations++
+	case evMigrateFail:
+		c.MigrationFailures++
 	}
 }
 
@@ -118,14 +169,7 @@ type WALState struct {
 	// each by asking the destination whether the copy completed.
 	Migrating map[string]MigrationIntent `json:"migrating,omitempty"`
 
-	Rejected           int `json:"rejected,omitempty"`
-	FailurePreemptions int `json:"failure_preemptions,omitempty"`
-	Replaced           int `json:"replaced,omitempty"`
-	Lost               int `json:"lost,omitempty"`
-	Adopted            int `json:"adopted,omitempty"`
-	StaleReleased      int `json:"stale_released,omitempty"`
-	Migrations         int `json:"migrations,omitempty"`
-	MigrationFailures  int `json:"migration_failures,omitempty"`
+	Counts
 }
 
 // MigrationIntent is one journaled in-flight migration: source and
@@ -162,11 +206,12 @@ func (s *WALState) Apply(rec journal.Record) error {
 	if rec.Epoch > s.Epoch {
 		s.Epoch = rec.Epoch
 	}
+	s.Counts.add(e.Kind)
 	switch e.Kind {
 	case evLeader:
 		// Leadership assumption: no placement change; the epoch bump above
 		// is the whole transition.
-	case evLaunch, evReplace, evAdopt:
+	case evLaunch, VMReplaced, VMAdopted:
 		s.Placements[e.VM] = e.Node
 		if e.Spec != nil {
 			s.Specs[e.VM] = *e.Spec
@@ -175,26 +220,16 @@ func (s *WALState) Apply(rec journal.Record) error {
 			delete(s.Placements, name)
 			delete(s.Specs, name)
 		}
-		switch e.Kind {
-		case evReplace:
-			s.Replaced++
-		case evAdopt:
-			s.Adopted++
-		}
-	case evReject:
-		s.Rejected++
 	case evRelease, evPreempt:
 		delete(s.Placements, e.VM)
 		delete(s.Specs, e.VM)
-	case evEvict:
+	case VMEvicted:
 		delete(s.Placements, e.VM)
-		s.FailurePreemptions++
-	case evLost:
+	case VMLost:
 		delete(s.Specs, e.VM)
-		s.Lost++
-	case evNodeDown:
+	case NodeDown:
 		s.Dead[e.Node] = true
-	case evNodeUp:
+	case NodeUp:
 		delete(s.Dead, e.Node)
 	case evNodeAdd:
 		if s.Nodes == nil {
@@ -212,8 +247,6 @@ func (s *WALState) Apply(rec journal.Record) error {
 				delete(s.Specs, vmName)
 			}
 		}
-	case evStale:
-		s.StaleReleased++
 	case evMigrateStart:
 		if s.Migrating == nil {
 			s.Migrating = make(map[string]MigrationIntent)
@@ -222,10 +255,8 @@ func (s *WALState) Apply(rec journal.Record) error {
 	case evMigrateDone:
 		delete(s.Migrating, e.VM)
 		s.Placements[e.VM] = e.Node
-		s.Migrations++
 	case evMigrateFail:
 		delete(s.Migrating, e.VM)
-		s.MigrationFailures++
 	}
 	s.AppliedSeq = rec.Seq
 	return nil
@@ -253,14 +284,7 @@ func (m *Manager) walState() *WALState {
 		st.Nodes[name] = url
 	}
 	st.Epoch = m.epoch
-	st.Rejected = m.rejected
-	st.FailurePreemptions = m.failurePreemptions
-	st.Replaced = m.replacedVMs
-	st.Lost = m.lostVMs
-	st.Adopted = m.adoptedVMs
-	st.StaleReleased = m.staleReleases
-	st.Migrations = m.migrations
-	st.MigrationFailures = m.migrationFailures
+	st.Counts = m.counts
 	return st
 }
 
@@ -288,7 +312,7 @@ func (r *durableRecorder) Record(e Event) {
 	if r.failed {
 		return
 	}
-	if _, err := r.j.Append(e.Kind, e); err != nil {
+	if _, err := r.j.Append(string(e.Kind), e); err != nil {
 		r.fail(err)
 		return
 	}
@@ -535,7 +559,7 @@ func takeOver(cfg DurabilityConfig, replica *WALState, servers []Node, policy Pl
 
 	rec := &durableRecorder{m: m, j: j, every: cfg.SnapshotEvery, onErr: cfg.OnWALError}
 	m.rec = rec
-	m.record(Event{Kind: evLeader})
+	m.emit(Event{Kind: evLeader})
 	rec.snapshot()
 
 	rep.Placements = len(m.placement)
@@ -611,14 +635,7 @@ func (m *Manager) installWALState(st *WALState) {
 		}
 	}
 	m.epoch = st.Epoch
-	m.rejected = st.Rejected
-	m.failurePreemptions = st.FailurePreemptions
-	m.replacedVMs = st.Replaced
-	m.lostVMs = st.Lost
-	m.adoptedVMs = st.Adopted
-	m.staleReleases = st.StaleReleased
-	m.migrations = st.Migrations
-	m.migrationFailures = st.MigrationFailures
+	m.counts = st.Counts
 }
 
 // reconcileAll is the anti-entropy pass: every live node's inventory is
@@ -683,7 +700,7 @@ func (m *Manager) reconcileAll(rep *RecoveryReport) {
 			case !ok:
 				m.placement[name] = i
 				m.specs[name] = specFromVMState(vs)
-				m.adoptedVMs++
+				m.counts.add(VMAdopted)
 				rep.Adopted++
 			case cur == i:
 				if spec := m.specs[name]; spec.Size != vs.Size || spec.MinSize != vs.MinSize {
@@ -697,7 +714,7 @@ func (m *Manager) reconcileAll(rep *RecoveryReport) {
 				// Journaled elsewhere: this copy is stale (the VM was
 				// re-placed while the journal entry for this node was lost).
 				if err := s.Release(name); err == nil {
-					m.staleReleases++
+					m.counts.add(VMStaleReleased)
 					rep.StaleReleased++
 				}
 			}
@@ -729,7 +746,7 @@ func (m *Manager) resolveRecoveryMigrations(rep *RecoveryReport) {
 		dstIdx := m.serverIndex(intent.To)
 		if dstIdx < 0 || m.health[dstIdx].dead {
 			rep.MigrationsRolledBack++
-			m.migrationFailures++
+			m.counts.add(evMigrateFail)
 			continue
 		}
 		has, err := m.servers[dstIdx].Has(name)
@@ -737,20 +754,20 @@ func (m *Manager) resolveRecoveryMigrations(rep *RecoveryReport) {
 			// Rolled back (or undecidable): the journaled source placement
 			// stands.
 			rep.MigrationsRolledBack++
-			m.migrationFailures++
+			m.counts.add(evMigrateFail)
 			continue
 		}
 		// Completed before the crash: adopt the move.
 		if srcIdx := m.serverIndex(intent.From); srcIdx >= 0 && !m.health[srcIdx].dead {
 			if stale, err := m.servers[srcIdx].Has(name); err == nil && stale {
 				if err := m.servers[srcIdx].Release(name); err == nil {
-					m.staleReleases++
+					m.counts.add(VMStaleReleased)
 					rep.StaleReleased++
 				}
 			}
 		}
 		m.placement[name] = dstIdx
-		m.migrations++
+		m.counts.add(evMigrateDone)
 		rep.MigrationsResolved++
 	}
 	// Like the other reconciliation repairs, the resolution is settled by
@@ -762,13 +779,13 @@ func (m *Manager) resolveRecoveryMigrations(rep *RecoveryReport) {
 // the same path evacuation uses. Counted as a failure-induced preemption:
 // the VM did die, just while the manager was down.
 func (m *Manager) repairReplace(spec LaunchSpec, rep *RecoveryReport) {
-	m.failurePreemptions++
+	m.counts.add(VMEvicted)
 	if _, _, err := m.launch(spec, false); err != nil {
-		m.lostVMs++
+		m.counts.add(VMLost)
 		rep.Lost++
 		return
 	}
-	m.replacedVMs++
+	m.counts.add(VMReplaced)
 	rep.Replaced++
 }
 

@@ -334,7 +334,7 @@ func TestRecoverMidMigration(t *testing.T) {
 		dir := t.TempDir()
 		m, nodes, srcIdx, dstIdx := setup(t, dir)
 		// The intent journals, then the manager dies before any state moves.
-		m.record(Event{Kind: evMigrateStart, VM: "a", Node: nodes[dstIdx].Name(), From: nodes[srcIdx].Name()})
+		m.emit(Event{Kind: evMigrateStart, VM: "a", Node: nodes[dstIdx].Name(), From: nodes[srcIdx].Name()})
 		m.Journal().Close()
 
 		m2, rep := recover2(t, dir, nodes)
@@ -360,7 +360,7 @@ func TestRecoverMidMigration(t *testing.T) {
 		m, nodes, srcIdx, dstIdx := setup(t, dir)
 		// The copy landed on the destination, but the manager died before
 		// journaling evMigrateDone (and before releasing the source).
-		m.record(Event{Kind: evMigrateStart, VM: "a", Node: nodes[dstIdx].Name(), From: nodes[srcIdx].Name()})
+		m.emit(Event{Kind: evMigrateStart, VM: "a", Node: nodes[dstIdx].Name(), From: nodes[srcIdx].Name()})
 		cp, err := nodes[srcIdx].Checkpoint("a")
 		if err != nil {
 			t.Fatal(err)
