@@ -38,6 +38,7 @@ import (
 	"flag"
 	"fmt"
 	"log"
+	"net"
 	"net/http"
 	"os"
 	"os/signal"
@@ -51,6 +52,7 @@ import (
 	"deflation/internal/cluster"
 	"deflation/internal/hypervisor"
 	"deflation/internal/restypes"
+	"deflation/internal/shard"
 	"deflation/internal/telemetry"
 )
 
@@ -74,7 +76,7 @@ func main() {
 		servers   = flag.Int("servers", 0, "number of in-process simulated servers (ignored with -controller)")
 		cpus      = flag.Float64("cpus", 32, "simulated servers: physical CPU cores")
 		memGB     = flag.Float64("mem-gb", 128, "simulated servers: physical memory (GB)")
-		policy    = flag.String("policy", "best-fit", "placement policy: best-fit, first-fit, 2-choices")
+		policy    = flag.String("policy", "best-fit", "placement policy: "+policyNames())
 		seed      = flag.Int64("seed", 1, "seed for the 2-choices policy")
 		heartbeat = flag.Duration("heartbeat", 10*time.Second, "failure-detector probe interval (0 disables)")
 		maxMisses = flag.Int("max-misses", 3, "consecutive heartbeat misses before a node is declared dead")
@@ -98,18 +100,29 @@ func main() {
 	flag.Var(&peers, "peer", "federated: peer shard as id=url (repeatable)")
 	flag.Parse()
 
+	pol, err := parsePolicy(*policy)
+	if err != nil {
+		log.Fatalf("deflated: %v", err)
+	}
+	ctx, stop := signal.NotifyContext(context.Background(), syscall.SIGINT, syscall.SIGTERM)
+	defer stop()
+	context.AfterFunc(ctx, stop) // restore default signal handling: a second ^C kills hard
+
 	if *shardID != "" {
-		pol, err := parsePolicy(*policy)
+		ln, err := net.Listen("tcp", *listen)
+		if err == nil {
+			err = runFederated(ctx, ln, federatedOptions{
+				advertise: *advertise, peers: peers, vnodes: *vnodes,
+				gossipEvery: *gossipEvery, heartbeat: *heartbeat, drain: *drain,
+				server: shard.ServerConfig{
+					ID: *shardID, StateRoot: *stateRoot, Policy: pol, Seed: *seed,
+					SnapshotEvery: *snapEvery, SyncEvery: *syncEvery, MaxMisses: *maxMisses,
+				},
+			})
+		}
 		if err != nil {
 			log.Fatalf("deflated: %v", err)
 		}
-		runFederated(federatedOptions{
-			shardID: *shardID, listen: *listen, advertise: *advertise,
-			stateRoot: *stateRoot, peers: peers, vnodes: *vnodes,
-			gossipEvery: *gossipEvery, policy: pol, seed: *seed,
-			snapEvery: *snapEvery, syncEvery: *syncEvery,
-			heartbeat: *heartbeat, maxMisses: *maxMisses, drain: *drain,
-		})
 		return
 	}
 
@@ -140,14 +153,6 @@ func main() {
 		}
 		log.Printf("deflated: simulating %d servers (%g cores / %g GB each)", *servers, *cpus, *memGB)
 	}
-
-	pol, err := parsePolicy(*policy)
-	if err != nil {
-		log.Fatalf("deflated: %v", err)
-	}
-
-	ctx, stop := signal.NotifyContext(context.Background(), syscall.SIGINT, syscall.SIGTERM)
-	defer stop()
 
 	// Telemetry: cascade decisions, placement and failure-detector counters,
 	// RPC latencies (remote fleets), replication lag (standbys), plus
@@ -307,23 +312,52 @@ func main() {
 		log.Printf("deflated: fenced off by a newer leadership epoch; standing down")
 		os.Exit(2)
 	case <-ctx.Done():
-		stop() // restore default signal handling: a second ^C kills hard
-		log.Printf("deflated: shutting down (draining for up to %v)", *drain)
-		shutCtx, cancel := context.WithTimeout(context.Background(), *drain)
-		defer cancel()
-		if err := srv.Shutdown(shutCtx); err != nil {
-			log.Printf("deflated: drain incomplete: %v", err)
-		}
-		if err := <-errc; err != nil && !errors.Is(err, http.ErrServerClosed) {
-			log.Printf("deflated: %v", err)
-		}
-		if mgr := leader.Load(); mgr != nil {
-			if j := mgr.Journal(); j != nil {
-				j.Close()
+		stopServing(func(ctx context.Context) error {
+			err := srv.Shutdown(ctx)
+			if mgr := leader.Load(); mgr != nil && mgr.Journal() != nil {
+				err = errors.Join(err, mgr.Journal().Close())
 			}
-		}
-		log.Printf("deflated: stopped")
+			return err
+		}, errc, *drain)
 	}
+}
+
+// stopServing drains a server: shutdown gets up to d to let in-flight
+// requests finish (and to close the journals), then the serve loop's exit
+// is logged.
+func stopServing(shutdown func(context.Context) error, errc <-chan error, d time.Duration) {
+	log.Printf("deflated: shutting down (draining for up to %v)", d)
+	ctx, cancel := context.WithTimeout(context.Background(), d)
+	defer cancel()
+	if err := shutdown(ctx); err != nil {
+		log.Printf("deflated: shutdown: %v", err)
+	}
+	if err := <-errc; err != nil && !errors.Is(err, http.ErrServerClosed) {
+		log.Printf("deflated: %v", err)
+	}
+	log.Printf("deflated: stopped")
+}
+
+// policies are the placement policies -policy accepts, by String().
+var policies = []cluster.PlacementPolicy{cluster.BestFit, cluster.FirstFit, cluster.TwoChoices, cluster.WorstFit}
+
+// parsePolicy maps a -policy name to the policy it names.
+func parsePolicy(name string) (cluster.PlacementPolicy, error) {
+	for _, p := range policies {
+		if p.String() == name {
+			return p, nil
+		}
+	}
+	return cluster.BestFit, fmt.Errorf("unknown policy %q (want one of %s)", name, policyNames())
+}
+
+// policyNames lists the -policy names, comma-separated.
+func policyNames() string {
+	names := make([]string, len(policies))
+	for i, p := range policies {
+		names[i] = p.String()
+	}
+	return strings.Join(names, ", ")
 }
 
 // runHeartbeat runs the failure detector's probe every interval until ctx

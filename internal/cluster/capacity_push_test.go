@@ -801,8 +801,7 @@ func TestCachedCapacityMatchesInProcess(t *testing.T) {
 				t.Fatal(err)
 			}
 			remoteLog, localLog := &eventLog{}, &eventLog{}
-			remote.SetRecorder(remoteLog)
-			local.SetRecorder(localLog)
+			remote.rec, local.rec = remoteLog, localLog
 
 			rng := rand.New(rand.NewSource(seed))
 			var live []string

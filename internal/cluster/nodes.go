@@ -124,11 +124,6 @@ func (m *Manager) propagateTerm(n Node) {
 	}
 }
 
-// NodeDialer builds a Node client for a registering agent. ManagerAPI's
-// default dials a RemoteNode without probing it; tests substitute
-// in-process fakes.
-type NodeDialer func(name, url string) (Node, error)
-
 // RegisterNodeRequest announces an agent to its owning manager.
 type RegisterNodeRequest struct {
 	// Name is the agent's server name. Optional: when empty the manager
@@ -176,26 +171,16 @@ type NodeCapacityStatus struct {
 	Known bool `json:"known"`
 }
 
-// nodeAPIState is ManagerAPI's dynamic-membership state, guarded by the
-// API mutex like everything else.
+// nodeAPIState is ManagerAPI's dynamic-membership state: when each node
+// last pushed a heartbeat.
 type nodeAPIState struct {
-	dial       NodeDialer
 	heartbeats map[string]time.Time
 	hbMu       sync.Mutex // heartbeats are hot-path; keep them off the API lock
 }
 
-// SetNodeDialer overrides how registering agents are dialed (tests,
-// in-process federations). The default dials RemoteNodes.
-func (a *ManagerAPI) SetNodeDialer(d NodeDialer) {
-	a.mu.Lock()
-	defer a.mu.Unlock()
-	a.nodes.dial = d
-}
-
-func (a *ManagerAPI) dialNode(name, url string) (Node, error) {
-	if a.nodes.dial != nil {
-		return a.nodes.dial(name, url)
-	}
+// dialNode builds the client for a registering agent: a RemoteNode, not
+// probed when the agent names itself.
+func dialNode(name, url string) (Node, error) {
 	if name != "" {
 		return NewRemoteNodeNamed(name, url, RetryPolicy{}), nil
 	}
@@ -224,7 +209,7 @@ func (a *ManagerAPI) registerNode(journal string, w http.ResponseWriter, r *http
 	var n Node
 	if !known {
 		var err error
-		if n, err = a.dialNode(req.Name, req.URL); err != nil {
+		if n, err = dialNode(req.Name, req.URL); err != nil {
 			http.Error(w, "cluster: dialing node: "+err.Error(), http.StatusBadGateway)
 			return
 		}

@@ -33,7 +33,7 @@ func TestChaosSimTelemetry(t *testing.T) {
 		t.Fatal(err)
 	}
 	emitted := kindTally{}
-	s.mgr.SetRecorder(emitted)
+	s.mgr.rec = emitted
 	res, err := s.run()
 	if err != nil {
 		t.Fatal(err)

@@ -793,11 +793,6 @@ func (m *Manager) repairReplace(spec LaunchSpec, rep *RecoveryReport) {
 // durable).
 func (m *Manager) Journal() *journal.Journal { return m.journal }
 
-// SetRecorder attaches a state-transition recorder (nil detaches). TakeOver
-// attaches a journal-backed recorder automatically; SetRecorder exists for
-// tests and custom sinks.
-func (m *Manager) SetRecorder(r Recorder) { m.rec = r }
-
 // AttachJournal starts recording this manager's transitions into j,
 // snapshotting every snapshotEvery records (≤0 uses the default).
 func (m *Manager) AttachJournal(j *journal.Journal, snapshotEvery int) {

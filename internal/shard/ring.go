@@ -7,15 +7,18 @@
 // fence-bumping past the cluster-wide epoch maximum, and anti-entropy
 // reconciling against the dead shard's live agents.
 //
-// The package has four layers:
+// The package has five layers:
 //
 //   - the ring (this file) and the seq-versioned shard Map (map.go):
 //     deterministic ownership, gossiped between managers;
 //   - Router (router.go): the HTTP front door of each manager — requests
 //     for keys the local shard owns are served, everything else is
 //     redirected (307 + X-Deflation-Shard-Epoch) to the owner;
-//   - Federation (federation.go): N shards over real HTTP listeners with
-//     crash-stop Kill, journal adoption, and cross-shard reconciliation
+//   - Server (server.go): one federated manager process — its own shard
+//     recovered from its journal, its Router, and journal adoption of dead
+//     peers' shards;
+//   - Federation (federation.go): N Servers over real HTTP listeners with
+//     crash-stop Kill, adopter election, and cross-shard reconciliation
 //     (reconcile.go) repairing double-owned or orphaned nodes;
 //   - the deflload harness (load.go): thousands of in-process node agents
 //     driving open-loop registrations/heartbeats/launches/migrations at
@@ -25,7 +28,6 @@
 package shard
 
 import (
-	"fmt"
 	"hash/fnv"
 	"sort"
 )
@@ -151,9 +153,4 @@ func (r *Ring) Owner(key string) string {
 		i = 0
 	}
 	return r.points[i].id
-}
-
-// String renders the ring for logs.
-func (r *Ring) String() string {
-	return fmt.Sprintf("ring(%d members, %d points)", len(r.ids), len(r.points))
 }

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"context"
 	"encoding/json"
+	"errors"
 	"fmt"
 	"io"
 	"net/http"
@@ -23,6 +24,9 @@ const ShardEpochHeader = "X-Deflation-Shard-Epoch"
 // shardMapPath serves (GET) and gossips (POST) the shard map.
 const shardMapPath = "/v1/shardmap"
 
+// adoptPath has the server adopt the dead shard ?shard=ID (POST).
+const adoptPath = "/v1/adopt"
+
 // Router is a federated manager's HTTP front door. A keyed request (VM name
 // for VM commands, node name for registrations and heartbeats) is either
 // dispatched to a locally mounted shard — this manager's own, plus any it
@@ -32,6 +36,9 @@ const shardMapPath = "/v1/shardmap"
 type Router struct {
 	self  string
 	store *MapStore
+	// adopt serves POST /v1/adopt (set by the Server owning the router;
+	// nil = this router adopts nothing).
+	adopt func(ctx context.Context, dead string) (*cluster.RecoveryReport, error)
 
 	mu    sync.RWMutex
 	local map[string]http.Handler
@@ -41,9 +48,6 @@ type Router struct {
 func NewRouter(self string, store *MapStore) *Router {
 	return &Router{self: self, store: store, local: make(map[string]http.Handler)}
 }
-
-// Self returns this manager's member ID.
-func (rt *Router) Self() string { return rt.self }
 
 // Store returns the router's shard-map store.
 func (rt *Router) Store() *MapStore { return rt.store }
@@ -56,38 +60,31 @@ func (rt *Router) Mount(id string, h http.Handler) {
 	rt.local[id] = h
 }
 
-// Unmount removes a locally served shard (hand-back after rebalance).
-func (rt *Router) Unmount(id string) {
-	rt.mu.Lock()
-	defer rt.mu.Unlock()
-	delete(rt.local, id)
-}
-
-// Mounted lists the shard IDs this router serves locally.
-func (rt *Router) Mounted() []string {
-	rt.mu.RLock()
-	defer rt.mu.RUnlock()
-	ids := make([]string, 0, len(rt.local))
-	for id := range rt.local {
-		ids = append(ids, id)
-	}
-	return ids
-}
-
 func (rt *Router) localHandler(id string) http.Handler {
 	rt.mu.RLock()
 	defer rt.mu.RUnlock()
 	return rt.local[id]
 }
 
-// Handler serves the shard map and routes every manager route
-// (cluster.ManagerRoutes) by the ring key the route declares. VM and node
-// names hash onto the same ring, so ownership is total and deterministic.
-// A route without a key serves the local (or ?shard=ID) view.
-func (rt *Router) Handler() http.Handler {
+// Handler serves the router's routes from one mux.
+func (rt *Router) Handler() *http.ServeMux {
+	mux := http.NewServeMux()
+	for pattern, h := range rt.routes() {
+		mux.HandleFunc(pattern, h)
+	}
+	return mux
+}
+
+// routes maps each pattern the router serves to its handler: the shard map,
+// adoption, and every manager route (cluster.ManagerRoutes), routed by the
+// ring key the route declares. VM and node names hash onto the same ring,
+// so ownership is total and deterministic. A route without a key serves
+// the local (or ?shard=ID) view.
+func (rt *Router) routes() map[string]http.HandlerFunc {
 	routes := map[string]http.HandlerFunc{
 		"GET " + shardMapPath:  rt.handleMapGet,
 		"POST " + shardMapPath: rt.handleMapPost,
+		"POST " + adoptPath:    rt.handleAdopt,
 	}
 	for _, r := range cluster.ManagerRoutes() {
 		routes[r.Method+" "+r.Path] = rt.serveLocal
@@ -95,11 +92,7 @@ func (rt *Router) Handler() http.Handler {
 			routes[r.Method+" "+r.Path] = rt.keyed(r)
 		}
 	}
-	mux := http.NewServeMux()
-	for pattern, h := range routes {
-		mux.HandleFunc(pattern, h)
-	}
-	return mux
+	return routes
 }
 
 // handleMapGet serves the current shard map.
@@ -125,6 +118,35 @@ func (rt *Router) handleMapPost(w http.ResponseWriter, r *http.Request) {
 	v := rt.store.View()
 	w.Header().Set(ShardEpochHeader, strconv.FormatUint(v.Map.Version, 10))
 	w.WriteHeader(http.StatusNoContent)
+}
+
+// handleAdopt adopts the dead shard ?shard=ID and replies with its
+// recovery report: 409 when the shard is served here already.
+func (rt *Router) handleAdopt(w http.ResponseWriter, r *http.Request) {
+	dead := r.URL.Query().Get("shard")
+	if dead == "" {
+		http.Error(w, "shard: "+adoptPath+" needs ?shard=ID", http.StatusBadRequest)
+		return
+	}
+	if rt.adopt == nil {
+		http.Error(w, "shard: "+rt.self+" adopts no shards", http.StatusNotFound)
+		return
+	}
+	rep, err := rt.adopt(r.Context(), dead)
+	if errors.Is(err, errServed) {
+		http.Error(w, err.Error(), http.StatusConflict)
+		return
+	}
+	var body []byte
+	if err == nil {
+		body, err = json.Marshal(rep)
+	}
+	if err != nil {
+		http.Error(w, err.Error(), http.StatusInternalServerError)
+		return
+	}
+	w.Header().Set("Content-Type", "application/json")
+	w.Write(append(body, '\n'))
 }
 
 // keyed routes by the route's ring key: a path value, or a field of the
@@ -263,10 +285,7 @@ func FetchMap(ctx context.Context, client *http.Client, baseURL string) (Map, er
 	if err != nil {
 		return m, err
 	}
-	defer func() {
-		io.Copy(io.Discard, io.LimitReader(resp.Body, 1<<20))
-		resp.Body.Close()
-	}()
+	defer drain(resp)
 	if resp.StatusCode != http.StatusOK {
 		return m, fmt.Errorf("shard: fetching map from %s: %s", baseURL, resp.Status)
 	}
@@ -288,8 +307,7 @@ func PushMap(ctx context.Context, client *http.Client, baseURL string, m Map) er
 	if err != nil {
 		return err
 	}
-	io.Copy(io.Discard, io.LimitReader(resp.Body, 1<<20))
-	resp.Body.Close()
+	drain(resp)
 	if resp.StatusCode >= 300 {
 		return fmt.Errorf("shard: pushing map to %s: %s", baseURL, resp.Status)
 	}

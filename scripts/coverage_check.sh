@@ -2,8 +2,9 @@
 # coverage_check.sh — run the test suite with a coverage profile, print the
 # total, and fail if the sweep engine (internal/sweep), the container
 # substrate (internal/simcg), the event calendar (internal/simclock), the
-# substrate contract (internal/substrate) or the resource vectors
-# (internal/restypes) is under its floor.
+# substrate contract (internal/substrate), the resource vectors
+# (internal/restypes) or the shard server (internal/shard) is under its
+# floor.
 #
 # Usage: scripts/coverage_check.sh [profile-path]
 #
@@ -22,7 +23,10 @@
 # restypes vectors are the resource arithmetic every allocation, fit test and
 # deflation target is computed with; their unit, property and fuzz tests must
 # keep covering it before that arithmetic is rewritten, so they carry the
-# same floor.
+# same floor. The shard package is the federated manager every federated
+# deflated process and every in-process federation runs (boot, routing,
+# adoption, graceful close); its tests must keep covering adoption's
+# refusals and the journal close, so it carries the same floor.
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
@@ -36,7 +40,7 @@ echo "total coverage: ${total}"
 
 # Statement-weighted coverage for each floored package alone: filter the
 # profile down to its files and total that.
-for pkg in sweep simcg simclock substrate restypes; do
+for pkg in sweep simcg simclock substrate restypes shard; do
   pkg_profile="${profile}.${pkg}"
   { head -1 "$profile"; grep "internal/${pkg}/" "$profile" || true; } > "$pkg_profile"
   pkg_pct=$(go tool cover -func="$pkg_profile" | awk '/^total:/ { sub(/%$/, "", $NF); print $NF }')
