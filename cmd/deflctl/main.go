@@ -476,9 +476,6 @@ func traceCmd(manager string, args []string) error {
 		if !e.Shortfall.IsZero() {
 			fmt.Printf(" shortfall=%v", e.Shortfall)
 		}
-		if e.DeadlineExceeded {
-			fmt.Print(" deadline-exceeded")
-		}
 		if e.AppFailed {
 			fmt.Print(" app-failed")
 		}

@@ -15,7 +15,9 @@
 // simulator.
 //
 // The package tree lives under internal/; the public surface is the set of
-// command-line tools under cmd/ and the runnable examples under examples/.
+// command-line tools under cmd/. Runnable walk-throughs are the Example
+// functions of internal/cascade, internal/cluster, internal/spark and
+// internal/agent.
 // See DESIGN.md for the system inventory and EXPERIMENTS.md for
 // paper-vs-measured results of every figure.
 package deflation

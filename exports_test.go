@@ -1,0 +1,372 @@
+package deflation_test
+
+import (
+	"bufio"
+	"fmt"
+	"go/ast"
+	"go/parser"
+	"go/token"
+	"io/fs"
+	"os"
+	"path/filepath"
+	"reflect"
+	"sort"
+	"strings"
+	"testing"
+)
+
+// callerDirs are the trees whose non-test code counts as a caller. The
+// benchmark module imports internal packages too, so a name it still needs
+// keeps its place here rather than failing only under `go vet -C benchmark`.
+var callerDirs = []string{"cmd", "internal", "benchmark"}
+
+// TestEveryExportHasACaller holds internal/ to exported names that some
+// non-test code uses. A name with no such caller must be deleted, or listed
+// in testdata/exported_allowlist.txt with its reason; the list only shrinks,
+// so a listed name that gains a caller or disappears fails too.
+func TestEveryExportHasACaller(t *testing.T) {
+	unused, err := unusedExports(".", "deflation", "internal", callerDirs)
+	if err != nil {
+		t.Fatal(err)
+	}
+	allow, err := readAllowlist("testdata/exported_allowlist.txt")
+	if err != nil {
+		t.Fatal(err)
+	}
+	fresh, stale := diffAllowlist(unused, allow)
+	for _, name := range fresh {
+		t.Errorf("%s: exported, but no non-test code uses it; delete it or give it a caller", name)
+	}
+	for _, name := range stale {
+		t.Errorf("%s: in testdata/exported_allowlist.txt, but it has a caller now or no longer exists; delete the line", name)
+	}
+}
+
+// TestExportScanFixture runs the scan over a fixture tree whose unused
+// exports are known: a func, a method, a type and a const, each used only
+// from a test or from inside its own declaration. Against an allowlist, a
+// listed name that is used or declared nowhere is stale.
+func TestExportScanFixture(t *testing.T) {
+	root := filepath.Join("testdata", "exportscan")
+	unused, err := unusedExports(root, "fixture", "internal", []string{"cmd", "internal"})
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := []string{
+		"internal/lib.Limit",
+		"internal/lib.Orphan",
+		"internal/lib.Orphan.Size",
+		"internal/lib.Recursive",
+		"internal/lib.Widget.Spin",
+		"internal/lib.Widget.Unused",
+	}
+	if !reflect.DeepEqual(unused, want) {
+		t.Fatalf("unused exports:\n got %q\nwant %q", unused, want)
+	}
+
+	allow := map[string]bool{
+		"internal/lib.Limit":  true,
+		"internal/lib.Gone":   true, // declared nowhere
+		"internal/lib.Orphan": true,
+		"internal/lib.Used":   true, // cmd/app reads it
+	}
+	fresh, stale := diffAllowlist(unused, allow)
+	if want := []string{"internal/lib.Orphan.Size", "internal/lib.Recursive", "internal/lib.Widget.Spin", "internal/lib.Widget.Unused"}; !reflect.DeepEqual(fresh, want) {
+		t.Errorf("fresh = %q, want %q", fresh, want)
+	}
+	if want := []string{"internal/lib.Gone", "internal/lib.Used"}; !reflect.DeepEqual(stale, want) {
+		t.Errorf("stale = %q, want %q", stale, want)
+	}
+}
+
+// diffAllowlist splits the scan against the allowlist: fresh names are
+// unused and not listed, stale ones are listed and not (or no longer) unused.
+func diffAllowlist(unused []string, allow map[string]bool) (fresh, stale []string) {
+	seen := make(map[string]bool, len(unused))
+	for _, name := range unused {
+		seen[name] = true
+		if !allow[name] {
+			fresh = append(fresh, name)
+		}
+	}
+	for name := range allow {
+		if !seen[name] {
+			stale = append(stale, name)
+		}
+	}
+	sort.Strings(stale)
+	return fresh, stale
+}
+
+// readAllowlist reads the names of "<name> <reason>" lines; blank lines and
+// lines starting with # are skipped, and every entry must give a reason.
+func readAllowlist(path string) (map[string]bool, error) {
+	f, err := os.Open(path)
+	if err != nil {
+		return nil, err
+	}
+	defer f.Close()
+	allow := make(map[string]bool)
+	sc := bufio.NewScanner(f)
+	for n := 1; sc.Scan(); n++ {
+		line := strings.TrimSpace(sc.Text())
+		if line == "" || strings.HasPrefix(line, "#") {
+			continue
+		}
+		name, reason, _ := strings.Cut(line, " ")
+		if strings.TrimSpace(reason) == "" {
+			return nil, fmt.Errorf("%s:%d: %s gives no reason", path, n, name)
+		}
+		allow[name] = true
+	}
+	return allow, sc.Err()
+}
+
+// declKey identifies a top-level declaration: a package-level name, or a
+// method "<pkg>.<Type>.<Method>" (whose type is then recv).
+type declKey struct {
+	name, recv, method string
+}
+
+// unusedExports lists, sorted, every exported top-level name and exported
+// method declared under root/declDir that no non-test .go file under
+// root/callers uses outside its own declaration. Top-level names resolve
+// through each file's imports (or its own package); methods match by name.
+// Names print as "<dir>.<Name>" and "<dir>.<Type>.<Method>", with dir
+// relative to root.
+func unusedExports(root, module, declDir string, callers []string) ([]string, error) {
+	fset := token.NewFileSet()
+	files := make(map[string][]*ast.File) // package dir → parsed files
+	for _, dir := range callers {
+		err := filepath.WalkDir(filepath.Join(root, dir), func(path string, d fs.DirEntry, err error) error {
+			if err != nil {
+				return err
+			}
+			if d.IsDir() {
+				if name := d.Name(); name == "testdata" || strings.HasPrefix(name, ".") || strings.HasPrefix(name, "_") {
+					return filepath.SkipDir
+				}
+				return nil
+			}
+			if !strings.HasSuffix(path, ".go") || strings.HasSuffix(path, "_test.go") {
+				return nil
+			}
+			f, err := parser.ParseFile(fset, path, nil, parser.SkipObjectResolution)
+			if err != nil {
+				return err
+			}
+			rel, err := filepath.Rel(root, filepath.Dir(path))
+			if err != nil {
+				return err
+			}
+			rel = filepath.ToSlash(rel)
+			files[rel] = append(files[rel], f)
+			return nil
+		})
+		if err != nil {
+			return nil, err
+		}
+	}
+
+	// Declarations under declDir, and every package's top-level names.
+	topLevel := make(map[string]map[string]bool) // package dir → names
+	var exported []declKey
+	for dir, pkgFiles := range files {
+		names := make(map[string]bool)
+		declared := dir == declDir || strings.HasPrefix(dir, declDir+"/")
+		for _, f := range pkgFiles {
+			for _, d := range f.Decls {
+				for _, u := range units(d) {
+					for _, k := range declKeys(dir, u) {
+						if k.method == "" {
+							names[k.name[len(dir)+1:]] = true
+						}
+						if declared && isExported(k) {
+							exported = append(exported, k)
+						}
+					}
+				}
+			}
+		}
+		topLevel[dir] = names
+	}
+
+	uses := make(map[string][]declKey) // use key → declarations it sits in
+	for dir, pkgFiles := range files {
+		for _, f := range pkgFiles {
+			imports := make(map[string]string) // local name → package dir
+			for _, spec := range f.Imports {
+				path := strings.Trim(spec.Path.Value, `"`)
+				if !strings.HasPrefix(path, module+"/") {
+					continue
+				}
+				local := path[strings.LastIndex(path, "/")+1:]
+				if spec.Name != nil {
+					local = spec.Name.Name
+				}
+				imports[local] = strings.TrimPrefix(path, module+"/")
+			}
+			for _, d := range f.Decls {
+				for _, u := range units(d) {
+					keys := usesIn(u, dir, topLevel[dir], imports)
+					for _, in := range declKeys(dir, u) {
+						for _, key := range keys {
+							uses[key] = append(uses[key], in)
+						}
+					}
+				}
+			}
+		}
+	}
+
+	var unused []string
+	for _, k := range exported {
+		if !usedOutside(k, uses) {
+			unused = append(unused, k.String())
+		}
+	}
+	sort.Strings(unused)
+	return unused, nil
+}
+
+func (k declKey) String() string {
+	if k.method != "" {
+		return k.recv + "." + k.method
+	}
+	return k.name
+}
+
+func isExported(k declKey) bool {
+	if k.method != "" {
+		return ast.IsExported(k.method)
+	}
+	return ast.IsExported(k.name[strings.LastIndex(k.name, ".")+1:])
+}
+
+// usedOutside reports whether some use of k sits outside k's own
+// declaration; uses maps a use's key to the declarations it sits in. A
+// type's methods are part of its declaration.
+func usedOutside(k declKey, uses map[string][]declKey) bool {
+	if k.method != "" {
+		for _, in := range uses[k.method] {
+			if in != k {
+				return true
+			}
+		}
+		return false
+	}
+	for _, in := range uses[k.name] {
+		if in.name != k.name && in.recv != k.name {
+			return true
+		}
+	}
+	return false
+}
+
+// units splits a top-level declaration into the parts that each declare
+// their own names: a func, or each spec of a const, var or type group.
+func units(d ast.Decl) []ast.Node {
+	switch d := d.(type) {
+	case *ast.FuncDecl:
+		return []ast.Node{d}
+	case *ast.GenDecl:
+		nodes := make([]ast.Node, len(d.Specs))
+		for i, spec := range d.Specs {
+			nodes[i] = spec
+		}
+		return nodes
+	}
+	return nil
+}
+
+// declKeys lists what one unit declares. A method yields one key whose recv
+// is its type; a var or const spec yields one key per name.
+func declKeys(dir string, n ast.Node) []declKey {
+	switch n := n.(type) {
+	case *ast.FuncDecl:
+		if n.Recv == nil {
+			return []declKey{{name: dir + "." + n.Name.Name}}
+		}
+		recv := dir + "." + recvType(n.Recv.List[0].Type)
+		return []declKey{{name: recv + "." + n.Name.Name, recv: recv, method: n.Name.Name}}
+	case *ast.TypeSpec:
+		return []declKey{{name: dir + "." + n.Name.Name}}
+	case *ast.ValueSpec:
+		keys := make([]declKey, len(n.Names))
+		for i, id := range n.Names {
+			keys[i] = declKey{name: dir + "." + id.Name}
+		}
+		return keys
+	}
+	return nil
+}
+
+func recvType(e ast.Expr) string {
+	switch t := e.(type) {
+	case *ast.StarExpr:
+		return recvType(t.X)
+	case *ast.IndexExpr:
+		return recvType(t.X)
+	case *ast.IndexListExpr:
+		return recvType(t.X)
+	case *ast.Ident:
+		return t.Name
+	}
+	return ""
+}
+
+// usesIn lists the references inside one unit by key: "<pkg>.<Name>" for
+// a name qualified through an import or an own-package identifier, and the
+// bare name for every other selector (a method or field). Identifiers that
+// declare something (fields, parameters, := targets, labels) are not uses.
+func usesIn(unit ast.Node, dir string, own map[string]bool, imports map[string]string) []string {
+	skip := make(map[*ast.Ident]bool)
+	var out []string
+	ast.Inspect(unit, func(n ast.Node) bool {
+		switch n := n.(type) {
+		case *ast.FuncDecl:
+			skip[n.Name] = true
+		case *ast.TypeSpec:
+			skip[n.Name] = true
+		case *ast.ValueSpec:
+			for _, id := range n.Names {
+				skip[id] = true
+			}
+		case *ast.Field:
+			for _, id := range n.Names {
+				skip[id] = true
+			}
+		case *ast.AssignStmt:
+			if n.Tok == token.DEFINE {
+				for _, e := range n.Lhs {
+					if id, ok := e.(*ast.Ident); ok {
+						skip[id] = true
+					}
+				}
+			}
+		case *ast.LabeledStmt:
+			skip[n.Label] = true
+		case *ast.BranchStmt:
+			if n.Label != nil {
+				skip[n.Label] = true
+			}
+		case *ast.SelectorExpr:
+			if x, ok := n.X.(*ast.Ident); ok {
+				if pkg, ok := imports[x.Name]; ok {
+					out = append(out, pkg+"."+n.Sel.Name)
+					skip[x] = true
+					skip[n.Sel] = true
+					return true
+				}
+			}
+			out = append(out, n.Sel.Name)
+			skip[n.Sel] = true
+		case *ast.Ident:
+			if !skip[n] && own[n.Name] {
+				out = append(out, dir+"."+n.Name)
+			}
+		}
+		return true
+	})
+	return out
+}

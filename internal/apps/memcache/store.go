@@ -184,13 +184,6 @@ func (s *Store) UsedBytes() int64 {
 	return s.used
 }
 
-// MaxBytes returns the current capacity.
-func (s *Store) MaxBytes() int64 {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return s.maxBytes
-}
-
 // Len returns the number of items.
 func (s *Store) Len() int {
 	s.mu.Lock()

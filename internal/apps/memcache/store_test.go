@@ -175,7 +175,7 @@ func TestQuickUsageWithinCapacity(t *testing.T) {
 			case 2:
 				s.Delete(key)
 			}
-			if s.UsedBytes() > s.MaxBytes() || s.UsedBytes() < 0 {
+			if s.UsedBytes() > s.Stats().MaxBytes || s.UsedBytes() < 0 {
 				return false
 			}
 		}

@@ -91,12 +91,9 @@ type Report struct {
 	// memory.max is never written below its live RSS + runtime overhead —
 	// the substrate would answer with an OOM kill, not a squeeze).
 	Shortfall restypes.Vector
-	// DeadlineExceeded reports that the controller's deadline truncated the
-	// higher levels and the hypervisor picked up the remainder.
-	DeadlineExceeded bool
-	// AppFailed and OSFailed report that the level failed (or hung past the
-	// budget) and the cascade degraded gracefully to the next level with
-	// the remaining target, rather than aborting.
+	// AppFailed and OSFailed report that the level failed and the cascade
+	// degraded gracefully to the next level with the remaining target,
+	// rather than aborting.
 	AppFailed bool
 	OSFailed  bool
 	// SLOWithheld is the portion of the requested target an installed
@@ -121,7 +118,7 @@ type LevelFault struct {
 	// level.
 	Fraction float64
 	// Hang is extra latency the level consumes before responding or
-	// failing; it burns the cascade's deadline budget.
+	// failing.
 	Hang time.Duration
 }
 
@@ -145,11 +142,10 @@ type SLOPolicy interface {
 // per-server "local deflation controller" logic of §5 at single-VM
 // granularity; internal/cluster runs one per server.
 type Controller struct {
-	levels   Levels
-	deadline time.Duration        // 0 = unbounded
-	faults   FaultHook            // nil = no injection
-	slo      SLOPolicy            // nil = every VM keeps the utility-curve cascade
-	tel      *controllerTelemetry // nil = no instrumentation
+	levels Levels
+	faults FaultHook            // nil = no injection
+	slo    SLOPolicy            // nil = every VM keeps the utility-curve cascade
+	tel    *controllerTelemetry // nil = no instrumentation
 }
 
 // New returns a controller with the given levels enabled.
@@ -157,14 +153,6 @@ func New(levels Levels) *Controller { return &Controller{levels: levels} }
 
 // Levels returns the controller's enabled levels.
 func (c *Controller) Levels() Levels { return c.levels }
-
-// SetDeadline bounds each deflation operation (§5: "deflation operations
-// have a deadline... if a deflation operation times out, we proceed to the
-// next level in cascade deflation"). The time budget is consumed by the
-// application and OS levels in order — OS memory unplug is truncated to
-// what page migration can move in the remaining budget — and the hypervisor
-// level completes regardless, as the backstop. Zero means unbounded.
-func (c *Controller) SetDeadline(d time.Duration) { c.deadline = d }
 
 // SetSLOPolicy installs a latency-SLO clamp consulted once per deflation,
 // before any level runs. Latency-sensitive VMs registered with the policy
@@ -174,10 +162,9 @@ func (c *Controller) SetDeadline(d time.Duration) { c.deadline = d }
 func (c *Controller) SetSLOPolicy(p SLOPolicy) { c.slo = p }
 
 // SetFaultHook installs a fault injector consulted once per level per
-// deflation. Failures degrade gracefully: a failed or hung level is skipped
-// (charging any hang against the deadline budget) and the remaining target
-// falls through to the next level, extending the §5 deadline semantics from
-// "slow" to "failed".
+// deflation. Failures degrade gracefully: a failed level is skipped (its
+// hang, if any, still charged as latency) and the remaining target falls
+// through to the next level.
 func (c *Controller) SetFaultHook(h FaultHook) { c.faults = h }
 
 func (c *Controller) fault(level string) LevelFault {
@@ -231,21 +218,13 @@ func (c *Controller) deflate(v *vm.VM, target restypes.Vector) (Report, error) {
 	}
 
 	// Level 1: application self-deflation (best-effort, may return zero).
-	// A crashed or hung agent reclaims nothing; the full target falls
-	// through to the OS level. A hang that outlives the whole deadline is
-	// abandoned at the deadline — the controller does not wait forever on a
-	// wedged agent.
+	// A crashed agent reclaims nothing; the full target falls through to
+	// the OS level.
 	if c.levels.App {
-		f := c.fault("app")
-		switch {
-		case c.deadline > 0 && f.Hang >= c.deadline:
-			r.AppFailed = true
-			r.DeadlineExceeded = true
-			r.App = LevelReport{Latency: c.deadline}
-		case f.Fail:
+		if f := c.fault("app"); f.Fail {
 			r.AppFailed = true
 			r.App = LevelReport{Latency: f.Hang}
-		default:
+		} else {
 			rel, lat := v.App().SelfDeflate(target)
 			v.SyncFootprint()
 			r.App = LevelReport{Reclaimed: rel.ClampNonNegative(), Latency: lat + f.Hang}
@@ -255,9 +234,7 @@ func (c *Controller) deflate(v *vm.VM, target restypes.Vector) (Report, error) {
 	// Level 2: guest OS hot-unplug. Per Fig. 3 the unplug target is
 	// bounded by the overall target; resources the app just freed are now
 	// part of the guest's safely-unpluggable pool, so unplugging them
-	// returns them to the hypervisor without swap cost. With a deadline
-	// set, the unplug is further bounded by what the remaining time budget
-	// allows — the hypervisor backstop takes the rest. Only guest-backed
+	// returns them to the hypervisor without swap cost. Only guest-backed
 	// instances have this level at all: a container has no guest kernel,
 	// no vCPUs and no memory to unplug, so the whole target falls through
 	// to the substrate resize.
@@ -270,21 +247,6 @@ func (c *Controller) deflate(v *vm.VM, target restypes.Vector) (Report, error) {
 			r.OSFailed = true
 			osTarget = osTarget.Scale(f.Fraction)
 			r.OS.Latency += f.Hang
-		}
-		if c.deadline > 0 {
-			remaining := c.deadline - r.App.Latency - r.OS.Latency
-			if remaining <= 0 {
-				// Budget exhausted (slow or hung upper level): skip the OS
-				// level entirely — failed, not just slow.
-				osTarget = restypes.Vector{}
-				r.DeadlineExceeded = true
-			} else {
-				budgetMB := remaining.Seconds() * g.Config().PageMigrateMBps
-				if osTarget.MemoryMB > budgetMB {
-					osTarget.MemoryMB = budgetMB
-					r.DeadlineExceeded = true
-				}
-			}
 		}
 		if !osTarget.IsZero() {
 			rep := c.osReclaim(g, v, osTarget, !c.levels.Hypervisor)

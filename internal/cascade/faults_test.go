@@ -2,7 +2,6 @@ package cascade
 
 import (
 	"testing"
-	"time"
 
 	"deflation/internal/apps/apptest"
 	"deflation/internal/restypes"
@@ -42,35 +41,6 @@ func TestAppFailureFallsThrough(t *testing.T) {
 	}
 	if r.Shortfall != (restypes.Vector{}) {
 		t.Errorf("shortfall %v with hypervisor backstop enabled", r.Shortfall)
-	}
-}
-
-func TestAgentHangBurnsDeadlineBudget(t *testing.T) {
-	// The agent hangs for the whole deadline: it is abandoned, the OS level
-	// is skipped (no budget left), and the hypervisor takes everything.
-	app := apptest.NewElastic("hung", 12000, 2000)
-	v := newVM(t, app, vm.Config{})
-	v.Domain().MarkWarm()
-	c := New(AllLevels())
-	c.SetDeadline(5 * time.Second)
-	c.SetFaultHook(hookFor(map[string]LevelFault{"app": {Hang: time.Minute}}))
-
-	target := restypes.V(0, 8192, 0, 0)
-	r, err := c.Deflate(v, target)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !r.AppFailed || !r.DeadlineExceeded {
-		t.Errorf("hung agent: AppFailed=%v DeadlineExceeded=%v", r.AppFailed, r.DeadlineExceeded)
-	}
-	if r.App.Latency != 5*time.Second {
-		t.Errorf("abandoned at %v, want the 5s deadline", r.App.Latency)
-	}
-	if !r.OS.Reclaimed.IsZero() {
-		t.Errorf("OS ran with an exhausted budget: %v", r.OS.Reclaimed)
-	}
-	if got := v.Allocation(); got.MemoryMB != v.Size().MemoryMB-8192 {
-		t.Errorf("allocation = %v, target missed", got)
 	}
 }
 

@@ -35,14 +35,13 @@ type controllerTelemetry struct {
 	sink *telemetry.Sink
 	node string
 
-	deflations       *telemetry.Counter
-	reinflations     *telemetry.Counter
-	errors           *telemetry.Counter
-	deadlineExceeded *telemetry.Counter
-	shortfalls       *telemetry.Counter
-	shortfallAmount  [restypes.NumKinds]*telemetry.Counter
-	reclaimSeconds   *telemetry.Histogram
-	app, os, hyp     levelMetrics
+	deflations      *telemetry.Counter
+	reinflations    *telemetry.Counter
+	errors          *telemetry.Counter
+	shortfalls      *telemetry.Counter
+	shortfallAmount [restypes.NumKinds]*telemetry.Counter
+	reclaimSeconds  *telemetry.Histogram
+	app, os, hyp    levelMetrics
 }
 
 // SetTelemetry wires the controller to a telemetry sink: per-level latency
@@ -81,8 +80,6 @@ func (c *Controller) SetTelemetry(sink *telemetry.Sink, node string) {
 			"cascade reinflation operations", nl),
 		errors: r.Counter("deflation_cascade_errors_total",
 			"cascade operations that returned an error", nl),
-		deadlineExceeded: r.Counter("deflation_cascade_deadline_exceeded_total",
-			"deflations whose deadline truncated the upper levels", nl),
 		shortfalls: r.Counter("deflation_cascade_shortfalls_total",
 			"deflations that could not fully meet their target", nl),
 		reclaimSeconds: r.Histogram("deflation_cascade_reclaim_seconds",
@@ -126,9 +123,6 @@ func (t *controllerTelemetry) record(kind string, levels Levels, vmName string, 
 	if err != nil {
 		t.errors.Inc()
 	}
-	if r.DeadlineExceeded {
-		t.deadlineExceeded.Inc()
-	}
 	if !r.Shortfall.IsZero() {
 		t.shortfalls.Inc()
 		for _, k := range restypes.Kinds() {
@@ -147,21 +141,20 @@ func (t *controllerTelemetry) record(kind string, levels Levels, vmName string, 
 	t.reclaimSeconds.Observe(r.TotalLatency.Seconds())
 
 	e := telemetry.CascadeEvent{
-		Time:             time.Now(),
-		Kind:             kind,
-		Node:             t.node,
-		VM:               vmName,
-		Levels:           levels.String(),
-		Target:           r.Target,
-		AppReclaimed:     r.App.Reclaimed,
-		OSReclaimed:      r.OS.Reclaimed,
-		HypReclaimed:     r.Hyp.Reclaimed,
-		LevelReached:     levelReached(r),
-		AppFailed:        r.AppFailed,
-		OSFailed:         r.OSFailed,
-		DeadlineExceeded: r.DeadlineExceeded,
-		Shortfall:        r.Shortfall,
-		Duration:         r.TotalLatency,
+		Time:         time.Now(),
+		Kind:         kind,
+		Node:         t.node,
+		VM:           vmName,
+		Levels:       levels.String(),
+		Target:       r.Target,
+		AppReclaimed: r.App.Reclaimed,
+		OSReclaimed:  r.OS.Reclaimed,
+		HypReclaimed: r.Hyp.Reclaimed,
+		LevelReached: levelReached(r),
+		AppFailed:    r.AppFailed,
+		OSFailed:     r.OSFailed,
+		Shortfall:    r.Shortfall,
+		Duration:     r.TotalLatency,
 	}
 	if err != nil {
 		e.Err = err.Error()

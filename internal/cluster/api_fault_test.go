@@ -33,6 +33,20 @@ func recordSleeps(n *RemoteNode) *[]time.Duration {
 	return &sleeps
 }
 
+// retries and lastTransportErr read a RemoteNode's lifetime retry count and
+// its most recent transport failure.
+func retries(n *RemoteNode) int {
+	n.mu.Lock()
+	defer n.mu.Unlock()
+	return n.retries
+}
+
+func lastTransportErr(n *RemoteNode) error {
+	n.mu.Lock()
+	defer n.mu.Unlock()
+	return n.lastErr
+}
+
 func TestStateRetriesOn5xxWithBackoff(t *testing.T) {
 	_, ctrl := newControllerServer(t)
 	api, err := NewControllerAPI(ctrl)
@@ -61,7 +75,7 @@ func TestStateRetriesOn5xxWithBackoff(t *testing.T) {
 	if _, err := node.State(); err != nil {
 		t.Fatalf("State after two 5xxs: %v", err)
 	}
-	if got := node.Retries(); got != 2 {
+	if got := retries(node); got != 2 {
 		t.Errorf("retries = %d, want 2", got)
 	}
 	if len(*sleeps) != 2 {
@@ -105,7 +119,7 @@ func TestRetryExhaustionReturnsLastError(t *testing.T) {
 		t.Fatal("State succeeded against a permanently failing server")
 	}
 	// MaxAttempts=4 → 3 retries beyond the first attempt.
-	if got := node.Retries(); got != 3 {
+	if got := retries(node); got != 3 {
 		t.Errorf("retries = %d, want 3", got)
 	}
 }
@@ -138,10 +152,10 @@ func TestTimeoutIsRetriedAsTransportFailure(t *testing.T) {
 	if _, err := node.State(); err != nil {
 		t.Fatalf("State after one hung attempt: %v", err)
 	}
-	if node.Retries() == 0 {
+	if retries(node) == 0 {
 		t.Error("hung attempt was not retried")
 	}
-	if node.LastTransportErr() == nil {
+	if lastTransportErr(node) == nil {
 		t.Error("timeout not recorded as a transport error")
 	}
 }
@@ -283,8 +297,8 @@ func TestLaunchNeverRetries(t *testing.T) {
 	if got := launchAttempts.Load(); got != 1 {
 		t.Errorf("launch attempted %d times, want exactly 1 (not idempotent)", got)
 	}
-	if node.Retries() != 0 {
-		t.Errorf("launch consumed %d retries", node.Retries())
+	if retries(node) != 0 {
+		t.Errorf("launch consumed %d retries", retries(node))
 	}
 }
 

@@ -182,9 +182,9 @@ func TestCascadeRefusalIsNotRetried(t *testing.T) {
 		if err == nil || !strings.Contains(err.Error(), c.want.Error()) {
 			t.Errorf("deflate %s: err = %v, want the agent's %q", c.vm, err, c.want)
 		}
-		if isRetryable(err) || deflates.Load() != 1 || node.Retries() != 0 {
+		if isRetryable(err) || deflates.Load() != 1 || retries(node) != 0 {
 			t.Errorf("deflate %s: retryable %v, %d attempts, %d retries; want one attempt",
-				c.vm, isRetryable(err), deflates.Load(), node.Retries())
+				c.vm, isRetryable(err), deflates.Load(), retries(node))
 		}
 	}
 	if got := statusOf(cascade.ErrPreempted); got != http.StatusConflict {

@@ -315,7 +315,7 @@ func TestUnknownCapacityIsNotEmpty(t *testing.T) {
 			t.Errorf("launch %d took %v: more than one probe timeout (%v)", i, elapsed, policy.OpTimeout)
 		}
 	}
-	if holeNode.LastTransportErr() == nil {
+	if lastTransportErr(holeNode) == nil {
 		t.Error("the unanswered probe was not recorded as the node's last transport error")
 	}
 	if _, known, _ := holeNode.capacity(); known {
@@ -591,8 +591,8 @@ func TestHeartbeatFoldsRaceLaunches(t *testing.T) {
 	seen := map[string]int{}
 	for _, a := range fleet {
 		a.inspect(func(c *LocalController) {
-			if alloc := c.Host().Allocated(); !alloc.Fits(c.Host().Capacity()) {
-				t.Errorf("%s allocates %v of %v", a.name, alloc, c.Host().Capacity())
+			if alloc := c.host.Allocated(); !alloc.Fits(c.host.Capacity()) {
+				t.Errorf("%s allocates %v of %v", a.name, alloc, c.host.Capacity())
 			}
 			for _, v := range c.VMs() {
 				seen[v.Name()]++
@@ -655,8 +655,8 @@ func staleCacheScript(t *testing.T, seed int64) {
 		seen := map[string]int{}
 		for _, a := range fleet {
 			a.inspect(func(c *LocalController) {
-				if alloc := c.Host().Allocated(); !alloc.Fits(c.Host().Capacity()) {
-					t.Fatalf("step %d (%s): %s allocates %v of %v", step, what, a.name, alloc, c.Host().Capacity())
+				if alloc := c.host.Allocated(); !alloc.Fits(c.host.Capacity()) {
+					t.Fatalf("step %d (%s): %s allocates %v of %v", step, what, a.name, alloc, c.host.Capacity())
 				}
 				for _, v := range c.VMs() {
 					seen[v.Name()]++

@@ -184,9 +184,6 @@ func NewLocalController(host substrate.Substrate, levels cascade.Levels, mode Mo
 	}
 }
 
-// Host returns the underlying substrate host.
-func (c *LocalController) Host() substrate.Substrate { return c.host }
-
 // Name implements Node.
 func (c *LocalController) Name() string { return c.host.Name() }
 

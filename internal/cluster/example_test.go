@@ -24,9 +24,13 @@ func ExampleRunSim() {
 	if err != nil {
 		log.Fatal(err)
 	}
-	st := trace.Summarize(events)
-	fmt.Printf("trace: %d VMs (%d high-priority), lifetime median %v\n",
-		st.Count, st.HighPriority, st.MedianLifetime.Round(time.Second))
+	high := 0
+	for _, e := range events {
+		if e.HighPriority {
+			high++
+		}
+	}
+	fmt.Printf("trace: %d VMs (%d high-priority)\n", len(events), high)
 	fmt.Printf("%-12s %-16s %-10s %-12s %s\n", "overcommit%", "mode", "preempt-p", "achieved-oc", "rejections")
 	for _, oc := range []float64{1.4, 1.6, 1.8} {
 		for _, mode := range []cluster.Mode{cluster.ModeDeflation, cluster.ModePreemptionOnly} {
@@ -46,7 +50,7 @@ func ExampleRunSim() {
 		}
 	}
 	// Output:
-	// trace: 2500 VMs (1276 high-priority), lifetime median 14m39s
+	// trace: 2500 VMs (1276 high-priority)
 	// overcommit%  mode             preempt-p  achieved-oc  rejections
 	// 40           deflation        0.000      1.24         0
 	// 40           preemption-only  0.226      0.95         212

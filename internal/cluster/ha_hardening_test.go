@@ -12,6 +12,7 @@ import (
 	"time"
 
 	"deflation/internal/journal"
+	"deflation/internal/restypes"
 	"deflation/internal/vm"
 )
 
@@ -41,8 +42,8 @@ func TestPromoteStandbyBumpsPastClusterFencedEpoch(t *testing.T) {
 	if m.Epoch() != 6 {
 		t.Fatalf("promoted epoch = %d, want 6 (past the cluster-fenced 5)", m.Epoch())
 	}
-	if m.Identity() != "standby" {
-		t.Fatalf("identity = %q", m.Identity())
+	if m.id != "standby" {
+		t.Fatalf("identity = %q", m.id)
 	}
 	// The promotion's fencing sweep asserted the new term, so the restarted
 	// leader is refused.
@@ -225,11 +226,12 @@ func TestDeposedManagerStandsDown(t *testing.T) {
 
 // A migration refused for a stale epoch is proof of a newer leader like any
 // other refused command: a direct migrate (its refusal arrives as the cause
-// of ErrMigrationFailed) and a deflate-then-migrate drain (its first refusal
-// is the squeeze) must both latch Deposed. The failed POST /v1/migrate keeps
+// of ErrMigrationFailed) and a deflate-then-migrate fallback for a
+// high-priority launch (its first refusal is the squeeze) must both latch
+// Deposed. The failed POST /v1/migrate keeps
 // its 409; the command after it is the deposed manager's 503.
 func TestFencedMigrationLatchesDeposed(t *testing.T) {
-	for _, via := range []string{"migrate", "drain"} {
+	for _, via := range []string{"migrate", "fallback"} {
 		t.Run(via, func(t *testing.T) {
 			guards := []*EpochGuard{{}, {}}
 			var nodes []Node
@@ -276,9 +278,12 @@ func TestFencedMigrationLatchesDeposed(t *testing.T) {
 				if w := call(http.MethodPost, "/v1/migrate", migrate); w.Code != http.StatusConflict {
 					t.Fatalf("fenced migrate = %d, want 409: %s", w.Code, w.Body)
 				}
-			case "drain":
-				if _, failed, err := m.Drain("s0"); err != nil || len(failed) != 1 {
-					t.Fatalf("fenced drain: failed %v, %v", failed, err)
+			case "fallback":
+				hi := spec("hi", vm.HighPriority, 1.0)
+				hi.Size = restypes.V(16, 65536, 100, 100)
+				hi.MinSize = hi.Size
+				if _, _, err := m.Launch(hi); err == nil {
+					t.Fatal("fenced fallback launch succeeded")
 				}
 			}
 			if !m.Deposed() {

@@ -198,9 +198,6 @@ func (m *Manager) SetEpoch(epoch uint64) {
 	}
 }
 
-// Identity returns the manager's leader identity ("" = none configured).
-func (m *Manager) Identity() string { return m.id }
-
 // SetIdentity installs the leader identity carried alongside the epoch on
 // every node RPC. Two managers that self-allocate the same epoch (a crashed
 // leader's restart racing its standby's promotion) are distinguished by

@@ -307,9 +307,6 @@ func (m *Manager) MigrationStats() MigrationStats {
 // high-priority placements (default ReclaimPreempt, the existing behavior).
 func (m *Manager) SetReclaimPolicy(p ReclaimPolicy) { m.reclaim = p }
 
-// ReclaimPolicy returns the configured reclamation policy.
-func (m *Manager) ReclaimPolicy() ReclaimPolicy { return m.reclaim }
-
 // SetMigrationModel configures the migration performance model (the zero
 // model uses defaults: a dedicated 10 GbE link, 300ms downtime target).
 func (m *Manager) SetMigrationModel(mod migration.Model) { m.migModel = mod }
@@ -469,43 +466,6 @@ func (m *Manager) deferWork(d time.Duration, f func()) {
 		return
 	}
 	f()
-}
-
-// Drain live-migrates every VM off the named server (planned maintenance —
-// the migration-based alternative to crash evacuation). VMs with no
-// feasible destination or whose migration fails stay behind and are
-// reported in failed. Deflate-then-migrate policy applies if configured.
-func (m *Manager) Drain(node string) (moved []MigrationReport, failed []string, err error) {
-	idx := m.serverIndex(node)
-	if idx < 0 {
-		return nil, nil, fmt.Errorf("%w: %q", ErrNodeNotFound, node)
-	}
-	var names []string
-	for name, i := range m.placement {
-		if i == idx {
-			names = append(names, name)
-		}
-	}
-	sort.Strings(names)
-	for _, name := range names {
-		if m.reclaim == ReclaimDeflateThenMigrate {
-			_, err := m.servers[idx].DeflateFully(name)
-			m.noteDeposed(err)
-		}
-		footprint, kind := m.vmFootprint(idx, name)
-		dst := m.bestMigrationTarget(footprint, kind, idx)
-		if dst < 0 {
-			failed = append(failed, name)
-			continue
-		}
-		rep, err := m.migrate(name, dst)
-		if err != nil {
-			failed = append(failed, name)
-			continue
-		}
-		moved = append(moved, rep)
-	}
-	return moved, failed, nil
 }
 
 // migrateFallback frees room for a high-priority placement by migrating

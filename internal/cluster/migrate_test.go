@@ -9,6 +9,7 @@ import (
 	"deflation/internal/faults"
 	"deflation/internal/hypervisor"
 	"deflation/internal/restypes"
+	"deflation/internal/substrate"
 	"deflation/internal/vm"
 )
 
@@ -33,6 +34,12 @@ func newMigCluster(t *testing.T, n int) *Manager {
 		t.Fatal(err)
 	}
 	return m
+}
+
+// reservedOn is the capacity a host holds outside its instances: what its
+// free physical capacity lacks of capacity minus allocations.
+func reservedOn(h substrate.Substrate) restypes.Vector {
+	return h.Capacity().Sub(h.Allocated()).Sub(h.FreePhysical())
 }
 
 // totalAllocated sums every placed VM's physical allocation cluster-wide.
@@ -138,7 +145,7 @@ func TestMigrationFaultRollsBackToSource(t *testing.T) {
 		t.Errorf("allocation changed by failed migration:\nbefore %+v\nafter  %+v", before, after)
 	}
 	for i, s := range m.Servers() {
-		if r := s.(*LocalController).host.Reserved(); !r.IsZero() {
+		if r := reservedOn(s.(*LocalController).host); !r.IsZero() {
 			t.Errorf("server %d still holds stream reservation %+v", i, r)
 		}
 	}
@@ -198,36 +205,52 @@ func TestMigrationOnlyFallbackMigratesInsteadOfPreempting(t *testing.T) {
 }
 
 func TestDeflateThenMigrateMovesFewerBytes(t *testing.T) {
-	// Drain the same one-VM node under migration-only and under
-	// deflate-then-migrate: the deflated VM must transfer fewer bytes and
-	// pause for less downtime (smaller resident set, lower dirty rate).
-	drain := func(policy ReclaimPolicy) MigrationReport {
+	// A full-server high-priority arrival fits nowhere, so the fallback
+	// migrates s0's one low-priority VM next to s1's high-priority one.
+	// Under deflate-then-migrate the VM is squeezed first: it must transfer
+	// fewer bytes and pause for less downtime (smaller resident set, lower
+	// dirty rate) than under migration-only.
+	full := func(name string, prio vm.Priority) LaunchSpec {
+		s := spec(name, prio, 1.0)
+		s.Size = restypes.V(16, 65536, 100, 100)
+		s.MinSize = s.Size
+		return s
+	}
+	fallback := func(policy ReclaimPolicy) MigrationStats {
 		m := newMigCluster(t, 2)
 		m.SetReclaimPolicy(policy)
-		if _, _, err := m.Launch(spec("a", vm.LowPriority, 0.25)); err != nil {
+		// x fills s0 so that b lands on s1; a then takes s0 alone.
+		for _, sp := range []LaunchSpec{full("x", vm.LowPriority), spec("b", vm.HighPriority, 1.0)} {
+			if _, _, err := m.Launch(sp); err != nil {
+				t.Fatal(err)
+			}
+		}
+		if err := m.Release("x"); err != nil {
 			t.Fatal(err)
 		}
-		moved, failed, err := m.Drain("s0")
-		if err != nil {
-			t.Fatal(err)
-		}
-		if len(moved) != 1 || len(failed) != 0 {
-			t.Fatalf("drain: moved %d, failed %d", len(moved), len(failed))
+		for _, sp := range []LaunchSpec{spec("a", vm.LowPriority, 0.25), full("hi", vm.HighPriority)} {
+			if _, _, err := m.Launch(sp); err != nil {
+				t.Fatal(err)
+			}
 		}
 		if has, _ := m.Servers()[1].Has("a"); !has {
-			t.Fatal("drained VM not on destination")
+			t.Fatal("a was not migrated to s1")
 		}
-		return moved[0]
+		st := m.MigrationStats()
+		if st.Migrations != 1 {
+			t.Fatalf("%d migrations, want 1", st.Migrations)
+		}
+		return st
 	}
-	plain := drain(ReclaimMigrationOnly)
-	deflated := drain(ReclaimDeflateThenMigrate)
-	if deflated.Result.TransferredMB >= plain.Result.TransferredMB {
+	plain := fallback(ReclaimMigrationOnly)
+	deflated := fallback(ReclaimDeflateThenMigrate)
+	if deflated.MigratedMB >= plain.MigratedMB {
 		t.Errorf("deflate-then-migrate moved %.0f MB, migration-only %.0f MB",
-			deflated.Result.TransferredMB, plain.Result.TransferredMB)
+			deflated.MigratedMB, plain.MigratedMB)
 	}
-	if deflated.Result.Downtime >= plain.Result.Downtime {
+	if deflated.TotalDowntime >= plain.TotalDowntime {
 		t.Errorf("deflate-then-migrate downtime %v, migration-only %v",
-			deflated.Result.Downtime, plain.Result.Downtime)
+			deflated.TotalDowntime, plain.TotalDowntime)
 	}
 }
 
@@ -266,8 +289,8 @@ func TestReserveStreamThrottlesAndRestores(t *testing.T) {
 			t.Errorf("%s network allocation %.0f not restored", v.Name(), net)
 		}
 	}
-	if !c.host.Reserved().IsZero() {
-		t.Errorf("reservation leaked: %+v", c.host.Reserved())
+	if r := reservedOn(c.host); !r.IsZero() {
+		t.Errorf("reservation leaked: %+v", r)
 	}
 	// Releasing an unknown stream is a no-op.
 	if err := c.ReleaseStream("migrate:ghost"); err != nil {

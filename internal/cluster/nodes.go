@@ -65,8 +65,8 @@ func (m *Manager) AddNode(n Node, url string) ([]Event, error) {
 
 // RemoveNode hands a node off: the manager forgets the node and every
 // placement on it WITHOUT releasing anything — the node and its VMs live
-// on under whichever manager now owns them (cross-shard rebalance). The
-// hand-off journals as a single node-remove event.
+// on under whichever manager now owns them. The hand-off journals as a
+// single node-remove event.
 func (m *Manager) RemoveNode(name string) error {
 	idx := m.serverIndex(name)
 	if idx < 0 {

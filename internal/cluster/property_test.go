@@ -49,7 +49,7 @@ func TestQuickControllerInvariants(t *testing.T) {
 			}
 
 			// Invariants.
-			if !c.Host().Allocated().Fits(capacity) {
+			if !c.host.Allocated().Fits(capacity) {
 				return false
 			}
 			free := c.Free()
@@ -118,7 +118,7 @@ func TestQuickSplitPoliciesMeetTargets(t *testing.T) {
 		if err != nil {
 			return false
 		}
-		return newVM.Allocation() == size && c.Host().Allocated().Fits(capacity)
+		return newVM.Allocation() == size && c.host.Allocated().Fits(capacity)
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 20}); err != nil {
 		t.Error(err)

@@ -144,23 +144,6 @@ func probeHealthz(client *http.Client, baseURL string, timeout time.Duration) (H
 	return hz, json.NewDecoder(resp.Body).Decode(&hz)
 }
 
-// Retries returns the lifetime number of retry attempts this client has
-// made (not counting first attempts).
-func (n *RemoteNode) Retries() int {
-	n.mu.Lock()
-	defer n.mu.Unlock()
-	return n.retries
-}
-
-// LastTransportErr returns the most recent transport-level failure observed
-// (nil if none). It is recorded distinctly from application-level errors
-// like ErrVMNotFound so callers can tell "unreachable" from "gone".
-func (n *RemoteNode) LastTransportErr() error {
-	n.mu.Lock()
-	defer n.mu.Unlock()
-	return n.lastErr
-}
-
 // drainClose drains and closes an HTTP response body so the keep-alive
 // connection can be reused rather than torn down.
 func drainClose(body io.ReadCloser) {

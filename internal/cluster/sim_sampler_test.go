@@ -105,7 +105,7 @@ type observedVM struct {
 }
 
 func observe(c *LocalController) observedState {
-	st := observedState{c.Host().Allocated(), c.Host().FreePhysical(), map[string]observedVM{}}
+	st := observedState{c.host.Allocated(), c.host.FreePhysical(), map[string]observedVM{}}
 	for _, v := range c.VMs() {
 		st.vms[v.Name()] = observedVM{v.Allocation(), v.Throughput()}
 	}

@@ -246,42 +246,33 @@ func TestRecoverMidMigrationContainer(t *testing.T) {
 		t.Error("stale source container not released")
 	}
 	// The restored instance is still container-backed.
-	inst, err := nodes[dstIdx].LocalController.Host().Lookup("a")
-	if err != nil {
-		t.Fatal(err)
+	v, ok := nodes[dstIdx].LocalController.vms.Get("a")
+	if !ok {
+		t.Fatal("restored VM a not on the destination")
 	}
-	if inst.Kind() != substrate.KindContainer {
-		t.Errorf("restored instance kind = %q", inst.Kind())
+	if v.Substrate() != substrate.KindContainer {
+		t.Errorf("restored instance kind = %q", v.Substrate())
 	}
 }
 
-// TestMigrationTargetsRespectSubstrate drains a container node and verifies
-// every move lands on the other container node, never on the (emptier)
-// hypervisor nodes.
+// TestMigrationTargetsRespectSubstrate asks for a migration target for a
+// container VM and verifies it is the other container node, never one of
+// the (emptier) hypervisor nodes.
 func TestMigrationTargetsRespectSubstrate(t *testing.T) {
-	m, nodes := newMixedCrashableCluster(t, 2, 2)
+	m, _ := newMixedCrashableCluster(t, 2, 2)
 	pinned := durSpec("c0", vm.LowPriority, 0.25)
 	pinned.Substrate = string(substrate.KindContainer)
-	idx, _, err := m.Launch(pinned)
+	src, _, err := m.Launch(pinned)
 	if err != nil {
 		t.Fatal(err)
 	}
-	src := m.Servers()[idx].Name()
-	moved, failed, err := m.Drain(src)
-	if err != nil {
-		t.Fatal(err)
+	footprint, kind := m.vmFootprint(src, "c0")
+	dst := m.bestMigrationTarget(footprint, kind, src)
+	if dst < 0 || dst == src {
+		t.Fatalf("migration target %d for c0 on %d", dst, src)
 	}
-	if len(moved) != 1 || len(failed) != 0 {
-		t.Fatalf("drain moved %d / failed %v", len(moved), failed)
-	}
-	dst := m.Placements()["c0"]
-	for i, n := range nodes {
-		if n.Name() == dst && capOf(nodes[i]).Substrate != string(substrate.KindContainer) {
-			t.Errorf("drain moved a container VM to %q node %s", capOf(nodes[i]).Substrate, dst)
-		}
-	}
-	if dst == src {
-		t.Errorf("drain left c0 on the source")
+	if got := capOf(m.Servers()[dst]).Substrate; got != string(substrate.KindContainer) {
+		t.Errorf("container VM c0 targeted at %q node %s", got, m.Servers()[dst].Name())
 	}
 }
 

@@ -219,7 +219,7 @@ func TestAPIAttachTelemetryGauges(t *testing.T) {
 	if got := gauge("deflation_node_allocated", telemetry.Labels{"resource": "cpu"}); got != spec.Size.CPU {
 		t.Errorf("allocated cpu gauge = %v, want %v", got, spec.Size.CPU)
 	}
-	cap := ctrl.Host().Capacity()
+	cap := ctrl.host.Capacity()
 	if got := gauge("deflation_node_free", telemetry.Labels{"resource": "memory"}); got != cap.MemoryMB-spec.Size.MemoryMB {
 		t.Errorf("free memory gauge = %v, want %v", got, cap.MemoryMB-spec.Size.MemoryMB)
 	}

@@ -58,7 +58,7 @@ const (
 	// Dynamic fleet membership. evNodeAdd journals a node registration
 	// (Node + URL) so a recovery — or a peer adopting this shard's journal —
 	// can re-dial the same agents the dead manager was serving; evNodeRemove
-	// journals a hand-off (cross-shard rebalance), dropping the node and
+	// journals a hand-off to another manager, dropping the node and
 	// every placement on it WITHOUT releasing anything: the node and its
 	// VMs live on under whichever manager now owns them.
 	evNodeAdd    EventKind = "node-add"

@@ -302,14 +302,13 @@ func (in *Injector) DiskFault(op string) error {
 	return nil
 }
 
-// HTTPFaultKind enumerates REST-plane fault types.
+// HTTPFaultKind enumerates REST-plane fault types; the zero kind injects
+// nothing.
 type HTTPFaultKind int
 
 const (
-	// HTTPNone injects nothing.
-	HTTPNone HTTPFaultKind = iota
 	// HTTPError returns a 5xx without reaching the handler.
-	HTTPError
+	HTTPError HTTPFaultKind = iota + 1
 	// HTTPDrop severs the connection without a response.
 	HTTPDrop
 	// HTTPDelay delays the request by Delay, then serves it normally.

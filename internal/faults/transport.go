@@ -1,7 +1,6 @@
 package faults
 
 import (
-	"fmt"
 	"net/http"
 	"time"
 )
@@ -28,37 +27,4 @@ func Middleware(in *Injector, next http.Handler) http.Handler {
 		}
 		next.ServeHTTP(w, r)
 	})
-}
-
-// Transport is a client-side http.RoundTripper that injects faults before
-// the request leaves: errors become synthetic 502s, drops become transport
-// errors, delays sleep. Useful to harden-test clients without a server.
-type Transport struct {
-	Injector *Injector
-	// Base is the underlying transport (http.DefaultTransport when nil).
-	Base http.RoundTripper
-}
-
-// RoundTrip implements http.RoundTripper.
-func (t *Transport) RoundTrip(req *http.Request) (*http.Response, error) {
-	switch f := t.Injector.HTTPFault(); f.Kind {
-	case HTTPError:
-		resp := &http.Response{
-			StatusCode: http.StatusBadGateway,
-			Status:     "502 Bad Gateway (injected)",
-			Body:       http.NoBody,
-			Header:     make(http.Header),
-			Request:    req,
-		}
-		return resp, nil
-	case HTTPDrop:
-		return nil, fmt.Errorf("faults: injected connection drop for %s %s", req.Method, req.URL.Path)
-	case HTTPDelay:
-		time.Sleep(f.Delay)
-	}
-	base := t.Base
-	if base == nil {
-		base = http.DefaultTransport
-	}
-	return base.RoundTrip(req)
 }

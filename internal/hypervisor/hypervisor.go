@@ -138,39 +138,11 @@ func (h *Host) Unreserve(v restypes.Vector) {
 	h.reserved = h.reserved.Sub(v.ClampNonNegative()).ClampNonNegative()
 }
 
-// Reserved returns the currently reserved capacity.
-func (h *Host) Reserved() restypes.Vector { return h.reserved }
-
-// Domains returns all live domains in name order. The slice is the domain
-// table's own array, valid only until the next domain is created or
-// destroyed; callers must not modify it.
-func (h *Host) Domains() []*Domain { return h.domains.Ordered() }
-
 // Domain looks up a live domain by name.
 func (h *Host) Domain(name string) (*Domain, error) {
 	d, ok := h.domains.Get(name)
 	if !ok {
 		return nil, fmt.Errorf("%w: %q", ErrDomainNotFound, name)
-	}
-	return d, nil
-}
-
-// Instances returns all live domains as substrate instances (sorted by
-// name, like Domains).
-func (h *Host) Instances() []substrate.Instance {
-	doms := h.Domains()
-	out := make([]substrate.Instance, len(doms))
-	for i, d := range doms {
-		out[i] = d
-	}
-	return out
-}
-
-// Lookup finds a live domain by name as a substrate instance.
-func (h *Host) Lookup(name string) (substrate.Instance, error) {
-	d, err := h.Domain(name)
-	if err != nil {
-		return nil, err
 	}
 	return d, nil
 }

@@ -72,9 +72,9 @@ func TestDomainsSorted(t *testing.T) {
 	h := newHost(t)
 	mustDomain(t, h, "b")
 	mustDomain(t, h, "a")
-	ds := h.Domains()
+	ds := h.domains.Ordered()
 	if len(ds) != 2 || ds[0].Name() != "a" || ds[1].Name() != "b" {
-		t.Errorf("Domains() order wrong: %v, %v", ds[0].Name(), ds[1].Name())
+		t.Errorf("domain order wrong: %v, %v", ds[0].Name(), ds[1].Name())
 	}
 }
 
@@ -128,7 +128,7 @@ func TestMemoryReclamationLatency(t *testing.T) {
 	d := mustDomain(t, h, "vm0")
 	d.Guest().SetAppFootprint(12000, 2000) // touched = 256+12000+2000 = 14256
 	// Reclaim 8 GB of memory: resident drops 16384→8192 within touched.
-	lat, err := d.SetAllocation(vmSize().With(restypes.Memory, 8192))
+	lat, err := d.SetAllocation(restypes.V(4, 8192, 100, 100))
 	if err != nil {
 		t.Fatalf("SetAllocation: %v", err)
 	}
@@ -140,7 +140,7 @@ func TestMemoryReclamationLatency(t *testing.T) {
 	// Reclaiming only untouched memory is free.
 	d2 := mustDomain(t, h, "vm1")
 	d2.Guest().SetAppFootprint(1000, 0)
-	lat, err = d2.SetAllocation(vmSize().With(restypes.Memory, 4096))
+	lat, err = d2.SetAllocation(restypes.V(4, 4096, 100, 100))
 	if err != nil {
 		t.Fatalf("SetAllocation: %v", err)
 	}
@@ -160,7 +160,7 @@ func TestEnvCPULockHolderPenalty(t *testing.T) {
 	}
 
 	// Hypervisor-only CPU deflation to 1 core: 4 vCPUs on 1 core → LHP.
-	if _, err := d.SetAllocation(vmSize().With(restypes.CPU, 1)); err != nil {
+	if _, err := d.SetAllocation(restypes.V(1, 16384, 100, 100)); err != nil {
 		t.Fatal(err)
 	}
 	env = d.Env()
@@ -174,7 +174,7 @@ func TestEnvCPULockHolderPenalty(t *testing.T) {
 	// OS-level deflation instead: unplug to 1 vCPU → no multiplexing, no LHP.
 	d2 := mustDomain(t, h, "vm1")
 	d2.Guest().UnplugCPUs(3)
-	if _, err := d2.SetAllocation(vmSize().With(restypes.CPU, 1)); err != nil {
+	if _, err := d2.SetAllocation(restypes.V(1, 16384, 100, 100)); err != nil {
 		t.Fatal(err)
 	}
 	env2 := d2.Env()
@@ -196,7 +196,7 @@ func TestEnvMemorySwapState(t *testing.T) {
 		t.Errorf("undeflated env has swap: %+v", env)
 	}
 
-	if _, err := d.SetAllocation(vmSize().With(restypes.Memory, 8192)); err != nil {
+	if _, err := d.SetAllocation(restypes.V(4, 8192, 100, 100)); err != nil {
 		t.Fatal(err)
 	}
 	env = d.Env()
@@ -218,7 +218,7 @@ func TestEnvMemorySwapState(t *testing.T) {
 func TestEnvIOThrottles(t *testing.T) {
 	h := newHost(t)
 	d := mustDomain(t, h, "vm0")
-	if _, err := d.SetAllocation(vmSize().With(restypes.Disk, 25).With(restypes.Net, 10)); err != nil {
+	if _, err := d.SetAllocation(restypes.V(4, 16384, 25, 10)); err != nil {
 		t.Fatal(err)
 	}
 	env := d.Env()

@@ -52,26 +52,7 @@ type Service struct {
 	tel           *serviceTelemetry
 }
 
-// NewService builds the replicas and the balancer. The same webapp.Config
-// is applied to every replica.
-func NewService(cfg ServiceConfig) (*Service, error) {
-	cfg = cfg.withDefaults()
-	if cfg.Replicas < 1 {
-		return nil, fmt.Errorf("interactive: need at least 1 replica, got %d", cfg.Replicas)
-	}
-	apps := make([]*webapp.App, cfg.Replicas)
-	for i := range apps {
-		a, err := webapp.NewApp(cfg.Web)
-		if err != nil {
-			return nil, err
-		}
-		apps[i] = a
-	}
-	return newServiceWith(cfg, apps)
-}
-
-// NewServiceWith wraps existing replica servers (already attached to VMs)
-// instead of constructing fresh ones — the cluster-integration path, where
+// NewServiceWith wraps existing replica servers (already attached to VMs):
 // the webapp.App instances must be the ones the cascade deflates.
 func NewServiceWith(cfg ServiceConfig, apps []*webapp.App) (*Service, error) {
 	cfg = cfg.withDefaults()
@@ -84,10 +65,6 @@ func NewServiceWith(cfg ServiceConfig, apps []*webapp.App) (*Service, error) {
 	if cfg.Replicas != len(apps) {
 		return nil, fmt.Errorf("interactive: %d apps for %d configured replicas", len(apps), cfg.Replicas)
 	}
-	return newServiceWith(cfg, apps)
-}
-
-func newServiceWith(cfg ServiceConfig, apps []*webapp.App) (*Service, error) {
 	gen, err := NewGenerator(cfg.Arrivals)
 	if err != nil {
 		return nil, err
@@ -105,9 +82,6 @@ func newServiceWith(cfg ServiceConfig, apps []*webapp.App) (*Service, error) {
 		offered: make([]float64, len(apps)),
 	}, nil
 }
-
-// Apps returns the replica servers (index-aligned with envs in Step).
-func (s *Service) Apps() []*webapp.App { return s.apps }
 
 // OfferedRPS returns replica i's admitted request rate over the last tick
 // — the measured load the SLO-targeting deflation policy budgets against.

@@ -24,12 +24,20 @@ func replicaEnv(cores float64) hypervisor.Env {
 
 func steadyService(t *testing.T, replicas int, rps float64) *Service {
 	t.Helper()
-	s, err := NewService(ServiceConfig{
-		Web:      webapp.Config{DeflationAware: true},
-		Replicas: replicas,
+	web := webapp.Config{DeflationAware: true}
+	apps := make([]*webapp.App, replicas)
+	for i := range apps {
+		a, err := webapp.NewApp(web)
+		if err != nil {
+			t.Fatal(err)
+		}
+		apps[i] = a
+	}
+	s, err := NewServiceWith(ServiceConfig{
+		Web:      web,
 		Arrivals: ArrivalConfig{Seed: 11, BaseRPS: rps},
 		SLOP99MS: 50,
-	})
+	}, apps)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -37,10 +45,14 @@ func steadyService(t *testing.T, replicas int, rps float64) *Service {
 }
 
 func TestServiceValidation(t *testing.T) {
-	if _, err := NewService(ServiceConfig{Replicas: 0, Arrivals: ArrivalConfig{BaseRPS: 1}}); err == nil {
+	if _, err := NewServiceWith(ServiceConfig{Arrivals: ArrivalConfig{BaseRPS: 1}}, nil); err == nil {
 		t.Error("zero replicas accepted")
 	}
-	if _, err := NewService(ServiceConfig{Replicas: 1}); err == nil {
+	app, err := webapp.NewApp(webapp.Config{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := NewServiceWith(ServiceConfig{Replicas: 1}, []*webapp.App{app}); err == nil {
 		t.Error("zero arrival rate accepted")
 	}
 	if _, err := NewServiceWith(ServiceConfig{Replicas: 2, Arrivals: ArrivalConfig{BaseRPS: 1}},
@@ -76,7 +88,7 @@ func TestUndeflatedMatchesWebapp(t *testing.T) {
 		t.Errorf("undeflated service violated SLO: p99 %g ms, violations %g", r.P99MS, r.Violations)
 	}
 	// The service's measured per-replica load → webapp's own latency model.
-	app := s.Apps()[0]
+	app := s.apps[0]
 	perReplica := s.OfferedRPS(0)
 	want := app.LatencyMS(replicaEnv(4), perReplica)
 	// Requests arrive Poisson, so realized ρ fluctuates around nominal;
@@ -106,7 +118,7 @@ func TestDeflationShiftsTraffic(t *testing.T) {
 		t.Fatalf("balanced split ratio %g", even)
 	}
 	// Deflate replica 1 to 1 core; the aware pool shrinks via SelfDeflate.
-	s.Apps()[1].SelfDeflate(restypes.V(3, 0, 0, 0))
+	s.apps[1].SelfDeflate(restypes.V(3, 0, 0, 0))
 	envs[1] = replicaEnv(1)
 	for tick := 0; tick < 200; tick++ {
 		if err := s.Step(envs); err != nil {

@@ -54,12 +54,6 @@ func NewSLOGuard(svc *Service) *SLOGuard {
 // Register marks the named VM as replica i of the guarded service.
 func (g *SLOGuard) Register(vmName string, replica int) { g.replicas[vmName] = replica }
 
-// Registered reports whether the guard protects the named VM.
-func (g *SLOGuard) Registered(vmName string) bool {
-	_, ok := g.replicas[vmName]
-	return ok
-}
-
 // planRPS returns the offered load the guard budgets replica i for: the
 // measured admitted rate of the last tick, floored by the service's
 // long-run per-replica share so a quiet instant cannot justify deflating
@@ -187,21 +181,6 @@ func (g *SLOGuard) ClampTarget(v *vm.VM, target restypes.Vector) restypes.Vector
 		out.MemoryMB = maxMem
 	}
 	return out
-}
-
-// HeadroomCores reports how many cores replica i could still lose under
-// the current measured load — the planning view of the frontier sweep.
-func (g *SLOGuard) HeadroomCores(v *vm.VM) float64 {
-	i, ok := g.replicas[v.Name()]
-	if !ok || i >= len(g.svc.apps) {
-		return 0
-	}
-	needRPS := RequiredCapacityRPS(g.web.BaseLatencyMS, g.planRPS(i), g.Headroom*g.svc.ps.SLOMS())
-	if math.IsInf(needRPS, 1) {
-		return 0
-	}
-	alloc := v.Allocation().CPU
-	return maxReclaimableCPU(g.svc.apps[i], v.Env(), alloc, alloc, needRPS)
 }
 
 var _ interface {

@@ -139,9 +139,6 @@ func TestGuardPermitsDeflationUnderLightLoad(t *testing.T) {
 	if got := vms[0].Allocation().CPU; got != 3 {
 		t.Errorf("allocation %g cores, want 3", got)
 	}
-	if h := guard.HeadroomCores(vms[0]); h <= 0 {
-		t.Errorf("headroom %g after 1-core deflation of idle replica", h)
-	}
 }
 
 // TestGuardIgnoresBatchVMs: unregistered VMs keep the utility-curve
@@ -162,11 +159,8 @@ func TestGuardIgnoresBatchVMs(t *testing.T) {
 	if got := batch.Allocation().CPU; got != 1 {
 		t.Errorf("batch allocation %g cores, want full 3-core reclamation", got)
 	}
-	if guard.Registered(batch.Name()) {
+	if _, ok := guard.replicas[batch.Name()]; ok {
 		t.Error("batch VM registered")
-	}
-	if h := guard.HeadroomCores(batch); h != 0 {
-		t.Errorf("headroom %g for unregistered VM", h)
 	}
 	_ = vms
 }

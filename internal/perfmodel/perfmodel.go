@@ -5,10 +5,9 @@
 // compare — is preserved:
 //
 //   - hypervisor CPU overcommitment suffers lock-holder preemption (§3.1),
-//   - hypervisor memory overcommitment suffers host swapping (§3.1, §6.1),
-//   - guest hot-unplug is clean but coarse-grained (§3.2.2),
-//   - application self-deflation trades hit rate or GC overhead for the
-//     absence of swapping (§4).
+//   - a JVM's self-deflation trades GC overhead for the absence of
+//     swapping (§4),
+//   - and each workload's performance follows its Figure 1 utility curve.
 package perfmodel
 
 import (
@@ -16,19 +15,6 @@ import (
 	"math"
 	"sort"
 )
-
-// AmdahlSpeedup returns the speedup of a workload with serial fraction
-// serial when run on cores processors, per Amdahl's law. cores may be
-// fractional (hypervisor CPU shares give fractional effective cores).
-func AmdahlSpeedup(serial float64, cores float64) float64 {
-	if cores <= 0 {
-		return 0
-	}
-	if serial < 0 || serial > 1 {
-		panic(fmt.Sprintf("perfmodel: serial fraction %g out of [0,1]", serial))
-	}
-	return 1 / (serial + (1-serial)/cores)
-}
 
 // LockHolderPenalty returns the multiplicative throughput penalty (in [0,1],
 // 1 = no penalty) that a guest suffers when its vCPUs are multiplexed onto
@@ -54,50 +40,6 @@ func LockHolderPenalty(overcommit float64) float64 {
 // penalty at ≈22%, matching the paper's measured hypervisor-vs-OS gap.
 const lhpIntensity = 0.38
 
-// SwapModel captures the cost of running with less physical memory than the
-// working set, forcing page-ins from a swap device.
-type SwapModel struct {
-	// MemAccessNS is the cost of an in-memory access (DRAM, ~100ns).
-	MemAccessNS float64
-	// SwapAccessNS is the cost of a page fault serviced from the swap disk.
-	SwapAccessNS float64
-	// Locality is the working-set skew θ∈(0,1): larger means accesses
-	// concentrate on a hot subset so losing cold memory hurts less.
-	Locality float64
-}
-
-// DefaultSwapModel models a SATA-SSD-backed swap device: a fault costs about
-// 100 µs against a 100 ns DRAM access, with a typical 0.6 skew.
-func DefaultSwapModel() SwapModel {
-	return SwapModel{MemAccessNS: 100, SwapAccessNS: 100_000, Locality: 0.6}
-}
-
-// FaultRate returns the fraction of memory accesses that fault to swap when
-// only residentMB of a workingSetMB working set is memory-resident. With
-// skewed access (Zipf-like, parameter Locality), keeping the hottest
-// resident fraction f captures f^(1-θ) of accesses.
-func (m SwapModel) FaultRate(residentMB, workingSetMB float64) float64 {
-	if workingSetMB <= 0 || residentMB >= workingSetMB {
-		return 0
-	}
-	if residentMB <= 0 {
-		return 1
-	}
-	f := residentMB / workingSetMB
-	hit := math.Pow(f, 1-m.Locality)
-	return 1 - hit
-}
-
-// ThroughputFactor returns the multiplicative throughput factor (≤1) for a
-// memory-bound workload whose accesses fault at the given rate.
-func (m SwapModel) ThroughputFactor(faultRate float64) float64 {
-	if faultRate <= 0 {
-		return 1
-	}
-	avg := (1-faultRate)*m.MemAccessNS + faultRate*m.SwapAccessNS
-	return m.MemAccessNS / avg
-}
-
 // GCOverhead returns the fraction of CPU time a tracing garbage collector
 // consumes when liveMB of data is live inside a heapMB heap. This is the
 // classical GC cost model: collection work is proportional to live data and
@@ -112,19 +54,6 @@ func GCOverhead(liveMB, heapMB float64) float64 {
 	}
 	const gcCostFactor = 0.04 // calibrated: 2× headroom → ~4% GC time
 	return gcCostFactor * liveMB / (heapMB - liveMB)
-}
-
-// ZipfHitRate returns the analytic hit rate of an LRU cache holding
-// cacheItems of totalItems objects under Zipf(θ) access, using the standard
-// (c/N)^(1-θ) approximation for θ < 1.
-func ZipfHitRate(cacheItems, totalItems int, theta float64) float64 {
-	if totalItems <= 0 || cacheItems >= totalItems {
-		return 1
-	}
-	if cacheItems <= 0 {
-		return 0
-	}
-	return math.Pow(float64(cacheItems)/float64(totalItems), 1-theta)
 }
 
 // UtilityCurve maps a resource-allocation fraction a∈[0,1] (1 = full,
@@ -195,10 +124,6 @@ func (c *UtilityCurve) At(a float64) float64 {
 	return y0 + (y1-y0)*(a-x0)/(x1-x0)
 }
 
-// AtDeflation returns performance when the allocation has been deflated by
-// fraction d (d=0.5 means half the resources reclaimed).
-func (c *UtilityCurve) AtDeflation(d float64) float64 { return c.At(1 - d) }
-
 // Calibrated utility curves for the four Figure-1 workloads. Calibration
 // points follow the measured shapes in the paper: most workloads lose <30%
 // performance at 50% deflation; memcached and SpecJBB have wide headroom
@@ -225,9 +150,3 @@ var (
 		0: 0, 0.25: 0.42, 0.5: 0.68, 0.75: 0.87, 1: 1,
 	})
 )
-
-// Figure1Curves returns the four calibrated workload curves in the order the
-// paper plots them.
-func Figure1Curves() []*UtilityCurve {
-	return []*UtilityCurve{CurveSpecJBB, CurveKcompile, CurveMemcached, CurveSparkKmeans}
-}

@@ -6,30 +6,6 @@ import (
 	"testing/quick"
 )
 
-func TestAmdahlSpeedup(t *testing.T) {
-	if got := AmdahlSpeedup(0, 4); math.Abs(got-4) > 1e-12 {
-		t.Errorf("fully parallel on 4 cores = %g, want 4", got)
-	}
-	if got := AmdahlSpeedup(1, 16); math.Abs(got-1) > 1e-12 {
-		t.Errorf("fully serial = %g, want 1", got)
-	}
-	if got := AmdahlSpeedup(0.5, math.Inf(1)); math.Abs(got-2) > 1e-9 {
-		t.Errorf("serial 0.5 at infinite cores = %g, want 2", got)
-	}
-	if got := AmdahlSpeedup(0.1, 0); got != 0 {
-		t.Errorf("zero cores = %g, want 0", got)
-	}
-}
-
-func TestAmdahlPanicsOnBadSerial(t *testing.T) {
-	defer func() {
-		if recover() == nil {
-			t.Fatal("serial=2 did not panic")
-		}
-	}()
-	AmdahlSpeedup(2, 4)
-}
-
 func TestLockHolderPenalty(t *testing.T) {
 	if got := LockHolderPenalty(1); got != 1 {
 		t.Errorf("no overcommit penalty = %g, want 1", got)
@@ -53,41 +29,6 @@ func TestLockHolderPenalty(t *testing.T) {
 	}
 }
 
-func TestSwapFaultRate(t *testing.T) {
-	m := DefaultSwapModel()
-	if got := m.FaultRate(1000, 1000); got != 0 {
-		t.Errorf("fully resident fault rate = %g, want 0", got)
-	}
-	if got := m.FaultRate(2000, 1000); got != 0 {
-		t.Errorf("over-provisioned fault rate = %g, want 0", got)
-	}
-	if got := m.FaultRate(0, 1000); got != 1 {
-		t.Errorf("nothing resident fault rate = %g, want 1", got)
-	}
-	// Skew: keeping half the working set resident keeps well over half
-	// the accesses in memory.
-	fr := m.FaultRate(500, 1000)
-	if fr <= 0 || fr >= 0.5 {
-		t.Errorf("half-resident fault rate = %g, want in (0, 0.5)", fr)
-	}
-}
-
-func TestSwapThroughputFactor(t *testing.T) {
-	m := DefaultSwapModel()
-	if got := m.ThroughputFactor(0); got != 1 {
-		t.Errorf("no faults factor = %g, want 1", got)
-	}
-	// Even a small fault rate to a 1000x slower device is devastating.
-	f := m.ThroughputFactor(0.01)
-	if f > 0.1 {
-		t.Errorf("1%% fault rate factor = %g, want < 0.1 (swap cliff)", f)
-	}
-	// Monotone decreasing in fault rate.
-	if m.ThroughputFactor(0.5) >= m.ThroughputFactor(0.1) {
-		t.Error("throughput factor not decreasing in fault rate")
-	}
-}
-
 func TestGCOverhead(t *testing.T) {
 	if got := GCOverhead(0, 100); got != 0 {
 		t.Errorf("no live data overhead = %g, want 0", got)
@@ -105,23 +46,6 @@ func TestGCOverhead(t *testing.T) {
 	// Calibration: 2x headroom ≈ 4%.
 	if got := GCOverhead(100, 200); math.Abs(got-0.04) > 1e-9 {
 		t.Errorf("2x headroom overhead = %g, want 0.04", got)
-	}
-}
-
-func TestZipfHitRate(t *testing.T) {
-	if got := ZipfHitRate(100, 100, 0.8); got != 1 {
-		t.Errorf("full cache hit rate = %g, want 1", got)
-	}
-	if got := ZipfHitRate(0, 100, 0.8); got != 0 {
-		t.Errorf("empty cache hit rate = %g, want 0", got)
-	}
-	// Higher skew -> higher hit rate at same cache size.
-	if ZipfHitRate(50, 100, 0.9) <= ZipfHitRate(50, 100, 0.1) {
-		t.Error("hit rate not increasing in skew")
-	}
-	// Half the cache captures more than half the accesses for θ>0.
-	if got := ZipfHitRate(50, 100, 0.8); got <= 0.5 {
-		t.Errorf("hit rate at half cache = %g, want > 0.5", got)
 	}
 }
 
@@ -156,15 +80,16 @@ func TestUtilityCurveInterpolation(t *testing.T) {
 	if got := c.At(2); got != 1 {
 		t.Errorf("At(2) = %g, want 1 (clamp)", got)
 	}
-	if got := c.AtDeflation(0.25); math.Abs(got-0.75) > 1e-12 {
-		t.Errorf("AtDeflation(0.25) = %g, want 0.75", got)
-	}
 }
+
+// figure1Curves are the four calibrated workload curves in the order the
+// paper plots them.
+var figure1Curves = []*UtilityCurve{CurveSpecJBB, CurveKcompile, CurveMemcached, CurveSparkKmeans}
 
 func TestFigure1CurvesMatchPaperShape(t *testing.T) {
 	// The headline claim: at 50% deflation most workloads lose <30%.
-	for _, c := range Figure1Curves() {
-		p := c.AtDeflation(0.5)
+	for _, c := range figure1Curves {
+		p := c.At(0.5)
 		if c.Name() == "Spark-Kmeans" {
 			continue // the one near-linear workload
 		}
@@ -173,20 +98,20 @@ func TestFigure1CurvesMatchPaperShape(t *testing.T) {
 		}
 	}
 	// Memcached has full headroom to 25% deflation.
-	if got := CurveMemcached.AtDeflation(0.25); got != 1 {
+	if got := CurveMemcached.At(0.75); got != 1 {
 		t.Errorf("memcached at 25%% deflation = %g, want 1 (headroom)", got)
 	}
 	// K-means degrades most steeply of the four at 50%.
-	km := CurveSparkKmeans.AtDeflation(0.5)
+	km := CurveSparkKmeans.At(0.5)
 	for _, c := range []*UtilityCurve{CurveSpecJBB, CurveKcompile, CurveMemcached} {
-		if c.AtDeflation(0.5) < km {
+		if c.At(0.5) < km {
 			t.Errorf("%s degrades more than K-means at 50%%", c.Name())
 		}
 	}
 }
 
 func TestQuickUtilityCurveMonotone(t *testing.T) {
-	for _, c := range Figure1Curves() {
+	for _, c := range figure1Curves {
 		c := c
 		f := func(a, b float64) bool {
 			a, b = math.Mod(math.Abs(a), 1), math.Mod(math.Abs(b), 1)
@@ -198,17 +123,5 @@ func TestQuickUtilityCurveMonotone(t *testing.T) {
 		if err := quick.Check(f, nil); err != nil {
 			t.Errorf("%s: %v", c.Name(), err)
 		}
-	}
-}
-
-func TestQuickSwapFactorBounds(t *testing.T) {
-	m := DefaultSwapModel()
-	f := func(r float64) bool {
-		r = math.Mod(math.Abs(r), 1)
-		tf := m.ThroughputFactor(r)
-		return tf > 0 && tf <= 1
-	}
-	if err := quick.Check(f, nil); err != nil {
-		t.Error(err)
 	}
 }

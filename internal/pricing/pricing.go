@@ -118,9 +118,6 @@ func NewMeter(transient Model) (*Meter, error) {
 	return &Meter{onDemand: OnDemand{Rates: DefaultRates()}, transient: transient}, nil
 }
 
-// TransientModel returns the model applied to low-priority VMs.
-func (m *Meter) TransientModel() Model { return m.transient }
-
 // Sample accrues revenue for the interval since the previous sample, during
 // which the given usages were in effect. The first call only establishes
 // the time origin.

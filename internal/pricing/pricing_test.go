@@ -52,9 +52,6 @@ func TestMeterIntegration(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if m.TransientModel() == nil {
-		t.Error("model accessor nil")
-	}
 
 	usage := []Usage{
 		{Nominal: v4(), Allocated: v4(), HighPriority: true},

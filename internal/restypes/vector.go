@@ -71,23 +71,6 @@ func (v Vector) At(k Kind) float64 {
 	panic(fmt.Sprintf("restypes: invalid kind %d", int(k)))
 }
 
-// With returns a copy of v with dimension k set to x.
-func (v Vector) With(k Kind, x float64) Vector {
-	switch k {
-	case CPU:
-		v.CPU = x
-	case Memory:
-		v.MemoryMB = x
-	case Disk:
-		v.DiskMBps = x
-	case Net:
-		v.NetMBps = x
-	default:
-		panic(fmt.Sprintf("restypes: invalid kind %d", int(k)))
-	}
-	return v
-}
-
 // Add returns v + w element-wise.
 func (v Vector) Add(w Vector) Vector {
 	return Vector{v.CPU + w.CPU, v.MemoryMB + w.MemoryMB, v.DiskMBps + w.DiskMBps, v.NetMBps + w.NetMBps}

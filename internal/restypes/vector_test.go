@@ -20,11 +20,11 @@ func TestKindString(t *testing.T) {
 }
 
 func TestAtWithRoundTrip(t *testing.T) {
-	v := V(4, 16384, 100, 200)
-	for _, k := range Kinds() {
-		got := v.With(k, 7).At(k)
-		if got != 7 {
-			t.Errorf("With/At roundtrip for %v: got %g, want 7", k, got)
+	// At reads back, for each kind, the dimension V set in that position.
+	v := V(1, 2, 3, 4)
+	for i, k := range Kinds() {
+		if got := v.At(k); got != float64(i+1) {
+			t.Errorf("At(%v) = %g, want %d", k, got, i+1)
 		}
 	}
 }

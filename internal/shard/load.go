@@ -6,6 +6,7 @@ import (
 	"encoding/json"
 	"fmt"
 	"hash/fnv"
+	"io"
 	"math/rand"
 	"net"
 	"net/http"
@@ -131,7 +132,6 @@ type Load struct {
 
 	mu          sync.Mutex
 	ackedVMs    []string
-	releasedVMs map[string]bool
 	counts      LoadCounts
 	start       time.Time
 	elapsed     time.Duration
@@ -577,29 +577,11 @@ func (l *Load) Report() LoadReport {
 	return rep
 }
 
-// AckedVMs returns every acked launch not since marked released.
+// AckedVMs returns every acked launch.
 func (l *Load) AckedVMs() []string {
 	l.mu.Lock()
 	defer l.mu.Unlock()
-	out := make([]string, 0, len(l.ackedVMs))
-	for _, name := range l.ackedVMs {
-		if !l.releasedVMs[name] {
-			out = append(out, name)
-		}
-	}
-	return out
-}
-
-// MarkReleased records that a VM was deliberately released out-of-band
-// (test scripts that DELETE /v1/vms themselves), so CheckInvariants stops
-// demanding its presence.
-func (l *Load) MarkReleased(name string) {
-	l.mu.Lock()
-	defer l.mu.Unlock()
-	if l.releasedVMs == nil {
-		l.releasedVMs = make(map[string]bool)
-	}
-	l.releasedVMs[name] = true
+	return append([]string(nil), l.ackedVMs...)
 }
 
 // Close stops heartbeats and the fleet listener.
@@ -703,6 +685,23 @@ func (l *Load) CheckInvariants(ctx context.Context, v *View) (InvariantReport, e
 	return rep, nil
 }
 
+func listNodes(ctx context.Context, client *http.Client, base, shardID string) (cluster.NodeListResponse, error) {
+	var out cluster.NodeListResponse
+	req, err := http.NewRequestWithContext(ctx, http.MethodGet, base+"/v1/nodes?shard="+shardID, nil)
+	if err != nil {
+		return out, err
+	}
+	resp, err := client.Do(req)
+	if err != nil {
+		return out, err
+	}
+	defer drain(resp)
+	if resp.StatusCode != http.StatusOK {
+		return out, fmt.Errorf("shard: listing nodes of %s: %s", shardID, resp.Status)
+	}
+	return out, json.NewDecoder(resp.Body).Decode(&out)
+}
+
 func (l *Load) getJSON(ctx context.Context, url string, out any) error {
 	req, err := http.NewRequestWithContext(ctx, http.MethodGet, url, nil)
 	if err != nil {
@@ -751,6 +750,11 @@ func ProbeWrite(ctx context.Context, baseURL, vmName string) (acked bool, err er
 	}
 	drain(resp)
 	return resp.StatusCode < 300, nil
+}
+
+func drain(resp *http.Response) {
+	io.Copy(io.Discard, io.LimitReader(resp.Body, 1<<20))
+	resp.Body.Close()
 }
 
 // latencyBucketsMS spans 0.5ms–~8s exponentially.

@@ -86,10 +86,9 @@ type View struct {
 	ring *Ring
 }
 
-// NewView builds the ring for a map. The ring is built over members NOT
-// currently marked adopted: an adopted (dead) shard keeps its key range
-// via the overlay rather than rehashing, so adoption moves zero keys
-// owned by healthy shards.
+// NewView builds the ring for a map over every member, adopted or not: a
+// dead shard keeps its key range on the ring and the adoption overlay maps
+// it to its adopter, so adoption moves no keys.
 func NewView(m Map) *View {
 	m = m.Clone()
 	m.normalize()
@@ -178,12 +177,15 @@ func (s *MapStore) Adopt(dead, adopter string) bool {
 }
 
 // Validate rejects maps a manager cannot serve: empty membership or an
-// adoption edge naming an unknown adopter.
+// adoption edge naming an unknown shard or adopter.
 func (m Map) Validate() error {
 	if len(m.Members) == 0 {
 		return fmt.Errorf("shard: map v%d has no members", m.Version)
 	}
 	for dead, adopter := range m.Adopted {
+		if m.MemberURL(dead) == "" {
+			return fmt.Errorf("shard: map v%d adopts unknown shard %s", m.Version, dead)
+		}
 		if m.MemberURL(adopter) == "" {
 			return fmt.Errorf("shard: map v%d adopts %s into unknown member %s", m.Version, dead, adopter)
 		}

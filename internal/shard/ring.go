@@ -5,7 +5,9 @@
 // (internal/cluster) on its own journal under a shared state root, so a
 // peer manager can adopt a dead shard by replaying its journal,
 // fence-bumping past the cluster-wide epoch maximum, and anti-entropy
-// reconciling against the dead shard's live agents.
+// reconciling against the dead shard's live agents. Ring membership is
+// fixed at boot and adoption only adds an overlay edge, so a node's ring
+// owner never changes and the router always sends its registration there.
 //
 // The package has five layers:
 //
@@ -18,8 +20,7 @@
 //     recovered from its journal, its Router, and journal adoption of dead
 //     peers' shards;
 //   - Federation (federation.go): N Servers over real HTTP listeners with
-//     crash-stop Kill, adopter election, and cross-shard reconciliation
-//     (reconcile.go) repairing double-owned or orphaned nodes;
+//     crash-stop Kill and adopter election;
 //   - the deflload harness (load.go): thousands of in-process node agents
 //     driving open-loop registrations/heartbeats/launches/migrations at
 //     the federation while chaos (leader kill, partitions, slow disks)

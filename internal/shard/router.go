@@ -17,8 +17,8 @@ import (
 
 // ShardEpochHeader carries the shard-map version a response was routed
 // under. Clients cache the map and re-fetch when the header outruns their
-// copy — after an adoption or rebalance, the first redirected request
-// teaches them the new ownership.
+// copy — after an adoption, the first redirected request teaches them the
+// new ownership.
 const ShardEpochHeader = "X-Deflation-Shard-Epoch"
 
 // shardMapPath serves (GET) and gossips (POST) the shard map.
@@ -98,9 +98,14 @@ func (rt *Router) routes() map[string]http.HandlerFunc {
 // handleMapGet serves the current shard map.
 func (rt *Router) handleMapGet(w http.ResponseWriter, _ *http.Request) {
 	v := rt.store.View()
+	body, err := json.Marshal(v.Map)
+	if err != nil {
+		http.Error(w, err.Error(), http.StatusInternalServerError)
+		return
+	}
 	w.Header().Set(ShardEpochHeader, strconv.FormatUint(v.Map.Version, 10))
 	w.Header().Set("Content-Type", "application/json")
-	json.NewEncoder(w).Encode(v.Map)
+	w.Write(append(body, '\n'))
 }
 
 // handleMapPost merges a gossiped map (kept iff strictly newer).
@@ -121,7 +126,8 @@ func (rt *Router) handleMapPost(w http.ResponseWriter, r *http.Request) {
 }
 
 // handleAdopt adopts the dead shard ?shard=ID and replies with its
-// recovery report: 409 when the shard is served here already.
+// recovery report: 404 when the shard map does not list the ID, 409 when
+// the shard is served here already.
 func (rt *Router) handleAdopt(w http.ResponseWriter, r *http.Request) {
 	dead := r.URL.Query().Get("shard")
 	if dead == "" {
@@ -133,7 +139,11 @@ func (rt *Router) handleAdopt(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	rep, err := rt.adopt(r.Context(), dead)
-	if errors.Is(err, errServed) {
+	switch {
+	case errors.Is(err, errNotMember):
+		http.Error(w, err.Error(), http.StatusNotFound)
+		return
+	case errors.Is(err, errServed):
 		http.Error(w, err.Error(), http.StatusConflict)
 		return
 	}

@@ -44,9 +44,14 @@ type ServerConfig struct {
 	Telemetry *telemetry.Sink
 }
 
-// errServed refuses an adoption of a shard the server already serves,
-// its own included.
-var errServed = errors.New("shard: already served here")
+var (
+	// errServed refuses an adoption of a shard the server already serves,
+	// its own included.
+	errServed = errors.New("shard: already served here")
+	// errNotMember refuses an adoption of an ID the shard map does not
+	// list, before anything is made under the state root.
+	errNotMember = errors.New("shard: not a member of the shard map")
+)
 
 // Server is one shard server: it recovers its own shard from
 // StateRoot/ID, serves it behind its Router, and adopts dead peers'
@@ -156,6 +161,9 @@ func (s *Server) takeOver(id string) (*cluster.ManagerAPI, *cluster.RecoveryRepo
 func (s *Server) Adopt(ctx context.Context, dead string) (*cluster.RecoveryReport, error) {
 	s.adopting.Lock()
 	defer s.adopting.Unlock()
+	if s.Router.Store().View().Map.MemberURL(dead) == "" {
+		return nil, fmt.Errorf("%w: %s", errNotMember, dead)
+	}
 	if s.Router.localHandler(dead) != nil {
 		return nil, fmt.Errorf("%w: %s", errServed, dead)
 	}

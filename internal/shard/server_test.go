@@ -6,9 +6,13 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
+	"io/fs"
 	"net"
 	"net/http"
 	"net/http/httptest"
+	"net/url"
+	"os"
+	"path/filepath"
 	"slices"
 	"strings"
 	"testing"
@@ -17,6 +21,63 @@ import (
 	"deflation/internal/cluster"
 	"deflation/internal/journal"
 )
+
+// TestServerAdoptRefusesNonMembers: adopting an ID the shard map does not
+// list is a 404 that makes no directory under (or beside) the state root
+// and leaves the map alone, and a gossiped map that adopts a non-member is
+// a 400.
+func TestServerAdoptRefusesNonMembers(t *testing.T) {
+	root := filepath.Join(t.TempDir(), "state")
+	fed, err := NewFederation(FederationConfig{
+		Shards: []string{"shard-0", "shard-1"}, StateRoot: root, Policy: cluster.BestFit, Seed: 7,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(fed.Close)
+	s := fed.Shard("shard-0")
+	client := &http.Client{Timeout: 10 * time.Second}
+	ctx := context.Background()
+	before, err := FetchMap(ctx, client, s.URL)
+	if err != nil {
+		t.Fatal(err)
+	}
+
+	for _, id := range []string{"s9", "../x"} {
+		resp, err := client.Post(s.URL+"/v1/adopt?shard="+url.QueryEscape(id), "", nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if body, _ := readAll(resp); resp.StatusCode != http.StatusNotFound {
+			t.Errorf("adopting %q: %d %s, want 404", id, resp.StatusCode, body)
+		}
+		if _, err := os.Stat(filepath.Join(root, id)); !errors.Is(err, fs.ErrNotExist) {
+			t.Errorf("adopting %q made %s (%v)", id, filepath.Join(root, id), err)
+		}
+	}
+	after, err := FetchMap(ctx, client, s.URL)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if after.Version != before.Version || len(after.Adopted) != 0 {
+		t.Errorf("map after refused adoptions: %+v, want v%d with no adoptions", after, before.Version)
+	}
+
+	bad := after.Clone()
+	bad.Version++
+	bad.Adopted = map[string]string{"s9": "shard-0"}
+	body, err := json.Marshal(bad)
+	if err != nil {
+		t.Fatal(err)
+	}
+	resp, err := client.Post(s.URL+"/v1/shardmap", "application/json", bytes.NewReader(body))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if msg, _ := readAll(resp); resp.StatusCode != http.StatusBadRequest {
+		t.Errorf("gossiped map adopting s9: %d %s, want 400", resp.StatusCode, msg)
+	}
+}
 
 // TestServerAdoptRoute drives POST /v1/adopt through a served handler: the
 // refusals, then an adoption whose reply is the dead shard's recovery

@@ -127,28 +127,6 @@ func (h *Host) Unreserve(v restypes.Vector) {
 	h.reserved = h.reserved.Sub(v.ClampNonNegative()).ClampNonNegative()
 }
 
-// Reserved returns the currently reserved capacity.
-func (h *Host) Reserved() restypes.Vector { return h.reserved }
-
-// Instances returns all live containers sorted by name.
-func (h *Host) Instances() []substrate.Instance {
-	cs := h.containers.Ordered()
-	out := make([]substrate.Instance, len(cs))
-	for i, c := range cs {
-		out[i] = c
-	}
-	return out
-}
-
-// Lookup finds a live container by name.
-func (h *Host) Lookup(name string) (substrate.Instance, error) {
-	c, ok := h.containers.Get(name)
-	if !ok {
-		return nil, fmt.Errorf("%w: %q", substrate.ErrInstanceNotFound, name)
-	}
-	return c, nil
-}
-
 // Spawn starts a container of the given nominal size. The guest config is
 // the shared workload parameterization; a container has no guest kernel,
 // so only the footprint-relevant field (the runtime overhead standing in

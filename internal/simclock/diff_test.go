@@ -3,10 +3,9 @@ package simclock
 // This file proves the calendar-queue engine behaviorally identical to the
 // binary-heap engine it replaced. The heap lives on below as refClock — the
 // reference model — and the differential driver runs byte-scripted
-// schedule/cancel/Every/AtIndex/Feed/Step/RunUntil sequences against both
-// engines, asserting identical firing order (including same-instant FIFO
-// ties), identical Pending counts after every operation, and identical
-// final clocks. FuzzEventQueue feeds the same driver from the fuzzer. The
+// schedule/Every/AtIndex/Feed/Step sequences against both engines,
+// asserting identical firing order (including same-instant FIFO ties) and
+// identical clocks after every operation. FuzzEventQueue feeds the same driver from the fuzzer. The
 // reference has no typed events or feeds of its own: AtIndex is At with a
 // closure, and Feed is one At call per time.
 
@@ -27,17 +26,13 @@ type refClock struct {
 }
 
 type refEvent struct {
-	id       uint64
-	at       time.Duration
-	fn       func(now time.Duration)
-	canceled bool
-	index    int
+	id    uint64
+	at    time.Duration
+	fn    func(now time.Duration)
+	index int
 }
 
-func (e *refEvent) Cancel() { e.canceled = true }
-
 func (c *refClock) Now() time.Duration { return c.now }
-func (c *refClock) Pending() int       { return c.queue.Len() }
 
 func (c *refClock) At(t time.Duration, fn func(now time.Duration)) *refEvent {
 	if t < c.now {
@@ -92,35 +87,18 @@ func (c *refClock) Feed(times []time.Duration, fn func(int, time.Duration)) {
 }
 
 func (c *refClock) Step() bool {
-	for c.queue.Len() > 0 {
-		e := heap.Pop(&c.queue).(*refEvent)
-		if e.canceled {
-			continue
-		}
-		c.now = e.at
-		e.fn(c.now)
-		return true
+	if c.queue.Len() == 0 {
+		return false
 	}
-	return false
+	e := heap.Pop(&c.queue).(*refEvent)
+	c.now = e.at
+	e.fn(c.now)
+	return true
 }
 
 func (c *refClock) Run() {
 	for c.Step() {
 	}
-}
-
-func (c *refClock) RunUntil(t time.Duration) {
-	if t < c.now {
-		panic(fmt.Sprintf("refclock: RunUntil(%v) is before now %v", t, c.now))
-	}
-	for c.queue.Len() > 0 {
-		e := c.queue[0]
-		if e.at > t {
-			break
-		}
-		c.Step()
-	}
-	c.now = t
 }
 
 type refQueue []*refEvent
@@ -158,53 +136,41 @@ func (q *refQueue) Pop() any {
 
 // --- Engine adapters ------------------------------------------------------
 
-type canceler interface{ Cancel() }
-
 // testEngine is the surface the differential driver exercises.
 type testEngine interface {
 	Now() time.Duration
-	Pending() int
-	At(time.Duration, func(time.Duration)) canceler
-	AtIndex(time.Duration, func(int, time.Duration), int) canceler
+	At(time.Duration, func(time.Duration))
+	AtIndex(time.Duration, func(int, time.Duration), int)
 	Feed([]time.Duration, func(int, time.Duration))
 	Every(time.Duration, func(time.Duration) bool) func()
 	Step() bool
-	RunUntil(time.Duration)
 }
 
 type calEngine struct{ c *Clock }
 
-func (e calEngine) Now() time.Duration { return e.c.Now() }
-func (e calEngine) Pending() int       { return e.c.Pending() }
-func (e calEngine) At(t time.Duration, fn func(time.Duration)) canceler {
-	return e.c.At(t, fn)
-}
-func (e calEngine) AtIndex(t time.Duration, fn func(int, time.Duration), i int) canceler {
-	return e.c.AtIndex(t, fn, i)
+func (e calEngine) Now() time.Duration                         { return e.c.Now() }
+func (e calEngine) At(t time.Duration, fn func(time.Duration)) { e.c.At(t, fn) }
+func (e calEngine) AtIndex(t time.Duration, fn func(int, time.Duration), i int) {
+	e.c.AtIndex(t, fn, i)
 }
 func (e calEngine) Feed(ts []time.Duration, fn func(int, time.Duration)) { e.c.Feed(ts, fn) }
 func (e calEngine) Every(iv time.Duration, fn func(time.Duration) bool) func() {
 	return e.c.Every(iv, fn)
 }
-func (e calEngine) Step() bool               { return e.c.Step() }
-func (e calEngine) RunUntil(t time.Duration) { e.c.RunUntil(t) }
+func (e calEngine) Step() bool { return e.c.Step() }
 
 type refEngine struct{ c *refClock }
 
-func (e refEngine) Now() time.Duration { return e.c.Now() }
-func (e refEngine) Pending() int       { return e.c.Pending() }
-func (e refEngine) At(t time.Duration, fn func(time.Duration)) canceler {
-	return e.c.At(t, fn)
-}
-func (e refEngine) AtIndex(t time.Duration, fn func(int, time.Duration), i int) canceler {
-	return e.c.AtIndex(t, fn, i)
+func (e refEngine) Now() time.Duration                         { return e.c.Now() }
+func (e refEngine) At(t time.Duration, fn func(time.Duration)) { e.c.At(t, fn) }
+func (e refEngine) AtIndex(t time.Duration, fn func(int, time.Duration), i int) {
+	e.c.AtIndex(t, fn, i)
 }
 func (e refEngine) Feed(ts []time.Duration, fn func(int, time.Duration)) { e.c.Feed(ts, fn) }
 func (e refEngine) Every(iv time.Duration, fn func(time.Duration) bool) func() {
 	return e.c.Every(iv, fn)
 }
-func (e refEngine) Step() bool               { return e.c.Step() }
-func (e refEngine) RunUntil(t time.Duration) { e.c.RunUntil(t) }
+func (e refEngine) Step() bool { return e.c.Step() }
 
 // --- Byte-scripted driver -------------------------------------------------
 
@@ -215,12 +181,10 @@ const (
 
 // execScript interprets script as a deterministic operation sequence against
 // eng and returns the full observation trace: every firing (with label and
-// virtual time), every operation's resulting Pending count, and the final
-// clock state. Two engines are behaviorally identical iff their traces match
+// virtual time), the clock after every operation, and the final clock. Two engines are behaviorally identical iff their traces match
 // on every script.
 func execScript(eng testEngine, script []byte) []string {
 	var trace []string
-	var handles []canceler
 	var stops []func()
 	label := 0
 	// mkFire records a firing; a slice of callbacks (label ≡ 0 mod 5) also
@@ -235,7 +199,7 @@ func execScript(eng testEngine, script []byte) []string {
 				label++
 				nl := label
 				d := time.Duration(l%7) * time.Millisecond
-				handles = append(handles, eng.At(now+d, mkFire(nl)))
+				eng.At(now+d, mkFire(nl))
 			}
 		}
 	}
@@ -264,19 +228,14 @@ func execScript(eng testEngine, script []byte) []string {
 			d := time.Duration(next()%32) * time.Millisecond
 			label++
 			l := label
-			handles = append(handles, eng.At(eng.Now()+d, mkFire(l)))
-		case 2: // cancel a previously returned handle
-			if len(handles) > 0 {
-				i := int(next()) % len(handles)
-				handles[i].Cancel()
-				trace = append(trace, fmt.Sprintf("C%d", i))
-			}
-		case 3: // single step
+			eng.At(eng.Now()+d, mkFire(l))
+		case 2, 3: // single step
 			ran := eng.Step()
 			trace = append(trace, fmt.Sprintf("S%v@%d", ran, eng.Now()))
-		case 4: // advance virtual time
-			d := time.Duration(next()%64) * time.Millisecond
-			eng.RunUntil(eng.Now() + d)
+		case 4: // a run of steps
+			for k := next() % 8; k > 0; k-- {
+				eng.Step()
+			}
 		case 5: // periodic ticker with a bounded run count
 			iv := time.Duration(1+next()%16) * time.Millisecond
 			limit := int(next() % 5)
@@ -298,11 +257,11 @@ func execScript(eng testEngine, script []byte) []string {
 			for j := 0; j < k; j++ {
 				label++
 				l := label
-				handles = append(handles, eng.At(at, mkFire(l)))
+				eng.At(at, mkFire(l))
 			}
 		case 8: // typed event through the shared handler
 			d := time.Duration(next()%32) * time.Millisecond
-			handles = append(handles, eng.AtIndex(eng.Now()+d, fireKey, newKey()))
+			eng.AtIndex(eng.Now()+d, fireKey, newKey())
 		case 9: // a feed: sorted coarse times, so items tie with each other
 			// and with calendar events; the handler sees the item's index
 			times := make([]time.Duration, next()%6)
@@ -315,12 +274,12 @@ func execScript(eng testEngine, script []byte) []string {
 			}
 			eng.Feed(times, func(i int, now time.Duration) { fireKey(first+i, now) })
 		}
-		trace = append(trace, fmt.Sprintf("P%d", eng.Pending()))
+		trace = append(trace, fmt.Sprintf("N%d", eng.Now()))
 	}
 	// Drain: fire everything left (tickers are bounded, nesting is capped).
 	for i := 0; i < 100000 && eng.Step(); i++ {
 	}
-	trace = append(trace, fmt.Sprintf("end N%d P%d", eng.Now(), eng.Pending()))
+	trace = append(trace, fmt.Sprintf("end N%d", eng.Now()))
 	return trace
 }
 
@@ -367,45 +326,15 @@ func TestDifferentialRandom(t *testing.T) {
 }
 
 // TestDifferentialSameInstantFIFO hammers the tie-order contract: bursts of
-// events at identical instants, interleaved with cancellations, must fire in
-// schedule order on both engines.
+// events at identical instants, interleaved with single events, must fire
+// in schedule order on both engines.
 func TestDifferentialSameInstantFIFO(t *testing.T) {
-	// Ops 7 (burst) and 2 (cancel) dominate; op 3 steps through ties.
+	// Ops 7 (burst) and 0 (single event) dominate; op 3 steps through ties.
 	var script []byte
 	for i := 0; i < 300; i++ {
-		script = append(script, 7, byte(i), 2, byte(i*13), 3)
+		script = append(script, 7, byte(i), 0, byte(i*13), 3)
 	}
 	diffEngines(t, script)
-}
-
-// TestRunUntilCanceledHeadQuirk pins a deliberate behavioral quirk of the
-// original engine that RunUntil preserves: a canceled event at the queue
-// head with timestamp ≤ t still triggers a Step, which fires the next live
-// event even when that event lies beyond t — after which the clock rewinds
-// to exactly t. Both engines must agree.
-func TestRunUntilCanceledHeadQuirk(t *testing.T) {
-	for _, eng := range []struct {
-		name string
-		mk   func() testEngine
-	}{
-		{"calendar", func() testEngine { return calEngine{New()} }},
-		{"heap", func() testEngine { return refEngine{&refClock{}} }},
-	} {
-		t.Run(eng.name, func(t *testing.T) {
-			e := eng.mk()
-			var fired []time.Duration
-			h := e.At(1*time.Second, func(now time.Duration) { fired = append(fired, now) })
-			e.At(5*time.Second, func(now time.Duration) { fired = append(fired, now) })
-			h.Cancel()
-			e.RunUntil(2 * time.Second)
-			if len(fired) != 1 || fired[0] != 5*time.Second {
-				t.Errorf("fired = %v, want [5s] (canceled head triggers the next live event)", fired)
-			}
-			if e.Now() != 2*time.Second {
-				t.Errorf("Now = %v, want 2s", e.Now())
-			}
-		})
-	}
 }
 
 // bothEngines runs f once per engine, as a subtest named after it.
@@ -436,7 +365,8 @@ func TestFeedTiesWithCalendar(t *testing.T) {
 			})
 		e.At(5*time.Millisecond, rec("after"))
 		e.AtIndex(5*time.Millisecond, func(i int, now time.Duration) { rec(fmt.Sprint("typed", i))(now) }, 9)
-		e.RunUntil(time.Second)
+		for e.Step() {
+		}
 		want := "[feed0@0 before@5 feed1@5 feed2@5 after@5 typed9@5 nested@5 feed3@7]"
 		if fmt.Sprint(got) != want {
 			t.Errorf("fired %v, want %s", got, want)
@@ -444,39 +374,23 @@ func TestFeedTiesWithCalendar(t *testing.T) {
 	})
 }
 
-// TestFeedPendingCountsUnfired requires Pending to count every feed item
-// not yet fired, including those the calendar does not hold yet.
-func TestFeedPendingCountsUnfired(t *testing.T) {
-	bothEngines(t, func(t *testing.T, e testEngine) {
-		e.At(2*time.Second, func(time.Duration) {})
-		e.Feed([]time.Duration{time.Second, 3 * time.Second, 3 * time.Second, 4 * time.Second}, func(int, time.Duration) {})
-		for _, want := range []int{5, 4, 3, 2, 1, 0} {
-			if got := e.Pending(); got != want {
-				t.Fatalf("Pending = %d at %v, want %d", got, e.Now(), want)
-			}
-			e.Step()
+// TestFeedFilesOneItemAtATime requires the calendar to hold only a feed's
+// next unfired item, so it sizes itself to the other events.
+func TestFeedFilesOneItemAtATime(t *testing.T) {
+	c := New()
+	c.At(2*time.Second, func(time.Duration) {})
+	fired := 0
+	c.Feed([]time.Duration{time.Second, 3 * time.Second, 3 * time.Second, 4 * time.Second},
+		func(int, time.Duration) { fired++ })
+	for _, want := range []int{2, 2, 1, 1, 1, 0} {
+		if c.queued != want {
+			t.Fatalf("%d events queued at %v, want %d", c.queued, c.Now(), want)
 		}
-	})
-}
-
-// TestRunUntilCanceledHeadQuirkWithFeed is the canceled-head quirk with the
-// next live event a feed item: RunUntil steps past t to fire it.
-func TestRunUntilCanceledHeadQuirkWithFeed(t *testing.T) {
-	bothEngines(t, func(t *testing.T, e testEngine) {
-		var fired []string
-		h := e.At(1*time.Second, func(time.Duration) { fired = append(fired, "canceled") })
-		e.Feed([]time.Duration{5 * time.Second, 6 * time.Second}, func(i int, now time.Duration) {
-			fired = append(fired, fmt.Sprintf("feed%d@%v", i, now))
-		})
-		h.Cancel()
-		e.RunUntil(2 * time.Second)
-		if fmt.Sprint(fired) != "[feed0@5s]" {
-			t.Errorf("fired = %v, want [feed0@5s] (canceled head triggers the next live event)", fired)
-		}
-		if e.Now() != 2*time.Second || e.Pending() != 1 {
-			t.Errorf("Now = %v, Pending = %d; want 2s, 1", e.Now(), e.Pending())
-		}
-	})
+		c.Step()
+	}
+	if fired != 4 {
+		t.Errorf("%d feed items fired, want 4", fired)
+	}
 }
 
 // TestFeedRejectsBadTimes requires a panic, on both engines, for a feed
@@ -488,7 +402,8 @@ func TestFeedRejectsBadTimes(t *testing.T) {
 	} {
 		t.Run(name, func(t *testing.T) {
 			bothEngines(t, func(t *testing.T, e testEngine) {
-				e.RunUntil(time.Second)
+				e.At(time.Second, func(time.Duration) {})
+				e.Step()
 				defer func() {
 					if recover() == nil {
 						t.Fatalf("Feed(%v) at %v did not panic", times, e.Now())
@@ -511,8 +426,8 @@ func TestCalendarResizeStress(t *testing.T) {
 }
 
 // FuzzEventQueue feeds arbitrary byte scripts through the differential
-// driver: the engines must never panic, never fire canceled events, never
-// fire out of order, and never disagree with each other.
+// driver: the engines must never panic, never fire out of order, and never
+// disagree with each other.
 func FuzzEventQueue(f *testing.F) {
 	f.Add([]byte{0, 10, 0, 10, 3, 3})
 	f.Add([]byte{7, 3, 2, 0, 4, 63, 3, 3, 3})

@@ -66,9 +66,7 @@ type Clock struct {
 	head    int           // consumed prefix of buckets[cur]
 	sorted  bool          // whether buckets[cur] is sorted
 
-	queued   int // events in buckets, including undiscarded canceled ones
-	canceled int // canceled events still occupying bucket slots
-	fed      int // Feed items not yet in the calendar
+	queued int // events in buckets
 
 	slab []Event // current allocation chunk for pooled events
 }
@@ -86,32 +84,18 @@ func New() *Clock {
 // Now returns the current virtual time.
 func (c *Clock) Now() time.Duration { return c.now }
 
-// Event is a handle to a scheduled callback, usable for cancellation.
-// Events are pooled in slabs owned by their Clock and must not be retained
-// past the Clock's life.
+// Event is a handle to a scheduled callback. Events are pooled in slabs
+// owned by their Clock and must not be retained past the Clock's life.
 type Event struct {
-	at       time.Duration
-	seq      uint64
-	fn       func(now time.Duration)
-	ifn      func(i int, now time.Duration) // set instead of fn by AtIndex
-	i        int                            // ifn's key
-	c        *Clock
-	canceled bool
-	done     bool // fired or discarded; Cancel is a no-op from here on
+	at  time.Duration
+	seq uint64
+	fn  func(now time.Duration)
+	ifn func(i int, now time.Duration) // set instead of fn by AtIndex
+	i   int                            // ifn's key
 }
 
 // Time returns the virtual time the event is (or was) scheduled for.
 func (e *Event) Time() time.Duration { return e.at }
-
-// Cancel prevents the event's callback from running. Canceling an event that
-// already fired is a no-op.
-func (e *Event) Cancel() {
-	if e.canceled || e.done {
-		return
-	}
-	e.canceled = true
-	e.c.canceled++
-}
 
 // alloc hands out a pooled Event from the current slab chunk.
 func (c *Clock) alloc() *Event {
@@ -129,7 +113,7 @@ func (c *Clock) At(t time.Duration, fn func(now time.Duration)) *Event {
 	c.checkFuture(t)
 	c.nextSeq++
 	e := c.alloc()
-	*e = Event{at: t, seq: c.nextSeq, fn: fn, c: c}
+	*e = Event{at: t, seq: c.nextSeq, fn: fn}
 	c.enqueue(e)
 	return e
 }
@@ -146,15 +130,14 @@ func (c *Clock) AtIndex(t time.Duration, fn func(i int, now time.Duration), i in
 // atIndex files a typed event under an already reserved sequence number.
 func (c *Clock) atIndex(t time.Duration, seq uint64, fn func(i int, now time.Duration), i int) *Event {
 	e := c.alloc()
-	*e = Event{at: t, seq: seq, ifn: fn, i: i, c: c}
+	*e = Event{at: t, seq: seq, ifn: fn, i: i}
 	c.enqueue(e)
 	return e
 }
 
 // Feed schedules fn(i, now) at each times[i]. It fires exactly as a loop of
 // AtIndex(times[i], fn, i) calls would, sequence numbers and same-instant
-// ties included, but files only the next unfired item in the calendar.
-// Feed items cannot be canceled; Pending counts them until they fire. The
+// ties included, but files only the next unfired item in the calendar. The
 // times must be sorted ascending and not before Now(), or Feed panics.
 func (c *Clock) Feed(times []time.Duration, fn func(i int, now time.Duration)) {
 	for i, t := range times {
@@ -168,13 +151,11 @@ func (c *Clock) Feed(times []time.Duration, fn func(i int, now time.Duration)) {
 	c.checkFuture(times[0])
 	seq0 := c.nextSeq + 1
 	c.nextSeq += uint64(len(times))
-	c.fed += len(times) - 1
 	// Each item files its successor before its handler runs, so the
-	// calendar and Pending always see the whole series.
+	// series always has its next item in the calendar.
 	var next func(i int, now time.Duration)
 	next = func(i int, now time.Duration) {
 		if j := i + 1; j < len(times) {
-			c.fed--
 			c.atIndex(times[j], seq0+uint64(j), next, j)
 		}
 		fn(i, now)
@@ -215,10 +196,6 @@ func (c *Clock) Every(interval time.Duration, fn func(now time.Duration) bool) (
 	return func() { stopped = true }
 }
 
-// Pending reports the number of events still queued (including canceled ones
-// that have not yet been discarded, and unfired Feed items).
-func (c *Clock) Pending() int { return c.queued + c.fed }
-
 // Step runs the single earliest pending event, advancing the clock to its
 // timestamp. It reports whether an event ran.
 func (c *Clock) Step() bool {
@@ -241,34 +218,7 @@ func (c *Clock) Run() {
 	}
 }
 
-// RunUntil executes events with timestamps ≤ t, then advances the clock to
-// exactly t. Events scheduled for after t remain pending.
-//
-// The stop condition deliberately consults the earliest *queued* event —
-// canceled or not — exactly as the reference heap peeked its root: a
-// canceled head with timestamp ≤ t still triggers a Step, which fires the
-// next live event even if it lies beyond t. The differential tests pin this
-// behavior, so the two engines stay interchangeable.
-func (c *Clock) RunUntil(t time.Duration) {
-	if t < c.now {
-		panic(fmt.Sprintf("simclock: RunUntil(%v) is before now %v", t, c.now))
-	}
-	for c.queued > 0 {
-		at, ok := c.peekAny()
-		if !ok || at > t {
-			break
-		}
-		c.Step()
-	}
-	c.now = t
-}
-
-// Advance is shorthand for RunUntil(Now()+d).
-func (c *Clock) Advance(d time.Duration) { c.RunUntil(c.now + d) }
-
 // --- Calendar mechanics ------------------------------------------------
-
-func (c *Clock) live() int { return c.queued - c.canceled }
 
 func (c *Clock) bucketFor(t time.Duration) int {
 	return int(uint64(t/c.width) % uint64(len(c.buckets)))
@@ -281,15 +231,6 @@ func (c *Clock) enqueue(e *Event) {
 		c.resize()
 	}
 	c.queued++
-	if e.at < c.curTop-c.width {
-		// The cursor scanned ahead of now (peeks advance it while hunting
-		// for the next event) and this event lands behind its window. Pull
-		// the window back so the cursor rediscovers the event in order.
-		c.compactCur()
-		c.cur = c.bucketFor(e.at)
-		c.curTop = (e.at/c.width)*c.width + c.width
-		c.sorted = false
-	}
 	i := c.bucketFor(e.at)
 	b := c.buckets[i]
 	if i == c.cur && c.sorted {
@@ -314,16 +255,11 @@ func (c *Clock) enqueue(e *Event) {
 	c.buckets[i] = append(b, e)
 }
 
-// peekMin positions the cursor on the earliest pending live event and
-// returns its timestamp. A canceled event is discarded exactly when it
-// becomes the global head — in the cursor's window, sorted first — which is
-// the same instant the reference heap would have popped and dropped it, so
-// tombstones never outlive their scheduled slot yet Pending and RunUntil
-// observe them on the reference engine's schedule. Reports false when
-// nothing live is pending.
-func (c *Clock) peekMin() (time.Duration, bool) {
-	if c.live() == 0 {
-		return 0, false
+// peekMin positions the cursor on the earliest pending event. Reports
+// false when nothing is pending.
+func (c *Clock) peekMin() bool {
+	if c.queued == 0 {
+		return false
 	}
 	scanned := 0
 	for {
@@ -331,17 +267,8 @@ func (c *Clock) peekMin() (time.Duration, bool) {
 			c.sortCur()
 		}
 		b := c.buckets[c.cur]
-		for c.head < len(b) && b[c.head].at < c.curTop && b[c.head].canceled {
-			b[c.head].done = true
-			c.head++
-			c.queued--
-			c.canceled--
-		}
 		if c.head < len(b) && b[c.head].at < c.curTop {
-			return b[c.head].at, true
-		}
-		if c.live() == 0 {
-			return 0, false
+			return true
 		}
 		c.advanceCursor()
 		scanned++
@@ -354,44 +281,15 @@ func (c *Clock) peekMin() (time.Duration, bool) {
 	}
 }
 
-// peekAny reports the timestamp of the earliest queued event, canceled or
-// not — the calendar analogue of peeking the reference heap's root. It never
-// discards tombstones; RunUntil's stop condition must see them.
-func (c *Clock) peekAny() (time.Duration, bool) {
-	if c.queued == 0 {
-		return 0, false
-	}
-	scanned := 0
-	for {
-		if !c.sorted {
-			c.sortCur()
-		}
-		b := c.buckets[c.cur]
-		if c.head < len(b) && b[c.head].at < c.curTop {
-			return b[c.head].at, true
-		}
-		c.advanceCursor()
-		scanned++
-		if scanned > len(c.buckets) {
-			c.jumpToMin()
-			scanned = 0
-		}
-	}
-}
-
-// pop removes and returns the earliest pending live event.
+// pop removes and returns the earliest pending event.
 func (c *Clock) pop() (*Event, bool) {
 	if c.queued > 0 && c.queued < len(c.buckets)/8 && len(c.buckets) > minBuckets {
 		c.resize()
 	}
-	if _, ok := c.peekMin(); !ok {
-		if c.queued > 0 {
-			c.clearTombstones()
-		}
+	if !c.peekMin() {
 		return nil, false
 	}
 	e := c.buckets[c.cur][c.head]
-	e.done = true
 	c.head++
 	c.queued--
 	return e, true
@@ -399,8 +297,7 @@ func (c *Clock) pop() (*Event, bool) {
 
 // sortCur sorts the cursor's bucket ascending by (at, seq) — the
 // (time, schedule-order) total order that reproduces the reference heap's
-// firing order, including same-instant FIFO ties. Canceled events are kept
-// in place; peekMin discards them only once they reach the head.
+// firing order, including same-instant FIFO ties.
 // Precondition: head == 0 (a bucket is only unsorted before consumption).
 func (c *Clock) sortCur() {
 	b := c.buckets[c.cur]
@@ -447,8 +344,7 @@ func (c *Clock) advanceCursor() {
 	c.sorted = false
 }
 
-// jumpToMin aims the cursor directly at the globally earliest queued event
-// (canceled included, so peekAny and tombstone discard both make progress) —
+// jumpToMin aims the cursor directly at the globally earliest queued event —
 // the calendar's escape hatch for a sparse far-future schedule.
 func (c *Clock) jumpToMin() {
 	var best *Event
@@ -477,10 +373,8 @@ func (c *Clock) jumpToMin() {
 
 // resize rebuilds the calendar around the current population: bucket count
 // ~2× the queued events (so ~1 event per visited bucket), width ~the mean
-// gap between the earliest and latest pending timestamps. Canceled events
-// are rehashed along with live ones — they must stay observable until they
-// reach the head, to match the reference heap. The cursor is re-aligned to
-// now's window.
+// gap between the earliest and latest pending timestamps. The cursor is
+// re-aligned to now's window.
 func (c *Clock) resize() {
 	all := make([]*Event, 0, c.queued)
 	var minAt, maxAt time.Duration
@@ -521,22 +415,6 @@ func (c *Clock) resize() {
 	}
 	c.cur = c.bucketFor(c.now)
 	c.curTop = (c.now/c.width)*c.width + c.width
-	c.head = 0
-	c.sorted = false
-}
-
-// clearTombstones empties a queue that holds only canceled events.
-func (c *Clock) clearTombstones() {
-	for i, b := range c.buckets {
-		for j, e := range b {
-			if e != nil {
-				e.done = true
-			}
-			b[j] = nil
-		}
-		c.buckets[i] = b[:0]
-	}
-	c.queued, c.canceled = 0, 0
 	c.head = 0
 	c.sorted = false
 }

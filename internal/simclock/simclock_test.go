@@ -74,67 +74,6 @@ func TestNegativeAfterPanics(t *testing.T) {
 	c.After(-time.Second, func(time.Duration) {})
 }
 
-func TestCancel(t *testing.T) {
-	c := New()
-	ran := false
-	e := c.After(time.Second, func(time.Duration) { ran = true })
-	e.Cancel()
-	c.Run()
-	if ran {
-		t.Error("canceled event ran")
-	}
-}
-
-func TestRunUntil(t *testing.T) {
-	c := New()
-	var fired []time.Duration
-	for _, d := range []time.Duration{1, 2, 3, 4} {
-		c.At(d*time.Second, func(now time.Duration) { fired = append(fired, now) })
-	}
-	c.RunUntil(2 * time.Second)
-	if len(fired) != 2 {
-		t.Errorf("RunUntil(2s) fired %d events, want 2", len(fired))
-	}
-	if c.Now() != 2*time.Second {
-		t.Errorf("Now = %v, want 2s", c.Now())
-	}
-	if c.Pending() != 2 {
-		t.Errorf("Pending = %d, want 2", c.Pending())
-	}
-	c.Run()
-	if len(fired) != 4 {
-		t.Errorf("after Run, fired %d events, want 4", len(fired))
-	}
-}
-
-func TestRunUntilAdvancesWithNoEvents(t *testing.T) {
-	c := New()
-	c.RunUntil(time.Minute)
-	if c.Now() != time.Minute {
-		t.Errorf("Now = %v, want 1m", c.Now())
-	}
-}
-
-func TestRunUntilPastPanics(t *testing.T) {
-	c := New()
-	c.RunUntil(time.Minute)
-	defer func() {
-		if recover() == nil {
-			t.Fatal("RunUntil in the past did not panic")
-		}
-	}()
-	c.RunUntil(time.Second)
-}
-
-func TestAdvance(t *testing.T) {
-	c := New()
-	c.Advance(30 * time.Second)
-	c.Advance(30 * time.Second)
-	if c.Now() != time.Minute {
-		t.Errorf("Now = %v, want 1m", c.Now())
-	}
-}
-
 func TestEvery(t *testing.T) {
 	c := New()
 	var ticks []time.Duration
@@ -158,9 +97,11 @@ func TestEveryStop(t *testing.T) {
 	c := New()
 	n := 0
 	stop := c.Every(time.Second, func(time.Duration) bool { n++; return true })
-	c.RunUntil(3 * time.Second)
+	for i := 0; i < 3; i++ {
+		c.Step()
+	}
 	stop()
-	c.RunUntil(10 * time.Second)
+	c.Run()
 	if n != 3 {
 		t.Errorf("ticks after stop = %d, want 3", n)
 	}
@@ -195,11 +136,6 @@ func TestStepReturnsFalseWhenEmpty(t *testing.T) {
 	c := New()
 	if c.Step() {
 		t.Error("Step on empty queue returned true")
-	}
-	e := c.After(time.Second, func(time.Duration) {})
-	e.Cancel()
-	if c.Step() {
-		t.Error("Step with only canceled events returned true")
 	}
 }
 

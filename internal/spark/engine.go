@@ -22,9 +22,6 @@ type Executor struct {
 // Alive reports whether the executor is schedulable.
 func (x *Executor) Alive() bool { return x.alive }
 
-// UsedMemMB returns the storage memory in use.
-func (x *Executor) UsedMemMB() float64 { return x.usedMB }
-
 // Cluster is the set of executors available to the engine, one per worker
 // VM.
 type Cluster struct {
@@ -189,9 +186,6 @@ func (e *Engine) Progress() float64 {
 	}
 	return e.completedPlanned / total
 }
-
-// NowSecs returns accumulated virtual job time.
-func (e *Engine) NowSecs() float64 { return e.nowSecs }
 
 // MeasuredShuffleFraction returns the observed synchronous-time share —
 // the paper's r heuristic, r = synchronous execution time / total running

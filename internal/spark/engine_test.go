@@ -237,8 +237,8 @@ func TestCacheEviction(t *testing.T) {
 		t.Fatal(err)
 	}
 	x := c.Executor("exec-0")
-	if x.UsedMemMB() > 15+10 {
-		t.Errorf("storage memory %g far exceeds cap 15", x.UsedMemMB())
+	if x.usedMB > 15+10 {
+		t.Errorf("storage memory %g far exceeds cap 15", x.usedMB)
 	}
 }
 
@@ -311,7 +311,7 @@ func TestTraceRecordsStageRuns(t *testing.T) {
 	if !sawRecompute {
 		t.Error("no recompute entries after executor loss")
 	}
-	if sum <= 0 || sum > e.NowSecs() {
-		t.Errorf("trace time %g inconsistent with engine time %g", sum, e.NowSecs())
+	if sum <= 0 || sum > e.nowSecs {
+		t.Errorf("trace time %g inconsistent with engine time %g", sum, e.nowSecs)
 	}
 }

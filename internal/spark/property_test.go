@@ -6,7 +6,7 @@ import (
 )
 
 // randomJob builds a small deterministic DAG shaped by the fuzz input:
-// alternating maps, filters, and shuffles over a cached or uncached source.
+// alternating maps, selective maps, and shuffles over a cached or uncached source.
 func randomJob(shape []uint8) (*BatchJob, error) {
 	ctx := NewContext()
 	cur := ctx.Source("src", 8, 1.0, 10)
@@ -18,7 +18,7 @@ func randomJob(shape []uint8) (*BatchJob, error) {
 		case 0:
 			cur = cur.Map("m", 0.5, 8)
 		case 1:
-			cur = cur.Filter("f", 0.1, 0.5)
+			cur = cur.Map("f", 0.1, cur.outMB*0.5)
 		case 2:
 			cur = cur.Shuffle("s", 4+int(s%5), 1.0, 6)
 		}
@@ -148,23 +148,4 @@ func TestQuickEstimateNeverNegative(t *testing.T) {
 	if err := quick.Check(f, &quick.Config{MaxCount: 60}); err != nil {
 		t.Error(err)
 	}
-}
-
-func TestFilterValidation(t *testing.T) {
-	ctx := NewContext()
-	src := ctx.Source("s", 4, 1, 10)
-	f := src.Filter("f", 0.1, 0.25)
-	if f.Partitions() != 4 {
-		t.Errorf("filter partitions = %d", f.Partitions())
-	}
-	job, err := NewBatchJob("j", f.Shuffle("agg", 2, 0.1, 1), 0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	// Filter halves... quarters the shuffle volume: 4 parts × 2.5MB.
-	if got := job.ShuffleBytesMB(); got != 10 {
-		t.Errorf("shuffle bytes = %g, want 10", got)
-	}
-	mustPanic(t, "selectivity 0", func() { src.Filter("f", 0.1, 0) })
-	mustPanic(t, "selectivity 2", func() { src.Filter("f", 0.1, 2) })
 }

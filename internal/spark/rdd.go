@@ -39,7 +39,6 @@ type Dep struct {
 // deterministic.
 type Context struct {
 	nextID int
-	rdds   []*RDD
 }
 
 // NewContext returns an empty RDD context.
@@ -54,7 +53,6 @@ func (c *Context) newRDD(name string, partitions int, work, outMB float64, deps 
 	}
 	r := &RDD{ctx: c, id: c.nextID, name: name, partitions: partitions, work: work, outMB: outMB, deps: deps}
 	c.nextID++
-	c.rdds = append(c.rdds, r)
 	return r
 }
 
@@ -72,9 +70,6 @@ func (c *Context) Transform(name string, partitions int, work, outMB float64, de
 	return c.newRDD(name, partitions, work, outMB, deps...)
 }
 
-// RDDs returns every RDD created in this context, in creation order.
-func (c *Context) RDDs() []*RDD { return c.rdds }
-
 // ID returns the RDD's stable identifier.
 func (r *RDD) ID() int { return r.id }
 
@@ -84,25 +79,10 @@ func (r *RDD) Name() string { return r.name }
 // Partitions returns the partition count.
 func (r *RDD) Partitions() int { return r.partitions }
 
-// Deps returns the RDD's dependencies.
-func (r *RDD) Deps() []Dep { return r.deps }
-
-// Cached reports whether Cache was called.
-func (r *RDD) Cached() bool { return r.cached }
-
 // Map applies a narrow transformation: same partitioning, per-partition
 // work, new per-partition output size.
 func (r *RDD) Map(name string, work, outMB float64) *RDD {
 	return r.ctx.newRDD(name, r.partitions, work, outMB, Dep{Parent: r})
-}
-
-// Filter applies a selective narrow transformation: same partitioning,
-// cheap per-partition work, output scaled by selectivity ∈ (0,1].
-func (r *RDD) Filter(name string, work, selectivity float64) *RDD {
-	if selectivity <= 0 || selectivity > 1 {
-		panic(fmt.Sprintf("spark: filter %q selectivity %g out of (0,1]", name, selectivity))
-	}
-	return r.ctx.newRDD(name, r.partitions, work, r.outMB*selectivity, Dep{Parent: r})
 }
 
 // Shuffle applies a wide transformation (reduceByKey, groupBy, repartition):
@@ -133,6 +113,3 @@ func (r *RDD) CollectToDriver() *RDD {
 	r.driverHeld = true
 	return r
 }
-
-// DriverHeld reports whether CollectToDriver was called.
-func (r *RDD) DriverHeld() bool { return r.driverHeld }

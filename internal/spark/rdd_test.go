@@ -12,36 +12,36 @@ func TestRDDBuilders(t *testing.T) {
 	if m.Partitions() != 8 {
 		t.Errorf("map partitions = %d, want parent's 8", m.Partitions())
 	}
-	if len(m.Deps()) != 1 || m.Deps()[0].Wide || m.Deps()[0].Parent != src {
-		t.Errorf("map deps wrong: %+v", m.Deps())
+	if len(m.deps) != 1 || m.deps[0].Wide || m.deps[0].Parent != src {
+		t.Errorf("map deps wrong: %+v", m.deps)
 	}
 	sh := m.Shuffle("s", 4, 0.2, 2)
-	if sh.Partitions() != 4 || !sh.Deps()[0].Wide {
+	if sh.Partitions() != 4 || !sh.deps[0].Wide {
 		t.Error("shuffle dep not wide or partitions wrong")
 	}
 	j := sh.Join(m, "j", 2, 0.1, 1)
-	if len(j.Deps()) != 2 || !j.Deps()[0].Wide || !j.Deps()[1].Wide {
-		t.Errorf("join deps wrong: %+v", j.Deps())
+	if len(j.deps) != 2 || !j.deps[0].Wide || !j.deps[1].Wide {
+		t.Errorf("join deps wrong: %+v", j.deps)
 	}
 	tr := ctx.Transform("t", 8, 0.1, 1, Dep{Parent: src}, Dep{Parent: sh, Broadcast: true})
-	if len(tr.Deps()) != 2 || !tr.Deps()[1].Broadcast {
+	if len(tr.deps) != 2 || !tr.deps[1].Broadcast {
 		t.Error("transform deps wrong")
 	}
-	if len(ctx.RDDs()) != 5 {
-		t.Errorf("context has %d RDDs, want 5", len(ctx.RDDs()))
+	if ctx.nextID != 5 {
+		t.Errorf("context assigned %d ids, want 5", ctx.nextID)
 	}
 }
 
 func TestRDDFlags(t *testing.T) {
 	ctx := NewContext()
 	r := ctx.Source("in", 4, 1, 1)
-	if r.Cached() || r.DriverHeld() {
+	if r.cached || r.driverHeld {
 		t.Error("fresh RDD has flags set")
 	}
-	if r.Cache() != r || !r.Cached() {
+	if r.Cache() != r || !r.cached {
 		t.Error("Cache not chainable/effective")
 	}
-	if r.CollectToDriver() != r || !r.DriverHeld() {
+	if r.CollectToDriver() != r || !r.driverHeld {
 		t.Error("CollectToDriver not chainable/effective")
 	}
 }

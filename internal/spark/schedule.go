@@ -36,15 +36,6 @@ func (s *Stage) ID() int { return s.id }
 // Name returns the boundary RDD's name.
 func (s *Stage) Name() string { return s.boundary.name }
 
-// Tasks returns the stage's task count.
-func (s *Stage) Tasks() int { return s.tasks }
-
-// WorkPerTask returns the pipelined per-task compute seconds.
-func (s *Stage) WorkPerTask() float64 { return s.workPerTask }
-
-// Parents returns the stage's dependencies.
-func (s *Stage) Parents() []StageDep { return s.parents }
-
 // IsShuffle reports whether the stage consumes a shuffle — the paper's
 // "synchronous" stages.
 func (s *Stage) IsShuffle() bool {
@@ -150,9 +141,6 @@ func (j *BatchJob) buildStages(serial float64) {
 // Stages returns the job's stages in execution (topological) order.
 func (j *BatchJob) Stages() []*Stage { return j.stages }
 
-// FinalStage returns the result stage.
-func (j *BatchJob) FinalStage() *Stage { return j.stages[len(j.stages)-1] }
-
 // TotalPlannedWork returns the job's planned seconds at unit speed across
 // all stages (each stage counted once).
 func (j *BatchJob) TotalPlannedWork() float64 {
@@ -163,51 +151,6 @@ func (j *BatchJob) TotalPlannedWork() float64 {
 	return sum
 }
 
-// ShuffleWorkFraction returns the fraction of planned work in stages that
-// consume a shuffle. A coarse structural measure; the policy prefers
-// ShuffleTimeFraction.
-func (j *BatchJob) ShuffleWorkFraction() float64 {
-	total := j.TotalPlannedWork()
-	if total == 0 {
-		return 0
-	}
-	var sync float64
-	for _, s := range j.stages {
-		if s.IsShuffle() {
-			sync += s.PlannedWork()
-		}
-	}
-	return sync / total
-}
-
-// DefaultShuffleNetMBps is the aggregate shuffle bandwidth assumed by the
-// synchronous-time heuristic.
+// DefaultShuffleNetMBps is the aggregate shuffle bandwidth the engine
+// moves shuffle data at.
 const DefaultShuffleNetMBps = 1000
-
-// ShuffleBytesMB returns the total data volume moved through shuffles: for
-// every shuffle dependency, all of the parent stage's output.
-func (j *BatchJob) ShuffleBytesMB() float64 {
-	var mb float64
-	for _, s := range j.stages {
-		mb += s.ShuffleInputMB()
-	}
-	return mb
-}
-
-// ShuffleTimeFraction returns the paper's r heuristic, "synchronous
-// execution time / total running time": the time spent moving shuffle data
-// (at netMBps aggregate bandwidth; pass 0 for the default) as a fraction of
-// the job's planned time. Shuffle-heavy jobs (ALS) score high — killing
-// executors would lose expensive shuffle outputs — while map-heavy jobs
-// over cached inputs (K-means) score near zero.
-func (j *BatchJob) ShuffleTimeFraction(netMBps float64) float64 {
-	if netMBps <= 0 {
-		netMBps = DefaultShuffleNetMBps
-	}
-	sync := j.ShuffleBytesMB() / netMBps
-	total := j.TotalPlannedWork() + sync
-	if total == 0 {
-		return 0
-	}
-	return sync / total
-}

@@ -28,24 +28,24 @@ func TestStageSplitAtShuffle(t *testing.T) {
 	}
 	mapSide, reduceSide := stages[0], stages[1]
 	// Map side: src + parse pipelined, 8 tasks of 1.5s.
-	if mapSide.Tasks() != 8 || math.Abs(mapSide.WorkPerTask()-1.5) > 1e-12 {
-		t.Errorf("map side: %d tasks × %g s", mapSide.Tasks(), mapSide.WorkPerTask())
+	if mapSide.tasks != 8 || math.Abs(mapSide.workPerTask-1.5) > 1e-12 {
+		t.Errorf("map side: %d tasks × %g s", mapSide.tasks, mapSide.workPerTask)
 	}
 	if mapSide.IsShuffle() {
 		t.Error("map side marked as shuffle consumer")
 	}
 	// Reduce side: agg + post pipelined, 4 tasks of 2.25s, wide parent.
-	if reduceSide.Tasks() != 4 || math.Abs(reduceSide.WorkPerTask()-2.25) > 1e-12 {
-		t.Errorf("reduce side: %d tasks × %g s", reduceSide.Tasks(), reduceSide.WorkPerTask())
+	if reduceSide.tasks != 4 || math.Abs(reduceSide.workPerTask-2.25) > 1e-12 {
+		t.Errorf("reduce side: %d tasks × %g s", reduceSide.tasks, reduceSide.workPerTask)
 	}
 	if !reduceSide.IsShuffle() {
 		t.Error("reduce side not marked as shuffle consumer")
 	}
-	if len(reduceSide.Parents()) != 1 || !reduceSide.Parents()[0].AllParts ||
-		!reduceSide.Parents()[0].Shuffle || reduceSide.Parents()[0].Stage != mapSide {
-		t.Errorf("reduce parents wrong: %+v", reduceSide.Parents())
+	if len(reduceSide.parents) != 1 || !reduceSide.parents[0].AllParts ||
+		!reduceSide.parents[0].Shuffle || reduceSide.parents[0].Stage != mapSide {
+		t.Errorf("reduce parents wrong: %+v", reduceSide.parents)
 	}
-	if j.FinalStage() != reduceSide {
+	if j.stages[len(j.stages)-1] != reduceSide {
 		t.Error("final stage wrong")
 	}
 }
@@ -65,7 +65,7 @@ func TestStageSplitAtCache(t *testing.T) {
 	if !stages[0].cacheOutput {
 		t.Error("cached stage not marked cacheOutput")
 	}
-	dep := stages[1].Parents()[0]
+	dep := stages[1].parents[0]
 	if dep.AllParts || dep.Shuffle {
 		t.Errorf("cache dep should be narrow non-shuffle: %+v", dep)
 	}
@@ -81,22 +81,22 @@ func TestBroadcastDep(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	fs := j.FinalStage()
+	fs := j.stages[len(j.stages)-1]
 	if fs.IsShuffle() {
 		t.Error("broadcast dep counted as shuffle")
 	}
 	var bcast *StageDep
-	for i := range fs.Parents() {
-		if fs.Parents()[i].AllParts {
-			bcast = &fs.Parents()[i]
+	for i := range fs.parents {
+		if fs.parents[i].AllParts {
+			bcast = &fs.parents[i]
 		}
 	}
 	if bcast == nil || bcast.Shuffle {
-		t.Errorf("broadcast dep wrong: %+v", fs.Parents())
+		t.Errorf("broadcast dep wrong: %+v", fs.parents)
 	}
 	// big is pipelined into the final stage (narrow, uncached).
-	if math.Abs(fs.WorkPerTask()-1.5) > 1e-12 {
-		t.Errorf("work per task = %g, want 1.5 (big pipelined)", fs.WorkPerTask())
+	if math.Abs(fs.workPerTask-1.5) > 1e-12 {
+		t.Errorf("work per task = %g, want 1.5 (big pipelined)", fs.workPerTask)
 	}
 	if !stageByID(j, small.ID()).driverHeld {
 		t.Error("driver-held stage not marked")
@@ -126,7 +126,7 @@ func TestTopologicalOrder(t *testing.T) {
 		pos[s.ID()] = i
 	}
 	for _, s := range j.Stages() {
-		for _, dep := range s.Parents() {
+		for _, dep := range s.parents {
 			if pos[dep.Stage.ID()] >= pos[s.ID()] {
 				t.Errorf("parent %q not before child %q", dep.Stage.Name(), s.Name())
 			}
@@ -141,20 +141,8 @@ func TestPlannedWorkAndShuffleMetrics(t *testing.T) {
 	if got := j.TotalPlannedWork(); math.Abs(got-want) > 1e-9 {
 		t.Errorf("TotalPlannedWork = %g, want %g", got, want)
 	}
-	if got := j.ShuffleBytesMB(); got != 8*8 {
+	if got := shuffleMB(j); got != 8*8 {
 		t.Errorf("ShuffleBytesMB = %g, want 64 (8 parts × 8MB)", got)
-	}
-	swf := j.ShuffleWorkFraction()
-	if swf <= 0 || swf >= 1 {
-		t.Errorf("ShuffleWorkFraction = %g", swf)
-	}
-	stf := j.ShuffleTimeFraction(0)
-	if stf <= 0 || stf >= 0.5 {
-		t.Errorf("ShuffleTimeFraction = %g, want small positive", stf)
-	}
-	// More bandwidth, smaller sync fraction.
-	if j.ShuffleTimeFraction(10000) >= stf {
-		t.Error("shuffle fraction not decreasing in bandwidth")
 	}
 }
 
@@ -166,4 +154,13 @@ func TestNewBatchJobValidation(t *testing.T) {
 	if _, err := NewBatchJob("x", ctx.Source("s", 1, 1, 1), -1); err == nil {
 		t.Error("negative serial accepted")
 	}
+}
+
+// shuffleMB is the job's total shuffle volume: every stage's shuffle input.
+func shuffleMB(j *BatchJob) float64 {
+	var mb float64
+	for _, s := range j.Stages() {
+		mb += s.ShuffleInputMB()
+	}
+	return mb
 }

@@ -105,9 +105,6 @@ func (r *TrainingRun) ElapsedSecs() float64 { return r.elapsedSecs }
 // (restart and resubmission overheads).
 func (r *TrainingRun) AddDelaySecs(secs float64) { r.elapsedSecs += secs }
 
-// Completed returns completed iterations.
-func (r *TrainingRun) Completed() int { return r.completed }
-
 // Done reports whether all iterations have finished.
 func (r *TrainingRun) Done() bool { return r.completed >= r.job.Iterations }
 

@@ -38,8 +38,8 @@ func TestTrainingBaseline(t *testing.T) {
 	if elapsed != 400 {
 		t.Errorf("elapsed = %g, want 40×10 = 400", elapsed)
 	}
-	if !r.Done() || r.Completed() != 40 {
-		t.Errorf("completed = %d", r.Completed())
+	if !r.Done() || r.completed != 40 {
+		t.Errorf("completed = %d", r.completed)
 	}
 	if got := r.Throughput(); math.Abs(got-80) > 1e-9 {
 		t.Errorf("throughput = %g, want 800/10 = 80", got)
@@ -107,8 +107,8 @@ func TestKillWorkersRestartsFromCheckpoint(t *testing.T) {
 	if err := r.KillWorkers(4); err != nil {
 		t.Fatal(err)
 	}
-	if r.Completed() != 20 {
-		t.Errorf("completed after kill = %d, want checkpoint 20", r.Completed())
+	if r.completed != 20 {
+		t.Errorf("completed after kill = %d, want checkpoint 20", r.completed)
 	}
 	// Iterations now slower: half the workers with scale-out loss.
 	it := r.IterSecs()
@@ -133,8 +133,8 @@ func TestKillWithoutCheckpointRestartsFromZero(t *testing.T) {
 		r.Step()
 	}
 	r.KillWorkers(1)
-	if r.Completed() != 0 {
-		t.Errorf("completed = %d, want 0 (no checkpoints)", r.Completed())
+	if r.completed != 0 {
+		t.Errorf("completed = %d, want 0 (no checkpoints)", r.completed)
 	}
 }
 
@@ -180,5 +180,40 @@ func TestTrainingDeflationBeatsKill(t *testing.T) {
 
 	if dElapsed >= kElapsed {
 		t.Errorf("deflation %g not faster than kill+restart %g", dElapsed, kElapsed)
+	}
+}
+
+func TestTrainingReviveWorkers(t *testing.T) {
+	j := &TrainingJob{Name: "t", Iterations: 40, IterSecs: 10, Workers: 8,
+		RecordsPerIter: 800, RestartSecs: 50, CheckpointEvery: 10, CheckpointOverhead: 0.2}
+	r, err := NewTrainingRun(j)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i := 0; i < 15; i++ {
+		r.Step()
+	}
+	if err := r.KillWorkers(4); err != nil {
+		t.Fatal(err)
+	}
+	slow := r.IterSecs()
+	elapsedBefore := r.ElapsedSecs()
+	if err := r.ReviveWorkers(4); err != nil {
+		t.Fatal(err)
+	}
+	if r.ElapsedSecs() <= elapsedBefore {
+		t.Error("revive charged no restart time")
+	}
+	if r.completed != 10 {
+		t.Errorf("completed = %d, want checkpoint 10", r.completed)
+	}
+	if r.IterSecs() >= slow {
+		t.Errorf("iteration time %g not restored below %g", r.IterSecs(), slow)
+	}
+	if err := r.ReviveWorkers(1); err == nil {
+		t.Error("revive with no dead workers accepted")
+	}
+	if err := r.ReviveWorkers(0); err != nil {
+		t.Error(err)
 	}
 }

@@ -29,12 +29,19 @@ func TestALSStructure(t *testing.T) {
 	if got := len(j.Stages()); got != 14 {
 		t.Errorf("ALS stages = %d, want 14", got)
 	}
-	// Shuffle-heavy: nearly all stages consume shuffles.
-	if f := j.ShuffleWorkFraction(); f < 0.7 {
+	// Shuffle-heavy: nearly all planned work is in stages that consume
+	// shuffles.
+	var shuffleWork float64
+	for _, s := range j.Stages() {
+		if s.IsShuffle() {
+			shuffleWork += s.PlannedWork()
+		}
+	}
+	if f := shuffleWork / j.TotalPlannedWork(); f < 0.7 {
 		t.Errorf("ALS shuffle work fraction = %g, want ≥ 0.7", f)
 	}
-	if j.ShuffleBytesMB() < 10000 {
-		t.Errorf("ALS shuffle volume = %g MB, want large", j.ShuffleBytesMB())
+	if shuffleMB(j) < 10000 {
+		t.Errorf("ALS shuffle volume = %g MB, want large", shuffleMB(j))
 	}
 }
 
@@ -59,18 +66,34 @@ func TestKMeansStructure(t *testing.T) {
 	}
 	// Tiny shuffle volume compared to ALS.
 	als, _ := ALS(Params{})
-	if j.ShuffleBytesMB() >= als.ShuffleBytesMB()/10 {
+	if shuffleMB(j) >= shuffleMB(als)/10 {
 		t.Errorf("KMeans shuffles %g MB vs ALS %g MB: not map-heavy",
-			j.ShuffleBytesMB(), als.ShuffleBytesMB())
+			shuffleMB(j), shuffleMB(als))
 	}
 }
 
 func TestHeuristicSeparatesWorkloads(t *testing.T) {
-	// The policy's r heuristic must clearly separate the two DAG classes.
-	als, _ := ALS(Params{})
-	km, _ := KMeans(Params{})
-	ra := als.ShuffleTimeFraction(0)
-	rk := km.ShuffleTimeFraction(0)
+	// The policy's r heuristic, the synchronous-time share the engine
+	// measures, must clearly separate the two DAG classes.
+	measured := func(build func(Params) (*spark.BatchJob, error)) float64 {
+		cl, err := Params{}.Cluster()
+		if err != nil {
+			t.Fatal(err)
+		}
+		job, err := build(Params{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		eng, err := spark.NewEngine(cl, job)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if _, err := eng.Run(nil); err != nil {
+			t.Fatal(err)
+		}
+		return eng.MeasuredShuffleFraction()
+	}
+	ra, rk := measured(ALS), measured(KMeans)
 	if rk >= ra {
 		t.Errorf("r(kmeans)=%g not below r(als)=%g", rk, ra)
 	}
@@ -133,4 +156,13 @@ func BenchmarkEngineALS(b *testing.B) {
 			b.Fatal(err)
 		}
 	}
+}
+
+// shuffleMB is the job's total shuffle volume: every stage's shuffle input.
+func shuffleMB(j *spark.BatchJob) float64 {
+	var mb float64
+	for _, s := range j.Stages() {
+		mb += s.ShuffleInputMB()
+	}
+	return mb
 }

@@ -120,14 +120,6 @@ func (s *Stream) Count() float64 { return s.count }
 // Sum returns the weighted sum of observed values.
 func (s *Stream) Sum() float64 { return s.sum }
 
-// Mean returns the weighted mean of observed values (0 when empty).
-func (s *Stream) Mean() float64 {
-	if s.count == 0 {
-		return 0
-	}
-	return s.sum / s.count
-}
-
 // Quantile returns the interpolated q-quantile: the bucket containing the
 // q-th weight is located, then the value is linearly interpolated between
 // the bucket's bounds by the weight fraction inside it. q is clamped to
@@ -164,8 +156,3 @@ func (s *Stream) Quantile(q float64) float64 {
 	}
 	return s.bounds[len(s.bounds)-1]
 }
-
-// TailWeight returns the observation weight recorded above the last finite
-// bound — nonzero tail weight means the bucket range clipped the
-// distribution and high quantiles are underestimates.
-func (s *Stream) TailWeight() float64 { return s.counts[len(s.counts)-1] }

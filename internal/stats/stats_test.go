@@ -75,11 +75,8 @@ func TestStreamBasics(t *testing.T) {
 	if want := 0.5 + 3*2 + 100; s.Sum() != want {
 		t.Errorf("sum = %g, want %g", s.Sum(), want)
 	}
-	if got := s.TailWeight(); got != 1 {
+	if got := s.counts[len(s.counts)-1]; got != 1 {
 		t.Errorf("tail weight = %g, want 1", got)
-	}
-	if got := s.Mean(); math.Abs(got-106.5/4) > 1e-12 {
-		t.Errorf("mean = %g", got)
 	}
 }
 
@@ -122,7 +119,7 @@ func TestStreamExponentialQuantiles(t *testing.T) {
 		s.AddWeighted((lo+b)/2, 1e6*(cdf(b)-cdf(lo)))
 		lo = b
 	}
-	if tail := s.TailWeight(); tail != 0 {
+	if tail := s.counts[len(s.counts)-1]; tail != 0 {
 		// spread only placed mass at finite midpoints
 		t.Fatalf("tail weight %g", tail)
 	}

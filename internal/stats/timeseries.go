@@ -36,9 +36,6 @@ func (s *TimeSeries) Add(t time.Duration, v float64) error {
 // Len returns the sample count.
 func (s *TimeSeries) Len() int { return len(s.points) }
 
-// Points returns the underlying samples (do not mutate).
-func (s *TimeSeries) Points() []Point { return s.points }
-
 // At returns the most recent value at or before t (step interpolation), or
 // 0 if t precedes the first sample.
 func (s *TimeSeries) At(t time.Duration) float64 {
@@ -47,28 +44,6 @@ func (s *TimeSeries) At(t time.Duration) float64 {
 		return 0
 	}
 	return s.points[i-1].V
-}
-
-// Mean returns the time-weighted mean over the sampled interval (simple
-// mean when all samples share a timestamp or there is a single sample).
-func (s *TimeSeries) Mean() float64 {
-	n := len(s.points)
-	if n == 0 {
-		return 0
-	}
-	if n == 1 || s.points[n-1].T == s.points[0].T {
-		var sum float64
-		for _, p := range s.points {
-			sum += p.V
-		}
-		return sum / float64(n)
-	}
-	var area float64
-	for i := 1; i < n; i++ {
-		dt := (s.points[i].T - s.points[i-1].T).Seconds()
-		area += s.points[i-1].V * dt
-	}
-	return area / (s.points[n-1].T - s.points[0].T).Seconds()
 }
 
 // Max returns the maximum sampled value (0 for an empty series).

@@ -1,7 +1,6 @@
 package stats
 
 import (
-	"math"
 	"strings"
 	"testing"
 	"time"
@@ -41,23 +40,6 @@ func TestTimeSeriesAt(t *testing.T) {
 	}
 }
 
-func TestTimeSeriesMean(t *testing.T) {
-	s := NewTimeSeries("x")
-	if s.Mean() != 0 {
-		t.Error("empty mean != 0")
-	}
-	s.Add(0, 10)
-	if s.Mean() != 10 {
-		t.Errorf("single-sample mean = %g", s.Mean())
-	}
-	// 10 for 10s, then 20 for 10s: time-weighted mean 15.
-	s.Add(10*time.Second, 20)
-	s.Add(20*time.Second, 20)
-	if got := s.Mean(); math.Abs(got-15) > 1e-9 {
-		t.Errorf("time-weighted mean = %g, want 15", got)
-	}
-}
-
 func TestTimeSeriesMaxAndTable(t *testing.T) {
 	s := NewTimeSeries("throughput")
 	if s.Max() != 0 {
@@ -73,7 +55,7 @@ func TestTimeSeriesMaxAndTable(t *testing.T) {
 	if !strings.Contains(tab, "throughput") || !strings.Contains(tab, "7.000") {
 		t.Errorf("table rendering:\n%s", tab)
 	}
-	if len(s.Points()) != 3 {
-		t.Error("points accessor wrong")
+	if s.Len() != 3 {
+		t.Errorf("%d points, want 3", s.Len())
 	}
 }

@@ -136,8 +136,6 @@ type Substrate interface {
 	Reserve(v restypes.Vector) error
 	// Unreserve returns previously reserved capacity.
 	Unreserve(v restypes.Vector)
-	// Reserved returns the currently reserved capacity.
-	Reserved() restypes.Vector
 	// Spawn boots an instance of the given nominal size. The guest config
 	// parameterizes the workload's kernel/runtime model; substrates without
 	// a guest OS consume only the footprint-relevant fields.
@@ -147,10 +145,6 @@ type Substrate interface {
 	// with ErrKindMismatch when the snapshot came from a different
 	// substrate kind.
 	RestoreInstance(s Snapshot) (Instance, error)
-	// Instances returns all live instances sorted by name.
-	Instances() []Instance
-	// Lookup finds a live instance by name.
-	Lookup(name string) (Instance, error)
 }
 
 // Env is the effective execution environment an instance's application

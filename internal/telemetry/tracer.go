@@ -38,12 +38,9 @@ type CascadeEvent struct {
 	// "app", "os", "hypervisor", or "none".
 	LevelReached string `json:"level_reached"`
 	// AppFailed and OSFailed report fault-hook outcomes: the level failed
-	// (or hung past the budget) and the cascade degraded to the next level.
+	// and the cascade degraded to the next level.
 	AppFailed bool `json:"app_failed,omitempty"`
 	OSFailed  bool `json:"os_failed,omitempty"`
-	// DeadlineExceeded reports that the controller's deadline truncated the
-	// higher levels.
-	DeadlineExceeded bool `json:"deadline_exceeded,omitempty"`
 	// Shortfall is the portion of the target no enabled level could reclaim.
 	Shortfall restypes.Vector `json:"shortfall"`
 	// Duration is the end-to-end (simulated) reclamation latency.

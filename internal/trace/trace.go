@@ -134,42 +134,3 @@ func pickSize(rng *rand.Rand, mix []SizeClass, totalW float64) restypes.Vector {
 	}
 	return mix[len(mix)-1].Size
 }
-
-// Stats summarizes a trace for sanity checks and reports.
-type Stats struct {
-	Count          int
-	HighPriority   int
-	MeanLifetime   time.Duration
-	MedianLifetime time.Duration
-	TotalCPU       float64
-	TotalMemMB     float64
-}
-
-// Summarize computes trace statistics.
-func Summarize(events []Event) Stats {
-	var s Stats
-	s.Count = len(events)
-	if s.Count == 0 {
-		return s
-	}
-	lifetimes := make([]time.Duration, 0, len(events))
-	var sum time.Duration
-	for _, e := range events {
-		if e.HighPriority {
-			s.HighPriority++
-		}
-		lifetimes = append(lifetimes, e.Lifetime)
-		sum += e.Lifetime
-		s.TotalCPU += e.Size.CPU
-		s.TotalMemMB += e.Size.MemoryMB
-	}
-	s.MeanLifetime = sum / time.Duration(s.Count)
-	// Median via insertion into a copy (traces are small).
-	for i := 1; i < len(lifetimes); i++ {
-		for j := i; j > 0 && lifetimes[j] < lifetimes[j-1]; j-- {
-			lifetimes[j], lifetimes[j-1] = lifetimes[j-1], lifetimes[j]
-		}
-	}
-	s.MedianLifetime = lifetimes[len(lifetimes)/2]
-	return s
-}

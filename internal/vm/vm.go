@@ -232,15 +232,6 @@ func (v *VM) Snapshot() Snapshot {
 	return Snapshot{Domain: v.inst.Snapshot(), Priority: v.priority, MinSize: v.minSize}
 }
 
-// Restore materializes a migrated VM on a hypervisor host from a snapshot.
-// RestoreOn is the substrate-generic spelling.
-func Restore(host *hypervisor.Host, s Snapshot, app Application) (*VM, error) {
-	if host == nil {
-		return nil, fmt.Errorf("vm: nil host")
-	}
-	return RestoreOn(host, s, app)
-}
-
 // RestoreOn materializes a migrated VM on a substrate from a snapshot,
 // attaching app as its application. The snapshot's footprint is
 // authoritative — it is NOT overwritten from the application's Footprint,

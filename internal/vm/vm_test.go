@@ -199,7 +199,7 @@ func TestSnapshotRestoreMigratesDeflatedState(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	r, err := Restore(tight, snap, app)
+	r, err := RestoreOn(tight, snap, app)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -220,7 +220,7 @@ func TestSnapshotRestoreMigratesDeflatedState(t *testing.T) {
 	}
 
 	// Duplicate restore on the same host must fail (no double-placement).
-	if _, err := Restore(tight, snap, app); err == nil {
+	if _, err := RestoreOn(tight, snap, app); err == nil {
 		t.Error("duplicate restore accepted")
 	}
 }

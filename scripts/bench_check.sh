@@ -5,9 +5,9 @@
 # Usage: scripts/bench_check.sh [baseline-json]
 #
 # The suite tracks the simulator core rebuilt in PR 10: the calendar-queue
-# event engine (ns/op, allocs/op under the hold model and under
-# schedule/cancel churn), the indexed placement path on a 1000-node fleet
-# (ns/op), and the end-to-end simulation cell (ns/event, allocs/event).
+# event engine (ns/op, allocs/op under the hold model), the indexed
+# placement path on a 1000-node fleet (ns/op), and the end-to-end
+# simulation cell (ns/event, allocs/event).
 # Each measured metric must stay within BENCH_MAX_REGRESS times its baseline
 # (default 1.25, i.e. +25%; CI runs 2.0, i.e. +100%); alloc metrics get +0.5
 # absolute slack so zero-alloc floors remain enforceable. allocs/op and

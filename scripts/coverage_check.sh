@@ -15,8 +15,8 @@
 # rests on (resize floors, OOM kills, the shared page-cache pool), so it
 # carries the same floor. The simclock calendar queue is the event engine
 # every simulated second flows through; its differential/property/fuzz
-# tests (diff_test.go) must keep exercising bucket resize, tombstone
-# clearing, and the cancel paths, so it carries the same floor. The
+# tests (diff_test.go) must keep exercising bucket resize, year-wrap jumps
+# and feeds, so it carries the same floor. The
 # substrate package holds the ordered Table every host and controller keeps
 # its instances in, written in place; its fuzz and allocation tests must keep
 # covering insert, replace and delete, so it carries the same floor. The

@@ -43,23 +43,6 @@ func BenchmarkSimCoreEventQueue(b *testing.B) {
 	}
 }
 
-// BenchmarkSimCoreEventQueueCancel measures schedule+cancel churn: every
-// event is canceled before it can fire, and the queue is periodically
-// drained past the tombstones.
-func BenchmarkSimCoreEventQueueCancel(b *testing.B) {
-	clock := simclock.New()
-	nop := func(time.Duration) {}
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		e := clock.At(clock.Now()+time.Duration(1+i%64)*time.Microsecond, nop)
-		e.Cancel()
-		if i%64 == 63 {
-			clock.Advance(time.Millisecond)
-		}
-	}
-}
-
 // BenchmarkSimCorePlacement measures the manager's launch path on a
 // 1000-node deflation-mode fleet at steady state: each iteration places one
 // low-priority VM, recycling the oldest placements when the fleet
