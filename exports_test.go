@@ -79,6 +79,56 @@ func TestExportScanFixture(t *testing.T) {
 	}
 }
 
+// TestEveryConfigFieldHasASetter holds internal/ to config fields that some
+// non-test code sets. A field that only tests set, or only its own struct's
+// defaulting method fills in, has one value in use: make it a constant or
+// delete it, or list it in testdata/field_allowlist.txt with its reason. The
+// list only shrinks, like the exported-name list.
+func TestEveryConfigFieldHasASetter(t *testing.T) {
+	unset, err := unsetFields(".", "internal", callerDirs)
+	if err != nil {
+		t.Fatal(err)
+	}
+	allow, err := readAllowlist("testdata/field_allowlist.txt")
+	if err != nil {
+		t.Fatal(err)
+	}
+	fresh, stale := diffAllowlist(unset, allow)
+	for _, name := range fresh {
+		t.Errorf("%s: config field that no non-test code sets; make it a constant, delete it or give it a setter", name)
+	}
+	for _, name := range stale {
+		t.Errorf("%s: in testdata/field_allowlist.txt, but it has a setter now or no longer exists; delete the line", name)
+	}
+}
+
+// TestFieldScanFixture runs the field scan over the fixture tree, whose
+// config struct has one field set only from a test, one filled in only by
+// its own defaulting method, one set by a composite literal in cmd/, one set
+// through its address, and one set by an assignment outside its methods
+// that the allowlist still lists.
+func TestFieldScanFixture(t *testing.T) {
+	unset, err := unsetFields(filepath.Join("testdata", "exportscan"), "internal", []string{"cmd", "internal"})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if want := []string{"internal/lib.DialConfig.Defaulted", "internal/lib.DialConfig.TestOnly"}; !reflect.DeepEqual(unset, want) {
+		t.Fatalf("unset fields:\n got %q\nwant %q", unset, want)
+	}
+
+	allow := map[string]bool{
+		"internal/lib.DialConfig.TestOnly": true,
+		"internal/lib.DialConfig.Assigned": true, // Dial sets it
+	}
+	fresh, stale := diffAllowlist(unset, allow)
+	if want := []string{"internal/lib.DialConfig.Defaulted"}; !reflect.DeepEqual(fresh, want) {
+		t.Errorf("fresh = %q, want %q", fresh, want)
+	}
+	if want := []string{"internal/lib.DialConfig.Assigned"}; !reflect.DeepEqual(stale, want) {
+		t.Errorf("stale = %q, want %q", stale, want)
+	}
+}
+
 // diffAllowlist splits the scan against the allowlist: fresh names are
 // unused and not listed, stale ones are listed and not (or no longer) unused.
 func diffAllowlist(unused []string, allow map[string]bool) (fresh, stale []string) {
@@ -135,37 +185,9 @@ type declKey struct {
 // Names print as "<dir>.<Name>" and "<dir>.<Type>.<Method>", with dir
 // relative to root.
 func unusedExports(root, module, declDir string, callers []string) ([]string, error) {
-	fset := token.NewFileSet()
-	files := make(map[string][]*ast.File) // package dir → parsed files
-	for _, dir := range callers {
-		err := filepath.WalkDir(filepath.Join(root, dir), func(path string, d fs.DirEntry, err error) error {
-			if err != nil {
-				return err
-			}
-			if d.IsDir() {
-				if name := d.Name(); name == "testdata" || strings.HasPrefix(name, ".") || strings.HasPrefix(name, "_") {
-					return filepath.SkipDir
-				}
-				return nil
-			}
-			if !strings.HasSuffix(path, ".go") || strings.HasSuffix(path, "_test.go") {
-				return nil
-			}
-			f, err := parser.ParseFile(fset, path, nil, parser.SkipObjectResolution)
-			if err != nil {
-				return err
-			}
-			rel, err := filepath.Rel(root, filepath.Dir(path))
-			if err != nil {
-				return err
-			}
-			rel = filepath.ToSlash(rel)
-			files[rel] = append(files[rel], f)
-			return nil
-		})
-		if err != nil {
-			return nil, err
-		}
+	files, err := parseTrees(root, callers)
+	if err != nil {
+		return nil, err
 	}
 
 	// Declarations under declDir, and every package's top-level names.
@@ -227,6 +249,45 @@ func unusedExports(root, module, declDir string, callers []string) ([]string, er
 	}
 	sort.Strings(unused)
 	return unused, nil
+}
+
+// parseTrees parses every non-test .go file under root/dirs, skipping
+// testdata and dot or underscore directories, keyed by package directory
+// relative to root.
+func parseTrees(root string, dirs []string) (map[string][]*ast.File, error) {
+	fset := token.NewFileSet()
+	files := make(map[string][]*ast.File)
+	for _, dir := range dirs {
+		err := filepath.WalkDir(filepath.Join(root, dir), func(path string, d fs.DirEntry, err error) error {
+			if err != nil {
+				return err
+			}
+			if d.IsDir() {
+				if name := d.Name(); name == "testdata" || strings.HasPrefix(name, ".") || strings.HasPrefix(name, "_") {
+					return filepath.SkipDir
+				}
+				return nil
+			}
+			if !strings.HasSuffix(path, ".go") || strings.HasSuffix(path, "_test.go") {
+				return nil
+			}
+			f, err := parser.ParseFile(fset, path, nil, parser.SkipObjectResolution)
+			if err != nil {
+				return err
+			}
+			rel, err := filepath.Rel(root, filepath.Dir(path))
+			if err != nil {
+				return err
+			}
+			rel = filepath.ToSlash(rel)
+			files[rel] = append(files[rel], f)
+			return nil
+		})
+		if err != nil {
+			return nil, err
+		}
+	}
+	return files, nil
 }
 
 func (k declKey) String() string {
@@ -369,4 +430,115 @@ func usesIn(unit ast.Node, dir string, own map[string]bool, imports map[string]s
 		return true
 	})
 	return out
+}
+
+// configShaped reports whether an exported struct's name marks it as a
+// bundle of settings.
+func configShaped(name string) bool {
+	return ast.IsExported(name) && (strings.HasSuffix(name, "Config") || strings.HasSuffix(name, "Options") || strings.HasSuffix(name, "Spec"))
+}
+
+// unsetFields lists, sorted as "<dir>.<Type>.<Field>", every exported field
+// of a config-shaped struct declared under root/declDir that no non-test
+// .go file under root/callers sets. A field is set where its name is a
+// composite-literal key, an assignment or inc/dec target, or the operand of
+// &; fields match by name, as methods do in unusedExports. A method of a
+// config-shaped struct that assigns its own receiver's field (a withDefaults
+// that fills in zero values) sets nothing: a field only it writes holds one
+// value.
+func unsetFields(root, declDir string, callers []string) ([]string, error) {
+	files, err := parseTrees(root, callers)
+	if err != nil {
+		return nil, err
+	}
+	configs := make(map[string]bool) // "<dir>.<Type>" of every config-shaped struct
+	var fields []string
+	for dir, pkgFiles := range files {
+		declared := dir == declDir || strings.HasPrefix(dir, declDir+"/")
+		for _, f := range pkgFiles {
+			for _, d := range f.Decls {
+				for _, u := range units(d) {
+					ts, ok := u.(*ast.TypeSpec)
+					if !ok || !configShaped(ts.Name.Name) {
+						continue
+					}
+					st, ok := ts.Type.(*ast.StructType)
+					if !ok {
+						continue
+					}
+					typ := dir + "." + ts.Name.Name
+					configs[typ] = true
+					if !declared {
+						continue
+					}
+					for _, fld := range st.Fields.List {
+						for _, id := range fld.Names {
+							if id.IsExported() {
+								fields = append(fields, typ+"."+id.Name)
+							}
+						}
+					}
+				}
+			}
+		}
+	}
+
+	set := make(map[string]bool) // field names set somewhere
+	for dir, pkgFiles := range files {
+		for _, f := range pkgFiles {
+			for _, d := range f.Decls {
+				self := "" // the receiver, in a method of a config-shaped struct
+				if fd, ok := d.(*ast.FuncDecl); ok && fd.Recv != nil {
+					r := fd.Recv.List[0]
+					if len(r.Names) == 1 && configs[dir+"."+recvType(r.Type)] {
+						self = r.Names[0].Name
+					}
+				}
+				target := func(e ast.Expr) {
+					sel, ok := e.(*ast.SelectorExpr)
+					if !ok {
+						return
+					}
+					if x, ok := sel.X.(*ast.Ident); ok && x.Name == self {
+						return
+					}
+					set[sel.Sel.Name] = true
+				}
+				ast.Inspect(d, func(n ast.Node) bool {
+					switch n := n.(type) {
+					case *ast.CompositeLit:
+						for _, e := range n.Elts {
+							if kv, ok := e.(*ast.KeyValueExpr); ok {
+								if id, ok := kv.Key.(*ast.Ident); ok {
+									set[id.Name] = true
+								}
+							}
+						}
+					case *ast.AssignStmt:
+						if n.Tok != token.DEFINE {
+							for _, e := range n.Lhs {
+								target(e)
+							}
+						}
+					case *ast.IncDecStmt:
+						target(n.X)
+					case *ast.UnaryExpr:
+						if n.Op == token.AND {
+							target(n.X)
+						}
+					}
+					return true
+				})
+			}
+		}
+	}
+
+	var unset []string
+	for _, name := range fields {
+		if !set[name[strings.LastIndex(name, ".")+1:]] {
+			unset = append(unset, name)
+		}
+	}
+	sort.Strings(unset)
+	return unset, nil
 }

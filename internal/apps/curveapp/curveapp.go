@@ -28,10 +28,10 @@ type Config struct {
 	// MinRSSFraction of nominal memory (default 0.25) when asked.
 	Elastic        bool
 	MinRSSFraction float64
-	// SwapPenaltyRatio inflates slowdown per unit of hot-swapped RSS
-	// fraction (default 5).
-	SwapPenaltyRatio float64
 }
+
+// swapPenaltyRatio inflates slowdown per unit of hot-swapped RSS fraction.
+const swapPenaltyRatio float64 = 5
 
 func (c Config) withDefaults() Config {
 	if c.Curve == nil {
@@ -45,9 +45,6 @@ func (c Config) withDefaults() Config {
 	}
 	if c.MinRSSFraction == 0 {
 		c.MinRSSFraction = 0.25
-	}
-	if c.SwapPenaltyRatio == 0 {
-		c.SwapPenaltyRatio = 5
 	}
 	return c
 }
@@ -152,7 +149,7 @@ func (a *App) Throughput(env hypervisor.Env) float64 {
 		if hot > a.rssMB {
 			hot = a.rssMB
 		}
-		perf /= 1 + hot/a.rssMB*a.cfg.SwapPenaltyRatio
+		perf /= 1 + hot/a.rssMB*swapPenaltyRatio
 	}
 	return perf
 }

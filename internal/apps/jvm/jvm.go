@@ -27,66 +27,45 @@ type AppConfig struct {
 	MaxHeapMB float64
 	// LiveMB is the live data set the collector must retain.
 	LiveMB float64
-	// OverheadMB is JVM native memory outside the heap (default 500).
-	OverheadMB float64
 	// Cores is the booted vCPU count (default 4).
 	Cores float64
-	// CPUNeedFraction is the share of the booted cores the fixed inject
-	// rate saturates (default 0.7): below that capacity, response time
-	// rises with the capacity deficit.
-	CPUNeedFraction float64
-	// BaseResponseUS is the request response time at full resources
-	// (default 900µs, the Fig. 5d baseline magnitude).
-	BaseResponseUS float64
 	// DeflationAware enables the §4 heap-resize policy (the paper's ~30
 	// lines of JMX against IBM J9's runtime-adjustable max heap).
 	DeflationAware bool
-	// HeapFloorFactor bounds shrinking: heap ≥ LiveMB × factor (default 1.15).
-	HeapFloorFactor float64
-	// GCScanMBps is the collector's scan rate, which sets the latency of
-	// the shrink operation (default 2000 MB/s).
-	GCScanMBps float64
-	// SwapPenaltyRatio is the response-time inflation per unit of faulting
-	// heap fraction (default 2.5: GC cycles touch swapped heap pages).
-	SwapPenaltyRatio float64
-	// WrongVictimRate mirrors the memcache model: fraction of cold-pool
-	// swap victims that are actually hot pages (default 0.08).
-	WrongVictimRate float64
-	// VMMemoryMB is the hosting VM's memory (default 16384); the aware
-	// policy sizes the heap to availability, integrating deflation targets.
-	VMMemoryMB float64
 }
 
 func (c AppConfig) withDefaults() AppConfig {
-	if c.OverheadMB == 0 {
-		c.OverheadMB = 500
-	}
 	if c.Cores == 0 {
 		c.Cores = 4
 	}
-	if c.BaseResponseUS == 0 {
-		c.BaseResponseUS = 900
-	}
-	if c.HeapFloorFactor == 0 {
-		c.HeapFloorFactor = 1.15
-	}
-	if c.CPUNeedFraction == 0 {
-		c.CPUNeedFraction = 0.7
-	}
-	if c.GCScanMBps == 0 {
-		c.GCScanMBps = 2000
-	}
-	if c.SwapPenaltyRatio == 0 {
-		c.SwapPenaltyRatio = 2.5
-	}
-	if c.WrongVictimRate == 0 {
-		c.WrongVictimRate = 0.08
-	}
-	if c.VMMemoryMB == 0 {
-		c.VMMemoryMB = 16384
-	}
 	return c
 }
+
+const (
+	// overheadMB is JVM native memory outside the heap.
+	overheadMB float64 = 500
+	// cpuNeedFraction is the share of the booted cores the fixed inject
+	// rate saturates: below that capacity, response time rises with the
+	// capacity deficit.
+	cpuNeedFraction float64 = 0.7
+	// baseResponseUS is the request response time at full resources (the
+	// Fig. 5d baseline magnitude).
+	baseResponseUS float64 = 900
+	// heapFloorFactor bounds shrinking: heap ≥ LiveMB × factor.
+	heapFloorFactor float64 = 1.15
+	// gcScanMBps is the collector's scan rate, which sets the latency of
+	// the shrink operation.
+	gcScanMBps float64 = 2000
+	// swapPenaltyRatio is the response-time inflation per unit of faulting
+	// heap fraction (GC cycles touch swapped heap pages).
+	swapPenaltyRatio float64 = 2.5
+	// wrongVictimRate mirrors the memcache model: fraction of cold-pool
+	// swap victims that are actually hot pages.
+	wrongVictimRate float64 = 0.08
+	// vmMemoryMB is the hosting VM's memory; the aware policy sizes the
+	// heap to availability, integrating deflation targets.
+	vmMemoryMB float64 = 16384
+)
 
 // memHeadroomMB is the guest memory left free by the heap-sizing policy.
 const memHeadroomMB = 256 + 128
@@ -105,11 +84,11 @@ func NewApp(cfg AppConfig) (*App, error) {
 	if cfg.MaxHeapMB <= 0 || cfg.LiveMB <= 0 {
 		return nil, fmt.Errorf("jvm: MaxHeapMB and LiveMB must be positive, got %g/%g", cfg.MaxHeapMB, cfg.LiveMB)
 	}
-	if cfg.LiveMB*cfg.HeapFloorFactor > cfg.MaxHeapMB {
+	if cfg.LiveMB*heapFloorFactor > cfg.MaxHeapMB {
 		return nil, fmt.Errorf("jvm: heap %gMB cannot hold live set %gMB with floor factor %g",
-			cfg.MaxHeapMB, cfg.LiveMB, cfg.HeapFloorFactor)
+			cfg.MaxHeapMB, cfg.LiveMB, heapFloorFactor)
 	}
-	a := &App{cfg: cfg, heapMB: cfg.MaxHeapMB, availMB: cfg.VMMemoryMB}
+	a := &App{cfg: cfg, heapMB: cfg.MaxHeapMB, availMB: vmMemoryMB}
 	a.baseRT = a.rtWithHeap(cfg.MaxHeapMB, 1, 0)
 	return a, nil
 }
@@ -122,7 +101,7 @@ func (a *App) HeapMB() float64 { return a.heapMB }
 
 // Footprint implements vm.Application: the committed heap plus native
 // overhead, all anonymous memory.
-func (a *App) Footprint() (float64, float64) { return a.cfg.OverheadMB + a.heapMB, 0 }
+func (a *App) Footprint() (float64, float64) { return overheadMB + a.heapMB, 0 }
 
 // SelfDeflate implements vm.Application: trigger GC and shrink the max heap
 // to fit the post-deflation memory availability ("we set the max heap size
@@ -137,8 +116,8 @@ func (a *App) SelfDeflate(target restypes.Vector) (restypes.Vector, time.Duratio
 	if a.availMB < 0 {
 		a.availMB = 0
 	}
-	newHeap := a.availMB - memHeadroomMB - a.cfg.OverheadMB
-	if floor := a.cfg.LiveMB * a.cfg.HeapFloorFactor; newHeap < floor {
+	newHeap := a.availMB - memHeadroomMB - overheadMB
+	if floor := a.cfg.LiveMB * heapFloorFactor; newHeap < floor {
 		newHeap = floor
 	}
 	if newHeap > a.cfg.MaxHeapMB {
@@ -149,7 +128,7 @@ func (a *App) SelfDeflate(target restypes.Vector) (restypes.Vector, time.Duratio
 	}
 	freed := a.heapMB - newHeap
 	a.heapMB = newHeap
-	lat := time.Duration(a.cfg.LiveMB / a.cfg.GCScanMBps * float64(time.Second))
+	lat := time.Duration(a.cfg.LiveMB / gcScanMBps * float64(time.Second))
 	if freed > target.MemoryMB {
 		freed = target.MemoryMB
 	}
@@ -163,7 +142,7 @@ func (a *App) Reinflate(env hypervisor.Env) {
 		return
 	}
 	a.availMB = env.GuestMemMB
-	newHeap := math.Min(a.cfg.MaxHeapMB, env.GuestMemMB-memHeadroomMB-a.cfg.OverheadMB)
+	newHeap := math.Min(a.cfg.MaxHeapMB, env.GuestMemMB-memHeadroomMB-overheadMB)
 	if newHeap > a.heapMB {
 		a.heapMB = newHeap
 	}
@@ -184,7 +163,7 @@ func (a *App) hotSwappedFraction(env hypervisor.Env) float64 {
 	if hot < 0 {
 		hot = 0
 	}
-	hot += a.cfg.WrongVictimRate * math.Min(env.SwappedMB, coldPool) * rss / env.EverTouchedMB
+	hot += wrongVictimRate * math.Min(env.SwappedMB, coldPool) * rss / env.EverTouchedMB
 	if hot > rss {
 		hot = rss
 	}
@@ -198,7 +177,7 @@ func (a *App) rtWithHeap(heapMB, cpuFactor, swapFrac float64) float64 {
 	if math.IsInf(gc, 1) {
 		return math.Inf(1)
 	}
-	return a.cfg.BaseResponseUS / cpuFactor * (1 + gc) * (1 + swapFrac*a.cfg.SwapPenaltyRatio)
+	return baseResponseUS / cpuFactor * (1 + gc) * (1 + swapFrac*swapPenaltyRatio)
 }
 
 // ResponseTimeUS returns the request response time in the given environment
@@ -207,7 +186,7 @@ func (a *App) ResponseTimeUS(env hypervisor.Env) float64 {
 	if env.OOMKilled {
 		return math.Inf(1)
 	}
-	cpu := env.EffectiveCores / (a.cfg.Cores * a.cfg.CPUNeedFraction)
+	cpu := env.EffectiveCores / (a.cfg.Cores * cpuNeedFraction)
 	if cpu > 1 {
 		cpu = 1
 	}

@@ -25,36 +25,27 @@ import (
 type AppConfig struct {
 	// Cores is the booted vCPU count (default 4).
 	Cores float64
-	// RSSMB is the compiler processes' resident set (default 1500).
-	RSSMB float64
-	// PageCacheMB is the source/object file cache (default 2500).
-	PageCacheMB float64
-	// NeedDiskMBps is the disk bandwidth at which the job stops being
-	// disk-bound (default 40 MB/s).
-	NeedDiskMBps float64
-	// SwapPenaltyRatio inflates compile time per unit of swapped RSS
-	// fraction (default 4).
-	SwapPenaltyRatio float64
 }
 
 func (c AppConfig) withDefaults() AppConfig {
 	if c.Cores == 0 {
 		c.Cores = 4
 	}
-	if c.RSSMB == 0 {
-		c.RSSMB = 1500
-	}
-	if c.PageCacheMB == 0 {
-		c.PageCacheMB = 2500
-	}
-	if c.NeedDiskMBps == 0 {
-		c.NeedDiskMBps = 40
-	}
-	if c.SwapPenaltyRatio == 0 {
-		c.SwapPenaltyRatio = 4
-	}
 	return c
 }
+
+const (
+	// rssMB is the compiler processes' resident set.
+	rssMB float64 = 1500
+	// pageCacheMB is the source/object file cache.
+	pageCacheMB float64 = 2500
+	// needDiskMBps is the disk bandwidth at which the job stops being
+	// disk-bound.
+	needDiskMBps float64 = 40
+	// swapPenaltyRatio inflates compile time per unit of swapped RSS
+	// fraction.
+	swapPenaltyRatio float64 = 4
+)
 
 // App is the kernel-compile workload as a deflatable application.
 type App struct {
@@ -68,7 +59,7 @@ func NewApp(cfg AppConfig) *App { return &App{cfg: cfg.withDefaults()} }
 func (a *App) Name() string { return "kcompile" }
 
 // Footprint implements vm.Application.
-func (a *App) Footprint() (float64, float64) { return a.cfg.RSSMB, a.cfg.PageCacheMB }
+func (a *App) Footprint() (float64, float64) { return rssMB, pageCacheMB }
 
 // SelfDeflate implements vm.Application: kernel compile is inelastic; the
 // application-level policy is to ignore the request and let the OS and
@@ -90,22 +81,22 @@ func (a *App) Throughput(env hypervisor.Env) float64 {
 	cpu := perfmodel.CurveKcompile.At(env.EffectiveCores / a.cfg.Cores)
 
 	disk := 1.0
-	if env.DiskMBps > 0 && env.DiskMBps < a.cfg.NeedDiskMBps {
-		disk = env.DiskMBps / a.cfg.NeedDiskMBps
+	if env.DiskMBps > 0 && env.DiskMBps < needDiskMBps {
+		disk = env.DiskMBps / needDiskMBps
 	}
 
 	swap := 1.0
 	if env.SwappedMB > 0 {
 		// Page cache and the cold pool absorb swap first; only RSS faults hurt.
-		coldPool := env.EverTouchedMB - a.cfg.RSSMB - env.KernelMemMB
+		coldPool := env.EverTouchedMB - rssMB - env.KernelMemMB
 		if coldPool < 0 {
 			coldPool = 0
 		}
 		hot := math.Max(0, env.SwappedMB-coldPool)
-		if hot > a.cfg.RSSMB {
-			hot = a.cfg.RSSMB
+		if hot > rssMB {
+			hot = rssMB
 		}
-		swap = 1 / (1 + hot/a.cfg.RSSMB*a.cfg.SwapPenaltyRatio)
+		swap = 1 / (1 + hot/rssMB*swapPenaltyRatio)
 	}
 
 	return cpu * disk * swap

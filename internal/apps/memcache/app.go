@@ -20,86 +20,59 @@ type AppConfig struct {
 	// DatasetMB is the total size of the backing dataset (simulated MB);
 	// keys beyond the cache capacity miss.
 	DatasetMB float64
-	// OverheadMB is the non-cache process footprint (default 300).
-	OverheadMB float64
 	// Cores is the booted vCPU count used for CPU-scaling (default 4).
 	Cores float64
-	// CPUNeedFraction is the share of the booted cores the peak load
-	// actually saturates (default 0.55): memcached on 4 cores has CPU
-	// headroom, so moderate CPU deflation is free (Fig. 1's plateau).
-	CPUNeedFraction float64
-	// BaseKGETS is the peak GET throughput in kGETs/s at full resources
-	// (default 150, matching the paper's ≈150 kGETS/s ceiling in Fig. 5c).
-	BaseKGETS float64
 	// DeflationAware enables the §4 application-level deflation policy:
 	// shrink the cache via LRU eviction instead of letting the VM swap.
 	DeflationAware bool
-	// MinCacheMB is the smallest cache the policy will shrink to (default 64).
-	MinCacheMB float64
-	// Theta is the workload's Zipf locality used in the analytic fault
-	// model (default 0.8).
-	Theta float64
-	// SwapIOPS is the swap device's random-read capacity that bounds
-	// fault-serving throughput (default 8000, an SSD).
-	SwapIOPS float64
-	// SwapLatencyRatio is the per-fault service-time inflation relative to
-	// an in-memory GET (default 7: ≈700µs fault vs ≈100µs GET).
-	SwapLatencyRatio float64
-	// WrongVictimRate is the fraction of host-LRU swap victims that are
-	// actually hot application pages when the host evicts from the cold
-	// pool — the black-box "wrong pages" effect of §3.1 (default 0.08).
-	WrongVictimRate float64
-	// VMMemoryMB is the memory of the VM hosting the store (default
-	// 16384). The deflation-aware policy sizes the cache to the memory
-	// availability inside the VM (§4), integrating deflation targets
-	// against this figure.
-	VMMemoryMB float64
 	// Scale divides simulated bytes to size the real backing store
 	// (default 256: a 14 GB simulated cache uses ~56 MB).
 	Scale float64
-	// Seed seeds the workload generator (default 1).
-	Seed int64
 }
 
 func (c AppConfig) withDefaults() AppConfig {
-	if c.OverheadMB == 0 {
-		c.OverheadMB = 300
-	}
 	if c.Cores == 0 {
 		c.Cores = 4
-	}
-	if c.BaseKGETS == 0 {
-		c.BaseKGETS = 150
-	}
-	if c.CPUNeedFraction == 0 {
-		c.CPUNeedFraction = 0.55
-	}
-	if c.MinCacheMB == 0 {
-		c.MinCacheMB = 64
-	}
-	if c.Theta == 0 {
-		c.Theta = 0.8
-	}
-	if c.SwapIOPS == 0 {
-		c.SwapIOPS = 8000
-	}
-	if c.SwapLatencyRatio == 0 {
-		c.SwapLatencyRatio = 7
-	}
-	if c.WrongVictimRate == 0 {
-		c.WrongVictimRate = 0.08
 	}
 	if c.Scale == 0 {
 		c.Scale = 256
 	}
-	if c.VMMemoryMB == 0 {
-		c.VMMemoryMB = 16384
-	}
-	if c.Seed == 0 {
-		c.Seed = 1
-	}
 	return c
 }
+
+const (
+	// overheadMB is the non-cache process footprint.
+	overheadMB float64 = 300
+	// cpuNeedFraction is the share of the booted cores the peak load
+	// actually saturates: memcached on 4 cores has CPU headroom, so
+	// moderate CPU deflation is free (Fig. 1's plateau).
+	cpuNeedFraction float64 = 0.55
+	// baseKGETS is the peak GET throughput in kGETs/s at full resources
+	// (the paper's ≈150 kGETS/s ceiling in Fig. 5c).
+	baseKGETS float64 = 150
+	// minCacheMB is the smallest cache the policy will shrink to.
+	minCacheMB float64 = 64
+	// theta is the workload's Zipf locality used in the analytic fault
+	// model.
+	theta float64 = 0.8
+	// swapIOPS is the swap device's random-read capacity that bounds
+	// fault-serving throughput (an SSD).
+	swapIOPS float64 = 8000
+	// swapLatencyRatio is the per-fault service-time inflation relative to
+	// an in-memory GET (≈700µs fault vs ≈100µs GET).
+	swapLatencyRatio float64 = 7
+	// wrongVictimRate is the fraction of host-LRU swap victims that are
+	// actually hot application pages when the host evicts from the cold
+	// pool — the black-box "wrong pages" effect of §3.1.
+	wrongVictimRate float64 = 0.08
+	// vmMemoryMB is the memory of the VM hosting the store. The
+	// deflation-aware policy sizes the cache to the memory availability
+	// inside the VM (§4), integrating deflation targets against this
+	// figure.
+	vmMemoryMB float64 = 16384
+	// workloadSeed seeds the workload generator.
+	workloadSeed = 1
+)
 
 // realValueBytes is the payload size of items in the scaled-down real store.
 const realValueBytes = 1024
@@ -136,7 +109,7 @@ func NewApp(cfg AppConfig) (*App, error) {
 	if keys < 16 {
 		return nil, fmt.Errorf("memcache: dataset too small for scale %g (only %d real keys)", cfg.Scale, keys)
 	}
-	wl, err := NewWorkload(keys, realValueBytes, 1.1, cfg.Seed)
+	wl, err := NewWorkload(keys, realValueBytes, 1.1, workloadSeed)
 	if err != nil {
 		return nil, err
 	}
@@ -147,8 +120,8 @@ func NewApp(cfg AppConfig) (*App, error) {
 	if err := wl.Warm(store); err != nil {
 		return nil, err
 	}
-	a := &App{cfg: cfg, store: store, wl: wl, cacheMB: cfg.CacheMB, availMB: cfg.VMMemoryMB, hitRateDirty: true}
-	a.baselineKGETS = cfg.BaseKGETS * a.HitRate()
+	a := &App{cfg: cfg, store: store, wl: wl, cacheMB: cfg.CacheMB, availMB: vmMemoryMB, hitRateDirty: true}
+	a.baselineKGETS = baseKGETS * a.HitRate()
 	return a, nil
 }
 
@@ -174,7 +147,7 @@ func (a *App) usedMB() float64 { return float64(a.store.UsedBytes()) * a.cfg.Sca
 
 // Footprint implements vm.Application: memcached is anonymous memory, no
 // page cache.
-func (a *App) Footprint() (float64, float64) { return a.cfg.OverheadMB + a.usedMB(), 0 }
+func (a *App) Footprint() (float64, float64) { return overheadMB + a.usedMB(), 0 }
 
 // HitRate measures the GET hit rate of the real store at its current size.
 // The measurement is cached until the cache is resized.
@@ -200,9 +173,9 @@ func (a *App) SelfDeflate(target restypes.Vector) (restypes.Vector, time.Duratio
 	if a.availMB < 0 {
 		a.availMB = 0
 	}
-	newCache := a.availMB - memHeadroomMB - a.cfg.OverheadMB
-	if newCache < a.cfg.MinCacheMB {
-		newCache = a.cfg.MinCacheMB
+	newCache := a.availMB - memHeadroomMB - overheadMB
+	if newCache < minCacheMB {
+		newCache = minCacheMB
 	}
 	if newCache > a.cfg.CacheMB {
 		newCache = a.cfg.CacheMB
@@ -240,7 +213,7 @@ func (a *App) Reinflate(env hypervisor.Env) {
 		return
 	}
 	a.availMB = env.GuestMemMB
-	newCache := math.Min(a.cfg.CacheMB, env.GuestMemMB-memHeadroomMB-a.cfg.OverheadMB)
+	newCache := math.Min(a.cfg.CacheMB, env.GuestMemMB-memHeadroomMB-overheadMB)
 	if newCache <= a.cacheMB {
 		return
 	}
@@ -261,11 +234,11 @@ func (a *App) KGETS(env hypervisor.Env) float64 {
 	if env.OOMKilled {
 		return 0
 	}
-	cpu := env.EffectiveCores / (a.cfg.Cores * a.cfg.CPUNeedFraction)
+	cpu := env.EffectiveCores / (a.cfg.Cores * cpuNeedFraction)
 	if cpu > 1 {
 		cpu = 1
 	}
-	rate := a.cfg.BaseKGETS * cpu
+	rate := baseKGETS * cpu
 
 	// Swap faults: how much of the application's own resident set did host
 	// swapping take? The host evicts its coldest pages first — the "cold
@@ -282,20 +255,20 @@ func (a *App) KGETS(env hypervisor.Env) float64 {
 		if hotSwapped < 0 {
 			hotSwapped = 0
 		}
-		hotSwapped += a.cfg.WrongVictimRate * math.Min(env.SwappedMB, coldPool) * rss / env.EverTouchedMB
+		hotSwapped += wrongVictimRate * math.Min(env.SwappedMB, coldPool) * rss / env.EverTouchedMB
 		if hotSwapped > rss {
 			hotSwapped = rss
 		}
 		frac := (rss - hotSwapped) / rss
-		effTheta := a.cfg.Theta * env.LocalityFactor
+		effTheta := theta * env.LocalityFactor
 		faultRate = 1 - math.Pow(frac, 1-effTheta)
 	}
 
 	if faultRate > 0 {
-		// Latency path: each faulting GET is SwapLatencyRatio times slower.
-		rate = rate / (1 + faultRate*a.cfg.SwapLatencyRatio)
-		// Device path: the swap device can serve only SwapIOPS faults/s.
-		if iopsBound := a.cfg.SwapIOPS / faultRate / 1000; iopsBound < rate {
+		// Latency path: each faulting GET is swapLatencyRatio times slower.
+		rate = rate / (1 + faultRate*swapLatencyRatio)
+		// Device path: the swap device can serve only swapIOPS faults/s.
+		if iopsBound := swapIOPS / faultRate / 1000; iopsBound < rate {
 			rate = iopsBound
 		}
 	}

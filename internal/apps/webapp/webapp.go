@@ -23,60 +23,39 @@ import (
 
 // Config describes one web-server VM.
 type Config struct {
-	// Threads is the worker pool size at boot (default 64).
-	Threads int
-	// ThreadsPerCore is the pool size the server runs per vCPU without
-	// oversubscription penalties (default 16).
-	ThreadsPerCore float64
-	// RPSPerThread is each worker's request throughput (default 25).
-	RPSPerThread float64
-	// BaseLatencyMS is the unloaded request latency (default 4ms).
-	BaseLatencyMS float64
-	// RSSMB is the server's resident set (default 1024); web serving also
-	// generates page cache for static content (default 1024).
-	RSSMB, CacheMB float64
 	// Cores is the booted vCPU count (default 4).
 	Cores float64
 	// DeflationAware enables the Table 1 policy: shrink the pool to match
 	// reclaimed CPU. Unmodified servers keep their threads and suffer
 	// oversubscription instead.
 	DeflationAware bool
-	// MinThreads bounds shrinking (default 4).
-	MinThreads int
 }
 
-// WithDefaults returns c with zero fields replaced by their documented
-// defaults — the sizing the SLO-targeting deflation policy inverts when it
-// converts a required capacity back into cores.
-func (c Config) WithDefaults() Config { return c.withDefaults() }
-
 func (c Config) withDefaults() Config {
-	if c.Threads == 0 {
-		c.Threads = 64
-	}
-	if c.ThreadsPerCore == 0 {
-		c.ThreadsPerCore = 16
-	}
-	if c.RPSPerThread == 0 {
-		c.RPSPerThread = 25
-	}
-	if c.BaseLatencyMS == 0 {
-		c.BaseLatencyMS = 4
-	}
-	if c.RSSMB == 0 {
-		c.RSSMB = 1024
-	}
-	if c.CacheMB == 0 {
-		c.CacheMB = 1024
-	}
 	if c.Cores == 0 {
 		c.Cores = 4
 	}
-	if c.MinThreads == 0 {
-		c.MinThreads = 4
-	}
 	return c
 }
+
+// The server model, which the SLO-targeting deflation policy inverts when it
+// converts a required capacity back into cores.
+const (
+	// BootThreads is the worker pool size at boot.
+	BootThreads = 64
+	// ThreadsPerCore is the pool size the server runs per vCPU without
+	// oversubscription penalties.
+	ThreadsPerCore float64 = 16
+	// rpsPerThread is each worker's request throughput.
+	rpsPerThread float64 = 25
+	// BaseLatencyMS is the unloaded request latency.
+	BaseLatencyMS float64 = 4
+	// RSSMB is the server's resident set; web serving also generates
+	// cacheMB of page cache for static content.
+	RSSMB, cacheMB float64 = 1024, 1024
+	// minThreads bounds shrinking.
+	minThreads = 4
+)
 
 // App is one web server as a deflatable application (vm.Application).
 type App struct {
@@ -86,14 +65,10 @@ type App struct {
 }
 
 // NewApp builds a web server.
-func NewApp(cfg Config) (*App, error) {
-	cfg = cfg.withDefaults()
-	if cfg.Threads < cfg.MinThreads {
-		return nil, fmt.Errorf("webapp: threads %d below minimum %d", cfg.Threads, cfg.MinThreads)
-	}
-	a := &App{cfg: cfg, threads: cfg.Threads}
-	a.baseRPS = a.capacityWith(cfg.Threads, cfg.Cores)
-	return a, nil
+func NewApp(cfg Config) *App {
+	a := &App{cfg: cfg.withDefaults(), threads: BootThreads}
+	a.baseRPS = a.capacityWith(BootThreads, a.cfg.Cores)
+	return a
 }
 
 // Name implements vm.Application.
@@ -105,7 +80,7 @@ func (a *App) Threads() int { return a.threads }
 // Footprint implements vm.Application. Thread stacks are small; the
 // footprint is dominated by the configured RSS and static-content cache.
 func (a *App) Footprint() (float64, float64) {
-	return a.cfg.RSSMB + float64(a.threads)*2, a.cfg.CacheMB
+	return RSSMB + float64(a.threads)*2, cacheMB
 }
 
 // capacityWith returns the sustainable RPS for a pool size on the given
@@ -115,15 +90,15 @@ func (a *App) capacityWith(threads int, cores float64) float64 {
 	if threads <= 0 || cores <= 0 {
 		return 0
 	}
-	sustainable := a.cfg.ThreadsPerCore * cores
+	sustainable := ThreadsPerCore * cores
 	n := float64(threads)
 	if n <= sustainable {
-		return n * a.cfg.RPSPerThread
+		return n * rpsPerThread
 	}
 	// Oversubscription: the CPU caps useful work at the sustainable pool,
 	// and context switching shaves throughput as the ratio grows.
 	overs := n / sustainable
-	return sustainable * a.cfg.RPSPerThread / (1 + 0.15*(overs-1))
+	return sustainable * rpsPerThread / (1 + 0.15*(overs-1))
 }
 
 // SelfDeflate implements vm.Application: the aware policy shrinks the
@@ -142,7 +117,7 @@ func (a *App) SelfDeflate(target restypes.Vector) (restypes.Vector, time.Duratio
 	a.threads = want
 	// Draining worker threads is quick (~5ms per worker to finish in-flight
 	// requests), and frees their CPU share.
-	freedCores := float64(freedThreads) / a.cfg.ThreadsPerCore
+	freedCores := float64(freedThreads) / ThreadsPerCore
 	if freedCores > target.CPU {
 		freedCores = target.CPU
 	}
@@ -156,9 +131,9 @@ func (a *App) Reinflate(env hypervisor.Env) {
 	if !a.cfg.DeflationAware {
 		return
 	}
-	want := int(math.Floor(a.cfg.ThreadsPerCore * env.EffectiveCores))
-	if want > a.cfg.Threads {
-		want = a.cfg.Threads
+	want := int(math.Floor(ThreadsPerCore * env.EffectiveCores))
+	if want > BootThreads {
+		want = BootThreads
 	}
 	if want > a.threads {
 		a.threads = want
@@ -185,9 +160,9 @@ func (a *App) poolFor(cores float64) int {
 	if cores < 0 {
 		cores = 0
 	}
-	want := int(math.Floor(a.cfg.ThreadsPerCore * cores))
-	if want < a.cfg.MinThreads {
-		want = a.cfg.MinThreads
+	want := int(math.Floor(ThreadsPerCore * cores))
+	if want < minThreads {
+		want = minThreads
 	}
 	return want
 }
@@ -207,7 +182,7 @@ func (a *App) LatencyMS(env hypervisor.Env, offeredRPS float64) float64 {
 	if cap <= 0 || offeredRPS >= cap {
 		return math.Inf(1)
 	}
-	return a.cfg.BaseLatencyMS / (1 - offeredRPS/cap)
+	return BaseLatencyMS / (1 - offeredRPS/cap)
 }
 
 // Throughput implements vm.Application: capacity normalized to boot.

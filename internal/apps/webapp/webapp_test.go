@@ -18,17 +18,8 @@ func fullEnv() hypervisor.Env {
 
 func newApp(t *testing.T, aware bool) *App {
 	t.Helper()
-	a, err := NewApp(Config{DeflationAware: aware})
-	if err != nil {
-		t.Fatal(err)
-	}
+	a := NewApp(Config{DeflationAware: aware})
 	return a
-}
-
-func TestNewAppValidation(t *testing.T) {
-	if _, err := NewApp(Config{Threads: 2, MinThreads: 8}); err == nil {
-		t.Error("threads below minimum accepted")
-	}
 }
 
 func TestBaseline(t *testing.T) {

@@ -80,10 +80,7 @@ func ExampleLocalController() {
 	var apps []*webapp.App
 	var vms []*vm.VM
 	for i := 0; i < 3; i++ {
-		app, err := webapp.NewApp(webapp.Config{Cores: size.CPU, DeflationAware: true})
-		if err != nil {
-			log.Fatal(err)
-		}
+		app := webapp.NewApp(webapp.Config{Cores: size.CPU, DeflationAware: true})
 		apps = append(apps, app)
 		v, _, err := ctrl.LaunchVM(cluster.LaunchSpec{
 			Name: fmt.Sprintf("web-%d", i), Size: size,

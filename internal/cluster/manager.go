@@ -9,7 +9,6 @@ import (
 
 	"deflation/internal/faults"
 	"deflation/internal/journal"
-	"deflation/internal/migration"
 	"deflation/internal/restypes"
 )
 
@@ -116,7 +115,6 @@ type Manager struct {
 	// between their start and done/fail journal events so a mid-migration
 	// snapshot stays recoverable.
 	reclaim      ReclaimPolicy
-	migModel     migration.Model
 	migScheduler func(d time.Duration, f func())
 	migFaults    *faults.Injector
 	inflight     map[string]MigrationIntent

@@ -81,10 +81,6 @@ var managerRoutes = []ManagerRoute{
 		journal: "registration", serve: (*ManagerAPI).registerNode},
 	{Method: http.MethodPost, Path: "/v1/nodes/{name}/heartbeat", PathKey: "name",
 		serve: (*ManagerAPI).handleNodeHeartbeat},
-	// The hand-off is aimed at the shard that holds the node, not at its
-	// ring owner, so it has no ring key.
-	{Method: http.MethodDelete, Path: "/v1/nodes/{name}",
-		journal: "hand-off", serve: command(http.StatusNoContent, "", (*ManagerAPI).forgetNode)},
 	{Method: http.MethodGet, Path: "/v1/cluster", serve: read((*ManagerAPI).cluster)},
 	{Method: http.MethodGet, Path: "/v1/state", serve: read((*ManagerAPI).state)},
 	{Method: http.MethodGet, Path: "/v1/nodes", serve: read((*ManagerAPI).listNodes)},

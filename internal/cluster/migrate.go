@@ -307,10 +307,6 @@ func (m *Manager) MigrationStats() MigrationStats {
 // high-priority placements (default ReclaimPreempt, the existing behavior).
 func (m *Manager) SetReclaimPolicy(p ReclaimPolicy) { m.reclaim = p }
 
-// SetMigrationModel configures the migration performance model (the zero
-// model uses defaults: a dedicated 10 GbE link, 300ms downtime target).
-func (m *Manager) SetMigrationModel(mod migration.Model) { m.migModel = mod }
-
 // SetMigrationScheduler installs the deferred-work scheduler migrations use
 // to hold link-bandwidth reservations for the copy's duration (the
 // simulation passes clock.After). With a nil scheduler reservations are
@@ -374,7 +370,7 @@ func (m *Manager) migrate(name string, dstIdx int) (MigrationReport, error) {
 			cp.AppKind = spec.AppKind
 		}
 	}
-	model := m.migModel.WithDefaults()
+	model := migration.Model{}.WithDefaults()
 
 	// Journal the intent before anything moves.
 	if m.inflight == nil {

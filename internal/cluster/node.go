@@ -179,19 +179,11 @@ func init() {
 		return mustJVM(size, true)
 	})
 	RegisterAppKind("webserver", func(size restypes.Vector) vm.Application {
-		return mustWeb(size, false)
+		return webapp.NewApp(webapp.Config{Cores: size.CPU})
 	})
 	RegisterAppKind("webserver-aware", func(size restypes.Vector) vm.Application {
-		return mustWeb(size, true)
+		return webapp.NewApp(webapp.Config{Cores: size.CPU, DeflationAware: true})
 	})
-}
-
-func mustWeb(size restypes.Vector, aware bool) vm.Application {
-	app, err := webapp.NewApp(webapp.Config{Cores: size.CPU, DeflationAware: aware})
-	if err != nil {
-		return curveapp.New(curveapp.Config{Size: size, Curve: perfmodel.CurveSpecJBB, Elastic: aware})
-	}
-	return app
 }
 
 func mustMemcache(size restypes.Vector, aware bool) vm.Application {

@@ -63,35 +63,6 @@ func (m *Manager) AddNode(n Node, url string) ([]Event, error) {
 	return m.reconcileNode(len(m.servers)-1, nil), nil
 }
 
-// RemoveNode hands a node off: the manager forgets the node and every
-// placement on it WITHOUT releasing anything — the node and its VMs live
-// on under whichever manager now owns them. The hand-off journals as a
-// single node-remove event.
-func (m *Manager) RemoveNode(name string) error {
-	idx := m.serverIndex(name)
-	if idx < 0 {
-		return fmt.Errorf("%w: %q", ErrNodeNotFound, name)
-	}
-	for vmName, i := range m.placement {
-		switch {
-		case i == idx:
-			delete(m.placement, vmName)
-			delete(m.specs, vmName)
-		case i > idx:
-			m.placement[vmName] = i - 1
-		}
-	}
-	m.servers = append(m.servers[:idx], m.servers[idx+1:]...)
-	m.health = append(m.health[:idx], m.health[idx+1:]...)
-	m.reindex()
-	delete(m.nodeURLs, name)
-	if m.tel != nil {
-		m.tel.removeNode(idx)
-	}
-	m.emit(Event{Kind: evNodeRemove, Node: name})
-	return nil
-}
-
 // HasNode reports whether the manager currently manages the named node.
 func (m *Manager) HasNode(name string) bool { return m.serverIndex(name) >= 0 }
 
@@ -264,14 +235,6 @@ func (a *ManagerAPI) listNodes(*http.Request) NodeListResponse {
 	}
 	a.nodes.hbMu.Unlock()
 	return resp
-}
-
-// forgetNode hands a node off (DELETE /v1/nodes/{name}): the manager
-// forgets the node and its placements without releasing anything.
-// Cross-shard reconciliation calls this on the NON-owner after
-// re-registering the node with its ring owner.
-func (a *ManagerAPI) forgetNode(r *http.Request, _ noBody) (noBody, error) {
-	return noBody{}, a.mgr.RemoveNode(r.PathValue("name"))
 }
 
 // handleNodeHeartbeat receives an agent's push heartbeat. 204 when this

@@ -204,7 +204,7 @@ func (f *checkedFleet) run(data []byte) {
 	}
 	pick := func() int { return int(next()) % len(f.crash) }
 	for pos < len(data) {
-		switch b := next(); b % 11 {
+		switch b := next(); b % 10 {
 		case 0, 1, 2, 3: // launch: cpu mem disk net min% prio substrate
 			f.vms++
 			size := restypes.V(float64(1+next()%12), float64(512*(1+int(next()%32))),
@@ -249,17 +249,7 @@ func (f *checkedFleet) run(data []byte) {
 				f.t.Fatal(err)
 			}
 			f.crash = append(f.crash, c)
-		case 9: // hand a node off
-			if len(f.crash) == 1 {
-				continue
-			}
-			i := pick()
-			if err := f.m.RemoveNode(f.m.servers[i].Name()); err != nil {
-				f.t.Fatal(err)
-			}
-			f.crash = slices.Delete(f.crash, i, i+1)
-			f.prune()
-		case 10: // re-register under a new URL
+		case 9: // re-register under a new URL
 			i := pick()
 			name := f.m.servers[i].Name()
 			f.nodes++
@@ -551,10 +541,6 @@ func TestPlacementIndexFullChaosSimEquivalence(t *testing.T) {
 
 		configs["ha-failover"] = haChaosSim()
 
-		mixed := smallSim(ModeDeflation, 1.6)
-		mixed.ContainerFraction = 0.4
-		configs["mixed-substrate"] = mixed
-
 		ff := chaosSim()
 		ff.Policy = FirstFit
 		configs["first-fit"] = ff
@@ -581,8 +567,8 @@ func TestPlacementIndexFullChaosSimEquivalence(t *testing.T) {
 	}
 }
 
-// TestPlacementIndexSurvivesMembershipChange: registering a node, handing
-// one off and re-registering one under a new URL each rebuild the index over
+// TestPlacementIndexSurvivesMembershipChange: registering a node and
+// re-registering one under a new URL each rebuild the index over
 // the new fleet, subscribed to the new node objects and to no old one, and
 // every query after each change matches the scan. Worst-fit sends the first
 // launch after a registration to the new, empty node, so an index that
@@ -618,14 +604,6 @@ func TestPlacementIndexSurvivesMembershipChange(t *testing.T) {
 	}
 	fill(8)
 
-	gone := f.crash[3]
-	if err := f.m.RemoveNode(f.m.servers[3].Name()); err != nil {
-		t.Fatal(err)
-	}
-	f.crash = f.crash[:3]
-	f.prune()
-	indexed("RemoveNode", gone)
-
 	fresh := f.newNode("s04", false)
 	if _, err := f.m.AddNode(fresh, "http://s04"); err != nil {
 		t.Fatal(err)
@@ -638,7 +616,7 @@ func TestPlacementIndexSurvivesMembershipChange(t *testing.T) {
 	}
 	indexed("AddNode", nil)
 
-	gone = f.crash[1]
+	gone := f.crash[1]
 	f.crash[1] = f.newNode(f.m.servers[1].Name(), false)
 	if _, err := f.m.AddNode(f.crash[1], "http://s01-moved"); err != nil {
 		t.Fatal(err)

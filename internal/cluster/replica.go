@@ -53,8 +53,6 @@ type FollowerConfig struct {
 	// default manager heartbeat intervals; the leader asserts its epoch on
 	// every fenced probe and command).
 	CorroborationWindow time.Duration
-	// Client is the HTTP client (default: 2s-timeout client).
-	Client *http.Client
 }
 
 func (c FollowerConfig) withDefaults() FollowerConfig {
@@ -67,11 +65,11 @@ func (c FollowerConfig) withDefaults() FollowerConfig {
 	if c.CorroborationWindow <= 0 {
 		c.CorroborationWindow = 30 * time.Second
 	}
-	if c.Client == nil {
-		c.Client = &http.Client{Timeout: 2 * time.Second}
-	}
 	return c
 }
+
+// followerClient is the HTTP client every follower polls and probes with.
+var followerClient = &http.Client{Timeout: 2 * time.Second}
 
 // ReplicationStatus is the wire form of a standby's view of replication.
 type ReplicationStatus struct {
@@ -166,7 +164,7 @@ func (f *Follower) PollOnce() error {
 func (f *Follower) fetch(after uint64) (journal.Batch, error) {
 	var b journal.Batch
 	url := fmt.Sprintf("%s%s?after=%d", f.cfg.Leader, replicaWALPath, after)
-	resp, err := f.cfg.Client.Get(url)
+	resp, err := followerClient.Get(url)
 	if err != nil {
 		return b, err
 	}
@@ -204,7 +202,7 @@ func (f *Follower) leaderCorroborated() bool {
 	f.mu.Unlock()
 	reachable := false
 	for _, u := range f.cfg.Controllers {
-		hz, err := probeHealthz(f.cfg.Client, u, f.cfg.PollInterval+2*time.Second)
+		hz, err := probeHealthz(followerClient, u, f.cfg.PollInterval+2*time.Second)
 		if err != nil {
 			continue
 		}

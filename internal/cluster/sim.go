@@ -12,9 +12,7 @@ import (
 	"deflation/internal/perfmodel"
 	"deflation/internal/pricing"
 	"deflation/internal/restypes"
-	"deflation/internal/simcg"
 	"deflation/internal/simclock"
-	"deflation/internal/substrate"
 	"deflation/internal/trace"
 	"deflation/internal/vm"
 )
@@ -57,9 +55,8 @@ type sim struct {
 
 	// newApps holds one application factory per (curve, elasticity) pair,
 	// built once: every admission shares one instead of capturing its own.
-	newApps    [][2]func(restypes.Vector) vm.Application
-	departs    func(int, time.Duration) // depart, bound once: a method value allocates at each use
-	forecaster *Forecaster              // nil without ProactiveHorizon
+	newApps [][2]func(restypes.Vector) vm.Application
+	departs func(int, time.Duration) // depart, bound once: a method value allocates at each use
 
 	// The books: admitted VMs still placed, and their nominal load per
 	// class. forget is the only code that takes a VM off them.
@@ -109,22 +106,9 @@ func newSim(cfg SimConfig, queried queryHook) (*sim, error) {
 		nodes:    make([]Node, cfg.Servers),
 		capacity: cfg.ServerCapacity.Scale(float64(cfg.Servers)),
 		running:  make(map[string]trace.Event)}
-	if cfg.ProactiveHorizon > 0 {
-		if s.forecaster, err = NewForecaster(0.2); err != nil {
-			return nil, err
-		}
-	}
 	for i := range s.servers {
 		name := fmt.Sprintf("server-%03d", i)
-		var sub substrate.Substrate
-		// Bresenham interleave: server i is container-backed iff the
-		// cumulative container count must advance here, spreading the two
-		// substrates evenly instead of splitting the fleet into halves.
-		if f := cfg.ContainerFraction; f > 0 && int(f*float64(i+1)) > int(f*float64(i)) {
-			sub, err = simcg.NewHost(simcg.Config{Name: name, Capacity: cfg.ServerCapacity})
-		} else {
-			sub, err = hypervisor.NewHost(hypervisor.Config{Name: name, Capacity: cfg.ServerCapacity})
-		}
+		sub, err := hypervisor.NewHost(hypervisor.Config{Name: name, Capacity: cfg.ServerCapacity})
 		if err != nil {
 			return nil, err
 		}
@@ -165,7 +149,6 @@ func (s *sim) install(m *Manager) {
 	}
 	if s.cfg.Reclaim != ReclaimPreempt {
 		m.SetReclaimPolicy(s.cfg.Reclaim)
-		m.SetMigrationModel(s.cfg.Migration)
 		m.SetMigrationScheduler(func(d time.Duration, f func()) {
 			s.clock.After(d, func(time.Duration) { f() })
 		})
@@ -230,16 +213,6 @@ func (s *sim) arrive(i int, now time.Duration) {
 		// connection would.
 		s.res.Rejections++
 		return
-	}
-	// Predictive deflation: make room for the forecast demand before
-	// it arrives, so high-priority placements find free capacity.
-	if s.forecaster != nil {
-		if proactiveReclaim(s.servers, s.forecaster.Forecast(s.cfg.ProactiveHorizon)) > 0 {
-			s.res.ProactiveReclaims++
-		}
-		if e.HighPriority {
-			s.forecaster.Observe(now, e.Size)
-		}
 	}
 	// Admission control maintains the paper's population mix ("50.0% VMs
 	// are low-priority"): each class may hold half the target

@@ -122,7 +122,6 @@ func TestZeroMigrationReproducesFig8cBaseline(t *testing.T) {
 		}
 		disabled := smallSim(mode, 1.6)
 		disabled.Reclaim = ReclaimPreempt
-		disabled.Migration.LinkMBps = 9999 // model alone must change nothing
 		got, err := RunSim(disabled)
 		if err != nil {
 			t.Fatal(err)

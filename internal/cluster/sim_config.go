@@ -4,7 +4,6 @@ import (
 	"time"
 
 	"deflation/internal/faults"
-	"deflation/internal/migration"
 	"deflation/internal/pricing"
 	"deflation/internal/restypes"
 	"deflation/internal/telemetry"
@@ -31,10 +30,6 @@ type SimConfig struct {
 	// Meter, when non-nil, accrues provider revenue over the simulation
 	// (§8's pricing discussion; see internal/pricing).
 	Meter *pricing.Meter
-	// ProactiveHorizon enables predictive deflation (§7's future work):
-	// before each arrival, low-priority VMs are pre-deflated so free
-	// capacity covers the demand forecast over this horizon. Zero disables.
-	ProactiveHorizon time.Duration
 	// Faults configures deterministic fault injection: crash-stop node
 	// failures detected by the manager's heartbeats, and agent/OS-level
 	// cascade faults. The zero value disables injection entirely and the
@@ -60,10 +55,6 @@ type SimConfig struct {
 	// path, so migration-disabled runs reproduce baseline figures bit for
 	// bit.
 	Reclaim ReclaimPolicy
-	// Migration parameterizes the live-migration performance model; the zero
-	// model uses defaults (dedicated 10 GbE link, 300 ms downtime target).
-	// Only consulted when Reclaim enables migration.
-	Migration migration.Model
 	// Telemetry, when non-nil, instruments the simulated cluster: cascade
 	// decisions are traced and counted per server, and the manager's
 	// failure-detector and placement counters accrue into the sink's
@@ -78,14 +69,6 @@ type SimConfig struct {
 	// in the worst case, which XL fleets (the 8c-xl sweep) thin out. The
 	// default 1 samples every admission, the exact legacy behavior bit for bit.
 	SampleEvery int
-	// ContainerFraction is the fraction of servers backed by the cgroup
-	// container substrate (internal/simcg) instead of the KVM hypervisor;
-	// the substrate is recorded in each launch's journaled placement so a
-	// takeover restores container-backed VMs on a compatible node. Container
-	// nodes are interleaved evenly across the fleet. Zero (the default)
-	// keeps every server on the hypervisor substrate — the exact
-	// pre-multi-substrate code path, bit-for-bit.
-	ContainerFraction float64
 }
 
 func (c SimConfig) withDefaults() SimConfig {
@@ -145,10 +128,8 @@ type SimResult struct {
 	MeanReclaimLatency time.Duration
 	MaxReclaimLatency  time.Duration
 	// LatentPlacements counts placements that paid nonzero reclamation
-	// latency; proactive deflation reduces it.
+	// latency.
 	LatentPlacements int
-	// ProactiveReclaims counts predictive pre-deflation rounds.
-	ProactiveReclaims int
 	// MeanLowThroughput is the time-sampled mean normalized throughput of
 	// the running low-priority VMs — the performance side of the
 	// minimum-size (m_i) tradeoff: smaller minimums mean fewer preemptions

@@ -20,8 +20,8 @@ type goldenCell struct {
 // goldenCells covers every RunSim code path that mutates server state: the
 // Fig. 8c baseline and its preemption-only twin, node crashes with cascade
 // faults, manager crash-restart recovery, migration-based reclamation, HA
-// failover with partitions, proactive deflation, a half-container fleet,
-// and partitions that heal before the lease expires.
+// failover with partitions, and partitions that heal before the lease
+// expires.
 func goldenCells() []goldenCell {
 	mgrCrash := chaosSim()
 	mgrCrash.Faults.ManagerCrashMTBF = 5 * time.Minute
@@ -30,12 +30,6 @@ func goldenCells() []goldenCell {
 	mig.Reclaim = ReclaimDeflateThenMigrate
 	mig.Faults.ManagerCrashMTBF = 5 * time.Minute
 	mig.Faults.MigrationFailProb = 0.2
-
-	proactive := smallSim(ModeDeflation, 1.6)
-	proactive.ProactiveHorizon = 2 * time.Minute
-
-	mixed := smallSim(ModeDeflation, 1.6)
-	mixed.ContainerFraction = 0.5
 
 	// Partitions shorter than the lease: the leader heals back into its own
 	// term, and no takeover happens.
@@ -52,8 +46,6 @@ func goldenCells() []goldenCell {
 		{"manager-crash", mgrCrash},
 		{"migration", mig},
 		{"ha-failover", haChaosSim()},
-		{"proactive", proactive},
-		{"container-half", mixed},
 		{"ha-short-partition", shortPartition},
 	}
 }

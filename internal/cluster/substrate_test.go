@@ -275,50 +275,3 @@ func TestMigrationTargetsRespectSubstrate(t *testing.T) {
 		t.Errorf("container VM c0 targeted at %q node %s", got, m.Servers()[dst].Name())
 	}
 }
-
-// Mixed-fleet chaos: half the fleet on containers, full HA fault mix. Two
-// same-seed runs must be byte-identical and takeovers must never evict a
-// healthy workload — the substrate split does not weaken either invariant.
-func TestMixedFleetChaosSimDeterministicNoHealthyEvictions(t *testing.T) {
-	mixed := func() SimConfig {
-		cfg := haChaosSim()
-		cfg.ContainerFraction = 0.5
-		return cfg
-	}
-	a, err := RunSim(mixed())
-	if err != nil {
-		t.Fatal(err)
-	}
-	b, err := RunSim(mixed())
-	if err != nil {
-		t.Fatal(err)
-	}
-	if a != b {
-		t.Errorf("mixed-fleet chaos sim not deterministic:\n%+v\n%+v", a, b)
-	}
-	if a.FailoverEvictions != 0 {
-		t.Errorf("mixed-fleet takeovers evicted %d healthy VMs", a.FailoverEvictions)
-	}
-	if a.FailurePreemptions != a.VMsReplaced+a.VMsLost {
-		t.Errorf("accounting: %d preemptions != %d replaced + %d lost",
-			a.FailurePreemptions, a.VMsReplaced, a.VMsLost)
-	}
-}
-
-// ContainerFraction zero must take exactly the historical all-hypervisor
-// path: identical results to a config that predates the field.
-func TestZeroContainerFractionReproducesBaseline(t *testing.T) {
-	baseline, err := RunSim(smallSim(ModeDeflation, 1.6))
-	if err != nil {
-		t.Fatal(err)
-	}
-	zeroed := smallSim(ModeDeflation, 1.6)
-	zeroed.ContainerFraction = 0
-	got, err := RunSim(zeroed)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got != baseline {
-		t.Errorf("ContainerFraction=0 diverged from baseline:\n%+v\n%+v", got, baseline)
-	}
-}

@@ -112,14 +112,6 @@ func (t *managerTelemetry) addNode(name string) {
 		telemetry.Labels{"node": name}))
 }
 
-// removeNode splices the counter slice in step with the server slice; the
-// registry keeps the labeled series (counters are cumulative).
-func (t *managerTelemetry) removeNode(idx int) {
-	if idx < len(t.placements) {
-		t.placements = append(t.placements[:idx], t.placements[idx+1:]...)
-	}
-}
-
 // remoteNodeTelemetry instruments the manager-side RPC client.
 type remoteNodeTelemetry struct {
 	rpcSeconds      map[string]*telemetry.Histogram // by op

@@ -57,10 +57,11 @@ const (
 
 	// Dynamic fleet membership. evNodeAdd journals a node registration
 	// (Node + URL) so a recovery — or a peer adopting this shard's journal —
-	// can re-dial the same agents the dead manager was serving; evNodeRemove
-	// journals a hand-off to another manager, dropping the node and
-	// every placement on it WITHOUT releasing anything: the node and its
-	// VMs live on under whichever manager now owns them.
+	// can re-dial the same agents the dead manager was serving. No manager
+	// writes evNodeRemove any more, but journals that earlier builds wrote
+	// hold it: replay still applies such a hand-off to another manager,
+	// dropping the node and every placement on it WITHOUT releasing
+	// anything, since the node and its VMs lived on under the new owner.
 	evNodeAdd    EventKind = "node-add"
 	evNodeRemove EventKind = "node-remove"
 )

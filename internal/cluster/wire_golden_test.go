@@ -164,7 +164,7 @@ func TestWireGolden(t *testing.T) {
 	l := &wireLog{t: t}
 	agentScene(t, l)
 	managerScene(t, l)
-	for _, op := range []string{"launch", "release", "migrate", "register", "forget"} {
+	for _, op := range []string{"launch", "release", "migrate", "register"} {
 		poisonScene(t, l, op)
 	}
 	deposedScene(t, l)
@@ -317,8 +317,6 @@ func managerScene(t *testing.T, l *wireLog) {
 	l.do(p, mg, "POST", "/v1/nodes/s2/heartbeat", "{not json")
 	l.do(p, mg, "POST", "/v1/nodes/ghost/heartbeat", "")
 	l.do(p, mg, "GET", "/v1/nodes", "")
-	l.do(p, mg, "DELETE", "/v1/nodes/s2", "")
-	l.do(p, mg, "DELETE", "/v1/nodes/s2", "")
 
 	l.do(p, mg, "DELETE", "/v1/vms/a", "")
 	l.do(p, mg, "DELETE", "/v1/vms/a", "")
@@ -355,10 +353,6 @@ func poisonScene(t *testing.T, l *wireLog, op string) {
 	case "register":
 		p.fail.Store(true)
 		l.do(p, mg, "POST", "/v1/nodes", reg)
-	case "forget":
-		l.do(p, mg, "POST", "/v1/nodes", reg)
-		p.fail.Store(true)
-		l.do(p, mg, "DELETE", "/v1/nodes/s2", "")
 	}
 	p.fail.Store(false)
 	l.do(p, mg, "POST", "/v1/vms", wireJSON(t, wireSpec("b", vm.LowPriority)))
@@ -366,7 +360,6 @@ func poisonScene(t *testing.T, l *wireLog, op string) {
 		l.do(p, mg, "DELETE", "/v1/vms/a", "")
 		l.do(p, mg, "POST", "/v1/migrate", wireJSON(t, MigrateRequest{VM: "a", Dest: "s1"}))
 		l.do(p, mg, "POST", "/v1/nodes", reg)
-		l.do(p, mg, "DELETE", "/v1/nodes/s1", "")
 		l.do(p, mg, "GET", "/v1/state", "")
 	}
 }
@@ -388,7 +381,6 @@ func deposedScene(t *testing.T, l *wireLog) {
 	l.do(p, mg, "DELETE", "/v1/vms/a", "")
 	l.do(p, mg, "POST", "/v1/migrate", wireJSON(t, MigrateRequest{VM: "a", Dest: "s1"}))
 	l.do(p, mg, "POST", "/v1/nodes", wireJSON(t, RegisterNodeRequest{Name: "s2", URL: p.agents[2]}))
-	l.do(p, mg, "DELETE", "/v1/nodes/s1", "")
 	l.do(p, mg, "POST", "/v1/nodes/s1/heartbeat", "")
 	l.do(p, mg, "GET", "/v1/state", "")
 }

@@ -21,7 +21,7 @@ import (
 )
 
 // figMixed compares the deflation mechanism across substrates: VM-only
-// fleets (KVM domains with balloon/hotplug reclamation), container-only
+// fleets (KVM domains with hotplug and host-swap reclamation), container-only
 // fleets (cgroup limit writes), and a mixed fleet alternating between the
 // two, swept across deflation fraction × workload mix.
 //
@@ -86,8 +86,8 @@ type mixedCellResult struct {
 	// batch alike — the whole fleet sees the same request).
 	ReclaimedCores float64
 	// MeanResizeMS is the mean end-to-end reclamation latency per
-	// instance: full cascade latency in the frontier panel (balloon +
-	// hotplug on VMs, one cgroup write on containers), raw
+	// instance: full cascade latency in the frontier panel (hotplug and
+	// host swap on VMs, one cgroup write on containers), raw
 	// Substrate.SetAllocation latency in the aggressive panel.
 	MeanResizeMS float64
 	// OOMKills counts instances whose post-resize limit undershot their
@@ -149,10 +149,7 @@ func runMixedCell(c mixedCell) (mixedCellResult, error) {
 	fleet := make([]*vm.VM, 0, total)
 	webVMs := make([]*vm.VM, c.Replicas)
 	for i := range apps {
-		a, err := webapp.NewApp(webapp.Config{})
-		if err != nil {
-			return res, err
-		}
+		a := webapp.NewApp(webapp.Config{})
 		v, err := newVM(i, fmt.Sprintf("web-%d", i), a)
 		if err != nil {
 			return res, err

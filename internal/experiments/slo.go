@@ -90,10 +90,7 @@ func runSLOCell(c sloCell) (sloCellResult, error) {
 	apps := make([]*webapp.App, c.Replicas)
 	webVMs := make([]*vm.VM, c.Replicas)
 	for i := range apps {
-		a, err := webapp.NewApp(webapp.Config{DeflationAware: aware})
-		if err != nil {
-			return res, err
-		}
+		a := webapp.NewApp(webapp.Config{DeflationAware: aware})
 		dom, err := host.CreateDomain(fmt.Sprintf("web-%d", i), size, guestos.Config{})
 		if err != nil {
 			return res, err
@@ -128,7 +125,6 @@ func runSLOCell(c sloCell) (sloCellResult, error) {
 		return res, err
 	}
 	svc, err := interactive.NewServiceWith(interactive.ServiceConfig{
-		Web: webapp.Config{DeflationAware: aware},
 		Arrivals: interactive.ArrivalConfig{
 			Seed:    c.Seed,
 			BaseRPS: c.RPSPerReplica * float64(c.Replicas),

@@ -21,10 +21,7 @@ func quickSLO(t *testing.T) sloResult {
 func TestFigSLOZeroDeflationMatchesWebapp(t *testing.T) {
 	r := quickSLO(t)
 	p := r.Panels[0]
-	app, err := webapp.NewApp(webapp.Config{DeflationAware: true})
-	if err != nil {
-		t.Fatal(err)
-	}
+	app := webapp.NewApp(webapp.Config{DeflationAware: true})
 	env := hypervisor.Env{
 		VCPUs: 4, PhysCores: 4, EffectiveCores: 4,
 		GuestMemMB: 16384, ResidentMB: 16384, EverTouchedMB: 16384,

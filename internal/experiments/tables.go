@@ -71,10 +71,7 @@ func table1(Options) (Result, error) {
 	})
 
 	// Web servers: reduce thread pool.
-	web, err := webapp.NewApp(webapp.Config{DeflationAware: true})
-	if err != nil {
-		return nil, err
-	}
+	web := webapp.NewApp(webapp.Config{DeflationAware: true})
 	tBefore := web.Threads()
 	web.SelfDeflate(restypes.V(2, 0, 0, 0))
 	r = append(r, table1Row{

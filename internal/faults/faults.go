@@ -46,28 +46,18 @@ type Config struct {
 	// fails outright during a cascade (reclaims nothing at its level).
 	AgentFailProb float64
 	// AgentHangProb is the probability that the agent hangs for
-	// AgentHangDelay before responding (or failing), consuming the
+	// agentHangDelay before responding (or failing), consuming the
 	// cascade's time budget.
 	AgentHangProb float64
-	// AgentHangDelay is the hang duration (default 30s).
-	AgentHangDelay time.Duration
 
 	// OSFailProb is the probability that a guest hot-unplug partially
 	// fails: only a fraction of the requested unplug completes and the
 	// remainder falls through to the hypervisor level.
 	OSFailProb float64
-	// OSPartialMax bounds the fraction of the unplug target that still
-	// succeeds on a partial failure; the achieved fraction is drawn
-	// uniformly from [0, OSPartialMax] (default 0.5).
-	OSPartialMax float64
 
-	// HTTPErrorProb, HTTPDropProb, and HTTPDelayProb inject REST-plane
-	// faults: a 5xx response, a dropped connection, or an added delay of up
-	// to HTTPDelayMax (default 2s).
+	// HTTPErrorProb is the probability that a REST request gets an injected
+	// 5xx response without reaching its handler.
 	HTTPErrorProb float64
-	HTTPDropProb  float64
-	HTTPDelayProb float64
-	HTTPDelayMax  time.Duration
 
 	// MigrationFailProb is the probability that a live migration fails
 	// mid-copy (link error, destination qemu crash) after the pre-copy
@@ -92,21 +82,30 @@ type Config struct {
 
 	// DiskSlowProb is the per-operation probability that a journal disk
 	// write or fsync stalls (a degraded device, a saturated virtio queue)
-	// for up to DiskSlowMax before completing NORMALLY. Unlike DiskFailProb
+	// for up to diskSlowMax before completing NORMALLY. Unlike DiskFailProb
 	// this never poisons the journal — it stretches commit latency, which
 	// is what surfaces ack-before-fsync bugs and slow-leader tail latency.
 	DiskSlowProb float64
-	// DiskSlowMax bounds each injected stall (default 50ms); the stall is
-	// drawn uniformly from (0, DiskSlowMax].
-	DiskSlowMax time.Duration
 }
+
+const (
+	// agentHangDelay is how long a hung application agent stalls.
+	agentHangDelay = 30 * time.Second
+	// osPartialMax bounds the fraction of the unplug target that still
+	// succeeds on a partial failure; the achieved fraction is drawn
+	// uniformly from [0, osPartialMax].
+	osPartialMax float64 = 0.5
+	// diskSlowMax bounds each injected disk stall; the stall is drawn
+	// uniformly from (0, diskSlowMax].
+	diskSlowMax = 50 * time.Millisecond
+)
 
 // Enabled reports whether any fault category is configured.
 func (c Config) Enabled() bool {
 	return c.CrashMTBF > 0 || c.ManagerCrashMTBF > 0 ||
 		c.AgentFailProb > 0 || c.AgentHangProb > 0 ||
 		c.OSFailProb > 0 ||
-		c.HTTPErrorProb > 0 || c.HTTPDropProb > 0 || c.HTTPDelayProb > 0 ||
+		c.HTTPErrorProb > 0 ||
 		c.MigrationFailProb > 0 ||
 		c.PartitionMTBF > 0 || c.DiskFailProb > 0 || c.DiskSlowProb > 0
 }
@@ -115,20 +114,8 @@ func (c Config) withDefaults() Config {
 	if c.RecoveryTime == 0 {
 		c.RecoveryTime = 5 * time.Minute
 	}
-	if c.AgentHangDelay == 0 {
-		c.AgentHangDelay = 30 * time.Second
-	}
-	if c.OSPartialMax == 0 {
-		c.OSPartialMax = 0.5
-	}
-	if c.HTTPDelayMax == 0 {
-		c.HTTPDelayMax = 2 * time.Second
-	}
 	if c.PartitionDuration == 0 {
 		c.PartitionDuration = 60 * time.Second
-	}
-	if c.DiskSlowMax == 0 {
-		c.DiskSlowMax = 50 * time.Millisecond
 	}
 	return c
 }
@@ -214,7 +201,7 @@ func (in *Injector) AgentFault() LevelOutcome {
 	hang, fail := r.Float64(), r.Float64()
 	var o LevelOutcome
 	if hang < in.cfg.AgentHangProb {
-		o.Hang = in.cfg.AgentHangDelay
+		o.Hang = agentHangDelay
 	}
 	o.Fail = fail < in.cfg.AgentFailProb
 	return o
@@ -237,7 +224,7 @@ func (in *Injector) OSFault() UnplugOutcome {
 	var o UnplugOutcome
 	if p < in.cfg.OSFailProb {
 		o.Fail = true
-		o.Fraction = frac * in.cfg.OSPartialMax
+		o.Fraction = frac * osPartialMax
 	}
 	return o
 }
@@ -281,7 +268,7 @@ func (in *Injector) DiskFault(op string) error {
 		r := in.stream("disk-slow")
 		stall := time.Duration(0)
 		if r.Float64() < in.cfg.DiskSlowProb {
-			stall = 1 + time.Duration(r.Int63n(int64(in.cfg.DiskSlowMax)))
+			stall = 1 + time.Duration(r.Int63n(int64(diskSlowMax)))
 		}
 		in.mu.Unlock()
 		// Sleep outside the lock: a stalled journal write must not also
@@ -302,40 +289,14 @@ func (in *Injector) DiskFault(op string) error {
 	return nil
 }
 
-// HTTPFaultKind enumerates REST-plane fault types; the zero kind injects
-// nothing.
-type HTTPFaultKind int
-
-const (
-	// HTTPError returns a 5xx without reaching the handler.
-	HTTPError HTTPFaultKind = iota + 1
-	// HTTPDrop severs the connection without a response.
-	HTTPDrop
-	// HTTPDelay delays the request by Delay, then serves it normally.
-	HTTPDelay
-)
-
-// HTTPOutcome is one drawn REST-plane fault.
-type HTTPOutcome struct {
-	Kind  HTTPFaultKind
-	Delay time.Duration
-}
-
-// HTTPFault draws the fault (if any) for one HTTP request. The categories
-// are disjoint: error, then drop, then delay, by cumulative probability.
-func (in *Injector) HTTPFault() HTTPOutcome {
+// HTTPFault draws whether one HTTP request gets an injected 5xx. Each call
+// consumes two values of the "http" stream, as it did when the stream also
+// drew drops and delays, so a seed fails the same requests it always has.
+func (in *Injector) HTTPFault() bool {
 	in.mu.Lock()
 	defer in.mu.Unlock()
 	r := in.stream("http")
-	p, scale := r.Float64(), r.Float64()
-	cfg := in.cfg
-	switch {
-	case p < cfg.HTTPErrorProb:
-		return HTTPOutcome{Kind: HTTPError}
-	case p < cfg.HTTPErrorProb+cfg.HTTPDropProb:
-		return HTTPOutcome{Kind: HTTPDrop}
-	case p < cfg.HTTPErrorProb+cfg.HTTPDropProb+cfg.HTTPDelayProb:
-		return HTTPOutcome{Kind: HTTPDelay, Delay: time.Duration(scale * float64(cfg.HTTPDelayMax))}
-	}
-	return HTTPOutcome{}
+	p := r.Float64()
+	r.Float64() // the second draw per request; see above
+	return p < in.cfg.HTTPErrorProb
 }

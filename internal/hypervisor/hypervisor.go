@@ -12,7 +12,7 @@
 //   - memory limits below the guest's touched footprint force host swapping,
 //     and because the hypervisor cannot see which guest pages are hot, the
 //     effective access locality of the swapped set is degraded
-//     (BlackboxLocalityFactor);
+//     (blackboxLocalityFactor);
 //   - reclaiming memory takes real (virtual) time bounded by swap-disk
 //     bandwidth, run as an incremental control loop (§5: "large memory
 //     reclamation operations can often fail, and we use a control loop").
@@ -49,31 +49,20 @@ var (
 type Config struct {
 	Name     string
 	Capacity restypes.Vector // physical CPU cores, memory, disk bw, net bw
+}
 
-	// SwapDiskMBps is the host swap device bandwidth (default 200 MB/s;
-	// swap-out dominates memory-reclamation latency, Fig. 8b).
-	SwapDiskMBps float64
-	// BlackboxLocalityFactor scales the guest workload's access locality
+const (
+	// swapDiskMBps is the host swap device bandwidth (swap-out dominates
+	// memory-reclamation latency, Fig. 8b).
+	swapDiskMBps float64 = 200
+	// blackboxLocalityFactor scales the guest workload's access locality
 	// when the *hypervisor* chooses which pages to swap: it cannot tell hot
-	// pages from cold, so host swapping evicts some hot pages (default 0.5).
-	BlackboxLocalityFactor float64
-	// ControlLoopOverhead multiplies reclamation latency to account for the
-	// incremental retry loop used for large reclamations (default 1.15).
-	ControlLoopOverhead float64
-}
-
-func (c Config) withDefaults() Config {
-	if c.SwapDiskMBps == 0 {
-		c.SwapDiskMBps = 200
-	}
-	if c.BlackboxLocalityFactor == 0 {
-		c.BlackboxLocalityFactor = 0.5
-	}
-	if c.ControlLoopOverhead == 0 {
-		c.ControlLoopOverhead = 1.15
-	}
-	return c
-}
+	// pages from cold, so host swapping evicts some hot pages.
+	blackboxLocalityFactor float64 = 0.5
+	// controlLoopOverhead multiplies reclamation latency to account for the
+	// incremental retry loop used for large reclamations.
+	controlLoopOverhead float64 = 1.15
+)
 
 // Host is a simulated physical machine running simkvm. Not safe for
 // concurrent use; the simulation is single-threaded.
@@ -89,7 +78,6 @@ type Host struct {
 
 // NewHost creates a host with the given physical capacity.
 func NewHost(cfg Config) (*Host, error) {
-	cfg = cfg.withDefaults()
 	if !cfg.Capacity.Positive() {
 		return nil, fmt.Errorf("hypervisor: host capacity must be positive in all dimensions, got %v", cfg.Capacity)
 	}
@@ -284,7 +272,7 @@ func (d *Domain) SetAllocation(target restypes.Vector) (time.Duration, error) {
 		oldResident := minf(d.alloc.MemoryMB, touched)
 		newResident := minf(target.MemoryMB, touched)
 		if swapOut := oldResident - newResident; swapOut > 0 {
-			secs := swapOut / d.host.cfg.SwapDiskMBps * d.host.cfg.ControlLoopOverhead
+			secs := swapOut / swapDiskMBps * controlLoopOverhead
 			latency = time.Duration(secs * float64(time.Second))
 		}
 	}
@@ -399,7 +387,7 @@ func (d *Domain) Env() Env {
 	resident := minf(d.alloc.MemoryMB, touched)
 	swapped := touched - resident
 	if swapped > 0 {
-		locality = d.host.cfg.BlackboxLocalityFactor
+		locality = blackboxLocalityFactor
 	}
 	return Env{
 		Kind:           substrate.KindHypervisor,

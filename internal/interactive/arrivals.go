@@ -77,17 +77,20 @@ type ArrivalConfig struct {
 	Profile Profile
 	// TickSeconds is the generator's interval length (default 1s).
 	TickSeconds float64
-	// PeriodTicks is the diurnal period (default 240 ticks).
-	PeriodTicks int
-	// Amplitude is the diurnal modulation depth in (0, 1) (default 0.4):
-	// rate swings between Base×(1−A) and Base×(1+A).
-	Amplitude float64
-	// BurstEveryTicks and BurstTicks place a burst of BurstTicks length
-	// every BurstEveryTicks (defaults 60 and 6).
-	BurstEveryTicks, BurstTicks int
-	// BurstFactor multiplies the base rate during bursts (default 3).
-	BurstFactor float64
 }
+
+const (
+	// periodTicks is the diurnal period.
+	periodTicks = 240
+	// amplitude is the diurnal modulation depth in (0, 1): rate swings
+	// between Base×(1−A) and Base×(1+A).
+	amplitude float64 = 0.4
+	// burstEveryTicks and burstTicks place a burst of burstTicks length
+	// every burstEveryTicks.
+	burstEveryTicks, burstTicks = 60, 6
+	// burstFactor multiplies the base rate during bursts.
+	burstFactor float64 = 3
+)
 
 func (c ArrivalConfig) withDefaults() ArrivalConfig {
 	if c.Seed == 0 {
@@ -95,21 +98,6 @@ func (c ArrivalConfig) withDefaults() ArrivalConfig {
 	}
 	if c.TickSeconds == 0 {
 		c.TickSeconds = 1
-	}
-	if c.PeriodTicks == 0 {
-		c.PeriodTicks = 240
-	}
-	if c.Amplitude == 0 {
-		c.Amplitude = 0.4
-	}
-	if c.BurstEveryTicks == 0 {
-		c.BurstEveryTicks = 60
-	}
-	if c.BurstTicks == 0 {
-		c.BurstTicks = 6
-	}
-	if c.BurstFactor == 0 {
-		c.BurstFactor = 3
 	}
 	return c
 }
@@ -132,12 +120,6 @@ func NewGenerator(cfg ArrivalConfig) (*Generator, error) {
 	if cfg.BaseRPS <= 0 {
 		return nil, fmt.Errorf("interactive: BaseRPS must be positive, got %g", cfg.BaseRPS)
 	}
-	if cfg.Amplitude < 0 || cfg.Amplitude >= 1 {
-		return nil, fmt.Errorf("interactive: diurnal amplitude %g outside [0, 1)", cfg.Amplitude)
-	}
-	if cfg.BurstFactor < 1 {
-		return nil, fmt.Errorf("interactive: burst factor %g below 1", cfg.BurstFactor)
-	}
 	return &Generator{cfg: cfg, rng: rand.New(rand.NewSource(cfg.Seed))}, nil
 }
 
@@ -146,11 +128,11 @@ func (g *Generator) Rate(tick int) float64 {
 	c := g.cfg
 	switch c.Profile {
 	case Diurnal:
-		phase := 2 * math.Pi * float64(tick%c.PeriodTicks) / float64(c.PeriodTicks)
-		return c.BaseRPS * (1 + c.Amplitude*math.Sin(phase))
+		phase := 2 * math.Pi * float64(tick%periodTicks) / float64(periodTicks)
+		return c.BaseRPS * (1 + amplitude*math.Sin(phase))
 	case Bursty:
-		if tick%c.BurstEveryTicks < c.BurstTicks {
-			return c.BaseRPS * c.BurstFactor
+		if tick%burstEveryTicks < burstTicks {
+			return c.BaseRPS * burstFactor
 		}
 		return c.BaseRPS
 	default:
@@ -164,9 +146,9 @@ func (g *Generator) PeakRPS() float64 {
 	c := g.cfg
 	switch c.Profile {
 	case Diurnal:
-		return c.BaseRPS * (1 + c.Amplitude)
+		return c.BaseRPS * (1 + amplitude)
 	case Bursty:
-		return c.BaseRPS * c.BurstFactor
+		return c.BaseRPS * burstFactor
 	default:
 		return c.BaseRPS
 	}

@@ -10,12 +10,6 @@ func TestGeneratorValidation(t *testing.T) {
 	if _, err := NewGenerator(ArrivalConfig{}); err == nil {
 		t.Error("zero BaseRPS accepted")
 	}
-	if _, err := NewGenerator(ArrivalConfig{BaseRPS: 100, Amplitude: 1.5}); err == nil {
-		t.Error("amplitude ≥ 1 accepted")
-	}
-	if _, err := NewGenerator(ArrivalConfig{BaseRPS: 100, BurstFactor: 0.5}); err == nil {
-		t.Error("burst factor < 1 accepted")
-	}
 }
 
 func TestProfileRoundTrip(t *testing.T) {
@@ -31,21 +25,23 @@ func TestProfileRoundTrip(t *testing.T) {
 }
 
 func TestRateProfiles(t *testing.T) {
-	diurnal, err := NewGenerator(ArrivalConfig{BaseRPS: 1000, Profile: Diurnal, PeriodTicks: 100, Amplitude: 0.4})
+	// A 240-tick diurnal period of amplitude 0.4, and a 6-tick burst of
+	// 3× every 60 ticks.
+	diurnal, err := NewGenerator(ArrivalConfig{BaseRPS: 1000, Profile: Diurnal})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if got := diurnal.Rate(25); math.Abs(got-1400) > 1 {
+	if got := diurnal.Rate(60); math.Abs(got-1400) > 1 {
 		t.Errorf("diurnal peak rate = %g, want ≈1400", got)
 	}
-	if got := diurnal.Rate(75); math.Abs(got-600) > 1 {
+	if got := diurnal.Rate(180); math.Abs(got-600) > 1 {
 		t.Errorf("diurnal trough rate = %g, want ≈600", got)
 	}
 	if got := diurnal.PeakRPS(); got != 1400 {
 		t.Errorf("diurnal peak = %g", got)
 	}
 
-	bursty, err := NewGenerator(ArrivalConfig{BaseRPS: 1000, Profile: Bursty, BurstEveryTicks: 50, BurstTicks: 5, BurstFactor: 3})
+	bursty, err := NewGenerator(ArrivalConfig{BaseRPS: 1000, Profile: Bursty})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -143,9 +139,9 @@ func TestGeneratorMeanRate(t *testing.T) {
 		want float64
 	}{
 		{ArrivalConfig{Seed: 3, BaseRPS: 2000}, 2000},
-		{ArrivalConfig{Seed: 3, BaseRPS: 2000, Profile: Diurnal, PeriodTicks: 100}, 2000},
+		{ArrivalConfig{Seed: 3, BaseRPS: 2000, Profile: Diurnal}, 2000},
 		// Bursty long-run mean: base×(1 + (factor−1)×duty cycle).
-		{ArrivalConfig{Seed: 3, BaseRPS: 2000, Profile: Bursty, BurstEveryTicks: 50, BurstTicks: 5, BurstFactor: 3}, 2000 * 1.2},
+		{ArrivalConfig{Seed: 3, BaseRPS: 2000, Profile: Bursty}, 2000 * 1.2},
 	}
 	for _, c := range cases {
 		const ticks = 4000

@@ -9,9 +9,6 @@ import (
 
 // ServiceConfig describes one replicated interactive service.
 type ServiceConfig struct {
-	// Web configures each replica's thread-pool server (webapp.Config
-	// defaults apply).
-	Web webapp.Config
 	// Replicas is the replica count (required, ≥ 1).
 	Replicas int
 	// Arrivals drives the open-loop offered load; Arrivals.TickSeconds is
@@ -146,29 +143,20 @@ func (s *Service) Step(envs []hypervisor.Env) error {
 		for i := range s.offered {
 			s.offered[i] = 0
 		}
-		s.ps.Observe(float64(n), baseLatencyMS(s.cfg.Web), 0, tickSec)
+		s.ps.Observe(float64(n), webapp.BaseLatencyMS, 0, tickSec)
 		s.tel.observeTick(s, float64(n), 0, float64(n))
 		return nil
 	}
 	var served, dropped float64
 	for i, a := range s.apps {
 		share := float64(n) * weights[i]
-		sv, dr := s.ps.Observe(share, baseLatencyMS(s.cfg.Web), a.CapacityRPS(envs[i]), tickSec)
+		sv, dr := s.ps.Observe(share, webapp.BaseLatencyMS, a.CapacityRPS(envs[i]), tickSec)
 		s.offered[i] = sv / tickSec
 		served += sv
 		dropped += dr
 	}
 	s.tel.observeTick(s, float64(n), served, dropped)
 	return nil
-}
-
-// baseLatencyMS mirrors webapp's default so the PS model and the server
-// agree on the unloaded service time.
-func baseLatencyMS(c webapp.Config) float64 {
-	if c.BaseLatencyMS != 0 {
-		return c.BaseLatencyMS
-	}
-	return 4
 }
 
 // Result summarizes a service run.

@@ -24,17 +24,11 @@ func replicaEnv(cores float64) hypervisor.Env {
 
 func steadyService(t *testing.T, replicas int, rps float64) *Service {
 	t.Helper()
-	web := webapp.Config{DeflationAware: true}
 	apps := make([]*webapp.App, replicas)
 	for i := range apps {
-		a, err := webapp.NewApp(web)
-		if err != nil {
-			t.Fatal(err)
-		}
-		apps[i] = a
+		apps[i] = webapp.NewApp(webapp.Config{DeflationAware: true})
 	}
 	s, err := NewServiceWith(ServiceConfig{
-		Web:      web,
 		Arrivals: ArrivalConfig{Seed: 11, BaseRPS: rps},
 		SLOP99MS: 50,
 	}, apps)
@@ -48,10 +42,7 @@ func TestServiceValidation(t *testing.T) {
 	if _, err := NewServiceWith(ServiceConfig{Arrivals: ArrivalConfig{BaseRPS: 1}}, nil); err == nil {
 		t.Error("zero replicas accepted")
 	}
-	app, err := webapp.NewApp(webapp.Config{})
-	if err != nil {
-		t.Fatal(err)
-	}
+	app := webapp.NewApp(webapp.Config{})
 	if _, err := NewServiceWith(ServiceConfig{Replicas: 1}, []*webapp.App{app}); err == nil {
 		t.Error("zero arrival rate accepted")
 	}

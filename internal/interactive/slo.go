@@ -26,7 +26,6 @@ import (
 // path destroys tail latency long before it shows up in the mean.
 type SLOGuard struct {
 	svc *Service
-	web webapp.Config // defaults resolved
 
 	// Headroom scales the SLO the guard plans for (default 0.85): p99 is
 	// targeted at Headroom×SLO so profile swings and estimation error
@@ -44,7 +43,6 @@ type SLOGuard struct {
 func NewSLOGuard(svc *Service) *SLOGuard {
 	return &SLOGuard{
 		svc:              svc,
-		web:              svc.cfg.Web.WithDefaults(),
 		Headroom:         0.85,
 		MemSlackFraction: 0.10,
 		replicas:         make(map[string]int),
@@ -65,19 +63,6 @@ func (g *SLOGuard) planRPS(i int) float64 {
 		return measured
 	}
 	return steady
-}
-
-// coresFor converts a required service capacity into the cores the
-// deflation-aware thread-pool server needs to provide it cleanly (pool
-// shrunk to ThreadsPerCore×cores, no oversubscription penalty). This is an
-// optimistic lower bound: the cascade's actual mechanisms lose some of the
-// remaining allocation to multiplexing, which the planner below models.
-func (g *SLOGuard) coresFor(capacityRPS float64) float64 {
-	perCore := g.web.ThreadsPerCore * g.web.RPSPerThread
-	if perCore <= 0 {
-		return 0
-	}
-	return capacityRPS / perCore
 }
 
 // effectiveCoresAfter predicts the envelope's effective cores once the
@@ -160,7 +145,7 @@ func (g *SLOGuard) ClampTarget(v *vm.VM, target restypes.Vector) restypes.Vector
 	// planner predicts the envelope each candidate reclamation leaves
 	// behind (vCPU unplug quantization, multiplexing penalty, pool shrink)
 	// and admits the deepest one whose capacity still meets the SLO.
-	needRPS := RequiredCapacityRPS(g.web.BaseLatencyMS, g.planRPS(i), g.Headroom*g.svc.ps.SLOMS())
+	needRPS := RequiredCapacityRPS(webapp.BaseLatencyMS, g.planRPS(i), g.Headroom*g.svc.ps.SLOMS())
 	if math.IsInf(needRPS, 1) || i >= len(g.svc.apps) {
 		out.CPU = 0 // no CPU headroom at all
 	} else {
@@ -170,11 +155,11 @@ func (g *SLOGuard) ClampTarget(v *vm.VM, target restypes.Vector) restypes.Vector
 	// Memory: protect the post-shrink resident set. Thread stacks are
 	// sized for the pool the remaining cores sustain.
 	remainingCores := alloc.CPU - out.CPU
-	threadsAfter := g.web.ThreadsPerCore * remainingCores
-	if max := float64(g.web.Threads); threadsAfter > max {
+	threadsAfter := webapp.ThreadsPerCore * remainingCores
+	if max := float64(webapp.BootThreads); threadsAfter > max {
 		threadsAfter = max
 	}
-	residentMB := (g.web.RSSMB + 2*threadsAfter + v.Env().KernelMemMB) * (1 + g.MemSlackFraction)
+	residentMB := (webapp.RSSMB + 2*threadsAfter + v.Env().KernelMemMB) * (1 + g.MemSlackFraction)
 	if residentMB >= alloc.MemoryMB {
 		out.MemoryMB = 0
 	} else if maxMem := alloc.MemoryMB - residentMB; out.MemoryMB > maxMem {

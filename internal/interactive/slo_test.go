@@ -29,10 +29,7 @@ func guardedFleet(t *testing.T, replicas int, rps float64) (*Service, *SLOGuard,
 	apps := make([]*webapp.App, replicas)
 	vms := make([]*vm.VM, replicas)
 	for i := range apps {
-		a, err := webapp.NewApp(webapp.Config{DeflationAware: true})
-		if err != nil {
-			t.Fatal(err)
-		}
+		a := webapp.NewApp(webapp.Config{DeflationAware: true})
 		dom, err := host.CreateDomain(fmt.Sprintf("web-%d", i), size, guestos.Config{})
 		if err != nil {
 			t.Fatal(err)
@@ -61,10 +58,7 @@ func guardedFleet(t *testing.T, replicas int, rps float64) (*Service, *SLOGuard,
 		t.Fatal(err)
 	}
 	bdom.MarkWarm()
-	batchApp, err := webapp.NewApp(webapp.Config{})
-	if err != nil {
-		t.Fatal(err)
-	}
+	batchApp := webapp.NewApp(webapp.Config{})
 	batch, err := vm.New(bdom, batchApp, vm.Config{})
 	if err != nil {
 		t.Fatal(err)
@@ -103,7 +97,10 @@ func TestGuardClampsToHeadroom(t *testing.T) {
 	}
 	remaining := vms[0].Allocation().CPU
 	needRPS := RequiredCapacityRPS(4, svc.OfferedRPS(0), guard.Headroom*50)
-	needCores := guard.coresFor(needRPS)
+	// The cores a deflation-aware server needs for needRPS with its pool
+	// at ThreadsPerCore per core, each thread serving 25 requests/s: an
+	// optimistic lower bound, since multiplexing loses some of the rest.
+	needCores := needRPS / (webapp.ThreadsPerCore * 25)
 	if remaining < needCores-1e-9 {
 		t.Errorf("deflated below headroom: %g cores left, need %g", remaining, needCores)
 	}

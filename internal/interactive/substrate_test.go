@@ -53,10 +53,7 @@ func TestGuardContainerReplicaFractionalDeflation(t *testing.T) {
 	apps := make([]*webapp.App, replicas)
 	vms := make([]*vm.VM, replicas)
 	for i := range apps {
-		a, err := webapp.NewApp(webapp.Config{DeflationAware: true})
-		if err != nil {
-			t.Fatal(err)
-		}
+		a := webapp.NewApp(webapp.Config{DeflationAware: true})
 		inst, err := host.Spawn(fmt.Sprintf("web-%d", i), size, guestos.Config{})
 		if err != nil {
 			t.Fatal(err)

@@ -53,17 +53,17 @@ type LoadConfig struct {
 	// TickInterval is the real-time length of one generator tick
 	// (default 100ms).
 	TickInterval time.Duration
-	// VMCores/VMMemMB size each launched VM (default 1 / 2048).
-	VMCores, VMMemMB float64
-	// MigrateEvery issues one migrate per N acked launches (0 = every 4).
-	MigrateEvery int
-	// Faults optionally injects REST-plane faults (5xx, drops, delays)
-	// in front of every agent.
+	// Faults optionally injects REST-plane faults (5xx responses) in front
+	// of every agent.
 	Faults *faults.Injector
-	// Registry receives the harness's histograms and counters (created
-	// when nil).
-	Registry *telemetry.Registry
 }
+
+const (
+	// vmCores and vmMemMB size each launched VM.
+	vmCores, vmMemMB float64 = 1, 2048
+	// migrateEvery issues one migrate per this many acked launches.
+	migrateEvery = 4
+)
 
 func (c LoadConfig) withDefaults() LoadConfig {
 	if c.Agents == 0 {
@@ -86,18 +86,6 @@ func (c LoadConfig) withDefaults() LoadConfig {
 	}
 	if c.TickInterval == 0 {
 		c.TickInterval = 100 * time.Millisecond
-	}
-	if c.VMCores == 0 {
-		c.VMCores = 1
-	}
-	if c.VMMemMB == 0 {
-		c.VMMemMB = 2048
-	}
-	if c.MigrateEvery == 0 {
-		c.MigrateEvery = 4
-	}
-	if c.Registry == nil {
-		c.Registry = telemetry.NewRegistry()
 	}
 	return c
 }
@@ -182,6 +170,7 @@ func NewLoad(cfg LoadConfig, managers []string) (*Load, error) {
 	}
 	base := "http://" + ln.Addr().String()
 
+	reg := telemetry.NewRegistry()
 	l := &Load{
 		cfg:      cfg,
 		managers: append([]string(nil), managers...),
@@ -189,13 +178,13 @@ func NewLoad(cfg LoadConfig, managers []string) (*Load, error) {
 		byName:   make(map[string]*simAgent),
 		client:   &http.Client{Timeout: 10 * time.Second},
 
-		launchLat: cfg.Registry.Histogram("deflload_launch_latency_ms",
+		launchLat: reg.Histogram("deflload_launch_latency_ms",
 			"end-to-end /v1/vms latency (ms)", latencyBucketsMS(), nil),
-		migrateLat: cfg.Registry.Histogram("deflload_migrate_latency_ms",
+		migrateLat: reg.Histogram("deflload_migrate_latency_ms",
 			"end-to-end /v1/migrate latency (ms)", latencyBucketsMS(), nil),
-		hbOK: cfg.Registry.Counter("deflload_heartbeats_ok_total",
+		hbOK: reg.Counter("deflload_heartbeats_ok_total",
 			"agent heartbeats acknowledged", nil),
-		hbFail: cfg.Registry.Counter("deflload_heartbeats_fail_total",
+		hbFail: reg.Counter("deflload_heartbeats_fail_total",
 			"agent heartbeats failed or refused", nil),
 	}
 
@@ -379,7 +368,7 @@ func (l *Load) StopHeartbeats() {
 }
 
 // Run drives `ticks` generator ticks of open-loop launches (plus one
-// migrate per MigrateEvery acks) against the federation. Open loop means
+// migrate per migrateEvery acks) against the federation. Open loop means
 // arrivals don't wait for completions: a slow or failing-over control
 // plane faces the same offered rate, which is exactly what exposes it.
 func (l *Load) Run(ctx context.Context, ticks int) error {
@@ -420,8 +409,7 @@ func (l *Load) Run(ctx context.Context, ticks int) error {
 			l.launchOne(ctx, name)
 			l.mu.Lock()
 			acked := l.counts.LaunchesAcked
-			migDue := acked > 0 && l.cfg.MigrateEvery > 0 && acked%l.cfg.MigrateEvery == 0 &&
-				l.counts.MigratesSent < acked/l.cfg.MigrateEvery
+			migDue := acked > 0 && acked%migrateEvery == 0 && l.counts.MigratesSent < acked/migrateEvery
 			l.mu.Unlock()
 			if migDue {
 				l.migrateOne(ctx, rng)
@@ -444,8 +432,8 @@ func (l *Load) noteElapsed() {
 func (l *Load) launchOne(ctx context.Context, name string) {
 	spec := cluster.LaunchSpec{
 		Name:     name,
-		Size:     restypes.V(l.cfg.VMCores, l.cfg.VMMemMB, 50, 50),
-		MinSize:  restypes.V(l.cfg.VMCores/4, l.cfg.VMMemMB/4, 12, 12),
+		Size:     restypes.V(vmCores, vmMemMB, 50, 50),
+		MinSize:  restypes.V(vmCores/4, vmMemMB/4, 12, 12),
 		Priority: vm.LowPriority,
 		AppKind:  "elastic",
 	}

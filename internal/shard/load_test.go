@@ -24,7 +24,7 @@ func TestDeflloadChaosRun(t *testing.T) {
 	ctx, cancel := context.WithTimeout(context.Background(), 90*time.Second)
 	defer cancel()
 
-	slow := faults.New(faults.Config{Seed: 21, DiskSlowProb: 0.05, DiskSlowMax: 5 * time.Millisecond})
+	slow := faults.New(faults.Config{Seed: 21, DiskSlowProb: 0.05})
 	fed, err := NewFederation(FederationConfig{
 		Shards:    []string{"shard-0", "shard-1", "shard-2"},
 		StateRoot: t.TempDir(),
@@ -37,8 +37,7 @@ func TestDeflloadChaosRun(t *testing.T) {
 	}
 	defer fed.Close()
 
-	agentFaults := faults.New(faults.Config{Seed: 33, HTTPErrorProb: 0.01,
-		HTTPDelayProb: 0.02, HTTPDelayMax: 10 * time.Millisecond})
+	agentFaults := faults.New(faults.Config{Seed: 33, HTTPErrorProb: 0.01})
 	l, err := NewLoad(LoadConfig{
 		Agents:        12,
 		Seed:          9,

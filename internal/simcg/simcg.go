@@ -5,8 +5,8 @@
 // deflation system, in deliberate contrast to the KVM model:
 //
 //   - Resizes are cgroup file writes (cpu.max / memory.max): effectively
-//     instant (CgroupWriteLatency, default 2ms) with no balloon
-//     convergence, no hotplug handshakes, and no incremental control loop.
+//     instant (cgroupWriteLatency, 2ms) with no hotplug handshakes and no
+//     incremental control loop.
 //   - CPU shares are fractional. There is no whole-vCPU quantization and
 //     no lock-holder preemption: the host scheduler runs container threads
 //     directly, so 2.5 cores of quota is exactly 2.5 effective cores.
@@ -40,33 +40,22 @@ var (
 type Config struct {
 	Name     string
 	Capacity restypes.Vector // physical CPU cores, memory, disk bw, net bw
-
-	// CgroupWriteLatency is the cost of one resize — a cgroup file write
-	// plus the kernel applying the new limit (default 2ms). This is the
-	// whole mechanism latency: the reason containers deflate in
-	// milliseconds where VMs take balloon/hotplug/swap time.
-	CgroupWriteLatency time.Duration
-	// OverheadMB is the per-container runtime overhead (shim, rootfs
-	// mounts, namespaces) charged against memory.max (default 64).
-	OverheadMB float64
-	// WriteIntensity is the fraction of the RSS dirtied per second, which
-	// live migration's pre-copy convergence model consumes (default 0.02,
-	// matching guestos).
-	WriteIntensity float64
 }
 
-func (c Config) withDefaults() Config {
-	if c.CgroupWriteLatency == 0 {
-		c.CgroupWriteLatency = 2 * time.Millisecond
-	}
-	if c.OverheadMB == 0 {
-		c.OverheadMB = 64
-	}
-	if c.WriteIntensity == 0 {
-		c.WriteIntensity = 0.02
-	}
-	return c
-}
+const (
+	// cgroupWriteLatency is the cost of one resize — a cgroup file write
+	// plus the kernel applying the new limit. This is the whole mechanism
+	// latency: the reason containers deflate in milliseconds where VMs
+	// take hotplug and swap time.
+	cgroupWriteLatency = 2 * time.Millisecond
+	// overheadMB is the per-container runtime overhead (shim, rootfs
+	// mounts, namespaces) charged against memory.max.
+	overheadMB float64 = 64
+	// writeIntensity is the fraction of the RSS dirtied per second, which
+	// live migration's pre-copy convergence model consumes (matching
+	// guestos).
+	writeIntensity float64 = 0.02
+)
 
 // Host is a simulated machine running containers. Not safe for concurrent
 // use; the simulation is single-threaded.
@@ -78,7 +67,6 @@ type Host struct {
 
 // NewHost creates a container host with the given physical capacity.
 func NewHost(cfg Config) (*Host, error) {
-	cfg = cfg.withDefaults()
 	if !cfg.Capacity.Positive() {
 		return nil, fmt.Errorf("simcg: host capacity must be positive in all dimensions, got %v", cfg.Capacity)
 	}
@@ -167,7 +155,7 @@ func (h *Host) RestoreInstance(s substrate.Snapshot) (substrate.Instance, error)
 	if free := h.FreePhysical(); !alloc.Fits(free) {
 		return nil, fmt.Errorf("%w: restoring %v, free %v", substrate.ErrInsufficientCapacity, alloc, free)
 	}
-	if s.Container.RSSMB+h.cfg.OverheadMB > alloc.MemoryMB {
+	if s.Container.RSSMB+overheadMB > alloc.MemoryMB {
 		return nil, fmt.Errorf("simcg: snapshot %q RSS %.0f MB does not fit restored memory.max %.0f MB",
 			s.Name, s.Container.RSSMB, alloc.MemoryMB)
 	}
@@ -225,7 +213,7 @@ func (c *Container) MarkWarm() {}
 // ResizeFloorMB reports the memory.max below which the host OOM killer
 // would fire: the live RSS plus the runtime overhead. The cascade and
 // SLOGuard consult this; the mechanism itself will happily undershoot it.
-func (c *Container) ResizeFloorMB() float64 { return c.rssMB + c.host.cfg.OverheadMB }
+func (c *Container) ResizeFloorMB() float64 { return c.rssMB + overheadMB }
 
 // SetAppFootprint records the application's resident set and page-cache
 // appetite. RSS is charged against memory.max — growing it past the limit
@@ -240,7 +228,7 @@ func (c *Container) SetAppFootprint(rssMB, pageCacheMB float64) {
 }
 
 func (c *Container) checkOOM() {
-	if c.rssMB+c.host.cfg.OverheadMB > c.alloc.MemoryMB {
+	if c.rssMB+overheadMB > c.alloc.MemoryMB {
 		c.oomKilled = true
 	}
 }
@@ -249,12 +237,11 @@ func (c *Container) checkOOM() {
 func (c *Container) OOMKilled() bool { return c.oomKilled }
 
 // DirtyRateMBps is the container's page-dirtying rate.
-func (c *Container) DirtyRateMBps() float64 { return c.rssMB * c.host.cfg.WriteIntensity }
+func (c *Container) DirtyRateMBps() float64 { return c.rssMB * writeIntensity }
 
 // SetAllocation writes new cpu.max/memory.max limits (element-wise clamped
 // to the nominal size). Growth must fit in free physical capacity. The
-// latency is one cgroup write — there is no balloon, no hotplug, and no
-// swap: this is the millisecond resize that makes containers the cheap
+// latency is one cgroup write — there is no hotplug and no swap: this is the millisecond resize that makes containers the cheap
 // deflation substrate. The flip side is enforced here too: a memory limit
 // below the live RSS plus overhead has nothing to swap to, so the host OOM
 // killer terminates the workload (the mechanism does NOT refuse — policy
@@ -269,13 +256,13 @@ func (c *Container) SetAllocation(target restypes.Vector) (time.Duration, error)
 	}
 	c.alloc = target
 	c.checkOOM()
-	return c.host.cfg.CgroupWriteLatency, nil
+	return cgroupWriteLatency, nil
 }
 
 // Env computes the container's effective execution environment. The
 // differences from a domain's Env are the whole point of the substrate:
 // EffectiveCores equals the fractional CPU quota exactly (no vCPU
-// quantization, no lock-holder preemption, no balloon fragmentation), no
+// quantization, no lock-holder preemption), no
 // memory is ever swapped, and locality is never degraded by blind host
 // swapping. VCPUs is reported as the scheduler-visible ceil of the quota
 // for sizing heuristics only.
@@ -284,7 +271,7 @@ func (c *Container) Env() substrate.Env {
 	if vcpus < 1 {
 		vcpus = 1
 	}
-	resident := math.Min(c.rssMB+c.host.cfg.OverheadMB, c.alloc.MemoryMB)
+	resident := math.Min(c.rssMB+overheadMB, c.alloc.MemoryMB)
 	return substrate.Env{
 		Kind:           substrate.KindContainer,
 		VCPUs:          vcpus,
@@ -294,7 +281,7 @@ func (c *Container) Env() substrate.Env {
 		ResidentMB:     resident,
 		SwappedMB:      0,
 		EverTouchedMB:  resident + c.cacheMB,
-		KernelMemMB:    c.host.cfg.OverheadMB,
+		KernelMemMB:    overheadMB,
 		LocalityFactor: 1,
 		DiskMBps:       c.alloc.DiskMBps,
 		NetMBps:        c.alloc.NetMBps,

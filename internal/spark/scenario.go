@@ -48,10 +48,17 @@ type PressureSpec struct {
 	Mechanism PressureMechanism
 	// Estimator configures the policy's r estimate (PressurePolicy only).
 	Estimator Estimator
-	// RestartSecs is the job-restart overhead charged on preemption
-	// (default 30).
-	RestartSecs float64
 }
+
+const (
+	// batchRestartSecs is the job-restart overhead a batch job pays on
+	// preemption.
+	batchRestartSecs = 30
+	// resubmitSecs is what an abruptly revoked training job pays for job
+	// resubmission and input re-provisioning, on top of its checkpoint
+	// restart.
+	resubmitSecs = 300
+)
 
 // ScenarioResult reports a pressure-scenario run.
 type ScenarioResult struct {
@@ -159,11 +166,7 @@ func ApplyPressure(e *Engine, cluster *Cluster, job *BatchJob, p PressureSpec) (
 		e.Blacklist(ChooseVictims(cluster, p.Deflation))
 	case PressurePreempt:
 		e.Blacklist(ChooseVictims(cluster, p.Deflation))
-		restart := p.RestartSecs
-		if restart == 0 {
-			restart = 30
-		}
-		e.AddDelaySecs(restart)
+		e.AddDelaySecs(batchRestartSecs)
 	default:
 		return mech, dec, fmt.Errorf("spark: unknown pressure mechanism %d", int(mech))
 	}
@@ -218,13 +221,7 @@ func RunTrainingScenario(job *TrainingJob, p *PressureSpec) (float64, PressureMe
 				return
 			}
 			if m == PressurePreempt {
-				// Abrupt revocation pays full job resubmission and input
-				// re-provisioning on top of the checkpoint restart.
-				extra := p.RestartSecs
-				if extra == 0 {
-					extra = 300
-				}
-				r.AddDelaySecs(extra)
+				r.AddDelaySecs(resubmitSecs)
 			}
 		}
 	}

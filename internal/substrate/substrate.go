@@ -4,12 +4,12 @@
 // effective execution environment, snapshot/restore it for migration, and
 // enumerate the host's inventory.
 //
-// The paper's deflation mechanisms are VM-shaped (balloon, hot-unplug,
+// The paper's deflation mechanisms are VM-shaped (guest hot-unplug,
 // hypervisor cgroup dampening), but the *policy* layer above them is
 // substrate-agnostic. Two implementations exist:
 //
 //   - internal/hypervisor — the paper's KVM model ("simkvm"): whole-vCPU
-//     hot-unplug, balloon convergence latency, lock-holder preemption when
+//     hot-unplug, swap-bound reclamation latency, lock-holder preemption when
 //     vCPUs outnumber physical cores, host swap when the memory limit
 //     undershoots the touched footprint.
 //   - internal/simcg — a cgroup/container model: near-instant cpu.max /
@@ -18,7 +18,7 @@
 //     below the live RSS OOM-kills the workload instead of swapping.
 //
 // Policy code that must stay substrate-portable keys off Instance and Env
-// only; VM-only mechanisms (guest OS hotplug, balloon) are reached through
+// only; VM-only mechanisms (guest OS hotplug) are reached through
 // optional capability interfaces (GuestBacked) and must never leak into
 // shared paths.
 package substrate
@@ -111,8 +111,8 @@ type Instance interface {
 }
 
 // GuestBacked is implemented by instances that run a guest OS kernel
-// (hypervisor domains). OS-level deflation mechanisms — vCPU hot-unplug,
-// balloon, memory hot-unplug — exist only behind this capability; container
+// (hypervisor domains). OS-level deflation mechanisms — vCPU and memory
+// hot-unplug — exist only behind this capability; container
 // instances do not implement it and the cascade skips the OS level for
 // them.
 type GuestBacked interface {

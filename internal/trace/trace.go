@@ -28,22 +28,20 @@ type Event struct {
 	HighPriority bool
 }
 
-// SizeClass is one instance type in the mix.
-type SizeClass struct {
-	Size   restypes.Vector
-	Weight float64
+// sizeClass is one instance type in the mix.
+type sizeClass struct {
+	size   restypes.Vector
+	weight float64
 }
 
-// DefaultSizeMix mirrors a small-instance-dominated private cloud: mostly
-// 1- and 2-core VMs, a tail of 4- and 8-core ones (the Eucalyptus traces'
-// documented shape).
-func DefaultSizeMix() []SizeClass {
-	return []SizeClass{
-		{Size: restypes.V(1, 2048, 25, 25), Weight: 0.40},
-		{Size: restypes.V(2, 4096, 50, 50), Weight: 0.30},
-		{Size: restypes.V(4, 8192, 100, 100), Weight: 0.20},
-		{Size: restypes.V(8, 16384, 200, 200), Weight: 0.10},
-	}
+// sizeMix mirrors a small-instance-dominated private cloud: mostly 1- and
+// 2-core VMs, a tail of 4- and 8-core ones (the Eucalyptus traces'
+// documented shape). Nothing assigns it.
+var sizeMix = []sizeClass{
+	{size: restypes.V(1, 2048, 25, 25), weight: 0.40},
+	{size: restypes.V(2, 4096, 50, 50), weight: 0.30},
+	{size: restypes.V(4, 8192, 100, 100), weight: 0.20},
+	{size: restypes.V(8, 16384, 200, 200), weight: 0.10},
 }
 
 // Config parameterizes trace generation.
@@ -52,17 +50,20 @@ type Config struct {
 	Count int
 	// MeanInterarrival is the exponential inter-arrival mean (default 30s).
 	MeanInterarrival time.Duration
-	// LifetimeMedian and LifetimeSigma parameterize the log-normal
-	// lifetime distribution (defaults: 1h median, σ=1.2 — heavy-tailed,
-	// most VMs short-lived with a long tail, as in the Eucalyptus traces).
+	// LifetimeMedian is the median of the log-normal lifetime distribution
+	// (default 1h).
 	LifetimeMedian time.Duration
-	LifetimeSigma  float64
-	// HighPriorityFraction is the share of high-priority VMs (default 0.5,
-	// the Fig. 8c setting: "50.0% VMs are low-priority").
-	HighPriorityFraction float64
-	// SizeMix defaults to DefaultSizeMix.
-	SizeMix []SizeClass
 }
+
+const (
+	// lifetimeSigma is the log-normal lifetime distribution's σ:
+	// heavy-tailed, most VMs short-lived with a long tail, as in the
+	// Eucalyptus traces.
+	lifetimeSigma float64 = 1.2
+	// highPriorityFraction is the share of high-priority VMs (the Fig. 8c
+	// setting: "50.0% VMs are low-priority").
+	highPriorityFraction float64 = 0.5
+)
 
 func (c Config) withDefaults() Config {
 	if c.MeanInterarrival == 0 {
@@ -70,15 +71,6 @@ func (c Config) withDefaults() Config {
 	}
 	if c.LifetimeMedian == 0 {
 		c.LifetimeMedian = time.Hour
-	}
-	if c.LifetimeSigma == 0 {
-		c.LifetimeSigma = 1.2
-	}
-	if c.HighPriorityFraction == 0 {
-		c.HighPriorityFraction = 0.5
-	}
-	if c.SizeMix == nil {
-		c.SizeMix = DefaultSizeMix()
 	}
 	return c
 }
@@ -90,18 +82,9 @@ func Generate(cfg Config) ([]Event, error) {
 	if cfg.Count <= 0 {
 		return nil, fmt.Errorf("trace: count must be positive, got %d", cfg.Count)
 	}
-	if cfg.HighPriorityFraction < 0 || cfg.HighPriorityFraction > 1 {
-		return nil, fmt.Errorf("trace: high-priority fraction %g out of [0,1]", cfg.HighPriorityFraction)
-	}
 	var totalW float64
-	for _, sc := range cfg.SizeMix {
-		if sc.Weight < 0 || !sc.Size.Positive() {
-			return nil, fmt.Errorf("trace: bad size class %+v", sc)
-		}
-		totalW += sc.Weight
-	}
-	if totalW == 0 {
-		return nil, fmt.Errorf("trace: size mix has zero total weight")
+	for _, sc := range sizeMix {
+		totalW += sc.weight
 	}
 
 	rng := rand.New(rand.NewSource(cfg.Seed))
@@ -109,7 +92,7 @@ func Generate(cfg Config) ([]Event, error) {
 	now := time.Duration(0)
 	for i := 0; i < cfg.Count; i++ {
 		now += time.Duration(rng.ExpFloat64() * float64(cfg.MeanInterarrival))
-		life := time.Duration(float64(cfg.LifetimeMedian) * math.Exp(cfg.LifetimeSigma*rng.NormFloat64()))
+		life := time.Duration(float64(cfg.LifetimeMedian) * math.Exp(lifetimeSigma*rng.NormFloat64()))
 		if life < time.Minute {
 			life = time.Minute
 		}
@@ -117,20 +100,20 @@ func Generate(cfg Config) ([]Event, error) {
 			ID:           fmt.Sprintf("vm-%05d", i),
 			Arrival:      now,
 			Lifetime:     life,
-			Size:         pickSize(rng, cfg.SizeMix, totalW),
-			HighPriority: rng.Float64() < cfg.HighPriorityFraction,
+			Size:         pickSize(rng, totalW),
+			HighPriority: rng.Float64() < highPriorityFraction,
 		})
 	}
 	return events, nil
 }
 
-func pickSize(rng *rand.Rand, mix []SizeClass, totalW float64) restypes.Vector {
+func pickSize(rng *rand.Rand, totalW float64) restypes.Vector {
 	x := rng.Float64() * totalW
-	for _, sc := range mix {
-		if x < sc.Weight {
-			return sc.Size
+	for _, sc := range sizeMix {
+		if x < sc.weight {
+			return sc.size
 		}
-		x -= sc.Weight
+		x -= sc.weight
 	}
-	return mix[len(mix)-1].Size
+	return sizeMix[len(sizeMix)-1].size
 }

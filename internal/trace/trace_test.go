@@ -11,15 +11,6 @@ func TestGenerateValidation(t *testing.T) {
 	if _, err := Generate(Config{Count: 0}); err == nil {
 		t.Error("zero count accepted")
 	}
-	if _, err := Generate(Config{Count: 10, HighPriorityFraction: 2}); err == nil {
-		t.Error("bad priority fraction accepted")
-	}
-	if _, err := Generate(Config{Count: 10, SizeMix: []SizeClass{{Weight: -1}}}); err == nil {
-		t.Error("bad size mix accepted")
-	}
-	if _, err := Generate(Config{Count: 10, SizeMix: []SizeClass{}}); err == nil {
-		t.Error("empty size mix accepted")
-	}
 }
 
 func TestGenerateDeterministic(t *testing.T) {
@@ -66,7 +57,7 @@ func TestArrivalsSortedAndPositive(t *testing.T) {
 }
 
 func TestPriorityFraction(t *testing.T) {
-	events, err := Generate(Config{Count: 2000, Seed: 2, HighPriorityFraction: 0.5})
+	events, err := Generate(Config{Count: 2000, Seed: 2})
 	if err != nil {
 		t.Fatal(err)
 	}

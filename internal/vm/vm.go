@@ -147,7 +147,7 @@ func (v *VM) Domain() *hypervisor.Domain {
 
 // Guest returns the guest OS kernel for guest-backed (hypervisor)
 // instances, or nil on substrates without one. The cascade's OS level and
-// anything touching balloon/hotplug must gate on this.
+// anything touching hotplug must gate on this.
 func (v *VM) Guest() *guestos.GuestOS {
 	if gb, ok := v.inst.(substrate.GuestBacked); ok {
 		return gb.Guest()

@@ -1,6 +1,7 @@
 package main
 
 import (
+	"flag"
 	"fmt"
 
 	widgets "fixture/internal/lib"
@@ -10,4 +11,9 @@ func main() {
 	w := widgets.NewWidget()
 	w.Turn()
 	fmt.Println(widgets.Used)
+
+	cfg := widgets.DialConfig{Literal: 2}
+	flag.IntVar(&cfg.Addressed, "addressed", 0, "")
+	flag.Parse()
+	fmt.Println(widgets.Dial(cfg))
 }

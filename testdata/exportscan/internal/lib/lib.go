@@ -41,3 +41,26 @@ func Recursive(n int) int {
 }
 
 func helper() int { return Used }
+
+// DialConfig is the field scan's fixture: each field is set in one way.
+type DialConfig struct {
+	TestOnly  int // set only from lib_test.go
+	Defaulted int // filled in only by withDefaults
+	Literal   int // set by a composite literal in cmd/app
+	Addressed int // set through &cfg.Addressed in cmd/app
+	Assigned  int // set by an assignment in Dial
+}
+
+func (c DialConfig) withDefaults() DialConfig {
+	if c.Defaulted == 0 {
+		c.Defaulted = 3
+	}
+	return c
+}
+
+// Dial is called by cmd/app.
+func Dial(cfg DialConfig) int {
+	cfg = cfg.withDefaults()
+	cfg.Assigned = cfg.Literal + cfg.Addressed
+	return cfg.Assigned + cfg.Defaulted + cfg.TestOnly
+}
