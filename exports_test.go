@@ -7,9 +7,11 @@ import (
 	"go/parser"
 	"go/token"
 	"io/fs"
+	"maps"
 	"os"
 	"path/filepath"
 	"reflect"
+	"slices"
 	"sort"
 	"strings"
 	"testing"
@@ -216,18 +218,7 @@ func unusedExports(root, module, declDir string, callers []string) ([]string, er
 	uses := make(map[string][]declKey) // use key → declarations it sits in
 	for dir, pkgFiles := range files {
 		for _, f := range pkgFiles {
-			imports := make(map[string]string) // local name → package dir
-			for _, spec := range f.Imports {
-				path := strings.Trim(spec.Path.Value, `"`)
-				if !strings.HasPrefix(path, module+"/") {
-					continue
-				}
-				local := path[strings.LastIndex(path, "/")+1:]
-				if spec.Name != nil {
-					local = spec.Name.Name
-				}
-				imports[local] = strings.TrimPrefix(path, module+"/")
-			}
+			imports := moduleImports(f, module)
 			for _, d := range f.Decls {
 				for _, u := range units(d) {
 					keys := usesIn(u, dir, topLevel[dir], imports)
@@ -249,6 +240,24 @@ func unusedExports(root, module, declDir string, callers []string) ([]string, er
 	}
 	sort.Strings(unused)
 	return unused, nil
+}
+
+// moduleImports maps the local name of each package f imports from module
+// to its directory relative to the module root.
+func moduleImports(f *ast.File, module string) map[string]string {
+	imports := make(map[string]string)
+	for _, spec := range f.Imports {
+		path := strings.Trim(spec.Path.Value, `"`)
+		if !strings.HasPrefix(path, module+"/") {
+			continue
+		}
+		local := path[strings.LastIndex(path, "/")+1:]
+		if spec.Name != nil {
+			local = spec.Name.Name
+		}
+		imports[local] = strings.TrimPrefix(path, module+"/")
+	}
+	return imports
 }
 
 // parseTrees parses every non-test .go file under root/dirs, skipping
@@ -541,4 +550,112 @@ func unsetFields(root, declDir string, callers []string) ([]string, error) {
 	}
 	sort.Strings(unset)
 	return unset, nil
+}
+
+// TestOneEventPath holds the manager to one event path. Only emit, and the
+// replay of a journal record, count an event: a repair that counts around
+// emit is an event that no recorder or subscriber sees. Only the folds of
+// the event stream switch on its kinds: the counts, the replayed state and
+// the simulator's books. Anything else that dispatches on a kind rebuilds a
+// transition by hand.
+func TestOneEventPath(t *testing.T) {
+	counters, switchers, err := eventPaths(".", "deflation", callerDirs)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if want := []string{"internal/cluster.Manager.emit", "internal/cluster.WALState.Apply"}; !reflect.DeepEqual(counters, want) {
+		t.Errorf("counts.add is called from %q, want only %q", counters, want)
+	}
+	if want := []string{"internal/cluster.Counts.add", "internal/cluster.WALState.Apply", "internal/cluster.books.apply"}; !reflect.DeepEqual(switchers, want) {
+		t.Errorf("a switch on an EventKind sits in %q, want only %q", switchers, want)
+	}
+}
+
+// TestEventPathScanFixture runs the event-path scan over a fixture tree
+// that counts once around emit and switches on a kind outside its fold,
+// through an import; a switch on a plain constant and a test's switch on a
+// kind do not count.
+func TestEventPathScanFixture(t *testing.T) {
+	counters, switchers, err := eventPaths(filepath.Join("testdata", "eventscan"), "fixture", []string{"cmd", "internal"})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if want := []string{"internal/cluster.Manager.emit", "internal/cluster.Manager.repair"}; !reflect.DeepEqual(counters, want) {
+		t.Errorf("counters = %q, want %q", counters, want)
+	}
+	if want := []string{"cmd/tool.describe", "internal/cluster.Counts.add"}; !reflect.DeepEqual(switchers, want) {
+		t.Errorf("switchers = %q, want %q", switchers, want)
+	}
+}
+
+// eventPaths lists, sorted as "<dir>.<func>" or "<dir>.<Type>.<Method>",
+// the non-test functions under root/callers that count an event (call
+// X.counts.add or X.Counts.add) and those that switch on an event kind (a
+// case names a constant declared with type EventKind, in its own package
+// or through an import of module's).
+func eventPaths(root, module string, callers []string) (counters, switchers []string, err error) {
+	files, err := parseTrees(root, callers)
+	if err != nil {
+		return nil, nil, err
+	}
+	kinds := make(map[string]bool) // "<dir>.<Name>" of every EventKind constant
+	for dir, pkgFiles := range files {
+		for _, f := range pkgFiles {
+			for _, d := range f.Decls {
+				for _, u := range units(d) {
+					if vs, ok := u.(*ast.ValueSpec); ok {
+						if typ, ok := vs.Type.(*ast.Ident); ok && typ.Name == "EventKind" {
+							for _, id := range vs.Names {
+								kinds[dir+"."+id.Name] = true
+							}
+						}
+					}
+				}
+			}
+		}
+	}
+
+	countSet, switchSet := make(map[string]bool), make(map[string]bool)
+	for dir, pkgFiles := range files {
+		for _, f := range pkgFiles {
+			imports := moduleImports(f, module)
+			isKind := func(e ast.Expr) bool {
+				switch e := e.(type) {
+				case *ast.Ident:
+					return kinds[dir+"."+e.Name]
+				case *ast.SelectorExpr:
+					x, ok := e.X.(*ast.Ident)
+					return ok && kinds[imports[x.Name]+"."+e.Sel.Name]
+				}
+				return false
+			}
+			for _, d := range f.Decls {
+				fd, ok := d.(*ast.FuncDecl)
+				if !ok {
+					continue
+				}
+				key := declKeys(dir, fd)[0].name
+				ast.Inspect(fd, func(n ast.Node) bool {
+					switch n := n.(type) {
+					case *ast.CallExpr:
+						if sel, ok := n.Fun.(*ast.SelectorExpr); ok && sel.Sel.Name == "add" {
+							if x, ok := sel.X.(*ast.SelectorExpr); ok && (x.Sel.Name == "counts" || x.Sel.Name == "Counts") {
+								countSet[key] = true
+							}
+						}
+					case *ast.CaseClause:
+						for _, e := range n.List {
+							if isKind(e) {
+								switchSet[key] = true
+							}
+						}
+					}
+					return true
+				})
+			}
+		}
+	}
+	counters = slices.Sorted(maps.Keys(countSet))
+	switchers = slices.Sorted(maps.Keys(switchSet))
+	return counters, switchers, nil
 }

@@ -391,7 +391,7 @@ func TestHeartbeatBodyCompatibility(t *testing.T) {
 	sink := telemetry.NewSink()
 	node := NewRemoteNodeNamed(agent.name, agent.srv.URL, RetryPolicy{})
 	node.SetTelemetry(sink)
-	if _, err := mgr.AddNode(node, agent.srv.URL); err != nil {
+	if err := mgr.AddNode(node, agent.srv.URL); err != nil {
 		t.Fatal(err)
 	}
 	api, err := NewManagerAPI(mgr)

@@ -95,12 +95,16 @@ type Manager struct {
 	healthPolicy HealthPolicy
 	health       []nodeHealth
 
-	// rec receives every state transition (nil = no recording); journal is
-	// the attached WAL when the manager is durable. recoveryOrphans holds
-	// VMs journaled on servers absent from the fleet, pending re-placement.
+	// rec receives every state transition (nil = no recording), and sub
+	// folds them in-process (the simulator's books; nil = none); see emit.
+	// launched is evLaunch's Spec. journal is the attached WAL when the
+	// manager is durable. recoveryOrphans maps VMs journaled on servers
+	// absent from the fleet to those servers, pending re-placement.
 	rec             Recorder
+	sub             func(Event)
+	launched        LaunchSpec
 	journal         *journal.Journal
-	recoveryOrphans []string
+	recoveryOrphans map[string]string
 	// nodeURLs holds the control endpoints of dynamically registered
 	// agents (AddNode), journaled so recovery and cross-shard adoption can
 	// re-dial the same fleet. Statically configured servers never appear.
@@ -529,6 +533,11 @@ func (m *Manager) launch(spec LaunchSpec, countRejection bool) (int, LaunchRepor
 			spec = placed
 			break
 		}
+		// The node may have preempted before it refused: those VMs are
+		// gone whether or not this one landed.
+		for _, name := range rep.Preempted {
+			m.preempted(name)
+		}
 		if _, cached := capability[*RemoteNode](m.servers[idx]); cached && errors.Is(err, ErrNoCapacity) {
 			// The pick came from a cached summary that a writer the manager
 			// did not see has outdated; the agent's own admission check is
@@ -553,14 +562,13 @@ func (m *Manager) launch(spec LaunchSpec, countRejection bool) (int, LaunchRepor
 		delete(m.placement, name)
 		delete(m.specs, name)
 	}
-	if countRejection && m.rec != nil {
-		// User-facing placement; internal re-placements journal as
-		// "replace" (or reconciliation repairs) at the call site instead.
-		// The record gets its own copy, so spec stays off the heap when
-		// nothing records.
-		journaled := spec
+	if countRejection {
+		// User-facing placement; internal re-placements emit "replace" (or
+		// reconciliation repairs) at the call site instead. The event's
+		// Spec is the manager's own slot, so spec stays off the heap.
+		m.launched = spec
 		m.emit(Event{Kind: evLaunch, VM: spec.Name, Node: m.servers[idx].Name(),
-			Spec: &journaled, Preempted: rep.Preempted})
+			Spec: &m.launched, Preempted: rep.Preempted})
 	}
 	return idx, rep, nil
 }
@@ -630,13 +638,17 @@ func (m *Manager) Placed(name string) bool {
 		return true // can't confirm; the failure detector will decide
 	}
 	if !has {
-		// Preempted underneath: reconcile.
-		delete(m.placement, name)
-		delete(m.specs, name)
-		m.emit(Event{Kind: evPreempt, VM: name})
+		m.preempted(name) // preempted underneath: reconcile
 		return false
 	}
 	return true
+}
+
+// preempted takes a VM its node preempted out of band off the placement.
+func (m *Manager) preempted(name string) {
+	delete(m.placement, name)
+	delete(m.specs, name)
+	m.emit(Event{Kind: evPreempt, VM: name})
 }
 
 // Stats is a cluster-wide utilization snapshot.

@@ -174,6 +174,46 @@ func TestHighPriorityFallbackPreempts(t *testing.T) {
 	}
 }
 
+// TestRefusedLaunchDropsItsPreemptions: a node may preempt for a launch and
+// then refuse the launch itself (here vm.NewOn rejects a minimum above the
+// size). The preempted VMs are gone either way, so the manager drops them
+// from its placement and emits a preempt event for each.
+func TestRefusedLaunchDropsItsPreemptions(t *testing.T) {
+	c := newServer(t, ModePreemptionOnly)
+	m, err := NewManager([]Node{c}, BestFit, 7)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, n := range []string{"a", "b", "c", "d"} {
+		if _, _, err := m.Launch(spec(n, vm.LowPriority, 0.25)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	var preempted []string
+	m.sub = func(e Event) {
+		if e.Kind == evPreempt {
+			preempted = append(preempted, e.VM)
+		}
+	}
+	hi := spec("hi", vm.HighPriority, 0)
+	hi.MinSize = hi.Size.Scale(2)
+	if _, _, err := m.Launch(hi); err == nil {
+		t.Fatal("launch with a minimum above its size succeeded")
+	}
+	if m.Preemptions() == 0 {
+		t.Fatal("the node preempted nothing; the scenario is vacuous")
+	}
+	for _, n := range []string{"a", "b", "c", "d"} {
+		_, placed := m.placement[n]
+		if has, _ := c.Has(n); placed != has {
+			t.Errorf("%s: placed %v, on the node %v", n, placed, has)
+		}
+	}
+	if len(preempted) != m.Preemptions() {
+		t.Errorf("preempt events for %q, want one per the node's %d preemptions", preempted, m.Preemptions())
+	}
+}
+
 // TestDownNodeCapacityUnknown: a crashed or isolated server reads unknown,
 // with zero vectors and overcommitment but its mode, preemption history and
 // substrate kept. Placement skips it even for a zero-size demand, which a

@@ -370,8 +370,6 @@ func (m *Manager) migrate(name string, dstIdx int) (MigrationReport, error) {
 			cp.AppKind = spec.AppKind
 		}
 	}
-	model := migration.Model{}.WithDefaults()
-
 	// Journal the intent before anything moves.
 	if m.inflight == nil {
 		m.inflight = make(map[string]MigrationIntent)
@@ -395,13 +393,13 @@ func (m *Manager) migrate(name string, dstIdx int) (MigrationReport, error) {
 		return rep, fmt.Errorf("%w: %q to %q: %v", ErrMigrationFailed, name, dst.Name(), cause)
 	}
 
-	srcRate, err := src.ReserveStream(stream, model.LinkMBps)
+	srcRate, err := src.ReserveStream(stream, migration.LinkMBps)
 	if err != nil {
 		return fail(migration.Result{}, fmt.Errorf("source link: %w", err))
 	}
 	// The destination must admit the VM itself after the copy, so the stream
 	// may not consume the NIC headroom the VM's own allocation needs.
-	dstWant := model.LinkMBps
+	dstWant := migration.LinkMBps
 	if sum, known := dst.Capacity(); !known {
 		dstWant = 0
 	} else if headroom := sum.Free.NetMBps - cp.VM.Domain.Alloc.NetMBps; headroom < dstWant {
@@ -416,7 +414,7 @@ func (m *Manager) migrate(name string, dstIdx int) (MigrationReport, error) {
 	}
 	rep.RateMBps = minf64(srcRate, dstRate)
 
-	res := model.Simulate(cp.TransferSetMB, cp.DirtyRateMBps, rep.RateMBps)
+	res := migration.Simulate(cp.TransferSetMB, cp.DirtyRateMBps, rep.RateMBps)
 	if !res.Converged {
 		m.convergenceFailures++
 		if m.tel != nil {

@@ -24,15 +24,13 @@ import (
 // replaces the client and re-journals. A node that arrives with VMs
 // already running — re-registration with an adopting manager — has its
 // inventory reconciled into the placement rather than being assumed
-// empty. Returns the failure-detector events it emitted (a rejoin and the
-// reconciliation's adopt and stale events), if any.
-func (m *Manager) AddNode(n Node, url string) ([]Event, error) {
+// empty.
+func (m *Manager) AddNode(n Node, url string) error {
 	name := n.Name()
 	if name == "" {
-		return nil, fmt.Errorf("cluster: cannot register a node without a name")
+		return fmt.Errorf("cluster: cannot register a node without a name")
 	}
 	if idx := m.serverIndex(name); idx >= 0 {
-		var events []Event
 		if m.nodeURLs[name] != url {
 			m.servers[idx] = n
 			m.reindex() // the replaced node object would strand the old watcher
@@ -44,10 +42,10 @@ func (m *Manager) AddNode(n Node, url string) ([]Event, error) {
 			// The failure detector had written it off; a registration is
 			// proof of life, and its inventory is ground truth.
 			m.health[idx] = nodeHealth{}
-			events = append(events, m.emit(Event{Kind: NodeUp, Node: name}))
-			events = m.reconcileNode(idx, events)
+			m.emit(Event{Kind: NodeUp, Node: name})
+			m.reconcileNode(idx, nil)
 		}
-		return events, nil
+		return nil
 	}
 	m.servers = append(m.servers, n)
 	m.health = append(m.health, nodeHealth{})
@@ -60,7 +58,8 @@ func (m *Manager) AddNode(n Node, url string) ([]Event, error) {
 	m.emit(Event{Kind: evNodeAdd, Node: name, URL: url})
 	// The node may arrive with VMs already running (an agent that outlived
 	// its manager, now registering with the adopter): fold its inventory in.
-	return m.reconcileNode(len(m.servers)-1, nil), nil
+	m.reconcileNode(len(m.servers)-1, nil)
+	return nil
 }
 
 // HasNode reports whether the manager currently manages the named node.
@@ -193,7 +192,7 @@ func (a *ManagerAPI) registerNode(journal string, w http.ResponseWriter, r *http
 			if !a.mgr.HasNode(resp.Name) {
 				status = http.StatusCreated
 			}
-			if _, err := a.mgr.AddNode(n, req.URL); err != nil {
+			if err := a.mgr.AddNode(n, req.URL); err != nil {
 				return err
 			}
 		}

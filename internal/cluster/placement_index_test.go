@@ -245,7 +245,7 @@ func (f *checkedFleet) run(data []byte) {
 			name := fmt.Sprintf("s%02d", f.nodes)
 			c := f.newNode(name, f.nodes%3 == 2)
 			f.nodes++
-			if _, err := f.m.AddNode(c, "http://"+name); err != nil {
+			if err := f.m.AddNode(c, "http://"+name); err != nil {
 				f.t.Fatal(err)
 			}
 			f.crash = append(f.crash, c)
@@ -254,7 +254,7 @@ func (f *checkedFleet) run(data []byte) {
 			name := f.m.servers[i].Name()
 			f.nodes++
 			f.crash[i] = f.newNode(name, next()%3 == 2)
-			if _, err := f.m.AddNode(f.crash[i], fmt.Sprintf("http://%s/%d", name, f.nodes)); err != nil {
+			if err := f.m.AddNode(f.crash[i], fmt.Sprintf("http://%s/%d", name, f.nodes)); err != nil {
 				f.t.Fatal(err)
 			}
 		}
@@ -605,7 +605,7 @@ func TestPlacementIndexSurvivesMembershipChange(t *testing.T) {
 	fill(8)
 
 	fresh := f.newNode("s04", false)
-	if _, err := f.m.AddNode(fresh, "http://s04"); err != nil {
+	if err := f.m.AddNode(fresh, "http://s04"); err != nil {
 		t.Fatal(err)
 	}
 	f.crash = append(f.crash, fresh)
@@ -618,7 +618,7 @@ func TestPlacementIndexSurvivesMembershipChange(t *testing.T) {
 
 	gone := f.crash[1]
 	f.crash[1] = f.newNode(f.m.servers[1].Name(), false)
-	if _, err := f.m.AddNode(f.crash[1], "http://s01-moved"); err != nil {
+	if err := f.m.AddNode(f.crash[1], "http://s01-moved"); err != nil {
 		t.Fatal(err)
 	}
 	indexed("re-registration", gone)

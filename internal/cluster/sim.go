@@ -58,13 +58,12 @@ type sim struct {
 	newApps [][2]func(restypes.Vector) vm.Application
 	departs func(int, time.Duration) // depart, bound once: a method value allocates at each use
 
-	// The books: admitted VMs still placed, and their nominal load per
-	// class. forget is the only code that takes a VM off them.
-	running                 map[string]trace.Event
-	nominalHigh, nominalLow restypes.Vector
-	admitted                int
-	reclaimSum              time.Duration // over LatentPlacements
-	failureEvictions        int           // low-priority VMs killed by node crashes
+	books      books
+	admitted   int
+	reclaimSum time.Duration // over LatentPlacements
+	// afterHandler, when non-nil, runs after each arrive, depart, heartbeat
+	// and promote: the tests' check that the books match the leader.
+	afterHandler func()
 
 	// Fault injection and HA (sim_faults.go), all zero without
 	// SimConfig.Faults.
@@ -105,7 +104,7 @@ func newSim(cfg SimConfig, queried queryHook) (*sim, error) {
 		servers:  make([]*LocalController, cfg.Servers),
 		nodes:    make([]Node, cfg.Servers),
 		capacity: cfg.ServerCapacity.Scale(float64(cfg.Servers)),
-		running:  make(map[string]trace.Event)}
+		books:    books{running: make(map[string]booked)}}
 	for i := range s.servers {
 		name := fmt.Sprintf("server-%03d", i)
 		sub, err := hypervisor.NewHost(hypervisor.Config{Name: name, Capacity: cfg.ServerCapacity})
@@ -140,13 +139,13 @@ func newSim(cfg SimConfig, queried queryHook) (*sim, error) {
 }
 
 // install makes m the leader, the first manager and every takeover alike:
-// it wires telemetry and migration-based reclamation (with the zero
-// policy the manager is left untouched, the exact pre-migration path) and
-// closes the replaced manager's index, which must not outlive it.
+// it wires migration-based reclamation (with the zero policy the manager is
+// left untouched, the exact pre-migration path) and moves the books onto
+// m's event stream. The replaced manager's index must not outlive it, and
+// nothing it still does — a deposed leader's stale command — reaches the
+// books. m is subscribed only after its takeover: the takeover's own
+// repairs are reconciled by promote.
 func (s *sim) install(m *Manager) {
-	if s.cfg.Telemetry != nil {
-		m.SetTelemetry(s.cfg.Telemetry)
-	}
 	if s.cfg.Reclaim != ReclaimPreempt {
 		m.SetReclaimPolicy(s.cfg.Reclaim)
 		m.SetMigrationScheduler(func(d time.Duration, f func()) {
@@ -157,25 +156,75 @@ func (s *sim) install(m *Manager) {
 		}
 	}
 	if s.mgr != nil {
+		s.mgr.sub = nil
 		s.mgr.pidx.close()
 	}
+	m.sub = s.books.apply
 	s.mgr = m
 }
 
-// forget takes a running VM off the books, and reports it and whether it
-// was running.
-func (s *sim) forget(name string) (trace.Event, bool) {
-	e, ok := s.running[name]
+// books is the sim's ledger of admitted VMs still placed, kept as a fold
+// of the leader's event stream. Each event does to the running set what
+// WALState.Apply does to Specs, in emit order, so the class sums add and
+// subtract exactly as the manager's transitions happen.
+type books struct {
+	running   map[string]booked
+	high, low restypes.Vector // nominal load per class
+	// lowEvictions counts low-priority VMs killed by node failures.
+	lowEvictions int
+}
+
+// booked is one running VM's nominal size and class.
+type booked struct {
+	size restypes.Vector
+	high bool
+}
+
+// apply folds one event into the books.
+func (b *books) apply(e Event) {
+	switch e.Kind {
+	case evLaunch, VMReplaced, VMAdopted:
+		for _, name := range e.Preempted {
+			b.drop(name)
+		}
+		if _, ok := b.running[e.VM]; !ok {
+			v := booked{size: e.Spec.Size, high: e.Spec.Priority == vm.HighPriority}
+			b.running[e.VM] = v
+			if v.high {
+				b.high = b.high.Add(v.size)
+			} else {
+				b.low = b.low.Add(v.size)
+			}
+		}
+	case evRelease, evPreempt, VMLost:
+		b.drop(e.VM)
+	case VMEvicted:
+		if v, ok := b.running[e.VM]; ok && !v.high {
+			b.lowEvictions++
+		}
+	}
+}
+
+// drop takes a VM off the books, and reports it and whether it was there.
+func (b *books) drop(name string) (booked, bool) {
+	v, ok := b.running[name]
 	if !ok {
-		return e, false
+		return v, false
 	}
-	delete(s.running, name)
-	if e.HighPriority {
-		s.nominalHigh = s.nominalHigh.Sub(e.Size)
+	delete(b.running, name)
+	if v.high {
+		b.high = b.high.Sub(v.size)
 	} else {
-		s.nominalLow = s.nominalLow.Sub(e.Size)
+		b.low = b.low.Sub(v.size)
 	}
-	return e, true
+	return v, true
+}
+
+// handled runs the afterHandler seam, if set.
+func (s *sim) handled() {
+	if s.afterHandler != nil {
+		s.afterHandler()
+	}
 }
 
 // fail records err as the run's failure unless one is already recorded.
@@ -206,6 +255,7 @@ func (s *sim) meterSample() {
 
 // arrive offers trace VM i to the leader.
 func (s *sim) arrive(i int, now time.Duration) {
+	defer s.handled()
 	e := s.events[i]
 	s.meterSample()
 	if s.headless {
@@ -217,9 +267,9 @@ func (s *sim) arrive(i int, now time.Duration) {
 	// Admission control maintains the paper's population mix ("50.0% VMs
 	// are low-priority"): each class may hold half the target
 	// overcommitment in nominal resources.
-	classNominal := s.nominalLow
+	classNominal := s.books.low
 	if e.HighPriority {
-		classNominal = s.nominalHigh
+		classNominal = s.books.high
 	}
 	if overcommitOf(classNominal, s.capacity) >= s.cfg.TargetOvercommit/2 {
 		return // drop: class already at target pressure
@@ -234,10 +284,9 @@ func (s *sim) arrive(i int, now time.Duration) {
 	}
 	spec := LaunchSpec{Name: e.ID, Size: e.Size, MinSize: minSize, Priority: prio, Warm: true,
 		AppKind: appKind, NewApp: s.newApps[s.admitted%len(s.newApps)][elastic]}
+	// The launch's events put the VM on the books and take off any it
+	// preempted.
 	_, rep, err := s.mgr.Launch(spec)
-	for _, name := range rep.Preempted {
-		s.forget(name)
-	}
 	if err != nil {
 		s.res.Rejections++
 		return
@@ -247,31 +296,27 @@ func (s *sim) arrive(i int, now time.Duration) {
 		s.reclaimSum += rep.ReclaimLatency
 		s.res.MaxReclaimLatency = max(s.res.MaxReclaimLatency, rep.ReclaimLatency)
 	}
-	s.running[e.ID] = e
-	if e.HighPriority {
-		s.nominalHigh = s.nominalHigh.Add(e.Size)
-	} else {
+	if !e.HighPriority {
 		s.res.LowPriorityStarted++
-		s.nominalLow = s.nominalLow.Add(e.Size)
 	}
 	s.clock.AtIndex(now+e.Lifetime, s.departs, i)
 	s.admitted++
-	s.sampler.admission(s.admitted, s.nominalHigh.Add(s.nominalLow), s.mgr)
+	s.sampler.admission(s.admitted, s.books.high.Add(s.books.low), s.mgr)
 }
 
 // depart ends trace VM i's lifetime. With no reachable leader it waits for
 // the next term, or for the partition to heal (see resume).
 func (s *sim) depart(i int, _ time.Duration) {
+	defer s.handled()
 	if s.headless {
 		s.deferred = append(s.deferred, i)
 		return
 	}
 	s.meterSample()
 	name := s.events[i].ID
-	if _, ok := s.running[name]; !ok || !s.mgr.Placed(name) {
+	if _, ok := s.books.running[name]; !ok || !s.mgr.Placed(name) {
 		return // preempted earlier
 	}
-	s.forget(name)
 	// A VM departing from a crashed-but-undetected node cannot be
 	// released over the control plane; the crash already destroyed it.
 	if err := s.mgr.Release(name); err != nil && !errors.Is(err, ErrNodeDown) {
@@ -301,7 +346,7 @@ func (s *sim) run() (SimResult, error) {
 	res := &s.res
 	res.Preemptions = s.mgr.Preemptions()
 	if res.LowPriorityStarted > 0 {
-		res.PreemptionProbability = float64(res.Preemptions+s.failureEvictions) / float64(res.LowPriorityStarted)
+		res.PreemptionProbability = float64(res.Preemptions+s.books.lowEvictions) / float64(res.LowPriorityStarted)
 	}
 	res.FailurePreemptions = s.mgr.FailurePreemptions()
 	ms := s.mgr.MigrationStats()

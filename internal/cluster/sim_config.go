@@ -6,7 +6,6 @@ import (
 	"deflation/internal/faults"
 	"deflation/internal/pricing"
 	"deflation/internal/restypes"
-	"deflation/internal/telemetry"
 	"deflation/internal/trace"
 )
 
@@ -55,12 +54,6 @@ type SimConfig struct {
 	// path, so migration-disabled runs reproduce baseline figures bit for
 	// bit.
 	Reclaim ReclaimPolicy
-	// Telemetry, when non-nil, instruments the simulated cluster: cascade
-	// decisions are traced and counted per server, and the manager's
-	// failure-detector and placement counters accrue into the sink's
-	// registry. Nil (the default) leaves the simulation on the exact
-	// uninstrumented hot path.
-	Telemetry *telemetry.Sink
 	// SampleEvery thins the post-warmup cluster sampling: state (overcommit,
 	// per-server quantiles, throughput) is sampled on every SampleEvery-th
 	// admission instead of every one. Each sample re-evaluates the servers

@@ -138,34 +138,19 @@ func (s *sim) schedule(draw func() (gap time.Duration, more bool), fire func(tim
 	}
 }
 
-// heartbeat is a round of the failure detector; its events feed the
-// books. The round doubles as the leader's own liveness check: a journal
-// poisoned by an injected disk error fail-stops the leader here, bounding
-// poison-detection latency at one heartbeat interval.
+// heartbeat is a round of the failure detector. The round doubles as the
+// leader's own liveness check: a journal poisoned by an injected disk error
+// fail-stops the leader here, bounding poison-detection latency at one
+// heartbeat interval.
 func (s *sim) heartbeat(now time.Duration) bool {
+	defer s.handled()
 	switch {
 	case s.headless: // no leader to probe
 	case s.ha && s.mgr.WALError() != nil:
 		s.res.JournalPoisonings++
 		s.leaderDown()
 	default:
-		for _, ev := range s.mgr.ProbeHealth() {
-			switch ev.Kind {
-			case VMEvicted:
-				if e, ok := s.running[ev.VM]; ok && !e.HighPriority {
-					s.failureEvictions++
-				}
-			case VMReplaced:
-				// The VM restarted elsewhere and keeps running; any
-				// capacity preemptions its re-placement caused leave the
-				// books like any others.
-				for _, name := range ev.Preempted {
-					s.forget(name)
-				}
-			case VMLost:
-				s.forget(ev.VM)
-			}
-		}
+		s.mgr.ProbeHealth()
 	}
 	return now < s.horizon
 }
@@ -299,6 +284,7 @@ func (s *sim) takeOver(what, dir string, replica *WALState) *Manager {
 // promote builds the next term's manager from the standby's frozen replica,
 // in a journal directory of its own, and makes it the leader.
 func (s *sim) promote(st *WALState) {
+	defer s.handled()
 	s.termSeq++
 	m := s.takeOver("standby promotion", filepath.Join(s.jdir, fmt.Sprintf("standby-term-%03d", s.termSeq)), st)
 	if m == nil {
@@ -320,7 +306,7 @@ func (s *sim) promote(st *WALState) {
 	// term too, so it stays on the books. A VM alive on a node this term
 	// trusts is a genuine takeover eviction — the failure mode fencing and
 	// adoption exist to prevent, counted separately (target: zero).
-	for _, name := range slices.Sorted(maps.Keys(s.running)) {
+	for _, name := range slices.Sorted(maps.Keys(s.books.running)) {
 		if m.Placed(name) {
 			continue
 		}
@@ -337,8 +323,8 @@ func (s *sim) promote(st *WALState) {
 			}
 			s.res.FailoverEvictions++
 		}
-		if e, _ := s.forget(name); !e.HighPriority {
-			s.failureEvictions++
+		if v, _ := s.books.drop(name); !v.high {
+			s.books.lowEvictions++
 		}
 	}
 	s.install(m)

@@ -4,6 +4,7 @@ import (
 	"flag"
 	"fmt"
 	"os"
+	"sort"
 	"strings"
 	"testing"
 	"time"
@@ -54,12 +55,13 @@ func goldenCells() []goldenCell {
 // floats at full precision, against a capture taken before the ordered
 // tables and the incremental sampler existed: "bit-identical output" is this
 // test, not a sentence. Regenerate with -update only when a PR means to
-// change simulation results.
+// change simulation results. Every cell also checks the books against the
+// leader after every handler (runCheckingBooks).
 func TestSimResultGolden(t *testing.T) {
 	const path = "testdata/simresult.golden"
 	var b strings.Builder
 	for _, c := range goldenCells() {
-		res, err := RunSim(c.cfg)
+		res, err := runCheckingBooks(t, c.name, c.cfg)
 		if err != nil {
 			t.Fatalf("%s: %v", c.name, err)
 		}
@@ -89,4 +91,59 @@ func TestSimResultGolden(t *testing.T) {
 			t.Errorf("cell diverged from golden:\n got: %s\nwant: %s", line, w)
 		}
 	}
+}
+
+// TestSimBooksFollowFastRecovery runs the chaos cell with nodes that recover
+// before the failure detector's misses add up: a crashed node's VMs vanish
+// without an eviction, and the manager learns of each only when its
+// departure finds it gone. The books must drop it then too.
+func TestSimBooksFollowFastRecovery(t *testing.T) {
+	cfg := chaosSim()
+	cfg.Faults.RecoveryTime = 5 * time.Second
+	if _, err := runCheckingBooks(t, "fast-recovery", cfg); err != nil {
+		t.Fatal(err)
+	}
+}
+
+// runCheckingBooks runs cfg and, after every handler, compares the VMs on
+// the sim's books with the leader's placements. Each boundary where they
+// differ fails t; the first is reported in full.
+func runCheckingBooks(t *testing.T, name string, cfg SimConfig) (SimResult, error) {
+	t.Helper()
+	s, err := newSim(cfg, nil)
+	if err != nil {
+		return SimResult{}, err
+	}
+	checked, mismatched := 0, 0
+	s.afterHandler = func() {
+		checked++
+		var booksOnly, leaderOnly []string
+		for vm := range s.books.running {
+			if _, ok := s.mgr.placement[vm]; !ok {
+				booksOnly = append(booksOnly, vm)
+			}
+		}
+		for vm := range s.mgr.placement {
+			if _, ok := s.books.running[vm]; !ok {
+				leaderOnly = append(leaderOnly, vm)
+			}
+		}
+		if len(booksOnly)+len(leaderOnly) == 0 {
+			return
+		}
+		if mismatched++; mismatched == 1 {
+			sort.Strings(booksOnly)
+			sort.Strings(leaderOnly)
+			t.Errorf("%s: at %v the books hold %q that the leader does not place, and miss %q that it does",
+				name, s.clock.Now(), booksOnly, leaderOnly)
+		}
+	}
+	res, err := s.run()
+	if mismatched > 0 {
+		t.Errorf("%s: books differ from the leader at %d of %d handler boundaries", name, mismatched, checked)
+	}
+	if checked == 0 {
+		t.Errorf("%s: no handler ran", name)
+	}
+	return res, err
 }

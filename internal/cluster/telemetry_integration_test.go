@@ -26,12 +26,11 @@ func counterValue(s *telemetry.Sink, name string, labels telemetry.Labels) float
 // failure counters.
 func TestChaosSimTelemetry(t *testing.T) {
 	sink := telemetry.NewSink()
-	cfg := chaosSim()
-	cfg.Telemetry = sink
-	s, err := newSim(cfg, nil)
+	s, err := newSim(chaosSim(), nil)
 	if err != nil {
 		t.Fatal(err)
 	}
+	s.mgr.SetTelemetry(sink)
 	emitted := kindTally{}
 	s.mgr.rec = emitted
 	res, err := s.run()

@@ -4,6 +4,8 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
+	"maps"
+	"slices"
 	"sort"
 	"time"
 
@@ -17,8 +19,7 @@ import (
 // append-only journal (internal/journal), periodically compacted into a
 // snapshot, and rebuilt by TakeOver — replay first, then fencing, then an
 // anti-entropy reconciliation pass against each live node's VM inventory. The
-// Recorder is nil by default (no-op, mirroring SimConfig.Telemetry): a
-// manager without a state dir pays nothing.
+// Recorder is nil by default: a manager without a state dir pays nothing.
 
 // EventKind names one manager state transition: the journal's record type
 // and the manager's one event vocabulary. The set is append-only so old
@@ -87,17 +88,23 @@ type Event struct {
 }
 
 // Recorder receives every manager state transition. Implementations must
-// not call back into the manager. A nil recorder on the manager disables
-// recording entirely.
+// not call back into the manager, nor retain the event's Spec (see emit). A
+// nil recorder on the manager disables recording entirely.
 type Recorder interface {
 	Record(Event)
 }
 
-// emit is the manager's one event path: it records e, counts it, bumps its
-// kind's telemetry counter, and returns it.
+// emit is the manager's one event path: it records e, shows it to the
+// subscriber, counts it, bumps its kind's telemetry counter, and returns
+// it. Neither the recorder nor the subscriber may retain e.Spec: an
+// evLaunch's points at the manager's launched slot, which the next launch
+// overwrites.
 func (m *Manager) emit(e Event) Event {
 	if m.rec != nil {
 		m.rec.Record(e)
+	}
+	if m.sub != nil {
+		m.sub(e)
 	}
 	m.counts.add(e.Kind)
 	if m.tel != nil {
@@ -618,17 +625,15 @@ func (m *Manager) installWALState(st *WALState) {
 			m.nodeURLs[name] = url
 		}
 	}
-	var orphans []string
+	m.recoveryOrphans = make(map[string]string)
 	for name, node := range st.Placements {
 		if i, ok := byName[node]; ok {
 			m.placement[name] = i
 		} else {
-			orphans = append(orphans, name)
+			m.recoveryOrphans[name] = node
 		}
 		m.specs[name] = st.Specs[name]
 	}
-	sort.Strings(orphans)
-	m.recoveryOrphans = orphans
 	if len(st.Migrating) > 0 {
 		m.recoveryMigrations = make(map[string]MigrationIntent, len(st.Migrating))
 		for name, intent := range st.Migrating {
@@ -648,10 +653,10 @@ func (m *Manager) reconcileAll(rep *RecoveryReport) {
 	m.resolveRecoveryMigrations(rep)
 
 	// VMs journaled on servers no longer in the fleet: re-place them.
-	for _, name := range m.recoveryOrphans {
+	for _, name := range slices.Sorted(maps.Keys(m.recoveryOrphans)) {
 		spec := m.specs[name]
 		delete(m.specs, name)
-		m.repairReplace(spec, rep)
+		m.repairReplace(spec, m.recoveryOrphans[name], rep)
 	}
 	m.recoveryOrphans = nil
 
@@ -684,7 +689,7 @@ func (m *Manager) reconcileAll(rep *RecoveryReport) {
 			delete(m.placement, name)
 			spec := m.specs[name]
 			delete(m.specs, name)
-			m.repairReplace(spec, rep)
+			m.repairReplace(spec, s.Name(), rep)
 		}
 
 		// Node → journal: adopt unknown VMs, re-assert diverged specs,
@@ -699,9 +704,10 @@ func (m *Manager) reconcileAll(rep *RecoveryReport) {
 			cur, ok := m.placement[name]
 			switch {
 			case !ok:
+				spec := specFromVMState(vs)
 				m.placement[name] = i
-				m.specs[name] = specFromVMState(vs)
-				m.counts.add(VMAdopted)
+				m.specs[name] = spec
+				m.emit(Event{Kind: VMAdopted, VM: name, Node: s.Name(), Spec: &spec})
 				rep.Adopted++
 			case cur == i:
 				if spec := m.specs[name]; spec.Size != vs.Size || spec.MinSize != vs.MinSize {
@@ -715,7 +721,7 @@ func (m *Manager) reconcileAll(rep *RecoveryReport) {
 				// Journaled elsewhere: this copy is stale (the VM was
 				// re-placed while the journal entry for this node was lost).
 				if err := s.Release(name); err == nil {
-					m.counts.add(VMStaleReleased)
+					m.emit(Event{Kind: VMStaleReleased, VM: name, Node: s.Name()})
 					rep.StaleReleased++
 				}
 			}
@@ -744,10 +750,12 @@ func (m *Manager) resolveRecoveryMigrations(rep *RecoveryReport) {
 	sort.Strings(names)
 	for _, name := range names {
 		intent := m.recoveryMigrations[name]
+		moved := Event{VM: name, Node: intent.To, From: intent.From}
 		dstIdx := m.serverIndex(intent.To)
 		if dstIdx < 0 || m.health[dstIdx].dead {
 			rep.MigrationsRolledBack++
-			m.counts.add(evMigrateFail)
+			moved.Kind = evMigrateFail
+			m.emit(moved)
 			continue
 		}
 		has, err := m.servers[dstIdx].Has(name)
@@ -755,38 +763,41 @@ func (m *Manager) resolveRecoveryMigrations(rep *RecoveryReport) {
 			// Rolled back (or undecidable): the journaled source placement
 			// stands.
 			rep.MigrationsRolledBack++
-			m.counts.add(evMigrateFail)
+			moved.Kind = evMigrateFail
+			m.emit(moved)
 			continue
 		}
 		// Completed before the crash: adopt the move.
 		if srcIdx := m.serverIndex(intent.From); srcIdx >= 0 && !m.health[srcIdx].dead {
 			if stale, err := m.servers[srcIdx].Has(name); err == nil && stale {
 				if err := m.servers[srcIdx].Release(name); err == nil {
-					m.counts.add(VMStaleReleased)
+					m.emit(Event{Kind: VMStaleReleased, VM: name, Node: intent.From})
 					rep.StaleReleased++
 				}
 			}
 		}
 		m.placement[name] = dstIdx
-		m.counts.add(evMigrateDone)
+		moved.Kind = evMigrateDone
+		m.emit(moved)
 		rep.MigrationsResolved++
 	}
 	// Like the other reconciliation repairs, the resolution is settled by
-	// the fresh snapshot TakeOver writes, not by journal events.
+	// the fresh snapshot TakeOver writes: its events reach no journal.
 	m.recoveryMigrations = nil
 }
 
-// repairReplace re-places one VM the journal knows but no node runs, via
-// the same path evacuation uses. Counted as a failure-induced preemption:
-// the VM did die, just while the manager was down.
-func (m *Manager) repairReplace(spec LaunchSpec, rep *RecoveryReport) {
-	m.counts.add(VMEvicted)
-	if _, _, err := m.launch(spec, false); err != nil {
-		m.counts.add(VMLost)
+// repairReplace re-places one VM the journal placed on node but no node
+// runs, via the same path evacuation uses. Counted as a failure-induced
+// preemption: the VM did die, just while the manager was down.
+func (m *Manager) repairReplace(spec LaunchSpec, node string, rep *RecoveryReport) {
+	m.emit(Event{Kind: VMEvicted, VM: spec.Name, Node: node})
+	to, lrep, err := m.launch(spec, false)
+	if err != nil {
+		m.emit(Event{Kind: VMLost, VM: spec.Name, Err: err})
 		rep.Lost++
 		return
 	}
-	m.counts.add(VMReplaced)
+	m.emit(Event{Kind: VMReplaced, VM: spec.Name, Node: m.servers[to].Name(), Spec: &spec, Preempted: lrep.Preempted})
 	rep.Replaced++
 }
 

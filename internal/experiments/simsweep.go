@@ -34,12 +34,11 @@ func overcommits(o Options, full ...float64) []float64 {
 }
 
 // simCell builds a memoizable sweep cell around one cluster simulation.
-// Configs carrying live attachments (a revenue meter, a telemetry sink)
-// have side effects beyond the returned result, so those cells are never
-// memoized.
+// A config carrying a revenue meter has side effects beyond the returned
+// result, so such cells are never memoized.
 func simCell(cfg cluster.SimConfig) sweep.Cell[cluster.SimResult] {
 	key := ""
-	if cfg.Meter == nil && cfg.Telemetry == nil {
+	if cfg.Meter == nil {
 		// The key spans the full SimConfig: any two sims with equal JSON
 		// forms are the same deterministic computation, whichever figure
 		// asks for them — so the namespace is the cell type, not the figure.

@@ -8,12 +8,10 @@
 // guest dirties pages at its dirty-page rate, and round i+1 must re-transfer
 // exactly those pages. The iteration stops — suspending the guest for the
 // final stop-and-copy — once the remaining dirty set can be moved within the
-// configured downtime target. When the dirty rate approaches the link rate
+// downtime target. When the dirty rate approaches the link rate
 // the remaining set never shrinks and the migration cannot converge; the
 // model detects this upfront and reports the bandwidth wasted before the
-// source aborts. An optional post-copy mode resumes the guest on the
-// destination immediately (tiny downtime) but pays for it with remote-fault
-// slowdown while pages stream in.
+// source aborts.
 package migration
 
 import (
@@ -21,69 +19,35 @@ import (
 	"time"
 )
 
-// Model parameterizes the migration simulator. The zero value is usable:
-// WithDefaults fills in a 10 GbE link and libvirt-flavored defaults.
-type Model struct {
-	// LinkMBps is the migration link rate in MB/s (default 1250, i.e. a
-	// dedicated 10 GbE path). Per-migration callers may pass a lower
-	// effective rate to Simulate when the NIC is contended.
-	LinkMBps float64 `json:"link_mbps,omitempty"`
-	// DowntimeTarget is the stop-and-copy budget: pre-copy iterates until
-	// the remaining dirty set transfers within this window (default 300ms).
-	DowntimeTarget time.Duration `json:"downtime_target,omitempty"`
-	// SuspendResume is the fixed cost of pausing the guest on the source
-	// and resuming it on the destination (default 50ms). It is paid once,
-	// as part of the downtime.
-	SuspendResume time.Duration `json:"suspend_resume,omitempty"`
-	// MaxRounds caps pre-copy iterations; when reached, the model forces
+// The model's parameters: a dedicated 10 GbE link and libvirt-flavored
+// pre-copy settings.
+const (
+	// LinkMBps is the migration link rate in MB/s, a dedicated 10 GbE path.
+	// Per-migration callers may pass a lower effective rate to Simulate when
+	// the NIC is contended.
+	LinkMBps float64 = 1250
+	// downtimeTarget is the stop-and-copy budget: pre-copy iterates until
+	// the remaining dirty set transfers within this window.
+	downtimeTarget = 300 * time.Millisecond
+	// suspendResume is the fixed cost of pausing the guest on the source
+	// and resuming it on the destination. It is paid once, as part of the
+	// downtime.
+	suspendResume = 50 * time.Millisecond
+	// maxRounds caps pre-copy iterations; when reached, the model forces
 	// stop-and-copy regardless of the downtime target, mirroring
-	// auto-converge behaviour (default 30).
-	MaxRounds int `json:"max_rounds,omitempty"`
-	// ConvergenceRatio is the dirty-rate/link-rate ratio above which
-	// pre-copy is declared non-convergent (default 0.9): each round then
-	// shrinks the remaining set so slowly that the iteration is futile.
-	ConvergenceRatio float64 `json:"convergence_ratio,omitempty"`
-	// AbortRounds is how many futile rounds a non-convergent migration
-	// wastes bandwidth on before the source gives up (default 3).
-	AbortRounds int `json:"abort_rounds,omitempty"`
-	// PostCopy switches to post-copy mode: the guest resumes on the
-	// destination after one suspend/resume and faults pages in remotely.
-	PostCopy bool `json:"post_copy,omitempty"`
-	// RemoteFaultPenalty is the throughput factor (0,1] applied to the
-	// migrating VM while post-copy pages stream in (default 0.6).
-	RemoteFaultPenalty float64 `json:"remote_fault_penalty,omitempty"`
-}
-
-// WithDefaults returns the model with zero fields replaced by defaults.
-func (m Model) WithDefaults() Model {
-	if m.LinkMBps <= 0 {
-		m.LinkMBps = 1250
-	}
-	if m.DowntimeTarget <= 0 {
-		m.DowntimeTarget = 300 * time.Millisecond
-	}
-	if m.SuspendResume <= 0 {
-		m.SuspendResume = 50 * time.Millisecond
-	}
-	if m.MaxRounds <= 0 {
-		m.MaxRounds = 30
-	}
-	if m.ConvergenceRatio <= 0 {
-		m.ConvergenceRatio = 0.9
-	}
-	if m.AbortRounds <= 0 {
-		m.AbortRounds = 3
-	}
-	if m.RemoteFaultPenalty <= 0 || m.RemoteFaultPenalty > 1 {
-		m.RemoteFaultPenalty = 0.6
-	}
-	return m
-}
+	// auto-converge behaviour.
+	maxRounds = 30
+	// convergenceRatio is the dirty-rate/link-rate ratio above which
+	// pre-copy is declared non-convergent: each round then shrinks the
+	// remaining set so slowly that the iteration is futile.
+	convergenceRatio = 0.9
+	// abortRounds is how many futile rounds a non-convergent migration
+	// wastes bandwidth on before the source gives up.
+	abortRounds = 3
+)
 
 // Result reports one simulated migration.
 type Result struct {
-	// PostCopy records which mode produced the result.
-	PostCopy bool `json:"post_copy,omitempty"`
 	// Rounds is the number of copy rounds performed (including the
 	// stop-and-copy round, and including futile rounds on abort).
 	Rounds int `json:"rounds"`
@@ -98,20 +62,18 @@ type Result struct {
 	// and TransferredMB/Duration report the wasted work.
 	Converged bool `json:"converged"`
 	// SlowdownFactor is the throughput multiplier the migrating VM runs at
-	// after switchover until Duration elapses (1.0 for pre-copy; the
-	// remote-fault penalty for post-copy).
+	// after switchover: always 1, since pre-copy resumes the guest with
+	// every page local.
 	SlowdownFactor float64 `json:"slowdown_factor"`
 }
 
 // Simulate runs the model for a VM with residentMB of migratable state being
 // dirtied at dirtyRateMBps, over an effective link of linkMBps (values <= 0
-// or above the model's LinkMBps are clamped to the model's LinkMBps — the
-// model rate is the dedicated-path ceiling).
-func (m Model) Simulate(residentMB, dirtyRateMBps, linkMBps float64) Result {
-	m = m.WithDefaults()
+// or above LinkMBps are clamped to LinkMBps — the dedicated-path ceiling).
+func Simulate(residentMB, dirtyRateMBps, linkMBps float64) Result {
 	link := linkMBps
-	if link <= 0 || link > m.LinkMBps {
-		link = m.LinkMBps
+	if link <= 0 || link > LinkMBps {
+		link = LinkMBps
 	}
 	if residentMB < 0 {
 		residentMB = 0
@@ -120,28 +82,16 @@ func (m Model) Simulate(residentMB, dirtyRateMBps, linkMBps float64) Result {
 		dirtyRateMBps = 0
 	}
 
-	if m.PostCopy {
-		return Result{
-			PostCopy:       true,
-			Rounds:         1,
-			TransferredMB:  residentMB,
-			Duration:       m.SuspendResume + mbDuration(residentMB, link),
-			Downtime:       m.SuspendResume,
-			Converged:      true,
-			SlowdownFactor: m.RemoteFaultPenalty,
-		}
-	}
-
 	// targetMB is the largest dirty set that still fits the downtime budget.
-	targetMB := link * m.DowntimeTarget.Seconds()
+	targetMB := link * downtimeTarget.Seconds()
 
-	if dirtyRateMBps >= m.ConvergenceRatio*link && residentMB > targetMB {
+	if dirtyRateMBps >= convergenceRatio*link && residentMB > targetMB {
 		// Non-convergent: each round re-dirties nearly everything it
 		// copies. Model the futile rounds the source wastes before
 		// aborting; the guest never pauses and stays on the source.
 		res := Result{Converged: false, SlowdownFactor: 1}
 		remaining := residentMB
-		for i := 0; i < m.AbortRounds; i++ {
+		for i := 0; i < abortRounds; i++ {
 			t := remaining / link
 			res.TransferredMB += remaining
 			res.Duration += mbDuration(remaining, link)
@@ -157,11 +107,11 @@ func (m Model) Simulate(residentMB, dirtyRateMBps, linkMBps float64) Result {
 	res := Result{Converged: true, SlowdownFactor: 1}
 	remaining := residentMB
 	for round := 1; ; round++ {
-		if remaining <= targetMB || round >= m.MaxRounds {
+		if remaining <= targetMB || round >= maxRounds {
 			// Stop-and-copy: suspend, drain the final dirty set, resume.
 			res.Rounds = round
 			res.TransferredMB += remaining
-			res.Downtime = m.SuspendResume + mbDuration(remaining, link)
+			res.Downtime = suspendResume + mbDuration(remaining, link)
 			res.Duration += res.Downtime
 			return res
 		}

@@ -6,8 +6,7 @@ import (
 )
 
 func TestPreCopyConvergesQuicklyForIdleGuest(t *testing.T) {
-	m := Model{} // defaults: 1250 MB/s link, 300ms target
-	res := m.Simulate(8192, 0, 0)
+	res := Simulate(8192, 0, 0) // 1250 MB/s link, 300ms target
 	if !res.Converged {
 		t.Fatal("idle guest did not converge")
 	}
@@ -24,10 +23,9 @@ func TestPreCopyConvergesQuicklyForIdleGuest(t *testing.T) {
 }
 
 func TestPreCopyIteratesAndMeetsDowntimeTarget(t *testing.T) {
-	m := Model{}.WithDefaults()
 	// 16 GB resident, dirtying 250 MB/s over a 1250 MB/s link: ratio 0.2,
 	// each round shrinks the set 5x, so a handful of rounds converge.
-	res := m.Simulate(16384, 250, 0)
+	res := Simulate(16384, 250, 0)
 	if !res.Converged {
 		t.Fatal("moderate writer did not converge")
 	}
@@ -47,8 +45,7 @@ func TestPreCopyIteratesAndMeetsDowntimeTarget(t *testing.T) {
 }
 
 func TestDirtyRateAboveLinkDoesNotConverge(t *testing.T) {
-	m := Model{}.WithDefaults()
-	res := m.Simulate(16384, 1300, 0) // dirties faster than the link drains
+	res := Simulate(16384, 1300, 0) // dirties faster than the link drains
 	if res.Converged {
 		t.Fatal("writer outpacing the link converged")
 	}
@@ -58,8 +55,8 @@ func TestDirtyRateAboveLinkDoesNotConverge(t *testing.T) {
 	if res.TransferredMB <= 0 || res.Duration <= 0 {
 		t.Error("abort reported no wasted work")
 	}
-	if res.Rounds != m.AbortRounds {
-		t.Errorf("wasted %d rounds, want %d", res.Rounds, m.AbortRounds)
+	if res.Rounds != abortRounds {
+		t.Errorf("wasted %d rounds, want %d", res.Rounds, abortRounds)
 	}
 }
 
@@ -67,9 +64,8 @@ func TestDeflatedVMMigratesCheaper(t *testing.T) {
 	// The deflate-then-migrate premise: shrinking the resident set (and,
 	// with it, the dirty rate) must strictly reduce bytes moved, total
 	// duration, and downtime.
-	m := Model{}.WithDefaults()
-	full := m.Simulate(16384, 600, 0)
-	deflated := m.Simulate(4096, 150, 0)
+	full := Simulate(16384, 600, 0)
+	deflated := Simulate(4096, 150, 0)
 	if !full.Converged || !deflated.Converged {
 		t.Fatal("both variants should converge")
 	}
@@ -85,51 +81,27 @@ func TestDeflatedVMMigratesCheaper(t *testing.T) {
 }
 
 func TestContendedLinkSlowsMigration(t *testing.T) {
-	m := Model{}.WithDefaults()
-	fast := m.Simulate(8192, 200, 1250)
-	slow := m.Simulate(8192, 200, 400) // NIC contended: 400 MB/s effective
+	fast := Simulate(8192, 200, 1250)
+	slow := Simulate(8192, 200, 400) // NIC contended: 400 MB/s effective
 	if slow.Duration <= fast.Duration {
 		t.Errorf("contended link duration %v not above dedicated %v", slow.Duration, fast.Duration)
 	}
 	// A heavy writer that converges on the full link fails on the slice.
-	if res := m.Simulate(8192, 700, 400); res.Converged {
+	if res := Simulate(8192, 700, 400); res.Converged {
 		t.Error("700 MB/s writer converged over a 400 MB/s slice")
 	}
 }
 
-func TestPostCopyTradesDowntimeForSlowdown(t *testing.T) {
-	pre := Model{}.WithDefaults()
-	post := Model{PostCopy: true}.WithDefaults()
-	a := pre.Simulate(16384, 600, 0)
-	b := post.Simulate(16384, 600, 0)
-	if !b.Converged || !b.PostCopy {
-		t.Fatal("post-copy must always converge")
-	}
-	if b.Downtime >= a.Downtime {
-		t.Errorf("post-copy downtime %v not below pre-copy %v", b.Downtime, a.Downtime)
-	}
-	if b.TransferredMB != 16384 {
-		t.Errorf("post-copy moved %.0f MB, want exactly the resident set", b.TransferredMB)
-	}
-	if b.SlowdownFactor >= 1 || b.SlowdownFactor <= 0 {
-		t.Errorf("post-copy slowdown %v not in (0,1)", b.SlowdownFactor)
-	}
-	if a.SlowdownFactor != 1 {
-		t.Errorf("pre-copy slowdown %v, want 1", a.SlowdownFactor)
-	}
-}
-
 func TestMaxRoundsForcesStopAndCopy(t *testing.T) {
-	// Just under the convergence ratio: rounds shrink the set very slowly,
-	// so MaxRounds trips and forces a (long) stop-and-copy instead of
-	// iterating forever.
-	m := Model{MaxRounds: 5}.WithDefaults()
-	res := m.Simulate(16384, 1100, 0) // ratio 0.88 < 0.9
+	// Just under the convergence ratio: each round shrinks the set only to
+	// 0.88 of itself, so 64 GB is still over a GB after 29 rounds and the
+	// round cap forces a (long) stop-and-copy instead of iterating on.
+	res := Simulate(65536, 1100, 0) // ratio 0.88 < 0.9
 	if !res.Converged {
-		t.Fatal("sub-ratio writer should force-converge at MaxRounds")
+		t.Fatal("sub-ratio writer should force-converge at the round cap")
 	}
-	if res.Rounds != 5 {
-		t.Errorf("rounds = %d, want MaxRounds", res.Rounds)
+	if res.Rounds != maxRounds {
+		t.Errorf("rounds = %d, want the cap %d", res.Rounds, maxRounds)
 	}
 	if res.Downtime <= 300*time.Millisecond {
 		t.Error("forced stop-and-copy should blow the downtime target")
@@ -137,7 +109,7 @@ func TestMaxRoundsForcesStopAndCopy(t *testing.T) {
 }
 
 func TestZeroResidentIsTrivial(t *testing.T) {
-	res := Model{}.Simulate(0, 0, 0)
+	res := Simulate(0, 0, 0)
 	if !res.Converged || res.TransferredMB != 0 {
 		t.Errorf("zero-resident migration: %+v", res)
 	}
