@@ -99,7 +99,7 @@ func main() {
 	ctrl.SetTelemetry(sink)
 	api.AttachTelemetry(sink)
 	mux := http.NewServeMux()
-	mux.Handle("/v1/", api.Handler())
+	mux.Handle(cluster.WirePrefix, api.Handler())
 	sink.Attach(mux)
 
 	ctx, stop := signal.NotifyContext(context.Background(), syscall.SIGINT, syscall.SIGTERM)

@@ -43,7 +43,8 @@ func runFederated(ctx context.Context, ln net.Listener, opt federatedOptions) er
 	log.Printf("deflated: shard %s recovered %d placements (replayed %d records)",
 		s.ID, rep.Placements, rep.RecordsReplayed)
 	if opt.gossipEvery > 0 {
-		go s.Router.Gossip(ctx, &http.Client{Timeout: 5 * time.Second}, opt.gossipEvery)
+		go s.Router.Gossip(ctx, &http.Client{Timeout: 5 * time.Second}, opt.gossipEvery,
+			func(err error) { log.Printf("deflated: gossip: %v", err) })
 	}
 	if opt.heartbeat > 0 {
 		go runHeartbeat(ctx, opt.heartbeat, s.ProbeHealth, log.Default())

@@ -287,7 +287,7 @@ func main() {
 	}
 
 	mux := http.NewServeMux()
-	mux.Handle("/v1/", handler)
+	mux.Handle(cluster.WirePrefix, handler)
 	sink.Attach(mux)
 
 	srv := cluster.NewHTTPServer(*listen, mux)

@@ -129,7 +129,7 @@ func TestFederatedServesAdoptsAndDrains(t *testing.T) {
 	if resp.StatusCode != http.StatusOK || err != nil {
 		t.Fatalf("adopting shard-1: %s (%v)", resp.Status, err)
 	}
-	m, err := shard.FetchMap(ctx, client, base)
+	m, err := shard.Client{ManagerClient: cluster.ManagerClient{Base: base, HTTP: client}}.ShardMap(ctx)
 	if err != nil || m.Adopted["shard-1"] != "shard-0" {
 		t.Errorf("shard map after adoption: %+v (%v), want shard-1 served by shard-0", m, err)
 	}

@@ -234,7 +234,8 @@ func main() {
 	} else {
 		client := &http.Client{Timeout: 10 * time.Second}
 		for _, t := range targets {
-			if m, err := shard.FetchMap(ctx, client, t); err == nil {
+			mgr := shard.Client{ManagerClient: cluster.ManagerClient{Base: t, HTTP: client}}
+			if m, err := mgr.ShardMap(ctx); err == nil {
 				view = shard.NewView(m)
 				break
 			}

@@ -146,8 +146,9 @@ type wireErr struct {
 
 var vmNotFound = []wireErr{{ErrVMNotFound, "%[1]q"}}
 
-// noBody is the Req or Resp of an operation without a body.
-type noBody struct{}
+// noBody is the Req or Resp of an operation without a body. It is struct{},
+// so that a shard router's Endpoint rows can name it.
+type noBody = struct{}
 
 // hasBody reports whether T is carried as a JSON body.
 func hasBody[T any]() bool {
@@ -248,12 +249,15 @@ type agentRoute interface {
 func (op *agentOp[Req, Resp]) pattern() string { return op.method + " " + op.path }
 
 // url fills the path's wildcard with name.
-func (op *agentOp[Req, Resp]) url(name string) string {
-	i := strings.IndexByte(op.path, '{')
+func (op *agentOp[Req, Resp]) url(name string) string { return fillPath(op.path, name) }
+
+// fillPath fills a route path's wildcard with name.
+func fillPath(path, name string) string {
+	i := strings.IndexByte(path, '{')
 	if i < 0 {
-		return op.path
+		return path
 	}
-	return op.path[:i] + name + op.path[strings.IndexByte(op.path, '}')+1:]
+	return path[:i] + name + path[strings.IndexByte(path, '}')+1:]
 }
 
 // refusal is the client's error for a reply other than op.status: the

@@ -161,7 +161,7 @@ func dialNode(name, url string) (Node, error) {
 // sent only after the node-add record is durably journaled — an
 // acknowledged registration survives any crash of this manager (or is
 // re-learned by the peer that adopts its journal).
-func (a *ManagerAPI) registerNode(journal string, w http.ResponseWriter, r *http.Request) {
+func (a *ManagerAPI) registerNode(ep *Endpoint[RegisterNodeRequest, RegisterNodeResponse], w http.ResponseWriter, r *http.Request) {
 	req, ok := decodeRequest[RegisterNodeRequest](w, r, "node registration")
 	if !ok {
 		return
@@ -185,12 +185,12 @@ func (a *ManagerAPI) registerNode(journal string, w http.ResponseWriter, r *http
 		}
 	}
 
-	status, resp := http.StatusOK, RegisterNodeResponse{Name: req.Name}
-	if a.journaled(w, journal, func() error {
+	status, resp := ep.again, RegisterNodeResponse{Name: req.Name}
+	if a.journaled(w, ep.journal, func() error {
 		if !known {
 			resp.Name = n.Name()
 			if !a.mgr.HasNode(resp.Name) {
-				status = http.StatusCreated
+				status = ep.Status
 			}
 			if err := a.mgr.AddNode(n, req.URL); err != nil {
 				return err
@@ -247,7 +247,7 @@ func (a *ManagerAPI) listNodes(*http.Request) NodeListResponse {
 // this manager never saw (an adopting shard, deflctl straight at the agent)
 // are noticed within one heartbeat; a malformed one is a 400 that leaves
 // the node's liveness stamp and cache as they were.
-func (a *ManagerAPI) handleNodeHeartbeat(_ string, w http.ResponseWriter, r *http.Request) {
+func (a *ManagerAPI) handleNodeHeartbeat(ep *Endpoint[CapacitySummary, noBody], w http.ResponseWriter, r *http.Request) {
 	name := r.PathValue("name")
 	var node Node
 	a.mu.Lock()
@@ -279,5 +279,5 @@ func (a *ManagerAPI) handleNodeHeartbeat(_ string, w http.ResponseWriter, r *htt
 	if hbTel != nil {
 		hbTel.Inc()
 	}
-	w.WriteHeader(http.StatusNoContent)
+	w.WriteHeader(ep.Status)
 }

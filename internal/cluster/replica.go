@@ -2,13 +2,11 @@ package cluster
 
 import (
 	"context"
-	"encoding/json"
 	"fmt"
 	"net/http"
 	"sync"
 	"time"
 
-	"deflation/internal/journal"
 	"deflation/internal/telemetry"
 )
 
@@ -22,9 +20,6 @@ import (
 // promotes itself by passing the replica to TakeOver, which fences and
 // reconciles against the live nodes under a bumped epoch, evicting no
 // healthy workload.
-
-// replicaWALPath is the leader's WAL streaming route.
-const replicaWALPath = "/v1/replica/wal"
 
 // FollowerConfig parameterizes a standby's WAL tailer.
 type FollowerConfig struct {
@@ -124,13 +119,13 @@ func (f *Follower) PollOnce() error {
 	after := f.st.AppliedSeq
 	f.mu.Unlock()
 
-	batch, err := f.fetch(after)
+	batch, err := ManagerClient{Base: f.cfg.Leader, HTTP: followerClient}.ReplicaWAL(context.TODO(), after)
 	f.mu.Lock()
 	defer f.mu.Unlock()
 	if err != nil {
 		f.misses++
-		f.lastErr = err
-		return err
+		f.lastErr = fmt.Errorf("cluster: replica poll: %w", err)
+		return f.lastErr
 	}
 	// A leader's journal only ever moves forward: an epoch or sequence
 	// below what this follower has already observed means whoever answered
@@ -159,20 +154,6 @@ func (f *Follower) PollOnce() error {
 	f.polls++
 	f.lastErr = nil
 	return nil
-}
-
-func (f *Follower) fetch(after uint64) (journal.Batch, error) {
-	var b journal.Batch
-	url := fmt.Sprintf("%s%s?after=%d", f.cfg.Leader, replicaWALPath, after)
-	resp, err := followerClient.Get(url)
-	if err != nil {
-		return b, err
-	}
-	defer drainClose(resp.Body)
-	if resp.StatusCode != http.StatusOK {
-		return b, fmt.Errorf("cluster: replica poll: %s", resp.Status)
-	}
-	return b, json.NewDecoder(resp.Body).Decode(&b)
 }
 
 // LeaderDead reports whether consecutive poll failures have expired the
@@ -329,10 +310,10 @@ func NewStandbyAPI(f *Follower) (*StandbyAPI, error) {
 // Handler returns the standby's routes (GET /v1/healthz, GET /v1/state).
 func (a *StandbyAPI) Handler() http.Handler {
 	mux := http.NewServeMux()
-	mux.HandleFunc("GET /v1/healthz", func(w http.ResponseWriter, _ *http.Request) {
+	mux.HandleFunc(opHealthz.pattern(), func(w http.ResponseWriter, _ *http.Request) {
 		writeJSON(w, http.StatusOK, map[string]string{"status": "ok", "role": RoleStandby})
 	})
-	mux.HandleFunc("GET /v1/state", func(w http.ResponseWriter, _ *http.Request) {
+	mux.HandleFunc(stateRoute.Pattern(), func(w http.ResponseWriter, _ *http.Request) {
 		status := a.f.Status()
 		resp := ManagerStateResponse{
 			Role:        RoleStandby,

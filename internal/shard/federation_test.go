@@ -368,8 +368,8 @@ func TestSingleShardFederationMatchesStandalone(t *testing.T) {
 			l.launchOne(ctx, fmt.Sprintf("eq-vm-%d", i))
 		}
 		mustDelete(t, ctx, l, "/v1/vms/eq-vm-3")
-		var st cluster.ManagerStateResponse
-		if err := l.getJSON(ctx, base+"/v1/state", &st); err != nil {
+		st, err := cluster.ManagerClient{Base: base, HTTP: l.client}.State(ctx, "")
+		if err != nil {
 			t.Fatal(err)
 		}
 		return st

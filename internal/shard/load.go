@@ -1,12 +1,10 @@
 package shard
 
 import (
-	"bytes"
 	"context"
-	"encoding/json"
+	"errors"
 	"fmt"
 	"hash/fnv"
-	"io"
 	"math/rand"
 	"net"
 	"net/http"
@@ -179,9 +177,9 @@ func NewLoad(cfg LoadConfig, managers []string) (*Load, error) {
 		client:   &http.Client{Timeout: 10 * time.Second},
 
 		launchLat: reg.Histogram("deflload_launch_latency_ms",
-			"end-to-end /v1/vms latency (ms)", latencyBucketsMS(), nil),
+			"end-to-end launch latency (ms)", latencyBucketsMS(), nil),
 		migrateLat: reg.Histogram("deflload_migrate_latency_ms",
-			"end-to-end /v1/migrate latency (ms)", latencyBucketsMS(), nil),
+			"end-to-end migrate latency (ms)", latencyBucketsMS(), nil),
 		hbOK: reg.Counter("deflload_heartbeats_ok_total",
 			"agent heartbeats acknowledged", nil),
 		hbFail: reg.Counter("deflload_heartbeats_fail_total",
@@ -211,7 +209,7 @@ func NewLoad(cfg LoadConfig, managers []string) (*Load, error) {
 			h = faults.Middleware(cfg.Faults, h)
 		}
 		h = a.gate(h)
-		mux.Handle("/agents/"+name+"/v1/", http.StripPrefix("/agents/"+name, h))
+		mux.Handle("/agents/"+name+cluster.WirePrefix, http.StripPrefix("/agents/"+name, h))
 		l.agents = append(l.agents, a)
 		l.byName[name] = a
 	}
@@ -247,11 +245,11 @@ func (l *Load) AgentNames() []string {
 	return out
 }
 
-// managerBase returns the next manager base URL, round-robin so load and
+// manager returns a client of the next manager, round-robin so load and
 // redirects spread across the federation.
-func (l *Load) managerBase() string {
+func (l *Load) manager() cluster.ManagerClient {
 	n := l.nextManager.Add(1)
-	return l.managers[int(n)%len(l.managers)]
+	return cluster.ManagerClient{Base: l.managers[int(n)%len(l.managers)], HTTP: l.client}
 }
 
 // RegisterAll registers every agent with the federation (ring-routed by
@@ -279,30 +277,14 @@ func (l *Load) RegisterAll(ctx context.Context) error {
 }
 
 func (l *Load) registerAgent(ctx context.Context, a *simAgent) error {
-	body, err := json.Marshal(cluster.RegisterNodeRequest{Name: a.name, URL: a.url})
-	if err != nil {
-		return err
-	}
-	var lastErr error
+	req := cluster.RegisterNodeRequest{Name: a.name, URL: a.url}
+	var err error
 	for try := 0; try < len(l.managers); try++ {
-		req, err := http.NewRequestWithContext(ctx, http.MethodPost,
-			l.managerBase()+"/v1/nodes", bytes.NewReader(body))
-		if err != nil {
-			return err
-		}
-		req.Header.Set("Content-Type", "application/json")
-		resp, err := l.client.Do(req)
-		if err != nil {
-			lastErr = err
-			continue
-		}
-		drain(resp)
-		if resp.StatusCode < 300 {
+		if _, err = l.manager().Register(ctx, req); err == nil {
 			return nil
 		}
-		lastErr = fmt.Errorf("shard: registering %s: %s", a.name, resp.Status)
 	}
-	return lastErr
+	return fmt.Errorf("shard: registering %s: %w", a.name, err)
 }
 
 // StartHeartbeats starts one push-heartbeat goroutine per agent with
@@ -330,24 +312,16 @@ func (l *Load) StartHeartbeats(ctx context.Context) {
 	}
 }
 
-// beatOnce sends one heartbeat; on 404 it re-registers.
+// beatOnce sends one liveness heartbeat: its summary names no agent
+// instance, so the manager folds nothing into its capacity cache. When no
+// shard manages the agent it re-registers.
 func (l *Load) beatOnce(ctx context.Context, a *simAgent) {
-	req, err := http.NewRequestWithContext(ctx, http.MethodPost,
-		l.managerBase()+"/v1/nodes/"+a.name+"/heartbeat", nil)
-	if err != nil {
-		return
-	}
-	resp, err := l.client.Do(req)
-	if err != nil {
-		l.hbFail.Inc()
-		return
-	}
-	drain(resp)
+	err := l.manager().Heartbeat(ctx, a.name, cluster.CapacitySummary{})
 	switch {
-	case resp.StatusCode < 300:
+	case err == nil:
 		l.hbOK.Inc()
 		a.lastBeat.Store(time.Now().UnixNano())
-	case resp.StatusCode == http.StatusNotFound:
+	case errors.Is(err, cluster.ErrNodeNotFound):
 		l.hbFail.Inc()
 		a.registered.Store(false)
 		if err := l.registerAgent(ctx, a); err == nil {
@@ -428,7 +402,7 @@ func (l *Load) noteElapsed() {
 	}
 }
 
-// launchOne sends one POST /v1/vms and records the outcome.
+// launchOne sends one launch and records the outcome.
 func (l *Load) launchOne(ctx context.Context, name string) {
 	spec := cluster.LaunchSpec{
 		Name:     name,
@@ -437,40 +411,26 @@ func (l *Load) launchOne(ctx context.Context, name string) {
 		Priority: vm.LowPriority,
 		AppKind:  "elastic",
 	}
-	body, err := json.Marshal(spec)
-	if err != nil {
-		return
-	}
 	l.mu.Lock()
 	l.counts.LaunchesSent++
 	l.mu.Unlock()
 
 	begin := time.Now()
-	req, err := http.NewRequestWithContext(ctx, http.MethodPost,
-		l.managerBase()+"/v1/vms", bytes.NewReader(body))
-	if err != nil {
-		return
+	_, err := l.manager().Launch(ctx, spec)
+	var refused *cluster.StatusError
+	if err == nil || errors.As(err, &refused) {
+		l.launchLat.Observe(float64(time.Since(begin).Milliseconds()) + 0.5)
 	}
-	req.Header.Set("Content-Type", "application/json")
-	resp, err := l.client.Do(req)
-	if err != nil {
-		l.mu.Lock()
-		l.counts.LaunchesFailed++
-		l.mu.Unlock()
-		return
-	}
-	drain(resp)
-	l.launchLat.Observe(float64(time.Since(begin).Milliseconds()) + 0.5)
 	l.mu.Lock()
 	defer l.mu.Unlock()
 	switch {
-	case resp.StatusCode < 300:
+	case err == nil:
 		l.counts.LaunchesAcked++
 		l.ackedVMs = append(l.ackedVMs, name)
-	case resp.StatusCode >= 500:
-		l.counts.LaunchesFailed++
-	default:
+	case refused != nil && refused.Code < 500:
 		l.counts.LaunchesRejected++
+	default:
+		l.counts.LaunchesFailed++
 	}
 }
 
@@ -486,29 +446,15 @@ func (l *Load) migrateOne(ctx context.Context, rng *rand.Rand) {
 	l.mu.Unlock()
 	dest := l.agents[rng.Intn(len(l.agents))].name
 
-	body, err := json.Marshal(cluster.MigrateRequest{VM: vmName, Dest: dest})
-	if err != nil {
-		return
-	}
 	begin := time.Now()
-	req, err := http.NewRequestWithContext(ctx, http.MethodPost,
-		l.managerBase()+"/v1/migrate", bytes.NewReader(body))
-	if err != nil {
-		return
+	_, err := l.manager().Migrate(ctx, cluster.MigrateRequest{VM: vmName, Dest: dest})
+	var refused *cluster.StatusError
+	if err == nil || errors.As(err, &refused) {
+		l.migrateLat.Observe(float64(time.Since(begin).Milliseconds()) + 0.5)
 	}
-	req.Header.Set("Content-Type", "application/json")
-	resp, err := l.client.Do(req)
-	if err != nil {
-		l.mu.Lock()
-		l.counts.MigratesFailed++
-		l.mu.Unlock()
-		return
-	}
-	drain(resp)
-	l.migrateLat.Observe(float64(time.Since(begin).Milliseconds()) + 0.5)
 	l.mu.Lock()
 	defer l.mu.Unlock()
-	if resp.StatusCode < 300 {
+	if err == nil {
 		l.counts.MigratesAcked++
 	} else {
 		l.counts.MigratesFailed++
@@ -627,7 +573,8 @@ func (l *Load) CheckInvariants(ctx context.Context, v *View) (InvariantReport, e
 		if base == "" {
 			continue
 		}
-		nodes, err := listNodes(ctx, l.client, base, sid)
+		mgr := cluster.ManagerClient{Base: base, HTTP: l.client}
+		nodes, err := mgr.Nodes(ctx, sid)
 		if err != nil {
 			continue
 		}
@@ -635,16 +582,16 @@ func (l *Load) CheckInvariants(ctx context.Context, v *View) (InvariantReport, e
 		for name := range nodes.Nodes {
 			nodesSeen[name]++
 		}
-		var cs cluster.ClusterState
-		if err := l.getJSON(ctx, base+"/v1/cluster?shard="+sid, &cs); err != nil {
+		cs, err := mgr.Cluster(ctx, sid, false)
+		if err != nil {
 			continue
 		}
 		rep.FailurePreemptions += cs.FailurePreemptions
 		rep.LostVMs += cs.LostVMs
 		// Placements come from /v1/state — the journal-backed map, which is
 		// exactly what an ack promised to make durable.
-		var ms cluster.ManagerStateResponse
-		if err := l.getJSON(ctx, base+"/v1/state?shard="+sid, &ms); err != nil {
+		ms, err := mgr.State(ctx, sid)
+		if err != nil {
 			continue
 		}
 		for name := range ms.Placements {
@@ -673,39 +620,6 @@ func (l *Load) CheckInvariants(ctx context.Context, v *View) (InvariantReport, e
 	return rep, nil
 }
 
-func listNodes(ctx context.Context, client *http.Client, base, shardID string) (cluster.NodeListResponse, error) {
-	var out cluster.NodeListResponse
-	req, err := http.NewRequestWithContext(ctx, http.MethodGet, base+"/v1/nodes?shard="+shardID, nil)
-	if err != nil {
-		return out, err
-	}
-	resp, err := client.Do(req)
-	if err != nil {
-		return out, err
-	}
-	defer drain(resp)
-	if resp.StatusCode != http.StatusOK {
-		return out, fmt.Errorf("shard: listing nodes of %s: %s", shardID, resp.Status)
-	}
-	return out, json.NewDecoder(resp.Body).Decode(&out)
-}
-
-func (l *Load) getJSON(ctx context.Context, url string, out any) error {
-	req, err := http.NewRequestWithContext(ctx, http.MethodGet, url, nil)
-	if err != nil {
-		return err
-	}
-	resp, err := l.client.Do(req)
-	if err != nil {
-		return err
-	}
-	defer drain(resp)
-	if resp.StatusCode != http.StatusOK {
-		return fmt.Errorf("shard: GET %s: %s", url, resp.Status)
-	}
-	return json.NewDecoder(resp.Body).Decode(out)
-}
-
 // ProbeWrite attempts a throwaway launch DIRECTLY against one manager
 // (no redirects) and reports whether it was acked. After an adoption the
 // deposed shard must refuse writes — an ack here is a split-brain write,
@@ -717,32 +631,18 @@ func ProbeWrite(ctx context.Context, baseURL, vmName string) (acked bool, err er
 		Priority: vm.LowPriority,
 		AppKind:  "elastic",
 	}
-	body, err := json.Marshal(spec)
-	if err != nil {
-		return false, err
-	}
 	client := &http.Client{
 		Timeout: 5 * time.Second,
 		CheckRedirect: func(*http.Request, []*http.Request) error {
 			return http.ErrUseLastResponse // a redirect is a refusal, not an ack
 		},
 	}
-	req, err := http.NewRequestWithContext(ctx, http.MethodPost, baseURL+"/v1/vms", bytes.NewReader(body))
-	if err != nil {
-		return false, err
+	_, err = cluster.ManagerClient{Base: baseURL, HTTP: client}.Launch(ctx, spec)
+	var refused *cluster.StatusError
+	if errors.As(err, &refused) {
+		return false, nil
 	}
-	req.Header.Set("Content-Type", "application/json")
-	resp, err := client.Do(req)
-	if err != nil {
-		return false, err // unreachable = crash-stopped = certainly no ack
-	}
-	drain(resp)
-	return resp.StatusCode < 300, nil
-}
-
-func drain(resp *http.Response) {
-	io.Copy(io.Discard, io.LimitReader(resp.Body, 1<<20))
-	resp.Body.Close()
+	return err == nil, err // unreachable = crash-stopped = certainly no ack
 }
 
 // latencyBucketsMS spans 0.5ms–~8s exponentially.

@@ -8,6 +8,7 @@ import (
 	"fmt"
 	"io"
 	"net/http"
+	"net/url"
 	"strconv"
 	"sync"
 	"time"
@@ -21,11 +22,40 @@ import (
 // new ownership.
 const ShardEpochHeader = "X-Deflation-Shard-Epoch"
 
-// shardMapPath serves (GET) and gossips (POST) the shard map.
-const shardMapPath = "/v1/shardmap"
+// The router's own wire, beside the manager's (cluster.ManagerRoutes).
+const (
+	shardMapPath = "/v1/shardmap"
+	adoptPath    = "/v1/adopt"
+)
 
-// adoptPath has the server adopt the dead shard ?shard=ID (POST).
-const adoptPath = "/v1/adopt"
+var (
+	// mapGetRoute serves the shard map and mapPushRoute gossips one.
+	mapGetRoute  = &cluster.Endpoint[struct{}, Map]{Method: http.MethodGet, Path: shardMapPath, Status: http.StatusOK}
+	mapPushRoute = &cluster.Endpoint[Map, struct{}]{Method: http.MethodPost, Path: shardMapPath, Status: http.StatusNoContent}
+	// adoptRoute has the server adopt the dead shard ?shard=ID.
+	adoptRoute = &cluster.Endpoint[struct{}, cluster.RecoveryReport]{Method: http.MethodPost, Path: adoptPath, Status: http.StatusOK}
+)
+
+// Client calls a federated manager: the manager's wire, and one method per
+// route of the router's own.
+type Client struct{ cluster.ManagerClient }
+
+// ShardMap reads the manager's shard map.
+func (c Client) ShardMap(ctx context.Context) (Map, error) {
+	return mapGetRoute.Call(ctx, c.ManagerClient, "", nil, struct{}{})
+}
+
+// PushShardMap offers the manager a map, which it keeps iff it is newer
+// than its own.
+func (c Client) PushShardMap(ctx context.Context, m Map) error {
+	_, err := mapPushRoute.Call(ctx, c.ManagerClient, "", nil, m)
+	return err
+}
+
+// Adopt has the manager adopt the dead shard's journal.
+func (c Client) Adopt(ctx context.Context, dead string) (cluster.RecoveryReport, error) {
+	return adoptRoute.Call(ctx, c.ManagerClient, "", url.Values{"shard": {dead}}, struct{}{})
+}
 
 // Router is a federated manager's HTTP front door. A keyed request (VM name
 // for VM commands, node name for registrations and heartbeats) is either
@@ -82,9 +112,9 @@ func (rt *Router) Handler() *http.ServeMux {
 // the local (or ?shard=ID) view.
 func (rt *Router) routes() map[string]http.HandlerFunc {
 	routes := map[string]http.HandlerFunc{
-		"GET " + shardMapPath:  rt.handleMapGet,
-		"POST " + shardMapPath: rt.handleMapPost,
-		"POST " + adoptPath:    rt.handleAdopt,
+		mapGetRoute.Pattern():  rt.handleMapGet,
+		mapPushRoute.Pattern(): rt.handleMapPost,
+		adoptRoute.Pattern():   rt.handleAdopt,
 	}
 	for _, r := range cluster.ManagerRoutes() {
 		routes[r.Method+" "+r.Path] = rt.serveLocal
@@ -105,6 +135,7 @@ func (rt *Router) handleMapGet(w http.ResponseWriter, _ *http.Request) {
 	}
 	w.Header().Set(ShardEpochHeader, strconv.FormatUint(v.Map.Version, 10))
 	w.Header().Set("Content-Type", "application/json")
+	w.WriteHeader(mapGetRoute.Status)
 	w.Write(append(body, '\n'))
 }
 
@@ -122,7 +153,7 @@ func (rt *Router) handleMapPost(w http.ResponseWriter, r *http.Request) {
 	rt.store.Merge(m)
 	v := rt.store.View()
 	w.Header().Set(ShardEpochHeader, strconv.FormatUint(v.Map.Version, 10))
-	w.WriteHeader(http.StatusNoContent)
+	w.WriteHeader(mapPushRoute.Status)
 }
 
 // handleAdopt adopts the dead shard ?shard=ID and replies with its
@@ -156,6 +187,7 @@ func (rt *Router) handleAdopt(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	w.Header().Set("Content-Type", "application/json")
+	w.WriteHeader(adoptRoute.Status)
 	w.Write(append(body, '\n'))
 }
 
@@ -248,30 +280,38 @@ func (rt *Router) serveLocal(w http.ResponseWriter, r *http.Request) {
 // GossipOnce pulls every peer's shard map and merges newer versions, then
 // pushes the local map to any peer that answered with an older one.
 // Unreachable peers are skipped — gossip is best-effort; correctness
-// comes from redirects carrying ShardEpochHeader.
-func (rt *Router) GossipOnce(ctx context.Context, client *http.Client) {
+// comes from redirects carrying ShardEpochHeader. The pushes a peer
+// refused or lost come back joined: that peer still routes by its old map.
+func (rt *Router) GossipOnce(ctx context.Context, client *http.Client) error {
 	if client == nil {
 		client = http.DefaultClient
 	}
+	var errs []error
 	self := rt.store.View()
 	for _, mem := range self.Map.Members {
 		if mem.ID == rt.self || mem.URL == "" {
 			continue
 		}
-		peer, err := FetchMap(ctx, client, mem.URL)
+		peer := Client{cluster.ManagerClient{Base: mem.URL, HTTP: client}}
+		m, err := peer.ShardMap(ctx)
 		if err != nil {
 			continue
 		}
-		if peer.Version > rt.store.View().Map.Version {
-			rt.store.Merge(peer)
-		} else if peer.Version < rt.store.View().Map.Version {
-			PushMap(ctx, client, mem.URL, rt.store.View().Map)
+		cur := rt.store.View().Map
+		if m.Version > cur.Version {
+			rt.store.Merge(m)
+		} else if m.Version < cur.Version {
+			if err := peer.PushShardMap(ctx, cur); err != nil {
+				errs = append(errs, fmt.Errorf("shard: pushing map v%d to %s: %w", cur.Version, mem.ID, err))
+			}
 		}
 	}
+	return errors.Join(errs...)
 }
 
-// Gossip runs GossipOnce every interval until ctx is done.
-func (rt *Router) Gossip(ctx context.Context, client *http.Client, interval time.Duration) {
+// Gossip runs GossipOnce every interval until ctx is done, handing each
+// round's error to report.
+func (rt *Router) Gossip(ctx context.Context, client *http.Client, interval time.Duration, report func(error)) {
 	t := time.NewTicker(interval)
 	defer t.Stop()
 	for {
@@ -279,47 +319,9 @@ func (rt *Router) Gossip(ctx context.Context, client *http.Client, interval time
 		case <-ctx.Done():
 			return
 		case <-t.C:
-			rt.GossipOnce(ctx, client)
+			if err := rt.GossipOnce(ctx, client); err != nil {
+				report(err)
+			}
 		}
 	}
-}
-
-// FetchMap retrieves a manager's shard map.
-func FetchMap(ctx context.Context, client *http.Client, baseURL string) (Map, error) {
-	var m Map
-	req, err := http.NewRequestWithContext(ctx, http.MethodGet, baseURL+shardMapPath, nil)
-	if err != nil {
-		return m, err
-	}
-	resp, err := client.Do(req)
-	if err != nil {
-		return m, err
-	}
-	defer drain(resp)
-	if resp.StatusCode != http.StatusOK {
-		return m, fmt.Errorf("shard: fetching map from %s: %s", baseURL, resp.Status)
-	}
-	return m, json.NewDecoder(resp.Body).Decode(&m)
-}
-
-// PushMap offers a map to a peer (kept iff newer than the peer's own).
-func PushMap(ctx context.Context, client *http.Client, baseURL string, m Map) error {
-	body, err := json.Marshal(m)
-	if err != nil {
-		return err
-	}
-	req, err := http.NewRequestWithContext(ctx, http.MethodPost, baseURL+shardMapPath, bytes.NewReader(body))
-	if err != nil {
-		return err
-	}
-	req.Header.Set("Content-Type", "application/json")
-	resp, err := client.Do(req)
-	if err != nil {
-		return err
-	}
-	drain(resp)
-	if resp.StatusCode >= 300 {
-		return fmt.Errorf("shard: pushing map to %s: %s", baseURL, resp.Status)
-	}
-	return nil
 }

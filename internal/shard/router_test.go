@@ -2,6 +2,7 @@ package shard
 
 import (
 	"context"
+	"errors"
 	"fmt"
 	"io"
 	"net/http"
@@ -145,12 +146,37 @@ func TestRouterGossipSpreadsNewerMap(t *testing.T) {
 	if bumped <= 1 {
 		t.Fatal("Adopt did not bump version")
 	}
-	b.GossipOnce(context.Background(), nil) // push: b is newer
+	if err := b.GossipOnce(context.Background(), nil); err != nil { // push: b is newer
+		t.Fatal(err)
+	}
 	if got := a.Store().View().Map.Version; got != bumped {
 		t.Fatalf("gossip did not spread: a at v%d, want v%d", got, bumped)
 	}
 	if got := a.Store().View().Owner(keyOwnedBy(t, NewView(Map{Version: 1, Members: a.Store().View().Map.Members}), "shard-a")); got != "shard-b" {
 		t.Errorf("adopted ownership not visible on peer: owner = %s", got)
+	}
+}
+
+// TestRouterGossipReportsRefusedPush: a peer that serves an older map but
+// answers the push 500 makes GossipOnce return an error naming it.
+func TestRouterGossipReportsRefusedPush(t *testing.T) {
+	peer := httptest.NewServer(nil)
+	t.Cleanup(peer.Close)
+	m := Map{Version: 1, Members: []Member{{ID: "shard-a", URL: "http://unused"}, {ID: "shard-b", URL: peer.URL}}}
+	b := NewRouter("shard-b", NewMapStore(m))
+	peer.Config.Handler = http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		if r.Method == http.MethodPost {
+			http.Error(w, "disk full", http.StatusInternalServerError)
+			return
+		}
+		b.Handler().ServeHTTP(w, r)
+	})
+	a := NewRouter("shard-a", NewMapStore(m))
+	a.Store().Adopt("shard-b", "shard-a")
+	err := a.GossipOnce(context.Background(), nil)
+	var refused *cluster.StatusError
+	if !errors.As(err, &refused) || refused.Code != http.StatusInternalServerError || !strings.Contains(err.Error(), "to shard-b") {
+		t.Errorf("GossipOnce = %v, want the 500 from shard-b", err)
 	}
 }
 

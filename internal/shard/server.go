@@ -174,8 +174,9 @@ func (s *Server) Adopt(ctx context.Context, dead string) (*cluster.RecoveryRepor
 	s.Router.Store().Adopt(dead, s.ID)
 	// Spread the bumped map now; periodic gossip would get there
 	// eventually, but clients following redirects benefit from every live
-	// manager agreeing at once.
-	s.Router.GossipOnce(ctx, s.client)
+	// manager agreeing at once. A refused push is dropped: the adoption has
+	// already taken effect, and periodic gossip retries the push.
+	_ = s.Router.GossipOnce(ctx, s.client)
 	return rep, nil
 }
 

@@ -38,7 +38,7 @@ func TestServerAdoptRefusesNonMembers(t *testing.T) {
 	s := fed.Shard("shard-0")
 	client := &http.Client{Timeout: 10 * time.Second}
 	ctx := context.Background()
-	before, err := FetchMap(ctx, client, s.URL)
+	before, err := Client{cluster.ManagerClient{Base: s.URL, HTTP: client}}.ShardMap(ctx)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -55,7 +55,7 @@ func TestServerAdoptRefusesNonMembers(t *testing.T) {
 			t.Errorf("adopting %q made %s (%v)", id, filepath.Join(root, id), err)
 		}
 	}
-	after, err := FetchMap(ctx, client, s.URL)
+	after, err := Client{cluster.ManagerClient{Base: s.URL, HTTP: client}}.ShardMap(ctx)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -136,7 +136,7 @@ func TestServerAdoptRoute(t *testing.T) {
 		t.Errorf("adopting shard-1 twice: %d %s, want 409", code, body)
 	}
 
-	m, err := FetchMap(context.Background(), client, adopter.URL)
+	m, err := Client{cluster.ManagerClient{Base: adopter.URL, HTTP: client}}.ShardMap(context.Background())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -359,7 +359,7 @@ func TestRouterGossipLoop(t *testing.T) {
 	ctx, cancel := context.WithCancel(context.Background())
 	done := make(chan struct{})
 	go func() {
-		a.Gossip(ctx, nil, time.Millisecond)
+		a.Gossip(ctx, nil, time.Millisecond, func(err error) { t.Error(err) })
 		close(done)
 	}()
 	deadline := time.Now().Add(10 * time.Second)
