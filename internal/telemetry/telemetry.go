@@ -166,50 +166,7 @@ func (h *Histogram) Sum() float64 { return h.sum.value() }
 // Quantile estimates the q-quantile (0 ≤ q ≤ 1) by linear interpolation
 // within the owning bucket, Prometheus histogram_quantile style. The +Inf
 // bucket clamps to the highest finite bound. Returns NaN with no data.
-func (h *Histogram) Quantile(q float64) float64 {
-	total := h.count.Load()
-	if total == 0 {
-		return math.NaN()
-	}
-	if q < 0 {
-		q = 0
-	}
-	if q > 1 {
-		q = 1
-	}
-	rank := q * float64(total)
-	var cum uint64
-	for i := range h.counts {
-		c := h.counts[i].Load()
-		if c == 0 {
-			cum += c
-			continue
-		}
-		if float64(cum+c) >= rank {
-			if i >= len(h.bounds) { // +Inf bucket
-				if len(h.bounds) == 0 {
-					return math.NaN()
-				}
-				return h.bounds[len(h.bounds)-1]
-			}
-			lo := 0.0
-			if i > 0 {
-				lo = h.bounds[i-1]
-			}
-			hi := h.bounds[i]
-			frac := (rank - float64(cum)) / float64(c)
-			if frac < 0 {
-				frac = 0
-			}
-			return lo + (hi-lo)*frac
-		}
-		cum += c
-	}
-	if len(h.bounds) == 0 {
-		return math.NaN()
-	}
-	return h.bounds[len(h.bounds)-1]
-}
+func (h *Histogram) Quantile(q float64) float64 { return quantile(h.snapshotBuckets(), q) }
 
 // snapshotBuckets returns cumulative bucket counts aligned with bounds plus
 // the +Inf total.
@@ -416,6 +373,42 @@ type MetricSnapshot struct {
 	Count   uint64           `json:"count,omitempty"`
 	Sum     float64          `json:"sum,omitempty"`
 	Buckets []BucketSnapshot `json:"buckets,omitempty"`
+}
+
+// Quantile estimates a histogram snapshot's q-quantile as
+// Histogram.Quantile does: NaN with no data.
+func (m MetricSnapshot) Quantile(q float64) float64 { return quantile(m.Buckets, q) }
+
+// quantile is Quantile over cumulative buckets whose last is +Inf.
+func quantile(buckets []BucketSnapshot, q float64) float64 {
+	last := len(buckets) - 1
+	if last < 0 || buckets[last].CumulativeCount == 0 {
+		return math.NaN()
+	}
+	rank := min(max(q, 0), 1) * float64(buckets[last].CumulativeCount)
+	var cum uint64
+	for i, b := range buckets {
+		c := b.CumulativeCount - cum
+		if c == 0 {
+			continue
+		}
+		if float64(b.CumulativeCount) >= rank {
+			if i == last {
+				break
+			}
+			lo := 0.0
+			if i > 0 {
+				lo = buckets[i-1].UpperBound
+			}
+			frac := max((rank-float64(cum))/float64(c), 0)
+			return lo + (b.UpperBound-lo)*frac
+		}
+		cum = b.CumulativeCount
+	}
+	if last == 0 {
+		return math.NaN()
+	}
+	return buckets[last-1].UpperBound
 }
 
 // Snapshot captures every metric in deterministic order (family name, then

@@ -1,6 +1,7 @@
 package telemetry
 
 import (
+	"encoding/json"
 	"math"
 	"strings"
 	"testing"
@@ -113,6 +114,28 @@ func TestHistogramQuantile(t *testing.T) {
 	h2.Observe(50)
 	if q := h2.Quantile(0.99); q != 2 {
 		t.Errorf("quantile in +Inf bucket = %v, want clamp to 2", q)
+	}
+
+	// A scrape, through its JSON, answers as the live histograms do; an
+	// empty one is NaN, never a zero.
+	r.Histogram("idle", "", []float64{1}, nil)
+	live := map[string]*Histogram{"lat": h, "lat2": h2}
+	body, err := json.Marshal(r.Snapshot())
+	if err != nil {
+		t.Fatal(err)
+	}
+	var snaps []MetricSnapshot
+	if err := json.Unmarshal(body, &snaps); err != nil {
+		t.Fatal(err)
+	}
+	for _, m := range snaps {
+		for _, q := range []float64{0, 0.25, 0.5, 0.99, 1} {
+			if got := m.Quantile(q); m.Name == "idle" && !math.IsNaN(got) {
+				t.Errorf("%s: p%v of no data = %v, want NaN", m.Name, q*100, got)
+			} else if m.Name != "idle" && got != live[m.Name].Quantile(q) {
+				t.Errorf("%s: snapshot p%v = %v, live %v", m.Name, q*100, got, live[m.Name].Quantile(q))
+			}
+		}
 	}
 }
 
