@@ -58,7 +58,8 @@ func ExampleRemoteApp() {
 	fmt.Printf("remote app %q: rss %.0f MB\n", st.Name, st.RSSMB)
 
 	target := restypes.V(2, 10000, 100, 300)
-	rep, err := cascade.New(cascade.AllLevels()).Deflate(v, target)
+	var rep cascade.Report
+	err = cascade.New(cascade.AllLevels()).Deflate(v, target, &rep)
 	if err != nil {
 		log.Fatal(err)
 	}
@@ -67,7 +68,7 @@ func ExampleRemoteApp() {
 	fmt.Printf("hypervisor: overcommitted %.0f MB\n", rep.Hyp.Reclaimed.MemoryMB)
 	fmt.Printf("server-side cache resized to %.0f MB, hit rate %.3f\n", app.CacheMB(), app.HitRate())
 
-	if _, err := cascade.New(cascade.AllLevels()).Reinflate(v, target); err != nil {
+	if err := cascade.New(cascade.AllLevels()).Reinflate(v, target, &cascade.Report{}); err != nil {
 		log.Fatal(err)
 	}
 	fmt.Printf("reinflated: cache back to %.0f MB\n", app.CacheMB())

@@ -5,7 +5,6 @@
 package curveapp
 
 import (
-	"math"
 	"time"
 
 	"deflation/internal/hypervisor"
@@ -115,7 +114,7 @@ func (a *App) Reinflate(env hypervisor.Env) {
 	a.availMB = env.GuestMemMB
 	want := a.cfg.RSSFraction * a.cfg.Size.MemoryMB
 	avail := env.GuestMemMB - memHeadroomMB - a.cfg.CacheFraction*a.cfg.Size.MemoryMB
-	a.rssMB = math.Min(want, math.Max(a.rssMB, avail))
+	a.rssMB = restypes.MinF(want, restypes.MaxF(a.rssMB, avail))
 }
 
 // Throughput implements vm.Application: the utility curve evaluated at the
@@ -127,16 +126,16 @@ func (a *App) Throughput(env hypervisor.Env) float64 {
 	}
 	frac := 1.0
 	if a.cfg.Size.CPU > 0 {
-		frac = math.Min(frac, env.EffectiveCores/a.cfg.Size.CPU)
+		frac = restypes.MinF(frac, env.EffectiveCores/a.cfg.Size.CPU)
 	}
 	if a.cfg.Size.MemoryMB > 0 && env.EverTouchedMB > 0 {
-		frac = math.Min(frac, env.ResidentMB/env.EverTouchedMB)
+		frac = restypes.MinF(frac, env.ResidentMB/env.EverTouchedMB)
 	}
 	if a.cfg.Size.DiskMBps > 0 {
-		frac = math.Min(frac, env.DiskMBps/a.cfg.Size.DiskMBps)
+		frac = restypes.MinF(frac, env.DiskMBps/a.cfg.Size.DiskMBps)
 	}
 	if a.cfg.Size.NetMBps > 0 {
-		frac = math.Min(frac, env.NetMBps/a.cfg.Size.NetMBps)
+		frac = restypes.MinF(frac, env.NetMBps/a.cfg.Size.NetMBps)
 	}
 	perf := a.cfg.Curve.At(frac)
 
@@ -145,7 +144,7 @@ func (a *App) Throughput(env hypervisor.Env) float64 {
 		if coldPool < 0 {
 			coldPool = 0
 		}
-		hot := math.Max(0, env.SwappedMB-coldPool)
+		hot := restypes.MaxF(0, env.SwappedMB-coldPool)
 		if hot > a.rssMB {
 			hot = a.rssMB
 		}

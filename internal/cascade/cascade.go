@@ -175,32 +175,34 @@ func (c *Controller) fault(level string) LevelFault {
 }
 
 // Deflate reclaims target resources from v using the enabled levels, per
-// the Fig. 3 control flow. The target must fit within v.Deflatable();
-// the caller (the cluster manager's proportional policy) is responsible for
-// choosing feasible targets and for preempting VMs that cannot meet them.
-func (c *Controller) Deflate(v *vm.VM, target restypes.Vector) (Report, error) {
-	r, err := c.deflate(v, target)
+// the Fig. 3 control flow, and fills r, which the caller owns, with what
+// each level did (also when it returns an error). The target must fit
+// within v.Deflatable(); the caller (the cluster manager's proportional
+// policy) is responsible for choosing feasible targets and for preempting
+// VMs that cannot meet them.
+func (c *Controller) Deflate(v *vm.VM, target restypes.Vector, r *Report) error {
+	err := c.deflate(v, target, r)
 	if c.tel != nil {
 		c.tel.record("deflate", c.levels, v.Name(), r, err)
 	}
-	return r, err
+	return err
 }
 
-func (c *Controller) deflate(v *vm.VM, target restypes.Vector) (Report, error) {
-	r := Report{Target: target}
+func (c *Controller) deflate(v *vm.VM, target restypes.Vector, r *Report) error {
+	*r = Report{Target: target}
 	if v.Preempted() {
-		return r, ErrPreempted
+		return ErrPreempted
 	}
 	if v.Priority() == vm.HighPriority {
-		return r, ErrHighPriority
+		return ErrHighPriority
 	}
 	target = target.ClampNonNegative()
-	if !target.Fits(v.Deflatable()) {
-		return r, fmt.Errorf("%w: target %v, deflatable %v", ErrExceedsDeflatable, target, v.Deflatable())
+	if d := v.Deflatable(); !target.Fits(d) {
+		return fmt.Errorf("%w: target %v, deflatable %v", ErrExceedsDeflatable, target, d)
 	}
 	if target.IsZero() {
 		r.NewAllocation = v.Allocation()
-		return r, nil
+		return nil
 	}
 
 	// SLO clamp: a latency-sensitive VM is deflated only down to its
@@ -213,7 +215,7 @@ func (c *Controller) deflate(v *vm.VM, target restypes.Vector) (Report, error) {
 		target = allowed
 		if target.IsZero() {
 			r.NewAllocation = v.Allocation()
-			return r, nil
+			return nil
 		}
 	}
 
@@ -265,16 +267,17 @@ func (c *Controller) deflate(v *vm.VM, target restypes.Vector) (Report, error) {
 	// to re-route. (Planners already cap targets via vm.Deflatable, so
 	// this triggers only when the footprint grew mid-cascade.)
 	if c.levels.Hypervisor {
-		newAlloc := v.Allocation().Sub(target)
+		alloc := v.Allocation()
+		newAlloc := alloc.Sub(target)
 		var floorWithheld restypes.Vector
 		if floor := v.Instance().ResizeFloorMB(); floor > 0 && newAlloc.MemoryMB < floor {
-			clamped := math.Min(floor, v.Allocation().MemoryMB)
+			clamped := math.Min(floor, alloc.MemoryMB)
 			floorWithheld.MemoryMB = clamped - newAlloc.MemoryMB
 			newAlloc.MemoryMB = clamped
 		}
-		lat, err := v.Instance().SetAllocation(newAlloc)
+		lat, err := v.SetAllocation(newAlloc)
 		if err != nil {
-			return r, fmt.Errorf("cascade: hypervisor reclaim: %w", err)
+			return fmt.Errorf("cascade: hypervisor reclaim: %w", err)
 		}
 		r.Shortfall = r.Shortfall.Add(floorWithheld)
 		r.Hyp = LevelReport{
@@ -286,8 +289,8 @@ func (c *Controller) deflate(v *vm.VM, target restypes.Vector) (Report, error) {
 		// unplugged can be released.
 		if !r.OS.Reclaimed.IsZero() {
 			newAlloc := v.Allocation().Sub(r.OS.Reclaimed)
-			if _, err := v.Instance().SetAllocation(newAlloc); err != nil {
-				return r, fmt.Errorf("cascade: releasing unplugged resources: %w", err)
+			if _, err := v.SetAllocation(newAlloc); err != nil {
+				return fmt.Errorf("cascade: releasing unplugged resources: %w", err)
 			}
 		}
 		r.Shortfall = target.Sub(r.OS.Reclaimed).ClampNonNegative()
@@ -296,7 +299,7 @@ func (c *Controller) deflate(v *vm.VM, target restypes.Vector) (Report, error) {
 	r.NewAllocation = v.Allocation()
 	r.TotalLatency = r.App.Latency + r.OS.Latency + r.Hyp.Latency
 	v.ObserveEnv()
-	return r, nil
+	return nil
 }
 
 // osReclaim performs guest-level hot-unplug toward target. When force is
@@ -339,29 +342,33 @@ func (c *Controller) osReclaim(g *guestos.GuestOS, v *vm.VM, target restypes.Vec
 // Reinflate returns amount resources to v, running the cascade in reverse
 // (§5): first the hypervisor raises the physical allocation, then the guest
 // re-plugs CPUs and memory, and finally the application's deflation agent is
-// told about the new availability.
-func (c *Controller) Reinflate(v *vm.VM, amount restypes.Vector) (Report, error) {
-	r, err := c.reinflate(v, amount)
+// told about the new availability. It fills r as Deflate does.
+func (c *Controller) Reinflate(v *vm.VM, amount restypes.Vector, r *Report) error {
+	err := c.reinflate(v, amount, r)
 	if c.tel != nil {
 		c.tel.record("reinflate", c.levels, v.Name(), r, err)
 	}
-	return r, err
+	return err
 }
 
-func (c *Controller) reinflate(v *vm.VM, amount restypes.Vector) (Report, error) {
-	r := Report{Target: amount}
+func (c *Controller) reinflate(v *vm.VM, amount restypes.Vector, r *Report) error {
+	*r = Report{Target: amount}
 	if v.Preempted() {
-		return r, ErrPreempted
+		return ErrPreempted
 	}
 	amount = amount.ClampNonNegative()
 
+	// Only the hypervisor level moves the allocation; every later read
+	// sees the value it left.
+	alloc := v.Allocation()
 	if c.levels.Hypervisor {
-		newAlloc := v.Allocation().Add(amount).Min(v.Size())
-		lat, err := v.Instance().SetAllocation(newAlloc)
+		newAlloc := alloc.Add(amount).Min(v.Size())
+		lat, err := v.SetAllocation(newAlloc)
 		if err != nil {
-			return r, fmt.Errorf("cascade: hypervisor reinflate: %w", err)
+			return fmt.Errorf("cascade: hypervisor reinflate: %w", err)
 		}
-		r.Hyp = LevelReport{Reclaimed: newAlloc.Sub(v.Allocation()), Latency: lat}
+		alloc = v.Allocation()
+		r.Hyp = LevelReport{Reclaimed: newAlloc.Sub(alloc), Latency: lat}
 	}
 
 	// Guest-backed instances re-plug CPUs and memory; containers have
@@ -369,13 +376,13 @@ func (c *Controller) reinflate(v *vm.VM, amount restypes.Vector) (Report, error)
 	if g := v.Guest(); c.levels.OS && g != nil {
 		var rep LevelReport
 		// Re-plug up to the physical CPU allocation (whole cores).
-		if wantCPU := int(math.Floor(v.Allocation().CPU)) - g.CPUs(); wantCPU > 0 {
+		if wantCPU := int(math.Floor(alloc.CPU)) - g.CPUs(); wantCPU > 0 {
 			n, lat := g.PlugCPUs(wantCPU)
 			rep.Reclaimed.CPU = float64(n)
 			rep.Latency += lat
 		}
 		// Re-plug hot-unplugged memory up to the physical allocation.
-		if wantMem := v.Allocation().MemoryMB - g.MemoryMB(); wantMem > 0 {
+		if wantMem := alloc.MemoryMB - g.MemoryMB(); wantMem > 0 {
 			mb, lat := g.PlugMemory(wantMem)
 			rep.Reclaimed.MemoryMB += mb
 			rep.Latency += lat
@@ -388,8 +395,8 @@ func (c *Controller) reinflate(v *vm.VM, amount restypes.Vector) (Report, error)
 		v.SyncFootprint()
 	}
 
-	r.NewAllocation = v.Allocation()
+	r.NewAllocation = alloc
 	r.TotalLatency = r.App.Latency + r.OS.Latency + r.Hyp.Latency
 	v.ObserveEnv()
-	return r, nil
+	return nil
 }

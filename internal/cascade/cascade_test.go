@@ -49,25 +49,26 @@ func TestDeflateGuards(t *testing.T) {
 	c := New(AllLevels())
 
 	hi := newVM(t, apptest.New("a"), vm.Config{Priority: vm.HighPriority})
-	if _, err := c.Deflate(hi, restypes.V(1, 0, 0, 0)); !errors.Is(err, ErrHighPriority) {
+	if err := c.Deflate(hi, restypes.V(1, 0, 0, 0), &Report{}); !errors.Is(err, ErrHighPriority) {
 		t.Errorf("high-priority deflate err = %v", err)
 	}
 
 	lo := newVM(t, apptest.New("a"), vm.Config{MinSize: restypes.V(2, 8192, 50, 50)})
-	if _, err := c.Deflate(lo, restypes.V(3, 0, 0, 0)); !errors.Is(err, ErrExceedsDeflatable) {
+	if err := c.Deflate(lo, restypes.V(3, 0, 0, 0), &Report{}); !errors.Is(err, ErrExceedsDeflatable) {
 		t.Errorf("beyond-deflatable err = %v", err)
 	}
 
 	dead := newVM(t, apptest.New("a"), vm.Config{})
 	dead.Preempt()
-	if _, err := c.Deflate(dead, restypes.V(1, 0, 0, 0)); !errors.Is(err, ErrPreempted) {
+	if err := c.Deflate(dead, restypes.V(1, 0, 0, 0), &Report{}); !errors.Is(err, ErrPreempted) {
 		t.Errorf("preempted deflate err = %v", err)
 	}
 }
 
 func TestDeflateZeroTargetIsNoOp(t *testing.T) {
 	v := newVM(t, apptest.New("a"), vm.Config{})
-	r, err := New(AllLevels()).Deflate(v, restypes.Vector{})
+	var r Report
+	err := New(AllLevels()).Deflate(v, restypes.Vector{}, &r)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -82,7 +83,8 @@ func TestHypervisorOnlyDeflation(t *testing.T) {
 	v := newVM(t, app, vm.Config{})
 	target := restypes.V(2, 8192, 50, 50)
 
-	r, err := New(HypervisorOnly()).Deflate(v, target)
+	var r Report
+	err := New(HypervisorOnly()).Deflate(v, target, &r)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -119,7 +121,8 @@ func TestVMLevelDeflationUnplugsFirst(t *testing.T) {
 	v := newVM(t, app, vm.Config{})
 	target := restypes.V(2, 8192, 0, 0)
 
-	r, err := New(VMLevel()).Deflate(v, target)
+	var r Report
+	err := New(VMLevel()).Deflate(v, target, &r)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -151,7 +154,8 @@ func TestVMLevelFallsThroughToHypervisor(t *testing.T) {
 	v := newVM(t, app, vm.Config{})
 	target := restypes.V(0, 8192, 0, 0)
 
-	r, err := New(VMLevel()).Deflate(v, target)
+	var r Report
+	err := New(VMLevel()).Deflate(v, target, &r)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -178,7 +182,8 @@ func TestFullCascadeAppFreesMemoryFirst(t *testing.T) {
 	v := newVM(t, app, vm.Config{})
 	target := restypes.V(0, 8192, 0, 0)
 
-	r, err := New(AllLevels()).Deflate(v, target)
+	var r Report
+	err := New(AllLevels()).Deflate(v, target, &r)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -206,7 +211,8 @@ func TestOSOnlyForcedUnplugOOMs(t *testing.T) {
 	app.RSSMB = 12000
 	v := newVM(t, app, vm.Config{})
 
-	r, err := New(OSOnly()).Deflate(v, restypes.V(0, 8192, 0, 0))
+	var r Report
+	err := New(OSOnly()).Deflate(v, restypes.V(0, 8192, 0, 0), &r)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -228,7 +234,8 @@ func TestOSOnlyModerateDeflationIsSafe(t *testing.T) {
 
 	// 4 GB target fits in free memory: no OOM, and allocation shrinks by
 	// exactly what was unplugged.
-	r, err := New(OSOnly()).Deflate(v, restypes.V(0, 4096, 0, 0))
+	var r Report
+	err := New(OSOnly()).Deflate(v, restypes.V(0, 4096, 0, 0), &r)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -246,7 +253,8 @@ func TestOSOnlyModerateDeflationIsSafe(t *testing.T) {
 func TestOSOnlyCPUShortfall(t *testing.T) {
 	v := newVM(t, apptest.New("a"), vm.Config{})
 	// 3.5-core target: OS can unplug 3 whole vCPUs at most.
-	r, err := New(OSOnly()).Deflate(v, restypes.V(3.5, 0, 0, 0))
+	var r Report
+	err := New(OSOnly()).Deflate(v, restypes.V(3.5, 0, 0, 0), &r)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -260,7 +268,8 @@ func TestOSOnlyCPUShortfall(t *testing.T) {
 
 func TestFractionalCPUSplitsAcrossLevels(t *testing.T) {
 	v := newVM(t, apptest.New("a"), vm.Config{})
-	r, err := New(VMLevel()).Deflate(v, restypes.V(1.5, 0, 0, 0))
+	var r Report
+	err := New(VMLevel()).Deflate(v, restypes.V(1.5, 0, 0, 0), &r)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -281,7 +290,8 @@ func TestFractionalCPUSplitsAcrossLevels(t *testing.T) {
 }
 
 func TestIOAlwaysHypervisorThrottled(t *testing.T) {
-	r, err := New(AllLevels()).Deflate(newVMWith(t), restypes.V(0, 0, 60, 70))
+	var r Report
+	err := New(AllLevels()).Deflate(newVMWith(t), restypes.V(0, 0, 60, 70), &r)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -308,7 +318,8 @@ func TestCascadeLatencyLowerWithAppDeflation(t *testing.T) {
 
 	appAware := apptest.NewElastic("aware", 14000, 2000)
 	v1 := newVM(t, appAware, vm.Config{})
-	r1, err := New(AllLevels()).Deflate(v1, target)
+	var r1 Report
+	err := New(AllLevels()).Deflate(v1, target, &r1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -316,7 +327,8 @@ func TestCascadeLatencyLowerWithAppDeflation(t *testing.T) {
 	blind := apptest.New("blind")
 	blind.RSSMB = 14000
 	v2 := newVM(t, blind, vm.Config{})
-	r2, err := New(VMLevel()).Deflate(v2, target)
+	var r2 Report
+	err = New(VMLevel()).Deflate(v2, target, &r2)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -331,11 +343,12 @@ func TestReinflateRestoresEverything(t *testing.T) {
 	v := newVM(t, app, vm.Config{})
 	c := New(AllLevels())
 	target := restypes.V(2, 8192, 50, 50)
-	if _, err := c.Deflate(v, target); err != nil {
+	if err := c.Deflate(v, target, &Report{}); err != nil {
 		t.Fatal(err)
 	}
 
-	r, err := c.Reinflate(v, target)
+	var r Report
+	err := c.Reinflate(v, target, &r)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -360,10 +373,10 @@ func TestReinflateRestoresEverything(t *testing.T) {
 func TestReinflateNeverExceedsSize(t *testing.T) {
 	v := newVMWith(t)
 	c := New(AllLevels())
-	if _, err := c.Deflate(v, restypes.V(1, 1024, 0, 0)); err != nil {
+	if err := c.Deflate(v, restypes.V(1, 1024, 0, 0), &Report{}); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := c.Reinflate(v, restypes.V(100, 1e6, 1e3, 1e3)); err != nil {
+	if err := c.Reinflate(v, restypes.V(100, 1e6, 1e3, 1e3), &Report{}); err != nil {
 		t.Fatal(err)
 	}
 	if v.Allocation() != size() {
@@ -374,7 +387,7 @@ func TestReinflateNeverExceedsSize(t *testing.T) {
 func TestReinflatePreempted(t *testing.T) {
 	v := newVMWith(t)
 	v.Preempt()
-	if _, err := New(AllLevels()).Reinflate(v, restypes.V(1, 0, 0, 0)); !errors.Is(err, ErrPreempted) {
+	if err := New(AllLevels()).Reinflate(v, restypes.V(1, 0, 0, 0), &Report{}); !errors.Is(err, ErrPreempted) {
 		t.Errorf("err = %v, want ErrPreempted", err)
 	}
 }
@@ -397,10 +410,10 @@ func BenchmarkCascadeDeflate(b *testing.B) {
 	target := restypes.V(2, 8192, 50, 50)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := c.Deflate(v, target); err != nil {
+		if err := c.Deflate(v, target, &Report{}); err != nil {
 			b.Fatal(err)
 		}
-		if _, err := c.Reinflate(v, target); err != nil {
+		if err := c.Reinflate(v, target, &Report{}); err != nil {
 			b.Fatal(err)
 		}
 	}

@@ -37,15 +37,15 @@ func Example() {
 	}
 
 	ctrl := cascade.New(cascade.AllLevels())
-	rep, err := ctrl.Deflate(v, size.Scale(0.5))
-	if err != nil {
+	var rep cascade.Report
+	if err := ctrl.Deflate(v, size.Scale(0.5), &rep); err != nil {
 		log.Fatal(err)
 	}
 	fmt.Printf("application freed %.0f MB\n", rep.App.Reclaimed.MemoryMB)
 	fmt.Printf("guest unplugged %.0f CPUs\n", rep.OS.Reclaimed.CPU)
 	fmt.Printf("allocation now %v\n", rep.NewAllocation)
 
-	if _, err := ctrl.Reinflate(v, size.Scale(0.5)); err != nil {
+	if err := ctrl.Reinflate(v, size.Scale(0.5), &cascade.Report{}); err != nil {
 		log.Fatal(err)
 	}
 	fmt.Printf("restored to %v\n", v.Allocation())

@@ -23,7 +23,8 @@ func TestAppFailureFallsThrough(t *testing.T) {
 	c.SetFaultHook(hookFor(map[string]LevelFault{"app": {Fail: true}}))
 
 	target := restypes.V(2, 8192, 0, 0)
-	r, err := c.Deflate(v, target)
+	var r Report
+	err := c.Deflate(v, target, &r)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -55,7 +56,8 @@ func TestPartialOSFailureFallsThroughToHypervisor(t *testing.T) {
 	c.SetFaultHook(hookFor(map[string]LevelFault{"os": {Fail: true, Fraction: 0.5}}))
 
 	target := restypes.V(0, 8192, 0, 0)
-	r, err := c.Deflate(v, target)
+	var r Report
+	err := c.Deflate(v, target, &r)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -84,7 +86,8 @@ func TestTotalOSFailureWithoutHypervisorIsShortfall(t *testing.T) {
 	c.SetFaultHook(hookFor(map[string]LevelFault{"os": {Fail: true, Fraction: 0}}))
 
 	target := restypes.V(0, 4096, 0, 0)
-	r, err := c.Deflate(v, target)
+	var r Report
+	err := c.Deflate(v, target, &r)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -104,7 +107,8 @@ func TestNilFaultHookIsNoop(t *testing.T) {
 	v := newVM(t, app, vm.Config{})
 	v.Domain().MarkWarm()
 	c := New(AllLevels())
-	r, err := c.Deflate(v, restypes.V(1, 2048, 0, 0))
+	var r Report
+	err := c.Deflate(v, restypes.V(1, 2048, 0, 0), &r)
 	if err != nil {
 		t.Fatal(err)
 	}

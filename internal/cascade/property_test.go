@@ -68,11 +68,11 @@ func TestQuickCascadeInvariants(t *testing.T) {
 			for _, o := range decodeOps(raw) {
 				if o.deflate {
 					target := o.frac.Min(v.Deflatable())
-					if _, err := c.Deflate(v, target); err != nil {
+					if err := c.Deflate(v, target, &Report{}); err != nil {
 						return false
 					}
 				} else {
-					if _, err := c.Reinflate(v, o.frac); err != nil {
+					if err := c.Reinflate(v, o.frac, &Report{}); err != nil {
 						return false
 					}
 				}
@@ -110,10 +110,10 @@ func TestQuickDeflateReinflateRoundTrip(t *testing.T) {
 		frac := float64(x%70) / 100
 		target := v.Size().Scale(frac)
 		c := New(AllLevels())
-		if _, err := c.Deflate(v, target); err != nil {
+		if err := c.Deflate(v, target, &Report{}); err != nil {
 			return false
 		}
-		if _, err := c.Reinflate(v, target); err != nil {
+		if err := c.Reinflate(v, target, &Report{}); err != nil {
 			return false
 		}
 		g := v.Domain().Guest()
@@ -137,7 +137,8 @@ func TestQuickDeflationAlwaysMeetsTarget(t *testing.T) {
 		target := v.Size().Scale(frac)
 		c := New(AllLevels())
 		before := v.Allocation()
-		rep, err := c.Deflate(v, target)
+		var rep Report
+		err = c.Deflate(v, target, &rep)
 		if err != nil {
 			return false
 		}

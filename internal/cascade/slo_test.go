@@ -52,7 +52,8 @@ func TestSLOPolicyClampsGuardedVM(t *testing.T) {
 	c := New(AllLevels())
 	c.SetSLOPolicy(p)
 	v := sloVM(t, "guarded")
-	rep, err := c.Deflate(v, restypes.V(2, 4096, 0, 0))
+	var rep Report
+	err := c.Deflate(v, restypes.V(2, 4096, 0, 0), &rep)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -78,7 +79,8 @@ func TestSLOPolicyPassesBatchThrough(t *testing.T) {
 	c := New(AllLevels())
 	c.SetSLOPolicy(&clampHalf{})
 	v := sloVM(t, "batch-1")
-	rep, err := c.Deflate(v, restypes.V(2, 4096, 0, 0))
+	var rep Report
+	err := c.Deflate(v, restypes.V(2, 4096, 0, 0), &rep)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -102,7 +104,8 @@ func TestSLOPolicyFullClampIsNoOp(t *testing.T) {
 	c.SetSLOPolicy(fullClamp{})
 	v := sloVM(t, "guarded")
 	before := v.Allocation()
-	rep, err := c.Deflate(v, restypes.V(2, 4096, 0, 0))
+	var rep Report
+	err := c.Deflate(v, restypes.V(2, 4096, 0, 0), &rep)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -129,7 +132,8 @@ func TestSLOPolicyCannotRaiseTarget(t *testing.T) {
 	c := New(AllLevels())
 	c.SetSLOPolicy(overClamp{})
 	v := sloVM(t, "guarded")
-	rep, err := c.Deflate(v, restypes.V(1, 0, 0, 0))
+	var rep Report
+	err := c.Deflate(v, restypes.V(1, 0, 0, 0), &rep)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -144,7 +148,8 @@ func TestSLOPolicyCannotRaiseTarget(t *testing.T) {
 func TestNoPolicyUnchanged(t *testing.T) {
 	c := New(AllLevels())
 	v := sloVM(t, "guarded")
-	rep, err := c.Deflate(v, restypes.V(2, 0, 0, 0))
+	var rep Report
+	err := c.Deflate(v, restypes.V(2, 0, 0, 0), &rep)
 	if err != nil {
 		t.Fatal(err)
 	}

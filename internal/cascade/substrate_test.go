@@ -36,7 +36,8 @@ func TestContainerCascadeSkipsOSLevel(t *testing.T) {
 	c := New(AllLevels())
 
 	target := restypes.V(2, 8192, 0, 0)
-	rep, err := c.Deflate(v, target)
+	var rep Report
+	err := c.Deflate(v, target, &rep)
 	if err != nil {
 		t.Fatalf("Deflate: %v", err)
 	}
@@ -56,7 +57,7 @@ func TestContainerCascadeSkipsOSLevel(t *testing.T) {
 		t.Error("in-floor deflation OOM-killed the container")
 	}
 
-	if _, err := c.Reinflate(v, target); err != nil {
+	if err := c.Reinflate(v, target, &Report{}); err != nil {
 		t.Fatalf("Reinflate: %v", err)
 	}
 	if got := v.Allocation(); got != size() {
@@ -86,13 +87,14 @@ func TestContainerCascadeHonorsResizeFloor(t *testing.T) {
 
 	// A target beyond the floor-capped deflatable is refused outright.
 	over := restypes.Vector{MemoryMB: d.MemoryMB + 1}
-	if _, err := c.Deflate(v, over); !errors.Is(err, ErrExceedsDeflatable) {
+	if err := c.Deflate(v, over, &Report{}); !errors.Is(err, ErrExceedsDeflatable) {
 		t.Fatalf("beyond-floor target err = %v", err)
 	}
 
 	// Deflating by the full deflatable amount lands exactly on the floor
 	// and must not trip the OOM killer.
-	rep, err := c.Deflate(v, restypes.Vector{MemoryMB: d.MemoryMB})
+	var rep Report
+	err := c.Deflate(v, restypes.Vector{MemoryMB: d.MemoryMB}, &rep)
 	if err != nil {
 		t.Fatalf("Deflate to floor: %v", err)
 	}
@@ -133,7 +135,8 @@ func TestContainerCascadeClampsStaleTarget(t *testing.T) {
 	// Fine at planning time (floor 4064); the app level grows RSS to 9000,
 	// raising the floor to 9064 before the substrate resize runs.
 	target := restypes.Vector{MemoryMB: 10000}
-	rep, err := c.Deflate(v, target)
+	var rep Report
+	err := c.Deflate(v, target, &rep)
 	if err != nil {
 		t.Fatalf("Deflate: %v", err)
 	}

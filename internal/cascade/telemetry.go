@@ -99,7 +99,7 @@ func (c *Controller) SetTelemetry(sink *telemetry.Sink, node string) {
 
 // levelReached names the deepest cascade level that reclaimed a nonzero
 // amount ("none" when nothing was reclaimed).
-func levelReached(r Report) string {
+func levelReached(r *Report) string {
 	switch {
 	case !r.Hyp.Reclaimed.IsZero():
 		return "hypervisor"
@@ -113,7 +113,7 @@ func levelReached(r Report) string {
 
 // record publishes one cascade decision to the metrics registry and the
 // trace ring.
-func (t *controllerTelemetry) record(kind string, levels Levels, vmName string, r Report, err error) {
+func (t *controllerTelemetry) record(kind string, levels Levels, vmName string, r *Report, err error) {
 	switch kind {
 	case "deflate":
 		t.deflations.Inc()

@@ -535,7 +535,8 @@ func (a *ControllerAPI) deflate(name, key string, target restypes.Vector) (out D
 	if err != nil {
 		return out, false, err
 	}
-	rep, err := a.ctrl.casc.Deflate(v, target)
+	rep := &a.ctrl.rep
+	err = a.ctrl.casc.Deflate(v, target, rep)
 	a.ctrl.capacityChanged() // direct cascade call bypasses the controller's hooks
 	if err != nil {
 		return out, false, err

@@ -29,6 +29,21 @@ var (
 	ErrNodeDown = errors.New("cluster: node is down")
 )
 
+// capacityError is a refused launch or reclaim: it unwraps to
+// ErrNoCapacity and keeps the vectors that decided the refusal, formatting
+// them only when its text is read. The simulator refuses thousands of
+// launches and reads none of their texts.
+type capacityError struct {
+	format     string // after "ErrNoCapacity: "; %[1]v is need, %[2]v have
+	need, have restypes.Vector
+}
+
+func (e *capacityError) Error() string {
+	return ErrNoCapacity.Error() + ": " + fmt.Sprintf(e.format, e.need, e.have)
+}
+
+func (e *capacityError) Unwrap() error { return ErrNoCapacity }
+
 // Mode selects the reclamation strategy — deflation (the paper's system) or
 // the preemption-only baseline of today's clouds (Fig. 8c).
 type Mode int
@@ -117,7 +132,8 @@ type LocalController struct {
 	// generation counts notifications, one per command: the version of the
 	// capacity summary a ControllerAPI pushes (see CapacitySummary).
 	generation uint64
-	plan       []planEntry // Reclaim's and ReinflateAll's scratch, reused across commands
+	plan       []planEntry    // Reclaim's and ReinflateAll's scratch, reused across commands
+	rep        cascade.Report // the report every cascade call of a command fills
 }
 
 // planEntry is one VM of a command's plan: how far the command may move it
@@ -380,7 +396,7 @@ func (c *LocalController) Reclaim(ensureFree restypes.Vector, allowPreempt bool)
 		limit = sum.PreemptableCeiling
 	}
 	if !ensureFree.Fits(limit) {
-		return rep, fmt.Errorf("%w: need %v, reclaimable %v", ErrNoCapacity, ensureFree, limit)
+		return rep, &capacityError{"need %[1]v, reclaimable %[2]v", ensureFree, limit}
 	}
 
 	if c.mode == ModeDeflation {
@@ -396,8 +412,7 @@ func (c *LocalController) Reclaim(ensureFree restypes.Vector, allowPreempt bool)
 		return rep, nil
 	}
 	if !allowPreempt {
-		return rep, fmt.Errorf("%w: need %v free, have %v after deflation",
-			ErrNoCapacity, ensureFree, c.Free())
+		return rep, &capacityError{"need %[1]v free, have %[2]v after deflation", ensureFree, c.Free()}
 	}
 	// Preempt: the remaining deficit can only come from killing VMs (they
 	// are already at their minimum sizes in deflation mode).
@@ -412,7 +427,9 @@ func (c *LocalController) Reclaim(ensureFree restypes.Vector, allowPreempt bool)
 // x_i ∝ M_i − m_i, §5) and executes cascade deflation, stopping early
 // once free capacity covers the requirement. Any residual demand (clamping,
 // rounding) is drained largest-first. Each pass reads each VM's
-// Deflatable() once: deflating one VM never changes another's.
+// Deflatable() once: deflating one VM never changes another's. The
+// proportional pass's stop test is the host's FitsFree, which decides
+// v.Fits(Free()) without a walk over the VMs wherever it can.
 func (c *LocalController) proportionalDeflate(ensureFree restypes.Vector, rep *LaunchReport) error {
 	need := ensureFree.Sub(c.Free()).ClampNonNegative()
 	plan, pool := c.lowPlan()
@@ -422,7 +439,7 @@ func (c *LocalController) proportionalDeflate(ensureFree restypes.Vector, rep *L
 
 	ratio := need.FractionOf(pool).Min(restypes.Uniform(1))
 	for _, p := range plan {
-		if ensureFree.Fits(c.Free()) {
+		if c.host.FitsFree(ensureFree) {
 			return nil
 		}
 		target := p.room.Mul(ratio).Min(p.room).ClampNonNegative()
@@ -474,7 +491,8 @@ func (c *LocalController) deflateOne(v *vm.VM, target restypes.Vector, rep *Laun
 	if target.IsZero() {
 		return nil
 	}
-	r, err := c.casc.Deflate(v, target)
+	r := &c.rep
+	err := c.casc.Deflate(v, target, r)
 	c.invalidate() // the cascade resized allocations even on partial failure
 	if err != nil {
 		return fmt.Errorf("cluster: deflating %q: %w", v.Name(), err)
@@ -493,13 +511,12 @@ func (c *LocalController) deflateOne(v *vm.VM, target restypes.Vector, rep *Laun
 // requirement.
 func (c *LocalController) preemptUntil(ensureFree restypes.Vector, rep *LaunchReport) error {
 	for {
-		if ensureFree.Fits(c.Free()) {
+		if c.host.FitsFree(ensureFree) {
 			return nil
 		}
 		victim := c.pickPreemptionVictim()
 		if victim == nil {
-			return fmt.Errorf("%w: need %v free, have %v, no preemptible VMs",
-				ErrNoCapacity, ensureFree, c.Free())
+			return &capacityError{"need %[1]v free, have %[2]v, no preemptible VMs", ensureFree, c.Free()}
 		}
 		rep.Reclaimed = rep.Reclaimed.Add(victim.Allocation())
 		rep.Preempted = append(rep.Preempted, victim.Name())
@@ -531,12 +548,11 @@ func (c *LocalController) preemptInternal(v *vm.VM) {
 // survivors into the freed capacity (§5: "if some resources become
 // available, then it reinflates VMs... proportionally").
 func (c *LocalController) Release(name string) error {
-	v, ok := c.vms.Get(name)
+	v, ok := c.vms.Delete(name)
 	if !ok {
 		return fmt.Errorf("%w: %q", ErrVMNotFound, name)
 	}
 	v.Preempt() // mechanically identical: destroy the domain
-	c.vms.Delete(name)
 	c.invalidate()
 	c.ReinflateAll() // notifies for the release and the reinflations at once
 	return nil
@@ -544,13 +560,18 @@ func (c *LocalController) Release(name string) error {
 
 // ReinflateAll distributes free capacity to deflated VMs proportionally to
 // their deficits (nominal size − current allocation), running the cascade
-// in reverse, from one walk's deficits, and notifies the watchers once.
+// in reverse, from one walk's deficits, and notifies the watchers once. A
+// VM with no deficit gets no share, so the plan leaves it out: adding its
+// zero to the total changes no bit of it.
 func (c *LocalController) ReinflateAll() {
 	defer c.notifyCapacity()
 	plan := c.plan[:0]
 	var totalDeficit restypes.Vector
 	for _, v := range c.VMs() {
 		deficit := v.Size().Sub(v.Allocation()).ClampNonNegative()
+		if deficit.IsZero() {
+			continue
+		}
 		plan = append(plan, planEntry{v: v, room: deficit})
 		totalDeficit = totalDeficit.Add(deficit)
 	}
@@ -564,8 +585,9 @@ func (c *LocalController) ReinflateAll() {
 		if amount.IsZero() {
 			continue
 		}
-		// Reinflation is best-effort; failures leave the VM deflated.
-		_, _ = c.casc.Reinflate(p.v, amount)
+		// Reinflation is best-effort: a VM whose growth the host refuses
+		// stays deflated until the next release offers it room again.
+		_ = c.casc.Reinflate(p.v, amount, &c.rep)
 		c.invalidate()
 	}
 }

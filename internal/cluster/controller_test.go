@@ -367,7 +367,8 @@ func (c *refController) deflateOne(v *vm.VM, target restypes.Vector, rep *Launch
 	if target.IsZero() {
 		return nil
 	}
-	r, err := c.casc.Deflate(v, target)
+	var r cascade.Report
+	err := c.casc.Deflate(v, target, &r)
 	c.capacityChanged() // the cascade resized allocations even on partial failure
 	if err != nil {
 		return fmt.Errorf("cluster: deflating %q: %w", v.Name(), err)
@@ -410,7 +411,7 @@ func (c *refController) ReinflateAll() {
 			continue
 		}
 		// Reinflation is best-effort; failures leave the VM deflated.
-		_, _ = c.casc.Reinflate(v, amount)
+		_ = c.casc.Reinflate(v, amount, &cascade.Report{})
 		c.capacityChanged()
 	}
 }
@@ -664,5 +665,31 @@ func TestDeflationsCountsEveryCascadeRun(t *testing.T) {
 	}
 	if fired != 0 {
 		t.Errorf("a reclaim that deflated nothing fired the watcher %d times", fired)
+	}
+}
+
+// TestCapacityErrorText holds each refusal's typed error to the text
+// fmt.Errorf wrote for it, and to ErrNoCapacity under errors.Is.
+func TestCapacityErrorText(t *testing.T) {
+	need, have := restypes.V(64, 65536, 100, 100), restypes.V(15, 61440, 375.5, 0)
+	for _, c := range []struct {
+		err  error
+		want error
+	}{
+		{&capacityError{"no feasible server for %[1]v", need, restypes.Vector{}},
+			fmt.Errorf("%w: no feasible server for %v", ErrNoCapacity, need)},
+		{&capacityError{"need %[1]v, reclaimable %[2]v", need, have},
+			fmt.Errorf("%w: need %v, reclaimable %v", ErrNoCapacity, need, have)},
+		{&capacityError{"need %[1]v free, have %[2]v after deflation", need, have},
+			fmt.Errorf("%w: need %v free, have %v after deflation", ErrNoCapacity, need, have)},
+		{&capacityError{"need %[1]v free, have %[2]v, no preemptible VMs", need, have},
+			fmt.Errorf("%w: need %v free, have %v, no preemptible VMs", ErrNoCapacity, need, have)},
+	} {
+		if got, want := c.err.Error(), c.want.Error(); got != want {
+			t.Errorf("text %q, want %q", got, want)
+		}
+		if !errors.Is(c.err, ErrNoCapacity) {
+			t.Errorf("%v does not unwrap to ErrNoCapacity", c.err)
+		}
 	}
 }

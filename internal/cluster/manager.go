@@ -516,7 +516,7 @@ func (m *Manager) launch(spec LaunchSpec, countRejection bool) (int, LaunchRepor
 			if countRejection {
 				m.emit(Event{Kind: evReject, VM: spec.Name})
 			}
-			return -1, LaunchReport{}, fmt.Errorf("%w: no feasible server for %v", ErrNoCapacity, spec.Size)
+			return -1, LaunchReport{}, &capacityError{"no feasible server for %[1]v", spec.Size, restypes.Vector{}}
 		}
 		// Stamp the landing node's substrate kind into the spec before it is
 		// journaled, so recovery and failure re-placement keep the VM on the

@@ -193,7 +193,7 @@ func (c *LocalController) ReserveStream(stream string, rateMBps float64) (float6
 				}
 				target := v.Allocation()
 				target.NetMBps -= cut
-				if _, err := v.Instance().SetAllocation(target); err != nil {
+				if _, err := v.SetAllocation(target); err != nil {
 					continue
 				}
 				s.throttled[v.Name()] = restypes.Vector{NetMBps: cut}
@@ -244,7 +244,7 @@ func (c *LocalController) restoreThrottles(s *migrationStream) {
 		}
 		// SetAllocation clamps to the nominal size, so restoring is safe
 		// even if the VM reinflated meanwhile; best-effort on error.
-		_, _ = v.Instance().SetAllocation(v.Allocation().Add(s.throttled[name]))
+		_, _ = v.SetAllocation(v.Allocation().Add(s.throttled[name]))
 	}
 	s.throttled = make(map[string]restypes.Vector)
 	c.capacityChanged()
@@ -263,12 +263,12 @@ func (c *LocalController) DeflateFully(name string) (time.Duration, error) {
 	if v.Priority() == vm.HighPriority || target.IsZero() {
 		return 0, nil
 	}
-	r, err := c.casc.Deflate(v, target)
+	err := c.casc.Deflate(v, target, &c.rep)
 	c.capacityChanged() // the cascade resized allocations even on partial failure
 	if err != nil {
 		return 0, fmt.Errorf("cluster: deflating %q: %w", name, err)
 	}
-	return r.TotalLatency, nil
+	return c.rep.TotalLatency, nil
 }
 
 // MigrationReport describes one completed (or attempted) migration.

@@ -1,6 +1,7 @@
 package cluster
 
 import (
+	"math"
 	"slices"
 	"sync"
 
@@ -199,7 +200,11 @@ func (x *placementIndex) flush() {
 			t := &x.demands[k]
 			t.val[x.p+i] = t.leaf(&sum, known)
 			for j := (x.p + i) / 2; j >= 1; j /= 2 {
-				t.val[j] = max(t.val[2*j], t.val[2*j+1])
+				v := max(t.val[2*j], t.val[2*j+1])
+				if math.Float64bits(v) == math.Float64bits(t.val[j]) {
+					break // the same bits here leave every ancestor as it is
+				}
+				t.val[j] = v
 			}
 		}
 	}

@@ -302,8 +302,9 @@ func (n *RemoteNode) capacityKnown() bool {
 	if _, known := n.Capacity(); known {
 		return true
 	}
-	// The outcome is the cache state; attempt has already recorded a
-	// transport error as LastTransportErr.
+	// The outcome is the cache state: attempt has already recorded a
+	// transport error in lastErr, counted it and marked the capacity
+	// unknown.
 	_ = n.attempt(http.MethodGet, opHealthz.path, nil, nil, func(*http.Response) error { return nil })
 	n.mu.Lock()
 	known, tel := n.capKnown, n.tel

@@ -15,14 +15,17 @@ import (
 // A pass costs what changed since the last one. Each server's
 // overcommitment and VM throughputs (an Env and a utility-curve evaluation
 // per VM) are memoized and re-read only for servers whose capacity watcher
-// fired since the last pass; notifyCapacity is the only invalidation signal:
-// every command that changes a VM's allocation or guest state, or a node's
-// crash state, must end with it. A pass then adds the cached values flat,
-// server by server and VM by VM in name order — the summation order of a
-// full walk, so the float sums are bit-identical to recomputing everything
-// (per-server subtotals would reassociate them). The running sums before
-// each server are kept, so the flat sum resumes at the lowest dirty server:
-// the prefix before it would add the same floats in the same order.
+// fired since the last pass; notifyCapacity is the server's invalidation
+// signal: every command that changes a VM's allocation or guest state, or a
+// node's crash state, must end with it. Within a re-read server, a VM keeps
+// its memoized throughput while it is the same VM at the same
+// vm.VM.Generation: most commands resize a few of a server's VMs, not all.
+// A pass then adds the cached values flat, server by server and VM by VM
+// in name order — the summation order of a full walk, so the float sums are
+// bit-identical to recomputing everything (per-server subtotals would
+// reassociate them). The running sums before each server are kept, so the
+// flat sum resumes at the lowest dirty server: the prefix before it would
+// add the same floats in the same order.
 type stateSampler struct {
 	servers       []*LocalController
 	memo          []serverMemo
@@ -33,6 +36,8 @@ type stateSampler struct {
 	warmup, every int             // admissions skipped as ramp-up; cadence after
 
 	oc, srvMean, srvP95, lowTp, gp []float64 // one entry per pass
+
+	prev []vmMemo // evaluate's copy of the memo it rebuilds, reused
 
 	// evaluated counts server re-evaluations over all passes; check, nil
 	// outside tests, is called at the end of every pass with the pass's
@@ -45,8 +50,16 @@ type stateSampler struct {
 type serverMemo struct {
 	dirty bool      // the capacity watcher fired since
 	oc    float64   // Capacity().Overcommitment as the leader's node reads it
-	tp    []float64 // Throughput() per VM, in VMs() order
-	lowTp []float64 // the low-priority VMs' entries of tp, in the same order
+	vms   []vmMemo  // one per VM, in VMs() order
+	lowTp []float64 // the low-priority VMs' throughputs, in the same order
+}
+
+// vmMemo is one VM as its server's last evaluation saw it: its Generation
+// and Throughput() then.
+type vmMemo struct {
+	v   *vm.VM
+	gen uint64
+	tp  float64
 }
 
 // runningSums are a pass's flat sums up to some server.
@@ -92,13 +105,18 @@ func (s *stateSampler) admission(admitted int, nominal restypes.Vector, mgr *Man
 			s.evaluate(i, mgr)
 		}
 		sum.oc += m.oc
-		for _, tp := range m.tp {
-			sum.gp += tp
+		// The two sums are separate chains of dependent adds; walking them
+		// in lockstep lets one's add run while the other's waits, and each
+		// still adds its own values in order.
+		vms, low := m.vms, m.lowTp // low is no longer than vms
+		for j, x := range low {
+			sum.gp += vms[j].tp
+			sum.tpSum += x
 		}
-		for _, tp := range m.lowTp {
-			sum.tpSum += tp
+		for _, e := range vms[len(low):] {
+			sum.gp += e.tp
 		}
-		sum.tpN += len(m.lowTp)
+		sum.tpN += len(low)
 		s.prefix[i+1] = sum
 	}
 	// Snapshot's mean: the flat sum in server order over the fleet size.
@@ -114,16 +132,34 @@ func (s *stateSampler) admission(admitted int, nominal restypes.Vector, mgr *Man
 }
 
 // evaluate re-reads server i into its memo and moves its overcommitment to
-// its new rank in sortedOC.
+// its new rank in sortedOC. A VM the last evaluation saw, at the generation
+// it saw, keeps its throughput; the walk matches old and new VMs by
+// pointer, both lists being in name order.
 func (s *stateSampler) evaluate(i int, mgr *Manager) {
 	m := &s.memo[i]
-	m.dirty, m.tp, m.lowTp = false, m.tp[:0], m.lowTp[:0]
+	m.dirty = false
 	s.evaluated++
+	prev := append(s.prev[:0], m.vms...)
+	s.prev = prev
+	m.vms, m.lowTp = m.vms[:0], m.lowTp[:0]
+	k := 0
 	for _, v := range s.servers[i].VMs() {
-		tp := v.Throughput()
-		m.tp = append(m.tp, tp)
+		for k < len(prev) && prev[k].v != v && prev[k].v.Name() < v.Name() {
+			k++ // gone since
+		}
+		e := vmMemo{v: v, gen: v.Generation()}
+		seen := k < len(prev) && prev[k].v == v
+		if seen && prev[k].gen == e.gen {
+			e.tp = prev[k].tp
+		} else {
+			e.tp = v.Throughput()
+		}
+		if seen {
+			k++
+		}
+		m.vms = append(m.vms, e)
 		if v.Priority() == vm.LowPriority {
-			m.lowTp = append(m.lowTp, tp)
+			m.lowTp = append(m.lowTp, e.tp)
 		}
 	}
 	old := m.oc

@@ -100,6 +100,8 @@ type observedState struct {
 }
 
 type observedVM struct {
+	v          *vm.VM
+	gen        uint64
 	alloc      restypes.Vector
 	throughput float64
 }
@@ -107,7 +109,7 @@ type observedVM struct {
 func observe(c *LocalController) observedState {
 	st := observedState{c.host.Allocated(), c.host.FreePhysical(), map[string]observedVM{}}
 	for _, v := range c.VMs() {
-		st.vms[v.Name()] = observedVM{v.Allocation(), v.Throughput()}
+		st.vms[v.Name()] = observedVM{v, v.Generation(), v.Allocation(), v.Throughput()}
 	}
 	return st
 }
@@ -117,21 +119,47 @@ func (a observedState) equal(b observedState) bool {
 		return false
 	}
 	for name, v := range a.vms {
-		if w, ok := b.vms[name]; !ok || v != w {
+		if w, ok := b.vms[name]; !ok || v.v != w.v || v.alloc != w.alloc || v.throughput != w.throughput {
 			return false
 		}
 	}
 	return true
 }
 
+// staleGeneration names a VM that is the same VM in a and b, with a
+// different throughput and the same generation: the sampler would keep its
+// old throughput.
+func (a observedState) staleGeneration(b observedState) string {
+	for name, v := range a.vms {
+		if w, ok := b.vms[name]; ok && v.v == w.v && v.gen == w.gen && v.throughput != w.throughput {
+			return name
+		}
+	}
+	return ""
+}
+
+// throttled reports whether some VM of a is in b with less network.
+func (a observedState) throttled(b observedState) bool {
+	for name, v := range a.vms {
+		if w, ok := b.vms[name]; ok && w.alloc.NetMBps < v.alloc.NetMBps {
+			return true
+		}
+	}
+	return false
+}
+
 // TestCapacityWatchersSeeEveryChange is the completeness half of the
-// sampler's invariant: capacityChanged is its only invalidation signal, so
-// after every mutating call on a LocalController (and the ControllerAPI's
-// direct cascade deflate), if any VM's throughput or allocation, the VM set,
-// or the host's allocated or free capacity differs from before the call, a
-// watcher must have fired. Reads must never fire one. (The converse does not
-// hold and is not wanted: a reinflation that found nothing to give, or
-// FailAll on an empty server, still announce themselves.)
+// sampler's invariant: capacityChanged is its server-level invalidation
+// signal, so after every mutating call on a LocalController (and the
+// ControllerAPI's direct cascade deflate), if any VM's throughput or
+// allocation, the VM set, or the host's allocated or free capacity differs
+// from before the call, a watcher must have fired. Reads must never fire
+// one. (The converse does not hold and is not wanted: a reinflation that
+// found nothing to give, or FailAll on an empty server, still announce
+// themselves.) Within a server the sampler keeps a VM's throughput while its
+// vm.VM.Generation stands, so every VM whose throughput a call changed must
+// also have a new generation — the migration stream's throttle and restore
+// included, which resize VMs outside any cascade.
 func TestCapacityWatchersSeeEveryChange(t *testing.T) {
 	capacity := restypes.V(16, 65536, 400, 400)
 	newHost := func(kind substrate.Kind, name string) (substrate.Substrate, error) {
@@ -155,6 +183,7 @@ func TestCapacityWatchersSeeEveryChange(t *testing.T) {
 				}
 				var fired [2]int
 				var apis [2]*ControllerAPI
+				throttles := 0
 				for i, c := range ctrls {
 					c.WatchCapacity(func() { fired[i]++ })
 					api, err := NewControllerAPI(c)
@@ -255,10 +284,17 @@ func TestCapacityWatchersSeeEveryChange(t *testing.T) {
 						}
 					}
 					for j, cj := range ctrls {
-						changed := !observe(cj).equal(before[j])
+						after := observe(cj)
+						changed := !after.equal(before[j])
 						notified := fired[j] != firedBefore[j]
 						if changed && !notified {
 							t.Fatalf("step %d: %s changed server %s and no capacity watcher fired", step, op, cj.Name())
+						}
+						if name := before[j].staleGeneration(after); name != "" {
+							t.Fatalf("step %d: %s changed %s's throughput on server %s and not its generation", step, op, name, cj.Name())
+						}
+						if op == "stream" && before[j].throttled(after) {
+							throttles++
 						}
 						if op == "read" && notified {
 							t.Fatalf("step %d: a read fired server %s's capacity watchers", step, cj.Name())
@@ -267,6 +303,9 @@ func TestCapacityWatchersSeeEveryChange(t *testing.T) {
 				}
 				if next == 0 || fired == [2]int{} {
 					t.Fatal("the script never launched anything")
+				}
+				if throttles == 0 {
+					t.Fatal("no migration stream ever throttled a VM")
 				}
 			})
 		}
@@ -283,31 +322,60 @@ func TestCapacityWatchersSeeEveryChange(t *testing.T) {
 // a closure per arrival for its app and its departure, an escaping launch
 // spec and a separately allocated guest per domain held it at 13.0; arrivals
 // now stream through simclock.Feed and departures are typed events; at
-// 6.8, a deflating launch still listed the names of the VMs it deflated.
-// The ≈6.1 left is state that outlives its event: each launched VM's
-// instance, domain and app, the manager's spec record and trace generation.
+// 6.8, a deflating launch still listed the names of the VMs it deflated;
+// at 6.1, each refused launch formatted its error text. The ≈5.8 left is
+// state that outlives its event: each launched VM's instance, domain and
+// app, the manager's spec record and trace generation.
 // The budget is tight enough to catch that list coming back, or one closure
 // per admission, such as a method value evaluated at each AtIndex (+0.8).
 func TestSimAllocBudget(t *testing.T) {
-	const events = 4000
-	cfg := SimConfig{
-		Servers:          20,
-		TargetOvercommit: 1.6,
-		Seed:             11,
-		Trace:            trace.Config{Count: events, MeanInterarrival: 10 * time.Second},
-	}
+	cfg := saturatedCell()
 	var before, after runtime.MemStats
 	runtime.ReadMemStats(&before)
 	if _, err := RunSim(cfg); err != nil {
 		t.Fatal(err)
 	}
 	runtime.ReadMemStats(&after)
-	perEvent := float64(after.Mallocs-before.Mallocs) / events
+	perEvent := float64(after.Mallocs-before.Mallocs) / float64(cfg.Trace.Count)
 	budget := 6.5 + raceAllocAllowance
 	t.Logf("%.1f allocs/event", perEvent)
 	if perEvent > budget {
 		t.Errorf("%.1f allocs/event, budget %.1f", perEvent, budget)
 	}
+}
+
+// saturatedCell is a quick Fig. 8c cell: 20 servers loaded to 1.6× their
+// capacity and sampled on every admission, so most launches deflate and
+// most releases reinflate.
+func saturatedCell() SimConfig {
+	return SimConfig{
+		Servers:          20,
+		TargetOvercommit: 1.6,
+		Seed:             11,
+		Trace:            trace.Config{Count: 4000, MeanInterarrival: 10 * time.Second},
+	}
+}
+
+// BenchmarkSaturatedCell runs saturatedCell end to end: the deflating
+// path (the cascade on every deflating launch and release, the host's
+// growth admission, the state sampler) that BenchmarkSimCoreSimulation's
+// cell, which never deflates, cannot see. Profile it with -cpuprofile.
+func BenchmarkSaturatedCell(b *testing.B) {
+	cfg := saturatedCell()
+	var ms0, ms1 runtime.MemStats
+	runtime.GC()
+	runtime.ReadMemStats(&ms0)
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if _, err := RunSim(cfg); err != nil {
+			b.Fatal(err)
+		}
+	}
+	b.StopTimer()
+	runtime.ReadMemStats(&ms1)
+	events := float64(b.N) * float64(cfg.Trace.Count)
+	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/events, "ns/event")
+	b.ReportMetric(float64(ms1.Mallocs-ms0.Mallocs)/events, "allocs/event")
 }
 
 // raceAllocAllowance is what the race detector adds to TestSimAllocBudget's

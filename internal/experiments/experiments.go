@@ -42,10 +42,10 @@ func newHostAndVM(app vm.Application) (*vm.VM, error) {
 }
 
 // deflateBy reclaims the given per-dimension fractions of the VM's nominal
-// size through the configured cascade levels, returning the report.
-func deflateBy(v *vm.VM, levels cascade.Levels, frac restypes.Vector) (cascade.Report, error) {
+// size through the configured cascade levels.
+func deflateBy(v *vm.VM, levels cascade.Levels, frac restypes.Vector) error {
 	target := v.Size().Mul(frac)
-	return cascade.New(levels).Deflate(v, target)
+	return cascade.New(levels).Deflate(v, target, &cascade.Report{})
 }
 
 // pcts returns lo, lo+step, ... up to hi: a figure's x-axis in percent.

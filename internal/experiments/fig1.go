@@ -17,7 +17,7 @@ func fig1DeflatedThroughput(app vm.Application, d float64) (float64, error) {
 	if err != nil {
 		return 0, err
 	}
-	if _, err := deflateBy(v, cascade.AllLevels(), restypes.Uniform(d/100)); err != nil {
+	if err := deflateBy(v, cascade.AllLevels(), restypes.Uniform(d/100)); err != nil {
 		return 0, err
 	}
 	return v.Throughput(), nil

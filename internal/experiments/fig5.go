@@ -57,7 +57,7 @@ func (p fig5Panel) run(o Options) (Result, error) {
 			if err != nil {
 				return 0, err
 			}
-			if _, err := deflateBy(v, c.levels, p.frac.Scale(d/100)); err != nil {
+			if err := deflateBy(v, c.levels, p.frac.Scale(d/100)); err != nil {
 				return 0, err
 			}
 			return measure(v), nil

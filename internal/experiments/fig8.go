@@ -156,8 +156,8 @@ func fig8b(o Options) (Result, error) {
 			if err != nil {
 				return 0, err
 			}
-			rep, err := cascade.New(levels).Deflate(v, giant.Scale(d/100))
-			if err != nil {
+			var rep cascade.Report
+			if err := cascade.New(levels).Deflate(v, giant.Scale(d/100), &rep); err != nil {
 				return 0, err
 			}
 			return rep.TotalLatency.Seconds(), nil

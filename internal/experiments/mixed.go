@@ -204,7 +204,7 @@ func runMixedCell(c mixedCell) (mixedCellResult, error) {
 			blind := size.Scale(1 - c.DeflateFrac)
 			for _, v := range fleet {
 				before := v.Allocation().CPU
-				lat, err := v.Instance().SetAllocation(blind)
+				lat, err := v.SetAllocation(blind)
 				if err != nil {
 					return res, err
 				}
@@ -219,8 +219,8 @@ func runMixedCell(c mixedCell) (mixedCellResult, error) {
 			target := restypes.V(size.CPU*c.DeflateFrac, size.MemoryMB*c.DeflateFrac*0.5, 0, 0)
 			for _, v := range fleet {
 				before := v.Allocation().CPU
-				rep, err := ctrl.Deflate(v, target)
-				if err != nil {
+				var rep cascade.Report
+				if err := ctrl.Deflate(v, target, &rep); err != nil {
 					return res, err
 				}
 				totalLat += rep.TotalLatency

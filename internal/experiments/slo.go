@@ -167,7 +167,7 @@ func runSLOCell(c sloCell) (sloCellResult, error) {
 		target := restypes.V(size.CPU*c.DeflateFrac, size.MemoryMB*c.DeflateFrac*0.5, 0, 0)
 		for _, v := range webVMs {
 			before := v.Allocation().CPU
-			if _, err := ctrl.Deflate(v, target); err != nil {
+			if err := ctrl.Deflate(v, target, &cascade.Report{}); err != nil {
 				return res, err
 			}
 			res.WebReclaimedCores += before - v.Allocation().CPU
@@ -175,7 +175,7 @@ func runSLOCell(c sloCell) (sloCellResult, error) {
 		res.WebReclaimedCores /= float64(len(webVMs))
 		for _, v := range batchVMs {
 			before := v.Allocation().CPU
-			if _, err := ctrl.Deflate(v, target); err != nil {
+			if err := ctrl.Deflate(v, target, &cascade.Report{}); err != nil {
 				return res, err
 			}
 			res.BatchReclaimedCores += before - v.Allocation().CPU

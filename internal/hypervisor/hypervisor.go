@@ -67,13 +67,12 @@ const (
 // Host is a simulated physical machine running simkvm. Not safe for
 // concurrent use; the simulation is single-threaded.
 type Host struct {
-	cfg     Config
-	domains substrate.Table[*Domain] // name-ordered: Allocated sums it without sorting
-
-	// reserved is capacity set aside outside any domain's allocation —
-	// live-migration streams reserve network bandwidth here so that new
-	// domains cannot take it mid-copy. Always zero unless Reserve is used.
-	reserved restypes.Vector
+	cfg Config
+	// pool holds the domains in name order (Allocated sums them without
+	// sorting) and the capacity set aside outside any domain's allocation —
+	// live-migration streams reserve network bandwidth there so that new
+	// domains cannot take it mid-copy.
+	pool substrate.Pool[*Domain]
 }
 
 // NewHost creates a host with the given physical capacity.
@@ -81,7 +80,7 @@ func NewHost(cfg Config) (*Host, error) {
 	if !cfg.Capacity.Positive() {
 		return nil, fmt.Errorf("hypervisor: host capacity must be positive in all dimensions, got %v", cfg.Capacity)
 	}
-	return &Host{cfg: cfg}, nil
+	return &Host{cfg: cfg, pool: substrate.NewPool[*Domain](cfg.Capacity)}, nil
 }
 
 // Name returns the host name.
@@ -96,39 +95,26 @@ func (h *Host) Capacity() restypes.Vector { return h.cfg.Capacity }
 // Allocated returns the sum of all domains' current physical allocations.
 // Iteration is in name order so that floating-point summation is
 // deterministic across runs.
-func (h *Host) Allocated() restypes.Vector {
-	var sum restypes.Vector
-	for _, d := range h.domains.Ordered() {
-		sum = sum.Add(d.alloc)
-	}
-	return sum
-}
+func (h *Host) Allocated() restypes.Vector { return h.pool.Allocated() }
 
 // FreePhysical returns unallocated, unreserved physical capacity.
-func (h *Host) FreePhysical() restypes.Vector {
-	return h.cfg.Capacity.Sub(h.Allocated()).Sub(h.reserved).ClampNonNegative()
-}
+func (h *Host) FreePhysical() restypes.Vector { return h.pool.Free() }
+
+// FitsFree reports v.Fits(h.FreePhysical()), mostly without walking the
+// domains (substrate.Pool.FitsFree).
+func (h *Host) FitsFree(v restypes.Vector) bool { return h.pool.FitsFree(v) }
 
 // Reserve sets aside capacity outside any domain (e.g. network bandwidth for
 // a migration stream). It fails when the reservation does not fit in free
 // physical capacity.
-func (h *Host) Reserve(v restypes.Vector) error {
-	v = v.ClampNonNegative()
-	if free := h.FreePhysical(); !v.Fits(free) {
-		return fmt.Errorf("%w: reserving %v, free %v", ErrInsufficientCapacity, v, free)
-	}
-	h.reserved = h.reserved.Add(v)
-	return nil
-}
+func (h *Host) Reserve(v restypes.Vector) error { return h.pool.Reserve(v) }
 
 // Unreserve returns previously reserved capacity.
-func (h *Host) Unreserve(v restypes.Vector) {
-	h.reserved = h.reserved.Sub(v.ClampNonNegative()).ClampNonNegative()
-}
+func (h *Host) Unreserve(v restypes.Vector) { h.pool.Unreserve(v) }
 
 // Domain looks up a live domain by name.
 func (h *Host) Domain(name string) (*Domain, error) {
-	d, ok := h.domains.Get(name)
+	d, ok := h.pool.Get(name)
 	if !ok {
 		return nil, fmt.Errorf("%w: %q", ErrDomainNotFound, name)
 	}
@@ -160,14 +146,14 @@ func (h *Host) RestoreInstance(s substrate.Snapshot) (substrate.Instance, error)
 // fails with ErrInsufficientCapacity unless the size fits in free physical
 // capacity — the cluster manager must deflate other VMs first (§5).
 func (h *Host) CreateDomain(name string, size restypes.Vector, guestCfg guestos.Config) (*Domain, error) {
-	if _, ok := h.domains.Get(name); ok {
+	if _, ok := h.pool.Get(name); ok {
 		return nil, fmt.Errorf("%w: %q", ErrDomainExists, name)
 	}
 	if !size.Positive() {
 		return nil, fmt.Errorf("hypervisor: domain size must be positive in all dimensions, got %v", size)
 	}
-	if free := h.FreePhysical(); !size.Fits(free) {
-		return nil, fmt.Errorf("%w: need %v, free %v", ErrInsufficientCapacity, size, free)
+	if !h.pool.FitsFree(size) {
+		return nil, fmt.Errorf("%w: need %v, free %v", ErrInsufficientCapacity, size, h.FreePhysical())
 	}
 	if guestCfg.CPUs == 0 {
 		guestCfg.CPUs = int(size.CPU)
@@ -181,7 +167,7 @@ func (h *Host) CreateDomain(name string, size restypes.Vector, guestCfg guestos.
 	}
 	d := &Domain{host: h, name: name, size: size, alloc: size, guest: g}
 	d.everTouchedMB = d.touchedMB()
-	h.domains.Put(name, d)
+	h.pool.Put(name, d)
 	return d, nil
 }
 
@@ -244,7 +230,7 @@ func (d *Domain) Destroy() {
 		return
 	}
 	d.dead = true
-	d.host.domains.Delete(d.name)
+	d.host.pool.Delete(d.name)
 }
 
 // SetAllocation adjusts the domain's physical allocation to target
@@ -259,8 +245,8 @@ func (d *Domain) SetAllocation(target restypes.Vector) (time.Duration, error) {
 	target = target.Min(d.size).ClampNonNegative()
 
 	// Growth must fit in free physical capacity (own current allocation is
-	// already accounted, so only the delta matters); a shrink skips the walk.
-	if grow := target.Sub(d.alloc).ClampNonNegative(); !grow.IsZero() && !grow.Fits(d.host.FreePhysical()) {
+	// already accounted, so only the delta matters); a shrink skips the check.
+	if grow := target.Sub(d.alloc).ClampNonNegative(); !grow.IsZero() && !d.host.pool.FitsFree(grow) {
 		return 0, fmt.Errorf("%w: growing by %v, free %v", ErrInsufficientCapacity, grow, d.host.FreePhysical())
 	}
 
@@ -276,6 +262,7 @@ func (d *Domain) SetAllocation(target restypes.Vector) (time.Duration, error) {
 			latency = time.Duration(secs * float64(time.Second))
 		}
 	}
+	d.host.pool.Resize(d.alloc, target)
 	d.alloc = target
 	return latency, nil
 }
@@ -347,15 +334,15 @@ func (h *Host) RestoreDomain(s DomainSnapshot) (*Domain, error) {
 	if s.Guest == nil {
 		return nil, fmt.Errorf("hypervisor: snapshot %q has no guest state", s.Name)
 	}
-	if _, ok := h.domains.Get(s.Name); ok {
+	if _, ok := h.pool.Get(s.Name); ok {
 		return nil, fmt.Errorf("%w: %q", ErrDomainExists, s.Name)
 	}
 	if !s.Size.Positive() {
 		return nil, fmt.Errorf("hypervisor: snapshot size must be positive in all dimensions, got %v", s.Size)
 	}
 	alloc := s.Alloc.Min(s.Size).ClampNonNegative()
-	if free := h.FreePhysical(); !alloc.Fits(free) {
-		return nil, fmt.Errorf("%w: restoring %v, free %v", ErrInsufficientCapacity, alloc, free)
+	if !h.pool.FitsFree(alloc) {
+		return nil, fmt.Errorf("%w: restoring %v, free %v", ErrInsufficientCapacity, alloc, h.FreePhysical())
 	}
 	g, err := guestos.Restore(*s.Guest)
 	if err != nil {
@@ -364,7 +351,7 @@ func (h *Host) RestoreDomain(s DomainSnapshot) (*Domain, error) {
 	d := &Domain{host: h, name: s.Name, size: s.Size, alloc: alloc, guest: g}
 	d.everTouchedMB = s.EverTouchedMB
 	d.refreshEverTouched()
-	h.domains.Put(s.Name, d)
+	h.pool.Put(s.Name, d)
 	return d, nil
 }
 

@@ -72,7 +72,7 @@ func TestDomainsSorted(t *testing.T) {
 	h := newHost(t)
 	mustDomain(t, h, "b")
 	mustDomain(t, h, "a")
-	ds := h.domains.Ordered()
+	ds := h.pool.Ordered()
 	if len(ds) != 2 || ds[0].Name() != "a" || ds[1].Name() != "b" {
 		t.Errorf("domain order wrong: %v, %v", ds[0].Name(), ds[1].Name())
 	}

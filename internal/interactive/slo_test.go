@@ -88,7 +88,8 @@ func TestGuardClampsToHeadroom(t *testing.T) {
 	ctrl.SetSLOPolicy(guard)
 
 	// Ask for a brutal 3.5-core reclamation; the guard must withhold some.
-	rep, err := ctrl.Deflate(vms[0], restypes.V(3.5, 8192, 0, 0))
+	var rep cascade.Report
+	err := ctrl.Deflate(vms[0], restypes.V(3.5, 8192, 0, 0), &rep)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -126,7 +127,8 @@ func TestGuardPermitsDeflationUnderLightLoad(t *testing.T) {
 	}
 	ctrl := cascade.New(cascade.AllLevels())
 	ctrl.SetSLOPolicy(guard)
-	rep, err := ctrl.Deflate(vms[0], restypes.V(1, 0, 0, 0))
+	var rep cascade.Report
+	err := ctrl.Deflate(vms[0], restypes.V(1, 0, 0, 0), &rep)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -146,7 +148,8 @@ func TestGuardIgnoresBatchVMs(t *testing.T) {
 	ctrl := cascade.New(cascade.AllLevels())
 	ctrl.SetSLOPolicy(guard)
 	target := restypes.V(3, 8192, 0, 0)
-	rep, err := ctrl.Deflate(batch, target)
+	var rep cascade.Report
+	err := ctrl.Deflate(batch, target, &rep)
 	if err != nil {
 		t.Fatal(err)
 	}

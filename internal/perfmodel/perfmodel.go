@@ -13,6 +13,7 @@ package perfmodel
 import (
 	"fmt"
 	"math"
+	"slices"
 	"sort"
 )
 
@@ -117,8 +118,9 @@ func (c *UtilityCurve) At(a float64) float64 {
 	if a >= 1 {
 		return c.ys[len(c.ys)-1]
 	}
-	i := sort.SearchFloat64s(c.xs, a)
-	// c.xs[i-1] < a ≤ c.xs[i] (a is strictly inside (0,1) here).
+	// The smallest i with c.xs[i] ≥ a, as sort.SearchFloat64s, without its
+	// closure: c.xs[i-1] < a ≤ c.xs[i] (a is strictly inside (0,1) here).
+	i, _ := slices.BinarySearch(c.xs, a)
 	x0, x1 := c.xs[i-1], c.xs[i]
 	y0, y1 := c.ys[i-1], c.ys[i]
 	return y0 + (y1-y0)*(a-x0)/(x1-x0)

@@ -94,33 +94,40 @@ func (v Vector) Mul(w Vector) Vector {
 
 // Min returns the element-wise minimum of v and w, bit for bit math.Min's.
 func (v Vector) Min(w Vector) Vector {
-	return Vector{minf(v.CPU, w.CPU), minf(v.MemoryMB, w.MemoryMB),
-		minf(v.DiskMBps, w.DiskMBps), minf(v.NetMBps, w.NetMBps)}
+	return Vector{MinF(v.CPU, w.CPU), MinF(v.MemoryMB, w.MemoryMB),
+		MinF(v.DiskMBps, w.DiskMBps), MinF(v.NetMBps, w.NetMBps)}
 }
 
 // Max returns the element-wise maximum of v and w, bit for bit math.Max's.
 func (v Vector) Max(w Vector) Vector {
-	return Vector{maxf(v.CPU, w.CPU), maxf(v.MemoryMB, w.MemoryMB),
-		maxf(v.DiskMBps, w.DiskMBps), maxf(v.NetMBps, w.NetMBps)}
+	return Vector{MaxF(v.CPU, w.CPU), MaxF(v.MemoryMB, w.MemoryMB),
+		MaxF(v.DiskMBps, w.DiskMBps), MaxF(v.NetMBps, w.NetMBps)}
 }
 
-// minf and maxf are math.Min and math.Max, inlinable; the builtins let NaN beat ∓Inf.
-func minf(x, y float64) float64 {
+// MinF and MaxF are math.Min and math.Max bit for bit, and inlinable:
+// math's call an assembly routine on amd64, and the builtins alone let NaN
+// beat ∓Inf.
+func MinF(x, y float64) float64 {
 	if x < -math.MaxFloat64 || y < -math.MaxFloat64 {
 		return math.Inf(-1)
 	}
 	return min(x, y)
 }
 
-func maxf(x, y float64) float64 {
+func MaxF(x, y float64) float64 {
 	if x > math.MaxFloat64 || y > math.MaxFloat64 {
 		return math.Inf(1)
 	}
 	return max(x, y)
 }
 
-// ClampNonNegative returns v with every negative component replaced by zero.
-func (v Vector) ClampNonNegative() Vector { return v.Max(Vector{}) }
+// ClampNonNegative returns v with every negative component replaced by
+// zero, bit for bit math.Max(x, 0) per component: with 0 as one argument
+// the builtin agrees with math.Max on NaN, ±Inf and −0, so MaxF's Inf
+// checks are not needed.
+func (v Vector) ClampNonNegative() Vector {
+	return Vector{max(v.CPU, 0), max(v.MemoryMB, 0), max(v.DiskMBps, 0), max(v.NetMBps, 0)}
+}
 
 // Dot returns the inner product of v and w.
 func (v Vector) Dot(w Vector) float64 {
@@ -141,10 +148,13 @@ func (v Vector) CosineSimilarity(w Vector) float64 {
 	return v.Dot(w) / (nv * nw)
 }
 
+// FitsEpsilon is the float-error allowance of Fits, per component.
+const FitsEpsilon = 1e-9
+
 // Fits reports whether v fits within w, i.e. every component of v is at most
-// the corresponding component of w (with a tiny epsilon for float error).
+// the corresponding component of w plus FitsEpsilon.
 func (v Vector) Fits(w Vector) bool {
-	const eps = 1e-9
+	const eps = FitsEpsilon
 	return v.CPU <= w.CPU+eps && v.MemoryMB <= w.MemoryMB+eps &&
 		v.DiskMBps <= w.DiskMBps+eps && v.NetMBps <= w.NetMBps+eps
 }

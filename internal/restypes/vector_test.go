@@ -228,13 +228,23 @@ func sameFloat(a, b float64) bool {
 	return math.Float64bits(a) == math.Float64bits(b) || (math.IsNaN(a) && math.IsNaN(b))
 }
 
-// checkMinMax compares Min, Max and ClampNonNegative with math.Min and
-// math.Max component by component.
+// checkMinMax compares Min, Max, MinF and MaxF with math.Min and
+// math.Max, and ClampNonNegative of both arguments with math.Max(x, 0),
+// component by component.
 func checkMinMax(t *testing.T, v, w Vector) {
 	t.Helper()
-	mn, mx, cl := v.Min(w), v.Max(w), v.ClampNonNegative()
+	mn, mx, cl, clw := v.Min(w), v.Max(w), v.ClampNonNegative(), w.ClampNonNegative()
 	for _, k := range Kinds() {
 		x, y := v.At(k), w.At(k)
+		if got, want := clw.At(k), math.Max(y, 0); !sameFloat(got, want) {
+			t.Errorf("ClampNonNegative %v: %v → %v, math.Max %v", k, y, got, want)
+		}
+		if got, want := MinF(x, y), math.Min(x, y); !sameFloat(got, want) {
+			t.Errorf("MinF(%v, %v) = %v, math.Min %v", x, y, got, want)
+		}
+		if got, want := MaxF(x, y), math.Max(x, y); !sameFloat(got, want) {
+			t.Errorf("MaxF(%v, %v) = %v, math.Max %v", x, y, got, want)
+		}
 		if got, want := mn.At(k), math.Min(x, y); !sameFloat(got, want) {
 			t.Errorf("Min %v: min(%v, %v) = %v, math.Min %v", k, x, y, got, want)
 		}

@@ -60,9 +60,8 @@ const (
 // Host is a simulated machine running containers. Not safe for concurrent
 // use; the simulation is single-threaded.
 type Host struct {
-	cfg        Config
-	containers substrate.Table[*Container] // name-ordered: Allocated sums it without sorting
-	reserved   restypes.Vector
+	cfg  Config
+	pool substrate.Pool[*Container] // name-ordered: Allocated sums it without sorting
 }
 
 // NewHost creates a container host with the given physical capacity.
@@ -70,7 +69,7 @@ func NewHost(cfg Config) (*Host, error) {
 	if !cfg.Capacity.Positive() {
 		return nil, fmt.Errorf("simcg: host capacity must be positive in all dimensions, got %v", cfg.Capacity)
 	}
-	return &Host{cfg: cfg}, nil
+	return &Host{cfg: cfg, pool: substrate.NewPool[*Container](cfg.Capacity)}, nil
 }
 
 // Name returns the host name.
@@ -84,53 +83,40 @@ func (h *Host) Capacity() restypes.Vector { return h.cfg.Capacity }
 
 // Allocated returns the sum of all containers' current limits, iterated in
 // name order so floating-point summation is deterministic.
-func (h *Host) Allocated() restypes.Vector {
-	var sum restypes.Vector
-	for _, c := range h.containers.Ordered() {
-		sum = sum.Add(c.alloc)
-	}
-	return sum
-}
+func (h *Host) Allocated() restypes.Vector { return h.pool.Allocated() }
 
 // FreePhysical returns unallocated, unreserved physical capacity. The
 // shared page cache lives here: host memory not committed to any
 // container's memory.max backs cache pages and is reclaimable on demand,
 // so it stays placeable.
-func (h *Host) FreePhysical() restypes.Vector {
-	return h.cfg.Capacity.Sub(h.Allocated()).Sub(h.reserved).ClampNonNegative()
-}
+func (h *Host) FreePhysical() restypes.Vector { return h.pool.Free() }
+
+// FitsFree reports v.Fits(h.FreePhysical()), mostly without walking the
+// containers (substrate.Pool.FitsFree).
+func (h *Host) FitsFree(v restypes.Vector) bool { return h.pool.FitsFree(v) }
 
 // Reserve sets aside capacity outside any container (migration streams).
-func (h *Host) Reserve(v restypes.Vector) error {
-	v = v.ClampNonNegative()
-	if free := h.FreePhysical(); !v.Fits(free) {
-		return fmt.Errorf("%w: reserving %v, free %v", substrate.ErrInsufficientCapacity, v, free)
-	}
-	h.reserved = h.reserved.Add(v)
-	return nil
-}
+func (h *Host) Reserve(v restypes.Vector) error { return h.pool.Reserve(v) }
 
 // Unreserve returns previously reserved capacity.
-func (h *Host) Unreserve(v restypes.Vector) {
-	h.reserved = h.reserved.Sub(v.ClampNonNegative()).ClampNonNegative()
-}
+func (h *Host) Unreserve(v restypes.Vector) { h.pool.Unreserve(v) }
 
 // Spawn starts a container of the given nominal size. The guest config is
 // the shared workload parameterization; a container has no guest kernel,
 // so only the footprint-relevant field (the runtime overhead standing in
 // for KernelMemMB) applies, and it comes from the host config instead.
 func (h *Host) Spawn(name string, size restypes.Vector, _ guestos.Config) (substrate.Instance, error) {
-	if _, ok := h.containers.Get(name); ok {
+	if _, ok := h.pool.Get(name); ok {
 		return nil, fmt.Errorf("%w: %q", substrate.ErrInstanceExists, name)
 	}
 	if !size.Positive() {
 		return nil, fmt.Errorf("simcg: container size must be positive in all dimensions, got %v", size)
 	}
-	if free := h.FreePhysical(); !size.Fits(free) {
-		return nil, fmt.Errorf("%w: need %v, free %v", substrate.ErrInsufficientCapacity, size, free)
+	if !h.pool.FitsFree(size) {
+		return nil, fmt.Errorf("%w: need %v, free %v", substrate.ErrInsufficientCapacity, size, h.FreePhysical())
 	}
 	c := &Container{host: h, name: name, size: size, alloc: size}
-	h.containers.Put(name, c)
+	h.pool.Put(name, c)
 	return c, nil
 }
 
@@ -145,15 +131,15 @@ func (h *Host) RestoreInstance(s substrate.Snapshot) (substrate.Instance, error)
 	if s.Container == nil {
 		return nil, fmt.Errorf("simcg: snapshot %q has no container state", s.Name)
 	}
-	if _, ok := h.containers.Get(s.Name); ok {
+	if _, ok := h.pool.Get(s.Name); ok {
 		return nil, fmt.Errorf("%w: %q", substrate.ErrInstanceExists, s.Name)
 	}
 	if !s.Size.Positive() {
 		return nil, fmt.Errorf("simcg: snapshot size must be positive in all dimensions, got %v", s.Size)
 	}
 	alloc := s.Alloc.Min(s.Size).ClampNonNegative()
-	if free := h.FreePhysical(); !alloc.Fits(free) {
-		return nil, fmt.Errorf("%w: restoring %v, free %v", substrate.ErrInsufficientCapacity, alloc, free)
+	if !h.pool.FitsFree(alloc) {
+		return nil, fmt.Errorf("%w: restoring %v, free %v", substrate.ErrInsufficientCapacity, alloc, h.FreePhysical())
 	}
 	if s.Container.RSSMB+overheadMB > alloc.MemoryMB {
 		return nil, fmt.Errorf("simcg: snapshot %q RSS %.0f MB does not fit restored memory.max %.0f MB",
@@ -164,7 +150,7 @@ func (h *Host) RestoreInstance(s substrate.Snapshot) (substrate.Instance, error)
 		rssMB: s.Container.RSSMB, cacheMB: s.Container.PageCacheMB,
 		oomKilled: s.Container.OOMKilled,
 	}
-	h.containers.Put(s.Name, c)
+	h.pool.Put(s.Name, c)
 	return c, nil
 }
 
@@ -203,7 +189,7 @@ func (c *Container) Destroy() {
 		return
 	}
 	c.dead = true
-	c.host.containers.Delete(c.name)
+	c.host.pool.Delete(c.name)
 }
 
 // MarkWarm is a no-op: a cgroup has no touched-footprint high-water mark —
@@ -251,9 +237,10 @@ func (c *Container) SetAllocation(target restypes.Vector) (time.Duration, error)
 		return 0, substrate.ErrInstanceDestroyed
 	}
 	target = target.Min(c.size).ClampNonNegative()
-	if grow := target.Sub(c.alloc).ClampNonNegative(); !grow.IsZero() && !grow.Fits(c.host.FreePhysical()) {
+	if grow := target.Sub(c.alloc).ClampNonNegative(); !grow.IsZero() && !c.host.pool.FitsFree(grow) {
 		return 0, fmt.Errorf("%w: growing by %v, free %v", substrate.ErrInsufficientCapacity, grow, c.host.FreePhysical())
 	}
+	c.host.pool.Resize(c.alloc, target)
 	c.alloc = target
 	c.checkOOM()
 	return cgroupWriteLatency, nil

@@ -63,7 +63,7 @@ func TestSpawnBookkeeping(t *testing.T) {
 	if _, err := h.Spawn("huge", restypes.V(64, 1024, 10, 10), guestos.Config{}); !errors.Is(err, substrate.ErrInsufficientCapacity) {
 		t.Errorf("oversized spawn err = %v", err)
 	}
-	if _, ok := h.containers.Get("c0"); !ok {
+	if _, ok := h.pool.Get("c0"); !ok {
 		t.Error("spawned container c0 missing")
 	}
 }
@@ -73,7 +73,7 @@ func TestInstancesSorted(t *testing.T) {
 	mustSpawn(t, h, "c2")
 	mustSpawn(t, h, "c0")
 	mustSpawn(t, h, "c1")
-	got := h.containers.Ordered()
+	got := h.pool.Ordered()
 	if len(got) != 3 {
 		t.Fatalf("instances = %d", len(got))
 	}
@@ -89,7 +89,7 @@ func TestReserveUnreserve(t *testing.T) {
 	if err := h.Reserve(restypes.V(8, 32768, 200, 200)); err != nil {
 		t.Fatalf("Reserve: %v", err)
 	}
-	if got := h.reserved; got != restypes.V(8, 32768, 200, 200) {
+	if got := h.Capacity().Sub(h.FreePhysical()); got != restypes.V(8, 32768, 200, 200) {
 		t.Errorf("reserved = %v", got)
 	}
 	// A spawn may not dip into the reservation.
@@ -313,7 +313,7 @@ func TestDestroyReleasesCapacity(t *testing.T) {
 	if _, err := c.SetAllocation(ctrSize()); !errors.Is(err, substrate.ErrInstanceDestroyed) {
 		t.Errorf("resize after destroy err = %v", err)
 	}
-	if _, ok := h.containers.Get("c0"); ok {
+	if _, ok := h.pool.Get("c0"); ok {
 		t.Error("destroyed container c0 still listed")
 	}
 }

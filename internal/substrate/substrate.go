@@ -132,6 +132,9 @@ type Substrate interface {
 	Allocated() restypes.Vector
 	// FreePhysical returns unallocated, unreserved physical capacity.
 	FreePhysical() restypes.Vector
+	// FitsFree reports v.Fits(FreePhysical()), decided from a running
+	// total of the allocations wherever that is exact (Pool.FitsFree).
+	FitsFree(v restypes.Vector) bool
 	// Reserve sets aside capacity outside any instance (migration streams).
 	Reserve(v restypes.Vector) error
 	// Unreserve returns previously reserved capacity.

@@ -29,21 +29,27 @@ func (t *Table[T]) Get(name string) (v T, ok bool) {
 // the table until the next Put or Delete; callers must not modify it.
 func (t *Table[T]) Ordered() []T { return t.items }
 
-// Put stores v under name, replacing any entry already there.
-func (t *Table[T]) Put(name string, v T) {
+// Put stores v under name, replacing any entry already there, and returns
+// the entry it replaced.
+func (t *Table[T]) Put(name string, v T) (old T, replaced bool) {
 	i, found := slices.BinarySearch(t.names, name)
 	if found {
-		t.items[i] = v
-		return
+		old, t.items[i] = t.items[i], v
+		return old, true
 	}
 	t.names = slices.Insert(t.names, i, name)
 	t.items = slices.Insert(t.items, i, v)
+	return old, false
 }
 
-// Delete removes the entry stored under name, if any.
-func (t *Table[T]) Delete(name string) {
-	if i, found := slices.BinarySearch(t.names, name); found {
-		t.names = slices.Delete(t.names, i, i+1)
-		t.items = slices.Delete(t.items, i, i+1)
+// Delete removes the entry stored under name, if any, and returns it.
+func (t *Table[T]) Delete(name string) (v T, ok bool) {
+	i, found := slices.BinarySearch(t.names, name)
+	if !found {
+		return v, false
 	}
+	v = t.items[i]
+	t.names = slices.Delete(t.names, i, i+1)
+	t.items = slices.Delete(t.items, i, i+1)
+	return v, true
 }

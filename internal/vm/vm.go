@@ -76,8 +76,9 @@ type EnvObserver interface {
 }
 
 // ObserveEnv pushes the VM's current environment to the application if it
-// implements EnvObserver.
+// implements EnvObserver, and moves the generation.
 func (v *VM) ObserveEnv() {
+	v.gen++
 	if obs, ok := v.app.(EnvObserver); ok {
 		obs.ObserveEnv(v.inst.Env())
 	}
@@ -90,7 +91,9 @@ type VM struct {
 	inst     substrate.Instance
 	app      Application
 	priority Priority
+	size     restypes.Vector // M_i: the instance's nominal size, fixed at boot on every substrate
 	minSize  restypes.Vector // m_i: deflation floor; zero means "fully deflatable"
+	gen      uint64          // see Generation
 }
 
 // Config bundles VM creation parameters.
@@ -123,7 +126,7 @@ func NewOn(inst substrate.Instance, app Application, cfg Config) (*VM, error) {
 	if !cfg.MinSize.Fits(inst.Size()) {
 		return nil, fmt.Errorf("vm: min size %v exceeds VM size %v", cfg.MinSize, inst.Size())
 	}
-	v := &VM{inst: inst, app: app, priority: cfg.Priority, minSize: cfg.MinSize}
+	v := &VM{inst: inst, app: app, priority: cfg.Priority, size: inst.Size(), minSize: cfg.MinSize}
 	v.SyncFootprint()
 	return v, nil
 }
@@ -162,10 +165,26 @@ func (v *VM) App() Application { return v.app }
 func (v *VM) Priority() Priority { return v.priority }
 
 // Size returns the nominal booted size M_i.
-func (v *VM) Size() restypes.Vector { return v.inst.Size() }
+func (v *VM) Size() restypes.Vector { return v.size }
 
 // Allocation returns the current physical allocation.
 func (v *VM) Allocation() restypes.Vector { return v.inst.Allocation() }
+
+// SetAllocation resizes the instance toward target (substrate.Instance's
+// SetAllocation) and moves the generation, whether or not the resize
+// succeeds. Every resize of a running VM goes through here.
+func (v *VM) SetAllocation(target restypes.Vector) (time.Duration, error) {
+	v.gen++
+	return v.inst.SetAllocation(target)
+}
+
+// Generation counts the VM methods that may change its environment or its
+// application's state: SetAllocation, SyncFootprint and ObserveEnv. Code
+// that changes the guest or the application through Guest or App must end
+// with one of them, as every cascade deflation and reinflation ends with
+// ObserveEnv. While the generation stands still, Throughput returns what it
+// returned last, so a caller may keep that value instead of re-evaluating.
+func (v *VM) Generation() uint64 { return v.gen }
 
 // MinSize returns the deflation floor m_i.
 func (v *VM) MinSize() restypes.Vector { return v.minSize }
@@ -182,9 +201,10 @@ func (v *VM) Deflatable() restypes.Vector {
 	if v.priority == HighPriority {
 		return restypes.Vector{}
 	}
-	d := v.inst.Allocation().Sub(v.minSize).ClampNonNegative()
+	alloc := v.inst.Allocation()
+	d := alloc.Sub(v.minSize).ClampNonNegative()
 	if floor := v.inst.ResizeFloorMB(); floor > 0 {
-		if maxMem := v.inst.Allocation().MemoryMB - floor; maxMem < d.MemoryMB {
+		if maxMem := alloc.MemoryMB - floor; maxMem < d.MemoryMB {
 			if maxMem < 0 {
 				maxMem = 0
 			}
@@ -203,8 +223,9 @@ func (v *VM) Throughput() float64 { return v.app.Throughput(v.inst.Env()) }
 // SyncFootprint propagates the application's memory footprint to the
 // substrate (which uses it to bound safe unplugging, track the resize
 // floor, and detect OOM). Call after any operation that may change the
-// footprint.
+// footprint. It moves the generation.
 func (v *VM) SyncFootprint() {
+	v.gen++
 	rss, cache := v.app.Footprint()
 	v.inst.SetAppFootprint(rss, cache)
 }
@@ -250,5 +271,5 @@ func RestoreOn(sub substrate.Substrate, s Snapshot, app Application) (*VM, error
 	if err != nil {
 		return nil, err
 	}
-	return &VM{inst: inst, app: app, priority: s.Priority, minSize: s.MinSize}, nil
+	return &VM{inst: inst, app: app, priority: s.Priority, size: inst.Size(), minSize: s.MinSize}, nil
 }
