@@ -552,31 +552,43 @@ func unsetFields(root, declDir string, callers []string) ([]string, error) {
 	return unset, nil
 }
 
-// TestOneEventPath holds the manager to one event path. Only emit, and the
-// replay of a journal record, count an event: a repair that counts around
+// TestOneEventPath holds the manager to one event path. Only the fold of an
+// event, WALState.apply, counts it: emit applies the events the manager
+// makes and replay the journal's records, so a repair that counts around
 // emit is an event that no recorder or subscriber sees. Only the folds of
-// the event stream switch on its kinds: the counts, the replayed state and
+// the event stream switch on its kinds: the counts, the manager's state and
 // the simulator's books. Anything else that dispatches on a kind rebuilds a
-// transition by hand.
+// transition by hand. And only apply writes the fold's maps: a handler that
+// sets a placement itself changes the manager's state without an event.
 func TestOneEventPath(t *testing.T) {
 	counters, switchers, err := eventPaths(".", "deflation", callerDirs)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if want := []string{"internal/cluster.Manager.emit", "internal/cluster.WALState.Apply"}; !reflect.DeepEqual(counters, want) {
+	if want := []string{"internal/cluster.WALState.apply"}; !reflect.DeepEqual(counters, want) {
 		t.Errorf("counts.add is called from %q, want only %q", counters, want)
 	}
-	if want := []string{"internal/cluster.Counts.add", "internal/cluster.WALState.Apply", "internal/cluster.books.apply"}; !reflect.DeepEqual(switchers, want) {
+	if want := []string{"internal/cluster.Counts.add", "internal/cluster.WALState.apply", "internal/cluster.books.apply"}; !reflect.DeepEqual(switchers, want) {
 		t.Errorf("a switch on an EventKind sits in %q, want only %q", switchers, want)
+	}
+	writers, err := foldWriters(".", callerDirs)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if want := []string{"internal/cluster.WALState.apply"}; !reflect.DeepEqual(writers, want) {
+		t.Errorf("the fold's maps are written in %q, want only %q", writers, want)
 	}
 }
 
-// TestEventPathScanFixture runs the event-path scan over a fixture tree
-// that counts once around emit and switches on a kind outside its fold,
-// through an import; a switch on a plain constant and a test's switch on a
-// kind do not count.
+// TestEventPathScanFixture runs the event-path scans over a fixture tree
+// that counts once around emit, switches on a kind outside its fold,
+// through an import, and writes the fold's maps outside apply: through the
+// manager's field, and through a local the fold's constructor returned. A
+// switch on a plain constant, a test's switch on a kind, and a write to a
+// same-named map of another type do not count.
 func TestEventPathScanFixture(t *testing.T) {
-	counters, switchers, err := eventPaths(filepath.Join("testdata", "eventscan"), "fixture", []string{"cmd", "internal"})
+	root := filepath.Join("testdata", "eventscan")
+	counters, switchers, err := eventPaths(root, "fixture", []string{"cmd", "internal"})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -586,6 +598,146 @@ func TestEventPathScanFixture(t *testing.T) {
 	if want := []string{"cmd/tool.describe", "internal/cluster.Counts.add"}; !reflect.DeepEqual(switchers, want) {
 		t.Errorf("switchers = %q, want %q", switchers, want)
 	}
+	writers, err := foldWriters(root, []string{"cmd", "internal"})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if want := []string{"internal/cluster.Manager.place", "internal/cluster.WALState.apply", "internal/cluster.fresh"}; !reflect.DeepEqual(writers, want) {
+		t.Errorf("writers = %q, want %q", writers, want)
+	}
+}
+
+// foldWriters lists, sorted like eventPaths, the non-test functions under
+// root/callers that assign to, delete from or clear a map field of
+// WALState (the fold). The scan is syntactic: an expression holds the fold
+// when it is a receiver, parameter or var declared as (*)WALState, a local
+// assigned from a fold-holding expression, a field declared as
+// (*)WALState, a call to a function whose first result is one, or a
+// WALState literal.
+func foldWriters(root string, callers []string) ([]string, error) {
+	files, err := parseTrees(root, callers)
+	if err != nil {
+		return nil, err
+	}
+	isFoldType := func(e ast.Expr) bool {
+		if star, ok := e.(*ast.StarExpr); ok {
+			e = star.X
+		}
+		switch e := e.(type) {
+		case *ast.Ident:
+			return e.Name == "WALState"
+		case *ast.SelectorExpr:
+			return e.Sel.Name == "WALState"
+		}
+		return false
+	}
+	mapFields, holders, makers := make(map[string]bool), make(map[string]bool), make(map[string]bool)
+	for _, pkgFiles := range files {
+		for _, f := range pkgFiles {
+			ast.Inspect(f, func(n ast.Node) bool {
+				switch n := n.(type) {
+				case *ast.TypeSpec:
+					st, ok := n.Type.(*ast.StructType)
+					if !ok {
+						return true
+					}
+					for _, field := range st.Fields.List {
+						_, isMap := field.Type.(*ast.MapType)
+						for _, id := range field.Names {
+							if isMap && n.Name.Name == "WALState" {
+								mapFields[id.Name] = true
+							}
+							if isFoldType(field.Type) {
+								holders[id.Name] = true
+							}
+						}
+					}
+				case *ast.FuncDecl:
+					if res := n.Type.Results; res != nil && len(res.List) > 0 && isFoldType(res.List[0].Type) {
+						makers[n.Name.Name] = true
+					}
+				}
+				return true
+			})
+		}
+	}
+
+	writeSet := make(map[string]bool)
+	for dir, pkgFiles := range files {
+		for _, f := range pkgFiles {
+			for _, d := range f.Decls {
+				fd, ok := d.(*ast.FuncDecl)
+				if !ok || fd.Body == nil {
+					continue
+				}
+				locals := make(map[string]bool)
+				for _, fields := range []*ast.FieldList{fd.Recv, fd.Type.Params} {
+					if fields == nil {
+						continue
+					}
+					for _, field := range fields.List {
+						for _, id := range field.Names {
+							locals[id.Name] = isFoldType(field.Type)
+						}
+					}
+				}
+				var holds func(e ast.Expr) bool
+				holds = func(e ast.Expr) bool {
+					switch e := e.(type) {
+					case *ast.Ident:
+						return locals[e.Name]
+					case *ast.SelectorExpr:
+						return holders[e.Sel.Name]
+					case *ast.StarExpr:
+						return holds(e.X)
+					case *ast.ParenExpr:
+						return holds(e.X)
+					case *ast.UnaryExpr:
+						return holds(e.X)
+					case *ast.CompositeLit:
+						return isFoldType(e.Type)
+					case *ast.CallExpr:
+						switch fn := e.Fun.(type) {
+						case *ast.Ident:
+							return makers[fn.Name]
+						case *ast.SelectorExpr:
+							return makers[fn.Sel.Name]
+						}
+					}
+					return false
+				}
+				// foldMap reports whether e names a map of the fold.
+				foldMap := func(e ast.Expr) bool {
+					sel, ok := e.(*ast.SelectorExpr)
+					return ok && mapFields[sel.Sel.Name] && holds(sel.X)
+				}
+				key := declKeys(dir, fd)[0].name
+				ast.Inspect(fd.Body, func(n ast.Node) bool {
+					switch n := n.(type) {
+					case *ast.ValueSpec:
+						for i, id := range n.Names {
+							locals[id.Name] = (n.Type != nil && isFoldType(n.Type)) || (i < len(n.Values) && holds(n.Values[i]))
+						}
+					case *ast.AssignStmt:
+						for i, lhs := range n.Lhs {
+							if ix, ok := lhs.(*ast.IndexExpr); ok && foldMap(ix.X) || foldMap(lhs) {
+								writeSet[key] = true
+							}
+							if id, ok := lhs.(*ast.Ident); ok && i < len(n.Rhs) && holds(n.Rhs[i]) {
+								locals[id.Name] = true
+							}
+						}
+					case *ast.CallExpr:
+						if fn, ok := n.Fun.(*ast.Ident); ok && (fn.Name == "delete" || fn.Name == "clear") && len(n.Args) > 0 && foldMap(n.Args[0]) {
+							writeSet[key] = true
+						}
+					}
+					return true
+				})
+			}
+		}
+	}
+	return slices.Sorted(maps.Keys(writeSet)), nil
 }
 
 // eventPaths lists, sorted as "<dir>.<func>" or "<dir>.<Type>.<Method>",

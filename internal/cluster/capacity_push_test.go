@@ -858,9 +858,9 @@ func TestCachedCapacityMatchesInProcess(t *testing.T) {
 				}
 				t.Fatalf("event streams differ in length: %d cached, %d in-process", len(remoteLog.events), len(localLog.events))
 			}
-			if len(remoteLog.events) < 100 || remote.Rejected() == 0 || remote.Preemptions() == 0 || remote.counts.Migrations == 0 {
+			if len(remoteLog.events) < 100 || remote.Rejected() == 0 || remote.Preemptions() == 0 || remote.fold.Migrations == 0 {
 				t.Errorf("script exercised too little: %d events, %d rejections, %d preemptions, %d migrations",
-					len(remoteLog.events), remote.Rejected(), remote.Preemptions(), remote.counts.Migrations)
+					len(remoteLog.events), remote.Rejected(), remote.Preemptions(), remote.fold.Migrations)
 			}
 			if remote.Preemptions() != local.Preemptions() || remote.Snapshot().MaxOvercommitment != local.Snapshot().MaxOvercommitment {
 				t.Errorf("reported readings differ: preemptions %d/%d, max overcommitment %v/%v",

@@ -74,6 +74,9 @@ a8bb9e4c {"seq":22,"type":"node-down","data":{"kind":"node-down","node":"s1"},"e
 
 const pinnedSnapshot = `{"applied_seq":22,"epoch":2,"placements":{"a":"s1","b":"s0","d":"s1"},"specs":{"a":{"name":"a","size":{"CPU":4,"MemoryMB":16384,"DiskMBps":100,"NetMBps":100},"min_size":{"CPU":1,"MemoryMB":4096,"DiskMBps":25,"NetMBps":25},"priority":1,"app_kind":"inelastic","guest_config":{"CPUs":0,"MemoryMB":0,"KernelMemMB":0,"PinnedCPUs":0,"MigrationEfficiency":0,"PageMigrateMBps":0,"CPUHotplugLatency":0,"WriteIntensity":0},"warm":true,"substrate":"hypervisor"},"b":{"name":"b","size":{"CPU":4,"MemoryMB":16384,"DiskMBps":100,"NetMBps":100},"min_size":{"CPU":1,"MemoryMB":4096,"DiskMBps":25,"NetMBps":25},"priority":1,"app_kind":"inelastic","guest_config":{"CPUs":0,"MemoryMB":0,"KernelMemMB":0,"PinnedCPUs":0,"MigrationEfficiency":0,"PageMigrateMBps":0,"CPUHotplugLatency":0,"WriteIntensity":0},"warm":true,"substrate":"hypervisor"},"d":{"name":"d","size":{"CPU":4,"MemoryMB":16384,"DiskMBps":100,"NetMBps":100},"min_size":{"CPU":1,"MemoryMB":4096,"DiskMBps":25,"NetMBps":25},"priority":1,"app_kind":"inelastic","guest_config":{"CPUs":0,"MemoryMB":0,"KernelMemMB":0,"PinnedCPUs":0,"MigrationEfficiency":0,"PageMigrateMBps":0,"CPUHotplugLatency":0,"WriteIntensity":0},"warm":true,"substrate":"hypervisor"}},"dead":{"s1":true},"nodes":{"s0":"http://10.0.0.1:7070"},"migrating":{"b":{"from":"s0","to":"s1"}},"rejected":1,"failure_preemptions":1,"replaced":1,"lost":1,"adopted":1,"stale_released":1,"migrations":1,"migration_failures":1}`
 
+const pinnedReassert = `932acfeb {"seq":23,"type":"reassert","data":{"kind":"reassert","vm":"a","node":"s1","spec":{"name":"a","size":{"CPU":2,"MemoryMB":8192,"DiskMBps":50,"NetMBps":50},"min_size":{"CPU":1,"MemoryMB":2048,"DiskMBps":10,"NetMBps":10},"priority":1,"app_kind":"inelastic","guest_config":{"CPUs":0,"MemoryMB":0,"KernelMemMB":0,"PinnedCPUs":0,"MigrationEfficiency":0,"PageMigrateMBps":0,"CPUHotplugLatency":0,"WriteIntensity":0},"warm":true,"substrate":"hypervisor"}},"epoch":2}
+`
+
 // TestJournalBytesPinned journals one event of every kind through the
 // durable recorder and compares the raw log, and the snapshot of the
 // state its replay rebuilds, with committed bytes: a journal written by
@@ -118,16 +121,28 @@ func TestJournalBytesPinned(t *testing.T) {
 		t.Errorf("snapshot bytes moved:\n%s", got)
 	}
 
-	// A manager that installs the state writes the same counters back.
-	m2, _ := newCrashableCluster(t, 2, BestFit)
-	m2.installWALState(st)
-	back := m2.walState()
-	counts := func(s *WALState) []int {
-		return []int{s.Rejected, s.FailurePreemptions, s.Replaced, s.Lost,
-			s.Adopted, s.StaleReleased, s.Migrations, s.MigrationFailures}
+	// The reassert kind came after the others. Its record is pinned on its
+	// own, after the compaction above, so no earlier byte moves; its replay
+	// changes a spec and no count.
+	spec := *pinnedEvents()[3].Spec
+	spec.Size, spec.MinSize = restypes.V(2, 8192, 50, 50), restypes.V(1, 2048, 10, 10)
+	rec.Record(Event{Kind: evReassert, VM: "a", Node: "s1", Spec: &spec})
+	if raw, err = os.ReadFile(filepath.Join(dir, "journal.log")); err != nil {
+		t.Fatal(err)
 	}
-	if !reflect.DeepEqual(counts(back), counts(st)) {
-		t.Errorf("counters after install = %v, want %v", counts(back), counts(st))
+	if string(raw) != pinnedReassert {
+		t.Errorf("reassert bytes moved:\n%s", raw)
+	}
+	if b, err = j.RecordsAfter(st.AppliedSeq); err != nil {
+		t.Fatal(err)
+	}
+	counts := st.Counts
+	if st, err = replay(st, b); err != nil {
+		t.Fatal(err)
+	}
+	if got := st.Specs["a"]; !reflect.DeepEqual(got, spec) || st.Counts != counts || st.AppliedSeq != 23 {
+		t.Errorf("replayed reassert: spec %+v, counts %+v, seq %d; want spec %+v, counts %+v, seq 23",
+			got, st.Counts, st.AppliedSeq, spec, counts)
 	}
 }
 
@@ -177,7 +192,7 @@ func TestLiveCountsEqualReplayedCounts(t *testing.T) {
 	// Stale: a partitioned node's VMs are re-placed while it is dead, and
 	// the copies it still runs are released when it heals.
 	hosting := func() int {
-		for _, idx := range m.placement {
+		for _, idx := range placedIndexes(m) {
 			return idx
 		}
 		t.Fatal("no VM placed")
@@ -207,7 +222,7 @@ func TestLiveCountsEqualReplayedCounts(t *testing.T) {
 	m.ProbeHealth()
 
 	for _, k := range countedKinds {
-		if n, _ := countField(m.counts, k); n == 0 {
+		if n, _ := countField(m.fold.Counts, k); n == 0 {
 			t.Errorf("scenario emitted no %s event", k)
 		}
 	}
@@ -219,8 +234,8 @@ func TestLiveCountsEqualReplayedCounts(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if st.Counts != m.counts {
-		t.Errorf("replayed counts %+v, live %+v", st.Counts, m.counts)
+	if st.Counts != m.fold.Counts {
+		t.Errorf("replayed counts %+v, live %+v", st.Counts, m.fold.Counts)
 	}
 }
 
@@ -228,17 +243,20 @@ func TestLiveCountsEqualReplayedCounts(t *testing.T) {
 // knows, which replay must ignore.
 var walEventKinds = []EventKind{evLaunch, evReject, evRelease, evPreempt, NodeDown, NodeUp,
 	VMEvicted, VMReplaced, VMLost, VMAdopted, VMStaleReleased, evMigrateStart, evMigrateDone,
-	evMigrateFail, evLeader, evNodeAdd, evNodeRemove, "from-a-later-build"}
+	evMigrateFail, evLeader, evNodeAdd, evNodeRemove, "from-a-later-build", evReassert}
 
 // FuzzWALApply folds fuzzer-chosen event sequences (three bytes an event:
 // kind, VM, node and optional fields) and checks that Apply accepts every
 // well-formed record, that applying the sequence twice equals applying it
-// once, that every count equals the number of records of its kind, and
-// that no placement names a node right after its node-remove.
+// once, that every count equals the number of records of its kind, that no
+// placement names a node right after its node-remove, and that a fold cut
+// at a point the first byte draws, written as a snapshot and read back,
+// folds the rest of the sequence to the uncut fold.
 func FuzzWALApply(f *testing.F) {
 	f.Add([]byte{})
 	f.Add([]byte{0, 0, 0, 15, 0, 1, 4, 0, 1, 6, 0x10, 0, 16, 0, 1})
 	f.Add([]byte{11, 1, 1, 12, 1, 2, 3, 2, 0, 9, 0x12, 0x11, 8, 2, 0, 17, 0, 0, 10, 3, 2, 1, 3, 3})
+	f.Add([]byte{2, 0, 0, 11, 0, 1, 0, 1, 1}) // cut with a migration in flight
 	f.Fuzz(func(t *testing.T, raw []byte) {
 		var recs []journal.Record
 		for i := 0; i+3 <= len(raw); i += 3 {
@@ -295,6 +313,28 @@ func FuzzWALApply(f *testing.F) {
 		}
 		if !reflect.DeepEqual(once, twice) {
 			t.Errorf("applying twice:\n%+v\nonce:\n%+v", twice, once)
+		}
+
+		cut := 0
+		if len(recs) > 0 {
+			cut = int(raw[0]) % (len(recs) + 1)
+		}
+		head := NewWALState()
+		for _, rec := range recs[:cut] {
+			if err := head.Apply(rec); err != nil {
+				t.Fatal(err)
+			}
+		}
+		snap, err := json.Marshal(head)
+		if err != nil {
+			t.Fatal(err)
+		}
+		resumed, err := replay(NewWALState(), journal.Batch{SnapshotSeq: uint64(cut), Snapshot: snap, Records: recs[cut:]})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !reflect.DeepEqual(once, resumed) {
+			t.Errorf("cut at %d, through a snapshot:\n%+v\nuncut:\n%+v", cut, resumed, once)
 		}
 	})
 }

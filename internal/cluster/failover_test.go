@@ -175,21 +175,17 @@ func TestFailoverAtEveryCrashPoint(t *testing.T) {
 		before := inventoryByNode(t, nodes)
 		st := replicaFromJournal(t, j)
 		j.Close()
+		// (a) Convergence: the replica (and therefore the promoted state)
+		// is exactly the leader's fold at death, and reconciliation found
+		// nothing to repair — the replica was not stale.
+		requireSameFold(t, fmt.Sprintf("step %d: replica", k), st, leader.fold)
 
 		m2, rep, err := TakeOver(DurabilityConfig{Dir: t.TempDir()},
 			st, termNodes(), BestFit, 7)
 		if err != nil {
 			t.Fatalf("step %d: promote: %v", k, err)
 		}
-
-		// (a) Convergence: the replica (and therefore the promoted state)
-		// is exactly the leader's WAL state at death, and reconciliation
-		// found nothing to repair — the replica was not stale.
-		live := leader.walState()
-		live.AppliedSeq = st.AppliedSeq
-		if !reflect.DeepEqual(*st, *live) {
-			t.Fatalf("step %d: replica diverged from leader state:\n%+v\n%+v", k, *st, *live)
-		}
+		requireFoldReplays(t, fmt.Sprintf("step %d: promoted", k), m2)
 		if rep.Lost != 0 || rep.Replaced != 0 || rep.StaleReleased != 0 {
 			t.Errorf("step %d: takeover repaired a non-stale replica: %+v", k, rep)
 		}
@@ -340,6 +336,11 @@ func TestTakeOverFencesBeforeReconcile(t *testing.T) {
 				t.Fatal(err)
 			}
 			defer m2.Journal().Close()
+			// The new term's repairs change its own state, not the copy
+			// the follower keeps serving.
+			if replica != nil && reflect.DeepEqual(*f.ReplicaState(), *replica) {
+				t.Error("the follower's replica moved with the promoted manager's state")
+			}
 			if m2.Epoch() != 6 {
 				t.Errorf("new term at epoch %d, want 6", m2.Epoch())
 			}

@@ -70,7 +70,7 @@ func TestHeartbeatDetectsCrashAndReplacesVMs(t *testing.T) {
 	// Find a server actually hosting VMs and crash it.
 	victim := -1
 	hosted := map[int]int{}
-	for _, idx := range m.placement {
+	for _, idx := range placedIndexes(m) {
 		hosted[idx]++
 	}
 	for idx, n := range hosted {
@@ -119,7 +119,7 @@ func TestHeartbeatDetectsCrashAndReplacesVMs(t *testing.T) {
 		if !m.Placed(name) {
 			t.Errorf("VM %s not re-placed", name)
 		}
-		if idx := m.placement[name]; idx == victim {
+		if idx, _ := m.placedOn(name); idx == victim {
 			t.Errorf("VM %s re-placed on the dead server", name)
 		}
 	}

@@ -63,7 +63,9 @@ func (p HealthPolicy) withDefaults() HealthPolicy {
 }
 
 // nodeHealth is the failure detector's per-node state, plus the launch in
-// progress's verdict on the node.
+// progress's verdict on the node. dead mirrors the fold's Dead: the fleet
+// view copies it from the fold when it adds a server, and only
+// WALState.apply changes it (see fleetView).
 type nodeHealth struct {
 	misses int
 	dead   bool
@@ -84,44 +86,33 @@ type Manager struct {
 	policy  PlacementPolicy
 	rng     *rand.Rand
 
-	placement map[string]int        // VM name → server index
-	specs     map[string]LaunchSpec // VM name → launch spec, for re-placement
-	// counts is the fold of every event the manager has emitted (emit), or
-	// installed from a replayed state and repaired by TakeOver.
-	counts Counts
+	// fold is the manager's state: placements, specs, dead nodes,
+	// registered agents, in-flight migrations and event counts. Only emit
+	// changes it, by applying the event it emits (WALState.apply).
+	// fleetView indexes the fold's node names by server position.
+	fold *WALState
+	fleetView
 	// barred lists the servers the current launch has taken out of the pool.
 	barred []int
 
 	healthPolicy HealthPolicy
-	health       []nodeHealth
 
 	// rec receives every state transition (nil = no recording), and sub
 	// folds them in-process (the simulator's books; nil = none); see emit.
-	// launched is evLaunch's Spec. journal is the attached WAL when the
-	// manager is durable. recoveryOrphans maps VMs journaled on servers
-	// absent from the fleet to those servers, pending re-placement.
-	rec             Recorder
-	sub             func(Event)
-	launched        LaunchSpec
-	journal         *journal.Journal
-	recoveryOrphans map[string]string
-	// nodeURLs holds the control endpoints of dynamically registered
-	// agents (AddNode), journaled so recovery and cross-shard adoption can
-	// re-dial the same fleet. Statically configured servers never appear.
-	nodeURLs map[string]string
-	// recoveryMigrations holds migrations that were in flight when the
-	// manager died, pending resolution against the destination's inventory.
-	recoveryMigrations map[string]MigrationIntent
+	// launched is the spec the latest launch placed, stamped with its
+	// substrate: the Spec of evLaunch and of VMReplaced. journal is the attached
+	// WAL when the manager is durable.
+	rec      Recorder
+	sub      func(Event)
+	launched LaunchSpec
+	journal  *journal.Journal
 
 	// Migration state (see migrate.go). reclaim selects the reclamation
 	// fallback for high-priority placements; its zero value (ReclaimPreempt)
-	// takes exactly the pre-migration code path. inflight tracks migrations
-	// between their start and done/fail journal events so a mid-migration
-	// snapshot stays recoverable.
+	// takes exactly the pre-migration code path.
 	reclaim      ReclaimPolicy
 	migScheduler func(d time.Duration, f func())
 	migFaults    *faults.Injector
-	inflight     map[string]MigrationIntent
 
 	convergenceFailures int
 	migratedMB          float64
@@ -167,15 +158,28 @@ func newManager(servers []Node, policy PlacementPolicy, seed int64, queried quer
 		servers:      servers,
 		policy:       policy,
 		rng:          rand.New(rand.NewSource(seed)),
-		placement:    make(map[string]int),
-		specs:        make(map[string]LaunchSpec),
-		nodeURLs:     make(map[string]string),
+		fold:         NewWALState(),
 		healthPolicy: HealthPolicy{}.withDefaults(),
-		health:       make([]nodeHealth, len(servers)),
 		queried:      queried,
 	}
+	m.indexFleet()
 	m.pidx = newPlacementIndex(m)
 	return m
+}
+
+// indexFleet builds the fleet view over m.servers from the fold: each
+// server's position by name (the first server of a name wins), and a fresh
+// health record whose dead flag is the fold's.
+func (m *Manager) indexFleet() {
+	m.index = make(map[string]int, len(m.servers))
+	m.health = make([]nodeHealth, len(m.servers))
+	for i, s := range m.servers {
+		name := s.Name()
+		if _, dup := m.index[name]; !dup {
+			m.index[name] = i
+		}
+		m.health[i].dead = m.fold.Dead[name]
+	}
 }
 
 // SetHealthPolicy configures the failure detector.
@@ -323,7 +327,7 @@ func (m *Manager) DeadServers() int {
 
 // FailurePreemptions counts VMs killed by node failures (whether or not
 // they were successfully re-placed).
-func (m *Manager) FailurePreemptions() int { return m.counts.FailurePreemptions }
+func (m *Manager) FailurePreemptions() int { return m.fold.FailurePreemptions }
 
 // ProbeHealth runs one heartbeat round: every server is pinged, consecutive
 // misses are counted, nodes crossing MaxMisses are declared dead and
@@ -338,7 +342,6 @@ func (m *Manager) ProbeHealth() []Event {
 		h := &m.health[i]
 		if err == nil {
 			if h.dead {
-				h.dead = false
 				events = append(events, m.emit(Event{Kind: NodeUp, Node: s.Name()}))
 				// The node may rejoin with VMs still running (a partition,
 				// or an agent that outlived its manager): reconcile against
@@ -353,7 +356,6 @@ func (m *Manager) ProbeHealth() []Event {
 			m.tel.heartbeatMisses.Inc()
 		}
 		if !h.dead && h.misses >= m.healthPolicy.MaxMisses {
-			h.dead = true
 			events = append(events, m.emit(Event{Kind: NodeDown, Node: s.Name(), Err: err}))
 			events = m.evacuate(i, events)
 		}
@@ -366,30 +368,41 @@ func (m *Manager) ProbeHealth() []Event {
 // its recorded launch spec, appending the events to events. VM order is
 // sorted for determinism.
 func (m *Manager) evacuate(idx int, events []Event) []Event {
+	node := m.servers[idx].Name()
+	for _, name := range m.vmsOn(node) {
+		events = m.replace(name, node, events)
+	}
+	return events
+}
+
+// vmsOn lists, sorted, the VMs the fold places on node.
+func (m *Manager) vmsOn(node string) []string {
 	var names []string
-	for name, i := range m.placement {
-		if i == idx {
+	for name, on := range m.fold.Placements {
+		if on == node {
 			names = append(names, name)
 		}
 	}
 	sort.Strings(names)
-	node := m.servers[idx].Name()
-	for _, name := range names {
-		delete(m.placement, name)
-		spec := m.specs[name]
-		delete(m.specs, name)
-		events = append(events, m.emit(Event{Kind: VMEvicted, VM: name, Node: node}))
-		// Re-place; the launch does not count toward Rejected(), which
-		// tracks user-facing admissions.
-		to, rep, err := m.launch(spec, false)
-		if err != nil {
-			events = append(events, m.emit(Event{Kind: VMLost, VM: name, Err: err}))
-			continue
-		}
-		events = append(events, m.emit(Event{Kind: VMReplaced, VM: name, Node: m.servers[to].Name(),
-			Spec: &spec, Preempted: rep.Preempted}))
+	return names
+}
+
+// replace evicts VM name from node as a failure-induced preemption and
+// re-places it on the healthy servers from its recorded launch spec,
+// appending the eviction, then the replacement or the loss, to events.
+// Evacuation and recovery share it.
+func (m *Manager) replace(name, node string, events []Event) []Event {
+	spec := m.fold.Specs[name]
+	events = append(events, m.emit(Event{Kind: VMEvicted, VM: name, Node: node}))
+	// Re-place; the launch does not count toward Rejected(), which tracks
+	// user-facing admissions.
+	to, rep, err := m.launch(spec, false)
+	if err != nil {
+		return append(events, m.emit(Event{Kind: VMLost, VM: name, Err: err}))
 	}
-	return events
+	spec = m.launched
+	return append(events, m.emit(Event{Kind: VMReplaced, VM: name, Node: m.servers[to].Name(),
+		Spec: &spec, Preempted: rep.Preempted}))
 }
 
 // reconcileNode compares a rejoined node's actual VM inventory with the
@@ -406,14 +419,12 @@ func (m *Manager) reconcileNode(i int, events []Event) []Event {
 	node := m.servers[i].Name()
 	sort.Slice(inv, func(a, b int) bool { return inv[a].Name < inv[b].Name })
 	for _, vs := range inv {
-		cur, ok := m.placement[vs.Name]
+		on, ok := m.fold.Placements[vs.Name]
 		switch {
 		case !ok:
 			spec := specFromVMState(vs)
-			m.placement[vs.Name] = i
-			m.specs[vs.Name] = spec
 			events = append(events, m.emit(Event{Kind: VMAdopted, VM: vs.Name, Node: node, Spec: &spec}))
-		case cur == i:
+		case on == node:
 			// Consistent: the journal (or a surviving manager) already
 			// places it here.
 		default:
@@ -441,7 +452,7 @@ func (m *Manager) Substrates() map[string]string {
 }
 
 // Rejected returns the number of launches that found no feasible server.
-func (m *Manager) Rejected() int { return m.counts.Rejected }
+func (m *Manager) Rejected() int { return m.fold.Rejected }
 
 // Preemptions sums preemptions across all servers.
 func (m *Manager) Preemptions() int {
@@ -490,7 +501,7 @@ func (m *Manager) Launch(spec LaunchSpec) (int, LaunchReport, error) {
 }
 
 func (m *Manager) launch(spec LaunchSpec, countRejection bool) (int, LaunchReport, error) {
-	if _, ok := m.placement[spec.Name]; ok {
+	if _, ok := m.fold.Placements[spec.Name]; ok {
 		return -1, LaunchReport{}, fmt.Errorf("%w: %q", ErrVMExists, spec.Name)
 	}
 	defer m.clearBars()
@@ -555,18 +566,12 @@ func (m *Manager) launch(spec LaunchSpec, countRejection bool) (int, LaunchRepor
 	if m.tel != nil && idx < len(m.tel.placements) {
 		m.tel.placements[idx].Inc()
 	}
-	m.placement[spec.Name] = idx
-	m.specs[spec.Name] = spec
-	// Preempted VMs vanish from the placement map too.
-	for _, name := range rep.Preempted {
-		delete(m.placement, name)
-		delete(m.specs, name)
-	}
+	// The event places the VM and takes the preempted ones off. A
+	// user-facing placement emits it here; internal re-placements emit
+	// "replace" at the call site instead. The event's Spec is the manager's
+	// own slot, so spec stays off the heap.
+	m.launched = spec
 	if countRejection {
-		// User-facing placement; internal re-placements emit "replace" (or
-		// reconciliation repairs) at the call site instead. The event's
-		// Spec is the manager's own slot, so spec stays off the heap.
-		m.launched = spec
 		m.emit(Event{Kind: evLaunch, VM: spec.Name, Node: m.servers[idx].Name(),
 			Spec: &m.launched, Preempted: rep.Preempted})
 	}
@@ -612,12 +617,10 @@ func (m *Manager) pickServer(spec LaunchSpec) int {
 // Release ends a VM's life normally, freeing and reinflating its server.
 // Releasing a VM that was preempted earlier reports ErrVMNotFound.
 func (m *Manager) Release(name string) error {
-	idx, ok := m.placement[name]
+	idx, ok := m.placedOn(name)
 	if !ok {
 		return fmt.Errorf("%w: %q", ErrVMNotFound, name)
 	}
-	delete(m.placement, name)
-	delete(m.specs, name)
 	m.emit(Event{Kind: evRelease, VM: name})
 	err := m.servers[idx].Release(name)
 	m.noteDeposed(err)
@@ -629,7 +632,7 @@ func (m *Manager) Release(name string) error {
 // placement is kept until the health monitor declares the node dead, so a
 // transient network failure never corrupts placement state.
 func (m *Manager) Placed(name string) bool {
-	idx, ok := m.placement[name]
+	idx, ok := m.placedOn(name)
 	if !ok {
 		return false
 	}
@@ -644,10 +647,19 @@ func (m *Manager) Placed(name string) bool {
 	return true
 }
 
+// placedOn returns the index of the server the fold places name on; ok is
+// false when the VM is not placed, or placed on a node the fleet lacks.
+func (m *Manager) placedOn(name string) (idx int, ok bool) {
+	node, ok := m.fold.Placements[name]
+	if !ok {
+		return -1, false
+	}
+	idx, ok = m.index[node]
+	return idx, ok
+}
+
 // preempted takes a VM its node preempted out of band off the placement.
 func (m *Manager) preempted(name string) {
-	delete(m.placement, name)
-	delete(m.specs, name)
 	m.emit(Event{Kind: evPreempt, VM: name})
 }
 
@@ -673,13 +685,13 @@ type Stats struct {
 // Snapshot computes current cluster statistics.
 func (m *Manager) Snapshot() Stats {
 	var st Stats
-	st.VMs = len(m.placement)
+	st.VMs = len(m.fold.Placements)
 	st.DeadServers = m.DeadServers()
-	st.FailurePreemptions = m.counts.FailurePreemptions
-	st.ReplacedVMs = m.counts.Replaced
-	st.LostVMs = m.counts.Lost
-	st.AdoptedVMs = m.counts.Adopted
-	st.StaleReleases = m.counts.StaleReleased
+	st.FailurePreemptions = m.fold.FailurePreemptions
+	st.ReplacedVMs = m.fold.Replaced
+	st.LostVMs = m.fold.Lost
+	st.AdoptedVMs = m.fold.Adopted
+	st.StaleReleases = m.fold.StaleReleased
 	if n := len(m.servers); n > 0 { // an empty fleet keeps reporting nil
 		st.ServerOvercommitment = make([]float64, n)
 	}

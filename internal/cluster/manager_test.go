@@ -204,7 +204,7 @@ func TestRefusedLaunchDropsItsPreemptions(t *testing.T) {
 		t.Fatal("the node preempted nothing; the scenario is vacuous")
 	}
 	for _, n := range []string{"a", "b", "c", "d"} {
-		_, placed := m.placement[n]
+		_, placed := m.fold.Placements[n]
 		if has, _ := c.Has(n); placed != has {
 			t.Errorf("%s: placed %v, on the node %v", n, placed, has)
 		}
@@ -274,4 +274,16 @@ func TestPlacementPolicyString(t *testing.T) {
 	if BestFit.String() != "best-fit" || FirstFit.String() != "first-fit" || TwoChoices.String() != "2-choices" {
 		t.Error("policy strings wrong")
 	}
+}
+
+// placedIndexes maps each VM the fold places on a fleet server to that
+// server's index.
+func placedIndexes(m *Manager) map[string]int {
+	out := make(map[string]int, len(m.fold.Placements))
+	for name := range m.fold.Placements {
+		if idx, ok := m.placedOn(name); ok {
+			out[name] = idx
+		}
+	}
+	return out
 }

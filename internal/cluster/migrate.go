@@ -294,8 +294,8 @@ type MigrationStats struct {
 // MigrationStats returns the manager's aggregate migration counters.
 func (m *Manager) MigrationStats() MigrationStats {
 	return MigrationStats{
-		Migrations:          m.counts.Migrations,
-		Failures:            m.counts.MigrationFailures,
+		Migrations:          m.fold.Migrations,
+		Failures:            m.fold.MigrationFailures,
 		ConvergenceFailures: m.convergenceFailures,
 		MigratedMB:          m.migratedMB,
 		TotalDuration:       m.migrationTime,
@@ -322,20 +322,11 @@ func (m *Manager) SetMigrationFaults(inj *faults.Injector) { m.migFaults = inj }
 // Migrate live-migrates a placed VM to the named destination server. On any
 // failure the VM keeps running on its source (pre-copy rolls back cleanly).
 func (m *Manager) Migrate(name, dest string) (MigrationReport, error) {
-	di := m.serverIndex(dest)
-	if di < 0 {
+	di, ok := m.index[dest]
+	if !ok {
 		return MigrationReport{}, fmt.Errorf("%w: %q", ErrNodeNotFound, dest)
 	}
 	return m.migrate(name, di)
-}
-
-func (m *Manager) serverIndex(name string) int {
-	for i, s := range m.servers {
-		if s.Name() == name {
-			return i
-		}
-	}
-	return -1
 }
 
 // migrate runs one pre-copy live migration of a placed VM to server dstIdx.
@@ -345,7 +336,7 @@ func (m *Manager) serverIndex(name string) int {
 // journaled on its source, and reconciliation resolves the in-flight entry
 // by asking the destination whether the copy completed.
 func (m *Manager) migrate(name string, dstIdx int) (MigrationReport, error) {
-	srcIdx, ok := m.placement[name]
+	srcIdx, ok := m.placedOn(name)
 	if !ok {
 		return MigrationReport{}, fmt.Errorf("%w: %q", ErrVMNotFound, name)
 	}
@@ -366,15 +357,11 @@ func (m *Manager) migrate(name string, dstIdx int) (MigrationReport, error) {
 		return rep, fmt.Errorf("cluster: checkpointing %q: %w", name, err)
 	}
 	if cp.AppKind == "" {
-		if spec, ok := m.specs[name]; ok && spec.AppKind != "" {
+		if spec, ok := m.fold.Specs[name]; ok && spec.AppKind != "" {
 			cp.AppKind = spec.AppKind
 		}
 	}
 	// Journal the intent before anything moves.
-	if m.inflight == nil {
-		m.inflight = make(map[string]MigrationIntent)
-	}
-	m.inflight[name] = MigrationIntent{From: src.Name(), To: dst.Name()}
 	m.emit(Event{Kind: evMigrateStart, VM: name, Node: dst.Name(), From: src.Name()})
 
 	stream := "migrate:" + name
@@ -386,7 +373,6 @@ func (m *Manager) migrate(name string, dstIdx int) (MigrationReport, error) {
 	// would turn the API's 409 for a failed migration into a 507.
 	fail := func(res migration.Result, cause error) (MigrationReport, error) {
 		m.noteDeposed(cause)
-		delete(m.inflight, name)
 		m.emit(Event{Kind: evMigrateFail, VM: name, Node: dst.Name(), From: src.Name()})
 		m.deferWork(res.Duration, release)
 		rep.Result = res
@@ -435,8 +421,6 @@ func (m *Manager) migrate(name string, dstIdx int) (MigrationReport, error) {
 	// worst a stale copy that anti-entropy reconciliation will find and
 	// release. Proceed with the switchover.
 	m.noteDeposed(src.Release(name))
-	m.placement[name] = dstIdx
-	delete(m.inflight, name)
 	m.migratedMB += res.TransferredMB
 	m.migrationTime += res.Duration
 	m.migrationDowntime += res.Downtime
@@ -512,7 +496,7 @@ func (m *Manager) pickMigrationVictim(idx int) string {
 		if vs.Priority == vm.HighPriority.String() {
 			continue
 		}
-		if _, placed := m.placement[vs.Name]; !placed {
+		if _, placed := m.fold.Placements[vs.Name]; !placed {
 			continue // not ours to move (mid-reconciliation)
 		}
 		if n := vs.Allocation.Norm(); n > bestNorm {
@@ -535,7 +519,8 @@ func (m *Manager) vmFootprint(idx int, name string) (restypes.Vector, string) {
 			}
 		}
 	}
-	return m.specs[name].Size, m.specs[name].Substrate
+	spec := m.fold.Specs[name]
+	return spec.Size, spec.Substrate
 }
 
 // bestMigrationTarget picks the best-fit destination for a footprint: the

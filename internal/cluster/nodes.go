@@ -30,27 +30,26 @@ func (m *Manager) AddNode(n Node, url string) error {
 	if name == "" {
 		return fmt.Errorf("cluster: cannot register a node without a name")
 	}
-	if idx := m.serverIndex(name); idx >= 0 {
-		if m.nodeURLs[name] != url {
+	if idx, ok := m.index[name]; ok {
+		if m.fold.Nodes[name] != url {
 			m.servers[idx] = n
 			m.reindex() // the replaced node object would strand the old watcher
-			m.nodeURLs[name] = url
 			m.propagateTerm(n)
 			m.emit(Event{Kind: evNodeAdd, Node: name, URL: url})
 		}
 		if m.health[idx].dead {
 			// The failure detector had written it off; a registration is
 			// proof of life, and its inventory is ground truth.
-			m.health[idx] = nodeHealth{}
+			m.health[idx].misses = 0
 			m.emit(Event{Kind: NodeUp, Node: name})
 			m.reconcileNode(idx, nil)
 		}
 		return nil
 	}
+	m.index[name] = len(m.servers)
 	m.servers = append(m.servers, n)
-	m.health = append(m.health, nodeHealth{})
+	m.health = append(m.health, nodeHealth{dead: m.fold.Dead[name]})
 	m.reindex()
-	m.nodeURLs[name] = url
 	m.propagateTerm(n)
 	if m.tel != nil {
 		m.tel.addNode(name)
@@ -63,13 +62,16 @@ func (m *Manager) AddNode(n Node, url string) error {
 }
 
 // HasNode reports whether the manager currently manages the named node.
-func (m *Manager) HasNode(name string) bool { return m.serverIndex(name) >= 0 }
+func (m *Manager) HasNode(name string) bool {
+	_, ok := m.index[name]
+	return ok
+}
 
 // NodeURLs returns the dynamically registered agents (name → control
 // endpoint), a copy. Statically configured servers are not included.
 func (m *Manager) NodeURLs() map[string]string {
-	out := make(map[string]string, len(m.nodeURLs))
-	for name, url := range m.nodeURLs {
+	out := make(map[string]string, len(m.fold.Nodes))
+	for name, url := range m.fold.Nodes {
 		out[name] = url
 	}
 	return out
@@ -251,7 +253,7 @@ func (a *ManagerAPI) handleNodeHeartbeat(ep *Endpoint[CapacitySummary, noBody], 
 	name := r.PathValue("name")
 	var node Node
 	a.mu.Lock()
-	if idx := a.mgr.serverIndex(name); idx >= 0 {
+	if idx, ok := a.mgr.index[name]; ok {
 		node = a.mgr.Servers()[idx]
 	}
 	hbTel := a.hbTel

@@ -180,7 +180,7 @@ func (f *checkedFleet) launch(spec LaunchSpec) {
 // prune drops the VMs the manager no longer places (evicted, handed off).
 func (f *checkedFleet) prune() {
 	f.live = slices.DeleteFunc(f.live, func(name string) bool {
-		_, ok := f.m.placement[name]
+		_, ok := f.m.fold.Placements[name]
 		return !ok
 	})
 }
@@ -345,9 +345,9 @@ func TestPlacementIndexTieBreakPastNonAliveLeaves(t *testing.T) {
 					}
 				}
 				pick("alive", hi)
-				m.health[hi].dead = true
+				m.emit(Event{Kind: NodeDown, Node: m.servers[hi].Name()})
 				pick("dead", 0)
-				m.health[hi].dead = false
+				m.emit(Event{Kind: NodeUp, Node: m.servers[hi].Name()})
 				m.bar(hi)
 				pick("barred", 0)
 				m.clearBars()

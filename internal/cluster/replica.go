@@ -3,6 +3,7 @@ package cluster
 import (
 	"context"
 	"fmt"
+	"maps"
 	"net/http"
 	"sync"
 	"time"
@@ -220,12 +221,17 @@ func (f *Follower) Status() ReplicationStatus {
 	return st
 }
 
-// ReplicaState returns the warm replica (the follower's own copy — callers
-// promote with it, after which the follower must not be polled again).
+// ReplicaState returns a copy of the warm replica: callers promote with it
+// (TakeOver makes it the new manager's state), after which the follower
+// must not be polled again. The follower keeps its own, so its status and
+// state endpoints stay readable while the promoted manager runs.
 func (f *Follower) ReplicaState() *WALState {
 	f.mu.Lock()
 	defer f.mu.Unlock()
-	return f.st
+	return &WALState{AppliedSeq: f.st.AppliedSeq, Epoch: f.st.Epoch,
+		Placements: maps.Clone(f.st.Placements), Specs: maps.Clone(f.st.Specs),
+		Dead: maps.Clone(f.st.Dead), Nodes: maps.Clone(f.st.Nodes),
+		Migrating: maps.Clone(f.st.Migrating), Counts: f.st.Counts}
 }
 
 // Placements returns a copy of the replica's placement map, safe to read
@@ -233,11 +239,7 @@ func (f *Follower) ReplicaState() *WALState {
 func (f *Follower) Placements() map[string]string {
 	f.mu.Lock()
 	defer f.mu.Unlock()
-	out := make(map[string]string, len(f.st.Placements))
-	for name, node := range f.st.Placements {
-		out[name] = node
-	}
-	return out
+	return maps.Clone(f.st.Placements)
 }
 
 // Run polls until ctx is done or the leader's lease expires uncorroborated;

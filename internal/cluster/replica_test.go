@@ -84,7 +84,7 @@ func TestFollowerResetsFromCompactedSnapshot(t *testing.T) {
 	}
 	// Compact everything into a snapshot, then write more log on top: a
 	// fresh follower's position predates the compaction and must reset.
-	if err := mgr.Journal().Snapshot(mgr.walState()); err != nil {
+	if err := mgr.Journal().Snapshot(mgr.fold); err != nil {
 		t.Fatal(err)
 	}
 	if err := mgr.Release("c"); err != nil {

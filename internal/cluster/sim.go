@@ -164,9 +164,13 @@ func (s *sim) install(m *Manager) {
 }
 
 // books is the sim's ledger of admitted VMs still placed, kept as a fold
-// of the leader's event stream. Each event does to the running set what
-// WALState.Apply does to Specs, in emit order, so the class sums add and
-// subtract exactly as the manager's transitions happen.
+// of the leader's event stream in emit order, so the class sums add and
+// subtract exactly as the manager's transitions happen. Between handlers
+// the running set is the leader's fold's Placements (runCheckingBooks
+// checks it). Within one, an evicted VM stays on the books until its
+// replace or lost event, where the fold drops it at the eviction; and the
+// books outlive a leadership term, where each term's manager has its own
+// fold.
 type books struct {
 	running   map[string]booked
 	high, low restypes.Vector // nominal load per class

@@ -8,6 +8,8 @@ import (
 	"strings"
 	"testing"
 	"time"
+
+	"deflation/internal/journal"
 )
 
 var updateGolden = flag.Bool("update", false, "rewrite testdata/simresult.golden from this build's output")
@@ -56,7 +58,8 @@ func goldenCells() []goldenCell {
 // tables and the incremental sampler existed: "bit-identical output" is this
 // test, not a sentence. Regenerate with -update only when a PR means to
 // change simulation results. Every cell also checks the books against the
-// leader after every handler (runCheckingBooks).
+// leader after every handler, and each cell that journals checks the
+// leader's fold against its journal's replay (runCheckingBooks).
 func TestSimResultGolden(t *testing.T) {
 	const path = "testdata/simresult.golden"
 	var b strings.Builder
@@ -107,7 +110,10 @@ func TestSimBooksFollowFastRecovery(t *testing.T) {
 
 // runCheckingBooks runs cfg and, after every handler, compares the VMs on
 // the sim's books with the leader's placements. Each boundary where they
-// differ fails t; the first is reported in full.
+// differ fails t; the first is reported in full. A run that journals also
+// tails the leader's journal, as a standby would, and requires its replay
+// to equal the leader's live fold at every boundary where the leader is
+// reachable and its journal healthy.
 func runCheckingBooks(t *testing.T, name string, cfg SimConfig) (SimResult, error) {
 	t.Helper()
 	s, err := newSim(cfg, nil)
@@ -115,15 +121,44 @@ func runCheckingBooks(t *testing.T, name string, cfg SimConfig) (SimResult, erro
 		return SimResult{}, err
 	}
 	checked, mismatched := 0, 0
+	var (
+		tailed             *journal.Journal
+		replayed           *WALState
+		folds, foldsDiffer int
+	)
+	checkFold := func() {
+		j := s.mgr.Journal()
+		if j == nil || s.headless || s.mgr.WALError() != nil {
+			return
+		}
+		if j != tailed {
+			tailed, replayed = j, NewWALState()
+		}
+		b, err := j.RecordsAfter(replayed.AppliedSeq)
+		if err == nil {
+			replayed, err = replay(replayed, b)
+		}
+		if err != nil {
+			t.Fatalf("%s: tailing the leader's journal: %v", name, err)
+		}
+		folds++
+		if diff := foldDiff(replayed, s.mgr.fold); diff != nil {
+			if foldsDiffer++; foldsDiffer == 1 {
+				t.Errorf("%s: at %v the replayed journal differs from the leader's fold:\n%s",
+					name, s.clock.Now(), strings.Join(diff, "\n"))
+			}
+		}
+	}
 	s.afterHandler = func() {
 		checked++
+		checkFold()
 		var booksOnly, leaderOnly []string
 		for vm := range s.books.running {
-			if _, ok := s.mgr.placement[vm]; !ok {
+			if _, ok := s.mgr.fold.Placements[vm]; !ok {
 				booksOnly = append(booksOnly, vm)
 			}
 		}
-		for vm := range s.mgr.placement {
+		for vm := range s.mgr.fold.Placements {
 			if _, ok := s.books.running[vm]; !ok {
 				leaderOnly = append(leaderOnly, vm)
 			}
@@ -141,6 +176,12 @@ func runCheckingBooks(t *testing.T, name string, cfg SimConfig) (SimResult, erro
 	res, err := s.run()
 	if mismatched > 0 {
 		t.Errorf("%s: books differ from the leader at %d of %d handler boundaries", name, mismatched, checked)
+	}
+	if foldsDiffer > 0 {
+		t.Errorf("%s: the replayed journal differs from the leader's fold at %d of %d boundaries", name, foldsDiffer, folds)
+	}
+	if s.jdir != "" && folds == 0 {
+		t.Errorf("%s: the run journals, but no boundary compared the folds", name)
 	}
 	if checked == 0 {
 		t.Errorf("%s: no handler ran", name)

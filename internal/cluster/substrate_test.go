@@ -72,10 +72,10 @@ func TestLaunchStampsSubstrateAndFiltersPlacement(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if got := m.specs["free-0"].Substrate; got != capOf(m.Servers()[idx]).Substrate {
+	if got := m.fold.Specs["free-0"].Substrate; got != capOf(m.Servers()[idx]).Substrate {
 		t.Errorf("stamped substrate %q != landing node's %q", got, capOf(m.Servers()[idx]).Substrate)
 	}
-	if got := m.specs["ctr-0"].Substrate; got != string(substrate.KindContainer) {
+	if got := m.fold.Specs["ctr-0"].Substrate; got != string(substrate.KindContainer) {
 		t.Errorf("pinned substrate %q lost at launch", got)
 	}
 
@@ -141,7 +141,7 @@ func TestRecoverRestoresContainerBackedVMs(t *testing.T) {
 	want := m.Placements()
 	wantSub := make(map[string]string)
 	for name := range want {
-		wantSub[name] = m.specs[name].Substrate
+		wantSub[name] = m.fold.Specs[name].Substrate
 		if wantSub[name] == "" {
 			t.Fatalf("launch left %s without a substrate stamp", name)
 		}
@@ -164,7 +164,7 @@ func TestRecoverRestoresContainerBackedVMs(t *testing.T) {
 		t.Fatalf("recovered placements = %v, want %v", got, want)
 	}
 	for name, sub := range wantSub {
-		if got := m2.specs[name].Substrate; got != sub {
+		if got := m2.fold.Specs[name].Substrate; got != sub {
 			t.Errorf("VM %s recovered with substrate %q, want %q", name, got, sub)
 		}
 	}

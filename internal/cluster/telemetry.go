@@ -245,23 +245,23 @@ func (a *ManagerAPI) AttachTelemetry(sink *telemetry.Sink) {
 		})
 	}
 	scalar("deflation_cluster_vms", "VMs currently placed cluster-wide",
-		func(m *Manager) float64 { return float64(len(m.placement)) })
+		func(m *Manager) float64 { return float64(len(m.fold.Placements)) })
 	scalar("deflation_cluster_rejections", "launches that found no feasible server",
-		func(m *Manager) float64 { return float64(m.counts.Rejected) })
+		func(m *Manager) float64 { return float64(m.fold.Rejected) })
 	scalar("deflation_cluster_preemptions", "capacity-driven preemptions across all servers",
 		func(m *Manager) float64 { return float64(m.Preemptions()) })
 	scalar("deflation_cluster_dead_servers", "servers currently marked dead",
 		func(m *Manager) float64 { return float64(m.DeadServers()) })
 	scalar("deflation_cluster_failure_preemptions", "VMs killed by node failures",
-		func(m *Manager) float64 { return float64(m.counts.FailurePreemptions) })
+		func(m *Manager) float64 { return float64(m.fold.FailurePreemptions) })
 	scalar("deflation_cluster_replaced_vms", "failure-evicted VMs re-placed on healthy nodes",
-		func(m *Manager) float64 { return float64(m.counts.Replaced) })
+		func(m *Manager) float64 { return float64(m.fold.Replaced) })
 	scalar("deflation_cluster_lost_vms", "failure-evicted VMs that could not be re-placed",
-		func(m *Manager) float64 { return float64(m.counts.Lost) })
+		func(m *Manager) float64 { return float64(m.fold.Lost) })
 	scalar("deflation_cluster_adopted_vms", "VMs adopted from node inventories by reconciliation",
-		func(m *Manager) float64 { return float64(m.counts.Adopted) })
+		func(m *Manager) float64 { return float64(m.fold.Adopted) })
 	scalar("deflation_cluster_stale_releases", "stale VM copies released by reconciliation",
-		func(m *Manager) float64 { return float64(m.counts.StaleReleased) })
+		func(m *Manager) float64 { return float64(m.fold.StaleReleased) })
 	scalar("deflation_cluster_mean_overcommitment", "mean server overcommitment",
 		func(m *Manager) float64 { mean, _ := m.overcommitment(nil); return mean })
 	scalar("deflation_cluster_max_overcommitment", "max server overcommitment",

@@ -14,12 +14,15 @@ import (
 	"deflation/internal/vm"
 )
 
-// This file is the manager's durability layer: every placement, priority,
-// and failure-detector transition is recorded through a Recorder into an
-// append-only journal (internal/journal), periodically compacted into a
-// snapshot, and rebuilt by TakeOver — replay first, then fencing, then an
-// anti-entropy reconciliation pass against each live node's VM inventory. The
-// Recorder is nil by default: a manager without a state dir pays nothing.
+// This file is the manager's state and its durability layer. The state is
+// one WALState, the fold of the manager's events: every placement, priority
+// and failure-detector transition is an Event that emit applies to it and
+// records through a Recorder into an append-only journal
+// (internal/journal), periodically compacted into a snapshot of the fold.
+// TakeOver rebuilds the fold by replay, then fences, then runs an
+// anti-entropy reconciliation pass against each live node's VM inventory.
+// The Recorder is nil by default: a manager without a state dir pays
+// nothing.
 
 // EventKind names one manager state transition: the journal's record type
 // and the manager's one event vocabulary. The set is append-only so old
@@ -65,6 +68,10 @@ const (
 	// anything, since the node and its VMs lived on under the new owner.
 	evNodeAdd    EventKind = "node-add"
 	evNodeRemove EventKind = "node-remove"
+
+	// evReassert journals the anti-entropy pass taking a VM's size and
+	// minimum from its node's ground truth (Spec). No count moves.
+	evReassert EventKind = "reassert"
 )
 
 // Event is one manager state transition, JSON-serializable as a journal
@@ -94,19 +101,20 @@ type Recorder interface {
 	Record(Event)
 }
 
-// emit is the manager's one event path: it records e, shows it to the
-// subscriber, counts it, bumps its kind's telemetry counter, and returns
-// it. Neither the recorder nor the subscriber may retain e.Spec: an
-// evLaunch's points at the manager's launched slot, which the next launch
-// overwrites.
+// emit is the manager's one event path: it folds e into the manager's
+// state (WALState.apply), records it, shows it to the subscriber, bumps its
+// kind's telemetry counter, and returns it. The fold comes first, so a
+// snapshot the recorder takes on e already holds it. Neither the recorder
+// nor the subscriber may retain e.Spec: an evLaunch's points at the
+// manager's launched slot, which the next launch overwrites.
 func (m *Manager) emit(e Event) Event {
+	m.fold.apply(&e, m.epoch, &m.fleetView)
 	if m.rec != nil {
 		m.rec.Record(e)
 	}
 	if m.sub != nil {
 		m.sub(e)
 	}
-	m.counts.add(e.Kind)
 	if m.tel != nil {
 		if c := m.tel.events[e.Kind]; c != nil {
 			c.Inc()
@@ -115,8 +123,7 @@ func (m *Manager) emit(e Event) Event {
 	return e
 }
 
-// Counts are the per-kind event counts: the manager keeps them live, and
-// replay rebuilds them as the fold of the journal.
+// Counts are the per-kind event counts, folded by WALState.apply.
 type Counts struct {
 	Rejected           int `json:"rejected,omitempty"`
 	FailurePreemptions int `json:"failure_preemptions,omitempty"` // evictions
@@ -150,10 +157,12 @@ func (c *Counts) add(k EventKind) {
 	}
 }
 
-// WALState is the manager's durable state in wire form: the compacted
-// snapshot payload, and the structure journal replay rebuilds. Placements
-// reference servers by name, not index, so a fleet can be re-declared in a
-// different order across restarts.
+// WALState is the manager's state: the fold of its event stream. The live
+// manager holds one and changes it only by emitting events (emit applies
+// each); journal replay rebuilds the same fold from the records, and a
+// snapshot is its JSON. Placements reference servers by name, not index, so
+// a fleet can be re-declared in a different order across restarts. In
+// process a spec keeps its NewApp, which JSON drops.
 type WALState struct {
 	// AppliedSeq is the last journal sequence folded into this state.
 	// Apply is idempotent through it: records at or below it are no-ops,
@@ -198,11 +207,11 @@ func NewWALState() *WALState {
 	}
 }
 
-// Apply folds one journal record into the state. It is idempotent and
-// crash-point-insensitive: records already covered by AppliedSeq are
-// skipped, unknown kinds are ignored (forward compatibility), and every
-// transition maps to a set/delete so replaying any prefix of the log yields
-// a consistent state.
+// Apply folds one journal record into the state: it decodes the event and
+// applies it. It is idempotent and crash-point-insensitive: records already
+// covered by AppliedSeq are skipped, unknown kinds are ignored (forward
+// compatibility), and every transition maps to a set/delete so replaying
+// any prefix of the log yields a consistent state.
 func (s *WALState) Apply(rec journal.Record) error {
 	if rec.Seq <= s.AppliedSeq {
 		return nil
@@ -211,8 +220,21 @@ func (s *WALState) Apply(rec journal.Record) error {
 	if err := json.Unmarshal(rec.Data, &e); err != nil {
 		return fmt.Errorf("cluster: replaying record %d: %w", rec.Seq, err)
 	}
-	if rec.Epoch > s.Epoch {
-		s.Epoch = rec.Epoch
+	s.apply(&e, rec.Epoch, nil)
+	s.AppliedSeq = rec.Seq
+	return nil
+}
+
+// apply folds one event into the state, recorded under epoch. It is the one
+// writer of the fold's maps, for the live manager (emit) and for replay
+// (Apply) alike, and fleet, the live manager's index view (nil in replay),
+// has its dead flags written here and nowhere else. Every placement has a
+// spec and every spec a placement after each event the manager emits: an
+// eviction drops both, and the replace event that may follow carries the
+// spec again.
+func (s *WALState) apply(e *Event, epoch uint64, fleet *fleetView) {
+	if epoch > s.Epoch {
+		s.Epoch = epoch
 	}
 	s.Counts.add(e.Kind)
 	switch e.Kind {
@@ -228,17 +250,19 @@ func (s *WALState) Apply(rec journal.Record) error {
 			delete(s.Placements, name)
 			delete(s.Specs, name)
 		}
-	case evRelease, evPreempt:
+	case evReassert:
+		if e.Spec != nil {
+			s.Specs[e.VM] = *e.Spec
+		}
+	case evRelease, evPreempt, VMEvicted, VMLost:
 		delete(s.Placements, e.VM)
-		delete(s.Specs, e.VM)
-	case VMEvicted:
-		delete(s.Placements, e.VM)
-	case VMLost:
 		delete(s.Specs, e.VM)
 	case NodeDown:
 		s.Dead[e.Node] = true
+		fleet.setDead(e.Node, true)
 	case NodeUp:
 		delete(s.Dead, e.Node)
+		fleet.setDead(e.Node, false)
 	case evNodeAdd:
 		if s.Nodes == nil {
 			s.Nodes = make(map[string]string)
@@ -247,6 +271,7 @@ func (s *WALState) Apply(rec journal.Record) error {
 	case evNodeRemove:
 		delete(s.Nodes, e.Node)
 		delete(s.Dead, e.Node)
+		fleet.setDead(e.Node, false)
 		// A hand-off takes the node's placements with it (the new owner
 		// adopts them from the node's inventory); nothing is released.
 		for vmName, node := range s.Placements {
@@ -266,34 +291,27 @@ func (s *WALState) Apply(rec journal.Record) error {
 	case evMigrateFail:
 		delete(s.Migrating, e.VM)
 	}
-	s.AppliedSeq = rec.Seq
-	return nil
 }
 
-// walState captures the manager's current durable state in wire form.
-func (m *Manager) walState() *WALState {
-	st := NewWALState()
-	for name, idx := range m.placement {
-		st.Placements[name] = m.servers[idx].Name()
+// fleetView is the live manager's index over the fleet its fold names by
+// node: each server's position by name, kept by the constructor and
+// AddNode, and each server's health, whose dead flag WALState.apply keeps
+// equal to the fold's Dead for alive(i) to read at every placement-index
+// leaf.
+type fleetView struct {
+	index  map[string]int
+	health []nodeHealth
+}
+
+// setDead marks the named server dead or alive; a nil view, or a node the
+// fleet does not hold, is left alone.
+func (v *fleetView) setDead(node string, dead bool) {
+	if v == nil {
+		return
 	}
-	for name, spec := range m.specs {
-		spec.NewApp = nil
-		st.Specs[name] = spec
+	if i, ok := v.index[node]; ok {
+		v.health[i].dead = dead
 	}
-	for i, h := range m.health {
-		if h.dead {
-			st.Dead[m.servers[i].Name()] = true
-		}
-	}
-	for name, intent := range m.inflight {
-		st.Migrating[name] = intent
-	}
-	for name, url := range m.nodeURLs {
-		st.Nodes[name] = url
-	}
-	st.Epoch = m.epoch
-	st.Counts = m.counts
-	return st
 }
 
 // durableRecorder appends every transition to a journal and compacts a
@@ -341,10 +359,12 @@ func (r *durableRecorder) fail(err error) {
 	}
 }
 
+// snapshot compacts the manager's fold, stamped with the journal's
+// position.
 func (r *durableRecorder) snapshot() {
-	st := r.m.walState()
+	st := *r.m.fold
 	st.AppliedSeq = r.j.Seq()
-	err := r.j.Snapshot(st)
+	err := r.j.Snapshot(&st)
 	switch {
 	case err == nil:
 		r.sinceSnap = 0
@@ -372,8 +392,8 @@ type DurabilityConfig struct {
 	FailOp func(op string) error
 	// DialNode, when non-nil, reconnects dynamically registered agents
 	// (journaled node-add events) that are absent from the static fleet:
-	// TakeOver calls it for each journaled name/URL before replay installs
-	// placements, so an adopting peer reaches the dead shard's agents. The
+	// TakeOver calls it for each journaled name/URL before it indexes the
+	// fleet, so an adopting peer reaches the dead shard's agents. The
 	// dialer must NOT require the agent to be reachable — an agent that is
 	// briefly partitioned keeps its placements until the failure detector
 	// decides, exactly as Placed() does. NewRemoteNodeNamed qualifies.
@@ -503,14 +523,15 @@ func replay(st *WALState, b journal.Batch) (*WALState, error) {
 }
 
 // TakeOver makes a new manager the acting leader of a fleet. A non-nil
-// replica is a standby's tailed WAL state, and cfg.Dir is the new term's
+// replica is a standby's tailed WAL state, which becomes the new manager's
+// state (the caller must not use it again), and cfg.Dir is the new term's
 // own journal. A nil replica replays the journal in cfg.Dir instead: a
 // restart, a first boot (an empty directory recovers to an empty state),
 // or a peer adopting a dead shard's directory. Every takeover then runs
 // the same sequence:
 //
 //  1. re-dial the agents the state journaled (DurabilityConfig.DialNode)
-//     and install the state into a fresh manager;
+//     and make the state a fresh manager's fold;
 //  2. start a new term under cfg.LeaderID: the epoch moves strictly past
 //     the state's, the journal's and the highest any reachable node has
 //     obeyed, and a fencing sweep raises every reachable node's guard to it;
@@ -548,8 +569,7 @@ func takeOver(cfg DurabilityConfig, replica *WALState, servers []Node, policy Pl
 		st, err = replay(NewWALState(), journal.Batch{
 			SnapshotSeq: js.SnapshotSeq, Snapshot: j.SnapshotData(), Records: j.Tail()})
 		if err != nil {
-			j.Close()
-			return nil, nil, err
+			return nil, nil, errors.Join(err, j.Close())
 		}
 	} else {
 		rep.LastSeq = st.AppliedSeq // replayed while tailing
@@ -570,14 +590,14 @@ func takeOver(cfg DurabilityConfig, replica *WALState, servers []Node, policy Pl
 	m.emit(Event{Kind: evLeader})
 	rec.snapshot()
 
-	rep.Placements = len(m.placement)
+	rep.Placements = len(m.fold.Placements)
 	rep.Duration = time.Since(start)
 	return m, rep, nil
 }
 
 // dialJournaledNodes reconnects dynamically registered agents the journal
 // knows but the static fleet does not (see DurabilityConfig.DialNode). It
-// runs before placements install: otherwise their VMs would look orphaned
+// runs before the fleet is indexed: otherwise their VMs would look orphaned
 // and be re-placed, a healthy-VM eviction. Dial failures leave the node
 // out; its placements orphan and re-place.
 func dialJournaledNodes(cfg DurabilityConfig, st *WALState, servers []Node) []Node {
@@ -605,43 +625,13 @@ func dialJournaledNodes(cfg DurabilityConfig, st *WALState, servers []Node) []No
 	return servers
 }
 
-// installWALState loads a replayed state into a fresh manager. Placements
-// naming servers absent from the fleet become orphans, re-placed by the
-// reconciliation pass.
+// installWALState makes a replayed fold the manager's state and builds the
+// index views over it. Placements naming servers absent from the fleet are
+// orphans, re-placed by the reconciliation pass.
 func (m *Manager) installWALState(st *WALState) {
-	byName := make(map[string]int, len(m.servers))
-	for i, s := range m.servers {
-		byName[s.Name()] = i
-	}
-	for node := range st.Dead {
-		if i, ok := byName[node]; ok {
-			m.health[i].dead = true
-		}
-	}
-	// Dynamically registered agents keep their journaled endpoint so future
-	// recordings (and a later adoption by a peer) can re-dial them.
-	for name, url := range st.Nodes {
-		if _, ok := byName[name]; ok {
-			m.nodeURLs[name] = url
-		}
-	}
-	m.recoveryOrphans = make(map[string]string)
-	for name, node := range st.Placements {
-		if i, ok := byName[node]; ok {
-			m.placement[name] = i
-		} else {
-			m.recoveryOrphans[name] = node
-		}
-		m.specs[name] = st.Specs[name]
-	}
-	if len(st.Migrating) > 0 {
-		m.recoveryMigrations = make(map[string]MigrationIntent, len(st.Migrating))
-		for name, intent := range st.Migrating {
-			m.recoveryMigrations[name] = intent
-		}
-	}
+	m.fold = st
+	m.indexFleet()
 	m.epoch = st.Epoch
-	m.counts = st.Counts
 }
 
 // reconcileAll is the anti-entropy pass: every live node's inventory is
@@ -653,12 +643,16 @@ func (m *Manager) reconcileAll(rep *RecoveryReport) {
 	m.resolveRecoveryMigrations(rep)
 
 	// VMs journaled on servers no longer in the fleet: re-place them.
-	for _, name := range slices.Sorted(maps.Keys(m.recoveryOrphans)) {
-		spec := m.specs[name]
-		delete(m.specs, name)
-		m.repairReplace(spec, m.recoveryOrphans[name], rep)
+	var orphans []string
+	for name, node := range m.fold.Placements {
+		if _, ok := m.index[node]; !ok {
+			orphans = append(orphans, name)
+		}
 	}
-	m.recoveryOrphans = nil
+	sort.Strings(orphans)
+	for _, name := range orphans {
+		m.repairReplace(name, m.fold.Placements[name], rep)
+	}
 
 	for i, s := range m.servers {
 		if m.health[i].dead {
@@ -670,58 +664,42 @@ func (m *Manager) reconcileAll(rep *RecoveryReport) {
 			// failure detector decides, exactly as Placed() does.
 			continue
 		}
+		node := s.Name()
 		onNode := make(map[string]VMState, len(inv))
 		for _, vs := range inv {
 			onNode[vs.Name] = vs
 		}
 
 		// Journal → node: VMs we place here that the node no longer runs.
-		var missing []string
-		for name, idx := range m.placement {
-			if idx == i {
-				if _, ok := onNode[name]; !ok {
-					missing = append(missing, name)
-				}
+		for _, name := range m.vmsOn(node) {
+			if _, ok := onNode[name]; !ok {
+				m.repairReplace(name, node, rep)
 			}
-		}
-		sort.Strings(missing)
-		for _, name := range missing {
-			delete(m.placement, name)
-			spec := m.specs[name]
-			delete(m.specs, name)
-			m.repairReplace(spec, s.Name(), rep)
 		}
 
 		// Node → journal: adopt unknown VMs, re-assert diverged specs,
 		// release stale copies of VMs placed elsewhere.
-		names := make([]string, 0, len(onNode))
-		for name := range onNode {
-			names = append(names, name)
-		}
-		sort.Strings(names)
-		for _, name := range names {
+		for _, name := range slices.Sorted(maps.Keys(onNode)) {
 			vs := onNode[name]
-			cur, ok := m.placement[name]
+			on, ok := m.fold.Placements[name]
 			switch {
 			case !ok:
 				spec := specFromVMState(vs)
-				m.placement[name] = i
-				m.specs[name] = spec
-				m.emit(Event{Kind: VMAdopted, VM: name, Node: s.Name(), Spec: &spec})
+				m.emit(Event{Kind: VMAdopted, VM: name, Node: node, Spec: &spec})
 				rep.Adopted++
-			case cur == i:
-				if spec := m.specs[name]; spec.Size != vs.Size || spec.MinSize != vs.MinSize {
+			case on == node:
+				if spec := m.fold.Specs[name]; spec.Size != vs.Size || spec.MinSize != vs.MinSize {
 					// The node's allocation is ground truth.
 					spec.Size = vs.Size
 					spec.MinSize = vs.MinSize
-					m.specs[name] = spec
+					m.emit(Event{Kind: evReassert, VM: name, Node: node, Spec: &spec})
 					rep.Reasserted++
 				}
 			default:
 				// Journaled elsewhere: this copy is stale (the VM was
 				// re-placed while the journal entry for this node was lost).
 				if err := s.Release(name); err == nil {
-					m.emit(Event{Kind: VMStaleReleased, VM: name, Node: s.Name()})
+					m.emit(Event{Kind: VMStaleReleased, VM: name, Node: node})
 					rep.StaleReleased++
 				}
 			}
@@ -730,8 +708,9 @@ func (m *Manager) reconcileAll(rep *RecoveryReport) {
 }
 
 // resolveRecoveryMigrations settles migrations that were in flight when the
-// manager died. The switchover's last step on the data plane is restoring
-// the VM on the destination, so the destination's Has answer decides:
+// manager died (the fold's Migrating). The switchover's last step on the
+// data plane is restoring the VM on the destination, so the destination's
+// Has answer decides:
 //   - destination has the VM → the migration completed; the placement moves
 //     there and any stale source copy is released;
 //   - destination does not have it → rollback; the VM keeps its journaled
@@ -740,35 +719,23 @@ func (m *Manager) reconcileAll(rep *RecoveryReport) {
 // An unreachable destination keeps the journaled view — exactly as Placed()
 // does — and the failure detector decides later.
 func (m *Manager) resolveRecoveryMigrations(rep *RecoveryReport) {
-	if len(m.recoveryMigrations) == 0 {
-		return
-	}
-	names := make([]string, 0, len(m.recoveryMigrations))
-	for name := range m.recoveryMigrations {
-		names = append(names, name)
-	}
-	sort.Strings(names)
-	for _, name := range names {
-		intent := m.recoveryMigrations[name]
-		moved := Event{VM: name, Node: intent.To, From: intent.From}
-		dstIdx := m.serverIndex(intent.To)
-		if dstIdx < 0 || m.health[dstIdx].dead {
-			rep.MigrationsRolledBack++
-			moved.Kind = evMigrateFail
-			m.emit(moved)
-			continue
+	for _, name := range slices.Sorted(maps.Keys(m.fold.Migrating)) {
+		intent := m.fold.Migrating[name]
+		moved := Event{Kind: evMigrateFail, VM: name, Node: intent.To, From: intent.From}
+		dstIdx, ok := m.index[intent.To]
+		if ok = ok && !m.health[dstIdx].dead; ok {
+			has, err := m.servers[dstIdx].Has(name)
+			ok = err == nil && has
 		}
-		has, err := m.servers[dstIdx].Has(name)
-		if err != nil || !has {
+		if !ok {
 			// Rolled back (or undecidable): the journaled source placement
 			// stands.
 			rep.MigrationsRolledBack++
-			moved.Kind = evMigrateFail
 			m.emit(moved)
 			continue
 		}
 		// Completed before the crash: adopt the move.
-		if srcIdx := m.serverIndex(intent.From); srcIdx >= 0 && !m.health[srcIdx].dead {
+		if srcIdx, ok := m.index[intent.From]; ok && !m.health[srcIdx].dead {
 			if stale, err := m.servers[srcIdx].Has(name); err == nil && stale {
 				if err := m.servers[srcIdx].Release(name); err == nil {
 					m.emit(Event{Kind: VMStaleReleased, VM: name, Node: intent.From})
@@ -776,29 +743,24 @@ func (m *Manager) resolveRecoveryMigrations(rep *RecoveryReport) {
 				}
 			}
 		}
-		m.placement[name] = dstIdx
 		moved.Kind = evMigrateDone
 		m.emit(moved)
 		rep.MigrationsResolved++
 	}
 	// Like the other reconciliation repairs, the resolution is settled by
 	// the fresh snapshot TakeOver writes: its events reach no journal.
-	m.recoveryMigrations = nil
 }
 
-// repairReplace re-places one VM the journal placed on node but no node
-// runs, via the same path evacuation uses. Counted as a failure-induced
-// preemption: the VM did die, just while the manager was down.
-func (m *Manager) repairReplace(spec LaunchSpec, node string, rep *RecoveryReport) {
-	m.emit(Event{Kind: VMEvicted, VM: spec.Name, Node: node})
-	to, lrep, err := m.launch(spec, false)
-	if err != nil {
-		m.emit(Event{Kind: VMLost, VM: spec.Name, Err: err})
+// repairReplace re-places VM name, which the journal placed on node but no
+// node runs, via the path evacuation uses, and counts the outcome in rep.
+// It is a failure-induced preemption: the VM did die, just while the
+// manager was down.
+func (m *Manager) repairReplace(name, node string, rep *RecoveryReport) {
+	if events := m.replace(name, node, nil); events[1].Kind == VMLost {
 		rep.Lost++
-		return
+	} else {
+		rep.Replaced++
 	}
-	m.emit(Event{Kind: VMReplaced, VM: spec.Name, Node: m.servers[to].Name(), Spec: &spec, Preempted: lrep.Preempted})
-	rep.Replaced++
 }
 
 // Journal returns the attached journal (nil when the manager is not
@@ -823,10 +785,4 @@ func (m *Manager) AttachJournal(j *journal.Journal, snapshotEvery int) {
 func (m *Manager) WALError() error { return m.walErr }
 
 // Placements returns the current VM → node-name placement map (a copy).
-func (m *Manager) Placements() map[string]string {
-	out := make(map[string]string, len(m.placement))
-	for name, idx := range m.placement {
-		out[name] = m.servers[idx].Name()
-	}
-	return out
-}
+func (m *Manager) Placements() map[string]string { return maps.Clone(m.fold.Placements) }

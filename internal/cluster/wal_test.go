@@ -178,7 +178,7 @@ func TestReplayCrashPointInsensitive(t *testing.T) {
 	dir := t.TempDir()
 	m, nodes := newDurableCluster(t, dir, 3, 0)
 	scriptedRun(t, m, nodes)
-	liveState := m.walState()
+	requireFoldReplays(t, "scripted run", m)
 	if err := m.Journal().Close(); err != nil {
 		t.Fatal(err)
 	}
@@ -243,6 +243,11 @@ func TestReplayCrashPointInsensitive(t *testing.T) {
 				t.Fatalf("prefix %d: placement %q has no spec", k, name)
 			}
 		}
+		for name := range once.Specs {
+			if _, ok := once.Placements[name]; !ok {
+				t.Fatalf("prefix %d: spec %q has no placement", k, name)
+			}
+		}
 
 		// Torn crash point: the next record half-written. Replay must land on
 		// exactly the k-record state.
@@ -259,14 +264,55 @@ func TestReplayCrashPointInsensitive(t *testing.T) {
 			}
 		}
 	}
+}
 
-	// The full log replays to exactly the live manager's state.
-	full, j := replay(t, dir)
-	j.Close()
-	liveState.AppliedSeq = full.AppliedSeq // live state is not seq-stamped
-	if !reflect.DeepEqual(*full, *liveState) {
-		t.Errorf("full replay != live state:\n%+v\n%+v", *full, *liveState)
+// replayable is st as a replay of its journal would rebuild it: specs
+// without their in-process app factory, and no journal position.
+func replayable(st *WALState) WALState {
+	c := *st
+	c.AppliedSeq = 0
+	c.Specs = make(map[string]LaunchSpec, len(st.Specs))
+	for name, spec := range st.Specs {
+		spec.NewApp = nil
+		c.Specs[name] = spec
 	}
+	return c
+}
+
+// foldDiff describes, field by field, where the replayed fold differs from
+// the live one; nil when they are equal.
+func foldDiff(replayed, live *WALState) []string {
+	var diff []string
+	got, want := reflect.ValueOf(replayable(replayed)), reflect.ValueOf(replayable(live))
+	for i := range got.NumField() {
+		if g, w := got.Field(i).Interface(), want.Field(i).Interface(); !reflect.DeepEqual(g, w) {
+			diff = append(diff, fmt.Sprintf("replayed %s %+v, live %+v", got.Type().Field(i).Name, g, w))
+		}
+	}
+	return diff
+}
+
+// requireSameFold fails t where the replayed fold differs from the live one.
+func requireSameFold(t *testing.T, what string, replayed, live *WALState) {
+	t.Helper()
+	for _, d := range foldDiff(replayed, live) {
+		t.Errorf("%s: %s", what, d)
+	}
+}
+
+// requireFoldReplays replays m's journal from its start and requires the
+// result to equal m's live fold.
+func requireFoldReplays(t *testing.T, what string, m *Manager) {
+	t.Helper()
+	b, err := m.Journal().RecordsAfter(0)
+	if err != nil {
+		t.Fatalf("%s: %v", what, err)
+	}
+	st, err := replay(NewWALState(), b)
+	if err != nil {
+		t.Fatalf("%s: %v", what, err)
+	}
+	requireSameFold(t, what, st, m.fold)
 }
 
 func copyMap(m map[string]string) map[string]string {
@@ -467,7 +513,7 @@ func TestRecoverReconciliationRepairs(t *testing.T) {
 	if node, ok := pl["orphan"]; !ok || node != nodes[2].Name() {
 		t.Errorf("orphan not adopted in place: %v", pl)
 	}
-	if sz := m2.specs["vm-1"].Size; sz != resized.Size {
+	if sz := m2.fold.Specs["vm-1"].Size; sz != resized.Size {
 		t.Errorf("vm-1 spec not re-asserted from ground truth: %v", sz)
 	}
 	if has, _ := nodes[staleHost].Has("vm-2"); has {
@@ -479,6 +525,52 @@ func TestRecoverReconciliationRepairs(t *testing.T) {
 	st := m2.Snapshot()
 	if st.AdoptedVMs != 1 || st.StaleReleases != 1 {
 		t.Errorf("stats: adopted=%d stale=%d", st.AdoptedVMs, st.StaleReleases)
+	}
+}
+
+// TestReassertSurvivesTakeover re-asserts a VM's size from its node's
+// ground truth in one takeover, then takes over again from that term's
+// journal with the node unreachable: the second term cannot ask the node,
+// so the size it sees is the one the first term journaled.
+func TestReassertSurvivesTakeover(t *testing.T) {
+	dir := t.TempDir()
+	m, nodes := newDurableCluster(t, dir, 2, 0)
+	idx, _, err := m.Launch(durSpec("vm-0", vm.LowPriority, 0.25))
+	if err != nil {
+		t.Fatal(err)
+	}
+	m.Journal().Close()
+	resized := durSpec("vm-0", vm.LowPriority, 0.25)
+	resized.Size = restypes.V(2, 8192, 50, 50)
+	resized.MinSize = resized.Size.Scale(0.25)
+	if err := nodes[idx].LocalController.Release("vm-0"); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := nodes[idx].LocalController.Launch(resized); err != nil {
+		t.Fatal(err)
+	}
+	servers := []Node{nodes[0], nodes[1]}
+	m2, rep, err := TakeOver(DurabilityConfig{Dir: dir}, nil, servers, BestFit, 7)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if rep.Reasserted != 1 {
+		t.Fatalf("first takeover reasserted %d specs, want 1", rep.Reasserted)
+	}
+	m2.Journal().Close()
+
+	nodes[idx].isolate()
+	m3, rep, err := TakeOver(DurabilityConfig{Dir: dir}, nil, servers, BestFit, 7)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer m3.Journal().Close()
+	if rep.Reasserted != 0 {
+		t.Errorf("second takeover reasserted %d specs from an unreachable node", rep.Reasserted)
+	}
+	if got := m3.fold.Specs["vm-0"]; got.Size != resized.Size || got.MinSize != resized.MinSize {
+		t.Errorf("second takeover sees size %v min %v, want the node's %v min %v",
+			got.Size, got.MinSize, resized.Size, resized.MinSize)
 	}
 }
 
@@ -565,12 +657,12 @@ func TestRejoinWithVMsReconciles(t *testing.T) {
 		}
 	}
 	victim := -1
-	for _, idx := range m.placement {
+	for _, idx := range placedIndexes(m) {
 		victim = idx
 		break
 	}
 	var victimVMs []string
-	for name, idx := range m.placement {
+	for name, idx := range placedIndexes(m) {
 		if idx == victim {
 			victimVMs = append(victimVMs, name)
 		}
@@ -584,7 +676,7 @@ func TestRejoinWithVMsReconciles(t *testing.T) {
 	nodes[victim].isolate()
 	probeUntilDead(t, m)
 	for _, name := range victimVMs {
-		if idx, ok := m.placement[name]; !ok || idx == victim {
+		if idx, ok := m.placedOn(name); !ok || idx == victim {
 			t.Fatalf("VM %s not re-placed off the partitioned node", name)
 		}
 	}
@@ -629,7 +721,7 @@ func TestRejoinAdoptsUnplaceableVMs(t *testing.T) {
 		}
 	}
 	var victimVMs []string
-	for name, idx := range m.placement {
+	for name, idx := range placedIndexes(m) {
 		if idx == 0 {
 			victimVMs = append(victimVMs, name)
 		}
@@ -662,7 +754,7 @@ func TestRejoinAdoptsUnplaceableVMs(t *testing.T) {
 		t.Fatalf("adopted %d VMs on rejoin, want %d", adopted, len(victimVMs))
 	}
 	for _, name := range victimVMs {
-		if idx, ok := m.placement[name]; !ok || idx != 0 {
+		if idx, ok := m.placedOn(name); !ok || idx != 0 {
 			t.Errorf("VM %s not re-adopted onto server 0", name)
 		}
 	}

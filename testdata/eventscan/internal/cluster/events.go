@@ -24,7 +24,10 @@ func (c *Counts) add(k EventKind) {
 }
 
 // Manager counts through emit, and once around it.
-type Manager struct{ counts Counts }
+type Manager struct {
+	counts Counts
+	fold   *WALState
+}
 
 func (m *Manager) emit(k EventKind) { m.counts.add(k) }
 
@@ -34,3 +37,37 @@ func (m *Manager) repair(n int) {
 		m.counts.add(NodeDown)
 	}
 }
+
+// WALState is the fixture's fold.
+type WALState struct {
+	AppliedSeq uint64
+	Placements map[string]string
+}
+
+// NewWALState returns an empty fold.
+func NewWALState() *WALState { return &WALState{Placements: make(map[string]string)} }
+
+// apply is the fold's one writer.
+func (s *WALState) apply(vm, node string) {
+	s.AppliedSeq++
+	if node == "" {
+		delete(s.Placements, vm)
+		return
+	}
+	s.Placements[vm] = node
+}
+
+// place writes the manager's fold around apply.
+func (m *Manager) place(vm, node string) { m.fold.Placements[vm] = node }
+
+// fresh deletes from a fold its constructor returned.
+func fresh(vm string) *WALState {
+	st := NewWALState()
+	delete(st.Placements, vm)
+	return st
+}
+
+// listing is not the fold: a write to its same-named map does not count.
+type listing struct{ Placements map[string]string }
+
+func (l *listing) add(vm, node string) { l.Placements[vm] = node }
